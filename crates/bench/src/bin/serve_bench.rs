@@ -4,11 +4,12 @@
 //! `EndToEnd::predict`, a **city-scale intra-op thread sweep** (kernel
 //! parallelism via `NN_THREADS` / `rntrajrec_nn::pool`), and the
 //! matmul-invocation counts **before and after batched fusion** of both
-//! halves of the model — the per-member sequential decode versus the
-//! batched path that stacks same-step states into one matmul per head
-//! (`city_scale.decoder_fusion`), and the per-member GPS-Former encoder
-//! pass versus the stacked batched encoder with segment-scoped GraphNorm
-//! (`city_scale.encoder_fusion`) — with batched ≡ sequential bit-identity
+//! halves of the model — every member decoded alone (N calls at B=1)
+//! versus the batched call that stacks same-step states into one matmul
+//! per head (`city_scale.decoder_fusion`), and the GPS-Former encoder pass
+//! per member versus the stacked batched encoder with segment-scoped
+//! GraphNorm (`city_scale.encoder_fusion`), both sides through the one
+//! tape-free path — with batched ≡ sequential bit-identity
 //! asserted for both — plus the **segment-head study**
 //! (`city_scale.segment_head`): masked-column sparse head FLOPs versus the
 //! dense head (bit-identical recovery asserted, ≥3× fewer head FLOPs gated
@@ -205,27 +206,23 @@ fn main() {
     let big_model = EndToEnd::build(&MethodSpec::RnTrajRec, &big_city.net, &big_grid, big_dim, 7);
 
     // 3a. Decoder-step matmul invocations per request (fusion baseline:
-    // the per-member sequential decode).
+    // every member decoded alone, N calls at B=1 through the one fused
+    // path).
     let road = big_model.precompute_road().expect("RNTrajRec precomputes");
-    let encs: Vec<_> = big_inputs
-        .iter()
-        .map(|input| {
-            big_model
-                .encoder
-                .infer_one(&big_model.store, input, Some(&road))
-                .expect("infer path")
-        })
-        .collect();
-    let decode_seq = || -> Vec<Vec<(usize, f32)>> {
-        encs.iter()
-            .zip(&big_inputs)
-            .map(|(enc, input)| {
+    let big_refs: Vec<&SampleInput> = big_inputs.iter().collect();
+    let encode_seq = || -> Vec<_> {
+        big_refs
+            .iter()
+            .map(|&input| {
                 big_model
-                    .decoder
-                    .infer_run(&big_model.store, &enc.per_point, &enc.traj, input)
+                    .encoder
+                    .infer_batch(&big_model.store, &[input], Some(&road))
+                    .expect("infer path")
+                    .remove(0)
             })
             .collect()
     };
+    let encs = encode_seq();
     let members: Vec<BatchMember> = encs
         .iter()
         .zip(&big_inputs)
@@ -235,6 +232,17 @@ fn main() {
             sample,
         })
         .collect();
+    let decode_batch = |members: &[BatchMember]| {
+        big_model
+            .decoder
+            .recover_batch_infer_with(&big_model.store, members, SegmentHead::Sparse)
+    };
+    let decode_seq = || -> Vec<Vec<(usize, f32)>> {
+        members
+            .iter()
+            .map(|m| decode_batch(std::slice::from_ref(m)).remove(0))
+            .collect()
+    };
 
     let prof = kernels::profile_scope("decoder_sequential");
     let sequential = decode_seq();
@@ -249,9 +257,7 @@ fn main() {
     // 3b. Fused batched decode: one stacked matmul per head per step for
     // the whole micro-batch, bit-identical to the sequential loop.
     let prof = kernels::profile_scope("decoder_batched");
-    let batched = big_model
-        .decoder
-        .recover_batch_infer(&big_model.store, &members);
+    let batched = decode_batch(&members);
     let fused_matmuls = prof.finish().matmuls;
     assert_eq!(
         batched, sequential,
@@ -273,32 +279,17 @@ fn main() {
         t.elapsed().as_secs_f64() * 1000.0 / (fusion_reps * big_inputs.len()) as f64;
     let t = Instant::now();
     for _ in 0..fusion_reps {
-        std::hint::black_box(
-            big_model
-                .decoder
-                .recover_batch_infer(&big_model.store, &members),
-        );
+        std::hint::black_box(decode_batch(&members));
     }
     let fused_decode_ms =
         t.elapsed().as_secs_f64() * 1000.0 / (fusion_reps * big_inputs.len()) as f64;
     let fusion_speedup = seq_decode_ms / fused_decode_ms;
 
-    // 3c. Encoder fusion: the per-member GPS-Former pass versus one fused
-    // batched pass (`TrajEncoder::infer_batch`) — every Linear/attention
-    // projection one stacked matmul for the whole batch, GraphNorm
-    // statistics scoped per member so results stay bit-identical.
-    let big_refs: Vec<&SampleInput> = big_inputs.iter().collect();
-    let encode_seq = || -> Vec<_> {
-        big_refs
-            .iter()
-            .map(|input| {
-                big_model
-                    .encoder
-                    .infer_one(&big_model.store, input, Some(&road))
-                    .expect("infer path")
-            })
-            .collect()
-    };
+    // 3c. Encoder fusion: the GPS-Former pass per member (N calls at B=1)
+    // versus one fused batched pass (`TrajEncoder::infer_batch`) — every
+    // Linear/attention projection one stacked matmul for the whole batch,
+    // GraphNorm statistics scoped per member so results stay
+    // bit-identical.
     let prof = kernels::profile_scope("encoder_sequential");
     let enc_sequential = encode_seq();
     let enc_seq_matmuls = prof.finish().matmuls;
@@ -376,10 +367,7 @@ fn main() {
             .recover_batch_infer_with(&big_model.store, &members, SegmentHead::Dense);
     let dense_prof = prof.finish();
     let prof = kernels::profile_scope("segment_head_sparse");
-    let sparse_paths =
-        big_model
-            .decoder
-            .recover_batch_infer_with(&big_model.store, &members, SegmentHead::Sparse);
+    let sparse_paths = decode_batch(&members);
     let sparse_prof = prof.finish();
     assert_eq!(
         dense_paths, sparse_paths,
@@ -407,17 +395,12 @@ fn main() {
     // and profiled FLOPs/step per backend (identical by construction —
     // backends change instruction selection, not the work counted).
     let avx2_supported = backend::is_supported(Backend::Avx2Fma);
-    let decode_sparse = || {
-        big_model
-            .decoder
-            .recover_batch_infer_with(&big_model.store, &members, SegmentHead::Sparse)
-    };
     let time_backend = |bk: Backend| {
         backend::with_backend(bk, || {
-            std::hint::black_box(decode_sparse()); // warm
+            std::hint::black_box(decode_batch(&members)); // warm
             let prof = kernels::profile_scope("segment_head_backend");
             for _ in 0..fusion_reps {
-                std::hint::black_box(decode_sparse());
+                std::hint::black_box(decode_batch(&members));
             }
             let p = prof.finish();
             (

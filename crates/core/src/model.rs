@@ -106,7 +106,7 @@ impl MethodSpec {
 
 /// Per-member recovered `(segment, rate)` paths plus a per-member
 /// "cancelled mid-decode" flag, as returned by
-/// [`EndToEnd::infer_predict_batch_ctl`].
+/// [`EndToEnd::infer_predict_batch_stream`].
 pub type BatchDecodeOutcome = (Vec<Vec<(usize, f32)>>, Vec<bool>);
 
 /// An encoder + the shared decoder + its parameters and loss weights.
@@ -319,32 +319,32 @@ impl EndToEnd {
         self.encoder.precompute_road(&self.store)
     }
 
-    /// Tape-free greedy inference: the forward-only twin of
-    /// [`EndToEnd::predict`] with no autograd allocation. `road` is the
-    /// cached [`EndToEnd::precompute_road`] output (pass `None` to
-    /// recompute per call). Returns `None` when the encoder has no
-    /// tape-free path — callers fall back to [`EndToEnd::predict`].
-    pub fn infer_predict(
+    /// Tape-free greedy inference over a closed batch — the forward-only
+    /// twin of [`EndToEnd::predict`] with no autograd allocation:
+    /// [`EndToEnd::infer_predict_batch_stream`] with no cancellation, no
+    /// admission and no step sink. `road` is the cached
+    /// [`EndToEnd::precompute_road`] output (pass `None` to recompute per
+    /// call); `head` picks the decoder [`SegmentHead`] (dense reference,
+    /// sparse default, or quantized). A single request is a batch of one.
+    /// Returns `None` when the encoder has no tape-free path — callers
+    /// fall back to [`EndToEnd::predict`].
+    pub fn infer_predict_batch(
         &self,
-        input: &SampleInput,
-        road: Option<&Tensor>,
-    ) -> Option<Vec<(usize, f32)>> {
-        self.infer_predict_with(input, road, SegmentHead::Sparse)
-    }
-
-    /// [`EndToEnd::infer_predict`] with an explicit decoder
-    /// [`SegmentHead`] (dense reference, sparse default, or quantized).
-    pub fn infer_predict_with(
-        &self,
-        input: &SampleInput,
+        inputs: &[&SampleInput],
         road: Option<&Tensor>,
         head: SegmentHead<'_>,
-    ) -> Option<Vec<(usize, f32)>> {
-        let enc = self.encoder.infer_one(&self.store, input, road)?;
-        Some(
-            self.decoder
-                .infer_run_with(&self.store, &enc.per_point, &enc.traj, input, head),
+    ) -> Option<Vec<Vec<(usize, f32)>>> {
+        self.infer_predict_batch_stream(
+            inputs,
+            road,
+            head,
+            &mut StreamCtl {
+                cancel: &mut |_, _| false,
+                admit: &mut |_| Vec::new(),
+                on_step: &mut |_| {},
+            },
         )
+        .map(|(paths, _)| paths)
     }
 
     /// Tape-free **batched** greedy inference, fused end to end: the
@@ -353,87 +353,21 @@ impl EndToEnd {
     /// every member's per-point rows into one matmul per projection while
     /// GraphNorm statistics stay scoped per member via segmented kernels,
     /// so cross-request batching cannot change results), then the fused
-    /// decoder ([`Decoder::recover_batch_infer`]) recovers all members in
-    /// lock-step — one stacked matmul per head per decode step instead of
-    /// one per member. Results are bit-identical to calling
-    /// [`EndToEnd::infer_predict`] per input, for any batch composition.
-    /// Returns `None` when the encoder has no tape-free path.
-    pub fn infer_predict_batch(
-        &self,
-        inputs: &[&SampleInput],
-        road: Option<&Tensor>,
-    ) -> Option<Vec<Vec<(usize, f32)>>> {
-        self.infer_predict_batch_with(inputs, road, SegmentHead::Sparse)
-    }
-
-    /// [`EndToEnd::infer_predict_batch`] with an explicit decoder
-    /// [`SegmentHead`].
-    pub fn infer_predict_batch_with(
-        &self,
-        inputs: &[&SampleInput],
-        road: Option<&Tensor>,
-        head: SegmentHead<'_>,
-    ) -> Option<Vec<Vec<(usize, f32)>>> {
-        self.infer_predict_batch_ctl(inputs, road, head, &mut |_, _| false)
-            .map(|(paths, _)| paths)
-    }
-
-    /// [`EndToEnd::infer_predict_batch_with`] with **mid-decode
-    /// cancellation**: `cancel(member, step)` is consulted before each
-    /// lock-step decode step, and members it cuts are retired through the
-    /// decoder's state-compaction path
-    /// ([`Decoder::recover_batch_infer_ctl`]) — survivors stay
-    /// bit-identical to an uncancelled run. The serving engine uses this
-    /// to stop decoding for requests whose deadline expired inside a
-    /// fused batch. Returns per-member paths plus a cancelled flag.
-    pub fn infer_predict_batch_ctl(
-        &self,
-        inputs: &[&SampleInput],
-        road: Option<&Tensor>,
-        head: SegmentHead<'_>,
-        cancel: &mut dyn FnMut(usize, usize) -> bool,
-    ) -> Option<BatchDecodeOutcome> {
-        use std::sync::{Arc, OnceLock};
-        static ENCODER_SECONDS: OnceLock<Arc<rntrajrec_obs::metrics::Histogram>> = OnceLock::new();
-        static DECODER_SECONDS: OnceLock<Arc<rntrajrec_obs::metrics::Histogram>> = OnceLock::new();
-
-        let enc_started = std::time::Instant::now();
-        let encs = {
-            let _span = rntrajrec_obs::span("encoder.fused");
-            self.encoder.infer_batch(&self.store, inputs, road)?
-        };
-        ENCODER_SECONDS
-            .get_or_init(|| rntrajrec_obs::metrics::phase_seconds("encoder"))
-            .observe_duration(enc_started.elapsed());
-
-        let members: Vec<BatchMember> = encs
-            .iter()
-            .zip(inputs)
-            .map(|(enc, &sample)| BatchMember {
-                per_point: &enc.per_point,
-                traj: &enc.traj,
-                sample,
-            })
-            .collect();
-
-        let dec_started = std::time::Instant::now();
-        let decoded = {
-            let _span = rntrajrec_obs::span("decoder.fused");
-            self.decoder
-                .recover_batch_infer_ctl(&self.store, &members, head, cancel)
-        };
-        DECODER_SECONDS
-            .get_or_init(|| rntrajrec_obs::metrics::phase_seconds("decoder"))
-            .observe_duration(dec_started.elapsed());
-        Some(decoded)
-    }
-
-    /// The continuous-batching / streaming variant of
-    /// [`EndToEnd::infer_predict_batch_ctl`]: between decode ticks the
-    /// `admit` hook may hand over freshly dequeued requests — their
-    /// encoder pass runs *now* (fused across co-arrivals, or solo) and
-    /// the results are spliced into the live `[B, d]` decode stack
-    /// ([`Decoder::recover_batch_infer_stream`]). Every decoded step is
+    /// decoder ([`Decoder::recover_batch_infer_stream`]) recovers all
+    /// members in lock-step — one stacked matmul per head per decode step
+    /// instead of one per member. Each member's result is bit-identical
+    /// to recovering it alone, for any batch composition.
+    ///
+    /// `cancel(member, step)` is consulted before each of a member's
+    /// decode steps, and members it cuts are retired through the
+    /// decoder's state-compaction path — survivors stay bit-identical to
+    /// an uncancelled run. The serving engine uses this to stop decoding
+    /// for requests whose deadline expired inside a fused batch.
+    ///
+    /// Between decode ticks the `admit` hook may hand over freshly
+    /// dequeued requests (continuous batching) — their encoder pass runs
+    /// *now* (fused across co-arrivals, or solo) and the results are
+    /// spliced into the live `[B, d]` decode stack. Every decoded step is
     /// delivered through `on_step` as it is produced.
     ///
     /// Incumbent members are bit-identical to a closed batch whether or
@@ -621,9 +555,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         for input in &inputs {
             let slow = model.predict(input, &mut rng);
-            let fast = model.infer_predict(input, Some(&road)).expect("infer path");
+            let fast = &model
+                .infer_predict_batch(&[input], Some(&road), SegmentHead::Sparse)
+                .expect("infer path")[0];
             assert_eq!(slow.len(), fast.len());
-            for (j, (&(s_seg, s_rate), &(f_seg, f_rate))) in slow.iter().zip(&fast).enumerate() {
+            for (j, (&(s_seg, s_rate), &(f_seg, f_rate))) in slow.iter().zip(fast).enumerate() {
                 assert_eq!(s_seg, f_seg, "step {j}: segment diverged");
                 // Tape-free mirrors the tape op-for-op: bit-identical.
                 assert_eq!(s_rate, f_rate, "step {j}: rate not bit-identical");
@@ -637,9 +573,11 @@ mod tests {
         let model = EndToEnd::build(&MethodSpec::MTrajRec, &city.net, &grid, 16, 7);
         assert!(!model.supports_infer());
         assert!(model.precompute_road().is_none());
-        assert!(model.infer_predict(&inputs[0], None).is_none());
         assert!(model
-            .infer_predict_batch(&[&inputs[0], &inputs[1]], None)
+            .infer_predict_batch(&[&inputs[0]], None, SegmentHead::Sparse)
+            .is_none());
+        assert!(model
+            .infer_predict_batch(&[&inputs[0], &inputs[1]], None, SegmentHead::Sparse)
             .is_none());
     }
 
@@ -649,16 +587,24 @@ mod tests {
         let model = EndToEnd::build(&MethodSpec::RnTrajRec, &city.net, &grid, 16, 7);
         let road = model.precompute_road().expect("X_road precompute");
         let refs: Vec<&SampleInput> = inputs.iter().collect();
-        let sequential: Vec<Vec<(usize, f32)>> = refs
+        let one_by_one: Vec<Vec<(usize, f32)>> = refs
             .iter()
-            .map(|i| model.infer_predict(i, Some(&road)).expect("infer path"))
+            .map(|&i| {
+                model
+                    .infer_predict_batch(&[i], Some(&road), SegmentHead::Sparse)
+                    .expect("infer path")
+                    .remove(0)
+            })
             .collect();
         let batched = model
-            .infer_predict_batch(&refs, Some(&road))
+            .infer_predict_batch(&refs, Some(&road), SegmentHead::Sparse)
             .expect("infer path");
-        assert_eq!(batched, sequential, "fused decode diverged");
+        assert_eq!(batched, one_by_one, "fused decode diverged");
         // Empty batch is a no-op.
-        assert_eq!(model.infer_predict_batch(&[], Some(&road)), Some(vec![]));
+        assert_eq!(
+            model.infer_predict_batch(&[], Some(&road), SegmentHead::Sparse),
+            Some(vec![])
+        );
     }
 
     #[test]

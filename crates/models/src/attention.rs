@@ -63,33 +63,13 @@ impl MultiHeadAttention {
         self.wo.forward(tape, store, cat)
     }
 
-    /// Tape-free twin of [`MultiHeadAttention::forward`].
-    pub fn infer(&self, store: &ParamStore, x: &Tensor) -> Tensor {
-        let q = self.wq.infer(store, x);
-        let k = self.wk.infer(store, x);
-        let v = self.wv.infer(store, x);
-        let dh = self.dim / self.heads;
-        let scale = 1.0 / (dh as f32).sqrt();
-        let mut heads = Vec::with_capacity(self.heads);
-        for h in 0..self.heads {
-            let qh = infer::select_cols(&q, h * dh, dh);
-            let kh = infer::select_cols(&k, h * dh, dh);
-            let vh = infer::select_cols(&v, h * dh, dh);
-            let scores = infer::scale(&infer::matmul_nt(&qh, &kh), scale);
-            let alphas = infer::softmax_rows(&scores);
-            heads.push(infer::matmul(&alphas, &vh));
-        }
-        let refs: Vec<&Tensor> = heads.iter().collect();
-        self.wo.infer(store, &infer::concat_cols(&refs))
-    }
-
     /// Batched tape-free self-attention over a stack of trajectories:
     /// `x` holds every member's rows concatenated, `segs` the (ordered,
     /// disjoint) row range of each member. The q/k/v/output projections
     /// run as **one** stacked matmul each, while the attention reduction
     /// stays scoped to each member's own rows via
     /// `infer::segmented_self_attention` — so every output row is
-    /// bit-identical to [`MultiHeadAttention::infer`] on the member alone.
+    /// bit-identical to [`MultiHeadAttention::forward`] on the member alone.
     pub fn infer_segments(&self, store: &ParamStore, x: &Tensor, segs: &[Range<usize>]) -> Tensor {
         let q = self.wq.infer(store, x);
         let k = self.wk.infer(store, x);
@@ -182,16 +162,6 @@ impl AdditiveAttention {
         let mu = tape.matmul_nt(v, t); // [1, L]
         let alphas = tape.softmax_rows(mu); // [1, L]
         tape.matmul(alphas, keys) // [1, d]
-    }
-
-    /// Tape-free twin of [`AdditiveAttention::forward`].
-    pub fn infer(&self, store: &ParamStore, query: &Tensor, keys: &Tensor) -> Tensor {
-        let gq = infer::matmul(query, store.value(self.wg));
-        let hk = infer::matmul(keys, store.value(self.wh));
-        let t = infer::tanh(&infer::add_rowvec(&hk, &gq));
-        let mu = infer::matmul_nt(store.value(self.v), &t);
-        let alphas = infer::softmax_rows(&mu);
-        infer::matmul(&alphas, keys)
     }
 }
 

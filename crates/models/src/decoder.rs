@@ -26,7 +26,7 @@ const MASKED_OUT_LOGW: f32 = -30.0;
 type StepLogMasks = Vec<Option<Vec<(usize, f32)>>>;
 
 /// Which implementation computes the Eq. 16 road-segment head on the
-/// tape-free decode paths.
+/// tape-free decode path.
 ///
 /// `Sparse` is the default: the constraint mask already enumerates the
 /// allowed segments, so [`infer::masked_matmul_cols`] computes only those
@@ -60,7 +60,8 @@ pub struct DecoderConfig {
     pub use_mask: bool,
 }
 
-/// One member of a fused decode batch ([`Decoder::recover_batch_infer`]):
+/// One member of a fused decode batch
+/// ([`Decoder::recover_batch_infer_stream`]):
 /// its tape-free encoder outputs plus the request's step metadata.
 pub struct BatchMember<'a> {
     /// `[l_τ, d]` per-point encoder states (decoder attention keys).
@@ -163,8 +164,8 @@ impl Decoder {
 
     /// The constraint-mask log-weight row of Eq. (16): allowed segments
     /// carry `ln w`, everything else the effectively-zero
-    /// [`MASKED_OUT_LOGW`]. Used by the tape path; the tape-free paths
-    /// feed the same log-weights sparsely into the fused
+    /// [`MASKED_OUT_LOGW`]. Used by the tape path; the tape-free path
+    /// feeds the same log-weights sparsely into the fused
     /// `masked_log_softmax_rows` kernel via [`Decoder::mask_logw_entries`].
     fn mask_logw_row(&self, entries: &[(usize, f32)]) -> Tensor {
         let mut logw = vec![MASKED_OUT_LOGW; self.config.num_segments];
@@ -177,8 +178,7 @@ impl Decoder {
     /// Sparse `(segment, log-weight)` mask entries for one decode step —
     /// `None` when masking is off or the step carries no mask. The same
     /// `ln(max(w, 1e-6))` transform as [`Decoder::mask_logw_row`], without
-    /// materialising the `[1, |V|]` row; shared by both tape-free decode
-    /// paths.
+    /// materialising the `[1, |V|]` row.
     fn mask_logw_entries(&self, mask: &Option<Vec<(usize, f32)>>) -> Option<Vec<(usize, f32)>> {
         match (self.config.use_mask, mask) {
             (true, Some(entries)) => Some(
@@ -286,172 +286,75 @@ impl Decoder {
         }
     }
 
-    /// Tape-free greedy decode (the serving hot path): the twin of
-    /// [`Decoder::run`] with `teacher_forcing = false`, evaluated with
-    /// plain tensor ops. Returns the predicted `(segment, rate)` per
-    /// target step.
-    ///
-    /// Every step's heavy math (the `[1,d]×[d,|V|]` segment-head matmul,
-    /// the GRU and attention products) runs on `rntrajrec_nn::kernels`,
-    /// which parallelises wide outputs by disjoint column ranges — the
-    /// `NN_THREADS` knob cuts per-step latency without changing a bit of
-    /// the output. `rntrajrec_nn::kernels::matmul_invocations` deltas
-    /// around this call count the per-step matmuls (`serve_bench` records
-    /// them as the baseline for fusing same-length decoder steps).
-    pub fn infer_run(
-        &self,
-        store: &ParamStore,
-        per_point: &Tensor,
-        traj: &Tensor,
-        sample: &SampleInput,
-    ) -> Vec<(usize, f32)> {
-        self.infer_run_with(store, per_point, traj, sample, SegmentHead::Sparse)
-    }
-
-    /// [`Decoder::infer_run`] with an explicit [`SegmentHead`] variant
-    /// (benchmarks and parity tests compare routes; serving may select
-    /// the quantized head).
-    pub fn infer_run_with(
-        &self,
-        store: &ParamStore,
-        per_point: &Tensor,
-        traj: &Tensor,
-        sample: &SampleInput,
-        head: SegmentHead<'_>,
-    ) -> Vec<(usize, f32)> {
-        let l_rho = sample.target_len();
-        let seg_table = store.value(self.seg_emb);
-        let w_id = store.value(self.w_id);
-        let b_id = store.value(self.b_id);
-        let w_rate = store.value(self.w_rate);
-
-        let mut h = traj.clone();
-        let mut x_prev = store.value(self.start_emb).clone();
-        let mut r_prev = Tensor::scalar(0.0);
-        let mut out = Vec::with_capacity(l_rho);
-
-        for j in 0..l_rho {
-            // Eq. (14): attention over encoder outputs.
-            let a = self.attn.infer(store, &h, per_point);
-            // Eq. (15): GRU update.
-            let input = infer::concat_cols(&[&x_prev, &r_prev, &a]);
-            h = self.gru.infer_step(store, &input, &h);
-
-            // Road-segment head with constraint mask (Eq. 16): sparse by
-            // default — only the mask-allowed columns of `[1,d]×[d,|V|]`
-            // are computed, fused with the allowed-column log-softmax.
-            let logw = self.mask_logw_entries(&sample.masks[j]);
-            let mask = logw.as_deref().map(|entries| infer::SparseLogMask {
-                default: MASKED_OUT_LOGW,
-                entries,
-            });
-            let logp = match head {
-                SegmentHead::Dense => {
-                    let logits = infer::add_rowvec(&infer::matmul(&h, w_id), b_id);
-                    infer::masked_log_softmax_rows(&logits, &[mask])
-                }
-                SegmentHead::Sparse => infer::masked_matmul_cols(&h, w_id, b_id, &[mask]),
-                SegmentHead::Quantized(q) => q.forward_masked(&h, b_id, &[mask]),
-            };
-            let pred = logp.argmax_row(0);
-
-            let x_j = infer::gather_rows(seg_table, &[pred]);
-            // Moving-ratio head (Eq. 17).
-            let rate_in = infer::concat_cols(&[&x_j, &h]);
-            let rate = infer::sigmoid(&infer::matmul(&rate_in, w_rate));
-            out.push((pred, rate.item()));
-
-            x_prev = x_j;
-            r_prev = rate;
-        }
-        out
-    }
-
-    /// Fused batched greedy decode: recover a whole micro-batch in
-    /// lock-step, stacking every member's current hidden state into one
-    /// `[B, d]` matrix so each decode step runs **one** stacked matmul per
-    /// head — the `[B,d]×[d,|V|]` segment head, the `[B,2d]×[2d,1]` rate
-    /// head, the three GRU gates, the attention query projection — instead
-    /// of `B` separate `[1, d]` products. Members attend over their own
-    /// (ragged-length) encoder outputs through the segmented kernels, the
-    /// key projection `W_h·H_traj` is hoisted out of the step loop (it is
-    /// input-constant), and the active stack shrinks as shorter members
-    /// finish.
-    ///
-    /// Because every kernel involved computes each output row/segment with
-    /// exactly the accumulation order of the member's own `[1, d]` call,
-    /// the result is **bit-identical** to running [`Decoder::infer_run`]
-    /// per member, at any thread count and for any batch composition —
-    /// property-tested in `tests/batch_decode_parity.rs`.
-    pub fn recover_batch_infer(
-        &self,
-        store: &ParamStore,
-        members: &[BatchMember<'_>],
-    ) -> Vec<Vec<(usize, f32)>> {
-        self.recover_batch_infer_with(store, members, SegmentHead::Sparse)
-    }
-
-    /// [`Decoder::recover_batch_infer`] with an explicit [`SegmentHead`]
-    /// variant.
+    /// Closed-batch fused greedy decode: [`Decoder::recover_batch_infer_stream`]
+    /// with no cancellation, no admission and no step sink. Returns the
+    /// predicted `(segment, rate)` per target step, per member.
     pub fn recover_batch_infer_with(
         &self,
         store: &ParamStore,
         members: &[BatchMember<'_>],
         head: SegmentHead<'_>,
     ) -> Vec<Vec<(usize, f32)>> {
-        self.recover_batch_infer_ctl(store, members, head, &mut |_, _| false)
-            .0
-    }
-
-    /// [`Decoder::recover_batch_infer_with`] with **mid-decode
-    /// cancellation**: before each lock-step `j`, `cancel(member, j)` is
-    /// asked whether that member should stop decoding (the serving engine
-    /// passes a deadline check; tests pass arbitrary step predicates).
-    /// Cancelled members are retired through the *same* `gather_rows`
-    /// compaction that retires finished members, so every surviving row
-    /// keeps its exact value and survivors stay **bit-identical** to an
-    /// uncancelled run — property-tested in `tests/batch_decode_parity.rs`.
-    ///
-    /// Returns the per-member outputs (a cancelled member holds the prefix
-    /// decoded before its cut, itself bit-identical to the uncancelled
-    /// run's prefix) and a per-member cancelled flag.
-    pub fn recover_batch_infer_ctl(
-        &self,
-        store: &ParamStore,
-        members: &[BatchMember<'_>],
-        head: SegmentHead<'_>,
-        cancel: &mut dyn FnMut(usize, usize) -> bool,
-    ) -> (Vec<Vec<(usize, f32)>>, Vec<bool>) {
-        let mut admit = |_: usize| Vec::new();
-        let mut on_step = |_: StepOut| {};
         self.recover_batch_infer_stream(
             store,
             members,
             head,
             &mut DecodeHooks {
-                cancel,
-                admit: &mut admit,
-                on_step: &mut on_step,
+                cancel: &mut |_, _| false,
+                admit: &mut |_| Vec::new(),
+                on_step: &mut |_| {},
             },
         )
+        .0
     }
 
-    /// The general fused decode loop: **continuous batching** plus
-    /// **streamed steps**. Between lock-step decode ticks the `admit`
-    /// hook may splice new members into the live `[B, d]` stack — their
-    /// attention keys and key projections append as fresh rows (matmul
-    /// and every other kernel here is row/member-segment-scoped, so
-    /// incumbents' rows are untouched bit-for-bit and the newcomer's
-    /// rows are exactly its solo products), their hidden state starts
-    /// from `traj` / `start_emb` / rate 0 just as a closed batch would —
-    /// and every produced `(segment, rate, logprob)` is handed to
-    /// `on_step` in production order.
+    /// The tape-free greedy decode loop (the serving hot path): the twin
+    /// of [`Decoder::run`] with `teacher_forcing = false`, evaluated with
+    /// plain tensor ops over a whole micro-batch in lock-step. Every
+    /// member's current hidden state is stacked into one `[B, d]` matrix
+    /// so each decode step runs **one** stacked matmul per head — the
+    /// `[B,d]×[d,|V|]` segment head, the `[B,2d]×[2d,1]` rate head, the
+    /// three GRU gates, the attention query projection — instead of `B`
+    /// separate `[1, d]` products. Members attend over their own
+    /// (ragged-length) encoder outputs through the segmented kernels, the
+    /// key projection `W_h·H_traj` is hoisted out of the step loop (it is
+    /// input-constant), and the active stack shrinks as shorter members
+    /// finish. A single request is a batch of one.
+    ///
+    /// Because every kernel involved computes each output row/segment with
+    /// exactly the accumulation order of the member's own `[1, d]` call,
+    /// each member's result is **bit-identical** to decoding it alone, at
+    /// any thread count and for any batch composition — property-tested in
+    /// `tests/batch_decode_parity.rs`. All heavy math runs on
+    /// `rntrajrec_nn::kernels`, which parallelises wide outputs by disjoint
+    /// column ranges — the `NN_THREADS` knob cuts per-step latency without
+    /// changing a bit of the output.
+    ///
+    /// **Mid-decode cancellation**: before each of a member's steps,
+    /// `cancel(member, step)` is asked whether it should stop decoding
+    /// (the serving engine passes a deadline check; tests pass arbitrary
+    /// step predicates). Cancelled members are retired through the *same*
+    /// `gather_rows` compaction that retires finished members, so every
+    /// surviving row keeps its exact value and survivors stay
+    /// bit-identical to an uncancelled run; a cancelled member holds the
+    /// prefix decoded before its cut, itself bit-identical to the
+    /// uncancelled run's prefix.
+    ///
+    /// **Continuous batching** plus **streamed steps**: between lock-step
+    /// decode ticks the `admit` hook may splice new members into the live
+    /// `[B, d]` stack — their attention keys and key projections append as
+    /// fresh rows (matmul and every other kernel here is
+    /// row/member-segment-scoped, so incumbents' rows are untouched
+    /// bit-for-bit and the newcomer's rows are exactly its solo products),
+    /// their hidden state starts from `traj` / `start_emb` / rate 0 just
+    /// as a closed batch would — and every produced
+    /// `(segment, rate, logprob)` is handed to `on_step` in production
+    /// order.
     ///
     /// Each member advances its **own** step counter: a grown member's
     /// step 0 runs at whatever global tick it was admitted. Because no
     /// kernel mixes rows across members, incumbents decode bit-identically
-    /// whether or not anyone joins — property-tested in
-    /// `tests/batch_decode_parity.rs` alongside the cancellation path.
+    /// whether or not anyone joins.
     ///
     /// Returns per-member outputs and cancelled flags, indexed with the
     /// initial members first and grown members after, in admission order.
@@ -485,7 +388,7 @@ impl Decoder {
 
         // Loop-invariant hoists: the stacked attention keys, their
         // projection `W_h·H_traj` (one matmul for the whole batch — the
-        // sequential path recomputes it every step), per-member row ranges
+        // tape path recomputes it every step), per-member row ranges
         // into both stacks, and the sparse mask log-weights per step.
         // All grow by appended rows when a member is admitted mid-decode.
         let keys: Vec<&Tensor> = members.iter().map(|m| m.per_point).collect();
@@ -827,7 +730,7 @@ mod tests {
     }
 
     #[test]
-    fn infer_run_matches_tape_inference() {
+    fn fused_batch_of_one_matches_tape_inference() {
         let (city, input) = sample_input();
         let mut rng = StdRng::seed_from_u64(7);
         let mut store = ParamStore::new();
@@ -844,9 +747,12 @@ mod tests {
         let enc = fake_encoder_output(&mut tape, input.input_len(), 16);
         let run = dec.run(&mut tape, &store, &enc, &input, false);
 
-        let per_point = tape.value(enc.per_point).clone();
-        let traj = tape.value(enc.traj).clone();
-        let fast = dec.infer_run(&store, &per_point, &traj, &input);
+        let member = BatchMember {
+            per_point: tape.value(enc.per_point),
+            traj: tape.value(enc.traj),
+            sample: &input,
+        };
+        let fast = &dec.recover_batch_infer_with(&store, &[member], SegmentHead::Sparse)[0];
 
         assert_eq!(fast.len(), run.preds.len());
         for (j, &(seg, rate)) in fast.iter().enumerate() {

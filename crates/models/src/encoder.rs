@@ -8,8 +8,9 @@
 //! auxiliary loss of Eq. 18).
 //!
 //! Encoders may additionally provide a **tape-free inference path**
-//! ([`TrajEncoder::infer_one`]): the same forward computation evaluated
-//! with plain tensor ops (`rntrajrec_nn::infer`), no autograd bookkeeping.
+//! ([`TrajEncoder::infer_batch`]): the same forward computation evaluated
+//! with plain tensor ops (`rntrajrec_nn::infer`), no autograd bookkeeping,
+//! stacked over a whole micro-batch (a single request is a batch of one).
 //! Input-independent work (GridGNN's `X_road`) is split out into
 //! [`TrajEncoder::precompute_road`] so a serving engine can compute it once
 //! per road network and share it read-only across requests.
@@ -72,44 +73,29 @@ pub trait TrajEncoder: Send + Sync {
 
     /// Precompute the input-independent road representation (`X_road` for
     /// RNTrajRec), if this encoder has one. Serving engines call this once
-    /// per road network and pass the result to every [`TrajEncoder::infer_one`].
+    /// per road network and pass the result to every [`TrajEncoder::infer_batch`].
     fn precompute_road(&self, _store: &ParamStore) -> Option<Tensor> {
         None
     }
 
-    /// Tape-free single-trajectory inference. Returns `None` when the
-    /// encoder has no forward-only implementation (the serving engine then
-    /// refuses to build; training-time `encode` is unaffected).
+    /// Tape-free inference over a whole micro-batch. Returns `None` when
+    /// the encoder has no forward-only implementation (the serving engine
+    /// then refuses to build; training-time `encode` is unaffected).
     ///
     /// `road` is the cached [`TrajEncoder::precompute_road`] output; pass
     /// `None` to recompute it for this call.
-    fn infer_one(
-        &self,
-        _store: &ParamStore,
-        _sample: &SampleInput,
-        _road: Option<&Tensor>,
-    ) -> Option<InferOutput> {
-        None
-    }
-
-    /// Tape-free **batched** inference over a whole micro-batch.
     ///
     /// The contract every implementation must honour: the output for each
-    /// member is **bit-identical** to [`TrajEncoder::infer_one`] on that
-    /// member alone — batch composition must be unobservable in the
-    /// results (the serving engine batches requests from unrelated
-    /// clients). The default runs members one by one; encoders with a
-    /// fused path (RNTrajRec stacks all members' rows per block and scopes
-    /// GraphNorm statistics per member) override it.
+    /// member is **bit-identical** to a batch of that member alone — batch
+    /// composition must be unobservable in the results (the serving engine
+    /// batches requests from unrelated clients). RNTrajRec stacks all
+    /// members' rows per block and scopes GraphNorm statistics per member.
     fn infer_batch(
         &self,
-        store: &ParamStore,
-        samples: &[&SampleInput],
-        road: Option<&Tensor>,
+        _store: &ParamStore,
+        _samples: &[&SampleInput],
+        _road: Option<&Tensor>,
     ) -> Option<Vec<InferOutput>> {
-        samples
-            .iter()
-            .map(|s| self.infer_one(store, s, road))
-            .collect()
+        None
     }
 }

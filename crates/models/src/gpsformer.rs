@@ -1,7 +1,7 @@
 //! GPSFormer (Section IV-F) and the complete RNTrajRec encoder.
 //!
 //! All numeric work in both the tape `encode` and the tape-free
-//! `infer_sample` paths (attention products, FFNs, pooling, GRL graph
+//! `infer_batch` paths (attention products, FFNs, pooling, GRL graph
 //! ops) executes on `rntrajrec_nn::kernels`, the workspace's single
 //! parallel compute core — see `nn`'s crate docs for the determinism
 //! contract.
@@ -123,65 +123,8 @@ impl RnTrajRecEncoder {
         }
     }
 
-    /// Tape-free twin of the `encode` path for a single trajectory.
-    ///
-    /// Matches `encode` with a batch of exactly this sample (the GRL's
-    /// GraphNorm statistics then cover only this trajectory's sub-graphs),
-    /// so results are bit-identical to the tape forward at batch size 1 —
-    /// and, crucially for serving, independent of whatever other requests
-    /// happen to share a micro-batch.
-    pub fn infer_sample(
-        &self,
-        store: &ParamStore,
-        sample: &SampleInput,
-        xroad: &Tensor,
-    ) -> InferOutput {
-        let l = sample.input_len();
-
-        // Sub-graph features Z⁽⁰⁾ and pooled inputs Ĥ⁽⁰⁾ (Eq. 6).
-        let mut zs = Vec::with_capacity(l);
-        let mut pooled = Vec::with_capacity(l);
-        for sg in &sample.subgraphs {
-            let z = infer::gather_rows(xroad, &sg.nodes);
-            pooled.push(infer::weighted_mean_rows(&z, &sg.weights));
-            zs.push(z);
-        }
-        let pooled_refs: Vec<&Tensor> = pooled.iter().collect();
-        let gp = infer::concat_rows(&pooled_refs);
-        let extra = select_columns(&sample.base_feats, &[2, 3, 4]);
-        let cat = infer::concat_cols(&[&gp, &extra]);
-        let h0 = self.input_proj.infer(store, &cat);
-        let mut h = infer::add(&h0, &self.pe.table(l)); // Eq. (12)
-
-        // N GPSFormer blocks (Eq. 13).
-        for (te, grl) in &self.blocks {
-            let tr = te.infer(store, &h);
-            match grl {
-                Some(grl) => {
-                    let tr_rows: Vec<Tensor> =
-                        (0..l).map(|i| infer::select_rows(&tr, i, 1)).collect();
-                    let csrs: Vec<_> = sample.subgraphs.iter().map(|sg| sg.csr.clone()).collect();
-                    let refined = grl.infer(store, &tr_rows, &zs, &csrs);
-                    let rows: Vec<Tensor> = refined.iter().map(infer::mean_rows).collect();
-                    let row_refs: Vec<&Tensor> = rows.iter().collect();
-                    h = infer::concat_rows(&row_refs);
-                    zs = refined;
-                }
-                None => h = tr,
-            }
-        }
-
-        // Trajectory-level vector: mean pool + environmental context.
-        let mean = infer::mean_rows(&h);
-        let env = Tensor::row(sample.env.to_vec());
-        let traj = self
-            .traj_head
-            .infer(store, &infer::concat_cols(&[&mean, &env]));
-        InferOutput { per_point: h, traj }
-    }
-
-    /// Fused batched twin of [`RnTrajRecEncoder::infer_sample`]: encode a
-    /// whole micro-batch in one pass, with every member's per-point rows
+    /// Tape-free twin of the `encode` path, fused over a micro-batch:
+    /// encode every member in one pass, with every member's per-point rows
     /// stacked into a single matrix per block. Each Linear / attention
     /// projection (input projection, q/k/v/output, FFNs, gated fusion,
     /// GAT transforms, trajectory head) runs as **one** stacked matmul for
@@ -196,13 +139,13 @@ impl RnTrajRecEncoder {
     /// sub-graphs.
     ///
     /// Because every fused kernel keeps the member's own accumulation
-    /// order, the outputs are **bit-identical** to [`infer_sample`] for
-    /// every member regardless of batch composition — the invariant an
-    /// online service must never break, pinned by the encoder-parity
-    /// proptest in `tests/batch_decode_parity.rs` and asserted in
-    /// `serve_bench`.
-    ///
-    /// [`infer_sample`]: RnTrajRecEncoder::infer_sample
+    /// order, each member's outputs are **bit-identical** to tape `encode`
+    /// with a batch of exactly that member (the GRL's GraphNorm statistics
+    /// then cover only its own sub-graphs), regardless of batch
+    /// composition — the invariant an online service must never break,
+    /// pinned by the encoder-parity proptest in
+    /// `tests/batch_decode_parity.rs` and asserted in `serve_bench`. A
+    /// single request is a batch of one.
     pub fn infer_batch(
         &self,
         store: &ParamStore,
@@ -437,23 +380,6 @@ impl TrajEncoder for RnTrajRecEncoder {
         Some(self.gridgnn.infer(store))
     }
 
-    fn infer_one(
-        &self,
-        store: &ParamStore,
-        sample: &SampleInput,
-        road: Option<&Tensor>,
-    ) -> Option<InferOutput> {
-        let owned;
-        let xroad = match road {
-            Some(t) => t,
-            None => {
-                owned = self.gridgnn.infer(store);
-                &owned
-            }
-        };
-        Some(self.infer_sample(store, sample, xroad))
-    }
-
     fn infer_batch(
         &self,
         store: &ParamStore,
@@ -563,7 +489,7 @@ mod tests {
     }
 
     #[test]
-    fn infer_sample_matches_tape_encode() {
+    fn infer_batch_of_one_matches_tape_encode() {
         let (city, rtree) = build();
         let mut rng = StdRng::seed_from_u64(5);
         let mut store = ParamStore::new();
@@ -577,11 +503,12 @@ mod tests {
         );
         let ins = inputs(&city, &rtree, 2);
         let xroad = enc.gridgnn.infer(&store);
+        assert!(enc.infer_batch(&store, &[], &xroad).is_empty());
         for sample in &ins {
             // Batch of exactly this sample: GraphNorm statistics match.
             let mut tape = Tape::new();
             let out = enc.encode(&mut tape, &store, &[sample], false, &mut rng);
-            let fast = enc.infer_sample(&store, sample, &xroad);
+            let fast = &enc.infer_batch(&store, &[sample], &xroad)[0];
             let pp = tape.value(out.outputs[0].per_point);
             let tj = tape.value(out.outputs[0].traj);
             assert_eq!(fast.per_point.shape(), pp.shape());
@@ -596,7 +523,7 @@ mod tests {
     }
 
     #[test]
-    fn infer_batch_matches_infer_sample_bitwise() {
+    fn infer_batch_member_matches_batch_of_one_bitwise() {
         let (city, rtree) = build();
         let mut rng = StdRng::seed_from_u64(8);
         let mut store = ParamStore::new();
@@ -620,7 +547,7 @@ mod tests {
             let batch = enc.infer_batch(&store, &refs, &xroad);
             assert_eq!(batch.len(), refs.len());
             for (i, (got, sample)) in batch.iter().zip(&ins).enumerate() {
-                let want = enc.infer_sample(&store, sample, &xroad);
+                let want = &enc.infer_batch(&store, &[sample], &xroad)[0];
                 assert_eq!(
                     got.per_point.data, want.per_point.data,
                     "variant {gf}/{gat}/{gn}: member {i} per-point diverged"
@@ -635,29 +562,7 @@ mod tests {
     }
 
     #[test]
-    fn infer_batch_empty_and_singleton() {
-        let (city, rtree) = build();
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut store = ParamStore::new();
-        let grid = city.net.grid(50.0);
-        let enc = RnTrajRecEncoder::new(
-            &mut store,
-            &mut rng,
-            &city.net,
-            &grid,
-            RnTrajRecConfig::small(16),
-        );
-        let xroad = enc.gridgnn.infer(&store);
-        assert!(enc.infer_batch(&store, &[], &xroad).is_empty());
-        let ins = inputs(&city, &rtree, 1);
-        let one = enc.infer_batch(&store, &[&ins[0]], &xroad);
-        let want = enc.infer_sample(&store, &ins[0], &xroad);
-        assert_eq!(one[0].per_point.data, want.per_point.data);
-        assert_eq!(one[0].traj.data, want.traj.data);
-    }
-
-    #[test]
-    fn infer_one_without_cache_recomputes_road() {
+    fn infer_batch_without_cache_recomputes_road() {
         let (city, rtree) = build();
         let mut rng = StdRng::seed_from_u64(6);
         let mut store = ParamStore::new();
@@ -673,10 +578,10 @@ mod tests {
         let xroad = enc
             .precompute_road(&store)
             .expect("RNTrajRec precomputes X_road");
-        let cached = enc.infer_one(&store, &ins[0], Some(&xroad)).unwrap();
-        let uncached = enc.infer_one(&store, &ins[0], None).unwrap();
-        assert_eq!(cached.per_point.data, uncached.per_point.data);
-        assert_eq!(cached.traj.data, uncached.traj.data);
+        let cached = TrajEncoder::infer_batch(&enc, &store, &[&ins[0]], Some(&xroad)).unwrap();
+        let uncached = TrajEncoder::infer_batch(&enc, &store, &[&ins[0]], None).unwrap();
+        assert_eq!(cached[0].per_point.data, uncached[0].per_point.data);
+        assert_eq!(cached[0].traj.data, uncached[0].traj.data);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Graph Refinement Layer (Section IV-D): gated fusion + graph forward +
 //! graph normalisation, with ablation switches for Table V.
 //!
-//! Besides the per-sample tape-free `infer` twins, every sub-module has a
+//! Besides the tape `forward`, every sub-module has a tape-free
 //! **batched** twin operating on one stacked `[Σn, d]` feature matrix for
 //! a whole micro-batch of trajectories: projections run as single stacked
 //! matmuls, the GAT pass runs over a block-diagonal CSR union of every
@@ -59,19 +59,6 @@ impl GatedFusion {
         tape.add(take_tr, keep_z)
     }
 
-    /// Tape-free twin of [`GatedFusion::forward`].
-    pub fn infer(&self, store: &ParamStore, tr: &Tensor, z: &Tensor) -> Tensor {
-        let tr_rep = infer::repeat_rows(tr, z.rows);
-        let a = infer::matmul(&tr_rep, store.value(self.wz1));
-        let b = infer::matmul(z, store.value(self.wz2));
-        let s = infer::add_rowvec(&infer::add(&a, &b), store.value(self.bz));
-        let gate = infer::sigmoid(&s);
-        let take_tr = infer::mul(&gate, &tr_rep);
-        let inv_gate = infer::add_const(&infer::scale(&gate, -1.0), 1.0);
-        let keep_z = infer::mul(&inv_gate, z);
-        infer::add(&take_tr, &keep_z)
-    }
-
     /// Batched tape-free fusion over a whole stack: `tr_points` holds one
     /// `[1, d]` transformer row per point (`[P, d]`), `z` the stacked
     /// sub-graph features `[Σn, d]`, and `row_to_point[r]` the owning
@@ -80,7 +67,7 @@ impl GatedFusion {
     /// pure row-gather — matmul rows are independent, so projecting before
     /// repeating is bit-identical to repeating before projecting); the
     /// gate arithmetic is element-wise, so every row matches
-    /// [`GatedFusion::infer`] on the point's own sub-graph exactly.
+    /// [`GatedFusion::forward`] on the point's own sub-graph exactly.
     pub fn infer_batch(
         &self,
         store: &ParamStore,
@@ -159,44 +146,16 @@ impl GraphNorm {
         res
     }
 
-    /// Tape-free twin of [`GraphNorm::forward`]. The statistics are
-    /// computed over exactly the graphs passed in `zs` — the serving path
-    /// passes one trajectory's sub-graphs, which matches a training batch
-    /// of size 1 and keeps batched inference independent per request.
-    pub fn infer(&self, store: &ParamStore, zs: &[Tensor]) -> Vec<Tensor> {
-        assert!(!zs.is_empty());
-        let means: Vec<Tensor> = zs.iter().map(infer::mean_rows).collect();
-        let mean_refs: Vec<&Tensor> = means.iter().collect();
-        let mu = infer::mean_rows(&infer::concat_rows(&mean_refs));
-        let z_refs: Vec<&Tensor> = zs.iter().collect();
-        let big = infer::concat_rows(&z_refs);
-        let neg_mu = infer::scale(&mu, -1.0);
-        let centered = infer::add_rowvec(&big, &neg_mu);
-        let sq = infer::mul(&centered, &centered);
-        let var = infer::add_const(&infer::mean_rows(&sq), self.eps);
-        let inv = infer::recip(&infer::sqrt(&var));
-        let norm = infer::mul_rowvec(&centered, &inv);
-        let scaled = infer::mul_rowvec(&norm, store.value(self.gamma));
-        let out = infer::add_rowvec(&scaled, store.value(self.beta));
-        let mut res = Vec::with_capacity(zs.len());
-        let mut off = 0;
-        for z in zs {
-            res.push(infer::select_rows(&out, off, z.rows));
-            off += z.rows;
-        }
-        res
-    }
-
     /// Batched tape-free GraphNorm over a stacked micro-batch, statistics
     /// **scoped per member**: `stacked` is `[Σn, d]`, `graph_segs[g]` the
     /// row range of sub-graph `g`, `members[m]` the range of graph indices
     /// owned by member `m`, and `row_to_member[r]` the owning member of
     /// stacked row `r`. `infer::segmented_norm_stats` computes each
-    /// member's `μ`/`1/σ` exactly as [`GraphNorm::infer`] would over that
-    /// member's graphs alone; the normalise-and-affine chain
-    /// (`(x + (−μ))·invσ·γ + β`, one rounding per step) then runs
-    /// element-wise over the whole stack — so batched output rows are
-    /// bit-identical to the per-member call regardless of what else
+    /// member's `μ`/`1/σ` exactly as [`GraphNorm::forward`] would over that
+    /// member's graphs alone (a training batch of just that trajectory);
+    /// the normalise-and-affine chain (`(x + (−μ))·invσ·γ + β`, one
+    /// rounding per step) then runs element-wise over the whole stack — so
+    /// a member's output rows are bit-identical regardless of what else
     /// shares the batch.
     pub fn infer_segments(
         &self,
@@ -232,13 +191,6 @@ impl Norm {
         match self {
             Norm::Graph(gn) => gn.forward(tape, store, zs),
             Norm::Layer(ln) => zs.iter().map(|&z| ln.forward(tape, store, z)).collect(),
-        }
-    }
-
-    fn infer(&self, store: &ParamStore, zs: &[Tensor]) -> Vec<Tensor> {
-        match self {
-            Norm::Graph(gn) => gn.infer(store, zs),
-            Norm::Layer(ln) => zs.iter().map(|z| ln.infer(store, z)).collect(),
         }
     }
 
@@ -482,54 +434,7 @@ impl GraphRefinementLayer {
         self.norm2.forward(tape, store, &refined)
     }
 
-    /// Tape-free twin of [`GraphRefinementLayer::forward`].
-    pub fn infer(
-        &self,
-        store: &ParamStore,
-        tr_rows: &[Tensor],
-        zs: &[Tensor],
-        csrs: &[Arc<GraphCsr>],
-    ) -> Vec<Tensor> {
-        assert_eq!(tr_rows.len(), zs.len());
-        assert_eq!(zs.len(), csrs.len());
-        let fused: Vec<Tensor> = zs
-            .iter()
-            .zip(tr_rows)
-            .map(|(z, tr)| {
-                let f = match (&self.fusion, &self.fusion_ffn) {
-                    (Some(gf), _) => gf.infer(store, tr, z),
-                    (None, Some(ffn)) => {
-                        let tr_rep = infer::repeat_rows(tr, z.rows);
-                        let cat = infer::concat_cols(&[&tr_rep, z]);
-                        infer::relu(&ffn.infer(store, &cat))
-                    }
-                    _ => unreachable!(),
-                };
-                infer::add(z, &f)
-            })
-            .collect();
-        let x = self.norm1.infer(store, &fused);
-
-        let refined: Vec<Tensor> = x
-            .iter()
-            .zip(csrs)
-            .map(|(xi, csr)| {
-                let f = if let Some(ffn) = &self.forward_ffn {
-                    ffn.infer(store, xi)
-                } else {
-                    let mut h = xi.clone();
-                    for gat in &self.gats {
-                        h = gat.infer(store, &h, csr);
-                    }
-                    h
-                };
-                infer::add(xi, &f)
-            })
-            .collect();
-        self.norm2.infer(store, &refined)
-    }
-
-    /// Batched tape-free twin of [`GraphRefinementLayer::infer`] over one
+    /// Batched tape-free twin of [`GraphRefinementLayer::forward`] over one
     /// stacked `[Σn, d]` matrix: `tr_points` carries each point's `[1, d]`
     /// transformer row (`[P, d]`), `z` the stacked sub-graph features,
     /// `layout` the member/point scoping. Gated fusion and the FFN

@@ -45,20 +45,12 @@ impl TransformerEncoderLayer {
         self.ln2.forward(tape, store, res2)
     }
 
-    /// Tape-free twin of [`TransformerEncoderLayer::forward`].
-    pub fn infer(&self, store: &ParamStore, x: &Tensor) -> Tensor {
-        let attn = self.mha.infer(store, x);
-        let h = self.ln1.infer(store, &infer::add(x, &attn));
-        let ff = self.ffn.infer(store, &h);
-        self.ln2.infer(store, &infer::add(&h, &ff))
-    }
-
-    /// Batched tape-free twin over a stack of trajectories (`segs` are the
-    /// members' row ranges): the attention reduction is member-scoped
-    /// ([`MultiHeadAttention::infer_segments`]) while the residual adds,
-    /// layer norms (row-local by construction), and FFN matmuls run once
-    /// over the whole stack — every output row bit-identical to
-    /// [`TransformerEncoderLayer::infer`] on the member alone.
+    /// Tape-free twin of [`TransformerEncoderLayer::forward`] over a stack
+    /// of trajectories (`segs` are the members' row ranges): the attention
+    /// reduction is member-scoped ([`MultiHeadAttention::infer_segments`])
+    /// while the residual adds, layer norms (row-local by construction),
+    /// and FFN matmuls run once over the whole stack — every output row
+    /// bit-identical to `forward` on the member alone.
     pub fn infer_segments(&self, store: &ParamStore, x: &Tensor, segs: &[Range<usize>]) -> Tensor {
         let attn = self.mha.infer_segments(store, x, segs);
         let h = self.ln1.infer(store, &infer::add(x, &attn));

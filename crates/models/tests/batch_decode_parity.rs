@@ -1,10 +1,11 @@
 //! Property suite for the fused batched decoder **and** encoder.
 //!
-//! The contract: [`Decoder::recover_batch_infer`] and
+//! The contract: [`Decoder::recover_batch_infer_stream`] and
 //! [`RnTrajRecEncoder::infer_batch`] over an arbitrary micro-batch —
 //! ragged lengths, repeated members, any batch size, any intra-op thread
-//! count — are **bit-identical** to running [`Decoder::infer_run`] /
-//! [`RnTrajRecEncoder::infer_sample`] on each member alone. The batched
+//! count — are **bit-identical** to the same call on each member alone
+//! (`B = 1`), which the singleton tests below in turn anchor on the tape
+//! (`Decoder::run` / `encode`), the independent reference. The batched
 //! paths stack members' rows into one matrix per projection while every
 //! member-scoped reduction (attention rows, graph readout, GraphNorm
 //! statistics) keeps each member's own accumulation order; that is exactly
@@ -22,11 +23,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use rntrajrec_models::{
-    BatchMember, Decoder, DecoderConfig, FeatureExtractor, RnTrajRecConfig, RnTrajRecEncoder,
-    SampleInput, SegmentHead,
+    BatchMember, DecodeHooks, Decoder, DecoderConfig, EncoderOutput, FeatureExtractor,
+    RnTrajRecConfig, RnTrajRecEncoder, SampleInput, SegmentHead, TrajEncoder,
 };
 use rntrajrec_nn::kernels::backend::{self, Backend};
-use rntrajrec_nn::{pool, ParamStore, Tensor};
+use rntrajrec_nn::{pool, ParamStore, Tape, Tensor};
 use rntrajrec_roadnet::{CityConfig, RTree, SyntheticCity};
 use rntrajrec_synth::{RawPoint, RawTrajectory, SimConfig, Simulator, TimeContext};
 
@@ -60,9 +61,15 @@ impl Fixture {
         }
     }
 
-    fn sequential(&self, p: usize) -> Vec<(usize, f32)> {
-        let (per_point, traj, sample) = &self.members[p];
-        self.decoder.infer_run(&self.store, per_point, traj, sample)
+    /// The reference: member `p` decoded alone, as a batch of one.
+    fn alone(&self, p: usize) -> Vec<(usize, f32)> {
+        self.batch(&[self.member(p)]).remove(0)
+    }
+
+    /// Closed-batch fused decode with the serving-default sparse head.
+    fn batch(&self, members: &[BatchMember<'_>]) -> Vec<Vec<(usize, f32)>> {
+        self.decoder
+            .recover_batch_infer_with(&self.store, members, SegmentHead::Sparse)
     }
 }
 
@@ -119,7 +126,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Arbitrary ragged batches (any composition, with repeats) decoded in
-    /// one fused pass equal the per-member sequential decode bit-for-bit,
+    /// one fused pass equal each member's decode alone (`B = 1`) bit-for-bit,
     /// at 1 and 4 intra-op kernel threads, under every available backend
     /// (the AVX2 kernels accumulate without zero-skip precisely so that
     /// batch composition cannot change any member's bits).
@@ -136,15 +143,15 @@ proptest! {
         for bk in backends() {
             backend::with_backend(bk, || {
                 pool::set_num_threads(1);
-                let sequential: Vec<Vec<(usize, f32)>> =
-                    picks.iter().map(|&p| fix.sequential(p)).collect();
+                let alone: Vec<Vec<(usize, f32)>> =
+                    picks.iter().map(|&p| fix.alone(p)).collect();
                 for threads in [1usize, 4] {
                     pool::set_num_threads(threads);
                     let batch: Vec<BatchMember> = picks.iter().map(|&p| fix.member(p)).collect();
-                    let batched = fix.decoder.recover_batch_infer(&fix.store, &batch);
+                    let batched = fix.batch(&batch);
                     pool::set_num_threads(1);
                     assert!(
-                        batched == sequential,
+                        batched == alone,
                         "diverged at {threads} threads under {}",
                         bk.name()
                     );
@@ -156,7 +163,7 @@ proptest! {
     /// Mid-decode cancellation (the deadline-propagation path): cancelling
     /// an arbitrary subset of members at arbitrary steps retires them
     /// through the state-compaction path, and every survivor stays
-    /// **bit-identical** to the sequential (uncancelled) decode — and each
+    /// **bit-identical** to its uncancelled decode alone — and each
     /// cancelled member's truncated output is bit-identical to the
     /// uncancelled run's prefix. Swept over backends and 1/4 intra-op
     /// threads like the main parity property.
@@ -185,16 +192,20 @@ proptest! {
         for bk in backends() {
             backend::with_backend(bk, || {
                 pool::set_num_threads(1);
-                let sequential: Vec<Vec<(usize, f32)>> =
-                    picks.iter().map(|&p| fix.sequential(p)).collect();
+                let alone: Vec<Vec<(usize, f32)>> =
+                    picks.iter().map(|&p| fix.alone(p)).collect();
                 for threads in [1usize, 4] {
                     pool::set_num_threads(threads);
                     let batch: Vec<BatchMember> = picks.iter().map(|&p| fix.member(p)).collect();
-                    let (out, cancelled) = fix.decoder.recover_batch_infer_ctl(
+                    let (out, cancelled) = fix.decoder.recover_batch_infer_stream(
                         &fix.store,
                         &batch,
                         SegmentHead::Sparse,
-                        &mut |i, j| cuts[i].is_some_and(|c| j >= c),
+                        &mut DecodeHooks {
+                            cancel: &mut |i, j| cuts[i].is_some_and(|c| j >= c),
+                            admit: &mut |_| Vec::new(),
+                            on_step: &mut |_| {},
+                        },
                     );
                     pool::set_num_threads(1);
                     for (i, path) in out.iter().enumerate() {
@@ -208,7 +219,7 @@ proptest! {
                         );
                         assert_eq!(path.len(), want_len, "member {i} output length");
                         assert!(
-                            path[..] == sequential[i][..want_len],
+                            path[..] == alone[i][..want_len],
                             "member {i} diverged from the uncancelled prefix at \
                              {threads} threads under {}",
                             bk.name()
@@ -229,7 +240,7 @@ proptest! {
     /// matmul and one concat round per wave) and not just the
     /// single-newcomer degenerate case. Incumbents must stay
     /// **bit-identical** to the closed-batch decode, and every admitted
-    /// member must be bit-identical to its solo sequential decode, under
+    /// member must be bit-identical to its solo decode, under
     /// every backend at 1 and 4 intra-op threads. The streamed `on_step`
     /// events must reproduce each member's output exactly, in per-member
     /// step order.
@@ -239,7 +250,7 @@ proptest! {
         wave_count in 1usize..4,
         seed in 0u64..1_000_000,
     ) {
-        use rntrajrec_models::{DecodeHooks, GrownMember, StepOut};
+        use rntrajrec_models::{GrownMember, StepOut};
 
         let mut rng = StdRng::seed_from_u64(seed);
         let picks: Vec<usize> = (0..batch_size)
@@ -280,8 +291,8 @@ proptest! {
         for bk in backends() {
             backend::with_backend(bk, || {
                 pool::set_num_threads(1);
-                let sequential: Vec<Vec<(usize, f32)>> =
-                    (0..POOL).map(|p| fix.sequential(p)).collect();
+                let alone: Vec<Vec<(usize, f32)>> =
+                    (0..POOL).map(|p| fix.alone(p)).collect();
                 for threads in [1usize, 4] {
                     pool::set_num_threads(threads);
                     let batch: Vec<BatchMember> = picks.iter().map(|&p| fix.member(p)).collect();
@@ -330,7 +341,7 @@ proptest! {
                         let want_len = cuts[i].map_or(target, |c| c.min(target));
                         assert_eq!(out[i].len(), want_len, "incumbent {} length", i);
                         assert!(
-                            out[i][..] == sequential[picks[i]][..want_len],
+                            out[i][..] == alone[picks[i]][..want_len],
                             "incumbent {} diverged at {} threads under {}",
                             i, threads, bk.name()
                         );
@@ -343,7 +354,7 @@ proptest! {
                     // Admitted members: bit-identical to their solo runs.
                     for (k, &p) in admitted.iter().enumerate() {
                         assert!(
-                            out[n + k][..] == sequential[p][..],
+                            out[n + k][..] == alone[p][..],
                             "admitted member {} diverged at {} threads under {}",
                             k, threads, bk.name()
                         );
@@ -431,17 +442,30 @@ fn quantized_head_recovery_is_valid_and_thread_invariant() {
     }
 }
 
-/// `B = 1` is the degenerate batch: it must reproduce the sequential path
-/// exactly (the stacked matrices are the member's own `[1, d]` rows).
+/// `B = 1` is the degenerate batch the properties above use as their
+/// reference; anchor it on the independent implementation — the tape's
+/// greedy decode (`Decoder::run`, no teacher forcing): equal segments,
+/// bit-equal rates (the stacked matrices are the member's own `[1, d]`
+/// rows).
 #[test]
-fn singleton_batch_equals_sequential() {
+fn singleton_batch_equals_tape_decode() {
     let fix = fixture();
     pool::set_num_threads(1);
     for p in 0..POOL {
-        let batched = fix
-            .decoder
-            .recover_batch_infer(&fix.store, &[fix.member(p)]);
-        assert_eq!(batched[0], fix.sequential(p), "member {p} diverged at B=1");
+        let (per_point, traj, sample) = &fix.members[p];
+        let mut tape = Tape::new();
+        let enc = EncoderOutput {
+            per_point: tape.leaf(per_point.clone()),
+            traj: tape.leaf(traj.clone()),
+        };
+        let run = fix.decoder.run(&mut tape, &fix.store, &enc, sample, false);
+        let want: Vec<(usize, f32)> = run
+            .preds
+            .iter()
+            .zip(&run.rates)
+            .map(|(&seg, &rate)| (seg, tape.value(rate).item()))
+            .collect();
+        assert_eq!(fix.alone(p), want, "member {p} diverged from the tape");
     }
 }
 
@@ -453,18 +477,17 @@ fn equal_length_batch_equals_sequential() {
     pool::set_num_threads(1);
     // Members 3 and 4 share target length 9; repeat them.
     let picks = [3usize, 4, 3, 4];
-    let sequential: Vec<Vec<(usize, f32)>> = picks.iter().map(|&p| fix.sequential(p)).collect();
+    let alone: Vec<Vec<(usize, f32)>> = picks.iter().map(|&p| fix.alone(p)).collect();
     let batch: Vec<BatchMember> = picks.iter().map(|&p| fix.member(p)).collect();
-    let batched = fix.decoder.recover_batch_infer(&fix.store, &batch);
-    assert_eq!(batched, sequential);
+    let batched = fix.batch(&batch);
+    assert_eq!(batched, alone);
 }
 
 /// The empty batch is a no-op.
 #[test]
 fn empty_batch_is_noop() {
     let fix = fixture();
-    let batched = fix.decoder.recover_batch_infer(&fix.store, &[]);
-    assert!(batched.is_empty());
+    assert!(fix.batch(&[]).is_empty());
 }
 
 // ===== fused batched encoder ================================================
@@ -535,10 +558,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Arbitrary ragged batches (any composition, with repeats, including
-    /// the single-point member) encoded in one fused pass equal the
-    /// per-member [`RnTrajRecEncoder::infer_sample`] bit-for-bit, at 1 and
-    /// 4 intra-op kernel threads — GraphNorm statistics must stay scoped
-    /// to each member's own sub-graphs no matter what shares the batch.
+    /// the single-point member) encoded in one fused pass equal each
+    /// member encoded alone (`B = 1`) bit-for-bit, at 1 and 4 intra-op
+    /// kernel threads — GraphNorm statistics must stay scoped to each
+    /// member's own sub-graphs no matter what shares the batch.
     #[test]
     fn fused_encoder_equals_per_member(
         batch_size in 1usize..7,
@@ -552,16 +575,20 @@ proptest! {
         for bk in backends() {
             backend::with_backend(bk, || {
                 pool::set_num_threads(1);
-                let sequential: Vec<_> = picks
+                let alone: Vec<_> = picks
                     .iter()
-                    .map(|&p| fix.encoder.infer_sample(&fix.store, &fix.samples[p], &fix.xroad))
+                    .map(|&p| {
+                        fix.encoder
+                            .infer_batch(&fix.store, &[&fix.samples[p]], &fix.xroad)
+                            .remove(0)
+                    })
                     .collect();
                 for threads in [1usize, 4] {
                     pool::set_num_threads(threads);
                     let batch: Vec<&SampleInput> = picks.iter().map(|&p| &fix.samples[p]).collect();
                     let batched = fix.encoder.infer_batch(&fix.store, &batch, &fix.xroad);
                     pool::set_num_threads(1);
-                    for (i, (got, want)) in batched.iter().zip(&sequential).enumerate() {
+                    for (i, (got, want)) in batched.iter().zip(&alone).enumerate() {
                         assert!(
                             got.per_point.data == want.per_point.data,
                             "member {i} per-point diverged at {threads} threads under {}",
@@ -580,22 +607,26 @@ proptest! {
 }
 
 /// `B = 1` and the single-point member: the stacked matrices degenerate to
-/// the member's own rows and a one-node attention/readout scope.
+/// the member's own rows and a one-node attention/readout scope. Anchored
+/// on the tape `encode` of a batch of exactly that member.
 #[test]
 fn singleton_and_single_point_encoder_batches() {
     let fix = encoder_fixture();
     pool::set_num_threads(1);
+    let mut rng = StdRng::seed_from_u64(0); // unused by RNTrajRec's encode
     for p in 0..ENC_POOL {
         let batched = fix
             .encoder
             .infer_batch(&fix.store, &[&fix.samples[p]], &fix.xroad);
+        let mut tape = Tape::new();
         let want = fix
             .encoder
-            .infer_sample(&fix.store, &fix.samples[p], &fix.xroad);
+            .encode(&mut tape, &fix.store, &[&fix.samples[p]], false, &mut rng);
         assert_eq!(
-            batched[0].per_point.data, want.per_point.data,
+            batched[0].per_point.data,
+            tape.value(want.outputs[0].per_point).data,
             "member {p} diverged at B=1"
         );
-        assert_eq!(batched[0].traj.data, want.traj.data);
+        assert_eq!(batched[0].traj.data, tape.value(want.outputs[0].traj).data);
     }
 }

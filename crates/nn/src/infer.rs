@@ -27,10 +27,6 @@ pub fn add(a: &Tensor, b: &Tensor) -> Tensor {
     kernels::add(a, b)
 }
 
-pub fn sub(a: &Tensor, b: &Tensor) -> Tensor {
-    kernels::sub(a, b)
-}
-
 pub fn mul(a: &Tensor, b: &Tensor) -> Tensor {
     kernels::mul(a, b)
 }
@@ -45,18 +41,6 @@ pub fn add_const(a: &Tensor, c: f32) -> Tensor {
 
 pub fn add_rowvec(m: &Tensor, v: &Tensor) -> Tensor {
     kernels::add_rowvec(m, v)
-}
-
-pub fn mul_rowvec(m: &Tensor, v: &Tensor) -> Tensor {
-    kernels::mul_rowvec(m, v)
-}
-
-pub fn add_colvec(m: &Tensor, v: &Tensor) -> Tensor {
-    kernels::add_colvec(m, v)
-}
-
-pub fn mul_colvec(m: &Tensor, v: &Tensor) -> Tensor {
-    kernels::mul_colvec(m, v)
 }
 
 // ----- matrix products ------------------------------------------------------
@@ -89,23 +73,7 @@ pub fn leaky_relu(a: &Tensor, slope: f32) -> Tensor {
     kernels::leaky_relu(a, slope)
 }
 
-pub fn sqrt(a: &Tensor) -> Tensor {
-    kernels::sqrt(a)
-}
-
-pub fn recip(a: &Tensor) -> Tensor {
-    kernels::recip(a)
-}
-
 // ----- softmax --------------------------------------------------------------
-
-pub fn softmax_rows(a: &Tensor) -> Tensor {
-    kernels::softmax_rows(a)
-}
-
-pub fn log_softmax_rows(a: &Tensor) -> Tensor {
-    kernels::log_softmax_rows(a)
-}
 
 /// Fused constraint-mask add + stable log-softmax per row (the decoder's
 /// Eq. 16 epilogue); bit-identical to `log_softmax_rows(add(x, mask))`.
@@ -235,19 +203,6 @@ pub fn repeat_rows(a: &Tensor, n: usize) -> Tensor {
     kernels::repeat_rows(a, n)
 }
 
-// ----- reductions -----------------------------------------------------------
-
-pub fn mean_rows(a: &Tensor) -> Tensor {
-    kernels::mean_rows(a)
-}
-
-/// Weighted mean over rows with fixed positive weights (normalised
-/// internally) — Eq. (6) pooling.
-pub fn weighted_mean_rows(a: &Tensor, weights: &[f32]) -> Tensor {
-    let norm = kernels::normalized_weights(a.rows, weights);
-    kernels::weighted_mean_rows(a, &norm)
-}
-
 // ----- lookup ---------------------------------------------------------------
 
 pub fn gather_rows(table: &Tensor, indices: &[usize]) -> Tensor {
@@ -284,7 +239,9 @@ mod tests {
         Tensor::uniform(rows, cols, 1.0, &mut rng)
     }
 
-    /// Every infer op must be bit-identical to its tape twin.
+    /// Every infer op must be bit-identical to its tape twin (ops with no
+    /// facade here — the tape's training-only ones — go through `kernels`
+    /// directly).
     #[test]
     fn ops_match_tape_bitwise() {
         let a = t(3, 4, 1);
@@ -304,32 +261,35 @@ mod tests {
 
         let pairs: Vec<(Tensor, crate::NodeId)> = vec![
             (add(&a, &b), tape.add(na, nb)),
-            (sub(&a, &b), tape.sub(na, nb)),
+            (kernels::sub(&a, &b), tape.sub(na, nb)),
             (mul(&a, &b), tape.mul(na, nb)),
             (scale(&a, 0.37), tape.scale(na, 0.37)),
             (add_const(&a, -1.2), tape.add_const(na, -1.2)),
             (add_rowvec(&a, &v), tape.add_rowvec(na, nv)),
-            (mul_rowvec(&a, &v), tape.mul_rowvec(na, nv)),
-            (add_colvec(&a, &cvec), tape.add_colvec(na, nc)),
-            (mul_colvec(&a, &cvec), tape.mul_colvec(na, nc)),
+            (kernels::mul_rowvec(&a, &v), tape.mul_rowvec(na, nv)),
+            (kernels::add_colvec(&a, &cvec), tape.add_colvec(na, nc)),
+            (kernels::mul_colvec(&a, &cvec), tape.mul_colvec(na, nc)),
             (matmul(&a, &w), tape.matmul(na, nw)),
             (matmul_nt(&a, &b), tape.matmul_nt(na, nb)),
             (sigmoid(&a), tape.sigmoid(na)),
             (tanh(&a), tape.tanh(na)),
             (relu(&a), tape.relu(na)),
             (leaky_relu(&a, 0.2), tape.leaky_relu(na, 0.2)),
-            (sqrt(&a), tape.sqrt(na)),
-            (recip(&a), tape.recip(na)),
-            (softmax_rows(&a), tape.softmax_rows(na)),
-            (log_softmax_rows(&a), tape.log_softmax_rows(na)),
+            (kernels::sqrt(&a), tape.sqrt(na)),
+            (kernels::recip(&a), tape.recip(na)),
+            (kernels::softmax_rows(&a), tape.softmax_rows(na)),
+            (kernels::log_softmax_rows(&a), tape.log_softmax_rows(na)),
             (concat_cols(&[&a, &b]), tape.concat_cols(&[na, nb])),
             (select_cols(&a, 1, 2), tape.select_cols(na, 1, 2)),
             (concat_rows(&[&a, &b]), tape.concat_rows(&[na, nb])),
             (select_rows(&a, 1, 2), tape.select_rows(na, 1, 2)),
             (repeat_rows(&v, 4), tape.repeat_rows(nv, 4)),
-            (mean_rows(&a), tape.mean_rows(na)),
+            (kernels::mean_rows(&a), tape.mean_rows(na)),
             (
-                weighted_mean_rows(&a, &[0.2, 0.5, 0.3]),
+                kernels::weighted_mean_rows(
+                    &a,
+                    &kernels::normalized_weights(a.rows, &[0.2, 0.5, 0.3]),
+                ),
                 tape.weighted_mean_rows(na, &[0.2, 0.5, 0.3]),
             ),
             (

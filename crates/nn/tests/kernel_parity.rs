@@ -168,9 +168,9 @@ proptest! {
                     ("tanh", tape.value(n_tanh), Box::new(|| infer::tanh(&a))),
                     ("leaky_relu", tape.value(n_lrelu), Box::new(|| infer::leaky_relu(&a, 0.2))),
                     ("add_rowvec", tape.value(n_arow), Box::new(|| infer::add_rowvec(&a, &v))),
-                    ("mul_colvec", tape.value(n_mcol), Box::new(|| infer::mul_colvec(&a, &cv))),
-                    ("softmax_rows", tape.value(n_smax), Box::new(|| infer::softmax_rows(&a))),
-                    ("log_softmax_rows", tape.value(n_lsmax), Box::new(|| infer::log_softmax_rows(&a))),
+                    ("mul_colvec", tape.value(n_mcol), Box::new(|| kernels::mul_colvec(&a, &cv))),
+                    ("softmax_rows", tape.value(n_smax), Box::new(|| kernels::softmax_rows(&a))),
+                    ("log_softmax_rows", tape.value(n_lsmax), Box::new(|| kernels::log_softmax_rows(&a))),
                     ("gather_rows", tape.value(n_gather), Box::new(|| infer::gather_rows(&a, &idx))),
                 ];
                 for (label, reference, f) in &cases {
@@ -185,7 +185,7 @@ proptest! {
                         pool::set_num_threads(1);
                         let ones = Tensor::full(c, 1, 1.0);
                         let mu = infer::scale(&infer::matmul(&a, &ones), 1.0 / c as f32);
-                        let centered = infer::add_colvec(&a, &infer::scale(&mu, -1.0));
+                        let centered = kernels::add_colvec(&a, &infer::scale(&mu, -1.0));
                         let var = infer::add_const(
                             &infer::scale(
                                 &infer::matmul(&infer::mul(&centered, &centered), &ones),
@@ -193,7 +193,7 @@ proptest! {
                             ),
                             1e-5,
                         );
-                        let inv = infer::recip(&infer::sqrt(&var));
+                        let inv = kernels::recip(&kernels::sqrt(&var));
                         for threads in THREAD_SWEEP {
                             pool::set_num_threads(threads);
                             let (m, s) = kernels::row_norm_stats(&a, 1e-5);
@@ -205,7 +205,7 @@ proptest! {
                         // Fused layer norm ≡ the composed primitive route,
                         // and the tape's fused op matches both.
                         let norm_ref = infer::add_rowvec(
-                            &infer::mul_rowvec(&infer::mul_colvec(&centered, &inv), &gamma),
+                            &kernels::mul_rowvec(&kernels::mul_colvec(&centered, &inv), &gamma),
                             &beta,
                         );
                         let mut ln_tape = Tape::new();
@@ -288,7 +288,7 @@ proptest! {
         for bk in backends() {
             backend::with_backend(bk, || {
                 pool::set_num_threads(1);
-                let want = infer::log_softmax_rows(&infer::add(&a, &mask_dense));
+                let want = kernels::log_softmax_rows(&infer::add(&a, &mask_dense));
                 assert_thread_invariant("masked_log_softmax_rows", &want, || {
                     kernels::masked_log_softmax_rows(&a, &masks)
                 });
@@ -345,7 +345,7 @@ proptest! {
             backend::with_backend(bk, || {
                 pool::set_num_threads(1);
                 let logits = infer::add_rowvec(&infer::matmul(&a, &w), &bias);
-                let want = infer::log_softmax_rows(&infer::add(&logits, &mask_dense));
+                let want = kernels::log_softmax_rows(&infer::add(&logits, &mask_dense));
                 assert_thread_invariant("masked_matmul_cols", &want, || {
                     kernels::masked_matmul_cols(&a, &w, &bias, &masks)
                 });
@@ -387,7 +387,7 @@ proptest! {
                     let pre_i = infer::add_rowvec(&k_i, &v_i);
                     let t_i = infer::tanh(&pre_i);
                     let mu_i = infer::matmul_nt(&vatt, &t_i);
-                    let al_i = infer::softmax_rows(&mu_i);
+                    let al_i = kernels::softmax_rows(&mu_i);
                     let ctx_i = infer::matmul(&al_i, &k_i);
                     pre_ref.extend_from_slice(&pre_i.data);
                     alpha_ref.extend_from_slice(&al_i.data);

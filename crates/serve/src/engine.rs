@@ -165,9 +165,6 @@ pub struct SubmitOptions {
     /// caller's span tree. When `None` and tracing is enabled, the engine
     /// mints one so its spans stay attributable.
     pub trace: Option<rntrajrec_obs::RequestId>,
-    /// Queue position: [`Priority::High`] jumps the waiting line (and is
-    /// therefore also first in line for mid-decode admission).
-    pub priority: Priority,
     /// Open a streaming sink: the handle's [`RecoveryHandle::steps`] /
     /// [`RecoveryHandle::next_step`] yield one [`StepUpdate`] per decoded
     /// step, before the terminal [`Recovered`].
@@ -189,26 +186,10 @@ impl SubmitOptions {
         self
     }
 
-    pub fn priority(mut self, priority: Priority) -> Self {
-        self.priority = priority;
-        self
-    }
-
     pub fn stream(mut self) -> Self {
         self.stream = true;
         self
     }
-}
-
-/// Queue priority for a submission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Priority {
-    /// FIFO order (the default).
-    #[default]
-    Normal,
-    /// Front of the waiting queue: flushed (or admitted mid-decode)
-    /// before any waiting `Normal` request.
-    High,
 }
 
 /// A worker that stayed up this long has its crash streak (and with it
@@ -779,9 +760,8 @@ impl RecoveryEngine {
     /// [`EngineError::Overloaded`] when the queue is at
     /// [`EngineConfig::queue_capacity`] — the typed load-shedding path
     /// (never blocks, never drops silently). Everything per-submission —
-    /// deadline, trace id, priority, streaming — rides in
-    /// [`SubmitOptions`]; `SubmitOptions::default()` is a plain FIFO
-    /// submission.
+    /// deadline, trace id, streaming — rides in [`SubmitOptions`]; the
+    /// queue itself is FIFO.
     ///
     /// A request whose deadline passes while it is decoding inside a
     /// fused batch is cancelled through the decoder's state-compaction
@@ -852,10 +832,7 @@ impl RecoveryEngine {
                 step_tx,
                 abandoned: Arc::clone(&abandoned),
             };
-            match opts.priority {
-                Priority::Normal => q.push_back(pending),
-                Priority::High => q.push_front(pending),
-            }
+            q.push_back(pending);
             id
         };
         self.shared.cond.notify_one();

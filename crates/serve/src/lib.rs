@@ -16,10 +16,10 @@
 //! * [`RecoveryEngine`] — a multi-threaded **micro-batching** scheduler:
 //!   requests queue up, a batch flushes on size ([`EngineConfig::max_batch`])
 //!   or deadline ([`EngineConfig::max_delay`]), workers drain whole batches
-//!   through the **fused decode path** ([`ServingModel::recover_batch`]):
-//!   encoders run per member, decoder steps run as stacked `[B, ·]`
+//!   through the **fused path** ([`ServingModel::recover_batch`]): one
+//!   stacked encoder pass, then decoder steps as stacked `[B, ·]`
 //!   matmuls — one product per head per step for the whole batch instead
-//!   of one per member. Batched output is bit-identical to sequential
+//!   of one per member (a single request is the same path at B=1). Batched output is bit-identical to sequential
 //!   per-request inference (every fused kernel preserves the member's own
 //!   per-element accumulation order), so the fusion is pure performance,
 //!   never a numerical change.
@@ -85,8 +85,8 @@ pub mod shard;
 
 pub use brownout::{BrownoutConfig, BrownoutController};
 pub use engine::{
-    EngineConfig, EngineError, EngineStats, Priority, Recovered, RecoveryEngine, RecoveryHandle,
-    StepUpdate, StepWait, Steps, SubmitOptions,
+    EngineConfig, EngineError, EngineStats, Recovered, RecoveryEngine, RecoveryHandle, StepUpdate,
+    StepWait, Steps, SubmitOptions,
 };
 pub use http::{HttpConfig, HttpServer};
 pub use service::{
@@ -328,6 +328,21 @@ mod tests {
                 );
             }
         }
+
+        // The fallback re-runs carry the members' deadlines: a healthy
+        // member whose budget is gone is cut, the corrupt one still fails
+        // with its panic message, and the rest still match `recover`.
+        let now = std::time::Instant::now();
+        let far = now + Duration::from_secs(3600);
+        let opts = BatchOptions {
+            deadlines: vec![Some(far), Some(now), Some(far), None],
+            degraded_head: false,
+        };
+        let results = model.recover_batch_opts(&batch, &opts);
+        assert_eq!(results[0].as_ref().ok(), Some(&model.recover(batch[0])));
+        assert_eq!(results[1], Err(MemberError::DeadlineExceeded));
+        assert!(matches!(results[2], Err(MemberError::Failed(_))));
+        assert_eq!(results[3].as_ref().ok(), Some(&model.recover(batch[3])));
     }
 
     #[test]

@@ -213,26 +213,30 @@ impl ServingModel {
         }
     }
 
-    /// Recover one trajectory on the tape-free hot path.
+    /// Recover one trajectory on the tape-free hot path: the fused pass
+    /// ([`rntrajrec::EndToEnd::infer_predict_batch`]) over a batch of one.
+    /// Panics on malformed input — [`ServingModel::recover_batch`]
+    /// isolates it instead.
     pub fn recover(&self, input: &SampleInput) -> RecoveredPath {
         self.model
-            .infer_predict_with(input, self.road.as_ref().map(|c| &c.x_road), self.head())
+            .infer_predict_batch(&[input], self.road.as_ref().map(|c| &c.x_road), self.head())
             .expect("infer path validated in ServingModel::new")
+            .remove(0)
     }
 
     /// Recover a whole micro-batch through the **fused encoder + decoder**
-    /// ([`rntrajrec::EndToEnd::infer_predict_batch`]): one stacked encoder
-    /// pass for the whole batch (GraphNorm statistics stay scoped per
-    /// member, so batching cannot change results) and decode steps as
+    /// ([`rntrajrec::EndToEnd::infer_predict_batch_stream`]): one stacked
+    /// encoder pass for the whole batch (GraphNorm statistics stay scoped
+    /// per member, so batching cannot change results) and decode steps as
     /// stacked `[B, ·]` products — one matmul per projection / head
     /// instead of one per member — with output bit-identical to
     /// per-member [`ServingModel::recover`].
     ///
     /// Panic isolation: a malformed member panics the fused pass, so on
-    /// panic the batch falls back to per-member recovery, each member
-    /// individually caught — the bad request fails alone (`Err` with the
-    /// panic message) and every healthy member still returns its exact
-    /// result.
+    /// panic every member is re-run alone through the same fused pass,
+    /// each individually caught — the bad request fails alone (`Err` with
+    /// the panic message) and every healthy member still returns its
+    /// exact result.
     pub fn recover_batch(&self, inputs: &[&SampleInput]) -> Vec<Result<RecoveredPath, String>> {
         self.recover_batch_opts(inputs, &BatchOptions::default())
             .into_iter()
@@ -249,12 +253,6 @@ impl ServingModel {
         inputs: &[&SampleInput],
         opts: &BatchOptions,
     ) -> Vec<Result<RecoveredPath, MemberError>> {
-        let road = self.road.as_ref().map(|c| &c.x_road);
-        let head = if opts.degraded_head {
-            self.degraded_head()
-        } else {
-            self.head()
-        };
         let expired = |i: usize| {
             opts.deadlines
                 .get(i)
@@ -262,40 +260,47 @@ impl ServingModel {
                 .flatten()
                 .is_some_and(|d| std::time::Instant::now() >= d)
         };
-        let fused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.model
-                .infer_predict_batch_ctl(inputs, road, head, &mut |i, _step| expired(i))
-                .expect("infer path validated in ServingModel::new")
-        }));
-        match fused {
-            Ok((paths, cancelled)) => paths
-                .into_iter()
-                .zip(cancelled)
-                .map(|(path, cut)| {
-                    if cut {
-                        Err(MemberError::DeadlineExceeded)
-                    } else {
-                        Ok(path)
-                    }
-                })
-                .collect(),
+        // A closed batch: nobody is admitted, nothing is streamed.
+        // `cancel` sees batch-local member indices.
+        let closed = |batch: &[&SampleInput], cancel: &mut dyn FnMut(usize, usize) -> bool| {
+            let (paths, cancelled) = self.recover_batch_stream(
+                batch,
+                opts.degraded_head,
+                &mut rntrajrec::StreamCtl {
+                    cancel,
+                    admit: &mut |_| Vec::new(),
+                    on_step: &mut |_| {},
+                },
+            )?;
+            Ok::<Vec<_>, String>(
+                paths
+                    .into_iter()
+                    .zip(cancelled)
+                    .map(|(path, cut)| {
+                        if cut {
+                            Err(MemberError::DeadlineExceeded)
+                        } else {
+                            Ok(path)
+                        }
+                    })
+                    .collect(),
+            )
+        };
+        match closed(inputs, &mut |i, _step| expired(i)) {
+            Ok(results) => results,
+            // Per-member re-run after a fused-pass panic. An
+            // already-expired member fails without paying for its encoder
+            // pass; the rest are cut at step granularity as usual.
             Err(_) => inputs
                 .iter()
                 .enumerate()
                 .map(|(i, input)| {
-                    // Per-member fallback after a fused-pass panic. The
-                    // sequential path has no step-level cancel hook, so
-                    // the deadline is enforced at member granularity:
-                    // already-expired members fail without decoding.
                     if expired(i) {
                         return Err(MemberError::DeadlineExceeded);
                     }
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        self.model
-                            .infer_predict_with(input, road, head)
-                            .expect("infer path validated in ServingModel::new")
-                    }))
-                    .map_err(|payload| MemberError::Failed(panic_message(&payload)))
+                    closed(&[input], &mut |_, _step| expired(i))
+                        .map_err(MemberError::Failed)?
+                        .remove(0)
                 })
                 .collect(),
         }

@@ -55,7 +55,11 @@ fn trained_weights_serve_identically_to_tape_predict() {
         .collect();
 
     let serving = Arc::new(ServingModel::new(model).expect("RNTrajRec serves"));
-    for (input, want) in pipeline.test_inputs.iter().zip(&tape_preds) {
+    // One fused batch over every test input: each member must equal its
+    // own `recover` (the same pass at B=1), which must equal the tape.
+    let refs: Vec<_> = pipeline.test_inputs.iter().collect();
+    let batched = serving.recover_batch(&refs);
+    for ((input, want), member) in pipeline.test_inputs.iter().zip(&tape_preds).zip(batched) {
         let got = serving.recover(input);
         assert_eq!(got.len(), want.len());
         for (j, (&(gs, gr), &(ws, wr))) in got.iter().zip(want).enumerate() {
@@ -65,6 +69,11 @@ fn trained_weights_serve_identically_to_tape_predict() {
                 "step {j}: rate not bit-identical on trained weights"
             );
         }
+        assert_eq!(
+            member.expect("healthy member"),
+            got,
+            "fused batch member diverged from its own B=1 recovery"
+        );
     }
 }
 
