@@ -579,11 +579,6 @@ pub mod v2 {
                 other => Err(invalid("event", format!("unknown event kind '{other}'"))),
             }
         }
-
-        /// `true` for the stream-ending events (summary / error).
-        pub fn is_terminal(&self) -> bool {
-            !matches!(self, Event::Step(_))
-        }
     }
 }
 
@@ -727,7 +722,6 @@ mod tests {
         let line = serde_json::to_string(&step).expect("serializes");
         let parsed = v2::Event::from_json(&line).expect("parses");
         assert_eq!(parsed, v2::Event::Step(step));
-        assert!(!parsed.is_terminal());
 
         let summary = v2::SummaryEvent {
             event: "summary".to_string(),
@@ -740,7 +734,6 @@ mod tests {
         let line = serde_json::to_string(&summary).expect("serializes");
         let parsed = v2::Event::from_json(&line).expect("parses");
         assert_eq!(parsed, v2::Event::Summary(summary));
-        assert!(parsed.is_terminal());
 
         let error = v2::ErrorEvent {
             event: "error".to_string(),
@@ -751,7 +744,6 @@ mod tests {
         let line = serde_json::to_string(&error).expect("serializes");
         let parsed = v2::Event::from_json(&line).expect("parses");
         assert_eq!(parsed, v2::Event::Error(error));
-        assert!(parsed.is_terminal());
 
         assert!(v2::Event::from_json(r#"{"event": "snack"}"#).is_err());
     }

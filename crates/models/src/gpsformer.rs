@@ -144,8 +144,10 @@ impl RnTrajRecEncoder {
     /// then cover only its own sub-graphs), regardless of batch
     /// composition — the invariant an online service must never break,
     /// pinned by the encoder-parity proptest in
-    /// `tests/batch_decode_parity.rs` and asserted in `serve_bench`. A
-    /// single request is a batch of one.
+    /// `tests/batch_decode_parity.rs`; that stacking keeps the matmul
+    /// launch count independent of the batch size is pinned in
+    /// `crates/core/tests/fusion_gates.rs`. A single request is a batch
+    /// of one.
     pub fn infer_batch(
         &self,
         store: &ParamStore,

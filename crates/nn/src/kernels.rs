@@ -785,8 +785,7 @@ fn col_dot(bk: backend::Backend, arow: &[f32], b: &[f32], stride: usize, col: us
 /// run with a *hard* mask (`-∞` on masked-out columns), which
 /// `kernel_parity.rs` proptest-pins for the scalar backend.
 /// The decoder's recovery outputs (argmax + rate head) are pinned equal
-/// to the dense route's in `serve_bench`/`check_bench` and the
-/// `batch_decode_parity` suite.
+/// to the dense route's in the `batch_decode_parity` suite.
 ///
 /// Rows with `None` masks or an empty entry list fall back to the full
 /// dense computation, bit-identical to the composed route. FLOP

@@ -22,9 +22,10 @@
 //!   — FMA fuses the multiply and add into one rounding step, and
 //!   whole-slice reductions (dots, norm sums) use 8 partial lanes — so
 //!   scalar vs AVX2 outputs differ within a small ULP budget, gated
-//!   explicitly in `check_bench`. The softmax / log-softmax family keeps
-//!   its scalar `exp` loop and ascending sums, so it is bit-identical
-//!   *across* backends.
+//!   explicitly in the `kernels` unit test
+//!   `avx2_backend_is_thread_deterministic_within_ulp_of_scalar`. The
+//!   softmax / log-softmax family keeps its scalar `exp` loop and
+//!   ascending sums, so it is bit-identical *across* backends.
 //!
 //! Kernels read the backend **once at entry on the caller thread** and
 //! capture it into their pool closures, so one kernel invocation never

@@ -16,9 +16,8 @@
 //! i32::MAX`), so the quantized head is bit-identical across backends
 //! (the AVX2 `madd` path computes the same integers), thread counts, and
 //! batch compositions — there is no rounding to re-order. What moves is
-//! *accuracy* relative to the f32 head; that drift is measured on
-//! recovery outputs in `serve_bench` and gated in `check_bench`, not
-//! pinned bitwise.
+//! *accuracy* relative to the f32 head; that drift is gated on recovery
+//! outputs in `crates/core/tests/fusion_gates.rs`, not pinned bitwise.
 
 #![deny(missing_docs)]
 

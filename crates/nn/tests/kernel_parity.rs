@@ -13,7 +13,8 @@
 //! tape/infer/kernels routes; the composed layer-norm-statistics route is
 //! additionally pinned bit-identical to the fused kernel **on the scalar
 //! backend** (the historical contract — under AVX2 the fused statistics
-//! use partial-lane sums and are covered by the `check_bench` ULP gate
+//! use partial-lane sums and are covered by the ULP budget in
+//! `kernels.rs::avx2_backend_is_thread_deterministic_within_ulp_of_scalar`
 //! instead). The sparse segment head (`masked_matmul_cols`) is pinned
 //! bit-identical to the dense matmul → hard-mask → log-softmax route.
 //!
@@ -223,9 +224,9 @@ proptest! {
                     Backend::Avx2Fma => {
                         // Under AVX2 the fused statistics use partial-lane
                         // sums (the composed route's rounding differs; the
-                        // cross-backend drift is gated in `check_bench`),
-                        // but the kernel must still be self-deterministic
-                        // at any thread count.
+                        // cross-backend drift has a ULP budget in the
+                        // `kernels` unit tests), but the kernel must still
+                        // be self-deterministic at any thread count.
                         pool::set_num_threads(1);
                         let (m1, s1) = kernels::row_norm_stats(&a, 1e-5);
                         let ln1 = kernels::layer_norm(&a, &gamma, &beta, 1e-5);

@@ -141,7 +141,9 @@ OPTIONS:
     --workers N             engine worker threads (default 2)
     --conn-workers N        HTTP connection-handler threads (default 4)
     --max-body-bytes N      request body cap -> 413 (default 1 MiB)
-    --retry-after-secs N    Retry-After value on 429/503 (default 1)
+    --retry-after-secs N    Retry-After fallback on 429/503 while the engine has no
+                            drain-rate estimate (default 1); otherwise the header
+                            is ceil(queue_depth / drain_rate), clamped to [1, 60]
     --artifact PATH         load a packed city artifact as a shard (repeatable;
                             requests route by bounding box, SIGHUP reloads all)
     --city-blocks N         synthetic city size when no --artifact given (default 4)
@@ -162,6 +164,13 @@ ENVIRONMENT:
                             engine.submit engine.batch engine.worker
                             kernel.dispatch http.write)
     CHAOS_SEED              RNG seed for exact fault replay (default 0)
+    NN_THREADS              intra-op kernel threads each engine worker may use
+                            (default: hardware parallelism, at most 16; results
+                            are bit-identical at any value)
+    NN_BACKEND              kernel backend: scalar | avx2 | auto (default auto;
+                            avx2 falls back to scalar on hosts without AVX2+FMA)
+    NN_QUANT_HEAD           1 | true | int8 serves the int8 segment head
+                            (default: the f32 sparse head)
 ";
 
 fn parse_args() -> Result<Args, String> {

@@ -94,15 +94,6 @@ pub struct EngineConfig {
     /// (the ladder can still be forced via
     /// [`RecoveryEngine::set_brownout_override`]).
     pub brownout: Option<BrownoutConfig>,
-    /// Continuous batching: workers check the queue **between decode
-    /// steps** and splice newcomers into the live fused batch (their
-    /// encoder pass runs fused with co-arrivals), instead of making them
-    /// wait for the next flush. Incumbent members stay bit-identical to
-    /// a closed batch (every fused kernel is member-scoped). Admission
-    /// respects the effective `max_batch` and is refused at brownout
-    /// level ≥ 2 (`shrink_batch`). `false` restores closed batches —
-    /// the pre-continuous behaviour and the bench baseline.
-    pub continuous: bool,
     /// Bound on each streaming submission's step-event queue. A consumer
     /// that falls this many undelivered [`StepUpdate`]s behind the decode
     /// loop is degraded to summary-only — its step sink is closed (the
@@ -137,7 +128,6 @@ impl Default for EngineConfig {
             supervise_every: Duration::from_millis(10),
             restart_backoff: Duration::from_millis(10),
             restart_backoff_cap: Duration::from_secs(2),
-            continuous: true,
         }
     }
 }
@@ -596,8 +586,6 @@ struct Shared {
     /// Step-event queue bound per streaming submission
     /// ([`EngineConfig::stream_queue`]).
     stream_queue: usize,
-    /// Mid-decode admission enabled ([`EngineConfig::continuous`]).
-    continuous: bool,
     /// Active brownout ladder level (0..=3).
     brownout_level: AtomicU8,
     /// Manual ladder override (ops/maintenance knob and test hook);
@@ -718,7 +706,6 @@ impl RecoveryEngine {
             queue_capacity: config.queue_capacity,
             batch_timeout: config.batch_timeout,
             stream_queue: config.stream_queue.max(1),
-            continuous: config.continuous,
             brownout_level: AtomicU8::new(0),
             brownout_override: AtomicU8::new(AUTO_LEVEL),
             queue_wait_ring: Mutex::new(VecDeque::with_capacity(QUEUE_WAIT_RING_CAP)),
@@ -1399,7 +1386,7 @@ fn run_session(shared: &Shared, slot: &WorkerSlot, batch: Vec<Pending>, taken: I
     // whose handle is already gone) fail immediately without costing an
     // encoder pass.
     let mut admit = |live: usize| -> Vec<SampleInput> {
-        if !shared.continuous || shared.level() >= 2 {
+        if shared.level() >= 2 {
             return Vec::new();
         }
         let room = shared

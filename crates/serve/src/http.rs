@@ -1916,7 +1916,6 @@ fn write_response(
 #[cfg(test)]
 mod tests {
     use super::{adaptive_retry_after, HttpCounters};
-    use std::time::Duration;
 
     /// `ceil(depth / drain)` clamped to `[1, 60]`; fallback when the
     /// engine has no drain estimate yet.
@@ -1937,47 +1936,6 @@ mod tests {
         // …and the fallback is clamped into the same band.
         assert_eq!(adaptive_retry_after(50, 0.0, 0), 1);
         assert_eq!(adaptive_retry_after(50, 0.0, 600), 60);
-    }
-
-    #[test]
-    fn retry_backoff_is_capped_exponential_with_bounded_jitter() {
-        let p = super::client::RetryPolicy {
-            max_retries: 8,
-            base: Duration::from_millis(100),
-            cap: Duration::from_secs(1),
-            seed: 42,
-        };
-        for attempt in 0..8 {
-            let nominal = Duration::from_millis(100 * (1 << attempt)).min(Duration::from_secs(1));
-            let d = p.backoff(attempt);
-            assert!(
-                d >= nominal.mul_f64(0.5) && d < nominal,
-                "attempt {attempt}: {d:?} outside [{:?}, {nominal:?})",
-                nominal.mul_f64(0.5),
-            );
-        }
-        // Deterministic for a seed; different across seeds.
-        assert_eq!(p.backoff(3), p.backoff(3));
-        let q = super::client::RetryPolicy {
-            seed: 43,
-            ..p.clone()
-        };
-        assert_ne!(p.backoff(3), q.backoff(3));
-    }
-
-    #[test]
-    fn retry_after_hint_floors_the_backoff() {
-        let p = super::client::RetryPolicy {
-            max_retries: 3,
-            base: Duration::from_millis(10),
-            cap: Duration::from_secs(5),
-            seed: 7,
-        };
-        // Server hint above the jittered backoff wins…
-        assert_eq!(p.delay(0, Some(2)), Duration::from_secs(2));
-        // …but a tiny hint cannot pull the backoff down.
-        assert!(p.delay(5, Some(0)) >= Duration::from_millis(160));
-        assert_eq!(p.delay(1, None), p.backoff(1));
     }
 
     fn quantiles_of(samples: &[f64]) -> (f64, f64) {
@@ -2167,109 +2125,6 @@ pub mod client {
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             }
-        }
-    }
-
-    /// Retry policy for [`request_with_retry`]: capped exponential
-    /// backoff with deterministic jitter, honoring `Retry-After`.
-    ///
-    /// Attempt `k` (0-based) sleeps `min(cap, base × 2^k)` scaled by a
-    /// jitter factor in `[0.5, 1.0)` derived from `splitmix64(seed ^ k)`
-    /// — deterministic for a given seed, so test runs replay exactly,
-    /// while distinct seeds (one per client) decorrelate retry storms.
-    /// A `429`/`503` response carrying `Retry-After: N` sleeps
-    /// `max(N seconds, backoff)` instead: the server's hint is a floor,
-    /// never a reason to hammer it sooner.
-    #[derive(Debug, Clone)]
-    pub struct RetryPolicy {
-        /// Retries after the first attempt (total attempts = `1 + max_retries`).
-        pub max_retries: u32,
-        /// First backoff step.
-        pub base: Duration,
-        /// Backoff ceiling.
-        pub cap: Duration,
-        /// Jitter seed; vary it per client.
-        pub seed: u64,
-    }
-
-    impl Default for RetryPolicy {
-        fn default() -> Self {
-            Self {
-                max_retries: 4,
-                base: Duration::from_millis(50),
-                cap: Duration::from_secs(2),
-                seed: 0,
-            }
-        }
-    }
-
-    fn splitmix64(mut x: u64) -> u64 {
-        x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^ (x >> 31)
-    }
-
-    impl RetryPolicy {
-        /// Jittered backoff before retry `attempt` (0-based), ignoring
-        /// any `Retry-After` hint. Pinned by the `retry_backoff` tests.
-        pub fn backoff(&self, attempt: u32) -> Duration {
-            let exp = self.base.saturating_mul(1u32 << attempt.min(16));
-            let capped = exp.min(self.cap);
-            // 53 high bits → uniform f64 in [0, 1), then into [0.5, 1.0).
-            let unit =
-                (splitmix64(self.seed ^ u64::from(attempt)) >> 11) as f64 / (1u64 << 53) as f64;
-            capped.mul_f64(0.5 + 0.5 * unit)
-        }
-
-        /// The sleep before retry `attempt`, honoring a server
-        /// `Retry-After` (seconds) as a floor on the jittered backoff.
-        pub fn delay(&self, attempt: u32, retry_after_secs: Option<u64>) -> Duration {
-            let backoff = self.backoff(attempt);
-            match retry_after_secs {
-                Some(secs) => backoff.max(Duration::from_secs(secs)),
-                None => backoff,
-            }
-        }
-    }
-
-    /// Whether a response status is worth retrying (the server said
-    /// "come back later", not "your request is wrong").
-    pub fn retryable_status(status: u16) -> bool {
-        status == 429 || status == 503
-    }
-
-    /// Issue a request, retrying connect/transport errors and
-    /// `429`/`503` responses per `policy`. Returns the first
-    /// non-retryable response, the last retryable one once attempts are
-    /// exhausted, or the last transport error.
-    pub fn request_with_retry(
-        addr: SocketAddr,
-        method: &str,
-        path: &str,
-        body: Option<&str>,
-        policy: &RetryPolicy,
-    ) -> std::io::Result<HttpResponse> {
-        let mut attempt = 0u32;
-        loop {
-            let outcome = request(addr, method, path, body);
-            let retry_after = match &outcome {
-                Ok(resp) if retryable_status(resp.status) => Some(
-                    resp.header("Retry-After")
-                        .and_then(|v| v.trim().parse::<u64>().ok()),
-                ),
-                Ok(resp) => return Ok(resp.clone()),
-                Err(_) => Some(None),
-            };
-            if attempt >= policy.max_retries {
-                return outcome;
-            }
-            // Tests and the bench drive sub-second loops; a literal
-            // multi-second Retry-After sleep would stall them, so the
-            // honored floor is capped at the policy ceiling.
-            let hint = retry_after.flatten();
-            std::thread::sleep(policy.delay(attempt, hint).min(policy.cap));
-            attempt += 1;
         }
     }
 

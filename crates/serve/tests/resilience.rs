@@ -327,10 +327,10 @@ fn brownout_override_walks_the_ladder() {
 }
 
 #[test]
-fn http_write_fault_is_recovered_by_client_retry() {
+fn http_write_fault_drops_one_response_and_a_resend_succeeds() {
     // Drop exactly one response on the floor at the write point: the
-    // client's first attempt dies on a closed socket, the jittered
-    // retry succeeds, and the payload is the normal recovery.
+    // client's first attempt dies on a closed socket, a plain re-send
+    // succeeds, and the payload is the normal recovery.
     let _c = ChaosGuard::arm("http.write=error@1x1", 0);
     let (city, _, samples) = fixture(1);
     let ctx = Arc::new(QueryContext::new(city.net.clone(), 50.0));
@@ -349,20 +349,9 @@ fn http_write_fault_is_recovered_by_client_retry() {
     let s = &samples[0];
     let req = RecoverRequest::from_raw(&s.raw, s.target.len(), s.depart_epoch_s);
     let body = serde_json::to_string(&req).expect("serializes");
-    let policy = client::RetryPolicy {
-        max_retries: 3,
-        base: Duration::from_millis(10),
-        cap: Duration::from_millis(100),
-        seed: 1,
-    };
-    let resp = client::request_with_retry(
-        server.local_addr(),
-        "POST",
-        "/v1/recover",
-        Some(&body),
-        &policy,
-    )
-    .expect("retry must absorb the single write fault");
+    let resp = (0..4)
+        .find_map(|_| client::post_json(server.local_addr(), "/v1/recover", &body).ok())
+        .expect("a re-send must absorb the single write fault");
     assert_eq!(resp.status, 200, "body: {}", resp.body);
 
     let snap = rntrajrec_chaos::snapshot();
@@ -393,7 +382,7 @@ fn submit_fault_maps_to_typed_503_with_retry_after() {
     let body = serde_json::to_string(&req).expect("serializes");
 
     // Injected submit fault → typed 503 naming the point, with a
-    // Retry-After the client policy can honor…
+    // Retry-After a client can honor…
     let resp = client::post_json(server.local_addr(), "/v1/recover", &body).expect("http");
     assert_eq!(resp.status, 503, "body: {}", resp.body);
     assert!(resp.body.contains("engine.submit"), "body: {}", resp.body);

@@ -1,7 +1,8 @@
 //! Cross-crate serving integration: train a small RNTrajRec model through
 //! the standard pipeline, then serve it online and check that the
-//! micro-batched engine reproduces offline inference exactly and that the
-//! tape-free path agrees with the tape-based predictor on trained weights.
+//! micro-batched engine reproduces offline inference exactly, that the
+//! tape-free path agrees with the tape-based predictor on trained weights,
+//! and that `/v1/recover` over real TCP returns the same bits.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -12,7 +13,11 @@ use rand::SeedableRng;
 use rntrajrec_suite::rntrajrec::experiments::{ExperimentScale, Pipeline};
 use rntrajrec_suite::rntrajrec::model::{EndToEnd, MethodSpec};
 use rntrajrec_suite::rntrajrec::train::{TrainConfig, Trainer};
-use rntrajrec_suite::rntrajrec_serve::{EngineConfig, RecoveryEngine, ServingModel, SubmitOptions};
+use rntrajrec_suite::rntrajrec::wire::{RecoverRequest, RecoverResponse};
+use rntrajrec_suite::rntrajrec_serve::http::client;
+use rntrajrec_suite::rntrajrec_serve::{
+    EngineConfig, HttpConfig, HttpServer, QueryContext, RecoveryEngine, ServingModel, SubmitOptions,
+};
 use rntrajrec_suite::rntrajrec_synth::DatasetConfig;
 
 fn trained_pipeline() -> (Pipeline, EndToEnd) {
@@ -117,4 +122,37 @@ fn engine_micro_batching_is_transparent_end_to_end() {
     }
     let stats = engine.stats();
     assert_eq!(stats.completed as usize, pipeline.test_inputs.len());
+}
+
+#[test]
+fn http_recover_over_tcp_matches_in_process_recovery_bitwise() {
+    let (pipeline, model) = trained_pipeline();
+    let serving = Arc::new(ServingModel::new(model).expect("RNTrajRec serves"));
+    let ctx = Arc::new(QueryContext::new(pipeline.dataset.city.net.clone(), 50.0));
+    let engine = Arc::new(RecoveryEngine::start(
+        Arc::clone(&serving),
+        EngineConfig::default(),
+    ));
+    let http = HttpConfig {
+        addr: "127.0.0.1:0".to_string(),
+        ..HttpConfig::default()
+    };
+    let server = HttpServer::start(engine, Arc::clone(&ctx), http, None).expect("bind");
+    let bits = |p: &[(usize, f32)]| -> Vec<(usize, u32)> {
+        p.iter().map(|&(seg, rate)| (seg, rate.to_bits())).collect()
+    };
+    for s in &pipeline.dataset.test {
+        let req = RecoverRequest::from_raw(&s.raw, s.target.len(), s.depart_epoch_s);
+        let want = serving.recover(&ctx.sample_input(&req).expect("valid request"));
+        let body = serde_json::to_string(&req).expect("request serializes");
+        let resp = client::post_json(server.local_addr(), "/v1/recover", &body).expect("roundtrip");
+        assert_eq!(resp.status, 200, "body: {}", resp.body);
+        let got = RecoverResponse::from_json(&resp.body).expect("well-formed response");
+        assert_eq!(
+            bits(&got.path()),
+            bits(&want),
+            "HTTP recovery diverged from ServingModel::recover"
+        );
+    }
+    server.shutdown();
 }
