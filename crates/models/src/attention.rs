@@ -7,7 +7,7 @@ use std::ops::Range;
 use rand::rngs::StdRng;
 
 use crate::layers::Linear;
-use rntrajrec_nn::{infer, Init, NodeId, ParamId, ParamStore, Tape, Tensor};
+use rntrajrec_nn::{kernels, Init, NodeId, ParamId, ParamStore, Tape, Tensor};
 
 /// Multi-head scaled dot-product self-attention (Eq. 10).
 #[derive(Debug, Clone)]
@@ -68,7 +68,7 @@ impl MultiHeadAttention {
     /// disjoint) row range of each member. The q/k/v/output projections
     /// run as **one** stacked matmul each, while the attention reduction
     /// stays scoped to each member's own rows via
-    /// `infer::segmented_self_attention` — so every output row is
+    /// `kernels::segmented_self_attention` — so every output row is
     /// bit-identical to [`MultiHeadAttention::forward`] on the member alone.
     pub fn infer_segments(&self, store: &ParamStore, x: &Tensor, segs: &[Range<usize>]) -> Tensor {
         let q = self.wq.infer(store, x);
@@ -78,13 +78,15 @@ impl MultiHeadAttention {
         let scale = 1.0 / (dh as f32).sqrt();
         let mut heads = Vec::with_capacity(self.heads);
         for h in 0..self.heads {
-            let qh = infer::select_cols(&q, h * dh, dh);
-            let kh = infer::select_cols(&k, h * dh, dh);
-            let vh = infer::select_cols(&v, h * dh, dh);
-            heads.push(infer::segmented_self_attention(&qh, &kh, &vh, segs, scale));
+            let qh = kernels::select_cols(&q, h * dh, dh);
+            let kh = kernels::select_cols(&k, h * dh, dh);
+            let vh = kernels::select_cols(&v, h * dh, dh);
+            heads.push(kernels::segmented_self_attention(
+                &qh, &kh, &vh, segs, scale,
+            ));
         }
         let refs: Vec<&Tensor> = heads.iter().collect();
-        self.wo.infer(store, &infer::concat_cols(&refs))
+        self.wo.infer(store, &kernels::concat_cols(&refs))
     }
 }
 

@@ -15,7 +15,7 @@ use crate::features::SampleInput;
 
 use crate::rnn::GruCell;
 use rntrajrec_nn::quant::QuantizedLinear;
-use rntrajrec_nn::{infer, Init, NodeId, ParamId, ParamStore, Tape, Tensor};
+use rntrajrec_nn::{kernels, Init, NodeId, ParamId, ParamStore, Tape, Tensor};
 
 /// Log-weight assigned to segments outside the constraint mask
 /// (`exp(-30) ≈ 1e-13`: effectively zero probability, numerically safe).
@@ -29,7 +29,7 @@ type StepLogMasks = Vec<Option<Vec<(usize, f32)>>>;
 /// tape-free decode path.
 ///
 /// `Sparse` is the default: the constraint mask already enumerates the
-/// allowed segments, so [`infer::masked_matmul_cols`] computes only those
+/// allowed segments, so [`kernels::masked_matmul_cols`] computes only those
 /// columns of the `[B,d]×[d,|V|]` product (an algorithmic FLOP reduction
 /// proportional to the mask's skip ratio) and normalises over them alone.
 /// Recovery outputs (argmax segment + rate) match the dense route —
@@ -395,9 +395,9 @@ impl Decoder {
         let mut keys_all = if keys.is_empty() {
             Tensor::zeros(0, d)
         } else {
-            infer::concat_rows(&keys)
+            kernels::concat_rows(&keys)
         };
-        let mut hk_all = infer::matmul(&keys_all, wh);
+        let mut hk_all = kernels::matmul(&keys_all, wh);
         let mut ranges: Vec<Range<usize>> = Vec::with_capacity(n);
         let mut off = 0;
         for m in members {
@@ -421,9 +421,9 @@ impl Decoder {
         let mut h = if trajs.is_empty() {
             Tensor::zeros(0, d)
         } else {
-            infer::concat_rows(&trajs)
+            kernels::concat_rows(&trajs)
         };
-        let mut x_prev = infer::repeat_rows(store.value(self.start_emb), active.len());
+        let mut x_prev = kernels::repeat_rows(store.value(self.start_emb), active.len());
         let mut r_prev = Tensor::zeros(active.len(), 1);
 
         let mut tick: u32 = 0;
@@ -464,18 +464,18 @@ impl Decoder {
                     active.push(i);
                 }
                 if !new_keys.is_empty() {
-                    let stacked_keys = infer::concat_rows(&new_keys);
-                    let hk_new = infer::matmul(&stacked_keys, wh);
-                    let stacked_trajs = infer::concat_rows(&new_trajs);
+                    let stacked_keys = kernels::concat_rows(&new_keys);
+                    let hk_new = kernels::matmul(&stacked_keys, wh);
+                    let stacked_trajs = kernels::concat_rows(&new_trajs);
                     let grown = new_keys.len();
-                    keys_all = infer::concat_rows(&[&keys_all, &stacked_keys]);
-                    hk_all = infer::concat_rows(&[&hk_all, &hk_new]);
-                    h = infer::concat_rows(&[&h, &stacked_trajs]);
-                    x_prev = infer::concat_rows(&[
+                    keys_all = kernels::concat_rows(&[&keys_all, &stacked_keys]);
+                    hk_all = kernels::concat_rows(&[&hk_all, &hk_new]);
+                    h = kernels::concat_rows(&[&h, &stacked_trajs]);
+                    x_prev = kernels::concat_rows(&[
                         &x_prev,
-                        &infer::repeat_rows(store.value(self.start_emb), grown),
+                        &kernels::repeat_rows(store.value(self.start_emb), grown),
                     ]);
-                    r_prev = infer::concat_rows(&[&r_prev, &Tensor::zeros(grown, 1)]);
+                    r_prev = kernels::concat_rows(&[&r_prev, &Tensor::zeros(grown, 1)]);
                 }
             }
             if active.is_empty() {
@@ -497,9 +497,9 @@ impl Decoder {
                         cancelled[i] = true;
                     }
                 }
-                h = infer::gather_rows(&h, &keep);
-                x_prev = infer::gather_rows(&x_prev, &keep);
-                r_prev = infer::gather_rows(&r_prev, &keep);
+                h = kernels::gather_rows(&h, &keep);
+                x_prev = kernels::gather_rows(&x_prev, &keep);
+                r_prev = kernels::gather_rows(&r_prev, &keep);
                 active = keep.iter().map(|&s| active[s]).collect();
                 if active.is_empty() {
                     continue; // the admit hook may still have members to run
@@ -512,27 +512,27 @@ impl Decoder {
             // Eq. (14): additive attention, all members in lock-step — one
             // stacked query projection, one stacked score product, then
             // the per-member softmax/context over ragged segments.
-            let gq = infer::matmul(&h, wg);
+            let gq = kernels::matmul(&h, wg);
             let segs: Vec<Range<usize>> = active.iter().map(|&i| ranges[i].clone()).collect();
-            let pre = infer::segments_add_rowvec(&hk_all, &gq, &segs);
-            let t = infer::tanh(&pre);
-            let mu = infer::matmul_nt(v_attn, &t);
+            let pre = kernels::segments_add_rowvec(&hk_all, &gq, &segs);
+            let t = kernels::tanh(&pre);
+            let mu = kernels::matmul_nt(v_attn, &t);
             let lens: Vec<usize> = segs.iter().map(|s| s.len()).collect();
-            let alphas = infer::softmax_segments(&mu, &lens);
-            let a = infer::segmented_attn_context(&alphas, &keys_all, &segs);
+            let alphas = kernels::softmax_segments(&mu, &lens);
+            let a = kernels::segmented_attn_context(&alphas, &keys_all, &segs);
 
             // Eq. (15): one stacked GRU update.
-            let input = infer::concat_cols(&[&x_prev, &r_prev, &a]);
+            let input = kernels::concat_cols(&[&x_prev, &r_prev, &a]);
             h = self.gru.infer_step(store, &input, &h);
 
             // Eq. (16): one stacked segment head — sparse by default,
             // computing only each row's mask-allowed columns.
-            let masks: Vec<Option<infer::SparseLogMask>> = active
+            let masks: Vec<Option<kernels::SparseLogMask>> = active
                 .iter()
                 .map(|&i| {
                     logw[i][steps[i]]
                         .as_deref()
-                        .map(|entries| infer::SparseLogMask {
+                        .map(|entries| kernels::SparseLogMask {
                             default: MASKED_OUT_LOGW,
                             entries,
                         })
@@ -540,18 +540,18 @@ impl Decoder {
                 .collect();
             let logp = match head {
                 SegmentHead::Dense => {
-                    let logits = infer::add_rowvec(&infer::matmul(&h, w_id), b_id);
-                    infer::masked_log_softmax_rows(&logits, &masks)
+                    let logits = kernels::add_rowvec(&kernels::matmul(&h, w_id), b_id);
+                    kernels::masked_log_softmax_rows(&logits, &masks)
                 }
-                SegmentHead::Sparse => infer::masked_matmul_cols(&h, w_id, b_id, &masks),
+                SegmentHead::Sparse => kernels::masked_matmul_cols(&h, w_id, b_id, &masks),
                 SegmentHead::Quantized(q) => q.forward_masked(&h, b_id, &masks),
             };
             let preds: Vec<usize> = (0..b).map(|r| logp.argmax_row(r)).collect();
-            let x_j = infer::gather_rows(seg_table, &preds);
+            let x_j = kernels::gather_rows(seg_table, &preds);
 
             // Eq. (17): one stacked rate head.
-            let rate_in = infer::concat_cols(&[&x_j, &h]);
-            let rate = infer::sigmoid(&infer::matmul(&rate_in, w_rate));
+            let rate_in = kernels::concat_cols(&[&x_j, &h]);
+            let rate = kernels::sigmoid(&kernels::matmul(&rate_in, w_rate));
 
             for (s, &i) in active.iter().enumerate() {
                 out[i].push((preds[s], rate.data[s]));
@@ -577,9 +577,9 @@ impl Decoder {
                 let keep: Vec<usize> = (0..b)
                     .filter(|&s| target_lens[active[s]] > steps[active[s]])
                     .collect();
-                h = infer::gather_rows(&h, &keep);
-                x_prev = infer::gather_rows(&x_prev, &keep);
-                r_prev = infer::gather_rows(&r_prev, &keep);
+                h = kernels::gather_rows(&h, &keep);
+                x_prev = kernels::gather_rows(&x_prev, &keep);
+                r_prev = kernels::gather_rows(&r_prev, &keep);
                 active = keep.iter().map(|&s| active[s]).collect();
             }
         }

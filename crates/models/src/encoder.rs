@@ -9,7 +9,7 @@
 //!
 //! Encoders may additionally provide a **tape-free inference path**
 //! ([`TrajEncoder::infer_batch`]): the same forward computation evaluated
-//! with plain tensor ops (`rntrajrec_nn::infer`), no autograd bookkeeping,
+//! with plain tensor ops (`rntrajrec_nn::kernels`), no autograd bookkeeping,
 //! stacked over a whole micro-batch (a single request is a batch of one).
 //! Input-independent work (GridGNN's `X_road`) is split out into
 //! [`TrajEncoder::precompute_road`] so a serving engine can compute it once

@@ -26,7 +26,7 @@ use crate::grl::{GraphRefinementLayer, GrlBatchLayout, GrlConfig};
 use crate::layers::Linear;
 use crate::transformer::TransformerEncoderLayer;
 use rntrajrec_geo::GridSpec;
-use rntrajrec_nn::{infer, Init, NodeId, ParamId, ParamStore, Tape, Tensor};
+use rntrajrec_nn::{kernels, Init, NodeId, ParamId, ParamStore, Tape, Tensor};
 use rntrajrec_roadnet::RoadNetwork;
 
 /// Hyper-parameters of the full RNTrajRec encoder.
@@ -131,11 +131,11 @@ impl RnTrajRecEncoder {
     /// the whole batch instead of one call per member (or per point, for
     /// the GRL) — while every reduction whose scope defines the result
     /// stays per member: self-attention rows via
-    /// `infer::segmented_self_attention`, graph readout via
-    /// `infer::segmented_mean_rows`, the GAT pass via a block-diagonal CSR
+    /// `kernels::segmented_self_attention`, graph readout via
+    /// `kernels::segmented_mean_rows`, the GAT pass via a block-diagonal CSR
     /// union, and GraphNorm statistics (the reason naive cross-request
     /// fusion would change results — Eq. 8–9 are *batch* statistics) via
-    /// `infer::segmented_norm_stats` scoped to each member's own
+    /// `kernels::segmented_norm_stats` scoped to each member's own
     /// sub-graphs.
     ///
     /// Because every fused kernel keeps the member's own accumulation
@@ -187,15 +187,15 @@ impl RnTrajRecEncoder {
             .iter()
             .flat_map(|s| s.subgraphs.iter().flat_map(|sg| sg.weights.iter().copied()))
             .collect();
-        let mut zs = infer::gather_rows(xroad, &all_nodes);
-        let gp = infer::segmented_weighted_mean_rows(&zs, &all_weights, &layout.point_segs);
+        let mut zs = kernels::gather_rows(xroad, &all_nodes);
+        let gp = kernels::segmented_weighted_mean_rows(&zs, &all_weights, &layout.point_segs);
         let extras: Vec<Tensor> = samples
             .iter()
             .map(|s| select_columns(&s.base_feats, &[2, 3, 4]))
             .collect();
         let extra_refs: Vec<&Tensor> = extras.iter().collect();
-        let extra = infer::concat_rows(&extra_refs);
-        let cat = infer::concat_cols(&[&gp, &extra]);
+        let extra = kernels::concat_rows(&extra_refs);
+        let cat = kernels::concat_cols(&[&gp, &extra]);
         let h0 = self.input_proj.infer(store, &cat);
         // Positional encodings restart per member (Eq. 12).
         let pes: Vec<Tensor> = samples
@@ -203,7 +203,7 @@ impl RnTrajRecEncoder {
             .map(|s| self.pe.table(s.input_len()))
             .collect();
         let pe_refs: Vec<&Tensor> = pes.iter().collect();
-        let mut h = infer::add(&h0, &infer::concat_rows(&pe_refs));
+        let mut h = kernels::add(&h0, &kernels::concat_rows(&pe_refs));
 
         // N GPSFormer blocks (Eq. 13), the whole batch per block.
         for (te, grl) in &self.blocks {
@@ -211,7 +211,7 @@ impl RnTrajRecEncoder {
             match grl {
                 Some(grl) => {
                     let refined = grl.infer_batch(store, &tr, &zs, &layout);
-                    h = infer::segmented_mean_rows(&refined, &layout.point_segs);
+                    h = kernels::segmented_mean_rows(&refined, &layout.point_segs);
                     zs = refined;
                 }
                 None => h = tr,
@@ -220,23 +220,23 @@ impl RnTrajRecEncoder {
 
         // Trajectory-level vectors: member-scoped mean pool + environment,
         // one stacked trajectory-head matmul.
-        let mean = infer::segmented_mean_rows(&h, &traj_segs);
+        let mean = kernels::segmented_mean_rows(&h, &traj_segs);
         let envs: Vec<Tensor> = samples
             .iter()
             .map(|s| Tensor::row(s.env.to_vec()))
             .collect();
         let env_refs: Vec<&Tensor> = envs.iter().collect();
-        let env = infer::concat_rows(&env_refs);
+        let env = kernels::concat_rows(&env_refs);
         let traj_all = self
             .traj_head
-            .infer(store, &infer::concat_cols(&[&mean, &env]));
+            .infer(store, &kernels::concat_cols(&[&mean, &env]));
 
         traj_segs
             .iter()
             .enumerate()
             .map(|(i, seg)| InferOutput {
-                per_point: infer::select_rows(&h, seg.start, seg.len()),
-                traj: infer::select_rows(&traj_all, i, 1),
+                per_point: kernels::select_rows(&h, seg.start, seg.len()),
+                traj: kernels::select_rows(&traj_all, i, 1),
             })
             .collect()
     }

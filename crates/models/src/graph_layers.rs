@@ -12,7 +12,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 
 use crate::layers::Linear;
-use rntrajrec_nn::{infer, GraphCsr, Init, NodeId, ParamId, ParamStore, Tape, Tensor};
+use rntrajrec_nn::{kernels, GraphCsr, Init, NodeId, ParamId, ParamStore, Tape, Tensor};
 
 /// Multi-head graph attention layer exactly as Eq. (3)–(4):
 /// per head `k`, scores `a_ij = softmax_j(LeakyReLU(a_kᵀ[Ŵ_k h_i ∥ Ŵ_k h_j]))`
@@ -104,17 +104,18 @@ impl GatLayer {
     pub fn infer(&self, store: &ParamStore, h: &Tensor, csr: &GraphCsr) -> Tensor {
         let mut outs = Vec::with_capacity(self.heads);
         for k in 0..self.heads {
-            let hw = infer::matmul(h, store.value(self.w[k]));
-            let hw_hat = infer::matmul(h, store.value(self.w_hat[k]));
-            let s_src = infer::matmul(&hw_hat, store.value(self.a_src[k]));
-            let s_dst = infer::matmul(&hw_hat, store.value(self.a_dst[k]));
-            let scores = infer::leaky_relu(&infer::edge_scores(&s_src, &s_dst, csr), self.slope);
-            let alphas = infer::segmented_softmax(&scores, csr);
-            let agg = infer::neighbor_sum(&alphas, &hw, csr);
-            outs.push(infer::leaky_relu(&agg, self.slope));
+            let hw = kernels::matmul(h, store.value(self.w[k]));
+            let hw_hat = kernels::matmul(h, store.value(self.w_hat[k]));
+            let s_src = kernels::matmul(&hw_hat, store.value(self.a_src[k]));
+            let s_dst = kernels::matmul(&hw_hat, store.value(self.a_dst[k]));
+            let scores =
+                kernels::leaky_relu(&kernels::edge_scores(&s_src, &s_dst, csr), self.slope);
+            let alphas = kernels::segmented_softmax(&scores, csr);
+            let agg = kernels::neighbor_sum(&alphas, &hw, csr);
+            outs.push(kernels::leaky_relu(&agg, self.slope));
         }
         let refs: Vec<&Tensor> = outs.iter().collect();
-        infer::concat_cols(&refs)
+        kernels::concat_cols(&refs)
     }
 }
 
@@ -152,8 +153,8 @@ impl GcnLayer {
 
     /// Tape-free twin of [`GcnLayer::forward`].
     pub fn infer(&self, store: &ParamStore, h: &Tensor, csr: &GraphCsr) -> Tensor {
-        let agg = infer::neighbor_sum(&mean_alphas(csr), h, csr);
-        infer::relu(&self.lin.infer(store, &agg))
+        let agg = kernels::neighbor_sum(&mean_alphas(csr), h, csr);
+        kernels::relu(&self.lin.infer(store, &agg))
     }
 }
 
@@ -196,8 +197,8 @@ impl GinLayer {
     /// Tape-free twin of [`GinLayer::forward`].
     pub fn infer(&self, store: &ParamStore, h: &Tensor, csr: &GraphCsr) -> Tensor {
         let ones = Tensor::full(csr.num_edges(), 1, 1.0);
-        let agg = infer::neighbor_sum(&ones, h, csr);
-        let y = infer::relu(&self.l1.infer(store, &agg));
+        let agg = kernels::neighbor_sum(&ones, h, csr);
+        let y = kernels::relu(&self.l1.infer(store, &agg));
         self.l2.infer(store, &y)
     }
 }

@@ -14,7 +14,7 @@ use crate::graph_layers::{GatLayer, GcnLayer, GinLayer};
 use crate::layers::Linear;
 use crate::rnn::GruCell;
 use rntrajrec_geo::GridSpec;
-use rntrajrec_nn::{infer, GraphCsr, Init, NodeId, ParamId, ParamStore, Tape, Tensor};
+use rntrajrec_nn::{kernels, GraphCsr, Init, NodeId, ParamId, ParamStore, Tape, Tensor};
 use rntrajrec_roadnet::{RoadNetwork, NUM_ROAD_LEVELS};
 
 /// Graph backbone selector for the Fig. 7(a) comparison.
@@ -247,17 +247,17 @@ impl GridGnn {
                 let mut state = Tensor::zeros(group.len(), self.config.dim);
                 for t in 0..len {
                     let idx: Vec<usize> = group.iter().map(|&seg| self.grid_seqs[seg][t]).collect();
-                    let x = infer::gather_rows(grid_table, &idx);
+                    let x = kernels::gather_rows(grid_table, &idx);
                     state = self.gru.infer_step(store, &x, &state);
                 }
                 group_outputs.push(state);
             }
             let refs: Vec<&Tensor> = group_outputs.iter().collect();
-            let stacked = infer::concat_rows(&refs);
-            let grid_repr = infer::gather_rows(&stacked, &self.perm);
-            infer::relu(&infer::add(&grid_repr, road))
+            let stacked = kernels::concat_rows(&refs);
+            let grid_repr = kernels::gather_rows(&stacked, &self.perm);
+            kernels::relu(&kernels::add(&grid_repr, road))
         } else {
-            infer::relu(road)
+            kernels::relu(road)
         };
 
         match &self.backbone {
@@ -278,7 +278,7 @@ impl GridGnn {
             }
         }
 
-        let cat = infer::concat_cols(&[&x, &self.static_feats]);
+        let cat = kernels::concat_cols(&[&x, &self.static_feats]);
         self.out.infer(store, &cat)
     }
 

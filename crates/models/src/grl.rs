@@ -6,7 +6,7 @@
 //! a whole micro-batch of trajectories: projections run as single stacked
 //! matmuls, the GAT pass runs over a block-diagonal CSR union of every
 //! point's sub-graph, and GraphNorm's statistics stay **scoped per
-//! member** through `infer::segmented_norm_stats` — so batched refinement
+//! member** through `kernels::segmented_norm_stats` — so batched refinement
 //! is bit-identical to refining each trajectory alone, the invariant the
 //! serving engine's batching contract rests on.
 
@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 
 use crate::graph_layers::GatLayer;
 use crate::layers::{FeedForward, LayerNorm, Linear};
-use rntrajrec_nn::{infer, GraphCsr, Init, NodeId, ParamId, ParamStore, Tape, Tensor};
+use rntrajrec_nn::{kernels, GraphCsr, Init, NodeId, ParamId, ParamStore, Tape, Tensor};
 
 /// Gated fusion (Eq. 7): adaptively mix the transformer output `tr_i`
 /// (temporal) into every node of the point's sub-graph (spatial):
@@ -75,16 +75,16 @@ impl GatedFusion {
         z: &Tensor,
         row_to_point: &[usize],
     ) -> Tensor {
-        let tr_rep = infer::gather_rows(tr_points, row_to_point);
-        let a = infer::gather_rows(
-            &infer::matmul(tr_points, store.value(self.wz1)),
+        let tr_rep = kernels::gather_rows(tr_points, row_to_point);
+        let a = kernels::gather_rows(
+            &kernels::matmul(tr_points, store.value(self.wz1)),
             row_to_point,
         );
-        let b = infer::matmul(z, store.value(self.wz2));
-        let s = infer::add_rowvec(&infer::add(&a, &b), store.value(self.bz));
+        let b = kernels::matmul(z, store.value(self.wz2));
+        let s = kernels::add_rowvec(&kernels::add(&a, &b), store.value(self.bz));
         // Fused σ(s)⊙tr + (1−σ(s))⊙z epilogue: one pass over the stack
         // instead of five (bit-identical to the composed chain).
-        infer::gated_blend(&s, &tr_rep, z)
+        kernels::gated_blend(&s, &tr_rep, z)
     }
 }
 
@@ -150,7 +150,7 @@ impl GraphNorm {
     /// **scoped per member**: `stacked` is `[Σn, d]`, `graph_segs[g]` the
     /// row range of sub-graph `g`, `members[m]` the range of graph indices
     /// owned by member `m`, and `row_to_member[r]` the owning member of
-    /// stacked row `r`. `infer::segmented_norm_stats` computes each
+    /// stacked row `r`. `kernels::segmented_norm_stats` computes each
     /// member's `μ`/`1/σ` exactly as [`GraphNorm::forward`] would over that
     /// member's graphs alone (a training batch of just that trajectory);
     /// the normalise-and-affine chain (`(x + (−μ))·invσ·γ + β`, one
@@ -165,10 +165,10 @@ impl GraphNorm {
         members: &[Range<usize>],
         row_to_member: &[usize],
     ) -> Tensor {
-        let (mu, inv) = infer::segmented_norm_stats(stacked, graph_segs, members, self.eps);
+        let (mu, inv) = kernels::segmented_norm_stats(stacked, graph_segs, members, self.eps);
         // Fused normalise-and-affine pass (one traversal; bit-identical to
         // the broadcast-and-compose route).
-        infer::segmented_norm_apply(
+        kernels::segmented_norm_apply(
             stacked,
             &mu,
             &inv,
@@ -455,13 +455,13 @@ impl GraphRefinementLayer {
         let f = match (&self.fusion, &self.fusion_ffn) {
             (Some(gf), _) => gf.infer_batch(store, tr_points, z, &layout.row_to_point),
             (None, Some(ffn)) => {
-                let tr_rep = infer::gather_rows(tr_points, &layout.row_to_point);
-                let cat = infer::concat_cols(&[&tr_rep, z]);
-                infer::relu(&ffn.infer(store, &cat))
+                let tr_rep = kernels::gather_rows(tr_points, &layout.row_to_point);
+                let cat = kernels::concat_cols(&[&tr_rep, z]);
+                kernels::relu(&ffn.infer(store, &cat))
             }
             _ => unreachable!(),
         };
-        let fused = infer::add(z, &f);
+        let fused = kernels::add(z, &f);
         let x = self.norm1.infer_batch(store, &fused, layout);
 
         // Sub-layer 2: Norm(x + GraphForward(x)).
@@ -474,7 +474,7 @@ impl GraphRefinementLayer {
             }
             h
         };
-        let refined = infer::add(&x, &f);
+        let refined = kernels::add(&x, &f);
         self.norm2.infer_batch(store, &refined, layout)
     }
 }

@@ -2,7 +2,7 @@
 
 use rand::rngs::StdRng;
 
-use rntrajrec_nn::{infer, Init, NodeId, ParamId, ParamStore, Tape, Tensor};
+use rntrajrec_nn::{kernels, Init, NodeId, ParamId, ParamStore, Tape, Tensor};
 
 /// Fully connected layer `y = x·W (+ b)`.
 #[derive(Debug, Clone)]
@@ -47,9 +47,9 @@ impl Linear {
 
     /// Tape-free twin of [`Linear::forward`].
     pub fn infer(&self, store: &ParamStore, x: &Tensor) -> Tensor {
-        let y = infer::matmul(x, store.value(self.w));
+        let y = kernels::matmul(x, store.value(self.w));
         match self.b {
-            Some(b) => infer::add_rowvec(&y, store.value(b)),
+            Some(b) => kernels::add_rowvec(&y, store.value(b)),
             None => y,
         }
     }
@@ -92,7 +92,7 @@ impl LayerNorm {
     /// Tape-free twin of [`LayerNorm::forward`] (same fused kernel, so
     /// results are bit-identical).
     pub fn infer(&self, store: &ParamStore, x: &Tensor) -> Tensor {
-        infer::layer_norm(x, store.value(self.gamma), store.value(self.beta), self.eps)
+        kernels::layer_norm(x, store.value(self.gamma), store.value(self.beta), self.eps)
     }
 }
 
@@ -125,7 +125,7 @@ impl FeedForward {
 
     /// Tape-free twin of [`FeedForward::forward`].
     pub fn infer(&self, store: &ParamStore, x: &Tensor) -> Tensor {
-        let h = infer::relu(&self.l1.infer(store, x));
+        let h = kernels::relu(&self.l1.infer(store, x));
         self.l2.infer(store, &h)
     }
 }

@@ -2,7 +2,7 @@
 
 use rand::rngs::StdRng;
 
-use rntrajrec_nn::{infer, Init, NodeId, ParamId, ParamStore, Tape, Tensor};
+use rntrajrec_nn::{kernels, Init, NodeId, ParamId, ParamStore, Tape, Tensor};
 
 /// Gated recurrent unit cell exactly as the paper's Eq. (1):
 /// `z = σ(W_z·[s,x]+b_z)`, `r = σ(W_r·[s,x]+b_r)`,
@@ -72,28 +72,28 @@ impl GruCell {
 
     /// Tape-free twin of [`GruCell::step`].
     pub fn infer_step(&self, store: &ParamStore, x: &Tensor, s: &Tensor) -> Tensor {
-        let cat = infer::concat_cols(&[s, x]);
-        let z_lin = infer::add_rowvec(
-            &infer::matmul(&cat, store.value(self.wz)),
+        let cat = kernels::concat_cols(&[s, x]);
+        let z_lin = kernels::add_rowvec(
+            &kernels::matmul(&cat, store.value(self.wz)),
             store.value(self.bz),
         );
-        let z = infer::sigmoid(&z_lin);
-        let r_lin = infer::add_rowvec(
-            &infer::matmul(&cat, store.value(self.wr)),
+        let z = kernels::sigmoid(&z_lin);
+        let r_lin = kernels::add_rowvec(
+            &kernels::matmul(&cat, store.value(self.wr)),
             store.value(self.br),
         );
-        let r = infer::sigmoid(&r_lin);
-        let rs = infer::mul(&r, s);
-        let cat2 = infer::concat_cols(&[&rs, x]);
-        let c_lin = infer::add_rowvec(
-            &infer::matmul(&cat2, store.value(self.wc)),
+        let r = kernels::sigmoid(&r_lin);
+        let rs = kernels::mul(&r, s);
+        let cat2 = kernels::concat_cols(&[&rs, x]);
+        let c_lin = kernels::add_rowvec(
+            &kernels::matmul(&cat2, store.value(self.wc)),
             store.value(self.bc),
         );
-        let c = infer::tanh(&c_lin);
-        let one_minus_z = infer::add_const(&infer::scale(&z, -1.0), 1.0);
-        let keep = infer::mul(&one_minus_z, s);
-        let update = infer::mul(&z, &c);
-        infer::add(&keep, &update)
+        let c = kernels::tanh(&c_lin);
+        let one_minus_z = kernels::add_const(&kernels::scale(&z, -1.0), 1.0);
+        let keep = kernels::mul(&one_minus_z, s);
+        let update = kernels::mul(&z, &c);
+        kernels::add(&keep, &update)
     }
 
     /// Run over a sequence `[L, in]` with zero initial state; returns the

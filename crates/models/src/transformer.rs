@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 
 use crate::attention::MultiHeadAttention;
 use crate::layers::{FeedForward, LayerNorm};
-use rntrajrec_nn::{infer, NodeId, ParamStore, Tape, Tensor};
+use rntrajrec_nn::{kernels, NodeId, ParamStore, Tape, Tensor};
 
 /// `LayerNorm(x + MultiHead(x))` then `LayerNorm(x + FFN(x))` — the
 /// temporal-modelling half of each GPSFormer block.
@@ -53,9 +53,9 @@ impl TransformerEncoderLayer {
     /// bit-identical to `forward` on the member alone.
     pub fn infer_segments(&self, store: &ParamStore, x: &Tensor, segs: &[Range<usize>]) -> Tensor {
         let attn = self.mha.infer_segments(store, x, segs);
-        let h = self.ln1.infer(store, &infer::add(x, &attn));
+        let h = self.ln1.infer(store, &kernels::add(x, &attn));
         let ff = self.ffn.infer(store, &h);
-        self.ln2.infer(store, &infer::add(&h, &ff))
+        self.ln2.infer(store, &kernels::add(&h, &ff))
     }
 }
 

@@ -1,14 +1,29 @@
 //! The single home of every numeric kernel in the workspace.
 //!
 //! Both execution paths of the engine call into this module — the autograd
-//! [`crate::Tape`] (forward *and* backward) and the tape-free
-//! [`crate::infer`] serving path — so each kernel has exactly one body to
-//! optimise and parity-test. The kernels cover the model's entire compute
+//! [`crate::Tape`] (forward *and* backward) and the tape-free serving
+//! path, which calls these functions directly on [`Tensor`]s — so each
+//! kernel has exactly one body to optimise and parity-test. The kernels
+//! cover the model's entire compute
 //! profile: the matmul family (GPSFormer attention, decoder steps),
 //! row-wise softmax / log-softmax, layer-norm statistics, element-wise
 //! maps and broadcasts, embedding gathers, and the CSR graph-attention
 //! gather/scatter used by GridGNN (edge scores, segmented softmax,
 //! neighbour aggregation).
+//!
+//! # Tape-free inference
+//!
+//! The tape eagerly computes values *and* records an [`crate::Op`] node
+//! per operation so `backward` can run later. Online serving never calls
+//! `backward`, so every prediction through the tape would pay for node
+//! bookkeeping (an `Op` clone, a `Vec` push, a retained copy of every
+//! intermediate) it never uses. The serving hot path therefore applies
+//! these kernels straight to tensors with no graph allocation; names
+//! follow the tape methods (`kernels::add_rowvec` ≡ `Tape::add_rowvec`).
+//! Because both paths share one kernel body (and the kernels are
+//! deterministic at any thread count), results are bit-identical to a
+//! forward pass on the tape — property-tested in `tests/kernel_parity.rs`
+//! and end-to-end in `rntrajrec-models` / `rntrajrec-serve`.
 //!
 //! # Determinism under parallelism
 //!

@@ -32,16 +32,12 @@
 //!   tape; `Tape::param` imports them as leaves, `Tape::backward` routes
 //!   leaf gradients back into the store, and [`Adam`] / [`Sgd`] update them.
 //! * [`GraphCsr`] — shared immutable adjacency used by the fused GAT ops.
-//! * [`infer`] — tape-free forward-only twins of every op above: the same
-//!   [`kernels`] bodies applied directly to [`Tensor`]s with no graph
-//!   bookkeeping, for the online-serving hot path (`rntrajrec-serve`).
 //! * [`kernels::backend`] — runtime-dispatched SIMD backend selection
 //!   (`NN_BACKEND` env: scalar reference vs AVX2+FMA inner loops).
 //! * [`quant`] — int8 per-channel weight quantization for the decoder
 //!   segment head ([`quant::QuantizedLinear`]).
 
 mod csr;
-pub mod infer;
 pub mod kernels;
 mod optim;
 mod param;

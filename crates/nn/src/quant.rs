@@ -236,7 +236,7 @@ impl QuantizedLinear {
 mod tests {
     use super::*;
     use crate::kernels::backend::{is_supported, with_backend, Backend};
-    use crate::{infer, pool};
+    use crate::pool;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -304,7 +304,7 @@ mod tests {
         ];
         let q = QuantizedLinear::from_weights(&w);
         let got = q.forward_masked(&a, &bias, &masks);
-        let float = infer::masked_matmul_cols(&a, &w, &bias, &masks);
+        let float = kernels::masked_matmul_cols(&a, &w, &bias, &masks);
         // Same support: -∞ exactly where the float head is -∞.
         for (g, f) in got.data.iter().zip(&float.data) {
             assert_eq!(

@@ -1,8 +1,8 @@
 //! Property-based parity suite for the unified kernel layer.
 //!
-//! The refactor contract: the autograd tape forward, the tape-free
-//! `infer` path, and the parallel kernels at every thread count all
-//! compute **bit-identical** results, because they share one kernel body
+//! The refactor contract: the autograd tape forward, the tape-free path
+//! (direct `kernels::` calls), and the parallel kernels at every thread
+//! count all compute **bit-identical** results, because they share one kernel body
 //! per operation and the pool partitions only ever split disjoint output
 //! ranges without reordering any accumulation.
 //!
@@ -10,7 +10,7 @@
 //! runs under each available backend (`Scalar` always; `Avx2Fma` when the
 //! host supports it) × `NN_THREADS ∈ {1, 2, 4}`. Within one backend
 //! results are pinned bit-identical across thread counts and across the
-//! tape/infer/kernels routes; the composed layer-norm-statistics route is
+//! tape/tape-free routes; the composed layer-norm-statistics route is
 //! additionally pinned bit-identical to the fused kernel **on the scalar
 //! backend** (the historical contract — under AVX2 the fused statistics
 //! use partial-lane sums and are covered by the ULP budget in
@@ -28,7 +28,7 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 use rntrajrec_nn::kernels::backend::{self, Backend};
-use rntrajrec_nn::{infer, kernels, pool, GraphCsr, ParamStore, Tape, Tensor};
+use rntrajrec_nn::{kernels, pool, GraphCsr, NodeId, ParamStore, Tape, Tensor};
 
 /// A labelled parity case: (name, tape reference, tape-free recompute).
 type ParityCase<'a> = (&'a str, &'a Tensor, Box<dyn Fn() -> Tensor + 'a>);
@@ -96,7 +96,7 @@ fn assert_thread_invariant(label: &str, reference: &Tensor, f: impl Fn() -> Tens
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Matmul family: tape forward ≡ infer ≡ kernels at 1/2/4 threads,
+    /// Matmul family: tape forward ≡ direct kernels at 1/2/4 threads,
     /// under every available backend (scalar and AVX2 each deterministic
     /// within themselves).
     #[test]
@@ -121,8 +121,8 @@ proptest! {
                 let nt = tape.value(nt_node).clone();
                 let tn = kernels::matmul_tn(&at, &b);
 
-                assert_eq!(infer::matmul(&a, &b).data, mm.data, "{name}: matmul infer≡tape");
-                assert_eq!(infer::matmul_nt(&a, &bt).data, nt.data, "{name}: nt infer≡tape");
+                assert_eq!(kernels::matmul(&a, &b).data, mm.data, "{name}: matmul kernels≡tape");
+                assert_eq!(kernels::matmul_nt(&a, &bt).data, nt.data, "{name}: nt kernels≡tape");
                 assert_thread_invariant("matmul", &mm, || kernels::matmul(&a, &b));
                 assert_thread_invariant("matmul_nt", &nt, || kernels::matmul_nt(&a, &bt));
                 assert_thread_invariant("matmul_tn", &tn, || kernels::matmul_tn(&at, &b));
@@ -163,16 +163,16 @@ proptest! {
                 let n_gather = tape.gather_rows(na, &idx);
 
                 let cases: Vec<ParityCase> = vec![
-                    ("add", tape.value(n_add), Box::new(|| infer::add(&a, &b))),
-                    ("mul", tape.value(n_mul), Box::new(|| infer::mul(&a, &b))),
-                    ("sigmoid", tape.value(n_sig), Box::new(|| infer::sigmoid(&a))),
-                    ("tanh", tape.value(n_tanh), Box::new(|| infer::tanh(&a))),
-                    ("leaky_relu", tape.value(n_lrelu), Box::new(|| infer::leaky_relu(&a, 0.2))),
-                    ("add_rowvec", tape.value(n_arow), Box::new(|| infer::add_rowvec(&a, &v))),
+                    ("add", tape.value(n_add), Box::new(|| kernels::add(&a, &b))),
+                    ("mul", tape.value(n_mul), Box::new(|| kernels::mul(&a, &b))),
+                    ("sigmoid", tape.value(n_sig), Box::new(|| kernels::sigmoid(&a))),
+                    ("tanh", tape.value(n_tanh), Box::new(|| kernels::tanh(&a))),
+                    ("leaky_relu", tape.value(n_lrelu), Box::new(|| kernels::leaky_relu(&a, 0.2))),
+                    ("add_rowvec", tape.value(n_arow), Box::new(|| kernels::add_rowvec(&a, &v))),
                     ("mul_colvec", tape.value(n_mcol), Box::new(|| kernels::mul_colvec(&a, &cv))),
                     ("softmax_rows", tape.value(n_smax), Box::new(|| kernels::softmax_rows(&a))),
                     ("log_softmax_rows", tape.value(n_lsmax), Box::new(|| kernels::log_softmax_rows(&a))),
-                    ("gather_rows", tape.value(n_gather), Box::new(|| infer::gather_rows(&a, &idx))),
+                    ("gather_rows", tape.value(n_gather), Box::new(|| kernels::gather_rows(&a, &idx))),
                 ];
                 for (label, reference, f) in &cases {
                     assert_thread_invariant(label, reference, f);
@@ -185,11 +185,11 @@ proptest! {
                         // route bit-for-bit, at every thread count.
                         pool::set_num_threads(1);
                         let ones = Tensor::full(c, 1, 1.0);
-                        let mu = infer::scale(&infer::matmul(&a, &ones), 1.0 / c as f32);
-                        let centered = kernels::add_colvec(&a, &infer::scale(&mu, -1.0));
-                        let var = infer::add_const(
-                            &infer::scale(
-                                &infer::matmul(&infer::mul(&centered, &centered), &ones),
+                        let mu = kernels::scale(&kernels::matmul(&a, &ones), 1.0 / c as f32);
+                        let centered = kernels::add_colvec(&a, &kernels::scale(&mu, -1.0));
+                        let var = kernels::add_const(
+                            &kernels::scale(
+                                &kernels::matmul(&kernels::mul(&centered, &centered), &ones),
                                 1.0 / c as f32,
                             ),
                             1e-5,
@@ -205,7 +205,7 @@ proptest! {
 
                         // Fused layer norm ≡ the composed primitive route,
                         // and the tape's fused op matches both.
-                        let norm_ref = infer::add_rowvec(
+                        let norm_ref = kernels::add_rowvec(
                             &kernels::mul_rowvec(&kernels::mul_colvec(&centered, &inv), &gamma),
                             &beta,
                         );
@@ -289,7 +289,7 @@ proptest! {
         for bk in backends() {
             backend::with_backend(bk, || {
                 pool::set_num_threads(1);
-                let want = kernels::log_softmax_rows(&infer::add(&a, &mask_dense));
+                let want = kernels::log_softmax_rows(&kernels::add(&a, &mask_dense));
                 assert_thread_invariant("masked_log_softmax_rows", &want, || {
                     kernels::masked_log_softmax_rows(&a, &masks)
                 });
@@ -345,8 +345,8 @@ proptest! {
         for bk in backends() {
             backend::with_backend(bk, || {
                 pool::set_num_threads(1);
-                let logits = infer::add_rowvec(&infer::matmul(&a, &w), &bias);
-                let want = kernels::log_softmax_rows(&infer::add(&logits, &mask_dense));
+                let logits = kernels::add_rowvec(&kernels::matmul(&a, &w), &bias);
+                let want = kernels::log_softmax_rows(&kernels::add(&logits, &mask_dense));
                 assert_thread_invariant("masked_matmul_cols", &want, || {
                     kernels::masked_matmul_cols(&a, &w, &bias, &masks)
                 });
@@ -356,7 +356,7 @@ proptest! {
 
     /// The segmented decoder-fusion kernels (stacked attention
     /// pre-activation, per-segment softmax, per-segment context product)
-    /// ≡ the per-member `infer` ops over random ragged segments (including
+    /// ≡ the per-member `kernels` ops over random ragged segments (including
     /// empty members), at every thread count × backend.
     #[test]
     fn segmented_decoder_kernels_parity(nseg in 1usize..10, d in 1usize..24, seed in 0u64..1_000_000) {
@@ -383,13 +383,13 @@ proptest! {
                 let mut alpha_ref = Vec::new();
                 let mut ctx_ref = Vec::new();
                 for (s, seg) in segs.iter().enumerate() {
-                    let k_i = infer::select_rows(&keys, seg.start, seg.len());
-                    let v_i = infer::select_rows(&v, s, 1);
-                    let pre_i = infer::add_rowvec(&k_i, &v_i);
-                    let t_i = infer::tanh(&pre_i);
-                    let mu_i = infer::matmul_nt(&vatt, &t_i);
+                    let k_i = kernels::select_rows(&keys, seg.start, seg.len());
+                    let v_i = kernels::select_rows(&v, s, 1);
+                    let pre_i = kernels::add_rowvec(&k_i, &v_i);
+                    let t_i = kernels::tanh(&pre_i);
+                    let mu_i = kernels::matmul_nt(&vatt, &t_i);
                     let al_i = kernels::softmax_rows(&mu_i);
-                    let ctx_i = infer::matmul(&al_i, &k_i);
+                    let ctx_i = kernels::matmul(&al_i, &k_i);
                     pre_ref.extend_from_slice(&pre_i.data);
                     alpha_ref.extend_from_slice(&al_i.data);
                     ctx_ref.extend_from_slice(&ctx_i.data);
@@ -401,8 +401,8 @@ proptest! {
                 assert_thread_invariant("segments_add_rowvec", &pre_ref, || {
                     kernels::segments_add_rowvec(&keys, &v, &segs)
                 });
-                let t_all = infer::tanh(&pre_ref);
-                let mu_all = infer::matmul_nt(&vatt, &t_all);
+                let t_all = kernels::tanh(&pre_ref);
+                let mu_all = kernels::matmul_nt(&vatt, &t_all);
                 assert_thread_invariant("softmax_segments", &alpha_ref, || {
                     kernels::softmax_segments(&mu_all, &lens)
                 });
@@ -438,9 +438,9 @@ proptest! {
                 let alphas = tape.value(alphas_n).clone();
                 let agg = tape.value(agg_n).clone();
 
-                assert_eq!(infer::edge_scores(&src, &dst, &csr).data, scores.data, "{name}");
-                assert_eq!(infer::segmented_softmax(&scores, &csr).data, alphas.data, "{name}");
-                assert_eq!(infer::neighbor_sum(&alphas, &feats, &csr).data, agg.data, "{name}");
+                assert_eq!(kernels::edge_scores(&src, &dst, &csr).data, scores.data, "{name}");
+                assert_eq!(kernels::segmented_softmax(&scores, &csr).data, alphas.data, "{name}");
+                assert_eq!(kernels::neighbor_sum(&alphas, &feats, &csr).data, agg.data, "{name}");
 
                 assert_thread_invariant("edge_scores", &scores, || kernels::edge_scores(&src, &dst, &csr));
                 assert_thread_invariant("segmented_softmax", &alphas, || {
@@ -488,4 +488,105 @@ proptest! {
             });
         }
     }
+}
+
+fn seeded(rows: usize, cols: usize, seed: u64) -> Tensor {
+    let mut rng = StdRng::seed_from_u64(seed);
+    Tensor::uniform(rows, cols, 1.0, &mut rng)
+}
+
+/// Every kernel the tape-free path calls must be bit-identical to its
+/// tape twin, op by op (fixed small shapes; the proptests above sweep
+/// shapes, threads and backends).
+#[test]
+fn ops_match_tape_bitwise() {
+    let a = seeded(3, 4, 1);
+    let b = seeded(3, 4, 2);
+    let v = seeded(1, 4, 3);
+    let cvec = seeded(3, 1, 4);
+    let w = seeded(4, 5, 5);
+
+    let mut tape = Tape::new();
+    let (na, nb, nv, nc, nw) = (
+        tape.leaf(a.clone()),
+        tape.leaf(b.clone()),
+        tape.leaf(v.clone()),
+        tape.leaf(cvec.clone()),
+        tape.leaf(w.clone()),
+    );
+
+    let pairs: Vec<(Tensor, NodeId)> = vec![
+        (kernels::add(&a, &b), tape.add(na, nb)),
+        (kernels::sub(&a, &b), tape.sub(na, nb)),
+        (kernels::mul(&a, &b), tape.mul(na, nb)),
+        (kernels::scale(&a, 0.37), tape.scale(na, 0.37)),
+        (kernels::add_const(&a, -1.2), tape.add_const(na, -1.2)),
+        (kernels::add_rowvec(&a, &v), tape.add_rowvec(na, nv)),
+        (kernels::mul_rowvec(&a, &v), tape.mul_rowvec(na, nv)),
+        (kernels::add_colvec(&a, &cvec), tape.add_colvec(na, nc)),
+        (kernels::mul_colvec(&a, &cvec), tape.mul_colvec(na, nc)),
+        (kernels::matmul(&a, &w), tape.matmul(na, nw)),
+        (kernels::matmul_nt(&a, &b), tape.matmul_nt(na, nb)),
+        (kernels::sigmoid(&a), tape.sigmoid(na)),
+        (kernels::tanh(&a), tape.tanh(na)),
+        (kernels::relu(&a), tape.relu(na)),
+        (kernels::leaky_relu(&a, 0.2), tape.leaky_relu(na, 0.2)),
+        (kernels::sqrt(&a), tape.sqrt(na)),
+        (kernels::recip(&a), tape.recip(na)),
+        (kernels::softmax_rows(&a), tape.softmax_rows(na)),
+        (kernels::log_softmax_rows(&a), tape.log_softmax_rows(na)),
+        (kernels::concat_cols(&[&a, &b]), tape.concat_cols(&[na, nb])),
+        (kernels::select_cols(&a, 1, 2), tape.select_cols(na, 1, 2)),
+        (kernels::concat_rows(&[&a, &b]), tape.concat_rows(&[na, nb])),
+        (kernels::select_rows(&a, 1, 2), tape.select_rows(na, 1, 2)),
+        (kernels::repeat_rows(&v, 4), tape.repeat_rows(nv, 4)),
+        (kernels::mean_rows(&a), tape.mean_rows(na)),
+        (
+            kernels::weighted_mean_rows(&a, &kernels::normalized_weights(a.rows, &[0.2, 0.5, 0.3])),
+            tape.weighted_mean_rows(na, &[0.2, 0.5, 0.3]),
+        ),
+        (
+            kernels::gather_rows(&a, &[2, 0, 2]),
+            tape.gather_rows(na, &[2, 0, 2]),
+        ),
+    ];
+    for (i, (got, node)) in pairs.iter().enumerate() {
+        let want = tape.value(*node);
+        assert_eq!(got.shape(), want.shape(), "op #{i} shape");
+        assert_eq!(got.data, want.data, "op #{i} not bit-identical");
+    }
+}
+
+#[test]
+fn graph_ops_match_tape_bitwise() {
+    let csr = Arc::new(GraphCsr::from_neighbor_lists(
+        &[vec![1], vec![0, 2], vec![1]],
+        true,
+    ));
+    let src = seeded(3, 1, 6);
+    let dst = seeded(3, 1, 7);
+    let feats = seeded(3, 4, 8);
+
+    let mut tape = Tape::new();
+    let (ns, nd, nf) = (
+        tape.leaf(src.clone()),
+        tape.leaf(dst.clone()),
+        tape.leaf(feats.clone()),
+    );
+    let scores_t = tape.edge_scores(ns, nd, &csr);
+    let alphas_t = tape.segmented_softmax(scores_t, &csr);
+    let agg_t = tape.neighbor_sum(alphas_t, nf, &csr);
+
+    let scores = kernels::edge_scores(&src, &dst, &csr);
+    assert_eq!(scores.data, tape.value(scores_t).data);
+    let alphas = kernels::segmented_softmax(&scores, &csr);
+    assert_eq!(alphas.data, tape.value(alphas_t).data);
+    let agg = kernels::neighbor_sum(&alphas, &feats, &csr);
+    assert_eq!(agg.data, tape.value(agg_t).data);
+}
+
+#[test]
+#[should_panic(expected = "shape mismatch")]
+fn add_rejects_shape_mismatch() {
+    let _ = kernels::add(&seeded(2, 2, 1), &seeded(2, 3, 2));
 }

@@ -1,4 +1,5 @@
-//! Prometheus histograms with a process-wide registry.
+//! Prometheus histograms with a process-wide registry, and the one
+//! text-exposition writer every `/metrics` line goes through.
 //!
 //! [`Histogram::observe`] is lock-free (atomic bucket counters, a CAS
 //! loop for the sum) and histograms are **always on** — unlike spans
@@ -8,7 +9,12 @@
 //! Families registered here render in exposition format via [`render`]
 //! (with `# HELP`/`# TYPE` headers, cumulative `_bucket{le=...}` lines,
 //! `_sum` and `_count`); the serve crate appends this to `/metrics`.
+//! Its own counter and gauge families are written through the same
+//! [`Exposition`], so a family's header is emitted once and every label
+//! value is escaped in one place.
 
+use std::collections::VecDeque;
+use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
@@ -90,37 +96,107 @@ impl Histogram {
         f64::from_bits(self.sum_bits.load(Ordering::Relaxed))
     }
 
-    /// Render this histogram's sample lines (cumulative buckets, `_sum`,
-    /// `_count`). `extra_label` is emitted before `le` on bucket lines.
-    /// The `+Inf` bucket and `_count` come from one snapshot, so they
-    /// are always equal even under concurrent observes.
-    fn render_into(&self, out: &mut String, name: &str, extra_label: Option<(&str, &str)>) {
+    /// Write this histogram's samples (cumulative buckets, `_sum`,
+    /// `_count`) into the current family. `extra_label` is emitted
+    /// before `le` on bucket lines. The `+Inf` bucket and `_count` come
+    /// from one snapshot, so they are always equal even under concurrent
+    /// observes.
+    fn render_into(&self, w: &mut Exposition<'_>, extra_label: Option<(&str, &str)>) {
         let snapshot: Vec<u64> = self
             .counts
             .iter()
             .map(|c| c.load(Ordering::Relaxed))
             .collect();
-        let label_prefix = match extra_label {
-            Some((k, v)) => format!("{k}=\"{}\",", escape_label(v)),
-            None => String::new(),
-        };
+        let bounds = self.upper.iter().map(f64::to_string);
+        let bounds: Vec<String> = bounds.chain(["+Inf".to_string()]).collect();
+        let mut labels: Vec<(&str, &str)> = extra_label.into_iter().collect();
         let mut cumulative = 0u64;
-        for (i, bound) in self.upper.iter().enumerate() {
-            cumulative += snapshot[i];
-            out.push_str(&format!(
-                "{name}_bucket{{{label_prefix}le=\"{bound}\"}} {cumulative}\n"
-            ));
+        for (count, le) in snapshot.iter().zip(&bounds) {
+            cumulative += count;
+            labels.push(("le", le));
+            w.series("_bucket", &labels, cumulative as f64);
+            labels.pop();
         }
-        cumulative += snapshot[self.upper.len()];
-        out.push_str(&format!(
-            "{name}_bucket{{{label_prefix}le=\"+Inf\"}} {cumulative}\n"
-        ));
-        let series_suffix = match extra_label {
-            Some((k, v)) => format!("{{{k}=\"{}\"}}", escape_label(v)),
-            None => String::new(),
-        };
-        out.push_str(&format!("{name}_sum{series_suffix} {}\n", self.sum()));
-        out.push_str(&format!("{name}_count{series_suffix} {cumulative}\n"));
+        w.series("_sum", &labels, self.sum());
+        w.series("_count", &labels, cumulative as f64);
+    }
+}
+
+/// Family kinds of the text exposition format.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// Monotone count since process start (`_total`).
+    Counter,
+    /// A value that can go up and down.
+    Gauge,
+    /// Client-side quantiles (`{quantile="0.99"}`).
+    Summary,
+    /// Cumulative `_bucket{le}` counts plus `_sum` / `_count`.
+    Histogram,
+}
+
+impl Kind {
+    fn as_str(self) -> &'static str {
+        match self {
+            Kind::Counter => "counter",
+            Kind::Gauge => "gauge",
+            Kind::Summary => "summary",
+            Kind::Histogram => "histogram",
+        }
+    }
+}
+
+/// Prometheus text-exposition writer over a caller-owned buffer: declare
+/// a family with [`Exposition::family`], then write its samples.
+pub struct Exposition<'a> {
+    out: &'a mut String,
+    name: &'static str,
+    /// `(help, kind)` of the current family while its header is unwritten.
+    header: Option<(&'static str, Kind)>,
+}
+
+impl<'a> Exposition<'a> {
+    /// A writer appending to `out`.
+    pub fn new(out: &'a mut String) -> Self {
+        Self {
+            out,
+            name: "",
+            header: None,
+        }
+    }
+
+    /// Declare the family the following samples belong to. Its `# HELP` /
+    /// `# TYPE` header is written once, with the first sample — a family
+    /// with no samples renders nothing.
+    pub fn family(&mut self, name: &'static str, help: &'static str, kind: Kind) {
+        self.name = name;
+        self.header = Some((help, kind));
+    }
+
+    /// One sample of the current family.
+    pub fn sample(&mut self, labels: &[(&str, &str)], value: f64) {
+        self.series("", labels, value);
+    }
+
+    /// One sample of the series `<family><suffix>` (`_bucket`, `_sum`,
+    /// `_count`). Label values are escaped here and nowhere else; `f64`'s
+    /// `Display` prints integral values without a fractional part and
+    /// never in exponent form, which is what the format wants.
+    pub fn series(&mut self, suffix: &str, labels: &[(&str, &str)], value: f64) {
+        let name = self.name;
+        if let Some((help, kind)) = self.header.take() {
+            let kind = kind.as_str();
+            let _ = write!(self.out, "# HELP {name} {help}\n# TYPE {name} {kind}\n");
+        }
+        let _ = write!(self.out, "{name}{suffix}");
+        for (i, (key, value)) in labels.iter().enumerate() {
+            let open = if i == 0 { '{' } else { ',' };
+            let _ = write!(self.out, "{open}{key}=\"{}\"", escape_label(value));
+        }
+        if !labels.is_empty() {
+            self.out.push('}');
+        }
+        let _ = writeln!(self.out, " {value}");
     }
 }
 
@@ -128,6 +204,21 @@ fn escape_label(v: &str) -> String {
     v.replace('\\', "\\\\")
         .replace('"', "\\\"")
         .replace('\n', "\\n")
+}
+
+/// Ceil-based nearest-rank quantile (rank `⌈p·n⌉`, 1-indexed) over a
+/// bounded sample ring: the smallest sample covering the requested
+/// fraction, for any ring length; 0 when the ring is empty. Feeds the
+/// `/metrics` latency summary and the engine's queue-wait p99 (the
+/// brownout watermark input); pinned by the `quantile` unit test.
+pub fn quantile(ring: &VecDeque<f64>, p: f64) -> f64 {
+    if ring.is_empty() {
+        return 0.0;
+    }
+    let mut sorted: Vec<f64> = ring.iter().copied().collect();
+    sorted.sort_by(f64::total_cmp);
+    let rank = (sorted.len() as f64 * p).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 /// One registered series: its `(label name, label value)` pair
@@ -243,13 +334,62 @@ pub fn render() -> String {
 
 /// [`render`], appending to an existing buffer.
 pub fn render_into(out: &mut String) {
-    let reg = registry().lock().unwrap();
-    for family in reg.iter() {
-        out.push_str(&format!("# HELP {} {}\n", family.name, family.help));
-        out.push_str(&format!("# TYPE {} histogram\n", family.name));
+    let mut w = Exposition::new(out);
+    for family in registry().lock().unwrap().iter() {
+        w.family(family.name, family.help, Kind::Histogram);
         for (label, h) in &family.series {
             let extra = label.as_ref().map(|(k, v)| (*k, v.as_str()));
-            h.render_into(out, family.name, extra);
+            h.render_into(&mut w, extra);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::quantile;
+
+    fn quantiles_of(samples: &[f64]) -> (f64, f64) {
+        let ring = samples.iter().copied().collect();
+        (quantile(&ring, 0.50), quantile(&ring, 0.99))
+    }
+
+    /// Ceil-based nearest rank over rings with known contents: rank
+    /// `⌈p·n⌉` (1-indexed), consistent across ring sizes. The old
+    /// `round((n-1)·p)` estimator diverged from nearest rank depending
+    /// on the ring length: at p99 a 67-sample ring picked rank 66
+    /// (`round(66·0.99) = 65`, under-reporting the tail) while 8-, 10-
+    /// and 50-sample rings picked the max; at p50 every even-length ring
+    /// rounded half away from zero to rank `n/2 + 1` (e.g. rank 6 of
+    /// 10).
+    #[test]
+    fn quantiles_use_ceil_nearest_rank() {
+        // Ring of 50: 1.0..=50.0. p99 rank = ceil(49.5) = 50 → 50.0;
+        // p50 rank = ceil(25.0) = 25 → 25.0.
+        let ring50: Vec<f64> = (1..=50).map(|i| i as f64).collect();
+        assert_eq!(quantiles_of(&ring50), (25.0, 50.0));
+
+        // Ring of 10: p99 rank = ceil(9.9) = 10 → 10.0; p50 rank =
+        // ceil(5.0) = 5 → 5.0 (the old estimator returned 6.0 here).
+        let ring10: Vec<f64> = (1..=10).map(|i| i as f64).collect();
+        assert_eq!(quantiles_of(&ring10), (5.0, 10.0));
+
+        // Ring of 8: p99 rank = ceil(7.92) = 8 → 8.0; p50 rank = 4.
+        let ring8: Vec<f64> = (1..=8).map(|i| i as f64).collect();
+        assert_eq!(quantiles_of(&ring8), (4.0, 8.0));
+
+        // Ring of 67: p99 rank = ceil(66.33) = 67 → 67.0 — the case the
+        // old estimator under-reported (rank 66 → 66.0); p50 rank = 34.
+        let ring67: Vec<f64> = (1..=67).map(|i| i as f64).collect();
+        assert_eq!(quantiles_of(&ring67), (34.0, 67.0));
+
+        // Singleton and empty edge cases.
+        assert_eq!(quantiles_of(&[7.25]), (7.25, 7.25));
+        assert_eq!(quantiles_of(&[]), (0.0, 0.0));
+
+        // Order of arrival must not matter (the ring is sorted on read).
+        let mut shuffled = ring10.clone();
+        shuffled.reverse();
+        shuffled.swap(2, 7);
+        assert_eq!(quantiles_of(&shuffled), (5.0, 10.0));
     }
 }

@@ -211,6 +211,12 @@ fn check_histogram(family: &str, samples: &[Sample], errors: &mut Vec<String>) {
     }
 }
 
+/// The `(label, value)` pairs of one sample line, sorted by label name
+/// and unescaped the way [`lint`] reads them.
+pub fn sample_labels(line: &str) -> Result<Vec<(String, String)>, String> {
+    parse_sample(line, 1).map(|s| s.labels)
+}
+
 fn parse_sample(line: &str, line_no: usize) -> Result<Sample, String> {
     let (name_and_labels, value_str) = match line.rfind(' ') {
         Some(i) => (&line[..i], line[i + 1..].trim()),

@@ -92,7 +92,6 @@ struct Args {
     city_blocks: usize,
     dim: usize,
     seed: u64,
-    latency_ring: usize,
     trace: bool,
     trace_out: Option<String>,
     batch_timeout_ms: Option<u64>,
@@ -117,7 +116,6 @@ impl Default for Args {
             city_blocks: 4,
             dim: 16,
             seed: 7,
-            latency_ring: 1024,
             trace: true,
             trace_out: None,
             batch_timeout_ms: Some(30_000),
@@ -149,7 +147,6 @@ OPTIONS:
     --city-blocks N         synthetic city size when no --artifact given (default 4)
     --dim N                 model hidden size (default 16)
     --seed N                weight/simulator seed (default 7)
-    --latency-ring N        samples kept for p50/p99 latency quantiles (default 1024)
     --no-trace              disable request-lifecycle span recording (on by default)
     --trace-out PATH        dump a Chrome trace-event JSON of recorded spans on exit
     --batch-timeout-ms N|none  watchdog budget per batch -> affected members 503
@@ -222,7 +219,6 @@ fn parse_args() -> Result<Args, String> {
             "--city-blocks" => args.city_blocks = parse_usize(&value)?.max(2),
             "--dim" => args.dim = parse_usize(&value)?.max(4),
             "--seed" => args.seed = parse_u64(&value)?,
-            "--latency-ring" => args.latency_ring = parse_usize(&value)?.max(1),
             "--trace-out" => args.trace_out = Some(value),
             "--batch-timeout-ms" => {
                 args.batch_timeout_ms = if value == "none" {
@@ -396,7 +392,6 @@ fn main() -> ExitCode {
             deadline: Duration::from_millis(args.deadline_ms),
             max_body_bytes: args.max_body_bytes,
             retry_after_secs: args.retry_after_secs,
-            latency_ring: args.latency_ring,
             ..HttpConfig::default()
         },
     ) {

@@ -1128,7 +1128,7 @@ fn supervisor_loop(
                 .queue_wait_ring
                 .lock()
                 .unwrap_or_else(|e| e.into_inner());
-            queue_wait_p99(&ring)
+            rntrajrec_obs::metrics::quantile(&ring, 0.99)
         };
         shared
             .queue_wait_p99_bits
@@ -1156,17 +1156,6 @@ fn supervisor_loop(
         }
         std::thread::sleep(shared.supervise_every);
     }
-}
-
-/// Ceil nearest-rank p99 over the ring (0 when empty).
-fn queue_wait_p99(ring: &VecDeque<f64>) -> f64 {
-    if ring.is_empty() {
-        return 0.0;
-    }
-    let mut v: Vec<f64> = ring.iter().copied().collect();
-    v.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let rank = ((0.99 * v.len() as f64).ceil() as usize).clamp(1, v.len());
-    v[rank - 1]
 }
 
 /// Pop one micro-batch (blocking) or `None` on shutdown with an empty

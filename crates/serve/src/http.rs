@@ -12,6 +12,10 @@
 //!   the response streams back the recovered `(segment, rate)` sequence,
 //!   **bit-identical** to in-process engine dispatch (integration-tested
 //!   in `tests/http_roundtrip.rs`).
+//! * `POST /v2/recover` — the same payload plus an `options` object (a
+//!   client-shortened deadline); `POST /v2/recover/stream` answers with
+//!   one chunked JSON event per decode step and exactly one terminal
+//!   event. All three share one admission prologue (`admit`).
 //! * `GET /healthz` — liveness + live queue gauges.
 //! * `GET /metrics` — Prometheus text format (passes
 //!   `rntrajrec_obs::promlint`): queue depth, in-flight batches,
@@ -40,8 +44,9 @@
 //! # Request tracing
 //!
 //! When tracing is enabled (`rntrajrec_obs::set_enabled`, on by default
-//! in `serve_http`), each `POST /v1/recover` is minted a request id at
-//! accept and its lifecycle recorded as a span tree:
+//! in `serve_http`), each recover request (`POST /v1/recover`,
+//! `/v2/recover`, `/v2/recover/stream`) is minted a request id at accept
+//! and its lifecycle recorded as a span tree:
 //! `http.read → parse → queue.wait → batch.assemble →
 //! encoder.fused → decoder.step[i] → serialize → http.write` under one
 //! `request` root. Spans produced by the engine worker for a fused batch
@@ -79,16 +84,22 @@ use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rntrajrec::wire::{v2, ErrorBody, RecoverRequest, RecoverResponse};
 use rntrajrec_models::SampleInput;
 use rntrajrec_nn::kernels;
+use rntrajrec_obs::metrics::{self, Exposition, Histogram, Kind};
+use serde_json::json;
 
 use crate::shard::{CityShard, RouteError, ShardRouter};
-use crate::{EngineError, QueryContext, RecoveryEngine, RecoveryHandle, StepWait, SubmitOptions};
+use crate::{
+    EngineError, EngineStats, QueryContext, RecoveryEngine, RecoveryHandle, StepWait, SubmitOptions,
+};
+
+pub mod client;
 
 /// Network-layer knobs.
 #[derive(Debug, Clone)]
@@ -117,11 +128,6 @@ pub struct HttpConfig {
     /// A persistent connection idle (no request in progress) this long is
     /// closed; workers return to the pool.
     pub idle_timeout: Duration,
-    /// Ring capacity of the latency sample backing the `/metrics`
-    /// quantile gauges (`serve_http --latency-ring`). A bigger ring
-    /// makes p99 steadier under sustained load; a smaller one tracks
-    /// recent behaviour faster.
-    pub latency_ring: usize,
 }
 
 impl Default for HttpConfig {
@@ -135,7 +141,6 @@ impl Default for HttpConfig {
             retry_after_secs: 1,
             request_read_timeout: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(30),
-            latency_ring: 1024,
         }
     }
 }
@@ -144,6 +149,11 @@ const MAX_HEADER_BYTES: usize = 8 * 1024;
 /// Socket read poll interval: bounds shutdown/idle/stall responsiveness.
 const READ_TIMEOUT: Duration = Duration::from_millis(250);
 
+/// Ring capacity of the latency sample backing the `/metrics` quantile
+/// summary: the most recent completed recover requests.
+const LATENCY_RING: usize = 1024;
+
+#[derive(Default)]
 struct HttpCounters {
     connections: AtomicU64,
     responses_2xx: AtomicU64,
@@ -152,33 +162,11 @@ struct HttpCounters {
     shed_backlog: AtomicU64,
     shed_overload: AtomicU64,
     shed_deadline: AtomicU64,
-    /// Ring capacity for `latencies_ms` ([`HttpConfig::latency_ring`]).
-    latency_ring: usize,
-    /// Completed `/v1/recover` latencies (ms), most recent `latency_ring`.
+    /// Completed recover-route latencies (ms), most recent [`LATENCY_RING`].
     latencies_ms: Mutex<VecDeque<f64>>,
 }
 
-impl Default for HttpCounters {
-    fn default() -> Self {
-        Self::new(HttpConfig::default().latency_ring)
-    }
-}
-
 impl HttpCounters {
-    fn new(latency_ring: usize) -> Self {
-        Self {
-            connections: AtomicU64::new(0),
-            responses_2xx: AtomicU64::new(0),
-            responses_4xx: AtomicU64::new(0),
-            responses_5xx: AtomicU64::new(0),
-            shed_backlog: AtomicU64::new(0),
-            shed_overload: AtomicU64::new(0),
-            shed_deadline: AtomicU64::new(0),
-            latency_ring: latency_ring.max(1),
-            latencies_ms: Mutex::new(VecDeque::new()),
-        }
-    }
-
     fn record_status(&self, status: u16) {
         let c = match status {
             200..=299 => &self.responses_2xx,
@@ -190,33 +178,10 @@ impl HttpCounters {
 
     fn record_latency(&self, ms: f64) {
         let mut ring = self.latencies_ms.lock().unwrap();
-        if ring.len() >= self.latency_ring {
+        if ring.len() >= LATENCY_RING {
             ring.pop_front();
         }
         ring.push_back(ms);
-    }
-
-    /// Ceil-based nearest-rank quantiles (rank `⌈p·n⌉`, 1-indexed). The
-    /// previous `round((n-1)·p)` estimator disagreed with nearest rank
-    /// inconsistently across ring sizes: p99 on a 67-sample ring picked
-    /// rank 66 (under-reporting the tail) while small rings (8/10/50)
-    /// happened to pick the max, and p50 on even-length rings rounded
-    /// half away from zero to rank `n/2 + 1` instead of `n/2`.
-    /// Ceil-based nearest rank always returns the smallest sample
-    /// covering the requested fraction, for any ring length (pinned by
-    /// the `quantile` unit tests).
-    fn latency_quantiles(&self) -> (f64, f64) {
-        let ring = self.latencies_ms.lock().unwrap();
-        if ring.is_empty() {
-            return (0.0, 0.0);
-        }
-        let mut sorted: Vec<f64> = ring.iter().copied().collect();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        let pick = |p: f64| {
-            let rank = (sorted.len() as f64 * p).ceil() as usize;
-            sorted[rank.clamp(1, sorted.len()) - 1]
-        };
-        (pick(0.50), pick(0.99))
     }
 }
 
@@ -273,7 +238,7 @@ struct ServerState {
     started: Instant,
 }
 
-/// Timing captured at the socket for one traced `/v1/recover` request:
+/// Timing captured at the socket for one traced recover request:
 /// the request id (minted when the request finished arriving) and the
 /// read-phase endpoints, recorded as `http.read` once the response is
 /// written.
@@ -328,7 +293,7 @@ impl HttpServer {
             retry_after_secs: config.retry_after_secs,
             request_read_timeout: config.request_read_timeout,
             idle_timeout: config.idle_timeout,
-            counters: HttpCounters::new(config.latency_ring),
+            counters: HttpCounters::default(),
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
         });
@@ -414,16 +379,10 @@ fn acceptor_loop(
                         // Backlog gate: answer fast and shed rather than
                         // letting connections pile up unbounded.
                         state.counters.shed_backlog.fetch_add(1, Ordering::Relaxed);
-                        state.counters.record_status(503);
-                        let _ = write_response(
-                            &mut stream,
-                            503,
-                            "Service Unavailable",
-                            "application/json",
-                            &ErrorBody::new(503, "connection backlog full").to_json(),
-                            false,
-                            &[("Retry-After", retry_after_value(state).to_string())],
-                        );
+                        let answer = Answer::error(503, "connection backlog full")
+                            .header("Retry-After", retry_after_value(state));
+                        state.counters.record_status(answer.status);
+                        let _ = write_response(&mut stream, &answer, false);
                         let _ = stream.shutdown(Shutdown::Both);
                     }
                     Err(mpsc::TrySendError::Disconnected(_)) => break,
@@ -479,6 +438,26 @@ enum ReadOutcome {
     Broken,
 }
 
+impl ReadOutcome {
+    /// The typed answer a failed read gets before the connection closes
+    /// (`None`: nothing to say, or nobody left to say it to).
+    fn refusal(&self, state: &ServerState) -> Option<Answer> {
+        Some(match self {
+            ReadOutcome::TimedOut => {
+                let ms = state.request_read_timeout.as_secs_f64() * 1000.0;
+                Answer::error(408, format!("request not received within {ms:.0} ms"))
+            }
+            ReadOutcome::Malformed(reason) => Answer::error(400, *reason),
+            ReadOutcome::BodyTooLarge => {
+                let cap = state.max_body_bytes;
+                Answer::error(413, format!("request body exceeds {cap} bytes"))
+            }
+            ReadOutcome::Unsupported => Answer::error(501, "transfer encodings are not supported"),
+            _ => return None,
+        })
+    }
+}
+
 fn handle_connection(mut stream: TcpStream, state: &ServerState) {
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let _ = stream.set_nodelay(true);
@@ -498,13 +477,8 @@ fn handle_connection(mut stream: TcpStream, state: &ServerState) {
             ReadOutcome::Request(req) => {
                 // Request id minted at the HTTP edge: recover requests
                 // get a trace context carrying the read-phase endpoints.
-                let trace = (rntrajrec_obs::enabled()
-                    && req.method == "POST"
-                    && matches!(
-                        route_of(&req.path),
-                        "/v1/recover" | "/v2/recover" | "/v2/recover/stream"
-                    ))
-                .then(|| TraceCtx {
+                let traced = rntrajrec_obs::enabled() && RecoverRoute::of(&req).is_some();
+                let trace = traced.then(|| TraceCtx {
                     id: rntrajrec_obs::next_request_id(),
                     read_start_ns: rntrajrec_obs::instant_ns(read_started),
                     read_end_ns: rntrajrec_obs::now_ns(),
@@ -526,71 +500,15 @@ fn handle_connection(mut stream: TcpStream, state: &ServerState) {
                     break;
                 }
             }
-            ReadOutcome::Closed => break,
-            ReadOutcome::TimedOut => {
-                state.counters.record_status(408);
-                let _ = write_response(
-                    &mut stream,
-                    408,
-                    "Request Timeout",
-                    "application/json",
-                    &ErrorBody::new(
-                        408,
-                        format!(
-                            "request not received within {:.0} ms",
-                            state.request_read_timeout.as_secs_f64() * 1000.0
-                        ),
-                    )
-                    .to_json(),
-                    false,
-                    &[],
-                );
+            // Everything else ends the connection, after a typed refusal
+            // where the peer can still read one.
+            failed => {
+                if let Some(answer) = failed.refusal(state) {
+                    state.counters.record_status(answer.status);
+                    let _ = write_response(&mut stream, &answer, false);
+                }
                 break;
             }
-            ReadOutcome::Malformed(reason) => {
-                state.counters.record_status(400);
-                let _ = write_response(
-                    &mut stream,
-                    400,
-                    "Bad Request",
-                    "application/json",
-                    &ErrorBody::new(400, reason).to_json(),
-                    false,
-                    &[],
-                );
-                break;
-            }
-            ReadOutcome::BodyTooLarge => {
-                state.counters.record_status(413);
-                let _ = write_response(
-                    &mut stream,
-                    413,
-                    "Payload Too Large",
-                    "application/json",
-                    &ErrorBody::new(
-                        413,
-                        format!("request body exceeds {} bytes", state.max_body_bytes),
-                    )
-                    .to_json(),
-                    false,
-                    &[],
-                );
-                break;
-            }
-            ReadOutcome::Unsupported => {
-                state.counters.record_status(501);
-                let _ = write_response(
-                    &mut stream,
-                    501,
-                    "Not Implemented",
-                    "application/json",
-                    &ErrorBody::new(501, "transfer encodings are not supported").to_json(),
-                    false,
-                    &[],
-                );
-                break;
-            }
-            ReadOutcome::Broken => break,
         }
     }
     let _ = stream.shutdown(Shutdown::Both);
@@ -603,6 +521,35 @@ fn read_request(stream: &mut TcpStream, buf: &mut Vec<u8>, state: &ServerState) 
     // it only starts counting once bytes begin arriving (within one
     // `READ_TIMEOUT` poll tick).
     let started = Instant::now();
+    // One socket read into `buf`; `Err` is the outcome that ends the
+    // request read instead. `buf` is empty only between requests.
+    let read_more = |stream: &mut TcpStream, buf: &mut Vec<u8>, eof: &'static str| {
+        let mut chunk = [0u8; 4096];
+        match stream.read(&mut chunk) {
+            Ok(0) if buf.is_empty() => Err(ReadOutcome::Closed),
+            Ok(0) => Err(ReadOutcome::Malformed(eof)),
+            Ok(n) => {
+                buf.extend_from_slice(&chunk[..n]);
+                Ok(())
+            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
+                if buf.is_empty() {
+                    return Err(ReadOutcome::Idle);
+                }
+                // Mid-request stall: keep waiting, bounded by the read
+                // budget, unless draining.
+                if state.shutdown.load(Ordering::SeqCst) {
+                    return Err(ReadOutcome::Broken);
+                }
+                if started.elapsed() >= state.request_read_timeout {
+                    return Err(ReadOutcome::TimedOut);
+                }
+                Ok(())
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => Ok(()),
+            Err(_) => Err(ReadOutcome::Broken),
+        }
+    };
     let header_end = loop {
         if let Some(pos) = find_crlf2(buf) {
             break pos;
@@ -610,31 +557,8 @@ fn read_request(stream: &mut TcpStream, buf: &mut Vec<u8>, state: &ServerState) 
         if buf.len() > MAX_HEADER_BYTES {
             return ReadOutcome::Malformed("header section too large");
         }
-        let mut chunk = [0u8; 4096];
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                return if buf.is_empty() {
-                    ReadOutcome::Closed
-                } else {
-                    ReadOutcome::Malformed("connection closed mid-request")
-                };
-            }
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                if buf.is_empty() {
-                    return ReadOutcome::Idle;
-                }
-                // Mid-request stall: keep waiting, bounded by the read
-                // budget, unless draining.
-                if state.shutdown.load(Ordering::SeqCst) {
-                    return ReadOutcome::Broken;
-                }
-                if started.elapsed() >= state.request_read_timeout {
-                    return ReadOutcome::TimedOut;
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return ReadOutcome::Broken,
+        if let Err(outcome) = read_more(stream, buf, "connection closed mid-request") {
+            return outcome;
         }
     };
 
@@ -688,20 +612,8 @@ fn read_request(stream: &mut TcpStream, buf: &mut Vec<u8>, state: &ServerState) 
 
     let body_start = header_end + 4;
     while buf.len() < body_start + content_length {
-        let mut chunk = [0u8; 4096];
-        match stream.read(&mut chunk) {
-            Ok(0) => return ReadOutcome::Malformed("connection closed mid-body"),
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                if state.shutdown.load(Ordering::SeqCst) {
-                    return ReadOutcome::Broken;
-                }
-                if started.elapsed() >= state.request_read_timeout {
-                    return ReadOutcome::TimedOut;
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return ReadOutcome::Broken,
+        if let Err(outcome) = read_more(stream, buf, "connection closed mid-body") {
+            return outcome;
         }
     }
     let body = buf[body_start..body_start + content_length].to_vec();
@@ -724,11 +636,6 @@ fn route_of(path: &str) -> &str {
     path.split('?').next().unwrap_or(path)
 }
 
-/// `usize` query parameter lookup (`?last=16`) on a request target.
-fn query_usize(path: &str, key: &str) -> Option<usize> {
-    query_param(path, key).and_then(|v| v.parse::<usize>().ok())
-}
-
 /// Raw query parameter lookup (`?city=porto`) on a request target.
 fn query_param<'a>(path: &'a str, key: &str) -> Option<&'a str> {
     let (_, query) = path.split_once('?')?;
@@ -736,6 +643,89 @@ fn query_param<'a>(path: &'a str, key: &str) -> Option<&'a str> {
         let (k, v) = pair.split_once('=')?;
         (k == key).then_some(v)
     })
+}
+
+/// A buffered response: everything on the wire except the connection's
+/// keep-alive decision. The reason phrase follows from the status
+/// ([`reason`]).
+struct Answer {
+    status: u16,
+    content_type: &'static str,
+    body: String,
+    headers: Vec<(&'static str, String)>,
+}
+
+impl Answer {
+    fn json(status: u16, body: String) -> Self {
+        Self {
+            status,
+            content_type: "application/json",
+            body,
+            headers: Vec::new(),
+        }
+    }
+
+    /// The typed JSON error body every non-2xx answer carries.
+    fn error(status: u16, msg: impl Into<String>) -> Self {
+        Self::json(status, ErrorBody::new(status, msg).to_json())
+    }
+
+    fn header(mut self, name: &'static str, value: impl ToString) -> Self {
+        self.headers.push((name, value.to_string()));
+        self
+    }
+}
+
+/// Reason phrase of every status this server answers with.
+fn reason(status: u16) -> &'static str {
+    match status {
+        200 => "OK",
+        400 => "Bad Request",
+        404 => "Not Found",
+        405 => "Method Not Allowed",
+        408 => "Request Timeout",
+        409 => "Conflict",
+        413 => "Payload Too Large",
+        422 => "Unprocessable Entity",
+        429 => "Too Many Requests",
+        500 => "Internal Server Error",
+        501 => "Not Implemented",
+        503 => "Service Unavailable",
+        _ => "Unknown",
+    }
+}
+
+/// The three recover routes: one admission prologue ([`admit`]), differing
+/// only in the request parser, the engine's streaming flag and how the
+/// result is waited for.
+#[derive(Clone, Copy, PartialEq)]
+enum RecoverRoute {
+    /// `POST /v1/recover` — frozen wire format.
+    V1,
+    /// `POST /v2/recover` — v1 plus the `options` object.
+    V2,
+    /// `POST /v2/recover/stream` — chunked per-step events.
+    Stream,
+}
+
+impl RecoverRoute {
+    fn of(req: &Request) -> Option<Self> {
+        match (req.method.as_str(), route_of(&req.path)) {
+            ("POST", "/v1/recover") => Some(Self::V1),
+            ("POST", "/v2/recover") => Some(Self::V2),
+            ("POST", "/v2/recover/stream") => Some(Self::Stream),
+            _ => None,
+        }
+    }
+}
+
+/// A request past all three stages of [`admit`]: routed to its shard and
+/// queued in that shard's engine. `budget` counts from `t0`.
+struct Admitted<'a> {
+    shard: &'a CityShard,
+    handle: RecoveryHandle,
+    t0: Instant,
+    budget: Duration,
 }
 
 /// Route and answer one request. Returns `false` when the connection must
@@ -747,176 +737,55 @@ fn dispatch(
     keep_alive: bool,
     trace: Option<TraceCtx>,
 ) -> bool {
-    use std::sync::OnceLock;
-    static E2E_SECONDS: OnceLock<Arc<rntrajrec_obs::metrics::Histogram>> = OnceLock::new();
+    static E2E_SECONDS: OnceLock<Arc<Histogram>> = OnceLock::new();
 
-    // The streaming route writes its own chunked response incrementally,
-    // so it cannot go through the buffered (status, body) path below.
-    if req.method == "POST" && route_of(&req.path) == "/v2/recover/stream" {
-        let started = Instant::now();
-        let ok = recover_stream(stream, state, req, keep_alive, trace);
-        E2E_SECONDS
-            .get_or_init(|| rntrajrec_obs::metrics::phase_seconds("e2e"))
-            .observe_duration(started.elapsed());
-        return ok;
-    }
-
-    let (status, reason, content_type, body, extra): (
-        u16,
-        &str,
-        &str,
-        String,
-        Vec<(&str, String)>,
-    ) = match (req.method.as_str(), route_of(&req.path)) {
-        ("GET", "/healthz") => {
-            // Top-level gauges aggregate across shards (a single-shard
-            // server reads exactly as before); the per-shard breakdown
-            // carries each city's queue and live model version.
-            let shards = state.router.shards();
-            let queue_depth: usize = shards.iter().map(|s| s.engine().queue_depth()).sum();
-            let in_flight: usize = shards.iter().map(|s| s.engine().in_flight_batches()).sum();
-            let per_shard = shards
-                .iter()
-                .map(|s| {
-                    let info = s.info();
-                    format!(
-                        "{{\"city\":\"{}\",\"queue_depth\":{},\"in_flight_batches\":{},\"model_version\":\"{}\",\"reloads\":{}}}",
-                        s.name(),
-                        s.engine().queue_depth(),
-                        s.engine().in_flight_batches(),
-                        info.model_version,
-                        info.reloads,
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(",");
-            let body = format!(
-                "{{\"status\":\"ok\",\"queue_depth\":{queue_depth},\"in_flight_batches\":{in_flight},\"draining\":{},\"shards\":[{per_shard}]}}",
-                state.shutdown.load(Ordering::SeqCst),
-            );
-            (200, "OK", "application/json", body, vec![])
-        }
-        ("GET", "/metrics") => (
-            200,
-            "OK",
-            "text/plain; version=0.0.4",
-            render_metrics(state),
-            vec![],
-        ),
-        ("GET", "/v1/example") => {
-            // `?city=NAME` picks a shard; a single-shard server keeps the
-            // pre-shard behaviour of serving its one example unqualified.
-            let shard = match query_param(&req.path, "city") {
-                Some(name) => state.router.by_name(name),
-                None if state.router.is_single() => Some(&state.router.shards()[0]),
-                None => None,
-            };
-            match shard {
-                None if query_param(&req.path, "city").is_some() => (
-                    404,
-                    "Not Found",
-                    "application/json",
-                    ErrorBody::new(404, "unknown city").to_json(),
-                    vec![],
-                ),
-                None => bad_request("multi-city server: specify ?city=NAME"),
-                Some(shard) => match shard.example() {
-                    Some(body) => (200, "OK", "application/json", body.to_string(), vec![]),
-                    None => (
-                        404,
-                        "Not Found",
-                        "application/json",
-                        ErrorBody::new(404, "no example configured").to_json(),
-                        vec![],
-                    ),
-                },
-            }
-        }
-        ("POST", "/v1/recover") => {
-            let started = Instant::now();
-            let answer = recover(state, &req.body, trace.as_ref());
-            E2E_SECONDS
-                .get_or_init(|| rntrajrec_obs::metrics::phase_seconds("e2e"))
-                .observe_duration(started.elapsed());
-            answer
-        }
-        ("POST", "/v2/recover") => {
-            let started = Instant::now();
-            let answer = recover_v2(state, &req.body, trace.as_ref());
-            E2E_SECONDS
-                .get_or_init(|| rntrajrec_obs::metrics::phase_seconds("e2e"))
-                .observe_duration(started.elapsed());
-            answer
-        }
-        ("POST", "/admin/reload") => admin_reload(state, &req.body),
-        (_, "/admin/reload") => (
-            405,
-            "Method Not Allowed",
-            "application/json",
-            ErrorBody::new(405, "use POST").to_json(),
-            vec![("Allow", "POST".to_string())],
-        ),
-        ("GET", "/debug/trace") => {
-            // Chrome trace-event JSON for the last N completed requests
-            // (default 16) — load in chrome://tracing or Perfetto.
-            let last = query_usize(&req.path, "last").unwrap_or(16);
-            let spans = rntrajrec_obs::completed_requests(last);
-            (
-                200,
-                "OK",
-                "application/json",
-                rntrajrec_obs::chrome::chrome_trace(&spans),
-                vec![],
-            )
-        }
-        (_, "/debug/trace") => (
-            405,
-            "Method Not Allowed",
-            "application/json",
-            ErrorBody::new(405, "use GET").to_json(),
-            vec![("Allow", "GET".to_string())],
-        ),
-        (_, "/healthz" | "/metrics" | "/v1/example") => (
-            405,
-            "Method Not Allowed",
-            "application/json",
-            ErrorBody::new(405, "use GET").to_json(),
-            vec![("Allow", "GET".to_string())],
-        ),
-        (_, "/v1/recover" | "/v2/recover" | "/v2/recover/stream") => (
-            405,
-            "Method Not Allowed",
-            "application/json",
-            ErrorBody::new(405, "use POST").to_json(),
-            vec![("Allow", "POST".to_string())],
-        ),
-        _ => (
-            404,
-            "Not Found",
-            "application/json",
-            ErrorBody::new(404, format!("no route for {}", req.path)).to_json(),
-            vec![],
-        ),
+    let t0 = Instant::now();
+    let route = RecoverRoute::of(req);
+    // Attribute HTTP-side spans (parse, serialize) to this request; the
+    // scope drops — flushing them to the global store — before the root
+    // span is recorded below.
+    let req_scope = trace
+        .as_ref()
+        .map(|t| rntrajrec_obs::request_scope(&[t.id]));
+    // Everything fallible happens before the first response byte, so a
+    // refusal on the streaming route is still a plain buffered answer.
+    // `Err` is an answer to write, `Ok` a stream to run.
+    let outcome = match route {
+        None => Err(answer_plain(state, req)),
+        Some(route) => match admit(state, route, &req.body, trace.as_ref(), t0) {
+            Ok(admitted) if route != RecoverRoute::Stream => Err(wait_and_answer(state, admitted)),
+            other => other,
+        },
     };
-    state.counters.record_status(status);
-    let extra: Vec<(&str, String)> = extra;
+    drop(req_scope);
+
+    // End-to-end time of a buffered answer stops when it is ready to
+    // write; a stream's when its last chunk is out.
     let write_start_ns = trace.as_ref().map(|_| rntrajrec_obs::now_ns());
-    // Chaos: a write-phase fault drops the connection with the response
-    // unsent — the client-side retry policy is what recovers from this.
-    let ok = rntrajrec_chaos::point("http.write").is_ok()
-        && write_response(
-            stream,
-            status,
-            reason,
-            content_type,
-            &body,
-            keep_alive,
-            &extra,
-        )
-        .is_ok();
+    let (ok, e2e) = match outcome {
+        Err(answer) => {
+            let ready = t0.elapsed();
+            state.counters.record_status(answer.status);
+            // Chaos: a write-phase fault drops the connection with the
+            // response unsent — the client-side retry policy is what
+            // recovers from this.
+            let ok = rntrajrec_chaos::point("http.write").is_ok()
+                && write_response(stream, &answer, keep_alive).is_ok();
+            (ok, ready)
+        }
+        Ok(admitted) => {
+            let ok = stream_steps(stream, state, admitted, keep_alive);
+            (ok, t0.elapsed())
+        }
+    };
+    if route.is_some() {
+        E2E_SECONDS
+            .get_or_init(|| metrics::phase_seconds("e2e"))
+            .observe_duration(e2e);
+    }
     if let (Some(t), Some(write_start_ns)) = (&trace, write_start_ns) {
         // The engine flushed its batch spans before delivering the
-        // result, and `recover`'s request scope flushed the HTTP-side
+        // result, and the request scope above flushed the HTTP-side
         // phases — recording the root last means a request visible in
         // `/debug/trace` always has its full tree in the store.
         let end_ns = rntrajrec_obs::now_ns();
@@ -927,22 +796,78 @@ fn dispatch(
     ok
 }
 
-/// A buffered answer: status, reason, content type, body, extra headers.
-type Answer = (
-    u16,
-    &'static str,
-    &'static str,
-    String,
-    Vec<(&'static str, String)>,
-);
+/// Every route that is not a recover `POST`: health, metrics, examples,
+/// reload, traces, and the 404/405 fallbacks.
+fn answer_plain(state: &ServerState, req: &Request) -> Answer {
+    let not_allowed = |m: &'static str| Answer::error(405, format!("use {m}")).header("Allow", m);
+    match (req.method.as_str(), route_of(&req.path)) {
+        ("GET", "/healthz") => healthz(state),
+        ("GET", "/metrics") => Answer {
+            content_type: "text/plain; version=0.0.4",
+            ..Answer::json(200, render_metrics(state))
+        },
+        ("GET", "/v1/example") => {
+            // `?city=NAME` picks a shard; a single-shard server keeps the
+            // pre-shard behaviour of serving its one example unqualified.
+            let shard = match query_param(&req.path, "city") {
+                Some(name) => match state.router.by_name(name) {
+                    Some(shard) => shard,
+                    None => return Answer::error(404, "unknown city"),
+                },
+                None if state.router.is_single() => &state.router.shards()[0],
+                None => return Answer::error(400, "multi-city server: specify ?city=NAME"),
+            };
+            match shard.example() {
+                Some(body) => Answer::json(200, body.to_string()),
+                None => Answer::error(404, "no example configured"),
+            }
+        }
+        ("POST", "/admin/reload") => admin_reload(state, &req.body),
+        ("GET", "/debug/trace") => {
+            // Chrome trace-event JSON for the last N completed requests
+            // (default 16) — load in chrome://tracing or Perfetto.
+            let last = query_param(&req.path, "last").and_then(|v| v.parse().ok());
+            let spans = rntrajrec_obs::completed_requests(last.unwrap_or(16));
+            Answer::json(200, rntrajrec_obs::chrome::chrome_trace(&spans))
+        }
+        (_, "/healthz" | "/metrics" | "/v1/example" | "/debug/trace") => not_allowed("GET"),
+        (_, "/v1/recover" | "/v2/recover" | "/v2/recover/stream" | "/admin/reload") => {
+            not_allowed("POST")
+        }
+        _ => Answer::error(404, format!("no route for {}", req.path)),
+    }
+}
 
-fn bad_request(msg: impl Into<String>) -> Answer {
-    (
-        400,
-        "Bad Request",
-        "application/json",
-        ErrorBody::new(400, msg.into()).to_json(),
-        vec![],
+/// `GET /healthz`. Top-level gauges aggregate across shards (a
+/// single-shard server reads exactly as before); the per-shard breakdown
+/// carries each city's queue and live model version.
+fn healthz(state: &ServerState) -> Answer {
+    let shards = state.router.shards();
+    let per_shard: Vec<_> = shards
+        .iter()
+        .map(|s| {
+            let info = s.info();
+            json!({
+                "city": s.name(),
+                "queue_depth": s.engine().queue_depth(),
+                "in_flight_batches": s.engine().in_flight_batches(),
+                "model_version": info.model_version,
+                "reloads": info.reloads,
+            })
+        })
+        .collect();
+    let queue_depth: usize = shards.iter().map(|s| s.engine().queue_depth()).sum();
+    let in_flight: usize = shards.iter().map(|s| s.engine().in_flight_batches()).sum();
+    let body = json!({
+        "status": "ok",
+        "queue_depth": queue_depth,
+        "in_flight_batches": in_flight,
+        "draining": state.shutdown.load(Ordering::SeqCst),
+        "shards": per_shard,
+    });
+    Answer::json(
+        200,
+        serde_json::to_string(&body).expect("health serializes"),
     )
 }
 
@@ -950,17 +875,11 @@ fn bad_request(msg: impl Into<String>) -> Answer {
 /// trajectory outside every shard, `422` for one straddling two shards
 /// (well-formed, but no single road network can serve it).
 fn route_answer(e: RouteError) -> Answer {
-    let (status, reason) = match e {
-        RouteError::UnknownRegion { .. } => (404, "Not Found"),
-        RouteError::Straddles { .. } => (422, "Unprocessable Entity"),
+    let status = match e {
+        RouteError::UnknownRegion { .. } => 404,
+        RouteError::Straddles { .. } => 422,
     };
-    (
-        status,
-        reason,
-        "application/json",
-        ErrorBody::new(status, e.to_string()).to_json(),
-        vec![],
-    )
+    Answer::error(status, e.to_string())
 }
 
 /// `POST /admin/reload {"city": "...", "path": "..."}` — zero-downtime
@@ -975,28 +894,21 @@ fn route_answer(e: RouteError) -> Answer {
 /// requests it interleaved with.
 fn admin_reload(state: &ServerState, body: &[u8]) -> Answer {
     let start_ns = rntrajrec_obs::now_ns();
-    let text = match std::str::from_utf8(body) {
-        Ok(t) => t,
-        Err(_) => return bad_request("body is not UTF-8"),
+    let Ok(text) = std::str::from_utf8(body) else {
+        return Answer::error(400, "body is not UTF-8");
     };
     let value = match serde_json::from_str(text) {
         Ok(v) => v,
-        Err(e) => return bad_request(format!("invalid JSON: {e}")),
+        Err(e) => return Answer::error(400, format!("invalid JSON: {e}")),
     };
     let Some(city) = value.get("city").and_then(|v| v.as_str()) else {
-        return bad_request("missing field 'city'");
+        return Answer::error(400, "missing field 'city'");
     };
     let Some(path) = value.get("path").and_then(|v| v.as_str()) else {
-        return bad_request("missing field 'path'");
+        return Answer::error(400, "missing field 'path'");
     };
     let Some(shard) = state.router.by_name(city) else {
-        return (
-            404,
-            "Not Found",
-            "application/json",
-            ErrorBody::new(404, format!("unknown city '{city}'")).to_json(),
-            vec![],
-        );
+        return Answer::error(404, format!("unknown city '{city}'"));
     };
     let result = shard.reload_from_artifact(std::path::Path::new(path));
     if rntrajrec_obs::enabled() {
@@ -1006,36 +918,19 @@ fn admin_reload(state: &ServerState, body: &[u8]) -> Answer {
         rntrajrec_obs::record(rntrajrec_obs::ROOT_SPAN, &[id], start_ns, end_ns);
     }
     match result {
-        Ok(r) => (
-            200,
-            "OK",
-            "application/json",
-            format!(
-                "{{\"city\":\"{}\",\"model_version\":\"{}\",\"git_sha\":\"{}\",\"reloads\":{}}}",
-                r.city, r.model_version, r.git_sha, r.reloads,
-            ),
-            vec![],
-        ),
-        Err(e) => {
-            let (status, reason) = e.http_status();
-            (
-                status,
-                reason,
-                "application/json",
-                ErrorBody::new(status, format!("reload refused: {e}")).to_json(),
-                vec![],
+        Ok(r) => {
+            let receipt = json!({
+                "city": r.city,
+                "model_version": r.model_version,
+                "git_sha": r.git_sha,
+                "reloads": r.reloads,
+            });
+            Answer::json(
+                200,
+                serde_json::to_string(&receipt).expect("receipt serializes"),
             )
         }
-    }
-}
-
-/// Per-request decode budget for the v2 API: the client may *shorten*
-/// the server's configured deadline with `options.deadline_ms`, never
-/// extend it past the operator-set bound.
-fn effective_budget(state: &ServerState, deadline_ms: Option<u64>) -> Duration {
-    match deadline_ms {
-        Some(ms) => state.deadline.min(Duration::from_millis(ms)),
-        None => state.deadline,
+        Err(e) => Answer::error(e.http_status(), format!("reload refused: {e}")),
     }
 }
 
@@ -1046,14 +941,17 @@ fn effective_budget(state: &ServerState, deadline_ms: Option<u64>) -> Duration {
 /// request.
 fn extract_input(shard: &CityShard, request: &RecoverRequest) -> Result<SampleInput, Answer> {
     let ctx = Arc::clone(shard.ctx());
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ctx.sample_input(request))) {
-        Ok(Ok(input)) => Ok(input),
-        Ok(Err(e)) => Err(bad_request(format!("invalid field '{}': {e}", e.field()))),
-        Err(payload) => Err(bad_request(format!(
-            "feature extraction failed: {}",
-            crate::service::panic_message(&payload)
-        ))),
-    }
+    let msg = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        ctx.sample_input(request)
+    })) {
+        Ok(Ok(input)) => return Ok(input),
+        Ok(Err(e)) => format!("invalid field '{}': {e}", e.field()),
+        Err(payload) => {
+            let panic = crate::service::panic_message(&payload);
+            format!("feature extraction failed: {panic}")
+        }
+    };
+    Err(Answer::error(400, msg))
 }
 
 /// Engine admission shared by all recover routes (gate 2: the bounded
@@ -1065,843 +963,593 @@ fn submit_to_engine(
     input: SampleInput,
     opts: SubmitOptions,
 ) -> Result<RecoveryHandle, Answer> {
-    let retry = vec![("Retry-After", retry_after_for(state, shard).to_string())];
-    match shard.engine().submit(input, opts) {
-        Ok(h) => Ok(h),
-        Err(EngineError::Overloaded {
-            queue_depth,
-            capacity,
-        }) => {
+    let retry_after = retry_after_for(state, shard);
+    shard.engine().submit(input, opts).map_err(|e| {
+        let (status, msg) = match e {
+            EngineError::Overloaded {
+                queue_depth,
+                capacity,
+            } => (429, format!("engine queue full ({queue_depth}/{capacity})")),
+            EngineError::Brownout | EngineError::FaultInjected { .. } => (503, e.to_string()),
+        };
+        // A full queue and a brownout are load sheds; an injected fault
+        // is not.
+        if !matches!(e, EngineError::FaultInjected { .. }) {
             state.counters.shed_overload.fetch_add(1, Ordering::Relaxed);
-            Err((
-                429,
-                "Too Many Requests",
-                "application/json",
-                ErrorBody::new(429, format!("engine queue full ({queue_depth}/{capacity})"))
-                    .to_json(),
-                retry,
-            ))
         }
-        Err(e @ EngineError::Brownout) => {
-            state.counters.shed_overload.fetch_add(1, Ordering::Relaxed);
-            Err((
-                503,
-                "Service Unavailable",
-                "application/json",
-                ErrorBody::new(503, e.to_string()).to_json(),
-                retry,
-            ))
-        }
-        Err(e @ EngineError::FaultInjected { .. }) => Err((
-            503,
-            "Service Unavailable",
-            "application/json",
-            ErrorBody::new(503, e.to_string()).to_json(),
-            retry,
-        )),
-    }
+        Answer::error(status, msg).header("Retry-After", retry_after)
+    })
 }
 
-/// Admission gate 3 plus the answer: wait out the deadline budget
-/// (parse + extraction time counts against it) and serialize the result.
-fn wait_and_answer(
-    state: &ServerState,
-    shard: &CityShard,
-    handle: RecoveryHandle,
+/// The one prologue of all three recover routes — parse → resolve →
+/// extract → budget → submit — everything that can still refuse the
+/// request with a plain buffered answer. The deadline budget counts from
+/// `t0` (parse + extraction time is charged against it); v2 clients may
+/// *shorten* the server's configured deadline with `options.deadline_ms`,
+/// never extend it past the operator-set bound.
+fn admit<'a>(
+    state: &'a ServerState,
+    route: RecoverRoute,
+    body: &[u8],
+    trace: Option<&TraceCtx>,
     t0: Instant,
-    budget: Duration,
-) -> Answer {
-    use std::sync::OnceLock;
-    static SERIALIZE_SECONDS: OnceLock<Arc<rntrajrec_obs::metrics::Histogram>> = OnceLock::new();
-
-    let retry = vec![("Retry-After", retry_after_for(state, shard).to_string())];
-    let remaining = budget.saturating_sub(t0.elapsed());
-    match handle.wait_timeout(remaining) {
-        // Dropping the late handle here flags the member as abandoned, so
-        // the engine cancels it at the next decode step instead of
-        // finishing a response nobody will read.
-        Err(_late) => {
-            state.counters.shed_deadline.fetch_add(1, Ordering::Relaxed);
-            (
-                503,
-                "Service Unavailable",
-                "application/json",
-                ErrorBody::new(
-                    503,
-                    format!(
-                        "deadline of {:.0} ms exceeded",
-                        budget.as_secs_f64() * 1000.0
-                    ),
-                )
-                .to_json(),
-                retry,
-            )
-        }
-        Ok(recovered) => {
-            if let Some(err) = recovered.error {
-                // Deadline/watchdog cancellations are a load condition
-                // (retryable), not a server bug: 503 + Retry-After.
-                if recovered.timed_out {
-                    state.counters.shed_deadline.fetch_add(1, Ordering::Relaxed);
-                    return (
-                        503,
-                        "Service Unavailable",
-                        "application/json",
-                        ErrorBody::new(503, format!("recovery cancelled: {err}")).to_json(),
-                        retry,
-                    );
-                }
-                return (
-                    500,
-                    "Internal Server Error",
-                    "application/json",
-                    ErrorBody::new(500, format!("inference failed: {err}")).to_json(),
-                    vec![],
-                );
-            }
-            let latency_ms = recovered.latency.as_secs_f64() * 1000.0;
-            state
-                .counters
-                .record_latency(t0.elapsed().as_secs_f64() * 1000.0);
-            let serialize_started = Instant::now();
-            let body = {
-                let _span = rntrajrec_obs::span("serialize");
-                let resp = RecoverResponse::from_path(
-                    recovered.id,
-                    &recovered.path,
-                    recovered.batch_size,
-                    latency_ms,
-                );
-                serde_json::to_string(&resp).expect("response serializes")
-            };
-            SERIALIZE_SECONDS
-                .get_or_init(|| rntrajrec_obs::metrics::phase_seconds("serialize"))
-                .observe_duration(serialize_started.elapsed());
-            (200, "OK", "application/json", body, vec![])
-        }
-    }
-}
-
-/// The `/v1/recover` flow: parse → extract → admit → wait (with deadline)
-/// → answer.
-fn recover(state: &ServerState, body: &[u8], trace: Option<&TraceCtx>) -> Answer {
-    let t0 = Instant::now();
-
+) -> Result<Admitted<'a>, Answer> {
     // Chaos: a fault here simulates the parse stage falling over. The
     // client still gets a typed JSON error (never a hang).
     if let Err(fault) = rntrajrec_chaos::point("http.parse") {
-        return bad_request(fault.to_string());
+        return Err(Answer::error(400, fault.to_string()));
     }
-    // Attribute HTTP-side spans (parse, serialize) to this request; the
-    // scope drop at function exit flushes them to the global store before
-    // `dispatch` records the root span.
-    let _req_scope = trace.map(|t| rntrajrec_obs::request_scope(&[t.id]));
     let parse_span = rntrajrec_obs::span("parse");
-
-    let text = match std::str::from_utf8(body) {
-        Ok(t) => t,
-        Err(_) => return bad_request("body is not UTF-8"),
+    let text = std::str::from_utf8(body).map_err(|_| Answer::error(400, "body is not UTF-8"))?;
+    let bad_request = |e: rntrajrec::wire::WireError| Answer::error(400, e.to_string());
+    // `/v1` stays frozen on its own parser; v2 and stream share theirs.
+    let (request, deadline_ms) = if route == RecoverRoute::V1 {
+        (RecoverRequest::from_json(text).map_err(bad_request)?, None)
+    } else {
+        let request = v2::RecoverRequestV2::from_json(text).map_err(bad_request)?;
+        if route == RecoverRoute::V2 && request.options.stream {
+            let msg = "options.stream is only valid on POST /v2/recover/stream";
+            return Err(Answer::error(400, msg));
+        }
+        (request.base(), request.options.deadline_ms)
     };
-    let request = match RecoverRequest::from_json(text) {
-        Ok(r) => r,
-        Err(e) => return bad_request(e.to_string()),
-    };
-    let shard = match state.router.resolve(&request.points) {
-        Ok(s) => s,
-        Err(e) => return route_answer(e),
-    };
-    let input = match extract_input(shard, &request) {
-        Ok(input) => input,
-        Err(answer) => return answer,
-    };
+    let shard = state
+        .router
+        .resolve(&request.points)
+        .map_err(route_answer)?;
+    let input = extract_input(shard, &request)?;
     drop(parse_span);
 
-    let opts = SubmitOptions::new()
-        .deadline(t0 + state.deadline)
-        .trace(trace.map(|t| t.id));
-    let handle = match submit_to_engine(state, shard, input, opts) {
-        Ok(h) => h,
-        Err(answer) => return answer,
+    let budget = match deadline_ms {
+        Some(ms) => state.deadline.min(Duration::from_millis(ms)),
+        None => state.deadline,
     };
-    wait_and_answer(state, shard, handle, t0, state.deadline)
-}
-
-/// The `/v2/recover` flow: same as v1 plus an explicit `options` object
-/// (client-shortened deadline, advisory head selection). Streaming is
-/// its own route — `options.stream: true` here is a usage error.
-fn recover_v2(state: &ServerState, body: &[u8], trace: Option<&TraceCtx>) -> Answer {
-    let t0 = Instant::now();
-
-    if let Err(fault) = rntrajrec_chaos::point("http.parse") {
-        return bad_request(fault.to_string());
-    }
-    let _req_scope = trace.map(|t| rntrajrec_obs::request_scope(&[t.id]));
-    let parse_span = rntrajrec_obs::span("parse");
-
-    let text = match std::str::from_utf8(body) {
-        Ok(t) => t,
-        Err(_) => return bad_request("body is not UTF-8"),
-    };
-    let request = match v2::RecoverRequestV2::from_json(text) {
-        Ok(r) => r,
-        Err(e) => return bad_request(e.to_string()),
-    };
-    if request.options.stream {
-        return bad_request("options.stream is only valid on POST /v2/recover/stream");
-    }
-    let shard = match state.router.resolve(&request.points) {
-        Ok(s) => s,
-        Err(e) => return route_answer(e),
-    };
-    let input = match extract_input(shard, &request.base()) {
-        Ok(input) => input,
-        Err(answer) => return answer,
-    };
-    drop(parse_span);
-
-    let budget = effective_budget(state, request.options.deadline_ms);
-    let opts = SubmitOptions::new()
+    let mut opts = SubmitOptions::new()
         .deadline(t0 + budget)
         .trace(trace.map(|t| t.id));
-    let handle = match submit_to_engine(state, shard, input, opts) {
-        Ok(h) => h,
-        Err(answer) => return answer,
+    if route == RecoverRoute::Stream {
+        opts = opts.stream();
+    }
+    let handle = submit_to_engine(state, shard, input, opts)?;
+    Ok(Admitted {
+        shard,
+        handle,
+        t0,
+        budget,
+    })
+}
+
+/// Count one deadline shed (gate 3) and word it, for the buffered and the
+/// streamed wait alike.
+fn deadline_shed(state: &ServerState, budget: Duration) -> String {
+    state.counters.shed_deadline.fetch_add(1, Ordering::Relaxed);
+    let ms = budget.as_secs_f64() * 1000.0;
+    format!("deadline of {ms:.0} ms exceeded")
+}
+
+/// Admission gate 3 plus the answer: wait out the deadline budget and
+/// serialize the result.
+fn wait_and_answer(state: &ServerState, admitted: Admitted<'_>) -> Answer {
+    static SERIALIZE_SECONDS: OnceLock<Arc<Histogram>> = OnceLock::new();
+
+    let Admitted {
+        shard,
+        handle,
+        t0,
+        budget,
+    } = admitted;
+    let retry_after = retry_after_for(state, shard);
+    let remaining = budget.saturating_sub(t0.elapsed());
+    // Dropping the late handle here flags the member as abandoned, so the
+    // engine cancels it at the next decode step instead of finishing a
+    // response nobody will read.
+    let Ok(recovered) = handle.wait_timeout(remaining) else {
+        return Answer::error(503, deadline_shed(state, budget)).header("Retry-After", retry_after);
     };
-    wait_and_answer(state, shard, handle, t0, budget)
+    if let Some(err) = recovered.error {
+        // Deadline/watchdog cancellations are a load condition
+        // (retryable), not a server bug: 503 + Retry-After.
+        if recovered.timed_out {
+            state.counters.shed_deadline.fetch_add(1, Ordering::Relaxed);
+            return Answer::error(503, format!("recovery cancelled: {err}"))
+                .header("Retry-After", retry_after);
+        }
+        return Answer::error(500, format!("inference failed: {err}"));
+    }
+    let latency_ms = recovered.latency.as_secs_f64() * 1000.0;
+    state
+        .counters
+        .record_latency(t0.elapsed().as_secs_f64() * 1000.0);
+    let serialize_started = Instant::now();
+    let body = {
+        let _span = rntrajrec_obs::span("serialize");
+        let resp = RecoverResponse::from_path(
+            recovered.id,
+            &recovered.path,
+            recovered.batch_size,
+            latency_ms,
+        );
+        serde_json::to_string(&resp).expect("response serializes")
+    };
+    SERIALIZE_SECONDS
+        .get_or_init(|| metrics::phase_seconds("serialize"))
+        .observe_duration(serialize_started.elapsed());
+    Answer::json(200, body)
 }
 
 /// Write one chunk of an HTTP/1.1 chunked response: one JSON event line.
 /// Each chunk passes the `http.write` chaos point so fault injection can
 /// sever a stream mid-flight, like a real broken socket.
-fn write_chunk(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
+fn write_chunk(stream: &mut TcpStream, event: &impl serde::Serialize) -> std::io::Result<()> {
     if rntrajrec_chaos::point("http.write").is_err() {
         return Err(std::io::Error::other("chaos: stream write fault"));
     }
+    let line = serde_json::to_string(event).expect("stream event serializes");
     let mut frame = format!("{:x}\r\n", line.len() + 1);
-    frame.push_str(line);
+    frame.push_str(&line);
     frame.push_str("\n\r\n");
     stream.write_all(frame.as_bytes())?;
     stream.flush()
 }
 
-/// The `/v2/recover/stream` flow. Everything up to admission can still
-/// fail with an ordinary buffered JSON error response; once the chunked
-/// header is on the wire the contract becomes: zero or more `step`
-/// events, then **exactly one** terminal `summary` or `error` event,
-/// then the zero-length chunk. Returns `false` when the connection must
-/// close (write failure mid-stream).
-fn recover_stream(
+/// The `/v2/recover/stream` response, once admitted. With the chunked
+/// header on the wire the contract is: zero or more `step` events, then
+/// **exactly one** terminal `summary` or `error` event, then the
+/// zero-length chunk. Returns `false` when the connection must close
+/// (write failure mid-stream).
+fn stream_steps(
     stream: &mut TcpStream,
     state: &ServerState,
-    req: &Request,
+    admitted: Admitted<'_>,
     keep_alive: bool,
-    trace: Option<TraceCtx>,
 ) -> bool {
-    let t0 = Instant::now();
-
-    // Fallible prologue: parse → extract → admit, all before the first
-    // response byte. An `Err` here is a plain (un-chunked) answer.
-    let prologue: Result<(RecoveryHandle, Duration), Answer> = (|| {
-        if let Err(fault) = rntrajrec_chaos::point("http.parse") {
-            return Err(bad_request(fault.to_string()));
-        }
-        let _req_scope = trace
-            .as_ref()
-            .map(|t| rntrajrec_obs::request_scope(&[t.id]));
-        let parse_span = rntrajrec_obs::span("parse");
-        let text = std::str::from_utf8(&req.body).map_err(|_| bad_request("body is not UTF-8"))?;
-        let request =
-            v2::RecoverRequestV2::from_json(text).map_err(|e| bad_request(e.to_string()))?;
-        let shard = state
-            .router
-            .resolve(&request.points)
-            .map_err(route_answer)?;
-        let input = extract_input(shard, &request.base())?;
-        drop(parse_span);
-        let budget = effective_budget(state, request.options.deadline_ms);
-        let opts = SubmitOptions::new()
-            .deadline(t0 + budget)
-            .trace(trace.as_ref().map(|t| t.id))
-            .stream();
-        let handle = submit_to_engine(state, shard, input, opts)?;
-        Ok((handle, budget))
-    })();
-
-    let write_start_ns = trace.as_ref().map(|_| rntrajrec_obs::now_ns());
-    let ok = match prologue {
-        Err((status, reason, content_type, body, extra)) => {
-            state.counters.record_status(status);
-            rntrajrec_chaos::point("http.write").is_ok()
-                && write_response(
-                    stream,
-                    status,
-                    reason,
-                    content_type,
-                    &body,
-                    keep_alive,
-                    &extra,
-                )
-                .is_ok()
-        }
-        Ok((handle, budget)) => {
-            state.counters.record_status(200);
-            let head = format!(
-                "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
-                 Transfer-Encoding: chunked\r\nConnection: {}\r\n\r\n",
-                if keep_alive { "keep-alive" } else { "close" }
-            );
-            let mut ok = rntrajrec_chaos::point("http.write").is_ok()
-                && stream.write_all(head.as_bytes()).is_ok();
-            let mut deadline_hit = false;
-            while ok {
-                let remaining = budget.saturating_sub(t0.elapsed());
-                match handle.next_step(remaining.max(Duration::from_millis(1))) {
-                    StepWait::Step(s) => {
-                        let ev = v2::StepEvent::new(s.id, s.step, s.segment, s.rate, s.logprob);
-                        let line = serde_json::to_string(&ev).expect("step event serializes");
-                        ok = write_chunk(stream, &line).is_ok();
-                    }
-                    StepWait::Finished => break,
-                    StepWait::TimedOut => {
-                        if t0.elapsed() >= budget {
-                            deadline_hit = true;
-                            break;
-                        }
-                    }
+    let Admitted {
+        handle, t0, budget, ..
+    } = admitted;
+    state.counters.record_status(200);
+    let head = format!(
+        "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
+         Transfer-Encoding: chunked\r\nConnection: {}\r\n\r\n",
+        if keep_alive { "keep-alive" } else { "close" }
+    );
+    let mut ok =
+        rntrajrec_chaos::point("http.write").is_ok() && stream.write_all(head.as_bytes()).is_ok();
+    let mut deadline_hit = false;
+    while ok {
+        let remaining = budget.saturating_sub(t0.elapsed());
+        match handle.next_step(remaining.max(Duration::from_millis(1))) {
+            StepWait::Step(s) => {
+                let ev = v2::StepEvent::new(s.id, s.step, s.segment, s.rate, s.logprob);
+                ok = write_chunk(stream, &ev).is_ok();
+            }
+            StepWait::Finished => break,
+            StepWait::TimedOut => {
+                if t0.elapsed() >= budget {
+                    deadline_hit = true;
+                    break;
                 }
             }
-            if ok {
-                // Terminal event: the engine's verdict if it arrives in
-                // budget (+ a small grace for channel delivery), else a
-                // deadline error. Dropping an unconsumed handle flags the
-                // member abandoned so the engine cancels it mid-decode.
-                let grace = budget
-                    .saturating_sub(t0.elapsed())
-                    .max(Duration::from_millis(5));
-                let terminal = if deadline_hit {
-                    Err(())
-                } else {
-                    handle.wait_timeout(grace).map_err(|_| ())
-                };
-                let line = match terminal {
-                    Err(()) => {
-                        state.counters.shed_deadline.fetch_add(1, Ordering::Relaxed);
-                        let ev = v2::ErrorEvent::new(
-                            format!(
-                                "deadline of {:.0} ms exceeded",
-                                budget.as_secs_f64() * 1000.0
-                            ),
-                            503,
-                            true,
-                        );
-                        serde_json::to_string(&ev).expect("error event serializes")
-                    }
-                    Ok(recovered) => match recovered.error {
-                        Some(err) => {
-                            let (code, timed_out) = if recovered.timed_out {
-                                state.counters.shed_deadline.fetch_add(1, Ordering::Relaxed);
-                                (503, true)
-                            } else {
-                                (500, false)
-                            };
-                            let ev = v2::ErrorEvent::new(
-                                format!("recovery failed: {err}"),
-                                code,
-                                timed_out,
-                            );
-                            serde_json::to_string(&ev).expect("error event serializes")
-                        }
-                        None => {
-                            state
-                                .counters
-                                .record_latency(t0.elapsed().as_secs_f64() * 1000.0);
-                            let resp = RecoverResponse::from_path(
-                                recovered.id,
-                                &recovered.path,
-                                recovered.batch_size,
-                                recovered.latency.as_secs_f64() * 1000.0,
-                            );
-                            let ev = v2::SummaryEvent::from_response(&resp);
-                            serde_json::to_string(&ev).expect("summary event serializes")
-                        }
-                    },
-                };
-                ok = write_chunk(stream, &line).is_ok()
-                    && stream.write_all(b"0\r\n\r\n").is_ok()
-                    && stream.flush().is_ok();
-            }
-            ok
         }
-    };
-    if let (Some(t), Some(write_start_ns)) = (&trace, write_start_ns) {
-        let end_ns = rntrajrec_obs::now_ns();
-        rntrajrec_obs::record("http.read", &[t.id], t.read_start_ns, t.read_end_ns);
-        rntrajrec_obs::record("http.write", &[t.id], write_start_ns, end_ns);
-        rntrajrec_obs::record(rntrajrec_obs::ROOT_SPAN, &[t.id], t.read_start_ns, end_ns);
     }
-    ok
+    if !ok {
+        return false;
+    }
+    // Terminal event: the engine's verdict if it arrives in budget (+ a
+    // small grace for channel delivery), else a deadline error. Dropping
+    // an unconsumed handle flags the member abandoned so the engine
+    // cancels it mid-decode.
+    let grace = budget
+        .saturating_sub(t0.elapsed())
+        .max(Duration::from_millis(5));
+    let terminal = if deadline_hit {
+        None
+    } else {
+        handle.wait_timeout(grace).ok()
+    };
+    let written = match terminal {
+        None => {
+            let ev = v2::ErrorEvent::new(deadline_shed(state, budget), 503, true);
+            write_chunk(stream, &ev)
+        }
+        Some(recovered) => match recovered.error {
+            Some(err) => {
+                let code = if recovered.timed_out { 503 } else { 500 };
+                if recovered.timed_out {
+                    state.counters.shed_deadline.fetch_add(1, Ordering::Relaxed);
+                }
+                let msg = format!("recovery failed: {err}");
+                write_chunk(stream, &v2::ErrorEvent::new(msg, code, recovered.timed_out))
+            }
+            None => {
+                state
+                    .counters
+                    .record_latency(t0.elapsed().as_secs_f64() * 1000.0);
+                let resp = RecoverResponse::from_path(
+                    recovered.id,
+                    &recovered.path,
+                    recovered.batch_size,
+                    recovered.latency.as_secs_f64() * 1000.0,
+                );
+                write_chunk(stream, &v2::SummaryEvent::from_response(&resp))
+            }
+        },
+    };
+    written.is_ok() && stream.write_all(b"0\r\n\r\n").is_ok() && stream.flush().is_ok()
 }
 
 /// Short git revision baked in by `build.rs`, or "unknown" outside a
 /// git checkout.
 pub(crate) const GIT_SHA: &str = env!("RNTRAJREC_GIT_SHA");
 
+/// What one `/metrics` scrape reads once for every family row.
+struct Scrape<'a> {
+    state: &'a ServerState,
+    shards: Vec<(&'a CityShard, EngineStats)>,
+}
+
+/// Where a family's samples come from.
+enum Samples {
+    /// One `{city="…"}` sample per shard.
+    PerShard(fn(&CityShard, &EngineStats) -> f64),
+    /// Anything else: the row writes its own labelled samples.
+    Custom(fn(&Scrape<'_>, &mut Exposition<'_>)),
+}
+use Samples::{Custom, PerShard};
+
+/// One `/metrics` family. Its name is written here and nowhere else.
+struct Family {
+    name: &'static str,
+    help: &'static str,
+    kind: Kind,
+    samples: Samples,
+}
+
+/// Every family `/metrics` serves ahead of the histogram registry, in
+/// exposition order. Adding a counter is adding a row.
+const FAMILIES: &[Family] = &[
+    Family {
+        name: "rntrajrec_build_info",
+        help: "Build metadata; the value is always 1.",
+        kind: Kind::Gauge,
+        samples: Custom(|_, w| {
+            let version = env!("CARGO_PKG_VERSION");
+            w.sample(&[("version", version), ("git_sha", GIT_SHA)], 1.0);
+        }),
+    },
+    Family {
+        name: "rntrajrec_kernel_backend",
+        help: "Active nn kernel backend (NN_BACKEND / CPU feature detection); the value is always 1.",
+        kind: Kind::Gauge,
+        samples: Custom(|s, w| w.sample(&[("backend", &s.shards[0].1.kernel_backend)], 1.0)),
+    },
+    Family {
+        name: "rntrajrec_segment_head",
+        help: "Decoder segment head each city shard serves (sparse f32 or int8); the value is always 1.",
+        kind: Kind::Gauge,
+        samples: Custom(|s, w| {
+            for (shard, stats) in &s.shards {
+                w.sample(&[("city", shard.name()), ("head", &stats.segment_head)], 1.0);
+            }
+        }),
+    },
+    Family {
+        name: "rntrajrec_artifact_info",
+        help: "Live model provenance per city shard (version + packing revision); the value is always 1.",
+        kind: Kind::Gauge,
+        samples: Custom(|s, w| {
+            for (shard, _) in &s.shards {
+                let info = shard.info();
+                let labels = [
+                    ("city", shard.name()),
+                    ("model_version", &info.model_version),
+                    ("git_sha", &info.git_sha),
+                ];
+                w.sample(&labels, 1.0);
+            }
+        }),
+    },
+    Family {
+        name: "rntrajrec_uptime_seconds",
+        help: "Seconds since the HTTP server started accepting connections.",
+        kind: Kind::Gauge,
+        samples: Custom(|s, w| w.sample(&[], s.state.started.elapsed().as_secs_f64())),
+    },
+    Family {
+        name: "rntrajrec_http_connections_total",
+        help: "TCP connections accepted.",
+        kind: Kind::Counter,
+        samples: Custom(|s, w| {
+            w.sample(&[], s.state.counters.connections.load(Ordering::Relaxed) as f64)
+        }),
+    },
+    Family {
+        name: "rntrajrec_http_responses_total",
+        help: "HTTP responses by status class.",
+        kind: Kind::Counter,
+        samples: Custom(|s, w| {
+            let c = &s.state.counters;
+            let classes = [
+                ("2xx", &c.responses_2xx),
+                ("4xx", &c.responses_4xx),
+                ("5xx", &c.responses_5xx),
+            ];
+            for (class, n) in classes {
+                w.sample(&[("class", class)], n.load(Ordering::Relaxed) as f64);
+            }
+        }),
+    },
+    Family {
+        name: "rntrajrec_http_shed_total",
+        help: "Requests shed by admission control, by reason.",
+        kind: Kind::Counter,
+        samples: Custom(|s, w| {
+            let c = &s.state.counters;
+            let reasons = [
+                ("backlog", &c.shed_backlog),
+                ("overload", &c.shed_overload),
+                ("deadline", &c.shed_deadline),
+            ];
+            for (reason, n) in reasons {
+                w.sample(&[("reason", reason)], n.load(Ordering::Relaxed) as f64);
+            }
+        }),
+    },
+    Family {
+        name: "rntrajrec_http_recover_latency_ms",
+        help: "End-to-end recover-route latency quantiles over a sliding window.",
+        kind: Kind::Summary,
+        samples: Custom(|s, w| {
+            let ring = s.state.counters.latencies_ms.lock().unwrap();
+            for (label, p) in [("0.5", 0.50), ("0.99", 0.99)] {
+                w.sample(&[("quantile", label)], metrics::quantile(&ring, p));
+            }
+        }),
+    },
+    Family {
+        name: "rntrajrec_engine_queue_depth",
+        help: "Requests waiting in the micro-batching queue.",
+        kind: Kind::Gauge,
+        samples: PerShard(|s, _| s.engine().queue_depth() as f64),
+    },
+    Family {
+        name: "rntrajrec_engine_in_flight_batches",
+        help: "Batches currently being recovered.",
+        kind: Kind::Gauge,
+        samples: PerShard(|s, _| s.engine().in_flight_batches() as f64),
+    },
+    Family {
+        name: "rntrajrec_engine_requests_total",
+        help: "Requests accepted by the engine.",
+        kind: Kind::Counter,
+        samples: PerShard(|_, st| st.requests as f64),
+    },
+    Family {
+        name: "rntrajrec_engine_completed_total",
+        help: "Requests recovered successfully.",
+        kind: Kind::Counter,
+        samples: PerShard(|_, st| st.completed as f64),
+    },
+    Family {
+        name: "rntrajrec_engine_failed_total",
+        help: "Requests that failed during recovery.",
+        kind: Kind::Counter,
+        samples: PerShard(|_, st| st.failed as f64),
+    },
+    Family {
+        name: "rntrajrec_engine_rejected_total",
+        help: "Requests rejected at submit time (queue full or shutdown).",
+        kind: Kind::Counter,
+        samples: PerShard(|_, st| st.rejected as f64),
+    },
+    Family {
+        name: "rntrajrec_engine_batches_total",
+        help: "Batches flushed by the micro-batcher.",
+        kind: Kind::Counter,
+        samples: PerShard(|_, st| st.batches as f64),
+    },
+    Family {
+        name: "rntrajrec_engine_mean_batch",
+        help: "Mean batch size since start.",
+        kind: Kind::Gauge,
+        samples: PerShard(|_, st| st.mean_batch),
+    },
+    Family {
+        name: "rntrajrec_engine_mean_queue_wait_ms",
+        help: "Mean time a completed request spent queued before its batch flushed.",
+        kind: Kind::Gauge,
+        samples: PerShard(|_, st| st.mean_queue_wait_ms),
+    },
+    Family {
+        name: "rntrajrec_engine_mean_compute_ms",
+        help: "Mean batch compute time attributed to completed requests.",
+        kind: Kind::Gauge,
+        samples: PerShard(|_, st| st.mean_compute_ms),
+    },
+    Family {
+        name: "rntrajrec_engine_queue_wait_p99_ms",
+        help: "p99 queue wait over a sliding window of completed requests.",
+        kind: Kind::Gauge,
+        samples: PerShard(|_, st| st.queue_wait_p99_ms),
+    },
+    Family {
+        name: "rntrajrec_engine_drain_rate_per_sec",
+        help: "Observed request completion rate over the supervisor's sample window.",
+        kind: Kind::Gauge,
+        samples: PerShard(|_, st| st.drain_rate_per_sec),
+    },
+    Family {
+        name: "rntrajrec_engine_worker_restarts_total",
+        help: "Crashed engine workers respawned by the supervisor.",
+        kind: Kind::Counter,
+        samples: PerShard(|_, st| st.worker_restarts as f64),
+    },
+    Family {
+        name: "rntrajrec_engine_watchdog_timeouts_total",
+        help: "Batches failed by the watchdog for exceeding the compute budget.",
+        kind: Kind::Counter,
+        samples: PerShard(|_, st| st.watchdog_timeouts as f64),
+    },
+    Family {
+        name: "rntrajrec_engine_deadline_cancelled_total",
+        help: "Batch members cancelled mid-decode for an expired deadline.",
+        kind: Kind::Counter,
+        samples: PerShard(|_, st| st.deadline_cancelled as f64),
+    },
+    Family {
+        name: "rntrajrec_engine_admitted_total",
+        help: "Members admitted into an already-running decode batch.",
+        kind: Kind::Counter,
+        samples: PerShard(|_, st| st.admitted as f64),
+    },
+    Family {
+        name: "rntrajrec_engine_abandoned_cancelled_total",
+        help: "Batch members cancelled because their handle was dropped.",
+        kind: Kind::Counter,
+        samples: PerShard(|_, st| st.abandoned_cancelled as f64),
+    },
+    Family {
+        name: "rntrajrec_engine_stream_lagged_total",
+        help: "Streamed members degraded to summary-only for a full step queue.",
+        kind: Kind::Counter,
+        samples: PerShard(|_, st| st.stream_lagged as f64),
+    },
+    Family {
+        name: "rntrajrec_engine_model_swaps_total",
+        help: "Hot model swaps installed in the engine's model slot.",
+        kind: Kind::Counter,
+        samples: PerShard(|_, st| st.model_swaps as f64),
+    },
+    Family {
+        name: "rntrajrec_engine_brownout_level",
+        help: "Active brownout ladder level (0 normal … 3 shed).",
+        kind: Kind::Gauge,
+        samples: PerShard(|s, _| s.engine().brownout_level() as f64),
+    },
+    Family {
+        name: "rntrajrec_engine_brownout_mode",
+        help: "Active brownout degradation mode; the value is always 1.",
+        kind: Kind::Gauge,
+        samples: Custom(|s, w| {
+            for (shard, stats) in &s.shards {
+                w.sample(&[("city", shard.name()), ("mode", &stats.brownout_mode)], 1.0);
+            }
+        }),
+    },
+    Family {
+        name: "rntrajrec_engine_brownout_shifts_total",
+        help: "Brownout ladder transitions since start.",
+        kind: Kind::Counter,
+        samples: PerShard(|_, st| st.brownout_shifts as f64),
+    },
+    Family {
+        name: "rntrajrec_nn_matmul_invocations_total",
+        help: "Matmul kernel invocations across all threads.",
+        kind: Kind::Counter,
+        samples: Custom(|_, w| w.sample(&[], kernels::matmul_invocations() as f64)),
+    },
+    Family {
+        name: "rntrajrec_nn_pool_jobs_total",
+        help: "Thread-pool dispatch decisions by mode.",
+        kind: Kind::Counter,
+        samples: Custom(|_, w| {
+            let pool = rntrajrec_nn::pool::stats();
+            w.sample(&[("mode", "parallel")], pool.parallel_jobs as f64);
+            w.sample(&[("mode", "inline_busy")], pool.inline_busy as f64);
+            w.sample(&[("mode", "inline_small")], pool.inline_small as f64);
+        }),
+    },
+    Family {
+        name: "rntrajrec_trace_spans_stored",
+        help: "Spans currently buffered in the trace ring.",
+        kind: Kind::Gauge,
+        samples: Custom(|_, w| w.sample(&[], rntrajrec_obs::stored_spans() as f64)),
+    },
+    Family {
+        name: "rntrajrec_trace_spans_dropped_total",
+        help: "Spans evicted from the trace ring before being read.",
+        kind: Kind::Counter,
+        samples: Custom(|_, w| w.sample(&[], rntrajrec_obs::dropped_spans() as f64)),
+    },
+    Family {
+        name: "rntrajrec_chaos_enabled",
+        help: "1 when deterministic fault injection is armed (CHAOS_FAULTS).",
+        kind: Kind::Gauge,
+        samples: Custom(|_, w| w.sample(&[], f64::from(rntrajrec_chaos::enabled()))),
+    },
+    // No armed points, no samples: the family is absent when disarmed.
+    Family {
+        name: "rntrajrec_chaos_injected_total",
+        help: "Faults actually injected, per configured point.",
+        kind: Kind::Counter,
+        samples: Custom(|_, w| {
+            for p in rntrajrec_chaos::snapshot() {
+                w.sample(&[("point", p.point), ("kind", &p.kind)], p.fired as f64);
+            }
+        }),
+    },
+];
+
 fn render_metrics(state: &ServerState) -> String {
-    let c = &state.counters;
     let shards = state.router.shards();
-    let shard_stats: Vec<(&CityShard, crate::EngineStats)> =
-        shards.iter().map(|s| (s, s.engine().stats())).collect();
-    let pool = rntrajrec_nn::pool::stats();
-    let (p50, p99) = c.latency_quantiles();
+    let scrape = Scrape {
+        state,
+        shards: shards.iter().map(|s| (s, s.engine().stats())).collect(),
+    };
     let mut out = String::with_capacity(4096 + 2048 * shards.len());
-    let line = |out: &mut String, name: &str, labels: &str, v: f64| {
-        out.push_str(name);
-        out.push_str(labels);
-        out.push(' ');
-        if v.fract() == 0.0 && v.abs() < 1e15 {
-            out.push_str(&format!("{}", v as i64));
-        } else {
-            out.push_str(&format!("{v}"));
-        }
-        out.push('\n');
-    };
-    let header = |out: &mut String, name: &str, help: &str, kind: &str| {
-        out.push_str("# HELP ");
-        out.push_str(name);
-        out.push(' ');
-        out.push_str(help);
-        out.push_str("\n# TYPE ");
-        out.push_str(name);
-        out.push(' ');
-        out.push_str(kind);
-        out.push('\n');
-    };
-
-    header(
-        &mut out,
-        "rntrajrec_build_info",
-        "Build metadata; the value is always 1.",
-        "gauge",
-    );
-    out.push_str(&format!(
-        "rntrajrec_build_info{{version=\"{}\",git_sha=\"{}\"}} 1\n",
-        env!("CARGO_PKG_VERSION"),
-        GIT_SHA,
-    ));
-    header(
-        &mut out,
-        "rntrajrec_kernel_backend",
-        "Active nn kernel backend (NN_BACKEND / CPU feature detection); the value is always 1.",
-        "gauge",
-    );
-    out.push_str(&format!(
-        "rntrajrec_kernel_backend{{backend=\"{}\"}} 1\n",
-        shard_stats[0].1.kernel_backend,
-    ));
-    header(
-        &mut out,
-        "rntrajrec_segment_head",
-        "Decoder segment head each city shard serves (sparse f32 or int8); the value is always 1.",
-        "gauge",
-    );
-    for (s, st) in &shard_stats {
-        out.push_str(&format!(
-            "rntrajrec_segment_head{{city=\"{}\",head=\"{}\"}} 1\n",
-            s.name(),
-            st.segment_head,
-        ));
-    }
-    header(
-        &mut out,
-        "rntrajrec_artifact_info",
-        "Live model provenance per city shard (version + packing revision); the value is always 1.",
-        "gauge",
-    );
-    for (s, _) in &shard_stats {
-        let info = s.info();
-        out.push_str(&format!(
-            "rntrajrec_artifact_info{{city=\"{}\",model_version=\"{}\",git_sha=\"{}\"}} 1\n",
-            s.name(),
-            info.model_version,
-            info.git_sha,
-        ));
-    }
-    header(
-        &mut out,
-        "rntrajrec_uptime_seconds",
-        "Seconds since the HTTP server started accepting connections.",
-        "gauge",
-    );
-    line(
-        &mut out,
-        "rntrajrec_uptime_seconds",
-        "",
-        state.started.elapsed().as_secs_f64(),
-    );
-
-    header(
-        &mut out,
-        "rntrajrec_http_connections_total",
-        "TCP connections accepted.",
-        "counter",
-    );
-    line(
-        &mut out,
-        "rntrajrec_http_connections_total",
-        "",
-        c.connections.load(Ordering::Relaxed) as f64,
-    );
-    header(
-        &mut out,
-        "rntrajrec_http_responses_total",
-        "HTTP responses by status class.",
-        "counter",
-    );
-    line(
-        &mut out,
-        "rntrajrec_http_responses_total",
-        "{class=\"2xx\"}",
-        c.responses_2xx.load(Ordering::Relaxed) as f64,
-    );
-    line(
-        &mut out,
-        "rntrajrec_http_responses_total",
-        "{class=\"4xx\"}",
-        c.responses_4xx.load(Ordering::Relaxed) as f64,
-    );
-    line(
-        &mut out,
-        "rntrajrec_http_responses_total",
-        "{class=\"5xx\"}",
-        c.responses_5xx.load(Ordering::Relaxed) as f64,
-    );
-    header(
-        &mut out,
-        "rntrajrec_http_shed_total",
-        "Requests shed by admission control, by reason.",
-        "counter",
-    );
-    line(
-        &mut out,
-        "rntrajrec_http_shed_total",
-        "{reason=\"backlog\"}",
-        c.shed_backlog.load(Ordering::Relaxed) as f64,
-    );
-    line(
-        &mut out,
-        "rntrajrec_http_shed_total",
-        "{reason=\"overload\"}",
-        c.shed_overload.load(Ordering::Relaxed) as f64,
-    );
-    line(
-        &mut out,
-        "rntrajrec_http_shed_total",
-        "{reason=\"deadline\"}",
-        c.shed_deadline.load(Ordering::Relaxed) as f64,
-    );
-    header(
-        &mut out,
-        "rntrajrec_http_recover_latency_ms",
-        "End-to-end /v1/recover latency quantiles over a sliding window.",
-        "summary",
-    );
-    line(
-        &mut out,
-        "rntrajrec_http_recover_latency_ms",
-        "{quantile=\"0.5\"}",
-        p50,
-    );
-    line(
-        &mut out,
-        "rntrajrec_http_recover_latency_ms",
-        "{quantile=\"0.99\"}",
-        p99,
-    );
-
-    // Engine families: one HELP/TYPE header per family, one labelled
-    // sample per city shard.
-    let city_label = |s: &CityShard| format!("{{city=\"{}\"}}", s.name());
-    let per_shard = |out: &mut String,
-                     name: &str,
-                     help: &str,
-                     kind: &str,
-                     value: &dyn Fn(&CityShard, &crate::EngineStats) -> f64| {
-        header(out, name, help, kind);
-        for (s, st) in &shard_stats {
-            line(out, name, &city_label(s), value(s, st));
-        }
-    };
-
-    per_shard(
-        &mut out,
-        "rntrajrec_engine_queue_depth",
-        "Requests waiting in the micro-batching queue.",
-        "gauge",
-        &|s, _| s.engine().queue_depth() as f64,
-    );
-    per_shard(
-        &mut out,
-        "rntrajrec_engine_in_flight_batches",
-        "Batches currently being recovered.",
-        "gauge",
-        &|s, _| s.engine().in_flight_batches() as f64,
-    );
-    per_shard(
-        &mut out,
-        "rntrajrec_engine_requests_total",
-        "Requests accepted by the engine.",
-        "counter",
-        &|_, st| st.requests as f64,
-    );
-    per_shard(
-        &mut out,
-        "rntrajrec_engine_completed_total",
-        "Requests recovered successfully.",
-        "counter",
-        &|_, st| st.completed as f64,
-    );
-    per_shard(
-        &mut out,
-        "rntrajrec_engine_failed_total",
-        "Requests that failed during recovery.",
-        "counter",
-        &|_, st| st.failed as f64,
-    );
-    per_shard(
-        &mut out,
-        "rntrajrec_engine_rejected_total",
-        "Requests rejected at submit time (queue full or shutdown).",
-        "counter",
-        &|_, st| st.rejected as f64,
-    );
-    per_shard(
-        &mut out,
-        "rntrajrec_engine_batches_total",
-        "Batches flushed by the micro-batcher.",
-        "counter",
-        &|_, st| st.batches as f64,
-    );
-    per_shard(
-        &mut out,
-        "rntrajrec_engine_mean_batch",
-        "Mean batch size since start.",
-        "gauge",
-        &|_, st| st.mean_batch,
-    );
-    per_shard(
-        &mut out,
-        "rntrajrec_engine_mean_queue_wait_ms",
-        "Mean time a completed request spent queued before its batch flushed.",
-        "gauge",
-        &|_, st| st.mean_queue_wait_ms,
-    );
-    per_shard(
-        &mut out,
-        "rntrajrec_engine_mean_compute_ms",
-        "Mean batch compute time attributed to completed requests.",
-        "gauge",
-        &|_, st| st.mean_compute_ms,
-    );
-    per_shard(
-        &mut out,
-        "rntrajrec_engine_queue_wait_p99_ms",
-        "p99 queue wait over a sliding window of completed requests.",
-        "gauge",
-        &|_, st| st.queue_wait_p99_ms,
-    );
-    per_shard(
-        &mut out,
-        "rntrajrec_engine_drain_rate_per_sec",
-        "Observed request completion rate over the supervisor's sample window.",
-        "gauge",
-        &|_, st| st.drain_rate_per_sec,
-    );
-    per_shard(
-        &mut out,
-        "rntrajrec_engine_worker_restarts_total",
-        "Crashed engine workers respawned by the supervisor.",
-        "counter",
-        &|_, st| st.worker_restarts as f64,
-    );
-    per_shard(
-        &mut out,
-        "rntrajrec_engine_watchdog_timeouts_total",
-        "Batches failed by the watchdog for exceeding the compute budget.",
-        "counter",
-        &|_, st| st.watchdog_timeouts as f64,
-    );
-    per_shard(
-        &mut out,
-        "rntrajrec_engine_deadline_cancelled_total",
-        "Batch members cancelled mid-decode for an expired deadline.",
-        "counter",
-        &|_, st| st.deadline_cancelled as f64,
-    );
-    per_shard(
-        &mut out,
-        "rntrajrec_engine_admitted_total",
-        "Members admitted into an already-running decode batch.",
-        "counter",
-        &|_, st| st.admitted as f64,
-    );
-    per_shard(
-        &mut out,
-        "rntrajrec_engine_abandoned_cancelled_total",
-        "Batch members cancelled because their handle was dropped.",
-        "counter",
-        &|_, st| st.abandoned_cancelled as f64,
-    );
-    per_shard(
-        &mut out,
-        "rntrajrec_engine_stream_lagged_total",
-        "Streamed members degraded to summary-only for a full step queue.",
-        "counter",
-        &|_, st| st.stream_lagged as f64,
-    );
-    per_shard(
-        &mut out,
-        "rntrajrec_engine_model_swaps_total",
-        "Hot model swaps installed in the engine's model slot.",
-        "counter",
-        &|_, st| st.model_swaps as f64,
-    );
-    per_shard(
-        &mut out,
-        "rntrajrec_engine_brownout_level",
-        "Active brownout ladder level (0 normal … 3 shed).",
-        "gauge",
-        &|s, _| s.engine().brownout_level() as f64,
-    );
-    header(
-        &mut out,
-        "rntrajrec_engine_brownout_mode",
-        "Active brownout degradation mode; the value is always 1.",
-        "gauge",
-    );
-    for (s, st) in &shard_stats {
-        out.push_str(&format!(
-            "rntrajrec_engine_brownout_mode{{city=\"{}\",mode=\"{}\"}} 1\n",
-            s.name(),
-            st.brownout_mode,
-        ));
-    }
-    per_shard(
-        &mut out,
-        "rntrajrec_engine_brownout_shifts_total",
-        "Brownout ladder transitions since start.",
-        "counter",
-        &|_, st| st.brownout_shifts as f64,
-    );
-
-    header(
-        &mut out,
-        "rntrajrec_nn_matmul_invocations_total",
-        "Matmul kernel invocations across all threads.",
-        "counter",
-    );
-    line(
-        &mut out,
-        "rntrajrec_nn_matmul_invocations_total",
-        "",
-        kernels::matmul_invocations() as f64,
-    );
-    header(
-        &mut out,
-        "rntrajrec_nn_pool_jobs_total",
-        "Thread-pool dispatch decisions by mode.",
-        "counter",
-    );
-    line(
-        &mut out,
-        "rntrajrec_nn_pool_jobs_total",
-        "{mode=\"parallel\"}",
-        pool.parallel_jobs as f64,
-    );
-    line(
-        &mut out,
-        "rntrajrec_nn_pool_jobs_total",
-        "{mode=\"inline_busy\"}",
-        pool.inline_busy as f64,
-    );
-    line(
-        &mut out,
-        "rntrajrec_nn_pool_jobs_total",
-        "{mode=\"inline_small\"}",
-        pool.inline_small as f64,
-    );
-
-    header(
-        &mut out,
-        "rntrajrec_trace_spans_stored",
-        "Spans currently buffered in the trace ring.",
-        "gauge",
-    );
-    line(
-        &mut out,
-        "rntrajrec_trace_spans_stored",
-        "",
-        rntrajrec_obs::stored_spans() as f64,
-    );
-    header(
-        &mut out,
-        "rntrajrec_trace_spans_dropped_total",
-        "Spans evicted from the trace ring before being read.",
-        "counter",
-    );
-    line(
-        &mut out,
-        "rntrajrec_trace_spans_dropped_total",
-        "",
-        rntrajrec_obs::dropped_spans() as f64,
-    );
-
-    header(
-        &mut out,
-        "rntrajrec_chaos_enabled",
-        "1 when deterministic fault injection is armed (CHAOS_FAULTS).",
-        "gauge",
-    );
-    line(
-        &mut out,
-        "rntrajrec_chaos_enabled",
-        "",
-        if rntrajrec_chaos::enabled() { 1.0 } else { 0.0 },
-    );
-    let chaos_points = rntrajrec_chaos::snapshot();
-    if !chaos_points.is_empty() {
-        header(
-            &mut out,
-            "rntrajrec_chaos_injected_total",
-            "Faults actually injected, per configured point.",
-            "counter",
-        );
-        for p in &chaos_points {
-            out.push_str(&format!(
-                "rntrajrec_chaos_injected_total{{point=\"{}\",kind=\"{}\"}} {}\n",
-                p.point, p.kind, p.fired,
-            ));
+    let mut w = Exposition::new(&mut out);
+    for family in FAMILIES {
+        w.family(family.name, family.help, family.kind);
+        match family.samples {
+            PerShard(value) => {
+                for (shard, stats) in &scrape.shards {
+                    w.sample(&[("city", shard.name())], value(shard, stats));
+                }
+            }
+            Custom(write) => write(&scrape, &mut w),
         }
     }
-
-    rntrajrec_obs::metrics::render_into(&mut out);
+    metrics::render_into(&mut out);
     out
 }
 
 fn write_response(
     stream: &mut TcpStream,
-    status: u16,
-    reason: &str,
-    content_type: &str,
-    body: &str,
+    answer: &Answer,
     keep_alive: bool,
-    extra_headers: &[(&str, String)],
 ) -> std::io::Result<()> {
+    let Answer {
+        status,
+        content_type,
+        body,
+        headers,
+    } = answer;
     let mut head = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {}\r\n",
+        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {}\r\n",
+        reason(*status),
         body.len(),
         if keep_alive { "keep-alive" } else { "close" },
     );
-    for (name, value) in extra_headers {
+    for (name, value) in headers {
         head.push_str(name);
         head.push_str(": ");
         head.push_str(value);
@@ -1915,7 +1563,7 @@ fn write_response(
 
 #[cfg(test)]
 mod tests {
-    use super::{adaptive_retry_after, HttpCounters};
+    use super::adaptive_retry_after;
 
     /// `ceil(depth / drain)` clamped to `[1, 60]`; fallback when the
     /// engine has no drain estimate yet.
@@ -1936,283 +1584,5 @@ mod tests {
         // …and the fallback is clamped into the same band.
         assert_eq!(adaptive_retry_after(50, 0.0, 0), 1);
         assert_eq!(adaptive_retry_after(50, 0.0, 600), 60);
-    }
-
-    fn quantiles_of(samples: &[f64]) -> (f64, f64) {
-        let c = HttpCounters::default();
-        for &s in samples {
-            c.record_latency(s);
-        }
-        c.latency_quantiles()
-    }
-
-    /// Ceil-based nearest rank over rings with known contents: rank
-    /// `⌈p·n⌉` (1-indexed), consistent across ring sizes. The old
-    /// `round((n-1)·p)` estimator diverged from nearest rank depending
-    /// on the ring length: at p99 a 67-sample ring picked rank 66
-    /// (`round(66·0.99) = 65`, under-reporting the tail) while 8-, 10-
-    /// and 50-sample rings picked the max; at p50 every even-length ring
-    /// rounded half away from zero to rank `n/2 + 1` (e.g. rank 6 of
-    /// 10).
-    #[test]
-    fn quantiles_use_ceil_nearest_rank() {
-        // Ring of 50: 1.0..=50.0. p99 rank = ceil(49.5) = 50 → 50.0;
-        // p50 rank = ceil(25.0) = 25 → 25.0.
-        let ring50: Vec<f64> = (1..=50).map(|i| i as f64).collect();
-        assert_eq!(quantiles_of(&ring50), (25.0, 50.0));
-
-        // Ring of 10: p99 rank = ceil(9.9) = 10 → 10.0; p50 rank =
-        // ceil(5.0) = 5 → 5.0 (the old estimator returned 6.0 here).
-        let ring10: Vec<f64> = (1..=10).map(|i| i as f64).collect();
-        assert_eq!(quantiles_of(&ring10), (5.0, 10.0));
-
-        // Ring of 8: p99 rank = ceil(7.92) = 8 → 8.0; p50 rank = 4.
-        let ring8: Vec<f64> = (1..=8).map(|i| i as f64).collect();
-        assert_eq!(quantiles_of(&ring8), (4.0, 8.0));
-
-        // Ring of 67: p99 rank = ceil(66.33) = 67 → 67.0 — the case the
-        // old estimator under-reported (rank 66 → 66.0); p50 rank = 34.
-        let ring67: Vec<f64> = (1..=67).map(|i| i as f64).collect();
-        assert_eq!(quantiles_of(&ring67), (34.0, 67.0));
-
-        // Singleton and empty edge cases.
-        assert_eq!(quantiles_of(&[7.25]), (7.25, 7.25));
-        assert_eq!(quantiles_of(&[]), (0.0, 0.0));
-
-        // Order of arrival must not matter (the ring is sorted on read).
-        let mut shuffled = ring10.clone();
-        shuffled.reverse();
-        shuffled.swap(2, 7);
-        assert_eq!(quantiles_of(&shuffled), (5.0, 10.0));
-    }
-}
-
-/// A deliberately tiny blocking HTTP/1.1 client — one connection per
-/// request, `Connection: close` — for the integration tests, the
-/// benchmark's network-overhead measurement, and the example. Not a
-/// general client.
-pub mod client {
-    use std::io::{Read, Write};
-    use std::net::{SocketAddr, TcpStream};
-    use std::time::Duration;
-
-    /// A parsed response.
-    #[derive(Debug, Clone)]
-    pub struct HttpResponse {
-        pub status: u16,
-        pub headers: Vec<(String, String)>,
-        pub body: String,
-    }
-
-    impl HttpResponse {
-        /// Case-insensitive header lookup.
-        pub fn header(&self, name: &str) -> Option<&str> {
-            self.headers
-                .iter()
-                .find(|(n, _)| n.eq_ignore_ascii_case(name))
-                .map(|(_, v)| v.as_str())
-        }
-    }
-
-    /// `GET` a path.
-    pub fn get(addr: SocketAddr, path: &str) -> std::io::Result<HttpResponse> {
-        request(addr, "GET", path, None)
-    }
-
-    /// `POST` a JSON body.
-    pub fn post_json(addr: SocketAddr, path: &str, body: &str) -> std::io::Result<HttpResponse> {
-        request(addr, "POST", path, Some(body))
-    }
-
-    /// `POST` to a streaming route (`/v2/recover/stream`), invoking
-    /// `on_line` for each NDJSON event line **as it arrives** — before
-    /// the stream completes — so callers can timestamp the first step.
-    /// The returned body is the de-chunked NDJSON text; non-chunked
-    /// (error) responses return as-is without calling `on_line`.
-    pub fn post_stream(
-        addr: SocketAddr,
-        path: &str,
-        body: &str,
-        mut on_line: impl FnMut(&str),
-    ) -> std::io::Result<HttpResponse> {
-        let err = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
-        let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(5))?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-        let req = format!(
-            "POST {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len(),
-        );
-        stream.write_all(req.as_bytes())?;
-
-        let mut buf: Vec<u8> = Vec::new();
-        let header_end = loop {
-            if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-                break pos;
-            }
-            if read_more(&mut stream, &mut buf)? == 0 {
-                return Err(err("connection closed before response headers"));
-            }
-        };
-        let (status, headers) = parse_head(&buf[..header_end])?;
-        let chunked = headers.iter().any(|(n, v)| {
-            n.eq_ignore_ascii_case("transfer-encoding")
-                && v.to_ascii_lowercase().contains("chunked")
-        });
-        let mut rest: Vec<u8> = buf.split_off(header_end + 4);
-        if !chunked {
-            while read_more(&mut stream, &mut rest)? != 0 {}
-            let body = String::from_utf8(rest).map_err(|_| err("non-UTF-8 body"))?;
-            return Ok(HttpResponse {
-                status,
-                headers,
-                body,
-            });
-        }
-        let mut body_out = String::new();
-        let mut pending = String::new();
-        loop {
-            let size_end = loop {
-                if let Some(pos) = rest.windows(2).position(|w| w == b"\r\n") {
-                    break pos;
-                }
-                if read_more(&mut stream, &mut rest)? == 0 {
-                    return Err(err("connection closed mid chunk-size line"));
-                }
-            };
-            let size_str = std::str::from_utf8(&rest[..size_end])
-                .map_err(|_| err("non-UTF-8 chunk-size line"))?;
-            let size =
-                usize::from_str_radix(size_str.split(';').next().unwrap_or_default().trim(), 16)
-                    .map_err(|_| err("malformed chunk size"))?;
-            rest.drain(..size_end + 2);
-            if size == 0 {
-                break;
-            }
-            while rest.len() < size + 2 {
-                if read_more(&mut stream, &mut rest)? == 0 {
-                    return Err(err("connection closed mid chunk"));
-                }
-            }
-            pending
-                .push_str(std::str::from_utf8(&rest[..size]).map_err(|_| err("non-UTF-8 chunk"))?);
-            rest.drain(..size + 2);
-            while let Some(nl) = pending.find('\n') {
-                let line: String = pending.drain(..=nl).collect();
-                let line = line.trim_end();
-                if !line.is_empty() {
-                    on_line(line);
-                    body_out.push_str(line);
-                    body_out.push('\n');
-                }
-            }
-        }
-        Ok(HttpResponse {
-            status,
-            headers,
-            body: body_out,
-        })
-    }
-
-    fn read_more(stream: &mut TcpStream, buf: &mut Vec<u8>) -> std::io::Result<usize> {
-        let mut tmp = [0u8; 4096];
-        loop {
-            match stream.read(&mut tmp) {
-                Ok(n) => {
-                    buf.extend_from_slice(&tmp[..n]);
-                    return Ok(n);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Issue one request on a fresh connection.
-    pub fn request(
-        addr: SocketAddr,
-        method: &str,
-        path: &str,
-        body: Option<&str>,
-    ) -> std::io::Result<HttpResponse> {
-        let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(5))?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-        let body = body.unwrap_or("");
-        let req = format!(
-            "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len(),
-        );
-        stream.write_all(req.as_bytes())?;
-        let mut raw = Vec::new();
-        stream.read_to_end(&mut raw)?;
-        parse_response(&raw)
-    }
-
-    fn parse_head(head: &[u8]) -> std::io::Result<(u16, Vec<(String, String)>)> {
-        let err = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
-        let head = std::str::from_utf8(head).map_err(|_| err("non-UTF-8 headers"))?;
-        let mut lines = head.split("\r\n");
-        let status_line = lines.next().ok_or_else(|| err("empty response"))?;
-        let status = status_line
-            .split(' ')
-            .nth(1)
-            .and_then(|s| s.parse::<u16>().ok())
-            .ok_or_else(|| err("malformed status line"))?;
-        let headers = lines
-            .filter_map(|l| l.split_once(':'))
-            .map(|(n, v)| (n.trim().to_string(), v.trim().to_string()))
-            .collect();
-        Ok((status, headers))
-    }
-
-    /// Decode an HTTP/1.1 chunked body captured in full.
-    fn decode_chunked(mut raw: &[u8]) -> std::io::Result<Vec<u8>> {
-        let err = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
-        let mut out = Vec::new();
-        loop {
-            let size_end = raw
-                .windows(2)
-                .position(|w| w == b"\r\n")
-                .ok_or_else(|| err("truncated chunk-size line"))?;
-            let size_str =
-                std::str::from_utf8(&raw[..size_end]).map_err(|_| err("non-UTF-8 chunk size"))?;
-            let size =
-                usize::from_str_radix(size_str.split(';').next().unwrap_or_default().trim(), 16)
-                    .map_err(|_| err("malformed chunk size"))?;
-            raw = &raw[size_end + 2..];
-            if size == 0 {
-                return Ok(out);
-            }
-            if raw.len() < size + 2 {
-                return Err(err("truncated chunk"));
-            }
-            out.extend_from_slice(&raw[..size]);
-            raw = &raw[size + 2..];
-        }
-    }
-
-    fn parse_response(raw: &[u8]) -> std::io::Result<HttpResponse> {
-        let err = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
-        let header_end = raw
-            .windows(4)
-            .position(|w| w == b"\r\n\r\n")
-            .ok_or_else(|| err("no header terminator in response"))?;
-        let (status, headers) = parse_head(&raw[..header_end])?;
-        let chunked = headers.iter().any(|(n, v): &(String, String)| {
-            n.eq_ignore_ascii_case("transfer-encoding")
-                && v.to_ascii_lowercase().contains("chunked")
-        });
-        let body_bytes = if chunked {
-            decode_chunked(&raw[header_end + 4..])?
-        } else {
-            raw[header_end + 4..].to_vec()
-        };
-        let body = String::from_utf8(body_bytes).map_err(|_| err("non-UTF-8 body"))?;
-        Ok(HttpResponse {
-            status,
-            headers,
-            body,
-        })
     }
 }

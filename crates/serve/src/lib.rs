@@ -7,7 +7,7 @@
 //! serving path on top of the same weights:
 //!
 //! * [`ServingModel`] — a trained [`rntrajrec::EndToEnd`] model validated
-//!   for **tape-free inference** (`rntrajrec_nn::infer`: plain tensor ops,
+//!   for **tape-free inference** (direct `rntrajrec_nn::kernels` calls: plain tensor ops,
 //!   no gradient bookkeeping or node allocation), with the
 //!   [`RoadEmbeddingCache`] — GridGNN grid-cell/segment embeddings
 //!   (`X_road`) precomputed once per road network — attached. Shared

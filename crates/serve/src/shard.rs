@@ -85,18 +85,16 @@ pub enum ReloadError {
 
 impl ReloadError {
     /// The HTTP status this refusal maps to on `POST /admin/reload`.
-    pub fn http_status(&self) -> (u16, &'static str) {
+    pub fn http_status(&self) -> u16 {
         match self {
             // A missing/unreadable file is the caller naming a bad path.
-            ReloadError::Artifact(ArtifactError::Io(_)) => (400, "Bad Request"),
+            ReloadError::Artifact(ArtifactError::Io(_)) => 400,
             // A corrupt or self-inconsistent artifact is an unprocessable
             // entity: syntactically delivered, semantically unusable.
-            ReloadError::Artifact(_) => (422, "Unprocessable Entity"),
+            ReloadError::Artifact(_) => 422,
             // Valid artifact, wrong target: a conflict with this shard.
-            ReloadError::WrongCity { .. } | ReloadError::NetworkMismatch { .. } => {
-                (409, "Conflict")
-            }
-            ReloadError::NotServable(_) => (422, "Unprocessable Entity"),
+            ReloadError::WrongCity { .. } | ReloadError::NetworkMismatch { .. } => 409,
+            ReloadError::NotServable(_) => 422,
         }
     }
 }

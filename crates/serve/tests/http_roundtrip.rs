@@ -845,3 +845,148 @@ fn v2_stream_deadline_yields_terminal_error_event() {
         );
     }
 }
+
+// ===== /metrics shape pin and hostile shard names ===========================
+
+use rntrajrec_serve::{CityShard, ShardRouter};
+
+/// Boot a multi-shard server: one tiny city per `(name, origin_x)`, each
+/// with one valid `/v1/recover` body for its own bounding box.
+fn boot_shards(cities: &[(&str, f64)]) -> (HttpServer, Vec<String>) {
+    let mut shards = Vec::new();
+    let mut bodies = Vec::new();
+    for &(name, origin_x) in cities {
+        let city = SyntheticCity::generate(CityConfig {
+            origin_x,
+            ..CityConfig::tiny()
+        });
+        let grid = city.net.grid(50.0);
+        let model = EndToEnd::build(&MethodSpec::RnTrajRec, &city.net, &grid, 16, 7);
+        let serving = Arc::new(ServingModel::new(model).expect("RNTrajRec serves"));
+        let s = Simulator::new(&city.net, SimConfig::default())
+            .sample(&mut StdRng::seed_from_u64(23), 8);
+        let req = RecoverRequest::from_raw(&s.raw, s.target.len(), s.depart_epoch_s);
+        bodies.push(serde_json::to_string(&req).expect("request serializes"));
+        let ctx = Arc::new(QueryContext::new(city.net, 50.0));
+        let engine = Arc::new(RecoveryEngine::start(serving, quick_engine()));
+        shards.push(CityShard::new(name, engine, ctx, None));
+    }
+    let router = Arc::new(ShardRouter::new(shards));
+    let server = HttpServer::start_router(router, ephemeral_http()).expect("bind ephemeral port");
+    (server, bodies)
+}
+
+/// Reduce an exposition document to its shape: `# HELP` / `# TYPE` lines
+/// verbatim and each sample as `name{label-keys}` — no label values, no
+/// sample values. Families keep their document order, except that the
+/// histogram families (a process-global registry, so their order and
+/// series count depend on which test touched the engine first) are
+/// sorted by name with repeated series collapsed.
+fn metrics_shape(doc: &str) -> String {
+    let mut families: Vec<Vec<String>> = Vec::new();
+    for line in doc.lines().filter(|l| !l.is_empty()) {
+        if line.starts_with("# HELP ") {
+            families.push(Vec::new());
+        }
+        let shaped = if line.starts_with('#') {
+            line.to_string()
+        } else {
+            let series = line.rsplit_once(' ').expect("sample has a value").0;
+            match series.split_once('{') {
+                None => series.to_string(),
+                Some((name, labels)) => {
+                    let keys: Vec<&str> = labels
+                        .trim_end_matches('}')
+                        .split(',')
+                        .map(|kv| kv.split_once('=').expect("label has a value").0)
+                        .collect();
+                    format!("{name}{{{}}}", keys.join(","))
+                }
+            }
+        };
+        families
+            .last_mut()
+            .expect("document starts with a HELP line")
+            .push(shaped);
+    }
+    let is_histogram = |f: &Vec<String>| f[1].ends_with(" histogram");
+    let (mut histograms, mut shape): (Vec<_>, Vec<_>) =
+        families.into_iter().partition(|f| is_histogram(f));
+    histograms.sort();
+    for mut family in histograms {
+        let mut seen = std::collections::BTreeSet::new();
+        family.retain(|l| seen.insert(l.clone()));
+        shape.push(family);
+    }
+    shape.concat().join("\n") + "\n"
+}
+
+/// The `/metrics` contract dashboards and `rnbench --trace 1` scrape:
+/// family order, names, HELP text, types and label keys are pinned
+/// against a committed expectation, so no refactor can drop, rename,
+/// retype or reorder a family silently.
+#[test]
+fn metrics_shape_matches_the_committed_expectation() {
+    let _g = lock();
+    let (server, bodies) = boot_shards(&[("alpha", 0.0), ("beta", 50_000.0)]);
+    let addr = server.local_addr();
+    let r1 = client::post_json(addr, "/v1/recover", &bodies[0]).expect("v1 roundtrip");
+    assert_eq!(r1.status, 200, "body: {}", r1.body);
+    let r2 = client::post_stream(addr, "/v2/recover/stream", &bodies[1], |_| {}).expect("stream");
+    assert_eq!(r2.status, 200, "body: {}", r2.body);
+
+    let metrics = client::get(addr, "/metrics").expect("metrics");
+    assert_eq!(metrics.status, 200);
+    let got = metrics_shape(&metrics.body);
+    for scraped_by_rnbench in [
+        "# TYPE rntrajrec_phase_seconds histogram",
+        "# TYPE rntrajrec_time_to_first_step_seconds histogram",
+        "rntrajrec_http_responses_total{class}",
+        "rntrajrec_http_shed_total{reason}",
+    ] {
+        assert!(
+            got.contains(scraped_by_rnbench),
+            "lost {scraped_by_rnbench}"
+        );
+    }
+    let want = include_str!("data/metrics_shape.txt");
+    assert!(
+        got == want,
+        "/metrics shape changed. If that is intended, list the diff in CHANGES.md and \
+         replace crates/serve/tests/data/metrics_shape.txt with:\n{got}"
+    );
+}
+
+/// Shard names and artifact provenance come from outside the program
+/// (`pack_city --city` accepts any string). They must reach `/metrics`
+/// as escaped label values and `/healthz` as escaped JSON strings — not
+/// as raw bytes that break the exposition or the JSON document.
+#[test]
+fn hostile_shard_name_is_escaped_on_metrics_and_healthz() {
+    let _g = lock();
+    let name = "po\"r\\to\n";
+    let (server, _) = boot_shards(&[(name, 0.0)]);
+    let addr = server.local_addr();
+
+    let metrics = client::get(addr, "/metrics").expect("metrics");
+    assert_eq!(metrics.status, 200);
+    let problems = rntrajrec_obs::promlint::lint(&metrics.body);
+    assert!(problems.is_empty(), "{problems:?}\n{}", metrics.body);
+    let series = metrics
+        .body
+        .lines()
+        .find(|l| l.starts_with("rntrajrec_engine_queue_depth{"))
+        .expect("per-shard series present");
+    let labels = rntrajrec_obs::promlint::sample_labels(series).expect("series parses");
+    assert_eq!(labels, vec![("city".to_string(), name.to_string())]);
+
+    let health = client::get(addr, "/healthz").expect("healthz");
+    assert_eq!(health.status, 200);
+    let doc = serde_json::from_str(&health.body)
+        .unwrap_or_else(|e| panic!("healthz is not JSON ({e}): {}", health.body));
+    let city = doc
+        .get("shards")
+        .and_then(|s| s.index(0))
+        .and_then(|s| s.get("city"));
+    assert_eq!(city.and_then(|c| c.as_str()), Some(name));
+}

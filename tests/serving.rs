@@ -13,6 +13,7 @@ use rand::SeedableRng;
 use rntrajrec_suite::rntrajrec::experiments::{ExperimentScale, Pipeline};
 use rntrajrec_suite::rntrajrec::model::{EndToEnd, MethodSpec};
 use rntrajrec_suite::rntrajrec::train::{TrainConfig, Trainer};
+use rntrajrec_suite::rntrajrec::wire::v2::Event;
 use rntrajrec_suite::rntrajrec::wire::{RecoverRequest, RecoverResponse};
 use rntrajrec_suite::rntrajrec_serve::http::client;
 use rntrajrec_suite::rntrajrec_serve::{
@@ -154,5 +155,41 @@ fn http_recover_over_tcp_matches_in_process_recovery_bitwise() {
             "HTTP recovery diverged from ServingModel::recover"
         );
     }
+
+    // One prologue, three routes: the same trip through `/v2/recover` and
+    // `/v2/recover/stream` must carry the `/v1` answer's bits.
+    let s = &pipeline.dataset.test[0];
+    let req = RecoverRequest::from_raw(&s.raw, s.target.len(), s.depart_epoch_s);
+    let body = serde_json::to_string(&req).expect("request serializes");
+    let addr = server.local_addr();
+    let v1 = client::post_json(addr, "/v1/recover", &body).expect("v1");
+    let v1 = RecoverResponse::from_json(&v1.body).expect("v1 response");
+    let v2 = client::post_json(addr, "/v2/recover", &body).expect("v2");
+    assert_eq!(v2.status, 200, "body: {}", v2.body);
+    let v2 = RecoverResponse::from_json(&v2.body).expect("v2 response");
+    assert_eq!(bits(&v2.path()), bits(&v1.path()), "/v2 diverged from /v1");
+    let stream = client::post_stream(addr, "/v2/recover/stream", &body, |_| {}).expect("stream");
+    assert_eq!(stream.status, 200, "body: {}", stream.body);
+    let last = stream.body.lines().last().expect("terminal event");
+    let Ok(Event::Summary(summary)) = Event::from_json(last) else {
+        panic!("stream did not end in a summary: {last}");
+    };
+    let streamed: Vec<_> = summary.segments.into_iter().zip(summary.rates).collect();
+    assert_eq!(
+        bits(&streamed),
+        bits(&v1.path()),
+        "stream diverged from /v1"
+    );
+
+    // The scrape operators and the benchmark read stays a valid exposition.
+    let metrics = client::get(addr, "/metrics").expect("metrics");
+    let problems = rntrajrec_obs::promlint::lint(&metrics.body);
+    assert!(problems.is_empty(), "{problems:?}\n{}", metrics.body);
+    let ok_responses = metrics
+        .body
+        .lines()
+        .find_map(|l| l.strip_prefix("rntrajrec_http_responses_total{class=\"2xx\"} "))
+        .and_then(|v| v.parse::<f64>().ok());
+    assert!(ok_responses >= Some(1.0), "2xx counter: {ok_responses:?}");
     server.shutdown();
 }
