@@ -135,7 +135,8 @@ OPTIONS:
                             0 sheds every request, none = unbounded)
     --deadline-ms N         per-request completion budget -> 503 (default 5000)
     --max-batch N           micro-batch flush size (default 8)
-    --max-delay-ms N        micro-batch flush deadline (default 2)
+    --max-delay-ms N        how long a busy engine may hold a partial micro-batch
+                            open (default 2); an idle engine flushes at once
     --workers N             engine worker threads (default 2)
     --conn-workers N        HTTP connection-handler threads (default 4)
     --max-body-bytes N      request body cap -> 413 (default 1 MiB)

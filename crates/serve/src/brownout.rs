@@ -9,8 +9,13 @@
 //! |-------|-----------------|-----------------------------------------------|
 //! | 0     | `normal`        | configured head, configured batching          |
 //! | 1     | `degraded_head` | decoder segment head → int8 quantized         |
-//! | 2     | `shrink_batch`  | + `max_batch`/2 and `max_delay`/4             |
+//! | 2     | `shrink_batch`  | + `max_batch`/2 and `max_delay`/4 (†)         |
 //! | 3     | `shed`          | + new submissions refused (`503 Retry-After`) |
+//!
+//! (†) `max_delay` is how long a *busy* engine may hold a partial batch
+//! open (an idle one flushes at once); the pressure that raises the level
+//! keeps sessions in flight, so the quartered hold is what queued
+//! requests see.
 //!
 //! Stepping **up** is immediate (pressure at the next level's watermark);
 //! stepping **down** requires the load to fall below `exit_fraction` of

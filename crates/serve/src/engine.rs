@@ -1,10 +1,16 @@
 //! The micro-batching recovery engine.
 //!
-//! Requests are appended to a shared queue; worker threads pop *batches* —
-//! a batch flushes as soon as it reaches [`EngineConfig::max_batch`]
-//! requests, or when its oldest request has waited
-//! [`EngineConfig::max_delay`] (continuous-batching style: size bounds
-//! throughput overhead, the deadline bounds tail latency at low load).
+//! Requests are appended to a shared queue; worker threads pop *batches*.
+//! The flush rule is work-conserving: while **no session is in flight**
+//! a worker takes whatever is queued at once — a lone request costs what
+//! the model costs, nothing is gained by holding it. While a session *is*
+//! in flight (the only evidence that more arrivals are coming, and that
+//! mid-decode admission may absorb them) a batch flushes as soon as it
+//! reaches [`EngineConfig::max_batch`] requests, or when its oldest
+//! request has waited [`EngineConfig::max_delay`] (size bounds scheduling
+//! overhead under load, the deadline bounds what batching may cost a
+//! request). [`EngineStats`] counts each cause on its own
+//! (`flushed_idle` / `flushed_full` / `flushed_deadline`).
 //!
 //! Each flushed batch is recovered through the **fully fused inference
 //! path** against the shared read-only [`ServingModel`]: one stacked
@@ -64,7 +70,10 @@ use crate::{BatchOptions, MemberError, ServingModel};
 pub struct EngineConfig {
     /// Flush a batch as soon as it holds this many requests.
     pub max_batch: usize,
-    /// Flush a non-empty batch once its oldest request is this old.
+    /// How long a partial batch may be held open *while the engine is
+    /// busy*: with a session in flight, a non-empty batch flushes once its
+    /// oldest request is this old. An idle engine never waits — it
+    /// flushes whatever is queued at once, whatever this is set to.
     pub max_delay: Duration,
     /// Worker threads executing batches.
     pub workers: usize,
@@ -424,8 +433,13 @@ pub struct EngineStats {
     pub batches: u64,
     /// Batches flushed because they reached `max_batch`.
     pub flushed_full: u64,
-    /// Batches flushed by the `max_delay` deadline (or shutdown drain).
+    /// Partial batches flushed because their oldest request had waited
+    /// `max_delay` (or by shutdown drain): held open behind a session in
+    /// flight, or already that old when a worker came back for them.
     pub flushed_deadline: u64,
+    /// Partial batches flushed at once because no session was in flight
+    /// (the idle-engine rule: nothing to wait for).
+    pub flushed_idle: u64,
     /// Mean requests per batch.
     pub mean_batch: f64,
     /// Mean per-request queue wait (submit → batch flush), milliseconds.
@@ -497,6 +511,7 @@ struct Counters {
     batches: AtomicU64,
     flushed_full: AtomicU64,
     flushed_deadline: AtomicU64,
+    flushed_idle: AtomicU64,
     batched_requests: AtomicU64,
     in_flight_batches: AtomicUsize,
     worker_restarts: AtomicU64,
@@ -860,6 +875,7 @@ impl RecoveryEngine {
             batches,
             flushed_full: c.flushed_full.load(Ordering::Relaxed),
             flushed_deadline: c.flushed_deadline.load(Ordering::Relaxed),
+            flushed_idle: c.flushed_idle.load(Ordering::Relaxed),
             mean_batch: if batches == 0 {
                 0.0
             } else {
@@ -1167,18 +1183,28 @@ fn take_batch(shared: &Shared) -> Option<(Vec<Pending>, Instant)> {
     // mutex; a delay models slow batch assembly.
     rntrajrec_chaos::point_infallible("engine.batch");
     let mut q = shared.queue.lock().unwrap();
-    let full = loop {
+    let cause = loop {
         let max_batch = shared.max_batch.load(Ordering::Relaxed);
         let max_delay = Duration::from_nanos(shared.max_delay_ns.load(Ordering::Relaxed));
         if q.len() >= max_batch {
-            break true; // flush on size
+            break &shared.counters.flushed_full;
         }
         let draining = shared.shutdown.load(Ordering::SeqCst);
         match q.front() {
             Some(oldest) => {
                 let age = oldest.enqueued.elapsed();
                 if draining || age >= max_delay {
-                    break false; // flush on deadline (or shutdown drain)
+                    break &shared.counters.flushed_deadline; // or shutdown drain
+                }
+                // Work-conserving: with no session in flight nothing
+                // suggests more arrivals are coming, and there is no
+                // decode for them to be admitted into — holding the batch
+                // open would only add `max_delay` to a lone request. The
+                // gauge is raised below under this same lock, so two idle
+                // workers cannot both see zero for one burst. A leaked
+                // count (crashed worker) degrades to the deadline rule.
+                if shared.counters.in_flight_batches.load(Ordering::Relaxed) == 0 {
+                    break &shared.counters.flushed_idle;
                 }
                 let (guard, _) = shared.cond.wait_timeout(q, max_delay - age).unwrap();
                 q = guard;
@@ -1194,6 +1220,12 @@ fn take_batch(shared: &Shared) -> Option<(Vec<Pending>, Instant)> {
     let max_batch = shared.max_batch.load(Ordering::Relaxed);
     let take = q.len().min(max_batch);
     let batch: Vec<Pending> = q.drain(..take).collect();
+    // The session is in flight from the moment its batch leaves the
+    // queue; `run_session` lowers the gauge when compute ends.
+    shared
+        .counters
+        .in_flight_batches
+        .fetch_add(1, Ordering::Relaxed);
     let leftovers = !q.is_empty();
     drop(q);
     if leftovers {
@@ -1202,14 +1234,7 @@ fn take_batch(shared: &Shared) -> Option<(Vec<Pending>, Instant)> {
         // behind this batch's inference.
         shared.cond.notify_one();
     }
-    if batch.len() == max_batch && full {
-        shared.counters.flushed_full.fetch_add(1, Ordering::Relaxed);
-    } else {
-        shared
-            .counters
-            .flushed_deadline
-            .fetch_add(1, Ordering::Relaxed);
-    }
+    cause.fetch_add(1, Ordering::Relaxed);
     shared.counters.batches.fetch_add(1, Ordering::Relaxed);
     shared
         .counters
@@ -1292,10 +1317,6 @@ fn run_session(shared: &Shared, slot: &WorkerSlot, batch: Vec<Pending>, taken: I
     BATCH_OCCUPANCY
         .get_or_init(rntrajrec_obs::metrics::batch_occupancy)
         .observe(batch_size as f64 / shared.base_max_batch as f64);
-    shared
-        .counters
-        .in_flight_batches
-        .fetch_add(1, Ordering::Relaxed);
 
     // Flushed members' inputs live here, stable for the whole session,
     // so the fused pass can borrow them while the member roster grows.

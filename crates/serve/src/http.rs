@@ -1,7 +1,8 @@
 //! Dependency-free HTTP/1.1 front-end over the micro-batching engine.
 //!
 //! The network layer the ROADMAP's serving milestone calls for: a
-//! [`TcpListener`] acceptor thread feeding a bounded connection queue, a
+//! [`TcpListener`] acceptor thread blocked in `accept()` (a connection is
+//! handed on the moment it arrives) feeding a bounded connection queue, a
 //! small pool of connection workers speaking enough HTTP/1.1 (persistent
 //! connections, `Content-Length` bodies) for real clients, and the wire
 //! endpoints:
@@ -72,7 +73,10 @@
 //!
 //! # Graceful drain
 //!
-//! [`HttpServer::shutdown`] stops the acceptor (no new connections),
+//! [`HttpServer::shutdown`] stops the acceptor (no new connections): it
+//! sets the shutdown flag and wakes the blocked `accept()` with one
+//! connection to the server's own address, which the acceptor drops
+//! uncounted because it checks the flag first after every accept. It then
 //! lets every connection worker finish its in-flight request, closes
 //! persistent connections at the next request boundary, and joins all
 //! threads. Engine workers drain their queue when the last engine handle
@@ -82,7 +86,7 @@
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
@@ -148,6 +152,10 @@ impl Default for HttpConfig {
 const MAX_HEADER_BYTES: usize = 8 * 1024;
 /// Socket read poll interval: bounds shutdown/idle/stall responsiveness.
 const READ_TIMEOUT: Duration = Duration::from_millis(250);
+/// Budget for [`HttpServer::drain`]'s wake connection to the acceptor.
+const WAKE_TIMEOUT: Duration = Duration::from_millis(250);
+/// Acceptor pause after an `accept()` failure that is not `EINTR`.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Ring capacity of the latency sample backing the `/metrics` quantile
 /// summary: the most recent completed recover requests.
@@ -284,7 +292,6 @@ impl HttpServer {
     pub fn start_router(router: Arc<ShardRouter>, config: HttpConfig) -> std::io::Result<Self> {
         assert!(config.connection_workers >= 1, "need at least one worker");
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let state = Arc::new(ServerState {
             router,
@@ -343,6 +350,10 @@ impl HttpServer {
     fn drain(&mut self) {
         self.state.shutdown.store(true, Ordering::SeqCst);
         if let Some(a) = self.acceptor.take() {
+            // The acceptor is blocked in `accept()`: wake it with a
+            // throw-away connection to ourselves. Failure is ignored — a
+            // listener that refuses the connect has no blocked acceptor.
+            let _ = TcpStream::connect_timeout(&wake_addr(self.local_addr), WAKE_TIMEOUT);
             let _ = a.join();
         }
         for w in self.workers.drain(..) {
@@ -357,13 +368,33 @@ impl Drop for HttpServer {
     }
 }
 
+/// Where [`HttpServer::drain`] connects to wake the acceptor: the bound
+/// address, or loopback on the bound port when bound to the wildcard
+/// (`0.0.0.0` / `::` are not connectable everywhere).
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
 fn acceptor_loop(
     listener: &TcpListener,
     conn_tx: &mpsc::SyncSender<TcpStream>,
     state: &ServerState,
 ) {
     while !state.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+        let accepted = listener.accept();
+        // Checked first after every accept: drain's wake connection (or a
+        // client racing it) is dropped before the connection counter and
+        // the chaos point see it.
+        if state.shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 state.counters.connections.fetch_add(1, Ordering::Relaxed);
                 // Chaos: an accept-time fault closes the connection
@@ -388,10 +419,12 @@ fn acceptor_loop(
                     Err(mpsc::TrySendError::Disconnected(_)) => break,
                 }
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            // A real accept failure (`EMFILE`, `ENFILE`, `ENOBUFS`) repeats
+            // at once: back off instead of spinning. The loop condition
+            // re-checks the flag, so a drain during the back-off is seen
+            // even if its wake connection could not be made.
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
     // conn_tx drops here; workers exit once the backlog is drained.

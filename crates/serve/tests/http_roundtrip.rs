@@ -5,8 +5,9 @@
 //! composition must all be unobservable in the results. Plus the
 //! admission-control and robustness paths: malformed JSON → 400 without
 //! killing the worker, oversized body → 413, saturated queue → 429,
-//! blown deadline → 503, and concurrent clients actually sharing one
-//! fused micro-batch (asserted through the kernel matmul counter).
+//! blown deadline → 503, concurrent clients actually sharing one fused
+//! micro-batch (asserted through the kernel matmul counter), and a
+//! prompt drain of the blocking acceptor.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -29,6 +30,23 @@ static SEQUENTIAL: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
     SEQUENTIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// A chaos spec armed until dropped. Chaos state is process-global too:
+/// only arm while holding [`lock`].
+struct Chaos;
+
+impl Chaos {
+    fn arm(spec: &str) -> Self {
+        rntrajrec_chaos::configure(spec, 0).expect("valid chaos spec");
+        Chaos
+    }
+}
+
+impl Drop for Chaos {
+    fn drop(&mut self) {
+        rntrajrec_chaos::disarm();
+    }
 }
 
 struct Harness {
@@ -272,10 +290,13 @@ fn concurrent_clients_share_a_fused_batch() {
     let h = boot(
         EngineConfig {
             max_batch: clients,
-            // Long flush deadline: the batch waits for all clients, so
-            // batching is deterministic rather than timing-dependent.
-            max_delay: Duration::from_secs(2),
-            workers: 1,
+            // An idle engine would flush the first arrival alone, so one
+            // of the two workers is plugged below; while it is busy the
+            // batch is held for all clients (the long deadline never
+            // fires), which makes batching deterministic rather than
+            // timing-dependent.
+            max_delay: Duration::from_secs(5),
+            workers: 2,
             threads_per_worker: 0,
             queue_capacity: None,
             ..EngineConfig::default()
@@ -284,14 +305,13 @@ fn concurrent_clients_share_a_fused_batch() {
             connection_workers: clients,
             ..ephemeral_http()
         },
-        clients,
+        clients + 1,
     );
 
-    // Reference: the same requests sequentially, one engine batch each
-    // (they flush alone only after max_delay, so use the model directly).
-    // `profile_scope` counts matmuls invoked from this thread only — the
-    // sequential reference runs inline, so the count is attributable
-    // without the old global reset dance.
+    // Reference: the same requests sequentially, straight through the
+    // model. `profile_scope` counts matmuls invoked from this thread only
+    // — the sequential reference runs inline, so the count is
+    // attributable without the old global reset dance.
     let reqs: Vec<RecoverRequest> = (0..clients).map(|i| h.request_for(i)).collect();
     let inputs: Vec<_> = reqs
         .iter()
@@ -305,6 +325,27 @@ fn concurrent_clients_share_a_fused_batch() {
         seq.matmuls > 0 && seq.flops > 0,
         "profile scope saw no work"
     );
+
+    // Plug one worker: a one-shot 500 ms stall at `engine.worker` holds
+    // the (untraced) plug request's session in flight while the clients
+    // arrive, so the other worker waits for the batch to fill.
+    let _chaos = Chaos::arm("engine.worker=delay:500@1x1");
+    let plug_input = h
+        .ctx
+        .sample_input(&h.request_for(clients))
+        .expect("valid request");
+    let plug = h
+        .engine
+        .submit(plug_input, Default::default())
+        .expect("accepts");
+    let t0 = std::time::Instant::now();
+    while h.engine.in_flight_batches() == 0 {
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "plug never went in flight"
+        );
+        std::thread::yield_now();
+    }
 
     // Batched side: the matmuls happen on the engine worker thread, so
     // count them through the span recorder — every kernel event lands on
@@ -352,6 +393,10 @@ fn concurrent_clients_share_a_fused_batch() {
          ({batched_matmuls} vs {})",
         seq.matmuls
     );
+    assert!(plug.wait().error.is_none());
+    let stats = h.engine.stats();
+    assert_eq!(stats.flushed_full, 1, "the clients' batch left on size");
+    assert_eq!(stats.admitted, 0, "nobody trickled in by admission");
 }
 
 /// A client that starts a request and stalls must get `408` and lose its
@@ -460,6 +505,63 @@ fn graceful_shutdown_stops_accepting_after_drain() {
     // The engine drains cleanly afterwards.
     assert_eq!(engine.stats().completed, 1);
     drop(engine);
+}
+
+/// The acceptor blocks in `accept()`; drain wakes it with a connection to
+/// the server's own address — loopback on the bound port when bound to
+/// the wildcard. An idle server must therefore stop within a second on
+/// either kind of bind, and the wake must stay invisible: the acceptor
+/// drops it before `rntrajrec_http_connections_total` and the
+/// `http.accept` chaos point, which move in lockstep (read here through
+/// the armed-but-never-firing point's draw count, the one instrument that
+/// outlives the server).
+#[test]
+fn idle_server_drains_promptly_and_the_wake_is_not_counted() {
+    let _g = lock();
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let _chaos = Chaos::arm("http.accept=error@0");
+        let accept_draws = || {
+            rntrajrec_chaos::snapshot()
+                .iter()
+                .find(|p| p.point == "http.accept")
+                .expect("armed point")
+                .draws
+        };
+        let h = boot(
+            quick_engine(),
+            HttpConfig {
+                addr: bind.to_string(),
+                ..HttpConfig::default()
+            },
+            0,
+        );
+        let addr = std::net::SocketAddr::from(([127, 0, 0, 1], h.addr().port()));
+        let metrics = client::get(addr, "/metrics").expect("served before drain");
+        assert!(
+            metrics
+                .body
+                .contains("rntrajrec_http_connections_total 1\n"),
+            "{bind}: the scrape is the first connection"
+        );
+        assert_eq!(
+            accept_draws(),
+            1,
+            "{bind}: counter and chaos point in lockstep"
+        );
+
+        let t0 = std::time::Instant::now();
+        h.server.shutdown();
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "{bind}: idle drain took {:?}",
+            t0.elapsed()
+        );
+        assert_eq!(accept_draws(), 1, "{bind}: the wake connection was counted");
+        assert!(
+            client::get(addr, "/healthz").is_err(),
+            "{bind}: listener must be gone after shutdown"
+        );
+    }
 }
 
 /// One traced POST must yield a complete Chrome-trace span tree at
@@ -785,22 +887,13 @@ fn v2_validation_rejects_bad_options() {
 #[test]
 fn v2_stream_deadline_yields_terminal_error_event() {
     let _g = lock();
-    let h = boot(
-        EngineConfig {
-            max_batch: 4,
-            max_delay: Duration::from_millis(40),
-            workers: 1,
-            threads_per_worker: 0,
-            queue_capacity: None,
-            ..EngineConfig::default()
-        },
-        ephemeral_http(),
-        1,
-    );
+    let h = boot(quick_engine(), ephemeral_http(), 1);
     let req = h.request_for(0);
     let body = serde_json::to_string(&req).expect("request serializes");
-    // 1 ms budget against a 40 ms batching delay: the deadline expires
-    // before (or while) the decode runs, whichever way the race falls.
+    // 1 ms budget against a session stalled 40 ms before it decodes (an
+    // idle engine flushes at once, so queueing alone would not outlast
+    // it): the deadline has expired when the cancel gate first looks.
+    let _chaos = Chaos::arm("engine.worker=delay:40@1x1");
     let v2_body = {
         let mut s = body.clone();
         s.truncate(s.len() - 1);
@@ -826,11 +919,7 @@ fn v2_stream_deadline_yields_terminal_error_event() {
             assert!(e.timed_out, "deadline failures are time failures");
             assert_eq!(e.code, 503, "would-be status is 503: {}", e.error);
         }
-        v2::Event::Summary(_) => {
-            // The tiny fixture occasionally finishes inside 1 ms; the
-            // contract still holds: exactly one terminal event.
-        }
-        v2::Event::Step(_) => panic!("stream ended without a terminal event"),
+        other => panic!("expected a terminal error event, got {other:?}"),
     }
 
     let metrics = client::get(h.addr(), "/metrics").expect("metrics");

@@ -21,7 +21,8 @@ use rntrajrec_models::{FeatureExtractor, SampleInput};
 use rntrajrec_roadnet::{CityConfig, RTree, SyntheticCity};
 use rntrajrec_serve::http::client;
 use rntrajrec_serve::{
-    EngineConfig, HttpConfig, HttpServer, QueryContext, RecoveryEngine, ServingModel, SubmitOptions,
+    EngineConfig, HttpConfig, HttpServer, QueryContext, RecoveryEngine, RecoveryHandle,
+    ServingModel, SubmitOptions,
 };
 use rntrajrec_synth::{SimConfig, Simulator, TrajSample};
 
@@ -98,6 +99,101 @@ fn eventually(budget: Duration, mut f: impl FnMut() -> bool) -> bool {
         std::thread::sleep(Duration::from_millis(5));
     }
     f()
+}
+
+/// Make `engine` *busy* for ~300 ms: arm a one-shot stall at
+/// `engine.worker`, submit `input` (the idle engine flushes it alone, at
+/// once) and return when its session is in flight. Until the stall
+/// clears, partial batches wait for size or `max_delay` — the recipe for
+/// forming a batch deterministically. Needs a second worker to form it
+/// on, and the caller's [`ChaosGuard`].
+fn plug_one_worker(engine: &RecoveryEngine, input: &SampleInput) -> RecoveryHandle {
+    rntrajrec_chaos::configure("engine.worker=delay:300@1x1", 0).expect("valid chaos spec");
+    let plug = engine
+        .submit(input.clone(), SubmitOptions::default())
+        .expect("accepts");
+    assert!(
+        eventually(Duration::from_secs(5), || engine.in_flight_batches() == 1),
+        "plug request never went in flight"
+    );
+    plug
+}
+
+/// Half two of the flush rule (half one, `idle_engine_flushes_lone_request`,
+/// is a unit test): while a session is in flight a partial batch is held
+/// open — here until it fills, long before its 5 s deadline — instead of
+/// being flushed member by member by the idle second worker.
+#[test]
+fn busy_engine_still_holds_partial_batch() {
+    let _c = ChaosGuard::unarmed();
+    let n = 4usize;
+    let (city, inputs, _) = fixture(n + 1);
+    let engine = RecoveryEngine::start(
+        serving(&city),
+        EngineConfig {
+            max_batch: n,
+            max_delay: Duration::from_secs(5),
+            ..engine_cfg(2)
+        },
+    );
+    let plug = plug_one_worker(&engine, &inputs[n]);
+    let t0 = Instant::now();
+    let handles: Vec<_> = inputs[..n]
+        .iter()
+        .map(|i| {
+            engine
+                .submit(i.clone(), SubmitOptions::default())
+                .expect("accepts")
+        })
+        .collect();
+    for h in handles {
+        let r = h
+            .wait_timeout(Duration::from_secs(10))
+            .expect("full batch must flush on size");
+        assert!(r.error.is_none(), "member failed: {:?}", r.error);
+        assert_eq!(r.batch_size, n, "the {n} requests must share one batch");
+    }
+    assert!(
+        t0.elapsed() < Duration::from_secs(4),
+        "size flush must not wait for the 5 s deadline ({:?})",
+        t0.elapsed()
+    );
+    assert!(plug.wait().error.is_none());
+    let stats = engine.stats();
+    assert_eq!(stats.batches, 2, "the plug alone, then one batch of {n}");
+    assert_eq!(stats.flushed_idle, 1, "only the plug found the engine idle");
+    assert_eq!(stats.flushed_full, 1);
+    assert_eq!(stats.flushed_deadline, 0);
+    assert_eq!(stats.admitted, 0, "nobody trickled in by admission");
+}
+
+/// ... and a partial batch that never fills leaves a busy engine on the
+/// `max_delay` deadline, counted as such.
+#[test]
+fn busy_engine_flushes_partial_batch_on_deadline() {
+    let _c = ChaosGuard::unarmed();
+    let (city, inputs, _) = fixture(2);
+    let engine = RecoveryEngine::start(
+        serving(&city),
+        EngineConfig {
+            max_batch: 64,
+            max_delay: Duration::from_millis(20),
+            ..engine_cfg(2)
+        },
+    );
+    let plug = plug_one_worker(&engine, &inputs[1]);
+    let r = engine.recover(inputs[0].clone());
+    assert!(r.error.is_none(), "member failed: {:?}", r.error);
+    assert!(
+        r.queue_wait >= Duration::from_millis(20),
+        "a busy engine holds a partial batch for max_delay ({:?})",
+        r.queue_wait
+    );
+    assert!(plug.wait().error.is_none());
+    let stats = engine.stats();
+    assert_eq!(stats.flushed_deadline, 1);
+    assert_eq!(stats.flushed_idle, 1, "only the plug found the engine idle");
+    assert_eq!(stats.flushed_full, 0);
 }
 
 #[test]
@@ -247,15 +343,18 @@ fn mixed_deadline_batch_leaves_survivors_bit_identical() {
 
     // One fused batch where members 1 and 3 are pre-expired: they are
     // compacted out at step 0 and the survivors' rows must be bitwise
-    // what they were without the cancelled neighbours.
+    // what they were without the cancelled neighbours. An idle engine
+    // would flush member 0 alone and fail the expired ones at admission,
+    // so the batch is formed behind a plugged worker and leaves on size.
     let engine = RecoveryEngine::start(
         model,
         EngineConfig {
             max_batch: 4,
-            max_delay: Duration::from_millis(200),
-            ..engine_cfg(1)
+            max_delay: Duration::from_secs(5),
+            ..engine_cfg(2)
         },
     );
+    let plug = plug_one_worker(&engine, &inputs[0]);
     let handles: Vec<_> = inputs
         .iter()
         .enumerate()
@@ -280,7 +379,10 @@ fn mixed_deadline_batch_leaves_survivors_bit_identical() {
             assert!(r.error.is_none(), "survivor {i} failed: {:?}", r.error);
             assert_eq!(r.path, want[i], "survivor {i} not bit-identical");
         }
+        assert_eq!(r.batch_size, 4, "member {i} left outside the fused batch");
     }
+    assert!(plug.wait().error.is_none());
+    assert_eq!(engine.stats().flushed_full, 1);
 }
 
 #[test]

@@ -112,8 +112,12 @@ fn main() {
         stats.completed as f64 / wall
     );
     println!(
-        "  {} micro-batches (mean size {:.2}; {} flushed full, {} by deadline)",
-        stats.batches, stats.mean_batch, stats.flushed_full, stats.flushed_deadline
+        "  {} micro-batches (mean size {:.2}; {} flushed full, {} by deadline, {} on an idle engine)",
+        stats.batches,
+        stats.mean_batch,
+        stats.flushed_full,
+        stats.flushed_deadline,
+        stats.flushed_idle
     );
 
     // Spot-check: served output == offline tape-free output, and accuracy.
