@@ -1,5 +1,9 @@
 //! Criterion micro-benchmarks for the unified `rntrajrec_nn::kernels`
-//! layer: matmul and GAT-aggregate scaling at 1/2/4 intra-op threads.
+//! layer: matmul and GAT-aggregate scaling at 1/2/4 intra-op threads, the
+//! encoder's two city-scale matmul shapes, and the sparse segment head
+//! beside the dense one at city scale (|V| = 828, d = 64, 84 allowed
+//! segments) — the sparse head exists to be cheaper than the dense head,
+//! and this is where it shows when it is not. No wall-clock assertion.
 //! Also writes machine-readable timings to `results/BENCH_kernels.json`
 //! (skipped under `cargo test`'s `--test` quick mode).
 //!
@@ -34,6 +38,16 @@ struct Fixtures {
     csr: Arc<GraphCsr>,
     alphas: Tensor,
     feats: Tensor,
+    /// City-scale encoder shapes: `[1050, 64] × [64, 64]` and `× [64, 16]`.
+    enc_a: Tensor,
+    enc_b64: Tensor,
+    enc_b16: Tensor,
+    /// City-scale segment head: `[1, 64] × [64, 828]` + bias, 84 allowed
+    /// columns (canonical mask entries).
+    head_h: Tensor,
+    head_w: Tensor,
+    head_b: Tensor,
+    head_mask: Vec<(usize, f32)>,
 }
 
 fn fixtures() -> Fixtures {
@@ -47,7 +61,20 @@ fn fixtures() -> Fixtures {
         .collect();
     let csr = Arc::new(GraphCsr::from_neighbor_lists(&lists, true));
     let e = csr.num_edges();
+    let (city_v, city_n, allowed) = (828usize, 1050usize, 84usize);
+    let head_mask = kernels::canonical_mask_entries(
+        (0..allowed)
+            .map(|i| (i * city_v / allowed, rng.gen_range(-3.0f32..0.0)))
+            .collect(),
+    );
     Fixtures {
+        enc_a: Tensor::uniform(city_n, d, 1.0, &mut rng),
+        enc_b64: Tensor::uniform(d, d, 1.0, &mut rng),
+        enc_b16: Tensor::uniform(d, 16, 1.0, &mut rng),
+        head_h: Tensor::uniform(1, d, 1.0, &mut rng),
+        head_w: Tensor::uniform(d, city_v, 1.0, &mut rng),
+        head_b: Tensor::uniform(1, city_v, 1.0, &mut rng),
+        head_mask,
         logits_a: Tensor::uniform(1, d, 1.0, &mut rng),
         logits_b: Tensor::uniform(d, v, 1.0, &mut rng),
         proj_a: Tensor::uniform(n, d, 1.0, &mut rng),
@@ -83,6 +110,10 @@ fn main() {
     let quick = std::env::args().any(|a| a == "--test" || a == "--list");
     let fx = fixtures();
     let mut c = Criterion::default();
+    let head_masks = [Some(kernels::SparseLogMask {
+        default: -30.0,
+        entries: &fx.head_mask,
+    })];
 
     let cases: Vec<Case> = vec![
         (
@@ -95,6 +126,37 @@ fn main() {
             "matmul_4096x64x64",
             Box::new(|| {
                 black_box(kernels::matmul(&fx.proj_a, &fx.proj_b));
+            }),
+        ),
+        (
+            "matmul_1050x64x64",
+            Box::new(|| {
+                black_box(kernels::matmul(&fx.enc_a, &fx.enc_b64));
+            }),
+        ),
+        (
+            "matmul_1050x64x16",
+            Box::new(|| {
+                black_box(kernels::matmul(&fx.enc_a, &fx.enc_b16));
+            }),
+        ),
+        (
+            "segment_head_dense_828v",
+            Box::new(|| {
+                let logits =
+                    kernels::add_rowvec(&kernels::matmul(&fx.head_h, &fx.head_w), &fx.head_b);
+                black_box(kernels::masked_log_softmax_rows(&logits, &head_masks));
+            }),
+        ),
+        (
+            "segment_head_sparse_828v_84",
+            Box::new(|| {
+                black_box(kernels::masked_matmul_cols(
+                    &fx.head_h,
+                    &fx.head_w,
+                    &fx.head_b,
+                    &head_masks,
+                ));
             }),
         ),
         (

@@ -178,15 +178,18 @@ impl Decoder {
     /// Sparse `(segment, log-weight)` mask entries for one decode step —
     /// `None` when masking is off or the step carries no mask. The same
     /// `ln(max(w, 1e-6))` transform as [`Decoder::mask_logw_row`], without
-    /// materialising the `[1, |V|]` row.
+    /// materialising the `[1, |V|]` row, and in the canonical form the
+    /// masked kernels require (segments ascending, the last write to a
+    /// segment wins — what `mask_logw_row`'s overwrites produce), so the
+    /// kernels never sort or dedup inside the step loop.
     fn mask_logw_entries(&self, mask: &Option<Vec<(usize, f32)>>) -> Option<Vec<(usize, f32)>> {
         match (self.config.use_mask, mask) {
-            (true, Some(entries)) => Some(
+            (true, Some(entries)) => Some(kernels::canonical_mask_entries(
                 entries
                     .iter()
                     .map(|&(seg, w)| (seg, w.max(1e-6).ln()))
                     .collect(),
-            ),
+            )),
             _ => None,
         }
     }

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use rntrajrec_geo::{BBox, GridSpec, XY};
-use rntrajrec_nn::{GraphCsr, Tensor};
+use rntrajrec_nn::{kernels, GraphCsr, Tensor};
 use rntrajrec_roadnet::{RTree, RoadNetwork, SegmentId};
 use rntrajrec_synth::{MatchedTrajectory, RawTrajectory, TimeContext, TrajSample};
 
@@ -52,7 +52,10 @@ pub struct SampleInput {
     /// via linear interpolation between the surrounding observed points
     /// (with the radius widened by half the gap chord). `None` (all-ones)
     /// when the neighbourhood is empty or the step precedes/follows every
-    /// observed point.
+    /// observed point. The extractor emits each list ascending by segment
+    /// (`kernels::SparseLogMask`'s canonical form, so a list can be handed
+    /// to a masked kernel as it is); hand-built inputs need not — the
+    /// decoder canonicalises what it is given.
     pub masks: Vec<Option<Vec<(usize, f32)>>>,
     /// Target step index of each raw input point.
     pub obs_step: Vec<usize>,
@@ -359,18 +362,19 @@ impl<'a> FeatureExtractor<'a> {
             }
         }
         let mask_at = |xy: &XY, radius_m: f64| -> Option<Vec<(usize, f32)>> {
-            let hits = self.rtree.within_radius(self.net, xy, radius_m);
+            let hits = self.rtree.within_radius_unordered(self.net, xy, radius_m);
             if hits.is_empty() {
                 return None; // keep all-ones mask rather than forbidding everything
             }
-            Some(
+            // The mask is a set of segments, kept ascending.
+            Some(kernels::canonical_mask_entries(
                 hits.iter()
                     .map(|h| {
                         let d = h.projection.dist as f32;
                         (h.seg.index(), (-(d * d) / beta2).exp().max(1e-6))
                     })
                     .collect(),
-            )
+            ))
         };
         for (i, p) in raw.points.iter().enumerate() {
             if let Some(entries) = mask_at(&p.xy, self.mask_radius_m) {

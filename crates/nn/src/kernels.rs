@@ -204,10 +204,10 @@ where
 
 // ----- matrix products -------------------------------------------------------
 
-/// The matmul inner kernel: `orow[j] += Σ_k arow[k] · b[k, col0 + j]`,
-/// register-blocked over `k` (blocks of four `a` values held in registers,
-/// one pass over the output row per block) so the output row is traversed
-/// 4× less often and four rows of `B` stream through cache together. Per
+/// The row-at-a-time matmul inner kernel: `orow[j] += Σ_k arow[k] · b[k,
+/// col0 + j]`, four `k` per pass (four `a` values held in registers, one
+/// pass over the output row per block) so the output row is traversed 4×
+/// less often and four rows of `B` stream through cache together. Per
 /// output element the floating-point work is still `+= a_k·b_kj` in
 /// ascending `k` with zero entries of `arow` skipped — one rounding step
 /// per product, in the same order as the scalar loop, so blocked and
@@ -286,9 +286,15 @@ pub(crate) fn matmul_axpy(
 }
 
 /// `A[R,K] × B[K,C]`, parallel over output rows (output columns when
-/// `R == 1`), with a register-blocked k-loop ([`matmul_axpy`]). Zero
-/// entries of `A` are skipped — per output element the accumulation is
-/// ascending over `k`, identical in every partitioning and block size.
+/// `R == 1`). The scalar backend runs [`matmul_axpy`] row by row (zero
+/// entries of `A` skipped). Under AVX2 each chunk's rows go six at a time
+/// through the register-tiled [`backend::matmul_tile`] — a 6 × 16 block of
+/// accumulators held in registers across the whole `k` loop — and the
+/// rows left over (and the `R == 1` path) through [`matmul_axpy`]. Either
+/// way every output element is one chain accumulated from 0 in ascending
+/// `k`, so a row's bits do not depend on which path, partition or thread
+/// count computed it (pinned against the row-at-a-time route by
+/// `kernel_parity.rs::matmul_tile_edges_match_row_at_a_time`).
 pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(a.cols, b.rows, "matmul: inner dimension mismatch");
     let (r, k, c) = (a.rows, a.cols, b.cols);
@@ -306,10 +312,32 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     } else {
         let min_rows = (MIN_MATMUL_WORK / (k * c).max(1)).max(1);
         par_row_chunks(&mut out.data, c, r, min_rows, |rows, dst| {
-            for (ri, i) in rows.enumerate() {
-                let arow = &a.data[i * k..(i + 1) * k];
-                let orow = &mut dst[ri * c..(ri + 1) * c];
-                matmul_axpy(bk, arow, &b.data, c, 0, orow);
+            let arows = &a.data[rows.start * k..rows.end * k];
+            let mut done = 0;
+            #[cfg(target_arch = "x86_64")]
+            if bk == backend::Backend::Avx2Fma {
+                const T: usize = backend::TILE_ROWS;
+                while done + T <= rows.len() {
+                    // SAFETY: `Avx2Fma` only ever becomes active after
+                    // runtime feature detection (see
+                    // `backend::is_supported`); the slices are exactly one
+                    // `[6, k]` / `[k, c]` / `[6, c]` tile (the kernel
+                    // asserts it), inside this chunk's own disjoint rows.
+                    unsafe {
+                        backend::matmul_tile(
+                            &arows[done * k..(done + T) * k],
+                            &b.data,
+                            k,
+                            c,
+                            &mut dst[done * c..(done + T) * c],
+                        );
+                    }
+                    done += T;
+                }
+            }
+            for i in done..rows.len() {
+                let arow = &arows[i * k..(i + 1) * k];
+                matmul_axpy(bk, arow, &b.data, c, 0, &mut dst[i * c..(i + 1) * c]);
             }
         });
     }
@@ -697,30 +725,86 @@ pub fn log_softmax_rows(a: &Tensor) -> Tensor {
     t
 }
 
-/// Sparse per-row constraint mask for [`masked_log_softmax_rows`]: the
-/// dense mask row is `default` everywhere except at the `(column,
-/// log-weight)` `entries` (a later duplicate entry wins, matching a dense
-/// build by overwrites). This is the decoder's Eq. 16 constraint mask
-/// without ever materialising the `[1, |V|]` row.
+/// Sparse per-row constraint mask: the dense mask row is `default`
+/// everywhere except at the `(column, log-weight)` `entries`. This is the
+/// decoder's Eq. 16 constraint mask without ever materialising the
+/// `[1, |V|]` row.
+///
+/// `entries` must be in **canonical form**: columns strictly ascending
+/// (hence no duplicates) and in range. [`canonical_mask_entries`] builds it
+/// from an arbitrary list with the semantics of a dense build by
+/// overwrites (the last write to a column wins); the decoder does so once
+/// per member per step, when it turns weights into log-weights. The masked
+/// kernels ([`masked_log_softmax_rows`], [`masked_matmul_cols`],
+/// [`crate::quant::QuantizedLinear::forward_masked`]) verify the form in
+/// one linear pass on the caller thread and panic otherwise — they never
+/// sort, dedup or copy the list. Ascending order is what makes the sparse
+/// head's packed log-sum-exp equal a dense sweep of the full row with the
+/// masked-out columns at exact `-∞`.
 #[derive(Clone, Copy, Debug)]
 pub struct SparseLogMask<'a> {
     /// Log-weight at every column not named by an entry.
     pub default: f32,
-    /// `(column, log-weight)` overrides; columns must be in range.
+    /// `(column, log-weight)` overrides in canonical form.
     pub entries: &'a [(usize, f32)],
+}
+
+/// Put mask entries into the canonical form [`SparseLogMask`] requires:
+/// columns strictly ascending, and where the input names a column more
+/// than once its **last** entry survives — what a dense row built by
+/// overwriting in input order would hold. Already-canonical input (what
+/// feature extraction emits) costs one linear pass.
+pub fn canonical_mask_entries(mut entries: Vec<(usize, f32)>) -> Vec<(usize, f32)> {
+    // Stable, so equal columns keep input order and `later` below really
+    // is the later write.
+    entries.sort_by_key(|&(col, _)| col);
+    entries.dedup_by(|later, kept| {
+        let same = later.0 == kept.0;
+        if same {
+            *kept = *later;
+        }
+        same
+    });
+    entries
+}
+
+/// Verify every mask of a masked kernel on the caller thread — canonical
+/// form and column range, so no pool chunk can panic on it — and return
+/// the number of head columns the sparse kernels will compute (a row
+/// without a usable mask computes all `c`).
+pub(crate) fn check_masks(kernel: &str, masks: &[Option<SparseLogMask<'_>>], c: usize) -> u64 {
+    let mut computed = 0u64;
+    for mask in masks {
+        match mask {
+            Some(m) if !m.entries.is_empty() => {
+                assert!(
+                    m.entries.windows(2).all(|w| w[0].0 < w[1].0),
+                    "{kernel}: mask entries must be strictly ascending by column \
+                     (build them with canonical_mask_entries)"
+                );
+                let last = m.entries[m.entries.len() - 1].0;
+                assert!(last < c, "{kernel}: column {last} out of {c}");
+                computed += m.entries.len() as u64;
+            }
+            _ => computed += c as u64,
+        }
+    }
+    computed
 }
 
 /// Fused constraint-mask add + row-wise stable log-softmax (the decoder's
 /// Eq. 16 epilogue): one kernel instead of the mask build, `add`, and
 /// `log_softmax_rows` sequence, with no intermediate tensors. Rows with a
 /// mask compute `log_softmax(x + mask)`; rows with `None` are a plain
-/// copy + log-softmax. The per-element arithmetic
+/// copy + log-softmax. Mask entries must be in [`SparseLogMask`]'s
+/// canonical form (verified up front). The per-element arithmetic
 /// (`x + m`, max fold, `Σ exp(x − max)`, `ln + max`, subtract) is exactly
 /// the composed route's, so results are bit-identical to
 /// `log_softmax_rows(add(x, mask))` — parallel over row ranges.
 pub fn masked_log_softmax_rows(a: &Tensor, masks: &[Option<SparseLogMask<'_>>]) -> Tensor {
     let (r, c) = a.shape();
     assert_eq!(masks.len(), r, "masked_log_softmax_rows: one mask per row");
+    check_masks("masked_log_softmax_rows", masks, c);
     let mut out = Tensor::zeros(r, c);
     if c == 0 {
         return out;
@@ -750,14 +834,6 @@ pub fn masked_log_softmax_rows(a: &Tensor, masks: &[Option<SparseLogMask<'_>>]) 
     out
 }
 
-/// Is entry `p` of `entries` overridden by a later entry naming the same
-/// column? (A dense mask built by overwrites keeps the *last* write.)
-#[inline]
-pub(crate) fn entry_is_overridden(entries: &[(usize, f32)], p: usize) -> bool {
-    let col = entries[p].0;
-    entries[p + 1..].iter().any(|&(q, _)| q == col)
-}
-
 /// Strided column dot `Σ_k arow[k] · b[k·stride + col]` with exactly the
 /// per-element chain of the dense matmul under `bk` (scalar: ascending
 /// `k`, zero entries of `arow` skipped; AVX2: ascending-`k` FMA, no
@@ -780,6 +856,36 @@ fn col_dot(bk: backend::Backend, arow: &[f32], b: &[f32], stride: usize, col: us
     acc
 }
 
+/// [`backend::DOT_LANES`] column dots at once: lane `l` is exactly
+/// [`col_dot`]'s chain for `cols[l]` under `bk`, but the lanes are
+/// independent accumulators, so their multiply-add latencies overlap
+/// instead of one dependent chain per column running alone.
+#[inline]
+fn col_dots(
+    bk: backend::Backend,
+    arow: &[f32],
+    b: &[f32],
+    stride: usize,
+    cols: &[usize; backend::DOT_LANES],
+) -> [f32; backend::DOT_LANES] {
+    #[cfg(target_arch = "x86_64")]
+    if bk == backend::Backend::Avx2Fma {
+        // SAFETY: `Avx2Fma` is only active after runtime detection.
+        return unsafe { backend::dot_cols(arow, b, stride, cols) };
+    }
+    let _ = bk;
+    let mut acc = [0.0f32; backend::DOT_LANES];
+    for (&av, brow) in arow.iter().zip(b.chunks_exact(stride)) {
+        if av == 0.0 {
+            continue;
+        }
+        for (o, &col) in acc.iter_mut().zip(cols) {
+            *o += av * brow[col];
+        }
+    }
+    acc
+}
+
 /// The sparse-aware decoder segment head (Eq. 15–16 fused): for each row
 /// `i` of `a[R,K]`, compute `log_softmax(a_i · B + bias + mask_i)` —
 /// but for rows whose constraint mask names allowed columns, compute
@@ -790,8 +896,10 @@ fn col_dot(bk: backend::Backend, arow: &[f32], b: &[f32], stride: usize, col: us
 /// mask support instead of `C = |V|`.
 ///
 /// Per computed column the logit arithmetic is exactly the dense route's
-/// (`(dot + bias) + log-weight`, see [`col_dot`]), and duplicate mask
-/// entries resolve last-write-wins like a dense build by overwrites.
+/// (`(dot + bias) + log-weight`, see [`col_dot`]; the dots run
+/// [`backend::DOT_LANES`] columns at a time through [`col_dots`]), and
+/// the mask entries are taken as given — they must be in the canonical
+/// form [`SparseLogMask`] documents, which is verified up front.
 /// What differs from the soft dense route *by design* is the normaliser:
 /// the dense route's log-sum-exp includes the `e^{x + default}` leakage
 /// of every masked-out column, while this kernel treats masked-out
@@ -820,23 +928,10 @@ pub fn masked_matmul_cols(
         "masked_matmul_cols: bias must be [1,C]"
     );
     assert_eq!(masks.len(), r, "masked_matmul_cols: one mask per row");
-    // Validate mask columns and count the columns actually computed, up
-    // front on the caller thread: exact FLOP attribution and no panics
-    // inside pool chunks.
-    let mut computed = 0u64;
-    for mask in masks {
-        match mask {
-            Some(m) if !m.entries.is_empty() => {
-                for (p, &(col, _)) in m.entries.iter().enumerate() {
-                    assert!(col < c, "masked_matmul_cols: column {col} out of {c}");
-                    if !entry_is_overridden(m.entries, p) {
-                        computed += 1;
-                    }
-                }
-            }
-            _ => computed += c as u64,
-        }
-    }
+    // Verify the masks and count the columns actually computed, up front
+    // on the caller thread: exact FLOP attribution and no panics inside
+    // pool chunks.
+    let computed = check_masks("masked_matmul_cols", masks, c);
     note_matmul(2 * k as u64 * computed);
     let bk = backend::active();
     let mut out = Tensor::zeros(r, c);
@@ -846,32 +941,31 @@ pub fn masked_matmul_cols(
     let min_rows = (MIN_MATMUL_WORK / (k * c).max(1)).max(1);
     par_row_chunks(&mut out.data, c, r, min_rows, |rows, dst| {
         let mut scratch: Vec<f32> = Vec::new();
-        let mut cols: Vec<(usize, f32)> = Vec::new();
         for (ri, i) in rows.enumerate() {
             let arow = &a.data[i * k..(i + 1) * k];
             let row = &mut dst[ri * c..(ri + 1) * c];
             match masks[i] {
                 Some(mask) if !mask.entries.is_empty() => {
-                    // Sparse path: effective entries (last write wins),
-                    // in ascending column order — the canonical order
-                    // makes the packed log-sum-exp below identical to a
-                    // dense route sweeping the full row with masked-out
-                    // columns at exact `-∞` (adding `e^{-∞} = 0` terms
-                    // never perturbs the sum).
-                    cols.clear();
-                    for (p, &(col, lw)) in mask.entries.iter().enumerate() {
-                        if !entry_is_overridden(mask.entries, p) {
-                            cols.push((col, lw));
+                    // Sparse path, in the entries' canonical ascending
+                    // column order — which makes the packed log-sum-exp
+                    // below identical to a dense route sweeping the full
+                    // row with masked-out columns at exact `-∞` (adding
+                    // `e^{-∞} = 0` terms never perturbs the sum).
+                    scratch.clear();
+                    let mut lanes = mask.entries.chunks_exact(backend::DOT_LANES);
+                    for chunk in &mut lanes {
+                        let cols = std::array::from_fn(|l| chunk[l].0);
+                        let dots = col_dots(bk, arow, &b.data, c, &cols);
+                        for (&(col, lw), dot) in chunk.iter().zip(dots) {
+                            scratch.push(dot + bias.data[col] + lw);
                         }
                     }
-                    cols.sort_unstable_by_key(|&(col, _)| col);
-                    scratch.clear();
-                    for &(col, lw) in &cols {
+                    for &(col, lw) in lanes.remainder() {
                         scratch.push(col_dot(bk, arow, &b.data, c, col) + bias.data[col] + lw);
                     }
                     log_softmax_slice(bk, &mut scratch);
                     row.fill(f32::NEG_INFINITY);
-                    for (&(col, _), &x) in cols.iter().zip(&scratch) {
+                    for (&(col, _), &x) in mask.entries.iter().zip(&scratch) {
                         row[col] = x;
                     }
                 }
@@ -1532,10 +1626,17 @@ pub fn segmented_norm_apply(
             let invrow = &inv_std.data[m * c..(m + 1) * c];
             let src = &x.data[i * c..(i + 1) * c];
             let drow = &mut dst[ri * c..(ri + 1) * c];
-            for (k, (d, &xv)) in drow.iter_mut().zip(src).enumerate() {
-                let centered = xv + (-murow[k]); // scale(μ, −1): −x ≡ x·(−1) bitwise
-                let norm = centered * invrow[k];
-                *d = norm * gamma.data[k] + beta.data[k];
+            // Zipped slices, not indices: without bounds checks in the
+            // body the loop vectorises (same ops, one rounding each).
+            for (((d, &xv), (&mu_k, &inv_k)), (&g, &b)) in drow
+                .iter_mut()
+                .zip(src)
+                .zip(murow.iter().zip(invrow))
+                .zip(gamma.data.iter().zip(&beta.data))
+            {
+                let centered = xv + (-mu_k); // scale(μ, −1): −x ≡ x·(−1) bitwise
+                let norm = centered * inv_k;
+                *d = norm * g + b;
             }
         }
     });
@@ -1870,11 +1971,16 @@ mod tests {
     #[test]
     fn masked_log_softmax_matches_composed_route() {
         let x = t(4, 12, 30);
-        // Row 0: no mask; row 1: sparse mask; row 2: duplicate entries
-        // (later wins); row 3: empty entry list (pure default fill).
-        let e1 = [(3usize, -0.5f32), (7, 0.25)];
-        let e2 = [(5usize, -1.0f32), (5, 0.75)];
-        let e3: [(usize, f32); 0] = [];
+        // Row 0: no mask; row 1: sparse mask, unsorted; row 2: duplicate
+        // entries (later wins); row 3: empty entry list (pure default
+        // fill). The kernel sees the canonical form, the reference the
+        // raw lists.
+        let raw1 = [(7usize, 0.25f32), (3, -0.5)];
+        let raw2 = [(5usize, -1.0f32), (5, 0.75)];
+        let e1 = canonical_mask_entries(raw1.to_vec());
+        let e2 = canonical_mask_entries(raw2.to_vec());
+        assert_eq!(e1, [(3, -0.5), (7, 0.25)]);
+        assert_eq!(e2, [(5, 0.75)]);
         let masks = [
             None,
             Some(SparseLogMask {
@@ -1887,17 +1993,18 @@ mod tests {
             }),
             Some(SparseLogMask {
                 default: -2.0,
-                entries: &e3,
+                entries: &[],
             }),
         ];
+        let raws: [&[(usize, f32)]; 4] = [&[], &raw1, &raw2, &[]];
         // Composed reference: dense mask built by overwrites, add, then
         // log-softmax.
         let mut want = Tensor::zeros(4, 12);
-        for (r, mask) in masks.iter().enumerate() {
+        for (r, (mask, raw)) in masks.iter().zip(raws).enumerate() {
             let mut row: Vec<f32> = x.row_slice(r).to_vec();
             if let Some(m) = mask {
                 let mut dense = vec![m.default; 12];
-                for &(col, lw) in m.entries {
+                for &(col, lw) in raw {
                     dense[col] = lw;
                 }
                 for (v, d) in row.iter_mut().zip(dense) {
@@ -2134,20 +2241,19 @@ mod tests {
         assert_eq!(ok.row_slice(1), table.row_slice(0));
     }
 
-    /// Build the sparse head's reference per masked row: gather the dense
-    /// logits at the effective (last-write-wins) entries in kept order,
-    /// log-softmax over that slice alone, scatter into a `-∞` row.
+    /// Build the sparse head's reference per masked row from the *raw*
+    /// entries: a dense row of log-weights built by overwrites, the dense
+    /// logits gathered at its set columns in ascending order, log-softmax
+    /// over that slice alone, scattered into a `-∞` row.
     fn sparse_head_row_ref(dense_logits: &[f32], entries: &[(usize, f32)], c: usize) -> Vec<f32> {
-        let mut kept: Vec<(usize, f32)> = Vec::new();
-        for (p, &(col, lw)) in entries.iter().enumerate() {
-            if !entry_is_overridden(entries, p) {
-                kept.push((col, lw));
-            }
+        let mut logw: Vec<Option<f32>> = vec![None; c];
+        for &(col, lw) in entries {
+            logw[col] = Some(lw);
         }
-        kept.sort_unstable_by_key(|&(col, _)| col);
-        let (kept_cols, vals): (Vec<usize>, Vec<f32>) = kept
-            .into_iter()
-            .map(|(col, lw)| (col, dense_logits[col] + lw))
+        let (kept_cols, vals): (Vec<usize>, Vec<f32>) = logw
+            .iter()
+            .enumerate()
+            .filter_map(|(col, lw)| lw.map(|lw| (col, dense_logits[col] + lw)))
             .unzip();
         let lsm = log_softmax_rows(&Tensor::row(vals));
         let mut row = vec![f32::NEG_INFINITY; c];
@@ -2167,12 +2273,13 @@ mod tests {
             // duplicate column (later wins); row 2: empty entries (dense
             // fallback with default); row 3: single allowed column.
             let e1 = [(3usize, -0.5f32), (7, 0.25), (3, 0.1), (11, -1.0)];
+            let c1 = canonical_mask_entries(e1.to_vec());
             let e3 = [(0usize, 0.5f32)];
             let masks = [
                 None,
                 Some(SparseLogMask {
                     default: -30.0,
-                    entries: &e1,
+                    entries: &c1,
                 }),
                 Some(SparseLogMask {
                     default: -2.0,

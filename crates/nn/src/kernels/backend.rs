@@ -192,6 +192,7 @@ pub fn with_backend<R>(b: Backend, f: impl FnOnce() -> R) -> R {
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
+    use super::DOT_LANES;
     use core::arch::x86_64::*;
 
     /// Horizontal sum of the 8 lanes, fixed reduction tree:
@@ -236,11 +237,82 @@ mod avx2 {
         }
     }
 
+    /// Rows of the register tile [`matmul_tile`] computes at once.
+    pub const TILE_ROWS: usize = 6;
+
+    /// The register-tiled matmul micro-kernel: `out[6, c] = a[6, k] × b[k, c]`
+    /// (all row-major, dense). Output columns go 16 at a time — a 6 × 16
+    /// tile is 12 accumulator registers, held across the **whole** `k`
+    /// loop, plus two `b` vectors and one broadcast, so each step of `k`
+    /// costs 2 loads + 6 broadcasts for 12 FMAs and the output is stored
+    /// once — then one 8-wide block, then `mul_add` columns. Every output
+    /// element is the chain `fma(a[r,k], b[k,j], ·)` from 0 in ascending
+    /// `k`, exactly [`matmul_axpy`]'s, so a row computed here and a row
+    /// computed there agree bit for bit (vector-lane FMA and `mul_add`
+    /// round identically).
+    ///
+    /// # Safety
+    /// AVX2 and FMA must be available. The length asserts below make every
+    /// pointer offset in the body in-bounds.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn matmul_tile(a: &[f32], b: &[f32], k: usize, c: usize, out: &mut [f32]) {
+        assert_eq!(a.len(), TILE_ROWS * k, "matmul_tile: a must be [6,k]");
+        assert_eq!(b.len(), k * c, "matmul_tile: b must be [k,c]");
+        assert_eq!(out.len(), TILE_ROWS * c, "matmul_tile: out must be [6,c]");
+        let (ap, bp, op) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
+        let mut j = 0;
+        while j + 16 <= c {
+            let mut acc = [[_mm256_setzero_ps(); 2]; TILE_ROWS];
+            for kk in 0..k {
+                let b0 = _mm256_loadu_ps(bp.add(kk * c + j));
+                let b1 = _mm256_loadu_ps(bp.add(kk * c + j + 8));
+                for (r, [lo, hi]) in acc.iter_mut().enumerate() {
+                    let av = _mm256_broadcast_ss(&*ap.add(r * k + kk));
+                    *lo = _mm256_fmadd_ps(av, b0, *lo);
+                    *hi = _mm256_fmadd_ps(av, b1, *hi);
+                }
+            }
+            for (r, [lo, hi]) in acc.iter().enumerate() {
+                _mm256_storeu_ps(op.add(r * c + j), *lo);
+                _mm256_storeu_ps(op.add(r * c + j + 8), *hi);
+            }
+            j += 16;
+        }
+        if j + 8 <= c {
+            let mut acc = [_mm256_setzero_ps(); TILE_ROWS];
+            for kk in 0..k {
+                let b0 = _mm256_loadu_ps(bp.add(kk * c + j));
+                for (r, o) in acc.iter_mut().enumerate() {
+                    let av = _mm256_broadcast_ss(&*ap.add(r * k + kk));
+                    *o = _mm256_fmadd_ps(av, b0, *o);
+                }
+            }
+            for (r, o) in acc.iter().enumerate() {
+                _mm256_storeu_ps(op.add(r * c + j), *o);
+            }
+            j += 8;
+        }
+        while j < c {
+            let mut acc = [0.0f32; TILE_ROWS];
+            for kk in 0..k {
+                let bv = *bp.add(kk * c + j);
+                for (r, o) in acc.iter_mut().enumerate() {
+                    *o = (*ap.add(r * k + kk)).mul_add(bv, *o);
+                }
+            }
+            for (r, o) in acc.iter().enumerate() {
+                *op.add(r * c + j) = *o;
+            }
+            j += 1;
+        }
+    }
+
     /// The AVX2 twin of the scalar `matmul_axpy` inner kernel:
     /// `orow[j] = Σ_k fma(arow[k], b[k, col0 + j], ·)` in ascending `k`,
-    /// 4-blocked over `k` for cache reuse of `orow`. No zero-skip — with
-    /// FMA a zero weight contributes exactly nothing, and skipping would
-    /// make the chain data-dependent for no gain.
+    /// one row at a time with four `k` per pass over `orow` (the `[1, C]`
+    /// column-partitioned path and the rows a [`matmul_tile`] leaves over).
+    /// No zero-skip — with FMA a zero weight contributes exactly nothing,
+    /// and skipping would make the chain data-dependent for no gain.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn matmul_axpy(
         arow: &[f32],
@@ -326,6 +398,29 @@ mod avx2 {
         for &av in arow {
             acc = av.mul_add(*b.get_unchecked(idx), acc);
             idx += stride;
+        }
+        acc
+    }
+
+    /// [`DOT_LANES`] strided column dots interleaved: lane `l` is exactly
+    /// [`dot_col`]'s chain for `cols[l]`, but the eight chains are
+    /// independent, so their FMA latencies overlap instead of serialising
+    /// one 4-cycle step per `k`.
+    ///
+    /// # Safety
+    /// AVX2 and FMA must be available (the body is bounds-checked).
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn dot_cols(
+        arow: &[f32],
+        b: &[f32],
+        stride: usize,
+        cols: &[usize; DOT_LANES],
+    ) -> [f32; DOT_LANES] {
+        let mut acc = [0.0f32; DOT_LANES];
+        for (&av, brow) in arow.iter().zip(b.chunks_exact(stride)) {
+            for (o, &col) in acc.iter_mut().zip(cols) {
+                *o = av.mul_add(brow[col], *o);
+            }
         }
         acc
     }
@@ -492,9 +587,12 @@ mod avx2 {
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) use avx2::{
-    add_in_place, axpy, dot, dot_col, dot_i8, matmul_axpy, norm_affine, scale_in_place, vmax, vsum,
-    vsumsq,
+    add_in_place, axpy, dot, dot_col, dot_cols, dot_i8, matmul_axpy, matmul_tile, norm_affine,
+    scale_in_place, vmax, vsum, vsumsq, TILE_ROWS,
 };
+
+/// Column dots the sparse segment head computes at once (both backends).
+pub(crate) const DOT_LANES: usize = 8;
 
 #[cfg(test)]
 mod tests {

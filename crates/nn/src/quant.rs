@@ -138,8 +138,10 @@ impl QuantizedLinear {
     /// logit columns (all `C` for rows without a usable mask) as int8
     /// dots, dequantize with `s_a · s_j`, add bias and the mask
     /// log-weight, and log-softmax over the allowed columns (masked-out
-    /// columns are exact `-∞`). FLOP attribution counts `2·K·(computed
-    /// columns)`, the same as the sparse float head.
+    /// columns are exact `-∞`). Mask entries must be in
+    /// [`SparseLogMask`]'s canonical form (verified on the caller thread).
+    /// FLOP attribution counts `2·K·(computed columns)`, the same as the
+    /// sparse float head.
     pub fn forward_masked(
         &self,
         a: &Tensor,
@@ -155,20 +157,7 @@ impl QuantizedLinear {
             "QuantizedLinear: bias must be [1,C]"
         );
         assert_eq!(masks.len(), r, "QuantizedLinear: one mask per row");
-        let mut computed = 0u64;
-        for mask in masks {
-            match mask {
-                Some(m) if !m.entries.is_empty() => {
-                    for (p, &(col, _)) in m.entries.iter().enumerate() {
-                        assert!(col < c, "QuantizedLinear: column {col} out of {c}");
-                        if !kernels::entry_is_overridden(m.entries, p) {
-                            computed += 1;
-                        }
-                    }
-                }
-                _ => computed += c as u64,
-            }
-        }
+        let computed = kernels::check_masks("QuantizedLinear", masks, c);
         kernels::note_matmul(2 * k as u64 * computed);
         let bk = backend::active();
         let mut out = Tensor::zeros(r, c);
@@ -181,7 +170,6 @@ impl QuantizedLinear {
         kernels::par_row_chunks(&mut out.data, c, r, min_rows, |rows, dst| {
             let mut qa = vec![0i8; k];
             let mut scratch: Vec<f32> = Vec::new();
-            let mut cols: Vec<(usize, f32)> = Vec::new();
             for (ri, i) in rows.enumerate() {
                 let arow = &a.data[i * k..(i + 1) * k];
                 let row = &mut dst[ri * c..(ri + 1) * c];
@@ -196,22 +184,15 @@ impl QuantizedLinear {
                 };
                 match masks[i] {
                     Some(mask) if !mask.entries.is_empty() => {
-                        // Same canonical ascending-column order as the
-                        // float sparse head.
-                        cols.clear();
-                        for (p, &(col, lw)) in mask.entries.iter().enumerate() {
-                            if !kernels::entry_is_overridden(mask.entries, p) {
-                                cols.push((col, lw));
-                            }
-                        }
-                        cols.sort_unstable_by_key(|&(col, _)| col);
+                        // The entries' canonical ascending-column order,
+                        // as in the float sparse head.
                         scratch.clear();
-                        for &(col, lw) in &cols {
+                        for &(col, lw) in mask.entries {
                             scratch.push((deq(bk, &qa, col) + bias.data[col]) + lw);
                         }
                         kernels::log_softmax_slice(bk, &mut scratch);
                         row.fill(f32::NEG_INFINITY);
-                        for (&(col, _), &x) in cols.iter().zip(&scratch) {
+                        for (&(col, _), &x) in mask.entries.iter().zip(&scratch) {
                             row[col] = x;
                         }
                     }
@@ -290,7 +271,7 @@ mod tests {
         let a = t(3, 16, 2);
         let w = t(16, 10, 3);
         let bias = t(1, 10, 4);
-        let e1 = [(2usize, -0.5f32), (7, 0.25), (2, 0.1)];
+        let e1 = kernels::canonical_mask_entries(vec![(2usize, -0.5f32), (7, 0.25), (2, 0.1)]);
         let masks = [
             None,
             Some(SparseLogMask {
@@ -338,7 +319,7 @@ mod tests {
         let a = t(4, 40, 5); // > 16 features: exercises the madd body + tail
         let w = t(40, 23, 6);
         let bias = t(1, 23, 7);
-        let e = [(3usize, -0.5f32), (17, 0.25), (9, -1.0)];
+        let e = kernels::canonical_mask_entries(vec![(3usize, -0.5f32), (17, 0.25), (9, -1.0)]);
         let masks = [
             None,
             Some(SparseLogMask {

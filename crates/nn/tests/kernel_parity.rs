@@ -16,7 +16,11 @@
 //! use partial-lane sums and are covered by the ULP budget in
 //! `kernels.rs::avx2_backend_is_thread_deterministic_within_ulp_of_scalar`
 //! instead). The sparse segment head (`masked_matmul_cols`) is pinned
-//! bit-identical to the dense matmul → hard-mask → log-softmax route.
+//! bit-identical to the dense matmul → hard-mask → log-softmax route, the
+//! masked kernels take their entries through `canonical_mask_entries` and
+//! are compared against dense masks built by overwriting in *raw* order,
+//! and the AVX2 register tile is pinned to the row-at-a-time chain at
+//! every tile edge (`matmul_tile_edges_match_row_at_a_time`).
 //!
 //! Each case draws random shapes (large enough that the pool actually
 //! engages), random contents, and — for the CSR graph ops — random ragged
@@ -28,6 +32,7 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 use rntrajrec_nn::kernels::backend::{self, Backend};
+use rntrajrec_nn::quant::QuantizedLinear;
 use rntrajrec_nn::{kernels, pool, GraphCsr, NodeId, ParamStore, Tape, Tensor};
 
 /// A labelled parity case: (name, tape reference, tape-free recompute).
@@ -72,6 +77,87 @@ fn random_csr(rng: &mut StdRng, n: usize, self_loops: bool) -> Arc<GraphCsr> {
         })
         .collect();
     Arc::new(GraphCsr::from_neighbor_lists(&lists, self_loops))
+}
+
+/// Raw per-row mask entries as a careless caller would build them:
+/// unsorted, columns repeated. `None` rows carry no mask.
+type RawMasks = Vec<Option<Vec<(usize, f32)>>>;
+
+fn random_raw_masks(rng: &mut StdRng, r: usize, c: usize, p_mask: f32, max_n: usize) -> RawMasks {
+    (0..r)
+        .map(|_| {
+            rng.gen::<f32>().lt(&p_mask).then(|| {
+                let n = rng.gen_range(0usize..=max_n);
+                (0..n)
+                    .map(|_| (rng.gen_range(0..c), rng.gen_range(-3.0f32..0.5)))
+                    .collect()
+            })
+        })
+        .collect()
+}
+
+/// The canonical form the masked kernels take, one list per row.
+fn canonical(raw: &RawMasks) -> RawMasks {
+    raw.iter()
+        .map(|e| e.clone().map(kernels::canonical_mask_entries))
+        .collect()
+}
+
+fn sparse_masks(entries: &RawMasks, default: f32) -> Vec<Option<kernels::SparseLogMask<'_>>> {
+    entries
+        .iter()
+        .map(|e| {
+            e.as_deref()
+                .map(|entries| kernels::SparseLogMask { default, entries })
+        })
+        .collect()
+}
+
+/// The dense route's mask: every masked row filled (`fill(entries)`) and
+/// then overwritten in **raw** entry order — the last write wins.
+fn dense_mask_by_overwrite(
+    raw: &RawMasks,
+    c: usize,
+    fill: impl Fn(&[(usize, f32)]) -> f32,
+) -> Tensor {
+    let mut dense = Tensor::zeros(raw.len(), c);
+    for (row, e) in raw.iter().enumerate() {
+        if let Some(e) = e {
+            let drow = &mut dense.data[row * c..(row + 1) * c];
+            drow.fill(fill(e));
+            for &(col, lw) in e {
+                drow[col] = lw;
+            }
+        }
+    }
+    dense
+}
+
+/// The int8 head's dense logits `dot_i32 · (s_a · s_j) + bias`, recomputed
+/// from the head's raw parts with its documented quantization (per-row
+/// symmetric scale `max|x|/127`, round, clamp).
+fn quantized_dense_logits(q: &QuantizedLinear, a: &Tensor, bias: &Tensor) -> Tensor {
+    let (k, c, qt, scales) = q.to_parts();
+    let mut out = Tensor::zeros(a.rows, c);
+    for i in 0..a.rows {
+        let arow = &a.data[i * k..(i + 1) * k];
+        let amax = arow.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
+        let s_a = if amax == 0.0 { 1.0 } else { amax / 127.0 };
+        let inv = 1.0 / s_a;
+        let qa: Vec<i32> = arow
+            .iter()
+            .map(|&x| (x * inv).round().clamp(-127.0, 127.0) as i32)
+            .collect();
+        for j in 0..c {
+            let dot: i32 = qa
+                .iter()
+                .zip(&qt[j * k..(j + 1) * k])
+                .map(|(&x, &w)| x * i32::from(w))
+                .sum();
+            out.data[i * c + j] = dot as f32 * (s_a * scales[j]) + bias.data[j];
+        }
+    }
+    out
 }
 
 /// Run `f` once per sweep entry and assert every run equals the reference
@@ -248,44 +334,21 @@ proptest! {
         }
     }
 
-    /// The fused mask+log-softmax epilogue ≡ dense mask build + `add` +
+    /// The fused mask+log-softmax epilogue over canonicalised entries ≡
+    /// dense mask build by raw-order overwrites + `add` +
     /// `log_softmax_rows`, over random sparse masks (absent rows, empty
-    /// entry lists, duplicate entries) at every thread count × backend.
+    /// entry lists, unsorted and duplicate entries) at every thread count
+    /// × backend.
     #[test]
     fn masked_log_softmax_parity(r in 1usize..40, c in 1usize..96, seed in 0u64..1_000_000) {
         let mut rng = StdRng::seed_from_u64(seed);
         let a = tensor(&mut rng, r, c);
-        let entries: Vec<Option<Vec<(usize, f32)>>> = (0..r)
-            .map(|_| {
-                rng.gen::<f32>().lt(&0.6).then(|| {
-                    let n = rng.gen_range(0usize..=5);
-                    (0..n)
-                        .map(|_| (rng.gen_range(0..c), rng.gen_range(-3.0f32..0.5)))
-                        .collect()
-                })
-            })
-            .collect();
-        let masks: Vec<Option<kernels::SparseLogMask>> = entries
-            .iter()
-            .map(|e| {
-                e.as_deref().map(|entries| kernels::SparseLogMask {
-                    default: -30.0,
-                    entries,
-                })
-            })
-            .collect();
+        let raw = random_raw_masks(&mut rng, r, c, 0.6, 5);
+        let entries = canonical(&raw);
+        let masks = sparse_masks(&entries, -30.0);
 
         // Composed reference: dense mask rows built by overwrites.
-        let mut mask_dense = Tensor::zeros(r, c);
-        for (row, e) in entries.iter().enumerate() {
-            if let Some(e) = e {
-                let dense = &mut mask_dense.data[row * c..(row + 1) * c];
-                dense.fill(-30.0);
-                for &(col, lw) in e {
-                    dense[col] = lw;
-                }
-            }
-        }
+        let mask_dense = dense_mask_by_overwrite(&raw, c, |_| -30.0);
         for bk in backends() {
             backend::with_backend(bk, || {
                 pool::set_num_threads(1);
@@ -297,11 +360,14 @@ proptest! {
         }
     }
 
-    /// The sparse segment head ≡ the dense route under a *hard* mask
-    /// (`-∞` on masked-out columns): matmul → `add_rowvec` → add mask →
-    /// `log_softmax_rows`, bit-identical at every thread count × backend
-    /// (the scalar leg is the pinned reference contract; AVX2 holds too
-    /// because the per-column chains match the dense kernel's).
+    /// The sparse segment heads (float and int8) over canonicalised
+    /// entries ≡ the dense route under a *hard* mask (`-∞` on masked-out
+    /// columns) built by raw-order overwrites: matmul → `add_rowvec` → add
+    /// mask → `log_softmax_rows`, bit-identical at every thread count ×
+    /// backend (the scalar leg is the pinned reference contract; AVX2
+    /// holds too because the per-column chains match the dense kernel's).
+    /// Up to 12 entries a row, so both the interleaved 8-column dots and
+    /// the one-column remainder run.
     #[test]
     fn masked_matmul_cols_equals_hard_masked_dense_route(
         r in 1usize..24, k in 1usize..32, c in 1usize..96, seed in 0u64..1_000_000,
@@ -310,38 +376,17 @@ proptest! {
         let a = tensor(&mut rng, r, k);
         let w = tensor(&mut rng, k, c);
         let bias = tensor(&mut rng, 1, c);
-        let entries: Vec<Option<Vec<(usize, f32)>>> = (0..r)
-            .map(|_| {
-                rng.gen::<f32>().lt(&0.7).then(|| {
-                    let n = rng.gen_range(0usize..=6);
-                    (0..n)
-                        .map(|_| (rng.gen_range(0..c), rng.gen_range(-3.0f32..0.5)))
-                        .collect()
-                })
-            })
-            .collect();
-        let masks: Vec<Option<kernels::SparseLogMask>> = entries
-            .iter()
-            .map(|e| {
-                e.as_deref().map(|entries| kernels::SparseLogMask {
-                    default: -2.0,
-                    entries,
-                })
-            })
-            .collect();
+        let raw = random_raw_masks(&mut rng, r, c, 0.7, 12);
+        let entries = canonical(&raw);
+        let masks = sparse_masks(&entries, -2.0);
 
         // Hard dense mask: -∞ outside the allowed set for sparse rows,
         // the soft default for empty-entry rows, 0 for maskless rows.
-        let mut mask_dense = Tensor::zeros(r, c);
-        for (row, e) in entries.iter().enumerate() {
-            if let Some(e) = e {
-                let dense = &mut mask_dense.data[row * c..(row + 1) * c];
-                dense.fill(if e.is_empty() { -2.0 } else { f32::NEG_INFINITY });
-                for &(col, lw) in e {
-                    dense[col] = lw;
-                }
-            }
-        }
+        let mask_dense = dense_mask_by_overwrite(&raw, c, |e| {
+            if e.is_empty() { -2.0 } else { f32::NEG_INFINITY }
+        });
+        let q = QuantizedLinear::from_weights(&w);
+        let q_logits = quantized_dense_logits(&q, &a, &bias);
         for bk in backends() {
             backend::with_backend(bk, || {
                 pool::set_num_threads(1);
@@ -349,6 +394,10 @@ proptest! {
                 let want = kernels::log_softmax_rows(&kernels::add(&logits, &mask_dense));
                 assert_thread_invariant("masked_matmul_cols", &want, || {
                     kernels::masked_matmul_cols(&a, &w, &bias, &masks)
+                });
+                let q_want = kernels::log_softmax_rows(&kernels::add(&q_logits, &mask_dense));
+                assert_thread_invariant("forward_masked", &q_want, || {
+                    q.forward_masked(&a, &bias, &masks)
                 });
             });
         }
@@ -589,4 +638,74 @@ fn graph_ops_match_tape_bitwise() {
 #[should_panic(expected = "shape mismatch")]
 fn add_rejects_shape_mismatch() {
     let _ = kernels::add(&seeded(2, 2, 1), &seeded(2, 3, 2));
+}
+
+/// The AVX2 register tile (6 rows × 16 / 8 / 1 columns, leftover rows one
+/// at a time) must keep every output element the one chain from 0 in
+/// ascending `k` that the row-at-a-time route computes: shapes straddle
+/// every tile edge, each row is compared bitwise against its own
+/// `[1,K]×[K,C]` product (which always takes the row-at-a-time path), at
+/// 1/2/4 threads under both backends. Passes at any commit whose chain is
+/// that one; it pins what a tile must keep.
+#[test]
+fn matmul_tile_edges_match_row_at_a_time() {
+    let mut rng = StdRng::seed_from_u64(19);
+    for bk in backends() {
+        backend::with_backend(bk, || {
+            for k in [0usize, 1, 3, 4, 5, 64] {
+                for c in [1usize, 7, 8, 9, 15, 16, 17, 33, 64] {
+                    let b = tensor(&mut rng, k, c);
+                    for r in 1usize..=14 {
+                        let a = tensor(&mut rng, r, k);
+                        pool::set_num_threads(1);
+                        let mut want = Tensor::zeros(r, c);
+                        for i in 0..r {
+                            let row = kernels::matmul(&kernels::select_rows(&a, i, 1), &b);
+                            want.data[i * c..(i + 1) * c].copy_from_slice(&row.data);
+                        }
+                        let label = format!("{} matmul [{r},{k}]x[{k},{c}]", bk.name());
+                        assert_thread_invariant(&label, &want, || kernels::matmul(&a, &b));
+                    }
+                }
+            }
+        });
+    }
+}
+
+/// A mask list that is not in canonical form is refused by every masked
+/// kernel on the caller thread, by the up-front check — before any work
+/// is counted or handed to a pool chunk.
+#[test]
+fn masked_kernels_reject_non_canonical_entries_up_front() {
+    let mut rng = StdRng::seed_from_u64(23);
+    let (r, k, c) = (64, 64, 96); // large enough that the pool would engage
+    let a = tensor(&mut rng, r, k);
+    let w = tensor(&mut rng, k, c);
+    let bias = tensor(&mut rng, 1, c);
+    let logits = tensor(&mut rng, r, c);
+    let q = QuantizedLinear::from_weights(&w);
+    let rejects = |name: &str, run: &dyn Fn() -> Tensor| {
+        let scope = kernels::profile_scope("test.reject");
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+            .expect_err("non-canonical entries must panic");
+        assert_eq!(scope.finish().matmuls, 0, "{name}: work was dispatched");
+        let msg = err.downcast_ref::<String>().expect("formatted panic");
+        assert!(
+            msg.starts_with(&format!("{name}: mask entries must be strictly ascending")),
+            "{name}: {msg}"
+        );
+    };
+    pool::set_num_threads(4);
+    for bad in [vec![(5usize, -0.5f32), (3, 0.1)], vec![(3, -0.5), (3, 0.1)]] {
+        let entries: RawMasks = (0..r).map(|_| Some(bad.clone())).collect();
+        let masks = sparse_masks(&entries, -30.0);
+        rejects("masked_log_softmax_rows", &|| {
+            kernels::masked_log_softmax_rows(&logits, &masks)
+        });
+        rejects("masked_matmul_cols", &|| {
+            kernels::masked_matmul_cols(&a, &w, &bias, &masks)
+        });
+        rejects("QuantizedLinear", &|| q.forward_masked(&a, &bias, &masks));
+    }
+    pool::set_num_threads(1);
 }

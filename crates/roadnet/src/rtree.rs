@@ -85,6 +85,20 @@ impl RTree {
     /// This is the δ-receptive-field query of the Sub-Graph Generation
     /// module (Section IV-C).
     pub fn within_radius(&self, net: &RoadNetwork, p: &XY, radius_m: f64) -> Vec<RadiusHit> {
+        let mut hits = self.within_radius_unordered(net, p, radius_m);
+        hits.sort_by(|a, b| a.projection.dist.total_cmp(&b.projection.dist));
+        hits
+    }
+
+    /// [`RTree::within_radius`] without the distance sort, for callers that
+    /// treat the hits as a set: each segment appears once, in the tree's
+    /// (deterministic) traversal order.
+    pub fn within_radius_unordered(
+        &self,
+        net: &RoadNetwork,
+        p: &XY,
+        radius_m: f64,
+    ) -> Vec<RadiusHit> {
         let mut hits = Vec::new();
         let mut stack = vec![self.root];
         while let Some(i) = stack.pop() {
@@ -108,7 +122,6 @@ impl RTree {
                 }
             }
         }
-        hits.sort_by(|a, b| a.projection.dist.total_cmp(&b.projection.dist));
         hits
     }
 
