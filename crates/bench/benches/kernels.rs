@@ -3,7 +3,9 @@
 //! encoder's two city-scale matmul shapes, and the sparse segment head
 //! beside the dense one at city scale (|V| = 828, d = 64, 84 allowed
 //! segments) — the sparse head exists to be cheaper than the dense head,
-//! and this is where it shows when it is not. No wall-clock assertion.
+//! and this is where it shows when it is not — and `tanh` at the decoder's
+//! shapes (one B = 1 attention pre-activation, a B = 32 step, the encoder's
+//! row count) under each backend. No wall-clock assertion.
 //! Also writes machine-readable timings to `results/BENCH_kernels.json`
 //! (skipped under `cargo test`'s `--test` quick mode).
 //!
@@ -20,6 +22,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use rntrajrec_bench::dump_json;
+use rntrajrec_nn::kernels::backend::{self, Backend};
 use rntrajrec_nn::{kernels, pool, GraphCsr, Tensor};
 
 /// A named benchmark routine.
@@ -48,6 +51,9 @@ struct Fixtures {
     head_w: Tensor,
     head_b: Tensor,
     head_mask: Vec<(usize, f32)>,
+    /// `tanh` operands: `[17, 64]` (one B = 1 attention pre-activation),
+    /// `[544, 64]` (a B = 32 step) and `[1050, 64]`, values in ±4.
+    tanh_in: Vec<Tensor>,
 }
 
 fn fixtures() -> Fixtures {
@@ -75,6 +81,9 @@ fn fixtures() -> Fixtures {
         head_w: Tensor::uniform(d, city_v, 1.0, &mut rng),
         head_b: Tensor::uniform(1, city_v, 1.0, &mut rng),
         head_mask,
+        tanh_in: [17, 544, city_n]
+            .map(|rows| Tensor::uniform(rows, d, 4.0, &mut rng))
+            .into(),
         logits_a: Tensor::uniform(1, d, 1.0, &mut rng),
         logits_b: Tensor::uniform(d, v, 1.0, &mut rng),
         proj_a: Tensor::uniform(n, d, 1.0, &mut rng),
@@ -115,7 +124,20 @@ fn main() {
         entries: &fx.head_mask,
     })];
 
-    let cases: Vec<Case> = vec![
+    let mut tanh_backends = vec![Backend::Scalar];
+    if backend::is_supported(Backend::Avx2Fma) {
+        tanh_backends.push(Backend::Avx2Fma);
+    }
+    let tanh_cases: Vec<(String, Backend, &Tensor)> = fx
+        .tanh_in
+        .iter()
+        .flat_map(|x| {
+            let name = |bk: Backend| format!("tanh_{}x{}_{}", x.rows, x.cols, bk.name());
+            tanh_backends.iter().map(move |&bk| (name(bk), bk, x))
+        })
+        .collect();
+
+    let mut cases: Vec<Case> = vec![
         (
             "matmul_1x64x4096",
             Box::new(|| {
@@ -172,6 +194,14 @@ fn main() {
             }),
         ),
     ];
+    for (name, bk, x) in &tanh_cases {
+        cases.push((
+            name,
+            Box::new(move || {
+                black_box(backend::with_backend(*bk, || kernels::tanh(x)));
+            }),
+        ));
+    }
 
     let mut results = Vec::new();
     let mut group = c.benchmark_group("kernels");

@@ -517,8 +517,8 @@ impl Decoder {
             // the per-member softmax/context over ragged segments.
             let gq = kernels::matmul(&h, wg);
             let segs: Vec<Range<usize>> = active.iter().map(|&i| ranges[i].clone()).collect();
-            let pre = kernels::segments_add_rowvec(&hk_all, &gq, &segs);
-            let t = kernels::tanh(&pre);
+            let mut t = kernels::segments_add_rowvec(&hk_all, &gq, &segs);
+            kernels::tanh_in_place(&mut t);
             let mu = kernels::matmul_nt(v_attn, &t);
             let lens: Vec<usize> = segs.iter().map(|s| s.len()).collect();
             let alphas = kernels::softmax_segments(&mu, &lens);

@@ -215,23 +215,28 @@ impl<'a> FeatureExtractor<'a> {
             })
             .collect();
         // Induced adjacency: E_p = (V_p × V_p) ∩ E, undirected for GAT.
-        let index_of: std::collections::HashMap<usize, usize> = nodes
+        // Each node's neighbours in ascending segment order, mapped to
+        // rows through a sorted (segment, row) slice and written straight
+        // onto the CSR edge array.
+        let mut row_by_seg: Vec<(SegmentId, usize)> = hits
             .iter()
             .enumerate()
-            .map(|(row, &seg)| (seg, row))
+            .map(|(row, h)| (h.seg, row))
             .collect();
-        let lists: Vec<Vec<usize>> = nodes
-            .iter()
-            .map(|&seg| {
-                self.net
-                    .neighbors_undirected(SegmentId(seg as u32))
-                    .into_iter()
-                    .filter_map(|n| index_of.get(&n.index()).copied())
-                    .collect()
-            })
-            .collect();
-        let csr = Arc::new(GraphCsr::from_neighbor_lists(&lists, true));
-        let true_row = true_seg.and_then(|s| index_of.get(&s.index()).copied());
+        row_by_seg.sort_unstable();
+        let row_of = |seg: SegmentId| {
+            row_by_seg
+                .binary_search_by_key(&seg, |&(s, _)| s)
+                .ok()
+                .map(|at| row_by_seg[at].1)
+        };
+        let mut adjacent = Vec::new();
+        let csr = Arc::new(GraphCsr::from_neighbor_fn(hits.len(), true, |row, out| {
+            self.net
+                .neighbors_undirected_into(hits[row].seg, &mut adjacent);
+            out.extend(adjacent.iter().filter_map(|&n| row_of(n)));
+        }));
+        let true_row = true_seg.and_then(row_of);
         SubGraph {
             nodes,
             csr,

@@ -85,11 +85,11 @@ impl GruCell {
         let r = kernels::sigmoid(&r_lin);
         let rs = kernels::mul(&r, s);
         let cat2 = kernels::concat_cols(&[&rs, x]);
-        let c_lin = kernels::add_rowvec(
+        let mut c = kernels::add_rowvec(
             &kernels::matmul(&cat2, store.value(self.wc)),
             store.value(self.bc),
         );
-        let c = kernels::tanh(&c_lin);
+        kernels::tanh_in_place(&mut c);
         let one_minus_z = kernels::add_const(&kernels::scale(&z, -1.0), 1.0);
         let keep = kernels::mul(&one_minus_z, s);
         let update = kernels::mul(&z, &c);

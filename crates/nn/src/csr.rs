@@ -17,14 +17,28 @@ impl GraphCsr {
     /// appended to its own list if absent (standard GAT practice; keeps
     /// isolated nodes well-defined under softmax).
     pub fn from_neighbor_lists(lists: &[Vec<usize>], self_loops: bool) -> Self {
-        let n = lists.len();
+        Self::from_neighbor_fn(lists.len(), self_loops, |i, out| {
+            out.extend_from_slice(&lists[i])
+        })
+    }
+
+    /// [`GraphCsr::from_neighbor_lists`] without the lists: `neighbors(i,
+    /// out)` appends node `i`'s neighbours straight onto the edge array,
+    /// for `i` in `0..n` in order.
+    pub fn from_neighbor_fn(
+        n: usize,
+        self_loops: bool,
+        mut neighbors: impl FnMut(usize, &mut Vec<usize>),
+    ) -> Self {
         let mut offsets = Vec::with_capacity(n + 1);
         let mut targets = Vec::new();
         offsets.push(0);
-        for (i, list) in lists.iter().enumerate() {
+        for i in 0..n {
+            let start = targets.len();
+            neighbors(i, &mut targets);
+            let list = &targets[start..];
             for &j in list {
                 assert!(j < n, "neighbor {j} out of range for {n} nodes");
-                targets.push(j);
             }
             if self_loops && !list.contains(&i) {
                 targets.push(i);

@@ -48,12 +48,16 @@
 //! run on pool workers. Both backends satisfy the thread-count
 //! determinism contract above; they differ from *each other* only by
 //! FMA/partial-lane rounding in the matmul family and norm statistics
-//! (the softmax family is bit-identical across backends — see
-//! `backend`'s module docs for the full contract).
+//! (the softmax family and [`tanh`] are bit-identical across backends —
+//! see `backend`'s module docs for the full contract). [`tanh`] is also
+//! host-independent: it is the in-repo [`tanhf`] transcription of
+//! fdlibm's function, eight lanes at a time under AVX2, not a call into
+//! whichever libm the machine has.
 
 #![deny(missing_docs)]
 
 pub mod backend;
+pub mod tanhf;
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -599,9 +603,22 @@ pub fn sigmoid(a: &Tensor) -> Tensor {
     unary_map(a, |x| 1.0 / (1.0 + (-x).exp()))
 }
 
-/// Element-wise hyperbolic tangent.
+/// Element-wise hyperbolic tangent: [`tanhf::tanhf`] of every element,
+/// the same bits on both backends, at any thread count and on any host.
 pub fn tanh(a: &Tensor) -> Tensor {
-    unary_map(a, |x| x.tanh())
+    let mut out = a.clone();
+    tanh_in_place(&mut out);
+    out
+}
+
+/// [`tanh`] overwriting its operand, for callers that own a temporary;
+/// parallel over flat element ranges.
+pub fn tanh_in_place(a: &mut Tensor) {
+    let bk = backend::active();
+    let n = a.data.len();
+    par_row_chunks(&mut a.data, 1, n, MIN_MAP_ELEMS, |_, dst| {
+        tanhf::tanh_slice(bk, dst)
+    });
 }
 
 /// Element-wise `max(x, 0)`.

@@ -25,7 +25,9 @@
 //!   explicitly in the `kernels` unit test
 //!   `avx2_backend_is_thread_deterministic_within_ulp_of_scalar`. The
 //!   softmax / log-softmax family keeps its scalar `exp` loop and
-//!   ascending sums, so it is bit-identical *across* backends.
+//!   ascending sums, so it is bit-identical *across* backends; so is
+//!   `tanh`, whose AVX2 lanes perform the scalar [`super::tanhf::tanhf`]'s
+//!   operations one for one, without FMA (all 2³² inputs swept).
 //!
 //! Kernels read the backend **once at entry on the caller thread** and
 //! capture it into their pool closures, so one kernel invocation never

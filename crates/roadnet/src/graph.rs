@@ -154,15 +154,18 @@ impl RoadNetwork {
     /// GAT layers of GridGNN where attention flows along connectivity
     /// regardless of travel direction.
     pub fn neighbors_undirected(&self, id: SegmentId) -> Vec<SegmentId> {
-        let mut n: Vec<SegmentId> = self
-            .out_edges(id)
-            .iter()
-            .chain(self.in_edges(id))
-            .copied()
-            .collect();
+        let mut n = Vec::new();
+        self.neighbors_undirected_into(id, &mut n);
+        n
+    }
+
+    /// [`RoadNetwork::neighbors_undirected`] into a caller-owned buffer
+    /// (cleared first), for loops that ask once per segment.
+    pub fn neighbors_undirected_into(&self, id: SegmentId, n: &mut Vec<SegmentId>) {
+        n.clear();
+        n.extend(self.out_edges(id).iter().chain(self.in_edges(id)));
         n.sort_unstable();
         n.dedup();
-        n
     }
 
     /// The static feature vector `f_road_s ∈ R^{|V|×11}` of Section IV-B:
