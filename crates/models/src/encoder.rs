@@ -11,6 +11,10 @@
 //! ([`TrajEncoder::infer_batch`]): the same forward computation evaluated
 //! with plain tensor ops (`rntrajrec_nn::kernels`), no autograd bookkeeping,
 //! stacked over a whole micro-batch (a single request is a batch of one).
+//! RNTrajRec's two entry points are one body on two executors
+//! (`rntrajrec_nn::Exec`): `encode` runs it on the tape with GraphNorm
+//! scoped to the mini-batch, `infer_batch` on `Eager` with GraphNorm
+//! scoped to each member.
 //! Input-independent work (GridGNN's `X_road`) is split out into
 //! [`TrajEncoder::precompute_road`] so a serving engine can compute it once
 //! per road network and share it read-only across requests.
@@ -20,13 +24,15 @@ use rand::rngs::StdRng;
 use crate::features::SampleInput;
 use rntrajrec_nn::{NodeId, ParamStore, Tape, Tensor};
 
-/// Encoder outputs for one trajectory.
+/// Encoder outputs for one trajectory, as handles of the executor that
+/// ran the encoder: tape nodes from [`TrajEncoder::encode`], plain tensors
+/// ([`InferOutput`]) from [`TrajEncoder::infer_batch`].
 #[derive(Debug, Clone, Copy)]
-pub struct EncoderOutput {
+pub struct EncoderOutput<H = NodeId> {
     /// `[l_τ, d]` per-point hidden states (decoder attention keys).
-    pub per_point: NodeId,
+    pub per_point: H,
     /// `[1, d]` trajectory-level state (decoder initial hidden state).
-    pub traj: NodeId,
+    pub traj: H,
 }
 
 /// Encoder outputs for a mini-batch.
@@ -37,13 +43,7 @@ pub struct BatchEncoderOutput {
 }
 
 /// Tape-free encoder outputs for one trajectory (plain tensors, no tape).
-#[derive(Debug, Clone)]
-pub struct InferOutput {
-    /// `[l_τ, d]` per-point hidden states.
-    pub per_point: Tensor,
-    /// `[1, d]` trajectory-level state.
-    pub traj: Tensor,
-}
+pub type InferOutput = EncoderOutput<Tensor>;
 
 /// A trajectory encoder ("A" in the paper's "A + Decoder" convention).
 ///

@@ -1,10 +1,17 @@
 //! GPSFormer (Section IV-F) and the complete RNTrajRec encoder.
 //!
-//! All numeric work in both the tape `encode` and the tape-free
-//! `infer_batch` paths (attention products, FFNs, pooling, GRL graph
-//! ops) executes on `rntrajrec_nn::kernels`, the workspace's single
-//! parallel compute core — see `nn`'s crate docs for the determinism
-//! contract.
+//! The encoder is **one definition run by two executors**
+//! (`rntrajrec_nn::Exec`): tape `encode` records it for training, the
+//! tape-free `infer_batch` evaluates it eagerly for serving. Either way
+//! the whole batch is stacked — every Linear / attention projection is one
+//! matmul over all members' rows — and the reductions whose scope defines
+//! the result stay scoped through the executor's segmented ops: attention
+//! and trajectory pooling per member, Eq. 6 pooling and graph readout per
+//! sub-graph, and GraphNorm statistics over the **mini-batch** in training
+//! but over **one member** in serving (Eq. 8–9 are batch statistics; a
+//! request's answer must not depend on what else shares its micro-batch).
+//! All numeric work executes on `rntrajrec_nn::kernels` — see `nn`'s
+//! crate docs for the determinism contract.
 //!
 //! Per mini-batch: GridGNN produces `X_road`; the Sub-Graph Generation
 //! features (precomputed in [`crate::features`]) select and weight rows of
@@ -26,7 +33,7 @@ use crate::grl::{GraphRefinementLayer, GrlBatchLayout, GrlConfig};
 use crate::layers::Linear;
 use crate::transformer::TransformerEncoderLayer;
 use rntrajrec_geo::GridSpec;
-use rntrajrec_nn::{kernels, Init, NodeId, ParamId, ParamStore, Tape, Tensor};
+use rntrajrec_nn::{Eager, Exec, GraphCsr, Init, ParamId, ParamStore, Tape, Tensor};
 use rntrajrec_roadnet::RoadNetwork;
 
 /// Hyper-parameters of the full RNTrajRec encoder.
@@ -123,123 +130,110 @@ impl RnTrajRecEncoder {
         }
     }
 
-    /// Tape-free twin of the `encode` path, fused over a micro-batch:
-    /// encode every member in one pass, with every member's per-point rows
-    /// stacked into a single matrix per block. Each Linear / attention
-    /// projection (input projection, q/k/v/output, FFNs, gated fusion,
-    /// GAT transforms, trajectory head) runs as **one** stacked matmul for
-    /// the whole batch instead of one call per member (or per point, for
-    /// the GRL) — while every reduction whose scope defines the result
-    /// stays per member: self-attention rows via
-    /// `kernels::segmented_self_attention`, graph readout via
-    /// `kernels::segmented_mean_rows`, the GAT pass via a block-diagonal CSR
-    /// union, and GraphNorm statistics (the reason naive cross-request
-    /// fusion would change results — Eq. 8–9 are *batch* statistics) via
-    /// `kernels::segmented_norm_stats` scoped to each member's own
-    /// sub-graphs.
-    ///
-    /// Because every fused kernel keeps the member's own accumulation
-    /// order, each member's outputs are **bit-identical** to tape `encode`
-    /// with a batch of exactly that member (the GRL's GraphNorm statistics
-    /// then cover only its own sub-graphs), regardless of batch
-    /// composition — the invariant an online service must never break,
-    /// pinned by the encoder-parity proptest in
-    /// `tests/batch_decode_parity.rs`; that stacking keeps the matmul
-    /// launch count independent of the batch size is pinned in
-    /// `crates/core/tests/fusion_gates.rs`. A single request is a batch
-    /// of one.
-    pub fn infer_batch(
-        &self,
-        store: &ParamStore,
+    /// The encoder body, stacked over `samples` (non-empty): every
+    /// member's per-point rows in one `[ΣL, d]` matrix, every point's
+    /// sub-graph in one `[Σn, d]` matrix laid out by `layout` (whose scopes
+    /// decide what GraphNorm's statistics cover). Every projection (input,
+    /// q/k/v/output, FFNs, gated fusion, GAT transforms, trajectory head)
+    /// is **one** matmul for the whole batch, so the launch count does not
+    /// depend on the batch size (pinned in
+    /// `crates/core/tests/fusion_gates.rs`), and because every scoped op
+    /// keeps the member's own accumulation order, a member's rows are
+    /// bit-identical whatever shares the stack (the encoder-parity
+    /// proptest in `tests/batch_decode_parity.rs`).
+    fn run<'s, E: Exec<'s>>(
+        &'s self,
+        ex: &mut E,
+        store: &'s ParamStore,
         samples: &[&SampleInput],
-        xroad: &Tensor,
-    ) -> Vec<InferOutput> {
-        if samples.is_empty() {
-            return Vec::new();
-        }
-        // Stacked layout: members' points concatenated in order, each
-        // point owning its sub-graph's row range of the z stack.
-        let members_graphs: Vec<Vec<(usize, Arc<rntrajrec_nn::GraphCsr>)>> = samples
-            .iter()
-            .map(|s| {
-                s.subgraphs
-                    .iter()
-                    .map(|sg| (sg.nodes.len(), Arc::clone(&sg.csr)))
-                    .collect()
-            })
-            .collect();
-        let layout = GrlBatchLayout::new(&members_graphs);
+        xroad: &E::H,
+        layout: &GrlBatchLayout,
+    ) -> Encoded<E::H> {
+        let d = self.config.dim;
         // Member row ranges of the [ΣL, d] per-point stack.
         let mut traj_segs: Vec<Range<usize>> = Vec::with_capacity(samples.len());
-        let mut off = 0usize;
+        let mut points = 0usize;
         for s in samples {
-            traj_segs.push(off..off + s.input_len());
-            off += s.input_len();
+            traj_segs.push(points..points + s.input_len());
+            points += s.input_len();
         }
 
         // Z⁽⁰⁾ and pooled inputs Ĥ⁽⁰⁾ (Eq. 6): one gather and one
         // segmented weighted mean for every point of every member.
-        let all_nodes: Vec<usize> = samples
-            .iter()
-            .flat_map(|s| s.subgraphs.iter().flat_map(|sg| sg.nodes.iter().copied()))
+        let subgraphs = || samples.iter().flat_map(|s| &s.subgraphs);
+        let all_nodes: Vec<usize> = subgraphs()
+            .flat_map(|sg| sg.nodes.iter().copied())
             .collect();
-        let all_weights: Vec<f32> = samples
-            .iter()
-            .flat_map(|s| s.subgraphs.iter().flat_map(|sg| sg.weights.iter().copied()))
+        let all_weights: Vec<f32> = subgraphs()
+            .flat_map(|sg| sg.weights.iter().copied())
             .collect();
-        let mut zs = kernels::gather_rows(xroad, &all_nodes);
-        let gp = kernels::segmented_weighted_mean_rows(&zs, &all_weights, &layout.point_segs);
-        let extras: Vec<Tensor> = samples
-            .iter()
-            .map(|s| select_columns(&s.base_feats, &[2, 3, 4]))
-            .collect();
-        let extra_refs: Vec<&Tensor> = extras.iter().collect();
-        let extra = kernels::concat_rows(&extra_refs);
-        let cat = kernels::concat_cols(&[&gp, &extra]);
-        let h0 = self.input_proj.infer(store, &cat);
+        let mut zs = ex.gather_rows(xroad, &all_nodes);
+        let gp = ex.segmented_weighted_mean_rows(&zs, &all_weights, &layout.point_segs);
+        // Concat timestamp + grid index (base_feats columns 2..5).
+        let mut extra = Vec::with_capacity(points * 3);
         // Positional encodings restart per member (Eq. 12).
-        let pes: Vec<Tensor> = samples
-            .iter()
-            .map(|s| self.pe.table(s.input_len()))
-            .collect();
-        let pe_refs: Vec<&Tensor> = pes.iter().collect();
-        let mut h = kernels::add(&h0, &kernels::concat_rows(&pe_refs));
+        let mut pe = Vec::with_capacity(points * d);
+        let mut env = Vec::with_capacity(samples.len() * 25);
+        for s in samples {
+            for r in 0..s.input_len() {
+                extra.extend_from_slice(&s.base_feats.row_slice(r)[2..5]);
+            }
+            pe.extend(self.pe.table(s.input_len()).data);
+            env.extend_from_slice(&s.env);
+        }
+        let extra = ex.constant(Tensor::from_vec(points, 3, extra));
+        let cat = ex.concat_cols(&[&gp, &extra]);
+        let h0 = self.input_proj.forward(ex, store, &cat);
+        let pe = ex.constant(Tensor::from_vec(points, d, pe));
+        let mut h = ex.add(&h0, &pe);
 
         // N GPSFormer blocks (Eq. 13), the whole batch per block.
         for (te, grl) in &self.blocks {
-            let tr = te.infer_segments(store, &h, &traj_segs);
+            let tr = te.forward(ex, store, &h, &traj_segs);
             match grl {
                 Some(grl) => {
-                    let refined = grl.infer_batch(store, &tr, &zs, &layout);
-                    h = kernels::segmented_mean_rows(&refined, &layout.point_segs);
+                    let refined = grl.forward(ex, store, &tr, &zs, layout);
+                    h = ex.segmented_mean_rows(&refined, &layout.point_segs);
                     zs = refined;
                 }
+                // w/o GRL: the transformer output feeds the next block.
                 None => h = tr,
             }
         }
 
-        // Trajectory-level vectors: member-scoped mean pool + environment,
-        // one stacked trajectory-head matmul.
-        let mean = kernels::segmented_mean_rows(&h, &traj_segs);
-        let envs: Vec<Tensor> = samples
-            .iter()
-            .map(|s| Tensor::row(s.env.to_vec()))
-            .collect();
-        let env_refs: Vec<&Tensor> = envs.iter().collect();
-        let env = kernels::concat_rows(&env_refs);
-        let traj_all = self
-            .traj_head
-            .infer(store, &kernels::concat_cols(&[&mean, &env]));
+        // Trajectory-level vectors: member-scoped mean pool + environmental
+        // context, one stacked trajectory-head matmul.
+        let mean = ex.segmented_mean_rows(&h, &traj_segs);
+        let env = ex.constant(Tensor::from_vec(samples.len(), 25, env));
+        let cat = ex.concat_cols(&[&mean, &env]);
+        let traj = self.traj_head.forward(ex, store, &cat);
 
-        traj_segs
+        let outputs = traj_segs
             .iter()
             .enumerate()
-            .map(|(i, seg)| InferOutput {
-                per_point: kernels::select_rows(&h, seg.start, seg.len()),
-                traj: kernels::select_rows(&traj_all, i, 1),
+            .map(|(i, seg)| EncoderOutput {
+                per_point: ex.select_rows(&h, seg.start, seg.len()),
+                traj: ex.select_rows(&traj, i, 1),
             })
-            .collect()
+            .collect();
+        Encoded { outputs, zs }
     }
+}
+
+/// What [`RnTrajRecEncoder::run`] hands back.
+struct Encoded<H> {
+    outputs: Vec<EncoderOutput<H>>,
+    /// The final stacked sub-graph features `Z⁽ᴺ⁾` `[Σn, d]`.
+    zs: H,
+}
+
+/// `(rows, adjacency)` of every point's sub-graph, in stack order.
+fn subgraph_shapes(samples: &[&SampleInput]) -> Vec<(usize, Arc<GraphCsr>)> {
+    samples
+        .iter()
+        .flat_map(|s| &s.subgraphs)
+        .map(|sg| (sg.nodes.len(), Arc::clone(&sg.csr)))
+        .collect()
 }
 
 impl TrajEncoder for RnTrajRecEncoder {
@@ -251,6 +245,8 @@ impl TrajEncoder for RnTrajRecEncoder {
         self.config.dim
     }
 
+    /// The body on the tape, GraphNorm scoped to the whole mini-batch
+    /// (true batch statistics), plus the tape-only auxiliary loss.
     fn encode(
         &self,
         tape: &mut Tape,
@@ -259,109 +255,30 @@ impl TrajEncoder for RnTrajRecEncoder {
         _training: bool,
         _rng: &mut StdRng,
     ) -> BatchEncoderOutput {
-        let _ = self.config.dim;
         // X_road once per batch.
         let xroad = self.gridgnn.forward(tape, store);
+        let layout = GrlBatchLayout::new(&[subgraph_shapes(batch)]);
+        let Encoded { outputs, zs } = self.run(tape, store, batch, &xroad, &layout);
 
-        // Per-sample sub-graph features Z⁽⁰⁾ and pooled inputs Ĥ⁽⁰⁾.
-        struct SampleState {
-            h: NodeId,       // [lτ, d]
-            zs: Vec<NodeId>, // per-point [n_i, d]
-        }
-        let mut states = Vec::with_capacity(batch.len());
-        for sample in batch {
-            let l = sample.input_len();
-            let mut zs = Vec::with_capacity(l);
-            let mut pooled = Vec::with_capacity(l);
-            for sg in &sample.subgraphs {
-                let z = tape.gather_rows(xroad, &sg.nodes);
-                pooled.push(tape.weighted_mean_rows(z, &sg.weights)); // Eq. (6)
-                zs.push(z);
-            }
-            let gp = tape.concat_rows(&pooled); // [lτ, d]
-                                                // Concat timestamp + grid index (base_feats columns 2..5).
-            let extra = tape.leaf(select_columns(&sample.base_feats, &[2, 3, 4]));
-            let cat = tape.concat_cols(&[gp, extra]);
-            let h0 = self.input_proj.forward(tape, store, cat);
-            let h = self.pe.add_to(tape, h0); // Eq. (12)
-            states.push(SampleState { h, zs });
-        }
-
-        // N GPSFormer blocks (Eq. 13). The GRL runs over the whole batch so
-        // GraphNorm sees true mini-batch statistics.
-        for (te, grl) in &self.blocks {
-            // Temporal: transformer per trajectory.
-            let trs: Vec<NodeId> = states
-                .iter()
-                .map(|s| te.forward(tape, store, s.h))
-                .collect();
-            match grl {
-                Some(grl) => {
-                    // Flatten (trajectory, point) pairs for the batched GRL.
-                    let mut tr_rows = Vec::new();
-                    let mut zs = Vec::new();
-                    let mut csrs = Vec::new();
-                    for (state, (&tr, sample)) in states.iter().zip(trs.iter().zip(batch.iter())) {
-                        for (i, &z) in state.zs.iter().enumerate() {
-                            tr_rows.push(tape.select_rows(tr, i, 1));
-                            zs.push(z);
-                            csrs.push(sample.subgraphs[i].csr.clone());
-                        }
-                    }
-                    let refined = grl.forward(tape, store, &tr_rows, &zs, &csrs);
-                    // Scatter back + graph readout per point.
-                    let mut k = 0;
-                    for state in states.iter_mut() {
-                        let mut rows = Vec::with_capacity(state.zs.len());
-                        for z_slot in state.zs.iter_mut() {
-                            *z_slot = refined[k];
-                            rows.push(tape.mean_rows(refined[k]));
-                            k += 1;
-                        }
-                        state.h = tape.concat_rows(&rows);
-                    }
-                }
-                None => {
-                    // w/o GRL: the transformer output feeds the next block.
-                    for (state, tr) in states.iter_mut().zip(trs) {
-                        state.h = tr;
-                    }
-                }
-            }
-        }
-
-        // Trajectory-level vector: mean pool + environmental context.
-        let mut outputs = Vec::with_capacity(batch.len());
-        for (state, sample) in states.iter().zip(batch) {
-            let mean = tape.mean_rows(state.h);
-            let env = tape.leaf(Tensor::row(sample.env.to_vec()));
-            let cat = tape.concat_cols(&[mean, env]);
-            let traj = self.traj_head.forward(tape, store, cat);
-            outputs.push(EncoderOutput {
-                per_point: state.h,
-                traj,
-            });
-        }
-
-        // Graph classification loss L_enc (Eq. 18) on the final Z⁽ᴺ⁾.
+        // Graph classification loss L_enc (Eq. 18) on the final Z⁽ᴺ⁾: one
+        // stacked score product, then a per-point softmax over its rows.
         let aux_loss = if self.config.use_grl {
             let w = tape.param(store, self.w_enc); // [1, d]
+            let scores = tape.matmul_nt(w, zs); // [1, Σn]
             let mut terms = Vec::new();
-            for (state, sample) in states.iter().zip(batch) {
-                for (i, &z) in state.zs.iter().enumerate() {
-                    let sg = &sample.subgraphs[i];
-                    let Some(true_row) = sg.true_row else {
-                        continue;
-                    };
-                    let scores = tape.matmul_nt(w, z); // [1, n]
-                    let log_w = tape.leaf(Tensor::row(
-                        sg.weights.iter().map(|&x| x.max(1e-6).ln()).collect(),
-                    ));
-                    let masked = tape.add(scores, log_w);
-                    let logp = tape.log_softmax_rows(masked);
-                    let picked = tape.select_cols(logp, true_row, 1);
-                    terms.push(tape.scale(picked, -1.0));
-                }
+            let subgraphs = batch.iter().flat_map(|s| &s.subgraphs);
+            for (sg, seg) in subgraphs.zip(&layout.point_segs) {
+                let Some(true_row) = sg.true_row else {
+                    continue;
+                };
+                let scores = tape.select_cols(scores, seg.start, seg.len()); // [1, n]
+                let log_w = tape.leaf(Tensor::row(
+                    sg.weights.iter().map(|&x| x.max(1e-6).ln()).collect(),
+                ));
+                let masked = tape.add(scores, log_w);
+                let logp = tape.log_softmax_rows(masked);
+                let picked = tape.select_cols(logp, true_row, 1);
+                terms.push(tape.scale(picked, -1.0));
             }
             (!terms.is_empty()).then(|| {
                 let all = tape.concat_rows(&terms);
@@ -379,37 +296,38 @@ impl TrajEncoder for RnTrajRecEncoder {
     }
 
     fn precompute_road(&self, store: &ParamStore) -> Option<Tensor> {
-        Some(self.gridgnn.infer(store))
+        Some(self.gridgnn.forward(&mut Eager, store).into_owned())
     }
 
+    /// The body on the eager executor, GraphNorm scoped to each member —
+    /// so every member's outputs are **bit-identical** to tape `encode`
+    /// with a batch of exactly that member, regardless of batch
+    /// composition. A single request is a batch of one.
     fn infer_batch(
         &self,
         store: &ParamStore,
         samples: &[&SampleInput],
         road: Option<&Tensor>,
     ) -> Option<Vec<InferOutput>> {
-        let owned;
-        let xroad = match road {
-            Some(t) => t,
-            None => {
-                owned = self.gridgnn.infer(store);
-                &owned
-            }
-        };
-        Some(RnTrajRecEncoder::infer_batch(self, store, samples, xroad))
-    }
-}
-
-/// Copy selected columns of a constant tensor (feature slicing outside the
-/// tape — no gradient needed).
-fn select_columns(t: &Tensor, cols: &[usize]) -> Tensor {
-    let mut out = Tensor::zeros(t.rows, cols.len());
-    for r in 0..t.rows {
-        for (i, &c) in cols.iter().enumerate() {
-            out.set(r, i, t.get(r, c));
+        if samples.is_empty() {
+            return Some(Vec::new());
         }
+        let ex = &mut Eager;
+        let xroad = match road {
+            Some(t) => ex.input(t),
+            None => self.gridgnn.forward(ex, store),
+        };
+        let scopes: Vec<_> = samples
+            .iter()
+            .map(|s| subgraph_shapes(std::slice::from_ref(s)))
+            .collect();
+        let enc = self.run(ex, store, samples, &xroad, &GrlBatchLayout::new(&scopes));
+        let owned = enc.outputs.into_iter().map(|o| InferOutput {
+            per_point: o.per_point.into_owned(),
+            traj: o.traj.into_owned(),
+        });
+        Some(owned.collect())
     }
-    out
 }
 
 #[cfg(test)]
@@ -491,36 +409,25 @@ mod tests {
     }
 
     #[test]
-    fn infer_batch_of_one_matches_tape_encode() {
+    fn tape_encode_normalises_over_the_mini_batch() {
+        // GraphNorm's scope in training is the whole batch (Eq. 8–9 are
+        // batch statistics): a member encoded with company differs from
+        // the member encoded alone — unless the variant normalises per row.
         let (city, rtree) = build();
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut store = ParamStore::new();
         let grid = city.net.grid(50.0);
-        let enc = RnTrajRecEncoder::new(
-            &mut store,
-            &mut rng,
-            &city.net,
-            &grid,
-            RnTrajRecConfig::small(16),
-        );
         let ins = inputs(&city, &rtree, 2);
-        let xroad = enc.gridgnn.infer(&store);
-        assert!(enc.infer_batch(&store, &[], &xroad).is_empty());
-        for sample in &ins {
-            // Batch of exactly this sample: GraphNorm statistics match.
+        for graph_norm in [true, false] {
+            let mut rng = StdRng::seed_from_u64(5);
+            let mut store = ParamStore::new();
+            let mut cfg = RnTrajRecConfig::small(16);
+            cfg.grl.graph_norm = graph_norm;
+            let enc = RnTrajRecEncoder::new(&mut store, &mut rng, &city.net, &grid, cfg);
             let mut tape = Tape::new();
-            let out = enc.encode(&mut tape, &store, &[sample], false, &mut rng);
-            let fast = &enc.infer_batch(&store, &[sample], &xroad)[0];
-            let pp = tape.value(out.outputs[0].per_point);
-            let tj = tape.value(out.outputs[0].traj);
-            assert_eq!(fast.per_point.shape(), pp.shape());
-            // The twins mirror the tape op-for-op: bit-identical, not
-            // merely close (the documented serving contract).
-            assert_eq!(
-                fast.per_point.data, pp.data,
-                "per-point infer not bit-identical"
-            );
-            assert_eq!(fast.traj.data, tj.data, "traj infer not bit-identical");
+            let both = enc.encode(&mut tape, &store, &[&ins[0], &ins[1]], true, &mut rng);
+            let alone = enc.encode(&mut tape, &store, &[&ins[0]], true, &mut rng);
+            let same = tape.value(both.outputs[0].per_point).data
+                == tape.value(alone.outputs[0].per_point).data;
+            assert_eq!(same, !graph_norm, "graph_norm={graph_norm}");
         }
     }
 
@@ -545,11 +452,15 @@ mod tests {
             let enc = RnTrajRecEncoder::new(&mut store, &mut rng, &city.net, &grid, cfg);
             let ins = inputs(&city, &rtree, 3);
             let refs: Vec<&SampleInput> = ins.iter().collect();
-            let xroad = enc.gridgnn.infer(&store);
-            let batch = enc.infer_batch(&store, &refs, &xroad);
+            let xroad = enc.precompute_road(&store).expect("X_road");
+            let infer = |batch: &[&SampleInput]| {
+                enc.infer_batch(&store, batch, Some(&xroad))
+                    .expect("tape-free path")
+            };
+            let batch = infer(&refs);
             assert_eq!(batch.len(), refs.len());
             for (i, (got, sample)) in batch.iter().zip(&ins).enumerate() {
-                let want = &enc.infer_batch(&store, &[sample], &xroad)[0];
+                let want = &infer(&[sample])[0];
                 assert_eq!(
                     got.per_point.data, want.per_point.data,
                     "variant {gf}/{gat}/{gn}: member {i} per-point diverged"
@@ -580,8 +491,8 @@ mod tests {
         let xroad = enc
             .precompute_road(&store)
             .expect("RNTrajRec precomputes X_road");
-        let cached = TrajEncoder::infer_batch(&enc, &store, &[&ins[0]], Some(&xroad)).unwrap();
-        let uncached = TrajEncoder::infer_batch(&enc, &store, &[&ins[0]], None).unwrap();
+        let cached = enc.infer_batch(&store, &[&ins[0]], Some(&xroad)).unwrap();
+        let uncached = enc.infer_batch(&store, &[&ins[0]], None).unwrap();
         assert_eq!(cached[0].per_point.data, uncached[0].per_point.data);
         assert_eq!(cached[0].traj.data, uncached[0].traj.data);
     }

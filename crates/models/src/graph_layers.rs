@@ -1,18 +1,23 @@
 //! Graph neural layers: GAT (Eq. 3–4), GCN and GIN (Fig. 7(a) backbones).
 //!
-//! Both the tape `forward` and the tape-free `infer` of every layer run on
-//! the unified `rntrajrec_nn::kernels` compute core: the per-head feature
-//! transforms are row-partitioned matmuls and the CSR gather/scatter
-//! (edge scores → segmented softmax → neighbour aggregation) partitions by
+//! Each layer is one `forward` over an [`Exec`] executor — the tape
+//! records it for training, the eager executor evaluates it for serving —
+//! and either way the numeric work runs on the unified
+//! `rntrajrec_nn::kernels` compute core: the per-head feature transforms
+//! are row-partitioned matmuls and the CSR gather/scatter (edge scores →
+//! segmented softmax → neighbour aggregation) partitions by
 //! destination-node segment ranges, so multi-threaded aggregation is
-//! bit-identical to the sequential loop.
+//! bit-identical to the sequential loop. Every CSR op reduces within one
+//! destination node's edge segment, so running a layer over a
+//! block-diagonal union of graphs (`GraphCsr::block_diagonal`) gives each
+//! node exactly its own graph's values.
 
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 
 use crate::layers::Linear;
-use rntrajrec_nn::{kernels, GraphCsr, Init, NodeId, ParamId, ParamStore, Tape, Tensor};
+use rntrajrec_nn::{Exec, GraphCsr, Init, ParamId, ParamStore, Tensor};
 
 /// Multi-head graph attention layer exactly as Eq. (3)–(4):
 /// per head `k`, scores `a_ij = softmax_j(LeakyReLU(a_kᵀ[Ŵ_k h_i ∥ Ŵ_k h_j]))`
@@ -74,48 +79,31 @@ impl GatLayer {
     }
 
     /// `h: [n, in_dim]` with adjacency `csr` → `[n, out_dim]`.
-    pub fn forward(
+    pub fn forward<'s, E: Exec<'s>>(
         &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        h: NodeId,
+        ex: &mut E,
+        store: &'s ParamStore,
+        h: &E::H,
         csr: &Arc<GraphCsr>,
-    ) -> NodeId {
-        let mut outs = Vec::with_capacity(self.heads);
-        for k in 0..self.heads {
-            let w = tape.param(store, self.w[k]);
-            let w_hat = tape.param(store, self.w_hat[k]);
-            let hw = tape.matmul(h, w); // [n, dh]
-            let hw_hat = tape.matmul(h, w_hat); // [n, dh]
-            let a_src = tape.param(store, self.a_src[k]);
-            let a_dst = tape.param(store, self.a_dst[k]);
-            let s_src = tape.matmul(hw_hat, a_src); // [n,1]
-            let s_dst = tape.matmul(hw_hat, a_dst); // [n,1]
-            let scores = tape.edge_scores(s_src, s_dst, csr);
-            let scores = tape.leaky_relu(scores, self.slope);
-            let alphas = tape.segmented_softmax(scores, csr);
-            let agg = tape.neighbor_sum(alphas, hw, csr);
-            outs.push(tape.leaky_relu(agg, self.slope));
-        }
-        tape.concat_cols(&outs)
-    }
-
-    /// Tape-free twin of [`GatLayer::forward`].
-    pub fn infer(&self, store: &ParamStore, h: &Tensor, csr: &GraphCsr) -> Tensor {
-        let mut outs = Vec::with_capacity(self.heads);
-        for k in 0..self.heads {
-            let hw = kernels::matmul(h, store.value(self.w[k]));
-            let hw_hat = kernels::matmul(h, store.value(self.w_hat[k]));
-            let s_src = kernels::matmul(&hw_hat, store.value(self.a_src[k]));
-            let s_dst = kernels::matmul(&hw_hat, store.value(self.a_dst[k]));
-            let scores =
-                kernels::leaky_relu(&kernels::edge_scores(&s_src, &s_dst, csr), self.slope);
-            let alphas = kernels::segmented_softmax(&scores, csr);
-            let agg = kernels::neighbor_sum(&alphas, &hw, csr);
-            outs.push(kernels::leaky_relu(&agg, self.slope));
-        }
-        let refs: Vec<&Tensor> = outs.iter().collect();
-        kernels::concat_cols(&refs)
+    ) -> E::H {
+        let outs: Vec<E::H> = (0..self.heads)
+            .map(|k| {
+                let w = ex.param(store, self.w[k]);
+                let w_hat = ex.param(store, self.w_hat[k]);
+                let hw = ex.matmul(h, &w); // [n, dh]
+                let hw_hat = ex.matmul(h, &w_hat); // [n, dh]
+                let a_src = ex.param(store, self.a_src[k]);
+                let a_dst = ex.param(store, self.a_dst[k]);
+                let s_src = ex.matmul(&hw_hat, &a_src); // [n,1]
+                let s_dst = ex.matmul(&hw_hat, &a_dst); // [n,1]
+                let scores = ex.edge_scores(&s_src, &s_dst, csr);
+                let scores = ex.leaky_relu(&scores, self.slope);
+                let alphas = ex.segmented_softmax(&scores, csr);
+                let agg = ex.neighbor_sum(&alphas, &hw, csr);
+                ex.leaky_relu(&agg, self.slope)
+            })
+            .collect();
+        ex.concat_cols(&outs.iter().collect::<Vec<_>>())
     }
 }
 
@@ -138,23 +126,17 @@ impl GcnLayer {
         }
     }
 
-    pub fn forward(
+    pub fn forward<'s, E: Exec<'s>>(
         &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        h: NodeId,
+        ex: &mut E,
+        store: &'s ParamStore,
+        h: &E::H,
         csr: &Arc<GraphCsr>,
-    ) -> NodeId {
-        let alphas = tape.leaf(mean_alphas(csr));
-        let agg = tape.neighbor_sum(alphas, h, csr);
-        let y = self.lin.forward(tape, store, agg);
-        tape.relu(y)
-    }
-
-    /// Tape-free twin of [`GcnLayer::forward`].
-    pub fn infer(&self, store: &ParamStore, h: &Tensor, csr: &GraphCsr) -> Tensor {
-        let agg = kernels::neighbor_sum(&mean_alphas(csr), h, csr);
-        kernels::relu(&self.lin.infer(store, &agg))
+    ) -> E::H {
+        let alphas = ex.constant(mean_alphas(csr));
+        let agg = ex.neighbor_sum(&alphas, h, csr);
+        let y = self.lin.forward(ex, store, &agg);
+        ex.relu(&y)
     }
 }
 
@@ -180,26 +162,18 @@ impl GinLayer {
         }
     }
 
-    pub fn forward(
+    pub fn forward<'s, E: Exec<'s>>(
         &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        h: NodeId,
+        ex: &mut E,
+        store: &'s ParamStore,
+        h: &E::H,
         csr: &Arc<GraphCsr>,
-    ) -> NodeId {
-        let ones = tape.leaf(Tensor::full(csr.num_edges(), 1, 1.0));
-        let agg = tape.neighbor_sum(ones, h, csr); // Σ_j h_j (self-loop in csr adds h_i)
-        let y = self.l1.forward(tape, store, agg);
-        let y = tape.relu(y);
-        self.l2.forward(tape, store, y)
-    }
-
-    /// Tape-free twin of [`GinLayer::forward`].
-    pub fn infer(&self, store: &ParamStore, h: &Tensor, csr: &GraphCsr) -> Tensor {
-        let ones = Tensor::full(csr.num_edges(), 1, 1.0);
-        let agg = kernels::neighbor_sum(&ones, h, csr);
-        let y = kernels::relu(&self.l1.infer(store, &agg));
-        self.l2.infer(store, &y)
+    ) -> E::H {
+        let ones = ex.constant(Tensor::full(csr.num_edges(), 1, 1.0));
+        let agg = ex.neighbor_sum(&ones, h, csr); // Σ_j h_j (self-loop in csr adds h_i)
+        let y = self.l1.forward(ex, store, &agg);
+        let y = ex.relu(&y);
+        self.l2.forward(ex, store, &y)
     }
 }
 
@@ -220,7 +194,7 @@ fn mean_alphas(csr: &GraphCsr) -> Tensor {
 mod tests {
     use super::*;
     use rand::SeedableRng;
-    use rntrajrec_nn::Adam;
+    use rntrajrec_nn::{Adam, NodeId, Tape};
 
     fn path_csr() -> Arc<GraphCsr> {
         Arc::new(GraphCsr::from_neighbor_lists(
@@ -236,7 +210,7 @@ mod tests {
         let gat = GatLayer::new(&mut store, &mut rng, "g", 6, 8, 2);
         let mut tape = Tape::new();
         let h = tape.leaf(Tensor::uniform(3, 6, 1.0, &mut rng));
-        let y = gat.forward(&mut tape, &store, h, &path_csr());
+        let y = gat.forward(&mut tape, &store, &h, &path_csr());
         assert_eq!(tape.value(y).shape(), (3, 8));
         assert!(tape.value(y).all_finite());
     }
@@ -260,9 +234,9 @@ mod tests {
         let h0 = tape.leaf(base);
         let h1 = tape.leaf(tweak_n1);
         let h2 = tape.leaf(tweak_n2);
-        let y0 = gat.forward(&mut tape, &store, h0, &csr);
-        let y1 = gat.forward(&mut tape, &store, h1, &csr);
-        let y2 = gat.forward(&mut tape, &store, h2, &csr);
+        let y0 = gat.forward(&mut tape, &store, &h0, &csr);
+        let y1 = gat.forward(&mut tape, &store, &h1, &csr);
+        let y2 = gat.forward(&mut tape, &store, &h2, &csr);
         let row0 = |n: NodeId, tape: &Tape| tape.value(n).row_slice(0).to_vec();
         assert_ne!(
             row0(y0, &tape),
@@ -292,8 +266,8 @@ mod tests {
         for _ in 0..200 {
             let mut tape = Tape::new();
             let h = tape.leaf(x.clone());
-            let z = gat.forward(&mut tape, &store, h, &csr);
-            let y = head.forward(&mut tape, &store, z);
+            let z = gat.forward(&mut tape, &store, &h, &csr);
+            let y = head.forward(&mut tape, &store, &z);
             let y = tape.sigmoid(y);
             let t = tape.leaf(target.clone());
             let d = tape.sub(y, t);
@@ -330,8 +304,8 @@ mod tests {
         let csr = path_csr();
         let mut tape = Tape::new();
         let h = tape.leaf(Tensor::uniform(3, 5, 1.0, &mut rng));
-        let a = gcn.forward(&mut tape, &store, h, &csr);
-        let b = gin.forward(&mut tape, &store, h, &csr);
+        let a = gcn.forward(&mut tape, &store, &h, &csr);
+        let b = gin.forward(&mut tape, &store, &h, &csr);
         assert_eq!(tape.value(a).shape(), (3, 7));
         assert_eq!(tape.value(b).shape(), (3, 7));
     }

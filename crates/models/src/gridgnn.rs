@@ -14,7 +14,7 @@ use crate::graph_layers::{GatLayer, GcnLayer, GinLayer};
 use crate::layers::Linear;
 use crate::rnn::GruCell;
 use rntrajrec_geo::GridSpec;
-use rntrajrec_nn::{kernels, GraphCsr, Init, NodeId, ParamId, ParamStore, Tape, Tensor};
+use rntrajrec_nn::{Exec, GraphCsr, Init, ParamId, ParamStore, Tensor};
 use rntrajrec_roadnet::{RoadNetwork, NUM_ROAD_LEVELS};
 
 /// Graph backbone selector for the Fig. 7(a) comparison.
@@ -173,113 +173,71 @@ impl GridGnn {
         }
     }
 
-    /// Compute `X_road` `[|V|, d]`. Run once per mini-batch (the paper
-    /// notes the representation is input-independent and can be computed in
-    /// advance at inference time).
-    pub fn forward(&self, tape: &mut Tape, store: &ParamStore) -> NodeId {
-        let road = tape.param(store, self.road_emb);
+    /// Compute `X_road` `[|V|, d]` from the current weights. The result is
+    /// input-independent (the paper notes it can be computed in advance at
+    /// inference time): training runs it once per mini-batch on the tape,
+    /// serving runs it once per road network on the eager executor and
+    /// shares it read-only across worker threads — see `rntrajrec-serve`'s
+    /// road-embedding cache.
+    ///
+    /// The work is parallel by node ranges: the grouped-GRU matmuls
+    /// partition by segment rows, the graph layers by destination-node CSR
+    /// segments, and the final projection by road rows — all through
+    /// `rntrajrec_nn::kernels`, bit-identical at any `NN_THREADS`.
+    pub fn forward<'s, E: Exec<'s>>(&'s self, ex: &mut E, store: &'s ParamStore) -> E::H {
+        let road = ex.param(store, self.road_emb);
         let mut x = if self.config.use_grid {
-            let grid_table = tape.param(store, self.grid_emb);
+            let grid_table = ex.param(store, self.grid_emb);
             // Batched GRU over grid sequences, grouped by length.
-            let mut group_outputs = Vec::with_capacity(self.length_groups.len());
-            for group in &self.length_groups {
-                let len = self.grid_seqs[group[0]].len();
-                let mut state = tape.leaf(Tensor::zeros(group.len(), self.config.dim));
-                for t in 0..len {
-                    let idx: Vec<usize> = group.iter().map(|&seg| self.grid_seqs[seg][t]).collect();
-                    let x = tape.gather_rows(grid_table, &idx);
-                    state = self.gru.step(tape, store, x, state);
-                }
-                group_outputs.push(state);
-            }
-            let stacked = tape.concat_rows(&group_outputs);
-            let grid_repr = tape.gather_rows(stacked, &self.perm); // original order
-                                                                   // Eq. (2): r⁰ = ReLU(s^{(φ)} + σ_road).
-            let sum = tape.add(grid_repr, road);
-            tape.relu(sum)
+            let group_outputs: Vec<E::H> = self
+                .length_groups
+                .iter()
+                .map(|group| {
+                    let len = self.grid_seqs[group[0]].len();
+                    let mut state = ex.constant(Tensor::zeros(group.len(), self.config.dim));
+                    for t in 0..len {
+                        let idx: Vec<usize> =
+                            group.iter().map(|&seg| self.grid_seqs[seg][t]).collect();
+                        let x = ex.gather_rows(&grid_table, &idx);
+                        state = self.gru.step(ex, store, &x, &state);
+                    }
+                    state
+                })
+                .collect();
+            let stacked = ex.concat_rows(&group_outputs.iter().collect::<Vec<_>>());
+            // Back to the original segment order.
+            let grid_repr = ex.gather_rows(&stacked, &self.perm);
+            // Eq. (2): r⁰ = ReLU(s^{(φ)} + σ_road).
+            let sum = ex.add(&grid_repr, &road);
+            ex.relu(&sum)
         } else {
             // Fig. 7(a) plain-GNN comparison: ID embeddings only.
-            tape.relu(road)
+            ex.relu(&road)
         };
 
         // Eq. (3)–(4): M graph layers.
         match &self.backbone {
             BackboneLayers::Gat(layers) => {
                 for l in layers {
-                    x = l.forward(tape, store, x, &self.csr);
+                    x = l.forward(ex, store, &x, &self.csr);
                 }
             }
             BackboneLayers::Gcn(layers) => {
                 for l in layers {
-                    x = l.forward(tape, store, x, &self.csr);
+                    x = l.forward(ex, store, &x, &self.csr);
                 }
             }
             BackboneLayers::Gin(layers) => {
                 for l in layers {
-                    x = l.forward(tape, store, x, &self.csr);
+                    x = l.forward(ex, store, &x, &self.csr);
                 }
             }
         }
 
         // Static features + linear projection.
-        let stat = tape.leaf(self.static_feats.clone());
-        let cat = tape.concat_cols(&[x, stat]);
-        self.out.forward(tape, store, cat)
-    }
-
-    /// Tape-free twin of [`GridGnn::forward`]: compute `X_road` once from
-    /// the current weights. The result is input-independent (the paper
-    /// notes it can be computed in advance at inference time), so serving
-    /// precomputes it per road network and shares it read-only across
-    /// worker threads — see `rntrajrec-serve`'s road-embedding cache.
-    ///
-    /// The precompute is parallel by node ranges: the grouped-GRU matmuls
-    /// partition by segment rows, the GAT layers by destination-node CSR
-    /// segments, and the final projection by road rows — all through
-    /// `rntrajrec_nn::kernels`, bit-identical at any `NN_THREADS`.
-    pub fn infer(&self, store: &ParamStore) -> Tensor {
-        let road = store.value(self.road_emb);
-        let mut x = if self.config.use_grid {
-            let grid_table = store.value(self.grid_emb);
-            let mut group_outputs = Vec::with_capacity(self.length_groups.len());
-            for group in &self.length_groups {
-                let len = self.grid_seqs[group[0]].len();
-                let mut state = Tensor::zeros(group.len(), self.config.dim);
-                for t in 0..len {
-                    let idx: Vec<usize> = group.iter().map(|&seg| self.grid_seqs[seg][t]).collect();
-                    let x = kernels::gather_rows(grid_table, &idx);
-                    state = self.gru.infer_step(store, &x, &state);
-                }
-                group_outputs.push(state);
-            }
-            let refs: Vec<&Tensor> = group_outputs.iter().collect();
-            let stacked = kernels::concat_rows(&refs);
-            let grid_repr = kernels::gather_rows(&stacked, &self.perm);
-            kernels::relu(&kernels::add(&grid_repr, road))
-        } else {
-            kernels::relu(road)
-        };
-
-        match &self.backbone {
-            BackboneLayers::Gat(layers) => {
-                for l in layers {
-                    x = l.infer(store, &x, &self.csr);
-                }
-            }
-            BackboneLayers::Gcn(layers) => {
-                for l in layers {
-                    x = l.infer(store, &x, &self.csr);
-                }
-            }
-            BackboneLayers::Gin(layers) => {
-                for l in layers {
-                    x = l.infer(store, &x, &self.csr);
-                }
-            }
-        }
-
-        let cat = kernels::concat_cols(&[&x, &self.static_feats]);
-        self.out.infer(store, &cat)
+        let stat = ex.input(&self.static_feats);
+        let cat = ex.concat_cols(&[&x, &stat]);
+        self.out.forward(ex, store, &cat)
     }
 
     pub fn full_csr(&self) -> &Arc<GraphCsr> {
@@ -291,7 +249,7 @@ impl GridGnn {
 mod tests {
     use super::*;
     use rand::SeedableRng;
-    use rntrajrec_nn::Adam;
+    use rntrajrec_nn::{Adam, Eager, Tape};
     use rntrajrec_roadnet::{CityConfig, SyntheticCity};
 
     fn setup(backbone: GnnBackbone) -> (SyntheticCity, ParamStore, GridGnn) {
@@ -354,7 +312,7 @@ mod tests {
         for _ in 0..30 {
             let mut tape = Tape::new();
             let x = gg.forward(&mut tape, &store);
-            let y = head.forward(&mut tape, &store, x);
+            let y = head.forward(&mut tape, &store, &x);
             let s0 = tape.select_rows(y, 0, 1);
             let s1 = tape.select_rows(y, 1, 1);
             // loss = (s0 - 1)² + (s1 + 1)²
@@ -373,17 +331,17 @@ mod tests {
     }
 
     #[test]
-    fn infer_matches_tape_forward() {
+    fn eager_forward_matches_tape_forward() {
         for b in [GnnBackbone::Gat, GnnBackbone::Gcn, GnnBackbone::Gin] {
             let (_, store, gg) = setup(b);
             let mut tape = Tape::new();
             let x = gg.forward(&mut tape, &store);
-            let fast = gg.infer(&store);
+            let fast = gg.forward(&mut Eager, &store);
             assert_eq!(fast.shape(), tape.value(x).shape());
             assert_eq!(
                 fast.data,
                 tape.value(x).data,
-                "{b:?}: infer not bit-identical"
+                "{b:?}: eager not bit-identical"
             );
         }
     }

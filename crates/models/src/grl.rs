@@ -1,14 +1,17 @@
 //! Graph Refinement Layer (Section IV-D): gated fusion + graph forward +
 //! graph normalisation, with ablation switches for Table V.
 //!
-//! Besides the tape `forward`, every sub-module has a tape-free
-//! **batched** twin operating on one stacked `[Σn, d]` feature matrix for
-//! a whole micro-batch of trajectories: projections run as single stacked
-//! matmuls, the GAT pass runs over a block-diagonal CSR union of every
-//! point's sub-graph, and GraphNorm's statistics stay **scoped per
-//! member** through `kernels::segmented_norm_stats` — so batched refinement
-//! is bit-identical to refining each trajectory alone, the invariant the
-//! serving engine's batching contract rests on.
+//! Every sub-module is written once, over an [`Exec`] executor, on one
+//! stacked `[Σn, d]` feature matrix holding the per-point sub-graphs of a
+//! whole batch ([`GrlBatchLayout`]): projections run as single stacked
+//! matmuls and the GAT pass runs over a block-diagonal CSR union of every
+//! point's sub-graph. What the stack must not mix is GraphNorm's
+//! statistics (Eq. 8–9 are *batch* statistics), so their scope is part of
+//! the layout: **the whole mini-batch in training** (one scope — the
+//! paper's batch norm over graphs), **one member in serving** (one scope
+//! per request — so batched refinement is bit-identical to refining each
+//! trajectory alone, the invariant the serving engine's batching contract
+//! rests on).
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -17,7 +20,7 @@ use rand::rngs::StdRng;
 
 use crate::graph_layers::GatLayer;
 use crate::layers::{FeedForward, LayerNorm, Linear};
-use rntrajrec_nn::{kernels, GraphCsr, Init, NodeId, ParamId, ParamStore, Tape, Tensor};
+use rntrajrec_nn::{Exec, GraphCsr, Init, ParamId, ParamStore};
 
 /// Gated fusion (Eq. 7): adaptively mix the transformer output `tr_i`
 /// (temporal) into every node of the point's sub-graph (spatial):
@@ -40,61 +43,40 @@ impl GatedFusion {
         }
     }
 
-    /// `tr: [1,d]` (one timestamp), `z: [n,d]` (its sub-graph nodes).
-    pub fn forward(&self, tape: &mut Tape, store: &ParamStore, tr: NodeId, z: NodeId) -> NodeId {
-        let n = tape.value(z).rows;
-        let tr_rep = tape.repeat_rows(tr, n);
-        let wz1 = tape.param(store, self.wz1);
-        let wz2 = tape.param(store, self.wz2);
-        let bz = tape.param(store, self.bz);
-        let a = tape.matmul(tr_rep, wz1);
-        let b = tape.matmul(z, wz2);
-        let s = tape.add(a, b);
-        let s = tape.add_rowvec(s, bz);
-        let gate = tape.sigmoid(s);
-        let take_tr = tape.mul(gate, tr_rep);
-        let neg = tape.scale(gate, -1.0);
-        let inv_gate = tape.add_const(neg, 1.0);
-        let keep_z = tape.mul(inv_gate, z);
-        tape.add(take_tr, keep_z)
-    }
-
-    /// Batched tape-free fusion over a whole stack: `tr_points` holds one
-    /// `[1, d]` transformer row per point (`[P, d]`), `z` the stacked
-    /// sub-graph features `[Σn, d]`, and `row_to_point[r]` the owning
-    /// point of stacked row `r`. Both weight projections run as **one**
-    /// matmul each (`W_z1` over the `P` point rows, then broadcast by a
-    /// pure row-gather — matmul rows are independent, so projecting before
+    /// Fusion over a whole stack: `tr_points` holds one `[1, d]`
+    /// transformer row per point (`[P, d]`), `z` the stacked sub-graph
+    /// features `[Σn, d]`, and `row_to_point[r]` the owning point of
+    /// stacked row `r`. Both weight projections run as **one** matmul each
+    /// (`W_z1` over the `P` point rows, then broadcast by a pure
+    /// row-gather — matmul rows are independent, so projecting before
     /// repeating is bit-identical to repeating before projecting); the
-    /// gate arithmetic is element-wise, so every row matches
-    /// [`GatedFusion::forward`] on the point's own sub-graph exactly.
-    pub fn infer_batch(
+    /// gate arithmetic is element-wise ([`Exec::gated_blend`]).
+    pub fn forward<'s, E: Exec<'s>>(
         &self,
-        store: &ParamStore,
-        tr_points: &Tensor,
-        z: &Tensor,
+        ex: &mut E,
+        store: &'s ParamStore,
+        tr_points: &E::H,
+        z: &E::H,
         row_to_point: &[usize],
-    ) -> Tensor {
-        let tr_rep = kernels::gather_rows(tr_points, row_to_point);
-        let a = kernels::gather_rows(
-            &kernels::matmul(tr_points, store.value(self.wz1)),
-            row_to_point,
-        );
-        let b = kernels::matmul(z, store.value(self.wz2));
-        let s = kernels::add_rowvec(&kernels::add(&a, &b), store.value(self.bz));
-        // Fused σ(s)⊙tr + (1−σ(s))⊙z epilogue: one pass over the stack
-        // instead of five (bit-identical to the composed chain).
-        kernels::gated_blend(&s, &tr_rep, z)
+    ) -> E::H {
+        let tr_rep = ex.gather_rows(tr_points, row_to_point);
+        let wz1 = ex.param(store, self.wz1);
+        let wz2 = ex.param(store, self.wz2);
+        let bz = ex.param(store, self.bz);
+        let a = ex.matmul(tr_points, &wz1);
+        let a = ex.gather_rows(&a, row_to_point);
+        let b = ex.matmul(z, &wz2);
+        let s = ex.add(&a, &b);
+        let s = ex.add_rowvec(&s, &bz);
+        ex.gated_blend(&s, &tr_rep, z)
     }
 }
 
 /// Graph normalisation (Eq. 8–9): batch-norm for graph features with
-/// temporal dependency. `μ_B` is the mean of the *graph-pooled* features
-/// over the mini-batch; `σ_B` is the variance of all node features around
-/// `μ_B`; every node feature is normalised and affinely transformed.
-///
-/// Statistics are differentiated exactly (they are composed from primitive
-/// autograd ops), matching the training-time behaviour of batch norm.
+/// temporal dependency. `μ` is the mean of the *graph-pooled* features
+/// over a scope of graphs; `σ` is the variance of all the scope's node
+/// features around `μ`; every node feature is normalised and affinely
+/// transformed. The scope is the layout's (see the module docs).
 #[derive(Debug, Clone)]
 pub struct GraphNorm {
     gamma: ParamId,
@@ -113,68 +95,26 @@ impl GraphNorm {
         }
     }
 
-    /// Normalise a mini-batch of sub-graph feature matrices jointly.
-    /// `zs[k]` is `[n_k, d]`; returns matrices of identical shapes.
-    pub fn forward(&self, tape: &mut Tape, store: &ParamStore, zs: &[NodeId]) -> Vec<NodeId> {
-        assert!(!zs.is_empty());
-        // Eq. (8): per-graph mean pooling.
-        let means: Vec<NodeId> = zs.iter().map(|&z| tape.mean_rows(z)).collect();
-        let m = tape.concat_rows(&means); // [B·lτ, d]
-        let mu = tape.mean_rows(m); // [1, d]
-                                    // Eq. (9): variance of all node features around μ_B.
-        let big = tape.concat_rows(zs); // [Σn_k, d]
-        let neg_mu = tape.scale(mu, -1.0);
-        let centered = tape.add_rowvec(big, neg_mu);
-        let sq = tape.mul(centered, centered);
-        let var = tape.mean_rows(sq); // [1, d]
-        let var = tape.add_const(var, self.eps);
-        let std = tape.sqrt(var);
-        let inv = tape.recip(std);
-        let norm = tape.mul_rowvec(centered, inv);
-        let gamma = tape.param(store, self.gamma);
-        let beta = tape.param(store, self.beta);
-        let scaled = tape.mul_rowvec(norm, gamma);
-        let out = tape.add_rowvec(scaled, beta);
-        // Slice back to the per-graph shapes.
-        let mut res = Vec::with_capacity(zs.len());
-        let mut off = 0;
-        for &z in zs {
-            let n = tape.value(z).rows;
-            res.push(tape.select_rows(out, off, n));
-            off += n;
-        }
-        res
-    }
-
-    /// Batched tape-free GraphNorm over a stacked micro-batch, statistics
-    /// **scoped per member**: `stacked` is `[Σn, d]`, `graph_segs[g]` the
-    /// row range of sub-graph `g`, `members[m]` the range of graph indices
-    /// owned by member `m`, and `row_to_member[r]` the owning member of
-    /// stacked row `r`. `kernels::segmented_norm_stats` computes each
-    /// member's `μ`/`1/σ` exactly as [`GraphNorm::forward`] would over that
-    /// member's graphs alone (a training batch of just that trajectory);
-    /// the normalise-and-affine chain (`(x + (−μ))·invσ·γ + β`, one
-    /// rounding per step) then runs element-wise over the whole stack — so
-    /// a member's output rows are bit-identical regardless of what else
-    /// shares the batch.
-    pub fn infer_segments(
+    /// Normalise the stacked sub-graph features `[Σn, d]` within each of
+    /// the layout's scopes ([`Exec::segmented_norm`]); a scope's output
+    /// rows do not depend on what else shares the stack.
+    pub fn forward<'s, E: Exec<'s>>(
         &self,
-        store: &ParamStore,
-        stacked: &Tensor,
-        graph_segs: &[Range<usize>],
-        members: &[Range<usize>],
-        row_to_member: &[usize],
-    ) -> Tensor {
-        let (mu, inv) = kernels::segmented_norm_stats(stacked, graph_segs, members, self.eps);
-        // Fused normalise-and-affine pass (one traversal; bit-identical to
-        // the broadcast-and-compose route).
-        kernels::segmented_norm_apply(
+        ex: &mut E,
+        store: &'s ParamStore,
+        stacked: &E::H,
+        layout: &GrlBatchLayout,
+    ) -> E::H {
+        let gamma = ex.param(store, self.gamma);
+        let beta = ex.param(store, self.beta);
+        ex.segmented_norm(
             stacked,
-            &mu,
-            &inv,
-            row_to_member,
-            store.value(self.gamma),
-            store.value(self.beta),
+            &gamma,
+            &beta,
+            &layout.point_segs,
+            &layout.scopes,
+            &layout.row_to_scope,
+            self.eps,
         )
     }
 }
@@ -187,26 +127,18 @@ enum Norm {
 }
 
 impl Norm {
-    fn forward(&self, tape: &mut Tape, store: &ParamStore, zs: &[NodeId]) -> Vec<NodeId> {
+    /// GraphNorm scopes its statistics by the layout; LayerNorm is
+    /// row-local, so the stacked call is already exact.
+    fn forward<'s, E: Exec<'s>>(
+        &self,
+        ex: &mut E,
+        store: &'s ParamStore,
+        stacked: &E::H,
+        layout: &GrlBatchLayout,
+    ) -> E::H {
         match self {
-            Norm::Graph(gn) => gn.forward(tape, store, zs),
-            Norm::Layer(ln) => zs.iter().map(|&z| ln.forward(tape, store, z)).collect(),
-        }
-    }
-
-    /// Batched twin over a stacked micro-batch: GraphNorm scopes its
-    /// statistics per member; LayerNorm is row-local, so the stacked call
-    /// is already exact.
-    fn infer_batch(&self, store: &ParamStore, stacked: &Tensor, layout: &GrlBatchLayout) -> Tensor {
-        match self {
-            Norm::Graph(gn) => gn.infer_segments(
-                store,
-                stacked,
-                &layout.point_segs,
-                &layout.members,
-                &layout.row_to_member,
-            ),
-            Norm::Layer(ln) => ln.infer(store, stacked),
+            Norm::Graph(gn) => gn.forward(ex, store, stacked, layout),
+            Norm::Layer(ln) => ln.forward(ex, store, stacked),
         }
     }
 }
@@ -239,21 +171,21 @@ impl GrlConfig {
     }
 }
 
-/// Row/graph layout of a fused GRL micro-batch: one stacked `[Σn, d]`
-/// feature matrix holding every member's per-point sub-graphs in order.
-/// Built once per batch (shapes never change across GPSFormer blocks) and
-/// shared by every [`GraphRefinementLayer::infer_batch`] call.
+/// Row/graph layout of a stacked GRL batch: one `[Σn, d]` feature matrix
+/// holding every point's sub-graph in order. Built once per batch (shapes
+/// never change across GPSFormer blocks) and shared by every
+/// [`GraphRefinementLayer::forward`] call.
 pub struct GrlBatchLayout {
     /// Row range of each point's sub-graph in the stack (one per point,
     /// members' points concatenated in order).
     pub point_segs: Vec<Range<usize>>,
-    /// For each member, its range of point indices into `point_segs` —
-    /// the scope of that member's GraphNorm statistics.
-    pub members: Vec<Range<usize>>,
+    /// GraphNorm scopes: ranges of point indices into `point_segs` whose
+    /// graphs are normalised jointly.
+    pub scopes: Vec<Range<usize>>,
     /// Stacked row → owning point index (broadcast gathers).
     pub row_to_point: Vec<usize>,
-    /// Stacked row → owning member index (normalisation broadcasts).
-    pub row_to_member: Vec<usize>,
+    /// Stacked row → owning scope index (normalisation broadcasts).
+    pub row_to_scope: Vec<usize>,
     /// Block-diagonal union of every point's sub-graph adjacency: the GAT
     /// pass runs once over the union, and because every CSR kernel reduces
     /// per destination-node segment, union results equal per-graph results
@@ -262,41 +194,37 @@ pub struct GrlBatchLayout {
 }
 
 impl GrlBatchLayout {
-    /// Assemble the layout from each member's per-point sub-graphs
-    /// (`members_graphs[m]` lists member `m`'s `(rows, csr)` per point, in
-    /// point order).
-    pub fn new(members_graphs: &[Vec<(usize, Arc<GraphCsr>)>]) -> Self {
+    /// Assemble the layout from the per-point sub-graphs of each GraphNorm
+    /// scope (`scope_graphs[m]` lists scope `m`'s `(rows, csr)` per point,
+    /// in point order): one entry per request when serving, a single entry
+    /// holding the whole mini-batch when training.
+    pub fn new(scope_graphs: &[Vec<(usize, Arc<GraphCsr>)>]) -> Self {
         let mut point_segs = Vec::new();
-        let mut members = Vec::new();
+        let mut scopes = Vec::new();
         let mut row_to_point = Vec::new();
-        let mut row_to_member = Vec::new();
+        let mut row_to_scope = Vec::new();
         let mut csrs: Vec<Arc<GraphCsr>> = Vec::new();
         let mut row = 0usize;
-        for (m, graphs) in members_graphs.iter().enumerate() {
+        for (m, graphs) in scope_graphs.iter().enumerate() {
             let first_point = point_segs.len();
             for &(rows, ref csr) in graphs {
                 let point = point_segs.len();
                 point_segs.push(row..row + rows);
                 row_to_point.extend(std::iter::repeat_n(point, rows));
-                row_to_member.extend(std::iter::repeat_n(m, rows));
+                row_to_scope.extend(std::iter::repeat_n(m, rows));
                 csrs.push(Arc::clone(csr));
                 row += rows;
             }
-            members.push(first_point..point_segs.len());
+            scopes.push(first_point..point_segs.len());
         }
         let union_csr = Arc::new(GraphCsr::block_diagonal(csrs.iter().map(Arc::as_ref)));
         Self {
             point_segs,
-            members,
+            scopes,
             row_to_point,
-            row_to_member,
+            row_to_scope,
             union_csr,
         }
-    }
-
-    /// Total stacked rows `Σn`.
-    pub fn total_rows(&self) -> usize {
-        self.row_to_point.len()
     }
 }
 
@@ -375,107 +303,51 @@ impl GraphRefinementLayer {
         }
     }
 
-    /// Refine a mini-batch of sub-graphs.
+    /// Refine every sub-graph of a batch over one stacked `[Σn, d]`
+    /// matrix: `tr_points` carries each point's `[1, d]` transformer row
+    /// (`[P, d]`), `z` the stacked sub-graph features, `layout` the
+    /// point/scope structure. Gated fusion and the FFN variants run as
+    /// stacked matmuls, the GAT pass runs once over the block-diagonal CSR
+    /// union, and both norms scope their statistics by the layout.
     ///
-    /// * `tr_rows[k]`: the transformer output `[1,d]` for point `k`,
-    /// * `zs[k]`: its sub-graph features `[n_k, d]`,
-    /// * `csrs[k]`: its sub-graph adjacency.
-    ///
-    /// Returns the refined `[n_k, d]` matrices (same shapes — the module is
+    /// Returns the refined `[Σn, d]` matrix (same shape — the module is
     /// stackable, Section II advantage iii).
-    pub fn forward(
+    pub fn forward<'s, E: Exec<'s>>(
         &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        tr_rows: &[NodeId],
-        zs: &[NodeId],
-        csrs: &[Arc<GraphCsr>],
-    ) -> Vec<NodeId> {
-        assert_eq!(tr_rows.len(), zs.len());
-        assert_eq!(zs.len(), csrs.len());
-        // Sub-layer 1: GraphNorm(x + GatedFusion(x)).
-        let fused: Vec<NodeId> = zs
-            .iter()
-            .zip(tr_rows)
-            .map(|(&z, &tr)| {
-                let f = match (&self.fusion, &self.fusion_ffn) {
-                    (Some(gf), _) => gf.forward(tape, store, tr, z),
-                    (None, Some(ffn)) => {
-                        let n = tape.value(z).rows;
-                        let tr_rep = tape.repeat_rows(tr, n);
-                        let cat = tape.concat_cols(&[tr_rep, z]);
-                        let y = ffn.forward(tape, store, cat);
-                        tape.relu(y)
-                    }
-                    _ => unreachable!(),
-                };
-                tape.add(z, f)
-            })
-            .collect();
-        let x = self.norm1.forward(tape, store, &fused);
-
-        // Sub-layer 2: GraphNorm(x + GraphForward(x)).
-        let refined: Vec<NodeId> = x
-            .iter()
-            .zip(csrs)
-            .map(|(&xi, csr)| {
-                let f = if let Some(ffn) = &self.forward_ffn {
-                    ffn.forward(tape, store, xi)
-                } else {
-                    let mut h = xi;
-                    for gat in &self.gats {
-                        h = gat.forward(tape, store, h, csr);
-                    }
-                    h
-                };
-                tape.add(xi, f)
-            })
-            .collect();
-        self.norm2.forward(tape, store, &refined)
-    }
-
-    /// Batched tape-free twin of [`GraphRefinementLayer::forward`] over one
-    /// stacked `[Σn, d]` matrix: `tr_points` carries each point's `[1, d]`
-    /// transformer row (`[P, d]`), `z` the stacked sub-graph features,
-    /// `layout` the member/point scoping. Gated fusion and the FFN
-    /// variants run as stacked matmuls, the GAT pass runs once over the
-    /// block-diagonal CSR union, and both norms scope their statistics per
-    /// member — every output row bit-identical to refining the member
-    /// alone (the encoder-parity proptest pins this end to end).
-    pub fn infer_batch(
-        &self,
-        store: &ParamStore,
-        tr_points: &Tensor,
-        z: &Tensor,
+        ex: &mut E,
+        store: &'s ParamStore,
+        tr_points: &E::H,
+        z: &E::H,
         layout: &GrlBatchLayout,
-    ) -> Tensor {
-        assert_eq!(tr_points.rows, layout.point_segs.len());
-        assert_eq!(z.rows, layout.total_rows());
+    ) -> E::H {
         // Sub-layer 1: Norm(z + Fusion(tr, z)).
         let f = match (&self.fusion, &self.fusion_ffn) {
-            (Some(gf), _) => gf.infer_batch(store, tr_points, z, &layout.row_to_point),
+            (Some(gf), _) => gf.forward(ex, store, tr_points, z, &layout.row_to_point),
             (None, Some(ffn)) => {
-                let tr_rep = kernels::gather_rows(tr_points, &layout.row_to_point);
-                let cat = kernels::concat_cols(&[&tr_rep, z]);
-                kernels::relu(&ffn.infer(store, &cat))
+                let tr_rep = ex.gather_rows(tr_points, &layout.row_to_point);
+                let cat = ex.concat_cols(&[&tr_rep, z]);
+                let y = ffn.forward(ex, store, &cat);
+                ex.relu(&y)
             }
             _ => unreachable!(),
         };
-        let fused = kernels::add(z, &f);
-        let x = self.norm1.infer_batch(store, &fused, layout);
+        let fused = ex.add(z, &f);
+        let x = self.norm1.forward(ex, store, &fused, layout);
 
         // Sub-layer 2: Norm(x + GraphForward(x)).
-        let f = if let Some(ffn) = &self.forward_ffn {
-            ffn.infer(store, &x)
-        } else {
-            let mut h = x.clone();
-            for gat in &self.gats {
-                h = gat.infer(store, &h, &layout.union_csr);
+        let f = match &self.forward_ffn {
+            Some(ffn) => Some(ffn.forward(ex, store, &x)),
+            None => {
+                let mut h = None;
+                for gat in &self.gats {
+                    let input = h.as_ref().unwrap_or(&x);
+                    h = Some(gat.forward(ex, store, input, &layout.union_csr));
+                }
+                h
             }
-            h
         };
-        let refined = kernels::add(&x, &f);
-        self.norm2.infer_batch(store, &refined, layout)
+        let refined = ex.add(&x, f.as_ref().unwrap_or(&x));
+        self.norm2.forward(ex, store, &refined, layout)
     }
 }
 
@@ -483,7 +355,7 @@ impl GraphRefinementLayer {
 mod tests {
     use super::*;
     use rand::SeedableRng;
-    use rntrajrec_nn::Tensor;
+    use rntrajrec_nn::{Tape, Tensor};
 
     fn csr(n: usize) -> Arc<GraphCsr> {
         // Simple path graph.
@@ -502,6 +374,11 @@ mod tests {
         Arc::new(GraphCsr::from_neighbor_lists(&lists, true))
     }
 
+    /// One GraphNorm scope over path graphs of the given sizes.
+    fn layout(sizes: &[usize]) -> GrlBatchLayout {
+        GrlBatchLayout::new(&[sizes.iter().map(|&n| (n, csr(n))).collect()])
+    }
+
     #[test]
     fn gated_fusion_blends_inputs() {
         let mut rng = StdRng::seed_from_u64(1);
@@ -510,7 +387,7 @@ mod tests {
         let mut tape = Tape::new();
         let tr = tape.leaf(Tensor::from_vec(1, 4, vec![1.0, 1.0, 1.0, 1.0]));
         let z = tape.leaf(Tensor::zeros(3, 4));
-        let out = gf.forward(&mut tape, &store, tr, z);
+        let out = gf.forward(&mut tape, &store, &tr, &z, &[0, 0, 0]);
         let v = tape.value(out);
         assert_eq!(v.shape(), (3, 4));
         // With zero bias the gate starts near 0.5: output strictly between
@@ -524,31 +401,21 @@ mod tests {
         let mut store = ParamStore::new();
         let gn = GraphNorm::new(&mut store, &mut rng, "gn", 3);
         let mut tape = Tape::new();
-        let z1 = tape.leaf(Tensor::from_vec(
-            2,
+        // Two graphs (2 and 3 nodes) stacked, one scope.
+        let z = tape.leaf(Tensor::from_vec(
+            5,
             3,
-            vec![10.0, -4.0, 3.0, 14.0, -8.0, 5.0],
+            vec![
+                10.0, -4.0, 3.0, 14.0, -8.0, 5.0, 6.0, 0.0, 1.0, 8.0, -2.0, 7.0, 12.0, -6.0, 3.0,
+            ],
         ));
-        let z2 = tape.leaf(Tensor::from_vec(
-            3,
-            3,
-            vec![6.0, 0.0, 1.0, 8.0, -2.0, 7.0, 12.0, -6.0, 3.0],
-        ));
-        let out = gn.forward(&mut tape, &store, &[z1, z2]);
-        assert_eq!(out.len(), 2);
-        assert_eq!(tape.value(out[0]).shape(), (2, 3));
-        assert_eq!(tape.value(out[1]).shape(), (3, 3));
-        // Concatenated output: near-zero variance shift (gamma=1, beta=0 at
-        // init) — check each column has ~unit std around the pooled mean.
-        let all: Vec<f32> = tape
-            .value(out[0])
-            .data
-            .iter()
-            .chain(&tape.value(out[1]).data)
-            .copied()
-            .collect();
+        let out = gn.forward(&mut tape, &store, &z, &layout(&[2, 3]));
+        let all = tape.value(out);
+        assert_eq!(all.shape(), (5, 3));
+        // Near-zero variance shift (gamma=1, beta=0 at init) — check each
+        // column has ~unit std around the pooled mean.
         for c in 0..3 {
-            let col: Vec<f32> = all.iter().skip(c).step_by(3).copied().collect();
+            let col: Vec<f32> = all.data.iter().skip(c).step_by(3).copied().collect();
             let var: f32 = col.iter().map(|x| x * x).sum::<f32>() / col.len() as f32;
             assert!((0.3..3.0).contains(&var), "col {c} var {var}");
         }
@@ -574,18 +441,11 @@ mod tests {
             };
             let grl = GraphRefinementLayer::new(&mut store, &mut rng, "grl", cfg);
             let mut tape = Tape::new();
-            let tr1 = tape.leaf(Tensor::uniform(1, 8, 1.0, &mut rng));
-            let tr2 = tape.leaf(Tensor::uniform(1, 8, 1.0, &mut rng));
-            let z1 = tape.leaf(Tensor::uniform(4, 8, 1.0, &mut rng));
-            let z2 = tape.leaf(Tensor::uniform(2, 8, 1.0, &mut rng));
-            let out = grl.forward(&mut tape, &store, &[tr1, tr2], &[z1, z2], &[csr(4), csr(2)]);
-            assert_eq!(
-                tape.value(out[0]).shape(),
-                (4, 8),
-                "variant {gf}/{gat}/{gn}"
-            );
-            assert_eq!(tape.value(out[1]).shape(), (2, 8));
-            assert!(tape.value(out[0]).all_finite());
+            let tr = tape.leaf(Tensor::uniform(2, 8, 1.0, &mut rng));
+            let z = tape.leaf(Tensor::uniform(6, 8, 1.0, &mut rng));
+            let out = grl.forward(&mut tape, &store, &tr, &z, &layout(&[4, 2]));
+            assert_eq!(tape.value(out).shape(), (6, 8), "variant {gf}/{gat}/{gn}");
+            assert!(tape.value(out).all_finite());
         }
     }
 
@@ -599,10 +459,10 @@ mod tests {
         let mut tape = Tape::new();
         let tr = tape.leaf(Tensor::uniform(1, 8, 1.0, &mut rng));
         let z = tape.leaf(Tensor::uniform(3, 8, 1.0, &mut rng));
-        let c = csr(3);
-        let out1 = a.forward(&mut tape, &store, &[tr], &[z], std::slice::from_ref(&c));
-        let out2 = b.forward(&mut tape, &store, &[tr], &[out1[0]], &[c]);
-        assert_eq!(tape.value(out2[0]).shape(), (3, 8));
+        let l = layout(&[3]);
+        let out1 = a.forward(&mut tape, &store, &tr, &z, &l);
+        let out2 = b.forward(&mut tape, &store, &tr, &out1, &l);
+        assert_eq!(tape.value(out2).shape(), (3, 8));
     }
 
     #[test]
@@ -614,8 +474,8 @@ mod tests {
         let mut tape = Tape::new();
         let tr = tape.leaf(Tensor::uniform(1, 8, 1.0, &mut rng));
         let z = tape.leaf(Tensor::uniform(3, 8, 1.0, &mut rng));
-        let out = grl.forward(&mut tape, &store, &[tr], &[z], &[csr(3)]);
-        let loss = tape.mean_all(out[0]);
+        let out = grl.forward(&mut tape, &store, &tr, &z, &layout(&[3]));
+        let loss = tape.mean_all(out);
         store.zero_grad();
         tape.backward(loss, &mut store);
         let gf = grl.fusion.as_ref().unwrap();

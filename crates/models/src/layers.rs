@@ -2,7 +2,7 @@
 
 use rand::rngs::StdRng;
 
-use rntrajrec_nn::{kernels, Init, NodeId, ParamId, ParamStore, Tape, Tensor};
+use rntrajrec_nn::{Exec, Init, ParamId, ParamStore};
 
 /// Fully connected layer `y = x·W (+ b)`.
 #[derive(Debug, Clone)]
@@ -33,23 +33,14 @@ impl Linear {
     }
 
     /// `x: [N, in] -> [N, out]`.
-    pub fn forward(&self, tape: &mut Tape, store: &ParamStore, x: NodeId) -> NodeId {
-        let w = tape.param(store, self.w);
-        let y = tape.matmul(x, w);
+    pub fn forward<'s, E: Exec<'s>>(&self, ex: &mut E, store: &'s ParamStore, x: &E::H) -> E::H {
+        let w = ex.param(store, self.w);
+        let y = ex.matmul(x, &w);
         match self.b {
             Some(b) => {
-                let b = tape.param(store, b);
-                tape.add_rowvec(y, b)
+                let b = ex.param(store, b);
+                ex.add_rowvec(&y, &b)
             }
-            None => y,
-        }
-    }
-
-    /// Tape-free twin of [`Linear::forward`].
-    pub fn infer(&self, store: &ParamStore, x: &Tensor) -> Tensor {
-        let y = kernels::matmul(x, store.value(self.w));
-        match self.b {
-            Some(b) => kernels::add_rowvec(&y, store.value(b)),
             None => y,
         }
     }
@@ -81,18 +72,12 @@ impl LayerNorm {
     ///
     /// Runs the fused `layer_norm` kernel (one statistics pass + one
     /// normalise-and-affine pass) instead of the nine-op primitive chain;
-    /// the forward value is bit-identical to the composed route and the op
-    /// carries its own analytic backward.
-    pub fn forward(&self, tape: &mut Tape, store: &ParamStore, x: NodeId) -> NodeId {
-        let gamma = tape.param(store, self.gamma);
-        let beta = tape.param(store, self.beta);
-        tape.layer_norm(x, gamma, beta, self.eps)
-    }
-
-    /// Tape-free twin of [`LayerNorm::forward`] (same fused kernel, so
-    /// results are bit-identical).
-    pub fn infer(&self, store: &ParamStore, x: &Tensor) -> Tensor {
-        kernels::layer_norm(x, store.value(self.gamma), store.value(self.beta), self.eps)
+    /// the forward value is bit-identical to the composed route and the
+    /// tape op carries its own analytic backward.
+    pub fn forward<'s, E: Exec<'s>>(&self, ex: &mut E, store: &'s ParamStore, x: &E::H) -> E::H {
+        let gamma = ex.param(store, self.gamma);
+        let beta = ex.param(store, self.beta);
+        ex.layer_norm(x, &gamma, &beta, self.eps)
     }
 }
 
@@ -117,16 +102,10 @@ impl FeedForward {
         }
     }
 
-    pub fn forward(&self, tape: &mut Tape, store: &ParamStore, x: NodeId) -> NodeId {
-        let h = self.l1.forward(tape, store, x);
-        let h = tape.relu(h);
-        self.l2.forward(tape, store, h)
-    }
-
-    /// Tape-free twin of [`FeedForward::forward`].
-    pub fn infer(&self, store: &ParamStore, x: &Tensor) -> Tensor {
-        let h = kernels::relu(&self.l1.infer(store, x));
-        self.l2.infer(store, &h)
+    pub fn forward<'s, E: Exec<'s>>(&self, ex: &mut E, store: &'s ParamStore, x: &E::H) -> E::H {
+        let h = self.l1.forward(ex, store, x);
+        let h = ex.relu(&h);
+        self.l2.forward(ex, store, &h)
     }
 }
 
@@ -134,7 +113,7 @@ impl FeedForward {
 mod tests {
     use super::*;
     use rand::SeedableRng;
-    use rntrajrec_nn::{Adam, Tensor};
+    use rntrajrec_nn::{Adam, Tape, Tensor};
 
     #[test]
     fn linear_shapes_and_bias() {
@@ -143,7 +122,7 @@ mod tests {
         let lin = Linear::new(&mut store, &mut rng, "l", 4, 3, true);
         let mut tape = Tape::new();
         let x = tape.leaf(Tensor::zeros(2, 4));
-        let y = lin.forward(&mut tape, &store, x);
+        let y = lin.forward(&mut tape, &store, &x);
         assert_eq!(tape.value(y).shape(), (2, 3));
         // Zero input -> output equals bias (zeros initially).
         assert!(tape.value(y).data.iter().all(|&v| v == 0.0));
@@ -159,7 +138,7 @@ mod tests {
         for _ in 0..300 {
             let mut tape = Tape::new();
             let x = tape.leaf(x_data.clone());
-            let y = lin.forward(&mut tape, &store, x);
+            let y = lin.forward(&mut tape, &store, &x);
             let diff = tape.sub(y, x);
             let sq = tape.mul(diff, diff);
             let loss = tape.mean_all(sq);
@@ -169,7 +148,7 @@ mod tests {
         }
         let mut tape = Tape::new();
         let x = tape.leaf(x_data.clone());
-        let y = lin.forward(&mut tape, &store, x);
+        let y = lin.forward(&mut tape, &store, &x);
         assert!(tape.value(y).max_abs_diff(&x_data) < 0.05);
     }
 
@@ -186,7 +165,7 @@ mod tests {
                 10.0, 12.0, 8.0, 11.0, 9.0, 10.0, -5.0, 0.0, 5.0, 2.0, -2.0, 0.0,
             ],
         ));
-        let y = ln.forward(&mut tape, &store, x);
+        let y = ln.forward(&mut tape, &store, &x);
         let v = tape.value(y);
         for r in 0..2 {
             let row = v.row_slice(r);
@@ -204,7 +183,7 @@ mod tests {
         let ln = LayerNorm::new(&mut store, &mut rng, "ln", 4);
         let mut tape = Tape::new();
         let x = tape.leaf(Tensor::from_vec(1, 4, vec![1.0, 2.0, 3.0, 4.0]));
-        let y = ln.forward(&mut tape, &store, x);
+        let y = ln.forward(&mut tape, &store, &x);
         let loss = tape.mean_all(y);
         store.zero_grad();
         tape.backward(loss, &mut store);
@@ -224,7 +203,7 @@ mod tests {
         let ffn = FeedForward::new(&mut store, &mut rng, "f", 8, 16);
         let mut tape = Tape::new();
         let x = tape.leaf(Tensor::zeros(3, 8));
-        let y = ffn.forward(&mut tape, &store, x);
+        let y = ffn.forward(&mut tape, &store, &x);
         assert_eq!(tape.value(y).shape(), (3, 8));
     }
 }

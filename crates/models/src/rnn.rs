@@ -2,7 +2,21 @@
 
 use rand::rngs::StdRng;
 
-use rntrajrec_nn::{kernels, Init, NodeId, ParamId, ParamStore, Tape, Tensor};
+use rntrajrec_nn::{Exec, Init, NodeId, ParamId, ParamStore, Tape, Tensor};
+
+/// A gate's pre-activation `cat·W + b` (GRU and LSTM alike).
+fn gate<'s, E: Exec<'s>>(
+    ex: &mut E,
+    store: &'s ParamStore,
+    cat: &E::H,
+    w: ParamId,
+    b: ParamId,
+) -> E::H {
+    let w = ex.param(store, w);
+    let b = ex.param(store, b);
+    let lin = ex.matmul(cat, &w);
+    ex.add_rowvec(&lin, &b)
+}
 
 /// Gated recurrent unit cell exactly as the paper's Eq. (1):
 /// `z = σ(W_z·[s,x]+b_z)`, `r = σ(W_r·[s,x]+b_r)`,
@@ -41,59 +55,29 @@ impl GruCell {
     }
 
     /// One step: `x [B,in]`, `s [B,hidden]` → `s' [B,hidden]`.
-    pub fn step(&self, tape: &mut Tape, store: &ParamStore, x: NodeId, s: NodeId) -> NodeId {
-        let cat = tape.concat_cols(&[s, x]);
-        let wz = tape.param(store, self.wz);
-        let bz = tape.param(store, self.bz);
-        let z_lin = tape.matmul(cat, wz);
-        let z_lin = tape.add_rowvec(z_lin, bz);
-        let z = tape.sigmoid(z_lin);
+    pub fn step<'s, E: Exec<'s>>(
+        &self,
+        ex: &mut E,
+        store: &'s ParamStore,
+        x: &E::H,
+        s: &E::H,
+    ) -> E::H {
+        let cat = ex.concat_cols(&[s, x]);
+        let z_lin = gate(ex, store, &cat, self.wz, self.bz);
+        let z = ex.sigmoid(&z_lin);
+        let r_lin = gate(ex, store, &cat, self.wr, self.br);
+        let r = ex.sigmoid(&r_lin);
 
-        let wr = tape.param(store, self.wr);
-        let br = tape.param(store, self.br);
-        let r_lin = tape.matmul(cat, wr);
-        let r_lin = tape.add_rowvec(r_lin, br);
-        let r = tape.sigmoid(r_lin);
+        let rs = ex.mul(&r, s);
+        let cat2 = ex.concat_cols(&[&rs, x]);
+        let c_lin = gate(ex, store, &cat2, self.wc, self.bc);
+        let c = ex.tanh(c_lin);
 
-        let rs = tape.mul(r, s);
-        let cat2 = tape.concat_cols(&[rs, x]);
-        let wc = tape.param(store, self.wc);
-        let bc = tape.param(store, self.bc);
-        let c_lin = tape.matmul(cat2, wc);
-        let c_lin = tape.add_rowvec(c_lin, bc);
-        let c = tape.tanh(c_lin);
-
-        let neg_z = tape.scale(z, -1.0);
-        let one_minus_z = tape.add_const(neg_z, 1.0);
-        let keep = tape.mul(one_minus_z, s);
-        let update = tape.mul(z, c);
-        tape.add(keep, update)
-    }
-
-    /// Tape-free twin of [`GruCell::step`].
-    pub fn infer_step(&self, store: &ParamStore, x: &Tensor, s: &Tensor) -> Tensor {
-        let cat = kernels::concat_cols(&[s, x]);
-        let z_lin = kernels::add_rowvec(
-            &kernels::matmul(&cat, store.value(self.wz)),
-            store.value(self.bz),
-        );
-        let z = kernels::sigmoid(&z_lin);
-        let r_lin = kernels::add_rowvec(
-            &kernels::matmul(&cat, store.value(self.wr)),
-            store.value(self.br),
-        );
-        let r = kernels::sigmoid(&r_lin);
-        let rs = kernels::mul(&r, s);
-        let cat2 = kernels::concat_cols(&[&rs, x]);
-        let mut c = kernels::add_rowvec(
-            &kernels::matmul(&cat2, store.value(self.wc)),
-            store.value(self.bc),
-        );
-        kernels::tanh_in_place(&mut c);
-        let one_minus_z = kernels::add_const(&kernels::scale(&z, -1.0), 1.0);
-        let keep = kernels::mul(&one_minus_z, s);
-        let update = kernels::mul(&z, &c);
-        kernels::add(&keep, &update)
+        let neg_z = ex.scale(&z, -1.0);
+        let one_minus_z = ex.add_const(&neg_z, 1.0);
+        let keep = ex.mul(&one_minus_z, s);
+        let update = ex.mul(&z, &c);
+        ex.add(&keep, &update)
     }
 
     /// Run over a sequence `[L, in]` with zero initial state; returns the
@@ -104,7 +88,7 @@ impl GruCell {
         let mut outs = Vec::with_capacity(len);
         for i in 0..len {
             let x = tape.select_rows(xs, i, 1);
-            s = self.step(tape, store, x, s);
+            s = self.step(tape, store, &x, &s);
             outs.push(s);
         }
         tape.concat_rows(&outs)
@@ -150,20 +134,6 @@ impl LstmCell {
         }
     }
 
-    fn gate(
-        &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        cat: NodeId,
-        w: ParamId,
-        b: ParamId,
-    ) -> NodeId {
-        let w = tape.param(store, w);
-        let b = tape.param(store, b);
-        let lin = tape.matmul(cat, w);
-        tape.add_rowvec(lin, b)
-    }
-
     /// One step: returns `(h', c')`.
     pub fn step(
         &self,
@@ -174,13 +144,13 @@ impl LstmCell {
         c: NodeId,
     ) -> (NodeId, NodeId) {
         let cat = tape.concat_cols(&[h, x]);
-        let i_lin = self.gate(tape, store, cat, self.wi, self.bi);
+        let i_lin = gate(tape, store, &cat, self.wi, self.bi);
         let i = tape.sigmoid(i_lin);
-        let f_lin = self.gate(tape, store, cat, self.wf, self.bf);
+        let f_lin = gate(tape, store, &cat, self.wf, self.bf);
         let f = tape.sigmoid(f_lin);
-        let o_lin = self.gate(tape, store, cat, self.wo, self.bo);
+        let o_lin = gate(tape, store, &cat, self.wo, self.bo);
         let o = tape.sigmoid(o_lin);
-        let g_lin = self.gate(tape, store, cat, self.wg, self.bg);
+        let g_lin = gate(tape, store, &cat, self.wg, self.bg);
         let g = tape.tanh(g_lin);
         let fc = tape.mul(f, c);
         let ig = tape.mul(i, g);
@@ -251,7 +221,7 @@ impl BiLstm {
             .collect();
         let b = tape.concat_rows(&b_rows);
         let cat = tape.concat_cols(&[f, b]);
-        self.proj.forward(tape, store, cat)
+        self.proj.forward(tape, store, &cat)
     }
 }
 
@@ -305,7 +275,7 @@ mod tests {
                 let x = tape.leaf(Tensor::from_vec(4, 1, xs.clone()));
                 let hs = gru.run_sequence(&mut tape, &store, x);
                 let hl = tape.select_rows(hs, 3, 1);
-                let y = head.forward(&mut tape, &store, hl);
+                let y = head.forward(&mut tape, &store, &hl);
                 let t = tape.leaf(Tensor::scalar(*target));
                 let d = tape.sub(y, t);
                 let sq = tape.mul(d, d);

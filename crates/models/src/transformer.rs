@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 
 use crate::attention::MultiHeadAttention;
 use crate::layers::{FeedForward, LayerNorm};
-use rntrajrec_nn::{kernels, NodeId, ParamStore, Tape, Tensor};
+use rntrajrec_nn::{Exec, ParamStore};
 
 /// `LayerNorm(x + MultiHead(x))` then `LayerNorm(x + FFN(x))` — the
 /// temporal-modelling half of each GPSFormer block.
@@ -35,27 +35,26 @@ impl TransformerEncoderLayer {
         }
     }
 
-    /// `x: [L, dim] -> [L, dim]`.
-    pub fn forward(&self, tape: &mut Tape, store: &ParamStore, x: NodeId) -> NodeId {
-        let attn = self.mha.forward(tape, store, x);
-        let res1 = tape.add(x, attn);
-        let h = self.ln1.forward(tape, store, res1);
-        let ff = self.ffn.forward(tape, store, h);
-        let res2 = tape.add(h, ff);
-        self.ln2.forward(tape, store, res2)
-    }
-
-    /// Tape-free twin of [`TransformerEncoderLayer::forward`] over a stack
-    /// of trajectories (`segs` are the members' row ranges): the attention
-    /// reduction is member-scoped ([`MultiHeadAttention::infer_segments`])
-    /// while the residual adds, layer norms (row-local by construction),
-    /// and FFN matmuls run once over the whole stack — every output row
-    /// bit-identical to `forward` on the member alone.
-    pub fn infer_segments(&self, store: &ParamStore, x: &Tensor, segs: &[Range<usize>]) -> Tensor {
-        let attn = self.mha.infer_segments(store, x, segs);
-        let h = self.ln1.infer(store, &kernels::add(x, &attn));
-        let ff = self.ffn.infer(store, &h);
-        self.ln2.infer(store, &kernels::add(&h, &ff))
+    /// `x: [ΣL, dim] -> [ΣL, dim]` over a stack of sequences (`segs` are
+    /// the members' row ranges; a lone sequence is the one segment
+    /// `0..L`): the attention reduction is member-scoped
+    /// ([`MultiHeadAttention::forward`]) while the residual adds, layer
+    /// norms (row-local by construction) and FFN matmuls run once over the
+    /// whole stack — every output row bit-identical to running the member
+    /// alone.
+    pub fn forward<'s, E: Exec<'s>>(
+        &self,
+        ex: &mut E,
+        store: &'s ParamStore,
+        x: &E::H,
+        segs: &[Range<usize>],
+    ) -> E::H {
+        let attn = self.mha.forward(ex, store, x, segs);
+        let res1 = ex.add(x, &attn);
+        let h = self.ln1.forward(ex, store, &res1);
+        let ff = self.ffn.forward(ex, store, &h);
+        let res2 = ex.add(&h, &ff);
+        self.ln2.forward(ex, store, &res2)
     }
 }
 
@@ -63,7 +62,7 @@ impl TransformerEncoderLayer {
 mod tests {
     use super::*;
     use rand::SeedableRng;
-    use rntrajrec_nn::{Adam, Tensor};
+    use rntrajrec_nn::{Adam, Tape, Tensor};
 
     #[test]
     fn shape_preserved_and_finite() {
@@ -72,7 +71,7 @@ mod tests {
         let layer = TransformerEncoderLayer::new(&mut store, &mut rng, "t", 8, 2, 16);
         let mut tape = Tape::new();
         let x = tape.leaf(Tensor::uniform(6, 8, 1.0, &mut rng));
-        let y = layer.forward(&mut tape, &store, x);
+        let y = layer.forward(&mut tape, &store, &x, std::slice::from_ref(&(0..6)));
         assert_eq!(tape.value(y).shape(), (6, 8));
         assert!(tape.value(y).all_finite());
     }
@@ -85,8 +84,8 @@ mod tests {
         let l2 = TransformerEncoderLayer::new(&mut store, &mut rng, "t2", 8, 2, 16);
         let mut tape = Tape::new();
         let x = tape.leaf(Tensor::uniform(4, 8, 1.0, &mut rng));
-        let h = l1.forward(&mut tape, &store, x);
-        let y = l2.forward(&mut tape, &store, h);
+        let h = l1.forward(&mut tape, &store, &x, std::slice::from_ref(&(0..4)));
+        let y = l2.forward(&mut tape, &store, &h, std::slice::from_ref(&(0..4)));
         assert_eq!(tape.value(y).shape(), (4, 8));
     }
 
@@ -116,8 +115,8 @@ mod tests {
             let mut losses = Vec::new();
             for (x, target) in &cases {
                 let xid = tape.leaf(x.clone());
-                let h = layer.forward(&mut tape, &store, xid);
-                let y = head.forward(&mut tape, &store, h); // [3,1]
+                let h = layer.forward(&mut tape, &store, &xid, std::slice::from_ref(&(0..3)));
+                let y = head.forward(&mut tape, &store, &h); // [3,1]
                 let t = tape.leaf(Tensor::full(3, 1, *target));
                 let d = tape.sub(y, t);
                 let sq = tape.mul(d, d);

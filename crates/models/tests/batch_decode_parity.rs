@@ -1,7 +1,7 @@
 //! Property suite for the fused batched decoder **and** encoder.
 //!
 //! The contract: [`Decoder::recover_batch_infer_stream`] and
-//! [`RnTrajRecEncoder::infer_batch`] over an arbitrary micro-batch —
+//! [`TrajEncoder::infer_batch`] over an arbitrary micro-batch —
 //! ragged lengths, repeated members, any batch size, any intra-op thread
 //! count — are **bit-identical** to the same call on each member alone
 //! (`B = 1`), which the singleton tests below in turn anchor on the tape
@@ -23,7 +23,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use rntrajrec_models::{
-    BatchMember, DecodeHooks, Decoder, DecoderConfig, EncoderOutput, FeatureExtractor,
+    BatchMember, DecodeHooks, Decoder, DecoderConfig, EncoderOutput, FeatureExtractor, InferOutput,
     RnTrajRecConfig, RnTrajRecEncoder, SampleInput, SegmentHead, TrajEncoder,
 };
 use rntrajrec_nn::kernels::backend::{self, Backend};
@@ -501,6 +501,15 @@ struct EncoderFixture {
     samples: Vec<SampleInput>,
 }
 
+impl EncoderFixture {
+    /// The stacked eager encoder through its trait entry point.
+    fn encode(&self, batch: &[&SampleInput]) -> Vec<InferOutput> {
+        self.encoder
+            .infer_batch(&self.store, batch, Some(&self.xroad))
+            .expect("RNTrajRec has a tape-free path")
+    }
+}
+
 const ENC_POOL: usize = 5;
 
 fn encoder_fixture() -> &'static EncoderFixture {
@@ -544,7 +553,9 @@ fn encoder_fixture() -> &'static EncoderFixture {
             &grid,
             RnTrajRecConfig::small(16),
         );
-        let xroad = encoder.gridgnn.infer(&store);
+        let xroad = encoder
+            .precompute_road(&store)
+            .expect("RNTrajRec precomputes X_road");
         EncoderFixture {
             store,
             encoder,
@@ -577,16 +588,12 @@ proptest! {
                 pool::set_num_threads(1);
                 let alone: Vec<_> = picks
                     .iter()
-                    .map(|&p| {
-                        fix.encoder
-                            .infer_batch(&fix.store, &[&fix.samples[p]], &fix.xroad)
-                            .remove(0)
-                    })
+                    .map(|&p| fix.encode(&[&fix.samples[p]]).remove(0))
                     .collect();
                 for threads in [1usize, 4] {
                     pool::set_num_threads(threads);
                     let batch: Vec<&SampleInput> = picks.iter().map(|&p| &fix.samples[p]).collect();
-                    let batched = fix.encoder.infer_batch(&fix.store, &batch, &fix.xroad);
+                    let batched = fix.encode(&batch);
                     pool::set_num_threads(1);
                     for (i, (got, want)) in batched.iter().zip(&alone).enumerate() {
                         assert!(
@@ -615,9 +622,7 @@ fn singleton_and_single_point_encoder_batches() {
     pool::set_num_threads(1);
     let mut rng = StdRng::seed_from_u64(0); // unused by RNTrajRec's encode
     for p in 0..ENC_POOL {
-        let batched = fix
-            .encoder
-            .infer_batch(&fix.store, &[&fix.samples[p]], &fix.xroad);
+        let batched = fix.encode(&[&fix.samples[p]]);
         let mut tape = Tape::new();
         let want = fix
             .encoder

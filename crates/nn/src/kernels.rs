@@ -290,11 +290,11 @@ pub(crate) fn matmul_axpy(
 }
 
 /// `A[R,K] × B[K,C]`, parallel over output rows (output columns when
-/// `R == 1`). The scalar backend runs [`matmul_axpy`] row by row (zero
+/// `R == 1`). The scalar backend runs `matmul_axpy` row by row (zero
 /// entries of `A` skipped). Under AVX2 each chunk's rows go six at a time
-/// through the register-tiled [`backend::matmul_tile`] — a 6 × 16 block of
+/// through the register-tiled `backend::matmul_tile` — a 6 × 16 block of
 /// accumulators held in registers across the whole `k` loop — and the
-/// rows left over (and the `R == 1` path) through [`matmul_axpy`]. Either
+/// rows left over (and the `R == 1` path) through `matmul_axpy`. Either
 /// way every output element is one chain accumulated from 0 in ascending
 /// `k`, so a row's bits do not depend on which path, partition or thread
 /// count computed it (pinned against the row-at-a-time route by
@@ -913,8 +913,8 @@ fn col_dots(
 /// mask support instead of `C = |V|`.
 ///
 /// Per computed column the logit arithmetic is exactly the dense route's
-/// (`(dot + bias) + log-weight`, see [`col_dot`]; the dots run
-/// [`backend::DOT_LANES`] columns at a time through [`col_dots`]), and
+/// (`(dot + bias) + log-weight`, see `col_dot`; the dots run
+/// `backend::DOT_LANES` columns at a time through `col_dots`), and
 /// the mask entries are taken as given — they must be in the canonical
 /// form [`SparseLogMask`] documents, which is verified up front.
 /// What differs from the soft dense route *by design* is the normaliser:
@@ -929,7 +929,7 @@ fn col_dots(
 ///
 /// Rows with `None` masks or an empty entry list fall back to the full
 /// dense computation, bit-identical to the composed route. FLOP
-/// attribution ([`note_matmul`]) counts `2·K·(columns actually
+/// attribution (`note_matmul`) counts `2·K·(columns actually
 /// computed)`, not the dense `2·R·K·C`.
 pub fn masked_matmul_cols(
     a: &Tensor,

@@ -10,15 +10,23 @@
 //!
 //! Design:
 //! * [`Tensor`] — a 2-D row-major `f32` matrix. Vectors are `[1, C]` rows,
-//!   scalars `[1, 1]`. Two dimensions are all the model needs (batching is
-//!   done by looping trajectories into one tape, which also lets GraphNorm
-//!   compute true mini-batch statistics via `concat_rows`).
+//!   scalars `[1, 1]`. Two dimensions are all the model needs (a batch is
+//!   its members' rows stacked into one matrix, with row ranges saying
+//!   which rows a scoped reduction may mix).
 //! * [`kernels`] — the **single home of every numeric kernel**: the matmul
 //!   family, softmax, layer-norm statistics, element-wise maps, gathers,
-//!   and the CSR graph-attention gather/scatter. Both execution paths
-//!   below call into it, so every kernel has one body to optimise and
+//!   and the CSR graph-attention gather/scatter. Both executors below
+//!   call into it, so every kernel has one body to optimise and
 //!   parity-test. Heavy kernels parallelise over [`pool`] by disjoint
 //!   output partitions and are **bit-identical at any thread count**.
+//! * [`Exec`] — the executor trait model code is written against: ops take
+//!   and return handles, so a layer is **one** generic `forward` that runs
+//!   on either executor. [`Tape`] records (`H = NodeId`, training);
+//!   [`Eager`] evaluates at once and keeps nothing (`H = Cow<Tensor>`,
+//!   parameters and inputs borrowed — serving). Reductions whose scope is
+//!   a member or a sub-graph of a stacked batch are executor ops too
+//!   (`segmented_*`, `gated_blend`): a fused kernel on `Eager`, the
+//!   per-segment chain of differentiable primitives on `Tape`.
 //! * [`pool`] — a small dependency-free persistent thread pool (`rayon` is
 //!   unavailable here) with a scoped chunked-range API; the intra-op
 //!   thread count is a process-wide knob (`NN_THREADS` env /
@@ -38,6 +46,7 @@
 //!   segment head ([`quant::QuantizedLinear`]).
 
 mod csr;
+mod exec;
 pub mod kernels;
 mod optim;
 mod param;
@@ -47,6 +56,7 @@ mod tape;
 mod tensor;
 
 pub use csr::GraphCsr;
+pub use exec::{Eager, Exec};
 pub use optim::{clip_global_norm, Adam, Sgd};
 pub use param::{Init, ParamId, ParamStore};
 pub use tape::{NodeId, Op, Tape};

@@ -33,8 +33,8 @@ pub(crate) struct ParamData {
 /// Owns every learnable tensor of a model.
 ///
 /// Gradients accumulate across [`crate::Tape::backward`] calls until
-/// [`ParamStore::zero_grad`]; the optimizers in [`crate::optim`] consume
-/// them.
+/// [`ParamStore::zero_grad`]; the optimizers ([`crate::Adam`],
+/// [`crate::Sgd`]) consume them.
 #[derive(Debug, Default)]
 pub struct ParamStore {
     pub(crate) params: Vec<ParamData>,

@@ -7,8 +7,9 @@
 //!
 //! All numeric work — forward values *and* the backward matmuls — runs on
 //! the unified [`crate::kernels`] layer, the same compute core the
-//! tape-free [`crate::infer`] serving path uses. The tape adds only the
-//! graph bookkeeping on top.
+//! tape-free [`crate::Eager`] executor serves with. The tape adds only the
+//! graph bookkeeping on top; model code reaches both through
+//! [`crate::Exec`].
 
 use std::sync::Arc;
 

@@ -22,6 +22,16 @@
 //! and the AVX2 register tile is pinned to the row-at-a-time chain at
 //! every tile edge (`matmul_tile_edges_match_row_at_a_time`).
 //!
+//! Executor conformance (`exec_ops_agree_between_tape_and_eager`): one
+//! generic function runs **every** [`Exec`] op, and the values it produces
+//! on a [`Tape`] and on [`Eager`] must agree bitwise. For the plain ops
+//! that pins that both executors call the same kernel; for the five scoped
+//! ops it is the fused-kernel-vs-composed-chain check — `Eager` runs
+//! `segmented_self_attention` / `segmented_mean_rows` /
+//! `segmented_weighted_mean_rows` / `segmented_norm_*` / `gated_blend`,
+//! `Tape` the per-segment chain of primitive differentiable ops — over
+//! ragged segments with a one-row and an empty member.
+//!
 //! Each case draws random shapes (large enough that the pool actually
 //! engages), random contents, and — for the CSR graph ops — random ragged
 //! adjacency including isolated nodes.
@@ -33,7 +43,9 @@ use std::sync::Arc;
 
 use rntrajrec_nn::kernels::backend::{self, Backend};
 use rntrajrec_nn::quant::QuantizedLinear;
-use rntrajrec_nn::{kernels, pool, GraphCsr, NodeId, ParamStore, Tape, Tensor};
+use rntrajrec_nn::{
+    kernels, pool, Eager, Exec, GraphCsr, Init, NodeId, ParamId, ParamStore, Tape, Tensor,
+};
 
 /// A labelled parity case: (name, tape reference, tape-free recompute).
 type ParityCase<'a> = (&'a str, &'a Tensor, Box<dyn Fn() -> Tensor + 'a>);
@@ -534,6 +546,174 @@ proptest! {
                     }
                 }
                 pool::set_num_threads(1);
+            });
+        }
+    }
+}
+
+/// Everything [`run_every_exec_op`] reads: dense operands, a parameter,
+/// ragged row segments and a random CSR over the same `r` rows.
+struct ExecInputs {
+    store: ParamStore,
+    w: ParamId,
+    a: Tensor,
+    b: Tensor,
+    v: Tensor,
+    gamma: Tensor,
+    beta: Tensor,
+    src: Tensor,
+    dst: Tensor,
+    idx: Vec<usize>,
+    csr: Arc<GraphCsr>,
+    /// Tiles the `r` rows; holds a one-row and an empty member.
+    segs: Vec<std::ops::Range<usize>>,
+    /// `segs` without the empty members (the graphs GraphNorm pools).
+    graphs: Vec<std::ops::Range<usize>>,
+    /// Groups of `graphs`, one of them empty.
+    scopes: Vec<std::ops::Range<usize>>,
+    row_to_scope: Vec<usize>,
+    weights: Vec<f32>,
+}
+
+impl ExecInputs {
+    fn random(rng: &mut StdRng, c: usize) -> Self {
+        let mut lens: Vec<usize> = (0..rng.gen_range(1usize..6))
+            .map(|_| rng.gen_range(0usize..9))
+            .collect();
+        lens.push(1);
+        lens.push(0);
+        lens.push(rng.gen_range(2usize..9));
+        let mut segs = Vec::with_capacity(lens.len());
+        let mut r = 0;
+        for &l in &lens {
+            segs.push(r..r + l);
+            r += l;
+        }
+        let graphs: Vec<_> = segs.iter().filter(|s| !s.is_empty()).cloned().collect();
+        // Scopes: a random split of the graphs, then an empty scope, then
+        // the rest.
+        let cut = rng.gen_range(1..graphs.len());
+        let scopes = vec![0..cut, cut..cut, cut..graphs.len()];
+        let row_to_scope = (0..r)
+            .map(|row| if row < graphs[cut].start { 0 } else { 2 })
+            .collect();
+        let mut store = ParamStore::new();
+        let w = store.add("w", c, c + 3, Init::Xavier, rng);
+        Self {
+            store,
+            w,
+            a: tensor(rng, r, c),
+            b: tensor(rng, r, c),
+            v: tensor(rng, 1, c),
+            gamma: tensor(rng, 1, c),
+            beta: tensor(rng, 1, c),
+            src: tensor(rng, r, 1),
+            dst: tensor(rng, r, 1),
+            idx: (0..2 * r).map(|_| rng.gen_range(0..r)).collect(),
+            csr: random_csr(rng, r, true),
+            segs,
+            graphs,
+            scopes,
+            row_to_scope,
+            weights: (0..r).map(|_| rng.gen_range(0.05f32..2.0)).collect(),
+        }
+    }
+}
+
+/// Every op of the [`Exec`] trait, once, written against the trait alone:
+/// `(op name, result handle)` in a fixed order.
+fn run_every_exec_op<'s, E: Exec<'s>>(ex: &mut E, i: &'s ExecInputs) -> Vec<(&'static str, E::H)> {
+    let w = ex.param(&i.store, i.w);
+    let a = ex.input(&i.a);
+    let b = ex.constant(i.b.clone());
+    let (v, gamma, beta) = (ex.input(&i.v), ex.input(&i.gamma), ex.input(&i.beta));
+    let (src, dst) = (ex.input(&i.src), ex.input(&i.dst));
+    let sum = ex.add(&a, &b);
+    let scores = ex.edge_scores(&src, &dst, &i.csr);
+    let alphas = ex.segmented_softmax(&scores, &i.csr);
+    let scale = 1.0 / (i.a.cols as f32).sqrt();
+    vec![
+        ("add", ex.add(&a, &b)),
+        ("mul", ex.mul(&a, &b)),
+        ("scale", ex.scale(&a, 0.37)),
+        ("add_const", ex.add_const(&a, -1.2)),
+        ("add_rowvec", ex.add_rowvec(&a, &v)),
+        ("matmul", ex.matmul(&a, &w)),
+        ("sigmoid", ex.sigmoid(&a)),
+        ("relu", ex.relu(&a)),
+        ("leaky_relu", ex.leaky_relu(&a, 0.2)),
+        ("layer_norm", ex.layer_norm(&a, &gamma, &beta, 1e-5)),
+        ("concat_cols/2", ex.concat_cols(&[&a, &b])),
+        ("concat_cols/3", ex.concat_cols(&[&a, &b, &sum])),
+        ("concat_cols/4", ex.concat_cols(&[&b, &a, &sum, &a])),
+        (
+            "select_cols",
+            ex.select_cols(&a, i.a.cols / 2, i.a.cols - i.a.cols / 2),
+        ),
+        ("concat_rows", ex.concat_rows(&[&a, &v, &b])),
+        ("select_rows", ex.select_rows(&a, 1, i.a.rows - 1)),
+        ("gather_rows", ex.gather_rows(&a, &i.idx)),
+        ("neighbor_sum", ex.neighbor_sum(&alphas, &a, &i.csr)),
+        (
+            "segmented_self_attention",
+            ex.segmented_self_attention(&a, &b, &sum, &i.segs, scale),
+        ),
+        ("segmented_mean_rows", ex.segmented_mean_rows(&a, &i.graphs)),
+        (
+            "segmented_weighted_mean_rows",
+            ex.segmented_weighted_mean_rows(&a, &i.weights, &i.graphs),
+        ),
+        (
+            "segmented_norm",
+            ex.segmented_norm(
+                &a,
+                &gamma,
+                &beta,
+                &i.graphs,
+                &i.scopes,
+                &i.row_to_scope,
+                1e-5,
+            ),
+        ),
+        ("gated_blend", ex.gated_blend(&sum, &a, &b)),
+        ("edge_scores", scores),
+        ("segmented_softmax", alphas),
+        ("tanh", ex.tanh(sum)),
+        ("param", w),
+        ("input", a),
+        ("constant", b),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Executor conformance: every `Exec` op gives the same bits on the
+    /// tape as on the eager executor, under each backend at 1 and 4
+    /// threads (see the module docs for what that means for the scoped
+    /// ops).
+    #[test]
+    fn exec_ops_agree_between_tape_and_eager(c in 1usize..40, seed in 0u64..1_000_000) {
+        let inputs = ExecInputs::random(&mut StdRng::seed_from_u64(seed), c);
+        for bk in backends() {
+            backend::with_backend(bk, || {
+                for threads in [1usize, 4] {
+                    pool::set_num_threads(threads);
+                    let mut tape = Tape::new();
+                    let recorded = run_every_exec_op(&mut tape, &inputs);
+                    let eager = run_every_exec_op(&mut Eager, &inputs);
+                    pool::set_num_threads(1);
+                    assert_eq!(recorded.len(), eager.len());
+                    for ((op, node), (_, got)) in recorded.iter().zip(&eager) {
+                        let want = tape.value(*node);
+                        let label = format!("{op} under {} @ t={threads}", bk.name());
+                        assert_eq!(got.shape(), want.shape(), "{label}: shape");
+                        assert!(
+                            got.data.iter().map(|x| x.to_bits()).eq(want.data.iter().map(|x| x.to_bits())),
+                            "{label}: Tape and Eager disagree"
+                        );
+                    }
+                }
             });
         }
     }

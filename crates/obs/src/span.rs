@@ -88,7 +88,7 @@ pub struct SpanRecord {
     pub start_ns: u64,
     /// End, in trace-epoch nanoseconds (`>= start_ns`).
     pub end_ns: u64,
-    /// Synthetic id of the recording thread (see [`thread_names`]).
+    /// Synthetic id of the recording thread (see `thread_names`).
     pub thread: u64,
     /// Matmul kernel invocations attributed to this span (innermost
     /// enclosing span only — parents do not double-count children).

@@ -961,7 +961,7 @@ impl RecoveryEngine {
     }
 
     /// Recent queue-wait p99 (ms), over the last
-    /// [`QUEUE_WAIT_RING_CAP`]-request window.
+    /// `QUEUE_WAIT_RING_CAP`-request (512) window.
     pub fn queue_wait_p99_ms(&self) -> f64 {
         f64::from_bits(self.shared.queue_wait_p99_bits.load(Ordering::Relaxed))
     }

@@ -7,8 +7,10 @@
 //! serving path on top of the same weights:
 //!
 //! * [`ServingModel`] — a trained [`rntrajrec::EndToEnd`] model validated
-//!   for **tape-free inference** (direct `rntrajrec_nn::kernels` calls: plain tensor ops,
-//!   no gradient bookkeeping or node allocation), with the
+//!   for **tape-free inference** (the encoder's one layer definition run
+//!   on `rntrajrec_nn::Eager` instead of the tape: plain tensor ops on
+//!   `rntrajrec_nn::kernels`, no gradient bookkeeping or node allocation,
+//!   GraphNorm scoped to each request), with the
 //!   [`RoadEmbeddingCache`] — GridGNN grid-cell/segment embeddings
 //!   (`X_road`) precomputed once per road network — attached. Shared
 //!   read-only (`Arc`) across worker threads, so per-request work is only

@@ -17,15 +17,13 @@
 //!   straddling trajectory is well-formed but unservable, since no
 //!   single road network contains it.
 //!
-//! Each shard's model lives in the engine's [`ModelSlot`] and can be
+//! Each shard's model lives in the engine's `ModelSlot` and can be
 //! replaced at runtime from a versioned artifact
 //! ([`CityShard::reload_from_artifact`]): the artifact is read,
 //! checksummed, instantiated, and validated against the shard's road
 //! network *before* the swap, so a corrupt or mismatched file leaves the
 //! old model serving. In-flight batches finish on the weights they
 //! started with; there is no drain.
-//!
-//! [`ModelSlot`]: crate::engine::ModelSlot
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
