@@ -3,9 +3,11 @@
 //! encoder's two city-scale matmul shapes, and the sparse segment head
 //! beside the dense one at city scale (|V| = 828, d = 64, 84 allowed
 //! segments) — the sparse head exists to be cheaper than the dense head,
-//! and this is where it shows when it is not — and `tanh` at the decoder's
-//! shapes (one B = 1 attention pre-activation, a B = 32 step, the encoder's
-//! row count) under each backend. No wall-clock assertion.
+//! and this is where it shows when it is not — and, under each backend,
+//! `tanh` at the decoder's shapes (one B = 1 attention pre-activation, a
+//! B = 32 step, the encoder's row count), the in-repo `exp` at the first
+//! and last of them, and the Eq. 7 gate over one city-scale request's
+//! stack (13 points × 65 sub-graph rows). No wall-clock assertion.
 //! Also writes machine-readable timings to `results/BENCH_kernels.json`
 //! (skipped under `cargo test`'s `--test` quick mode).
 //!
@@ -27,6 +29,8 @@ use rntrajrec_nn::{kernels, pool, GraphCsr, Tensor};
 
 /// A named benchmark routine.
 type Case<'a> = (&'a str, Box<dyn Fn() + 'a>);
+/// A routine timed under one backend, named after it.
+type BackendCase<'a> = (String, Backend, Box<dyn Fn() + 'a>);
 
 const THREADS: [usize; 3] = [1, 2, 4];
 
@@ -54,6 +58,12 @@ struct Fixtures {
     /// `tanh` operands: `[17, 64]` (one B = 1 attention pre-activation),
     /// `[544, 64]` (a B = 32 step) and `[1050, 64]`, values in ±4.
     tanh_in: Vec<Tensor>,
+    /// Eq. 7 gate operands: per-point `tr·W_z1` and `tr` (`[13, 64]`),
+    /// per-row `z·W_z2` and `z` (`[845, 64]`), the bias row, row → point.
+    gate_points: [Tensor; 2],
+    gate_rows: [Tensor; 2],
+    gate_bias: Tensor,
+    gate_row_to_point: Vec<usize>,
 }
 
 fn fixtures() -> Fixtures {
@@ -68,6 +78,7 @@ fn fixtures() -> Fixtures {
     let csr = Arc::new(GraphCsr::from_neighbor_lists(&lists, true));
     let e = csr.num_edges();
     let (city_v, city_n, allowed) = (828usize, 1050usize, 84usize);
+    let (gate_points, gate_rows_per_point) = (13usize, 65usize);
     let head_mask = kernels::canonical_mask_entries(
         (0..allowed)
             .map(|i| (i * city_v / allowed, rng.gen_range(-3.0f32..0.0)))
@@ -84,6 +95,13 @@ fn fixtures() -> Fixtures {
         tanh_in: [17, 544, city_n]
             .map(|rows| Tensor::uniform(rows, d, 4.0, &mut rng))
             .into(),
+        gate_points: [(); 2].map(|_| Tensor::uniform(gate_points, d, 1.0, &mut rng)),
+        gate_rows: [(); 2]
+            .map(|_| Tensor::uniform(gate_points * gate_rows_per_point, d, 1.0, &mut rng)),
+        gate_bias: Tensor::uniform(1, d, 1.0, &mut rng),
+        gate_row_to_point: (0..gate_points)
+            .flat_map(|p| std::iter::repeat_n(p, gate_rows_per_point))
+            .collect(),
         logits_a: Tensor::uniform(1, d, 1.0, &mut rng),
         logits_b: Tensor::uniform(d, v, 1.0, &mut rng),
         proj_a: Tensor::uniform(n, d, 1.0, &mut rng),
@@ -124,18 +142,43 @@ fn main() {
         entries: &fx.head_mask,
     })];
 
-    let mut tanh_backends = vec![Backend::Scalar];
+    // Rows timed under each backend: `(name, backend, routine)`.
+    let mut backends = vec![Backend::Scalar];
     if backend::is_supported(Backend::Avx2Fma) {
-        tanh_backends.push(Backend::Avx2Fma);
+        backends.push(Backend::Avx2Fma);
     }
-    let tanh_cases: Vec<(String, Backend, &Tensor)> = fx
-        .tanh_in
-        .iter()
-        .flat_map(|x| {
-            let name = |bk: Backend| format!("tanh_{}x{}_{}", x.rows, x.cols, bk.name());
-            tanh_backends.iter().map(move |&bk| (name(bk), bk, x))
-        })
-        .collect();
+    let mut backend_cases: Vec<BackendCase> = Vec::new();
+    for &bk in &backends {
+        for x in &fx.tanh_in {
+            backend_cases.push((
+                format!("tanh_{}x{}_{}", x.rows, x.cols, bk.name()),
+                bk,
+                Box::new(move || {
+                    black_box(kernels::tanh(x));
+                }),
+            ));
+        }
+        for x in [&fx.tanh_in[0], &fx.tanh_in[2]] {
+            backend_cases.push((
+                format!("exp_{}x{}_{}", x.rows, x.cols, bk.name()),
+                bk,
+                Box::new(move || {
+                    let mut xs = x.data.clone();
+                    kernels::exp_in_place(&mut xs);
+                    black_box(xs);
+                }),
+            ));
+        }
+        let ([a, tr], [b, z]) = (&fx.gate_points, &fx.gate_rows);
+        let (bias, row_to_point) = (&fx.gate_bias, &fx.gate_row_to_point);
+        backend_cases.push((
+            format!("gate_{}x{}_{}", z.rows, z.cols, bk.name()),
+            bk,
+            Box::new(move || {
+                black_box(kernels::gated_fusion(a, b, bias, tr, z, row_to_point));
+            }),
+        ));
+    }
 
     let mut cases: Vec<Case> = vec![
         (
@@ -194,13 +237,8 @@ fn main() {
             }),
         ),
     ];
-    for (name, bk, x) in &tanh_cases {
-        cases.push((
-            name,
-            Box::new(move || {
-                black_box(backend::with_backend(*bk, || kernels::tanh(x)));
-            }),
-        ));
+    for (name, bk, f) in &backend_cases {
+        cases.push((name, Box::new(move || backend::with_backend(*bk, f))));
     }
 
     let mut results = Vec::new();

@@ -89,9 +89,9 @@ impl PositionalEncoding {
     /// The constant `[len, dim]` table.
     pub fn table(&self, len: usize) -> Tensor {
         let mut t = Tensor::zeros(len, self.dim);
-        for pos in 0..len {
-            for i in 0..self.dim / 2 {
-                let freq = 1.0 / 10_000f32.powf(2.0 * i as f32 / self.dim as f32);
+        for i in 0..self.dim / 2 {
+            let freq = 1.0 / 10_000f32.powf(2.0 * i as f32 / self.dim as f32);
+            for pos in 0..len {
                 let angle = pos as f32 * freq;
                 t.set(pos, 2 * i, angle.sin());
                 if 2 * i + 1 < self.dim {

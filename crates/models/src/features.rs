@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use rntrajrec_geo::{BBox, GridSpec, XY};
 use rntrajrec_nn::{kernels, GraphCsr, Tensor};
-use rntrajrec_roadnet::{RTree, RoadNetwork, SegmentId};
+use rntrajrec_roadnet::{RTree, RadiusHit, RoadNetwork, SegmentId};
 use rntrajrec_synth::{MatchedTrajectory, RawTrajectory, TimeContext, TrajSample};
 
 /// The weighted sub-graph `Ĝ_τ,i = (V_τ,i, E_τ,i, W_τ,i)` around one GPS
@@ -200,20 +200,28 @@ impl<'a> FeatureExtractor<'a> {
 
     /// Build the weighted sub-graph around a planar point.
     pub fn subgraph_at(&self, p: &XY, true_seg: Option<SegmentId>) -> SubGraph {
-        let mut hits = self.rtree.within_radius(self.net, p, self.delta_m);
+        self.subgraph_of(&self.receptive_field(p), true_seg)
+    }
+
+    /// The segments within δ of `p`, closest first; the five nearest when
+    /// there is none.
+    fn receptive_field(&self, p: &XY) -> Vec<RadiusHit> {
+        let hits = self.rtree.within_radius(self.net, p, self.delta_m);
         if hits.is_empty() {
-            hits = self.rtree.k_nearest(self.net, p, 5);
+            return self.rtree.k_nearest(self.net, p, 5);
         }
+        hits
+    }
+
+    /// The weighted sub-graph over a point's receptive field.
+    fn subgraph_of(&self, hits: &[RadiusHit], true_seg: Option<SegmentId>) -> SubGraph {
         let nodes: Vec<usize> = hits.iter().map(|h| h.seg.index()).collect();
-        let gamma2 = (self.gamma_m * self.gamma_m) as f32;
-        let weights: Vec<f32> = hits
-            .iter()
-            .map(|h| {
-                let d = h.projection.dist as f32;
-                // Floor keeps far nodes participating (and weights summable).
-                (-(d * d) / gamma2).exp().max(1e-6)
-            })
-            .collect();
+        let mut weights = Vec::new();
+        influence(
+            hits.iter().map(|h| h.projection.dist),
+            self.gamma_m,
+            &mut weights,
+        );
         // Induced adjacency: E_p = (V_p × V_p) ∩ E, undirected for GAT.
         // Each node's neighbours in ascending segment order, mapped to
         // rows through a sorted (segment, row) slice and written straight
@@ -243,6 +251,36 @@ impl<'a> FeatureExtractor<'a> {
             weights,
             true_row,
         }
+    }
+
+    /// The constraint mask over `hits` (Section V): each segment with its
+    /// β-bandwidth weight, ascending by segment; `None` — the all-ones
+    /// mask, rather than forbidding everything — when there is no hit.
+    /// `weights` is scratch.
+    fn mask_of<'h>(
+        &self,
+        hits: impl Iterator<Item = &'h RadiusHit> + Clone,
+        weights: &mut Vec<f32>,
+    ) -> Option<Vec<(usize, f32)>> {
+        influence(
+            hits.clone().map(|h| h.projection.dist),
+            self.beta_m,
+            weights,
+        );
+        if weights.is_empty() {
+            return None;
+        }
+        Some(kernels::canonical_mask_entries(
+            hits.zip(weights.iter())
+                .map(|(h, &w)| (h.seg.index(), w))
+                .collect(),
+        ))
+    }
+
+    /// [`Self::mask_of`] the segments within `radius_m` of `xy`.
+    fn mask_at(&self, xy: &XY, radius_m: f64, weights: &mut Vec<f32>) -> Option<Vec<(usize, f32)>> {
+        let hits = self.rtree.within_radius_unordered(self.net, xy, radius_m);
+        self.mask_of(hits.iter(), weights)
     }
 
     /// Full conversion of one supervised sample.
@@ -331,6 +369,8 @@ impl<'a> FeatureExtractor<'a> {
         let mut nearest_seg = Vec::with_capacity(l_tau);
         let mut subgraphs = Vec::with_capacity(l_tau);
         let mut input_true_segs = Vec::with_capacity(l_tau);
+        let mut masks: Vec<Option<Vec<(usize, f32)>>> = vec![None; l_rho];
+        let mut weights = Vec::new(); // scratch of `mask_of`
         for (i, p) in raw.points.iter().enumerate() {
             let cell = self.grid.cell_of(&p.xy);
             feats.set(i, 0, ((p.xy.x - self.bbox.min_x) / width) as f32);
@@ -347,16 +387,26 @@ impl<'a> FeatureExtractor<'a> {
             nearest_seg.push(nearest);
             let true_seg = truth.map(|t| t.points[obs_step[i]].pos.seg);
             input_true_segs.push(true_seg.map_or(0, |s| s.index()));
-            subgraphs.push(self.subgraph_at(&p.xy, true_seg));
+            // One δ query serves the sub-graph and, filtered down to the
+            // mask radius, the observed step's constraint mask (the mask
+            // is a set, so the hits' order does not matter).
+            let field = self.receptive_field(&p.xy);
+            let mask = if self.mask_radius_m <= self.delta_m {
+                let near = |h: &&RadiusHit| h.projection.dist <= self.mask_radius_m;
+                self.mask_of(field.iter().filter(near), &mut weights)
+            } else {
+                self.mask_at(&p.xy, self.mask_radius_m, &mut weights)
+            };
+            if mask.is_some() {
+                masks[obs_step[i]] = mask;
+            }
+            subgraphs.push(self.subgraph_of(&field, true_seg));
         }
 
-        // Supervision (neutral zeros for query-time inputs) + constraint
-        // masks.
-        let beta2 = (self.beta_m * self.beta_m) as f32;
+        // Supervision (neutral zeros for query-time inputs).
         let mut target_segs = vec![0usize; l_rho];
         let mut target_rates = vec![0.0f32; l_rho];
         let mut target_xy_norm = Tensor::zeros(l_rho, 2);
-        let mut masks: Vec<Option<Vec<(usize, f32)>>> = vec![None; l_rho];
         if let Some(target) = truth {
             for (j, mp) in target.points.iter().enumerate() {
                 target_segs[j] = mp.pos.seg.index();
@@ -364,26 +414,6 @@ impl<'a> FeatureExtractor<'a> {
                 let xy = mp.pos.xy(self.net);
                 target_xy_norm.set(j, 0, ((xy.x - self.bbox.min_x) / width) as f32);
                 target_xy_norm.set(j, 1, ((xy.y - self.bbox.min_y) / height) as f32);
-            }
-        }
-        let mask_at = |xy: &XY, radius_m: f64| -> Option<Vec<(usize, f32)>> {
-            let hits = self.rtree.within_radius_unordered(self.net, xy, radius_m);
-            if hits.is_empty() {
-                return None; // keep all-ones mask rather than forbidding everything
-            }
-            // The mask is a set of segments, kept ascending.
-            Some(kernels::canonical_mask_entries(
-                hits.iter()
-                    .map(|h| {
-                        let d = h.projection.dist as f32;
-                        (h.seg.index(), (-(d * d) / beta2).exp().max(1e-6))
-                    })
-                    .collect(),
-            ))
-        };
-        for (i, p) in raw.points.iter().enumerate() {
-            if let Some(entries) = mask_at(&p.xy, self.mask_radius_m) {
-                masks[obs_step[i]] = Some(entries);
             }
         }
         // Missing steps (Section V): the constraint mask is centred on the
@@ -410,7 +440,7 @@ impl<'a> FeatureExtractor<'a> {
             for (j, m) in masks.iter_mut().enumerate().take(j1).skip(j0 + 1) {
                 if m.is_none() {
                     let frac = (j - j0) as f64 / (j1 - j0) as f64;
-                    *m = mask_at(&a.lerp(&b, frac), radius);
+                    *m = self.mask_at(&a.lerp(&b, frac), radius, &mut weights);
                 }
             }
         }
@@ -429,6 +459,21 @@ impl<'a> FeatureExtractor<'a> {
             target_xy_norm,
         }
     }
+}
+
+/// `out[i] = max(exp(−dᵢ²/bandwidth²), 1e-6)`: the influence of a segment
+/// at distance `dᵢ` (Eq. 5's `ω`, and the constraint-mask weight with β
+/// for γ). The floor keeps far segments participating (and weights
+/// summable).
+fn influence(dists_m: impl Iterator<Item = f64>, bandwidth_m: f64, out: &mut Vec<f32>) {
+    let bandwidth2 = (bandwidth_m * bandwidth_m) as f32;
+    out.clear();
+    out.extend(dists_m.map(|d| {
+        let d = d as f32;
+        -(d * d) / bandwidth2
+    }));
+    kernels::exp_in_place(out);
+    out.iter_mut().for_each(|w| *w = w.max(1e-6));
 }
 
 #[cfg(test)]

@@ -47,10 +47,11 @@ impl GatedFusion {
     /// transformer row per point (`[P, d]`), `z` the stacked sub-graph
     /// features `[Σn, d]`, and `row_to_point[r]` the owning point of
     /// stacked row `r`. Both weight projections run as **one** matmul each
-    /// (`W_z1` over the `P` point rows, then broadcast by a pure
-    /// row-gather — matmul rows are independent, so projecting before
-    /// repeating is bit-identical to repeating before projecting); the
-    /// gate arithmetic is element-wise ([`Exec::gated_blend`]).
+    /// — `W_z1` over the `P` point rows, not the `Σn` repeated ones: matmul
+    /// rows are independent, so projecting before broadcasting is
+    /// bit-identical to broadcasting before projecting — and the broadcast,
+    /// the bias and the gate arithmetic are one op
+    /// ([`Exec::gated_fusion`]).
     pub fn forward<'s, E: Exec<'s>>(
         &self,
         ex: &mut E,
@@ -59,16 +60,12 @@ impl GatedFusion {
         z: &E::H,
         row_to_point: &[usize],
     ) -> E::H {
-        let tr_rep = ex.gather_rows(tr_points, row_to_point);
         let wz1 = ex.param(store, self.wz1);
         let wz2 = ex.param(store, self.wz2);
         let bz = ex.param(store, self.bz);
         let a = ex.matmul(tr_points, &wz1);
-        let a = ex.gather_rows(&a, row_to_point);
         let b = ex.matmul(z, &wz2);
-        let s = ex.add(&a, &b);
-        let s = ex.add_rowvec(&s, &bz);
-        ex.gated_blend(&s, &tr_rep, z)
+        ex.gated_fusion(&a, &b, &bz, tr_points, z, row_to_point)
     }
 }
 

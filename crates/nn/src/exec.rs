@@ -17,7 +17,7 @@
 //! **Scoped reductions.** The stacked formulation runs a whole batch as
 //! one matrix per projection; what must *not* mix rows across members —
 //! self-attention, graph readout, pooling, GraphNorm statistics — are the
-//! five `segmented_*` / [`Exec::gated_blend`] ops. `Eager` runs each as
+//! five `segmented_*` / [`Exec::gated_fusion`] ops. `Eager` runs each as
 //! one fused kernel; `Tape` composes it per segment from its existing
 //! differentiable ops (no `Op` variant, no backward code of its own), and
 //! that composition is the reference the fused kernels are pinned
@@ -116,8 +116,18 @@ pub trait Exec<'s> {
         eps: f32,
     ) -> Self::H;
 
-    /// `σ(s) ⊙ a + (1 − σ(s)) ⊙ b` (the Eq. 7 epilogue).
-    fn gated_blend(&mut self, s: &Self::H, a: &Self::H, b: &Self::H) -> Self::H;
+    /// The Eq. 7 gate over unexpanded operands: with `p = row_to_point[r]`,
+    /// `g = σ((a[p] + b[r]) + bz)` and row `r` = `g ⊙ tr[p] + (1 − g) ⊙ z[r]`
+    /// (`a`, `tr`: one row per point; `b`, `z`: one row per stacked node).
+    fn gated_fusion(
+        &mut self,
+        a: &Self::H,
+        b: &Self::H,
+        bz: &Self::H,
+        tr: &Self::H,
+        z: &Self::H,
+        row_to_point: &[usize],
+    ) -> Self::H;
 }
 
 impl<'s> Exec<'s> for Tape {
@@ -286,13 +296,27 @@ impl<'s> Exec<'s> for Tape {
         Tape::concat_rows(self, &outs)
     }
 
-    fn gated_blend(&mut self, s: &NodeId, a: &NodeId, b: &NodeId) -> NodeId {
-        let gate = Tape::sigmoid(self, *s);
-        let take_a = Tape::mul(self, gate, *a);
+    fn gated_fusion(
+        &mut self,
+        a: &NodeId,
+        b: &NodeId,
+        bz: &NodeId,
+        tr: &NodeId,
+        z: &NodeId,
+        row_to_point: &[usize],
+    ) -> NodeId {
+        // Broadcast the per-point rows by pure row-gathers, then the gate
+        // element-wise.
+        let tr_rep = Tape::gather_rows(self, *tr, row_to_point);
+        let a_rep = Tape::gather_rows(self, *a, row_to_point);
+        let s = Tape::add(self, a_rep, *b);
+        let s = Tape::add_rowvec(self, s, *bz);
+        let gate = Tape::sigmoid(self, s);
+        let take_tr = Tape::mul(self, gate, tr_rep);
         let neg = Tape::scale(self, gate, -1.0);
         let inv_gate = Tape::add_const(self, neg, 1.0);
-        let keep_b = Tape::mul(self, inv_gate, *b);
-        Tape::add(self, take_a, keep_b)
+        let keep_z = Tape::mul(self, inv_gate, *z);
+        Tape::add(self, take_tr, keep_z)
     }
 }
 
@@ -425,7 +449,15 @@ impl<'s> Exec<'s> for Eager {
             beta,
         ))
     }
-    fn gated_blend(&mut self, s: &Self::H, a: &Self::H, b: &Self::H) -> Self::H {
-        Cow::Owned(kernels::gated_blend(s, a, b))
+    fn gated_fusion(
+        &mut self,
+        a: &Self::H,
+        b: &Self::H,
+        bz: &Self::H,
+        tr: &Self::H,
+        z: &Self::H,
+        row_to_point: &[usize],
+    ) -> Self::H {
+        Cow::Owned(kernels::gated_fusion(a, b, bz, tr, z, row_to_point))
     }
 }

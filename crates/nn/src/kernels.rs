@@ -48,15 +48,20 @@
 //! run on pool workers. Both backends satisfy the thread-count
 //! determinism contract above; they differ from *each other* only by
 //! FMA/partial-lane rounding in the matmul family and norm statistics
-//! (the softmax family and [`tanh`] are bit-identical across backends —
-//! see `backend`'s module docs for the full contract). [`tanh`] is also
-//! host-independent: it is the in-repo [`tanhf`] transcription of
-//! fdlibm's function, eight lanes at a time under AVX2, not a call into
-//! whichever libm the machine has.
+//! (the softmax family, [`sigmoid`], the Eq. 7 gate [`gated_fusion`], the
+//! GAT pair [`segmented_softmax`] / [`neighbor_sum`] and [`tanh`] are
+//! bit-identical across backends — see `backend`'s module docs for the
+//! full contract). [`tanh`] and every `exp` are also host-independent:
+//! [`tanhf`] transcribes fdlibm's `tanhf` and [`expf`] glibc's `expf` in
+//! its FMA form, eight lanes at a time under AVX2, not calls into
+//! whichever libm the machine has. Only the element-wise `exp` runs in
+//! lanes; every `Σ exp(·)` stays one scalar accumulator fed in ascending
+//! order, because that order is part of the pinned bits.
 
 #![deny(missing_docs)]
 
 pub mod backend;
+pub mod expf;
 pub mod tanhf;
 
 use std::cell::Cell;
@@ -598,9 +603,27 @@ pub fn mul_colvec(m: &Tensor, v: &Tensor) -> Tensor {
     colvec_map(m, v, |x, y| x * y)
 }
 
-/// Element-wise logistic sigmoid.
+/// Element-wise logistic sigmoid `1 / (1 + e^{−x})` on the in-repo
+/// [`expf::expf`]: the same bits on both backends, at any thread count and
+/// on any host; parallel over flat element ranges.
 pub fn sigmoid(a: &Tensor) -> Tensor {
-    unary_map(a, |x| 1.0 / (1.0 + (-x).exp()))
+    let bk = backend::active();
+    let mut out = Tensor::zeros(a.rows, a.cols);
+    par_row_chunks(
+        &mut out.data,
+        1,
+        a.data.len(),
+        MIN_MAP_ELEMS,
+        |range, dst| expf::sigmoid_slice(bk, &a.data[range], dst),
+    );
+    out
+}
+
+/// `xs[i] = e^{xs[i]}` in place on the in-repo [`expf::expf`], eight lanes
+/// at a time under AVX2 — for callers outside this crate that hold a
+/// plain slice (feature extraction's distance weights).
+pub fn exp_in_place(xs: &mut [f32]) {
+    expf::exp_slice(backend::active(), xs);
 }
 
 /// Element-wise hyperbolic tangent: [`tanhf::tanhf`] of every element,
@@ -649,51 +672,58 @@ pub fn softmax_in_place(row: &mut [f32]) {
 }
 
 /// [`softmax_in_place`] with the backend captured at the calling kernel's
-/// entry. The AVX2 path vectorises the max scan and the normalise pass
-/// but keeps the scalar `exp` + ascending sum, so both backends produce
-/// **bit-identical** softmax output (max is order-insensitive for
-/// non-NaN data, and element-wise multiply rounds identically).
+/// entry: max scan, `x − max`, [`expf::expf`] of every element, one
+/// ascending scalar sum, scale by its reciprocal. The AVX2 path runs the
+/// scan, the subtraction, the `exp`s and the scaling in lanes and keeps
+/// the sum scalar, so both backends produce **bit-identical** softmax
+/// output (max is order-insensitive for non-NaN data, and the
+/// element-wise steps round identically).
 pub(crate) fn softmax_in_place_bk(bk: backend::Backend, row: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if bk == backend::Backend::Avx2Fma {
-        // SAFETY: `Avx2Fma` is only active after runtime detection.
-        let max = unsafe { backend::vmax(row) };
-        let mut sum = 0.0;
-        for x in row.iter_mut() {
-            *x = (*x - max).exp();
-            sum += *x;
-        }
-        let inv = 1.0 / sum;
-        unsafe { backend::scale_in_place(row, inv) };
-        return;
-    }
-    let _ = bk;
-    let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+    let max = row_max(bk, row);
+    row_add(bk, row, -max);
+    expf::exp_slice(bk, row);
     let mut sum = 0.0;
-    for x in row.iter_mut() {
-        *x = (*x - max).exp();
-        sum += *x;
+    for &x in row.iter() {
+        sum += x;
     }
-    let inv = 1.0 / sum;
-    row.iter_mut().for_each(|x| *x *= inv);
+    row_scale(bk, row, 1.0 / sum);
 }
 
 /// Stable log-softmax epilogue over one contiguous slice: max scan,
 /// ascending `Σ exp(x − max)`, `ln + max`, subtract. Shared by
 /// [`log_softmax_rows`], [`masked_log_softmax_rows`], and the sparse /
-/// quantized segment heads; the AVX2 path vectorises only the max scan
-/// and the subtract pass (`x − lse ≡ x + (−lse)` exactly), so output is
-/// bit-identical across backends.
+/// quantized segment heads; the AVX2 path takes the max, the `exp`s and
+/// the subtract pass in lanes and the sum one term at a time, so output
+/// is bit-identical across backends.
 pub(crate) fn log_softmax_slice(bk: backend::Backend, row: &mut [f32]) {
     let max = row_max(bk, row);
-    let lse = row.iter().map(|&x| (x - max).exp()).sum::<f32>().ln() + max;
+    let lse = expf::sum_exp_shifted(bk, row, max).ln() + max;
+    row_add(bk, row, -lse);
+}
+
+/// `row[i] += c` in place, backend-dispatched (identical bits either way;
+/// `x − m` is written `x + (−m)`, the same operation).
+fn row_add(bk: backend::Backend, row: &mut [f32], c: f32) {
     #[cfg(target_arch = "x86_64")]
     if bk == backend::Backend::Avx2Fma {
         // SAFETY: `Avx2Fma` is only active after runtime detection.
-        unsafe { backend::add_in_place(row, -lse) };
+        unsafe { backend::add_in_place(row, c) };
         return;
     }
-    row.iter_mut().for_each(|x| *x -= lse);
+    let _ = bk;
+    row.iter_mut().for_each(|x| *x += c);
+}
+
+/// `row[i] *= c` in place, backend-dispatched (identical bits either way).
+fn row_scale(bk: backend::Backend, row: &mut [f32], c: f32) {
+    #[cfg(target_arch = "x86_64")]
+    if bk == backend::Backend::Avx2Fma {
+        // SAFETY: `Avx2Fma` is only active after runtime detection.
+        unsafe { backend::scale_in_place(row, c) };
+        return;
+    }
+    let _ = bk;
+    row.iter_mut().for_each(|x| *x *= c);
 }
 
 /// Max over a slice, backend-dispatched (identical bits either way).
@@ -1575,37 +1605,61 @@ pub fn segmented_norm_stats(
     (mu, inv_std)
 }
 
-/// Fused gated blend `σ(s) ⊙ a + (1 − σ(s)) ⊙ b` (the GRL's Eq. 7
-/// epilogue): one pass instead of the five-op composed chain (sigmoid,
-/// two Hadamard products, scale + add-const, add), with no intermediate
-/// tensors. Per element the arithmetic is exactly the composed route's —
-/// `g = 1/(1+e^{−s})`, `g·a`, `g·(−1)+1`, `(…)·b`, sum — one rounding per
-/// step, so results are bit-identical to it; parallel over flat element
+/// The Eq. 7 gate in one pass over the **unexpanded** operands: with
+/// `p = row_to_point[r]`,
+/// `s = (a[p] + b[r]) + b_z`, `g = σ(s)`, `out[r] = g ⊙ tr[p] + (1 − g) ⊙ z[r]`.
+///
+/// `a` is `tr·W_z1` (`[P, d]`, one row per point), `b` is `z·W_z2`
+/// (`[Σn, d]`), `bz` the bias row, `tr` the `[P, d]` transformer rows and
+/// `z` the stacked sub-graph features. The composed route gathers `tr` and
+/// `a` out to `[Σn, d]`, adds twice, and blends; here a row's point is
+/// looked up where it is used, so none of those four temporaries exists.
+/// Per element the arithmetic is exactly the composed route's — `a + b`,
+/// `+ b_z`, `g = 1/(1+e^{−s})` on [`expf::expf`], `g·tr`, `g·(−1)+1`,
+/// `(…)·z`, sum, one rounding per step, eight lanes at a time under AVX2 —
+/// so results are bit-identical to it on both backends; parallel over row
 /// ranges.
-pub fn gated_blend(s: &Tensor, a: &Tensor, b: &Tensor) -> Tensor {
-    assert_eq!(s.shape(), a.shape(), "gated_blend: shape mismatch");
-    assert_eq!(s.shape(), b.shape(), "gated_blend: shape mismatch");
-    let mut out = Tensor::zeros(s.rows, s.cols);
-    par_row_chunks(
-        &mut out.data,
-        1,
-        s.data.len(),
-        MIN_MAP_ELEMS,
-        |range, dst| {
-            for (((d, &sv), &av), &bv) in dst
-                .iter_mut()
-                .zip(&s.data[range.clone()])
-                .zip(&a.data[range.clone()])
-                .zip(&b.data[range])
-            {
-                let g = 1.0 / (1.0 + (-sv).exp());
-                let take_a = g * av;
-                let inv = (-g) + 1.0; // scale(g, −1) + 1: −x ≡ x·(−1) bitwise
-                let keep_b = inv * bv;
-                *d = take_a + keep_b;
+pub fn gated_fusion(
+    a: &Tensor,
+    b: &Tensor,
+    bz: &Tensor,
+    tr: &Tensor,
+    z: &Tensor,
+    row_to_point: &[usize],
+) -> Tensor {
+    let (r, c) = z.shape();
+    assert_eq!(b.shape(), (r, c), "gated_fusion: b must match z");
+    assert_eq!(a.shape(), tr.shape(), "gated_fusion: a must match tr");
+    assert_eq!(tr.cols, c, "gated_fusion: tr width");
+    assert_eq!((bz.rows, bz.cols), (1, c), "gated_fusion: bz must be [1,C]");
+    assert_eq!(row_to_point.len(), r, "gated_fusion: one point per row");
+    for &p in row_to_point {
+        assert!(p < tr.rows, "gated_fusion: point {p} out of range");
+    }
+    let bk = backend::active();
+    let mut out = Tensor::zeros(r, c);
+    let min_rows = (MIN_MAP_ELEMS / c.max(1)).max(1);
+    par_row_chunks(&mut out.data, c, r, min_rows, |rows, dst| {
+        for (ri, i) in rows.enumerate() {
+            let p = row_to_point[i];
+            let arow = &a.data[p * c..(p + 1) * c];
+            let trrow = &tr.data[p * c..(p + 1) * c];
+            let brow = &b.data[i * c..(i + 1) * c];
+            let zrow = &z.data[i * c..(i + 1) * c];
+            let drow = &mut dst[ri * c..(ri + 1) * c];
+            #[cfg(target_arch = "x86_64")]
+            if bk == backend::Backend::Avx2Fma {
+                // SAFETY: `Avx2Fma` is only active after runtime detection;
+                // all six slices are `c` long.
+                unsafe { backend::gate_row(arow, brow, &bz.data, trrow, zrow, drow) };
+                continue;
             }
-        },
-    );
+            let _ = bk;
+            for (j, d) in drow.iter_mut().enumerate() {
+                *d = backend::gate(arow[j], brow[j], bz.data[j], trrow[j], zrow[j]);
+            }
+        }
+    });
     out
 }
 
@@ -1790,7 +1844,10 @@ pub fn edge_scores(src: &Tensor, dst: &Tensor, csr: &GraphCsr) -> Tensor {
 /// Softmax within each node's edge segment (GAT attention normalisation);
 /// parallel over node ranges — each segment is one self-contained
 /// reduction. Empty segments (isolated nodes without self-loops) are
-/// left untouched.
+/// left untouched. Per element it is [`softmax_rows`]'s chain on the
+/// segment's own slice; the AVX2 path lays the same operations out flat
+/// over a chunk's edges (`backend::segmented_softmax_flat`), so the
+/// output is bit-identical across backends.
 pub fn segmented_softmax(scores: &Tensor, csr: &GraphCsr) -> Tensor {
     assert_eq!(
         (scores.rows, scores.cols),
@@ -1801,13 +1858,24 @@ pub fn segmented_softmax(scores: &Tensor, csr: &GraphCsr) -> Tensor {
     let bk = backend::active();
     let ptr = SendPtr(t.data.as_mut_ptr());
     pool::for_each_chunk(csr.num_nodes(), min_nodes_for(csr, 4), move |nodes| {
+        if nodes.is_empty() {
+            return;
+        }
+        let first = csr.segment(nodes.start).start;
+        let edges = first..csr.segment(nodes.end - 1).end;
+        // SAFETY: node ranges own disjoint contiguous edge ranges.
+        let flat = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(first), edges.len()) };
+        #[cfg(target_arch = "x86_64")]
+        if bk == backend::Backend::Avx2Fma {
+            let src = &scores.data[edges];
+            // SAFETY: `Avx2Fma` is only active after runtime detection.
+            unsafe { backend::segmented_softmax_flat(src, flat, first, csr, nodes) };
+            return;
+        }
         for i in nodes {
             let seg = csr.segment(i);
             if !seg.is_empty() {
-                // SAFETY: segments of distinct nodes never overlap.
-                let row =
-                    unsafe { std::slice::from_raw_parts_mut(ptr.get().add(seg.start), seg.len()) };
-                softmax_in_place_bk(bk, row);
+                softmax_in_place_bk(bk, &mut flat[seg.start - first..seg.end - first]);
             }
         }
     });
@@ -1816,7 +1884,10 @@ pub fn segmented_softmax(scores: &Tensor, csr: &GraphCsr) -> Tensor {
 
 /// GAT attention aggregation `out[i] = Σ_{e ∈ seg(i)} α[e] · feats[j_e]`;
 /// parallel over destination-node ranges — each output row is owned by
-/// exactly one chunk and accumulated in ascending edge order.
+/// exactly one chunk and accumulated in ascending edge order. Every term
+/// is a product rounded, then added (`o + α·f` in two roundings, never a
+/// fused one) on both backends, so the output is bit-identical across
+/// them.
 pub fn neighbor_sum(alphas: &Tensor, feats: &Tensor, csr: &GraphCsr) -> Tensor {
     assert_eq!(
         (alphas.rows, alphas.cols),
@@ -1826,9 +1897,18 @@ pub fn neighbor_sum(alphas: &Tensor, feats: &Tensor, csr: &GraphCsr) -> Tensor {
     assert_eq!(feats.rows, csr.num_nodes(), "neighbor_sum: feats [n,C]");
     let n = csr.num_nodes();
     let cols = feats.cols;
+    let bk = backend::active();
     let mut out = Tensor::zeros(n, cols);
     let min_rows = min_nodes_for(csr, cols);
     par_row_chunks(&mut out.data, cols, n, min_rows, |nodes, dst| {
+        #[cfg(target_arch = "x86_64")]
+        if bk == backend::Backend::Avx2Fma {
+            // SAFETY: `Avx2Fma` is only active after runtime detection; the
+            // shapes were asserted above and `dst` is `nodes`' rows.
+            unsafe { backend::neighbor_sum_rows(&alphas.data, &feats.data, cols, csr, nodes, dst) };
+            return;
+        }
+        let _ = bk;
         for (ri, i) in nodes.enumerate() {
             let orow = &mut dst[ri * cols..(ri + 1) * cols];
             for e in csr.segment(i) {
@@ -2185,14 +2265,20 @@ mod tests {
 
     #[test]
     fn fused_elementwise_epilogues_match_composed_routes() {
-        // gated_blend ≡ sigmoid → mul → scale/add_const → mul → add.
-        let s = t(9, 7, 50);
-        let a = t(9, 7, 51);
-        let b = t(9, 7, 52);
+        // gated_fusion ≡ gather ×2 → add → add_rowvec → sigmoid → mul →
+        // scale/add_const → mul → add (width 11: one vector group and a
+        // tail; point 1 owns one row, point 2 none).
+        let row_to_point = [0usize, 0, 0, 1, 3, 3, 3, 3, 3];
+        let ga = t(4, 11, 50);
+        let tr = t(4, 11, 51);
+        let gb = t(9, 11, 52);
+        let z = t(9, 11, 58);
+        let bz = t(1, 11, 59);
+        let s = add_rowvec(&add(&gather_rows(&ga, &row_to_point), &gb), &bz);
         let gate = sigmoid(&s);
-        let take_a = mul(&gate, &a);
+        let take_tr = mul(&gate, &gather_rows(&tr, &row_to_point));
         let inv = add_const(&scale(&gate, -1.0), 1.0);
-        let blend_want = add(&take_a, &mul(&inv, &b));
+        let blend_want = add(&take_tr, &mul(&inv, &z));
 
         // segmented_norm_apply ≡ scale(-1) → gather → add → gather → mul
         // → mul_rowvec → add_rowvec.
@@ -2211,9 +2297,9 @@ mod tests {
         for threads in [1, 2, 4] {
             pool::set_num_threads(threads);
             assert_eq!(
-                gated_blend(&s, &a, &b).data,
+                gated_fusion(&ga, &gb, &bz, &tr, &z, &row_to_point).data,
                 blend_want.data,
-                "gated_blend t={threads}"
+                "gated_fusion t={threads}"
             );
             assert_eq!(
                 segmented_norm_apply(&x, &mu, &istd, &seg_of, &gamma, &beta).data,

@@ -23,11 +23,17 @@
 //!   whole-slice reductions (dots, norm sums) use 8 partial lanes — so
 //!   scalar vs AVX2 outputs differ within a small ULP budget, gated
 //!   explicitly in the `kernels` unit test
-//!   `avx2_backend_is_thread_deterministic_within_ulp_of_scalar`. The
-//!   softmax / log-softmax family keeps its scalar `exp` loop and
-//!   ascending sums, so it is bit-identical *across* backends; so is
-//!   `tanh`, whose AVX2 lanes perform the scalar [`super::tanhf::tanhf`]'s
-//!   operations one for one, without FMA (all 2³² inputs swept).
+//!   `avx2_backend_is_thread_deterministic_within_ulp_of_scalar`. What
+//!   is bit-identical *across* backends: `tanh` and every `exp`, whose
+//!   AVX2 lanes perform the scalar [`super::tanhf::tanhf`]'s /
+//!   [`super::expf::expf`]'s operations one for one (`tanhf` has no FMA
+//!   and the lanes use none; `expf` is pinned in glibc's FMA form and the
+//!   lanes fuse exactly where it does; all 2³² inputs swept for each);
+//!   and everything built on them with element-wise steps and scalar
+//!   ascending sums — the softmax / log-softmax family, `sigmoid`, the
+//!   Eq. 7 gate (`gate` / `gate_row`), and the GAT pair
+//!   `segmented_softmax` / `neighbor_sum` (product rounded, then added —
+//!   never fused).
 //!
 //! Kernels read the backend **once at entry on the caller thread** and
 //! capture it into their pool closures, so one kernel invocation never
@@ -194,8 +200,11 @@ pub fn with_backend<R>(b: Backend, f: impl FnOnce() -> R) -> R {
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
+    use super::super::expf::{exp_slice_avx2, sigmoid8};
     use super::DOT_LANES;
+    use crate::GraphCsr;
     use core::arch::x86_64::*;
+    use std::ops::Range;
 
     /// Horizontal sum of the 8 lanes, fixed reduction tree:
     /// `(lo + hi)` 4-lane, then pairwise.
@@ -558,6 +567,214 @@ mod avx2 {
         }
     }
 
+    /// The [`_mm256_maskload_ps`] mask enabling lanes `0..n`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn lane_mask(n: usize) -> __m256i {
+        let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(n as i32), lanes)
+    }
+
+    /// Softmax within each node's edge segment, over one chunk's nodes:
+    /// `scores` holds the scores of `nodes`' edges (edge slot `first` at
+    /// index 0), `out` receives their softmax. A node has a handful of
+    /// edges, far fewer than a vector holds, so the work is laid out flat:
+    ///
+    /// 1. segment by segment, `x − max` from `scores` into `out`;
+    /// 2. **one** `exp` pass over all of `out`;
+    /// 3. segment by segment, the ascending sum, its reciprocal written
+    ///    once per edge into a scratch row;
+    /// 4. one multiply pass, `out[e] · inv[e]`.
+    ///
+    /// Segments of up to eight edges go through masked vector loads — the
+    /// max by a shuffle-reduce, the sum as a chain of scalar adds over the
+    /// eight lanes **in edge order** (the dead lanes add `+0`, which
+    /// changes nothing) — longer ones through plain loops. No step loads
+    /// what the step before it, in the same pass, has just stored next to
+    /// it: a masked store followed by an overlapping load of the
+    /// neighbouring segment would serialise the segments on the store
+    /// buffer. Per element the operations are the scalar route's (`x −
+    /// max`, `exp`, ascending sum, `· 1/sum`), so the output is
+    /// bit-identical to it.
+    ///
+    /// # Safety
+    /// AVX2 and FMA must be available.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn segmented_softmax_flat(
+        scores: &[f32],
+        out: &mut [f32],
+        first: usize,
+        csr: &GraphCsr,
+        nodes: Range<usize>,
+    ) {
+        assert_eq!(scores.len(), out.len(), "segmented_softmax_flat: lengths");
+        let neg_inf = _mm256_set1_ps(f32::NEG_INFINITY);
+        let segment = |i: usize| {
+            let seg = csr.segment(i);
+            seg.start - first..seg.end - first
+        };
+        for i in nodes.clone() {
+            let (src, dst) = (&scores[segment(i)], &mut out[segment(i)]);
+            if src.len() <= 8 {
+                let mask = lane_mask(src.len());
+                // SAFETY: the mask enables exactly the segment's lanes;
+                // masked-off lanes are neither read nor written.
+                let x = _mm256_maskload_ps(src.as_ptr(), mask);
+                let m = _mm256_blendv_ps(neg_inf, x, _mm256_castsi256_ps(mask));
+                let m = _mm256_max_ps(m, _mm256_permute2f128_ps::<1>(m, m));
+                let m = _mm256_max_ps(m, _mm256_shuffle_ps::<0b0100_1110>(m, m));
+                let m = _mm256_max_ps(m, _mm256_shuffle_ps::<0b1011_0001>(m, m));
+                _mm256_maskstore_ps(dst.as_mut_ptr(), mask, _mm256_sub_ps(x, m));
+            } else {
+                let max = vmax(src);
+                for (d, &x) in dst.iter_mut().zip(src) {
+                    *d = x - max;
+                }
+            }
+        }
+        exp_slice_avx2(out);
+        let mut inv = vec![0.0f32; out.len()];
+        for i in nodes {
+            let (row, dst) = (&out[segment(i)], &mut inv[segment(i)]);
+            if row.len() <= 8 {
+                let mask = lane_mask(row.len());
+                let mut lanes = [0.0f32; 8];
+                // SAFETY: as above; masked-off lanes load as `+0`.
+                _mm256_storeu_ps(lanes.as_mut_ptr(), _mm256_maskload_ps(row.as_ptr(), mask));
+                let mut sum = 0.0f32;
+                for l in lanes {
+                    sum += l;
+                }
+                _mm256_maskstore_ps(dst.as_mut_ptr(), mask, _mm256_set1_ps(1.0 / sum));
+            } else {
+                let mut sum = 0.0f32;
+                for &x in row {
+                    sum += x;
+                }
+                dst.fill(1.0 / sum);
+            }
+        }
+        for (o, &s) in out.iter_mut().zip(&inv) {
+            *o *= s;
+        }
+    }
+
+    /// GAT aggregation over one chunk's nodes: `dst` row `i − nodes.start`
+    /// is `Σ_{e ∈ seg(i)} α[e] · feats[target(e)]`, the output row held in
+    /// registers across the node's edges (16 columns at a time, then 8,
+    /// then one). Every term is a product rounded, then added in ascending
+    /// edge order from `+0` — the scalar `o += α * f` loop's two roundings,
+    /// **not** [`axpy`]'s fused one — so results are bit-identical to that
+    /// loop.
+    ///
+    /// # Safety
+    /// AVX2 and FMA must be available; `alphas` must hold one weight per
+    /// edge slot of `csr`, `feats` one `cols`-wide row per node of `csr`,
+    /// and `dst` one per node of `nodes`.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn neighbor_sum_rows(
+        alphas: &[f32],
+        feats: &[f32],
+        cols: usize,
+        csr: &GraphCsr,
+        nodes: Range<usize>,
+        dst: &mut [f32],
+    ) {
+        assert_eq!(alphas.len(), csr.num_edges(), "neighbor_sum_rows: alphas");
+        assert_eq!(
+            feats.len(),
+            csr.num_nodes() * cols,
+            "neighbor_sum_rows: feats"
+        );
+        assert_eq!(dst.len(), nodes.len() * cols, "neighbor_sum_rows: dst");
+        // `feats` row of edge slot `e` from column `j` on: in bounds for
+        // `j ≤ cols`, because every target is a node of `csr`.
+        let frow = |e: usize, j: usize| feats[csr.target(e) * cols..][j..cols].as_ptr();
+        for (orow, i) in dst.chunks_exact_mut(cols.max(1)).zip(nodes) {
+            let seg = csr.segment(i);
+            let mut j = 0;
+            while j + 16 <= cols {
+                let (mut lo, mut hi) = (_mm256_setzero_ps(), _mm256_setzero_ps());
+                for e in seg.clone() {
+                    let a = _mm256_set1_ps(alphas[e]);
+                    let f = frow(e, j);
+                    // SAFETY: 16 columns from `j` are inside the row.
+                    lo = _mm256_add_ps(lo, _mm256_mul_ps(a, _mm256_loadu_ps(f)));
+                    hi = _mm256_add_ps(hi, _mm256_mul_ps(a, _mm256_loadu_ps(f.add(8))));
+                }
+                _mm256_storeu_ps(orow.as_mut_ptr().add(j), lo);
+                _mm256_storeu_ps(orow.as_mut_ptr().add(j + 8), hi);
+                j += 16;
+            }
+            if j + 8 <= cols {
+                let mut acc = _mm256_setzero_ps();
+                for e in seg.clone() {
+                    let a = _mm256_set1_ps(alphas[e]);
+                    // SAFETY: 8 columns from `j` are inside the row.
+                    acc = _mm256_add_ps(acc, _mm256_mul_ps(a, _mm256_loadu_ps(frow(e, j))));
+                }
+                _mm256_storeu_ps(orow.as_mut_ptr().add(j), acc);
+                j += 8;
+            }
+            while j < cols {
+                let mut acc = 0.0f32;
+                for e in seg.clone() {
+                    acc += alphas[e] * *frow(e, j);
+                }
+                orow[j] = acc;
+                j += 1;
+            }
+        }
+    }
+
+    /// One row of the Eq. 7 gate, `dst[j] = gate(a[j], b[j], bz[j], tr[j],
+    /// z[j])`: [`super::gate`]'s chain step for step (no fusing, the
+    /// sigmoid on the in-repo `exp` lanes), so results are bit-identical
+    /// to it.
+    ///
+    /// # Safety
+    /// AVX2 and FMA must be available. The length assert below makes every
+    /// pointer offset in the body in-bounds.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn gate_row(
+        a: &[f32],
+        b: &[f32],
+        bz: &[f32],
+        tr: &[f32],
+        z: &[f32],
+        dst: &mut [f32],
+    ) {
+        let n = dst.len();
+        assert_eq!(
+            [a.len(), b.len(), bz.len(), tr.len(), z.len()],
+            [n; 5],
+            "gate_row: all six slices must be equally long"
+        );
+        let one = _mm256_set1_ps(1.0);
+        let sign_bit = _mm256_set1_ps(-0.0);
+        let mut j = 0;
+        while j + 8 <= n {
+            let at = |x: &[f32]| _mm256_loadu_ps(x.as_ptr().add(j));
+            let s = _mm256_add_ps(_mm256_add_ps(at(a), at(b)), at(bz));
+            let g = sigmoid8(s);
+            let take_tr = _mm256_mul_ps(g, at(tr));
+            let keep = _mm256_add_ps(_mm256_xor_ps(g, sign_bit), one);
+            let keep_z = _mm256_mul_ps(keep, at(z));
+            _mm256_storeu_ps(dst.as_mut_ptr().add(j), _mm256_add_ps(take_tr, keep_z));
+            j += 8;
+        }
+        while j < n {
+            *dst.get_unchecked_mut(j) = super::gate(
+                *a.get_unchecked(j),
+                *b.get_unchecked(j),
+                *bz.get_unchecked(j),
+                *tr.get_unchecked(j),
+                *z.get_unchecked(j),
+            );
+            j += 1;
+        }
+    }
+
     /// Exact int8 dot with i32 accumulation: sign-extend 16 lanes at a
     /// time to i16 and `madd` into 8 i32 accumulators. Integer arithmetic
     /// is exact, so this equals the scalar i32 loop bit-for-bit.
@@ -589,12 +806,25 @@ mod avx2 {
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) use avx2::{
-    add_in_place, axpy, dot, dot_col, dot_cols, dot_i8, matmul_axpy, matmul_tile, norm_affine,
-    scale_in_place, vmax, vsum, vsumsq, TILE_ROWS,
+    add_in_place, axpy, dot, dot_col, dot_cols, dot_i8, gate_row, matmul_axpy, matmul_tile,
+    neighbor_sum_rows, norm_affine, scale_in_place, segmented_softmax_flat, vmax, vsum, vsumsq,
+    TILE_ROWS,
 };
 
 /// Column dots the sparse segment head computes at once (both backends).
 pub(crate) const DOT_LANES: usize = 8;
+
+/// One element of the Eq. 7 gate (both backends' reference chain):
+/// `s = (a + b) + bz`, `g = σ(s)`, `g·tr + (1 − g)·z` with `1 − g` formed
+/// as `g·(−1) + 1` (`−x ≡ x·(−1)` bitwise) — the composed route's
+/// operations, one rounding each.
+#[inline]
+pub(crate) fn gate(a: f32, b: f32, bz: f32, tr: f32, z: f32) -> f32 {
+    let g = super::expf::sigmoid((a + b) + bz);
+    let take_tr = g * tr;
+    let keep = (-g) + 1.0;
+    take_tr + keep * z
+}
 
 #[cfg(test)]
 mod tests {

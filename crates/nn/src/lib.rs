@@ -25,7 +25,7 @@
 //!   [`Eager`] evaluates at once and keeps nothing (`H = Cow<Tensor>`,
 //!   parameters and inputs borrowed — serving). Reductions whose scope is
 //!   a member or a sub-graph of a stacked batch are executor ops too
-//!   (`segmented_*`, `gated_blend`): a fused kernel on `Eager`, the
+//!   (`segmented_*`, `gated_fusion`): a fused kernel on `Eager`, the
 //!   per-segment chain of differentiable primitives on `Tape`.
 //! * [`pool`] — a small dependency-free persistent thread pool (`rayon` is
 //!   unavailable here) with a scoped chunked-range API; the intra-op

@@ -599,7 +599,7 @@ impl Tape {
                         let gr = &g[r * cols..(r + 1) * cols];
                         let gsum: f32 = gr.iter().sum();
                         for c in 0..cols {
-                            ga[r * cols + c] = gr[c] - yr[c].exp() * gsum;
+                            ga[r * cols + c] = gr[c] - kernels::expf::expf(yr[c]) * gsum;
                         }
                     }
                     self.acc(a, &ga);

@@ -28,9 +28,10 @@
 //! that pins that both executors call the same kernel; for the five scoped
 //! ops it is the fused-kernel-vs-composed-chain check — `Eager` runs
 //! `segmented_self_attention` / `segmented_mean_rows` /
-//! `segmented_weighted_mean_rows` / `segmented_norm_*` / `gated_blend`,
+//! `segmented_weighted_mean_rows` / `segmented_norm_*` / `gated_fusion`,
 //! `Tape` the per-segment chain of primitive differentiable ops — over
-//! ragged segments with a one-row and an empty member.
+//! ragged segments with a one-row and an empty member (for the gate: a
+//! point owning one row and a point owning none).
 //!
 //! Each case draws random shapes (large enough that the pool actually
 //! engages), random contents, and — for the CSR graph ops — random ragged
@@ -80,11 +81,18 @@ fn tensor(rng: &mut StdRng, rows: usize, cols: usize) -> Tensor {
 }
 
 /// Random ragged CSR: degrees 0..=6 per node (degree 0 without self-loops
-/// leaves genuinely empty segments — the isolated-node edge case).
+/// leaves genuinely empty segments — the isolated-node edge case), except
+/// that the first three nodes always have 0, 1 and 9..=12 neighbours: an
+/// isolated node, a one-edge segment and one longer than a vector.
 fn random_csr(rng: &mut StdRng, n: usize, self_loops: bool) -> Arc<GraphCsr> {
     let lists: Vec<Vec<usize>> = (0..n)
-        .map(|_| {
-            let deg = rng.gen_range(0usize..=6);
+        .map(|i| {
+            let deg = match i {
+                0 => 0,
+                1 => 1,
+                2 => rng.gen_range(9usize..=12),
+                _ => rng.gen_range(0usize..=6),
+            };
             (0..deg).map(|_| rng.gen_range(0..n)).collect()
         })
         .collect();
@@ -475,7 +483,10 @@ proptest! {
     }
 
     /// CSR graph-attention ops on random ragged graphs (including isolated
-    /// nodes and empty segments).
+    /// nodes, empty, one-edge and longer-than-a-vector segments): kernel ≡
+    /// tape at every thread count, and — `exp` runs in lanes, sums and
+    /// products round as the scalar loops do — the same bits under every
+    /// backend.
     #[test]
     fn graph_kernels_parity(n in 1usize..120, d in 1usize..32, self_loops in 0u32..2, seed in 0u64..1_000_000) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -483,6 +494,7 @@ proptest! {
         let src = tensor(&mut rng, n, 1);
         let dst = tensor(&mut rng, n, 1);
         let feats = tensor(&mut rng, n, d);
+        let mut across_backends: Option<(Tensor, Tensor)> = None;
 
         for bk in backends() {
             backend::with_backend(bk, || {
@@ -510,6 +522,9 @@ proptest! {
                 assert_thread_invariant("neighbor_sum", &agg, || {
                     kernels::neighbor_sum(&alphas, &feats, &csr)
                 });
+                let (alphas_0, agg_0) = across_backends.get_or_insert((alphas.clone(), agg.clone()));
+                assert_eq!(alphas.data, alphas_0.data, "segmented_softmax: {name} vs scalar");
+                assert_eq!(agg.data, agg_0.data, "neighbor_sum: {name} vs scalar");
             });
         }
     }
@@ -573,6 +588,11 @@ struct ExecInputs {
     scopes: Vec<std::ops::Range<usize>>,
     row_to_scope: Vec<usize>,
     weights: Vec<f32>,
+    /// The gate's per-point operands, one row per member of `segs`.
+    point_a: Tensor,
+    point_tr: Tensor,
+    /// Row → the member of `segs` that owns it.
+    row_to_point: Vec<usize>,
 }
 
 impl ExecInputs {
@@ -597,9 +617,17 @@ impl ExecInputs {
         let row_to_scope = (0..r)
             .map(|row| if row < graphs[cut].start { 0 } else { 2 })
             .collect();
+        let row_to_point = segs
+            .iter()
+            .enumerate()
+            .flat_map(|(p, seg)| std::iter::repeat_n(p, seg.len()))
+            .collect();
         let mut store = ParamStore::new();
         let w = store.add("w", c, c + 3, Init::Xavier, rng);
         Self {
+            point_a: tensor(rng, segs.len(), c),
+            point_tr: tensor(rng, segs.len(), c),
+            row_to_point,
             store,
             w,
             a: tensor(rng, r, c),
@@ -628,6 +656,7 @@ fn run_every_exec_op<'s, E: Exec<'s>>(ex: &mut E, i: &'s ExecInputs) -> Vec<(&'s
     let b = ex.constant(i.b.clone());
     let (v, gamma, beta) = (ex.input(&i.v), ex.input(&i.gamma), ex.input(&i.beta));
     let (src, dst) = (ex.input(&i.src), ex.input(&i.dst));
+    let (point_a, point_tr) = (ex.input(&i.point_a), ex.input(&i.point_tr));
     let sum = ex.add(&a, &b);
     let scores = ex.edge_scores(&src, &dst, &i.csr);
     let alphas = ex.segmented_softmax(&scores, &i.csr);
@@ -675,7 +704,10 @@ fn run_every_exec_op<'s, E: Exec<'s>>(ex: &mut E, i: &'s ExecInputs) -> Vec<(&'s
                 1e-5,
             ),
         ),
-        ("gated_blend", ex.gated_blend(&sum, &a, &b)),
+        (
+            "gated_fusion",
+            ex.gated_fusion(&point_a, &sum, &v, &point_tr, &a, &i.row_to_point),
+        ),
         ("edge_scores", scores),
         ("segmented_softmax", alphas),
         ("tanh", ex.tanh(sum)),
