@@ -38,5 +38,5 @@ pub mod wire;
 
 pub use experiments::{ExperimentScale, Pipeline};
 pub use metrics::{EvalMetrics, MetricsAccumulator};
-pub use model::{BatchDecodeOutcome, EndToEnd, MethodSpec, StreamCtl};
+pub use model::{EndToEnd, MethodSpec};
 pub use train::{TrainConfig, Trainer};

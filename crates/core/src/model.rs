@@ -5,9 +5,9 @@ use rand::SeedableRng;
 
 use rntrajrec_geo::GridSpec;
 use rntrajrec_models::{
-    BatchMember, DecodeHooks, Decoder, DecoderConfig, GnnBackbone, GrownMember, GtsEncoder,
-    MTrajRecEncoder, NeuTrajEncoder, RnTrajRecConfig, RnTrajRecEncoder, SampleInput, SegmentHead,
-    StepOut, T2vecEncoder, T3sEncoder, TrajEncoder, TransformerBaseline,
+    BatchMember, Decoder, DecoderConfig, GnnBackbone, GtsEncoder, MTrajRecEncoder, NeuTrajEncoder,
+    RnTrajRecConfig, RnTrajRecEncoder, SampleInput, SegmentHead, T2vecEncoder, T3sEncoder,
+    TrajEncoder, TransformerBaseline,
 };
 use rntrajrec_nn::{NodeId, ParamStore, Tape, Tensor};
 use rntrajrec_roadnet::RoadNetwork;
@@ -103,11 +103,6 @@ impl MethodSpec {
         !matches!(self, MethodSpec::LinearHmm | MethodSpec::DhtrHmm)
     }
 }
-
-/// Per-member recovered `(segment, rate)` paths plus a per-member
-/// "cancelled mid-decode" flag, as returned by
-/// [`EndToEnd::infer_predict_batch_stream`].
-pub type BatchDecodeOutcome = (Vec<Vec<(usize, f32)>>, Vec<bool>);
 
 /// An encoder + the shared decoder + its parameters and loss weights.
 pub struct EndToEnd {
@@ -319,13 +314,23 @@ impl EndToEnd {
         self.encoder.precompute_road(&self.store)
     }
 
-    /// Tape-free greedy inference over a closed batch — the forward-only
-    /// twin of [`EndToEnd::predict`] with no autograd allocation:
-    /// [`EndToEnd::infer_predict_batch_stream`] with no cancellation, no
-    /// admission and no step sink. `road` is the cached
-    /// [`EndToEnd::precompute_road`] output (pass `None` to recompute per
-    /// call); `head` picks the decoder [`SegmentHead`] (dense reference,
-    /// sparse default, or quantized). A single request is a batch of one.
+    /// Tape-free greedy inference over a closed batch, fused end to end —
+    /// the forward-only twin of [`EndToEnd::predict`] with no autograd
+    /// allocation: one stacked encoder pass over the whole batch
+    /// ([`rntrajrec_models::TrajEncoder::infer_batch`] — every member's
+    /// per-point rows in one matmul per projection, GraphNorm statistics
+    /// scoped per member, so cross-request batching cannot change
+    /// results), then the closed fused decode
+    /// ([`Decoder::recover_batch_infer_with`]) — one stacked matmul per
+    /// head per step. Each member's result is bit-identical to recovering
+    /// it alone, for any batch composition; a single request is a batch of
+    /// one. A caller that admits, cancels or streams mid-decode (the
+    /// serving engine) runs the same two halves itself, stepping a
+    /// [`rntrajrec_models::DecodeState`].
+    ///
+    /// `road` is the cached [`EndToEnd::precompute_road`] output (pass
+    /// `None` to recompute per call); `head` picks the decoder
+    /// [`SegmentHead`] (dense reference, sparse default, or quantized).
     /// Returns `None` when the encoder has no tape-free path — callers
     /// fall back to [`EndToEnd::predict`].
     pub fn infer_predict_batch(
@@ -334,147 +339,17 @@ impl EndToEnd {
         road: Option<&Tensor>,
         head: SegmentHead<'_>,
     ) -> Option<Vec<Vec<(usize, f32)>>> {
-        self.infer_predict_batch_stream(
-            inputs,
-            road,
-            head,
-            &mut StreamCtl {
-                cancel: &mut |_, _| false,
-                admit: &mut |_| Vec::new(),
-                on_step: &mut |_| {},
-            },
-        )
-        .map(|(paths, _)| paths)
-    }
-
-    /// Tape-free **batched** greedy inference, fused end to end: the
-    /// encoder runs one stacked pass over the whole batch
-    /// ([`rntrajrec_models::TrajEncoder::infer_batch`] — RNTrajRec stacks
-    /// every member's per-point rows into one matmul per projection while
-    /// GraphNorm statistics stay scoped per member via segmented kernels,
-    /// so cross-request batching cannot change results), then the fused
-    /// decoder ([`Decoder::recover_batch_infer_stream`]) recovers all
-    /// members in lock-step — one stacked matmul per head per decode step
-    /// instead of one per member. Each member's result is bit-identical
-    /// to recovering it alone, for any batch composition.
-    ///
-    /// `cancel(member, step)` is consulted before each of a member's
-    /// decode steps, and members it cuts are retired through the
-    /// decoder's state-compaction path — survivors stay bit-identical to
-    /// an uncancelled run. The serving engine uses this to stop decoding
-    /// for requests whose deadline expired inside a fused batch.
-    ///
-    /// Between decode ticks the `admit` hook may hand over freshly
-    /// dequeued requests (continuous batching) — their encoder pass runs
-    /// *now* (fused across co-arrivals, or solo) and the results are
-    /// spliced into the live `[B, d]` decode stack. Every decoded step is
-    /// delivered through `on_step` as it is produced.
-    ///
-    /// Incumbent members are bit-identical to a closed batch whether or
-    /// not anyone is admitted, and an admitted member is bit-identical
-    /// to the closed batch it would have led — the same invariant the
-    /// fused kernels already guarantee for arbitrary batch composition.
-    ///
-    /// Returns outcomes indexed with the initial members first, then
-    /// admitted members in admission order. `None` when the encoder has
-    /// no tape-free path (then nothing was consumed from `admit`).
-    pub fn infer_predict_batch_stream(
-        &self,
-        inputs: &[&SampleInput],
-        road: Option<&Tensor>,
-        head: SegmentHead<'_>,
-        ctl: &mut StreamCtl<'_>,
-    ) -> Option<BatchDecodeOutcome> {
-        use std::sync::{Arc, OnceLock};
-        static ENCODER_SECONDS: OnceLock<Arc<rntrajrec_obs::metrics::Histogram>> = OnceLock::new();
-        static DECODER_SECONDS: OnceLock<Arc<rntrajrec_obs::metrics::Histogram>> = OnceLock::new();
-
-        if !self.encoder.has_infer() {
-            return None;
-        }
-        let enc_started = std::time::Instant::now();
-        let encs = {
-            let _span = rntrajrec_obs::span("encoder.fused");
-            self.encoder.infer_batch(&self.store, inputs, road)?
-        };
-        ENCODER_SECONDS
-            .get_or_init(|| rntrajrec_obs::metrics::phase_seconds("encoder"))
-            .observe_duration(enc_started.elapsed());
-
+        let encs = self.encoder.infer_batch(&self.store, inputs, road)?;
         let members: Vec<BatchMember> = encs
             .iter()
             .zip(inputs)
-            .map(|(enc, &sample)| BatchMember {
-                per_point: &enc.per_point,
-                traj: &enc.traj,
-                sample,
-            })
+            .map(|(enc, &sample)| BatchMember::new(enc, sample))
             .collect();
-
-        let mut admissions: u32 = 0;
-        let mut admit = |live: usize| -> Vec<GrownMember> {
-            let newcomers = (ctl.admit)(live);
-            if newcomers.is_empty() {
-                return Vec::new();
-            }
-            // The newcomer's encoder pass, fused across co-arrivals. One
-            // span per admission event (rendered `decoder.admit[k]`).
-            let _span = rntrajrec_obs::span_indexed("decoder.admit", admissions);
-            admissions += 1;
-            let started = std::time::Instant::now();
-            let refs: Vec<&SampleInput> = newcomers.iter().collect();
-            let encs = self
-                .encoder
-                .infer_batch(&self.store, &refs, road)
-                .expect("encoder infer path validated at model load");
-            ENCODER_SECONDS
-                .get_or_init(|| rntrajrec_obs::metrics::phase_seconds("encoder"))
-                .observe_duration(started.elapsed());
-            encs.into_iter()
-                .zip(&newcomers)
-                .map(|(enc, sample)| GrownMember {
-                    per_point: enc.per_point,
-                    traj: enc.traj,
-                    target_len: sample.target_len(),
-                    masks: sample.masks.clone(),
-                })
-                .collect()
-        };
-
-        let dec_started = std::time::Instant::now();
-        let decoded = {
-            let _span = rntrajrec_obs::span("decoder.fused");
-            self.decoder.recover_batch_infer_stream(
-                &self.store,
-                &members,
-                head,
-                &mut DecodeHooks {
-                    cancel: ctl.cancel,
-                    admit: &mut admit,
-                    on_step: ctl.on_step,
-                },
-            )
-        };
-        DECODER_SECONDS
-            .get_or_init(|| rntrajrec_obs::metrics::phase_seconds("decoder"))
-            .observe_duration(dec_started.elapsed());
-        Some(decoded)
+        Some(
+            self.decoder
+                .recover_batch_infer_with(&self.store, &members, head),
+        )
     }
-}
-
-/// Control hooks for [`EndToEnd::infer_predict_batch_stream`]: the
-/// model-level twin of [`rntrajrec_models::DecodeHooks`], except `admit`
-/// hands over raw [`SampleInput`]s — the model runs their encoder pass
-/// before splicing them into the decode.
-pub struct StreamCtl<'h> {
-    /// `cancel(member, step)` — retire the member before its step runs.
-    pub cancel: &'h mut dyn FnMut(usize, usize) -> bool,
-    /// Called between decode ticks with the live batch size; returned
-    /// requests are encoded and admitted, becoming members
-    /// `n, n+1, ...` in admission order.
-    pub admit: &'h mut dyn FnMut(usize) -> Vec<SampleInput>,
-    /// Observes every decoded step in production order.
-    pub on_step: &'h mut dyn FnMut(StepOut),
 }
 
 #[cfg(test)]

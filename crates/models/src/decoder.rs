@@ -10,7 +10,7 @@ use std::ops::Range;
 use rand::rngs::StdRng;
 
 use crate::attention::AdditiveAttention;
-use crate::encoder::EncoderOutput;
+use crate::encoder::{EncoderOutput, InferOutput};
 use crate::features::SampleInput;
 
 use crate::rnn::GruCell;
@@ -60,9 +60,9 @@ pub struct DecoderConfig {
     pub use_mask: bool,
 }
 
-/// One member of a fused decode batch
-/// ([`Decoder::recover_batch_infer_stream`]):
-/// its tape-free encoder outputs plus the request's step metadata.
+/// One member of a fused decode batch ([`DecodeState::admit`]): its
+/// tape-free encoder outputs plus the request's step metadata. Borrowed
+/// for the call only — the state copies what it keeps.
 pub struct BatchMember<'a> {
     /// `[l_τ, d]` per-point encoder states (decoder attention keys).
     pub per_point: &'a Tensor,
@@ -72,30 +72,36 @@ pub struct BatchMember<'a> {
     pub sample: &'a SampleInput,
 }
 
-/// A member admitted into a live decode mid-flight (continuous
-/// batching): its encoder pass ran *during* the decode, so the decode
-/// owns its tensors — unlike [`BatchMember`], which borrows from a batch
-/// assembled before the decode started.
-pub struct GrownMember {
+impl<'a> BatchMember<'a> {
+    /// `sample` with its tape-free encoder outputs.
+    pub fn new(enc: &'a InferOutput, sample: &'a SampleInput) -> Self {
+        Self {
+            per_point: &enc.per_point,
+            traj: &enc.traj,
+            sample,
+        }
+    }
+}
+
+/// A member handed over by the [`DecodeHooks::admit`] hook: its encoder
+/// pass ran *inside* the hook, so the tensors come owned — unlike
+/// [`BatchMember`], which borrows from a batch encoded before the call.
+pub struct GrownMember<'a> {
     /// `[l_τ, d]` per-point encoder states (decoder attention keys).
     pub per_point: Tensor,
     /// `[1, d]` trajectory-level state (initial decoder hidden state).
     pub traj: Tensor,
-    /// Number of decode steps this member wants.
-    pub target_len: usize,
-    /// Per-step constraint masks (same layout as `SampleInput::masks`).
-    pub masks: Vec<Option<Vec<(usize, f32)>>>,
+    /// The request (target length and constraint masks).
+    pub sample: &'a SampleInput,
 }
 
-/// One decoded step of one member, streamed out of
-/// [`Decoder::recover_batch_infer_stream`] as it is produced.
+/// One decoded step of one member, as [`DecodeState::tick`] produced it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepOut {
-    /// Member index: initial members first (batch order), then grown
-    /// members in admission order.
+    /// Member index, in admission order.
     pub member: usize,
-    /// The member's own step index (0-based; a grown member's step 0 may
-    /// run at any global tick).
+    /// The member's own step index (0-based; a member admitted mid-decode
+    /// runs its step 0 at whatever tick it joined).
     pub step: usize,
     /// Predicted road segment (Eq. 16 argmax).
     pub segment: usize,
@@ -105,16 +111,17 @@ pub struct StepOut {
     pub logprob: f32,
 }
 
-/// Control hooks for [`Decoder::recover_batch_infer_stream`].
+/// Callback form of the [`DecodeState`] verbs, for
+/// [`Decoder::recover_batch_infer_stream`].
 pub struct DecodeHooks<'h> {
     /// `cancel(member, step)` — asked before each of the member's steps
-    /// whether it should retire (deadline / dropped-handle propagation).
+    /// whether it should retire ([`DecodeState::retire`]).
     pub cancel: &'h mut dyn FnMut(usize, usize) -> bool,
-    /// Called between decode steps with the live batch size; returned
-    /// members are spliced into the stacked state and decode from their
-    /// own step 0. Return an empty vec to keep the batch closed.
-    pub admit: &'h mut dyn FnMut(usize) -> Vec<GrownMember>,
-    /// Observes every decoded step in production order (streaming sink).
+    /// Called before each tick with the live batch size; returned members
+    /// are admitted ([`DecodeState::admit`]) and decode from their own
+    /// step 0. Return an empty vec to keep the batch closed.
+    pub admit: &'h mut dyn FnMut(usize) -> Vec<GrownMember<'h>>,
+    /// Observes every decoded step in production order.
     pub on_step: &'h mut dyn FnMut(StepOut),
 }
 
@@ -289,78 +296,28 @@ impl Decoder {
         }
     }
 
-    /// Closed-batch fused greedy decode: [`Decoder::recover_batch_infer_stream`]
-    /// with no cancellation, no admission and no step sink. Returns the
-    /// predicted `(segment, rate)` per target step, per member.
+    /// Closed-batch fused greedy decode: admit `members`, tick until
+    /// everyone has finished. Returns the predicted `(segment, rate)` per
+    /// target step, per member.
     pub fn recover_batch_infer_with(
         &self,
         store: &ParamStore,
         members: &[BatchMember<'_>],
         head: SegmentHead<'_>,
     ) -> Vec<Vec<(usize, f32)>> {
-        self.recover_batch_infer_stream(
-            store,
-            members,
-            head,
-            &mut DecodeHooks {
-                cancel: &mut |_, _| false,
-                admit: &mut |_| Vec::new(),
-                on_step: &mut |_| {},
-            },
-        )
-        .0
+        let mut state = DecodeState::new(self, store, head);
+        state.admit(members);
+        while state.live() > 0 {
+            state.tick();
+        }
+        state.finish().0
     }
 
-    /// The tape-free greedy decode loop (the serving hot path): the twin
-    /// of [`Decoder::run`] with `teacher_forcing = false`, evaluated with
-    /// plain tensor ops over a whole micro-batch in lock-step. Every
-    /// member's current hidden state is stacked into one `[B, d]` matrix
-    /// so each decode step runs **one** stacked matmul per head — the
-    /// `[B,d]×[d,|V|]` segment head, the `[B,2d]×[2d,1]` rate head, the
-    /// three GRU gates, the attention query projection — instead of `B`
-    /// separate `[1, d]` products. Members attend over their own
-    /// (ragged-length) encoder outputs through the segmented kernels, the
-    /// key projection `W_h·H_traj` is hoisted out of the step loop (it is
-    /// input-constant), and the active stack shrinks as shorter members
-    /// finish. A single request is a batch of one.
-    ///
-    /// Because every kernel involved computes each output row/segment with
-    /// exactly the accumulation order of the member's own `[1, d]` call,
-    /// each member's result is **bit-identical** to decoding it alone, at
-    /// any thread count and for any batch composition — property-tested in
-    /// `tests/batch_decode_parity.rs`. All heavy math runs on
-    /// `rntrajrec_nn::kernels`, which parallelises wide outputs by disjoint
-    /// column ranges — the `NN_THREADS` knob cuts per-step latency without
-    /// changing a bit of the output.
-    ///
-    /// **Mid-decode cancellation**: before each of a member's steps,
-    /// `cancel(member, step)` is asked whether it should stop decoding
-    /// (the serving engine passes a deadline check; tests pass arbitrary
-    /// step predicates). Cancelled members are retired through the *same*
-    /// `gather_rows` compaction that retires finished members, so every
-    /// surviving row keeps its exact value and survivors stay
-    /// bit-identical to an uncancelled run; a cancelled member holds the
-    /// prefix decoded before its cut, itself bit-identical to the
-    /// uncancelled run's prefix.
-    ///
-    /// **Continuous batching** plus **streamed steps**: between lock-step
-    /// decode ticks the `admit` hook may splice new members into the live
-    /// `[B, d]` stack — their attention keys and key projections append as
-    /// fresh rows (matmul and every other kernel here is
-    /// row/member-segment-scoped, so incumbents' rows are untouched
-    /// bit-for-bit and the newcomer's rows are exactly its solo products),
-    /// their hidden state starts from `traj` / `start_emb` / rate 0 just
-    /// as a closed batch would — and every produced
-    /// `(segment, rate, logprob)` is handed to `on_step` in production
-    /// order.
-    ///
-    /// Each member advances its **own** step counter: a grown member's
-    /// step 0 runs at whatever global tick it was admitted. Because no
-    /// kernel mixes rows across members, incumbents decode bit-identically
-    /// whether or not anyone joins.
-    ///
-    /// Returns per-member outputs and cancelled flags, indexed with the
-    /// initial members first and grown members after, in admission order.
+    /// [`DecodeState`] driven by callbacks: before every tick `admit` may
+    /// hand over new members and `cancel` may retire live ones; every
+    /// decoded step goes to `on_step`. Returns per-member outputs and
+    /// cancelled flags, `members` first, admitted members after, in
+    /// admission order.
     pub fn recover_batch_infer_stream(
         &self,
         store: &ParamStore,
@@ -368,228 +325,310 @@ impl Decoder {
         head: SegmentHead<'_>,
         hooks: &mut DecodeHooks<'_>,
     ) -> (Vec<Vec<(usize, f32)>>, Vec<bool>) {
-        let d = self.config.dim;
-        let n = members.len();
-        let mut cancelled = vec![false; n];
-        let mut out: Vec<Vec<(usize, f32)>> = members
-            .iter()
-            .map(|m| Vec::with_capacity(m.sample.target_len()))
-            .collect();
-        let mut target_lens: Vec<usize> = members.iter().map(|m| m.sample.target_len()).collect();
-        // Per-member step cursor: equals the global tick for initial
-        // members, but a grown member admitted at tick t is at step 0.
-        let mut steps: Vec<usize> = vec![0; n];
-        let mut active: Vec<usize> = (0..n).filter(|&i| target_lens[i] > 0).collect();
-
-        let seg_table = store.value(self.seg_emb);
-        let w_id = store.value(self.w_id);
-        let b_id = store.value(self.b_id);
-        let w_rate = store.value(self.w_rate);
-        let wg = store.value(self.attn.wg);
-        let wh = store.value(self.attn.wh);
-        let v_attn = store.value(self.attn.v);
-
-        // Loop-invariant hoists: the stacked attention keys, their
-        // projection `W_h·H_traj` (one matmul for the whole batch — the
-        // tape path recomputes it every step), per-member row ranges
-        // into both stacks, and the sparse mask log-weights per step.
-        // All grow by appended rows when a member is admitted mid-decode.
-        let keys: Vec<&Tensor> = members.iter().map(|m| m.per_point).collect();
-        let mut keys_all = if keys.is_empty() {
-            Tensor::zeros(0, d)
-        } else {
-            kernels::concat_rows(&keys)
-        };
-        let mut hk_all = kernels::matmul(&keys_all, wh);
-        let mut ranges: Vec<Range<usize>> = Vec::with_capacity(n);
-        let mut off = 0;
-        for m in members {
-            ranges.push(off..off + m.per_point.rows);
-            off += m.per_point.rows;
-        }
-        let mut logw: Vec<StepLogMasks> = members
-            .iter()
-            .map(|m| {
-                m.sample
-                    .masks
-                    .iter()
-                    .map(|mk| self.mask_logw_entries(mk))
-                    .collect()
-            })
-            .collect();
-
-        // Stacked decoder state over the active members (rows in `active`
-        // order).
-        let trajs: Vec<&Tensor> = active.iter().map(|&i| members[i].traj).collect();
-        let mut h = if trajs.is_empty() {
-            Tensor::zeros(0, d)
-        } else {
-            kernels::concat_rows(&trajs)
-        };
-        let mut x_prev = kernels::repeat_rows(store.value(self.start_emb), active.len());
-        let mut r_prev = Tensor::zeros(active.len(), 1);
-
-        let mut tick: u32 = 0;
+        let mut state = DecodeState::new(self, store, head);
+        state.admit(members);
         loop {
-            // Admission gate (continuous batching): splice newcomers into
-            // the live stack before the next lock-step tick. The whole
-            // arrival wave is fused — one stacked `W_h·keys` matmul over
-            // every newcomer's rows and one concat round per state tensor,
-            // instead of one matmul and four concats per newcomer. A fresh
-            // member's state rows are byte-for-byte what a closed batch
-            // would have initialised: matmul and row concatenation are
-            // row-scoped, so stacking the wave changes nothing.
-            let wave = (hooks.admit)(active.len());
+            let wave = (hooks.admit)(state.live());
             if !wave.is_empty() {
-                let mut key_off = keys_all.rows;
-                let mut new_keys: Vec<&Tensor> = Vec::with_capacity(wave.len());
-                let mut new_trajs: Vec<&Tensor> = Vec::with_capacity(wave.len());
-                for g in &wave {
-                    let i = target_lens.len();
-                    target_lens.push(g.target_len);
-                    logw.push(
-                        g.masks
-                            .iter()
-                            .map(|mk| self.mask_logw_entries(mk))
-                            .collect(),
-                    );
-                    steps.push(0);
-                    out.push(Vec::with_capacity(g.target_len));
-                    cancelled.push(false);
-                    if g.target_len == 0 {
-                        ranges.push(0..0);
-                        continue;
-                    }
-                    ranges.push(key_off..key_off + g.per_point.rows);
-                    key_off += g.per_point.rows;
-                    new_keys.push(&g.per_point);
-                    new_trajs.push(&g.traj);
-                    active.push(i);
-                }
-                if !new_keys.is_empty() {
-                    let stacked_keys = kernels::concat_rows(&new_keys);
-                    let hk_new = kernels::matmul(&stacked_keys, wh);
-                    let stacked_trajs = kernels::concat_rows(&new_trajs);
-                    let grown = new_keys.len();
-                    keys_all = kernels::concat_rows(&[&keys_all, &stacked_keys]);
-                    hk_all = kernels::concat_rows(&[&hk_all, &hk_new]);
-                    h = kernels::concat_rows(&[&h, &stacked_trajs]);
-                    x_prev = kernels::concat_rows(&[
-                        &x_prev,
-                        &kernels::repeat_rows(store.value(self.start_emb), grown),
-                    ]);
-                    r_prev = kernels::concat_rows(&[&r_prev, &Tensor::zeros(grown, 1)]);
-                }
+                let wave: Vec<BatchMember> = wave
+                    .iter()
+                    .map(|g| BatchMember {
+                        per_point: &g.per_point,
+                        traj: &g.traj,
+                        sample: g.sample,
+                    })
+                    .collect();
+                state.admit(&wave);
             }
-            if active.is_empty() {
+            if state.live() == 0 {
                 break;
             }
-            // Cancellation gate (deadline / dropped-handle propagation):
-            // members whose budget expired are retired *before* the step
-            // runs, through the same gather_rows compaction that retires
-            // finished members below — a pure row copy, so surviving rows
-            // keep their exact values and decode on bit-identically.
-            let cut: Vec<bool> = active
-                .iter()
-                .map(|&i| (hooks.cancel)(i, steps[i]))
-                .collect();
-            if cut.iter().any(|&c| c) {
-                let keep: Vec<usize> = (0..active.len()).filter(|&s| !cut[s]).collect();
-                for (s, &i) in active.iter().enumerate() {
-                    if cut[s] {
-                        cancelled[i] = true;
-                    }
-                }
-                h = kernels::gather_rows(&h, &keep);
-                x_prev = kernels::gather_rows(&x_prev, &keep);
-                r_prev = kernels::gather_rows(&r_prev, &keep);
-                active = keep.iter().map(|&s| active[s]).collect();
-                if active.is_empty() {
-                    continue; // the admit hook may still have members to run
-                }
-            }
-            let b = active.len();
-            // One observability span per lock-step decode tick (rendered
-            // `decoder.step[t]`); no-op unless tracing is enabled.
-            let _step_span = rntrajrec_obs::span_indexed("decoder.step", tick);
-            // Eq. (14): additive attention, all members in lock-step — one
-            // stacked query projection, one stacked score product, then
-            // the per-member softmax/context over ragged segments.
-            let gq = kernels::matmul(&h, wg);
-            let segs: Vec<Range<usize>> = active.iter().map(|&i| ranges[i].clone()).collect();
-            let mut t = kernels::segments_add_rowvec(&hk_all, &gq, &segs);
-            kernels::tanh_in_place(&mut t);
-            let mu = kernels::matmul_nt(v_attn, &t);
-            let lens: Vec<usize> = segs.iter().map(|s| s.len()).collect();
-            let alphas = kernels::softmax_segments(&mu, &lens);
-            let a = kernels::segmented_attn_context(&alphas, &keys_all, &segs);
-
-            // Eq. (15): one stacked GRU update.
-            let input = kernels::concat_cols(&[&x_prev, &r_prev, &a]);
-            h = {
-                let (x, s) = (Eager.input(&input), Eager.input(&h));
-                self.gru.step(&mut Eager, store, &x, &s).into_owned()
-            };
-
-            // Eq. (16): one stacked segment head — sparse by default,
-            // computing only each row's mask-allowed columns.
-            let masks: Vec<Option<kernels::SparseLogMask>> = active
-                .iter()
-                .map(|&i| {
-                    logw[i][steps[i]]
-                        .as_deref()
-                        .map(|entries| kernels::SparseLogMask {
-                            default: MASKED_OUT_LOGW,
-                            entries,
-                        })
-                })
-                .collect();
-            let logp = match head {
-                SegmentHead::Dense => {
-                    let logits = kernels::add_rowvec(&kernels::matmul(&h, w_id), b_id);
-                    kernels::masked_log_softmax_rows(&logits, &masks)
-                }
-                SegmentHead::Sparse => kernels::masked_matmul_cols(&h, w_id, b_id, &masks),
-                SegmentHead::Quantized(q) => q.forward_masked(&h, b_id, &masks),
-            };
-            let preds: Vec<usize> = (0..b).map(|r| logp.argmax_row(r)).collect();
-            let x_j = kernels::gather_rows(seg_table, &preds);
-
-            // Eq. (17): one stacked rate head.
-            let rate_in = kernels::concat_cols(&[&x_j, &h]);
-            let rate = kernels::sigmoid(&kernels::matmul(&rate_in, w_rate));
-
-            for (s, &i) in active.iter().enumerate() {
-                out[i].push((preds[s], rate.data[s]));
-                (hooks.on_step)(StepOut {
-                    member: i,
-                    step: steps[i],
-                    segment: preds[s],
-                    rate: rate.data[s],
-                    logprob: logp.data[s * logp.cols + preds[s]],
-                });
-            }
-            x_prev = x_j;
-            r_prev = rate;
-            for &i in &active {
-                steps[i] += 1;
-            }
-            tick += 1;
-
-            // Retire finished members, compacting the stacked state rows
-            // (the batch shrinks; remaining rows keep their exact values —
-            // gather_rows is a pure row copy).
-            if active.iter().any(|&i| target_lens[i] <= steps[i]) {
-                let keep: Vec<usize> = (0..b)
-                    .filter(|&s| target_lens[active[s]] > steps[active[s]])
-                    .collect();
-                h = kernels::gather_rows(&h, &keep);
-                x_prev = kernels::gather_rows(&x_prev, &keep);
-                r_prev = kernels::gather_rows(&r_prev, &keep);
-                active = keep.iter().map(|&s| active[s]).collect();
+            state.retire(&mut *hooks.cancel);
+            for &step in state.tick() {
+                (hooks.on_step)(step);
             }
         }
-        (out, cancelled)
+        state.finish()
+    }
+}
+
+/// What a [`DecodeState`] keeps per member, in admission order.
+struct Slot {
+    target_len: usize,
+    /// The member's own step cursor: a member admitted at tick `t` is at
+    /// step 0 while the first wave is at step `t`.
+    step: usize,
+    /// The member's rows in the stacked attention keys.
+    keys: Range<usize>,
+    logw: StepLogMasks,
+    out: Vec<(usize, f32)>,
+    cancelled: bool,
+}
+
+/// The tape-free greedy decode (the serving hot path) as a state the
+/// caller steps: the twin of [`Decoder::run`] with
+/// `teacher_forcing = false`, evaluated with plain tensor ops over a
+/// whole micro-batch in lock-step. The caller owns the loop —
+/// [`DecodeState::admit`] members, [`DecodeState::retire`] the ones whose
+/// budget is gone, [`DecodeState::tick`] one step for everyone live,
+/// [`DecodeState::finish`] — so a serving engine can take newcomers and
+/// fan steps out between ticks without callbacks.
+///
+/// Every live member's hidden state is stacked into one `[B, d]` matrix
+/// so each tick runs **one** stacked matmul per head — the
+/// `[B,d]×[d,|V|]` segment head, the `[B,2d]×[2d,1]` rate head, the
+/// three GRU gates, the attention query projection — instead of `B`
+/// separate `[1, d]` products. Members attend over their own
+/// (ragged-length) encoder outputs through the segmented kernels, the key
+/// projection `W_h·H_traj` is computed once per admission wave (it is
+/// input-constant; the tape path recomputes it every step), and the stack
+/// shrinks as members finish. A single request is a batch of one.
+///
+/// Because every kernel involved computes each output row/segment with
+/// exactly the accumulation order of the member's own `[1, d]` call, and
+/// none mixes rows across members, each member's result is
+/// **bit-identical** to decoding it alone — at any thread count, for any
+/// batch composition, whoever is admitted or retired around it, at
+/// whatever tick — property-tested in `tests/batch_decode_parity.rs`. A
+/// retired member keeps the prefix decoded before its cut, itself
+/// bit-identical to the uncut run's prefix. All heavy math runs on
+/// `rntrajrec_nn::kernels`, which parallelises wide outputs by disjoint
+/// column ranges — `NN_THREADS` cuts per-step latency without changing a
+/// bit of the output.
+pub struct DecodeState<'a> {
+    decoder: &'a Decoder,
+    store: &'a ParamStore,
+    head: SegmentHead<'a>,
+    members: Vec<Slot>,
+    /// Members still decoding; row `s` of `h` / `x_prev` / `r_prev`
+    /// belongs to member `active[s]`.
+    active: Vec<usize>,
+    /// Every admitted member's attention keys, stacked, and their
+    /// projection `W_h·keys`.
+    keys_all: Tensor,
+    hk_all: Tensor,
+    h: Tensor,
+    x_prev: Tensor,
+    r_prev: Tensor,
+    tick: u32,
+    /// The steps the last tick produced (its return value).
+    stepped: Vec<StepOut>,
+}
+
+/// Append `new`'s rows under `dst`'s (a move while `dst` is empty).
+fn append_rows(dst: &mut Tensor, new: Tensor) {
+    *dst = if dst.rows == 0 {
+        new
+    } else {
+        kernels::concat_rows(&[dst, &new])
+    };
+}
+
+impl<'a> DecodeState<'a> {
+    /// An empty decode over `decoder`'s weights in `store`.
+    pub fn new(decoder: &'a Decoder, store: &'a ParamStore, head: SegmentHead<'a>) -> Self {
+        let d = decoder.config.dim;
+        Self {
+            decoder,
+            store,
+            head,
+            members: Vec::new(),
+            active: Vec::new(),
+            keys_all: Tensor::zeros(0, d),
+            hk_all: Tensor::zeros(0, d),
+            h: Tensor::zeros(0, d),
+            x_prev: Tensor::zeros(0, d),
+            r_prev: Tensor::zeros(0, 1),
+            tick: 0,
+            stepped: Vec::new(),
+        }
+    }
+
+    /// Members still decoding.
+    pub fn live(&self) -> usize {
+        self.active.len()
+    }
+
+    /// Splice a wave of members into the stack; they decode from their own
+    /// step 0 at the next tick and are numbered on from the members already
+    /// admitted. The first wave is the initial batch. The wave is fused —
+    /// one stacked `W_h·keys` matmul over every newcomer's rows and one
+    /// append per state tensor. A fresh member's rows are what a batch of
+    /// it alone would have initialised (`traj` / `start_emb` / rate 0):
+    /// matmul and row concatenation are row-scoped, so stacking the wave,
+    /// or appending it under incumbents, changes nothing.
+    pub fn admit(&mut self, wave: &[BatchMember<'_>]) {
+        let mut key_off = self.keys_all.rows;
+        let mut keys: Vec<&Tensor> = Vec::with_capacity(wave.len());
+        let mut trajs: Vec<&Tensor> = Vec::with_capacity(wave.len());
+        self.members.reserve(wave.len());
+        for m in wave {
+            let target_len = m.sample.target_len();
+            let rows = if target_len == 0 { 0 } else { m.per_point.rows };
+            self.members.push(Slot {
+                target_len,
+                step: 0,
+                keys: key_off..key_off + rows,
+                logw: m
+                    .sample
+                    .masks
+                    .iter()
+                    .map(|mk| self.decoder.mask_logw_entries(mk))
+                    .collect(),
+                out: Vec::with_capacity(target_len),
+                cancelled: false,
+            });
+            if target_len == 0 {
+                continue;
+            }
+            key_off += rows;
+            keys.push(m.per_point);
+            trajs.push(m.traj);
+            self.active.push(self.members.len() - 1);
+        }
+        if keys.is_empty() {
+            return;
+        }
+        let start = self.store.value(self.decoder.start_emb);
+        let stacked = kernels::concat_rows(&keys);
+        let projected = kernels::matmul(&stacked, self.store.value(self.decoder.attn.wh));
+        append_rows(&mut self.keys_all, stacked);
+        append_rows(&mut self.hk_all, projected);
+        append_rows(&mut self.h, kernels::concat_rows(&trajs));
+        append_rows(&mut self.x_prev, kernels::repeat_rows(start, keys.len()));
+        append_rows(&mut self.r_prev, Tensor::zeros(keys.len(), 1));
+    }
+
+    /// Ask `cut(member, step)` of every live member, before its next step
+    /// runs, whether it should stop (the serving engine passes a deadline
+    /// and dropped-handle check). Members it cuts leave through the same
+    /// row compaction that retires finished members — a pure row copy, so
+    /// surviving rows keep their exact values — and are flagged cancelled.
+    pub fn retire(&mut self, mut cut: impl FnMut(usize, usize) -> bool) {
+        let mut keep = Vec::with_capacity(self.active.len());
+        for (s, &i) in self.active.iter().enumerate() {
+            let m = &mut self.members[i];
+            if cut(i, m.step) {
+                m.cancelled = true;
+            } else {
+                keep.push(s);
+            }
+        }
+        if keep.len() < self.active.len() {
+            self.compact(&keep);
+        }
+    }
+
+    /// Keep only the state rows in `keep`.
+    fn compact(&mut self, keep: &[usize]) {
+        self.h = kernels::gather_rows(&self.h, keep);
+        self.x_prev = kernels::gather_rows(&self.x_prev, keep);
+        self.r_prev = kernels::gather_rows(&self.r_prev, keep);
+        self.active = keep.iter().map(|&s| self.active[s]).collect();
+    }
+
+    /// One lock-step decode step for every live member (none: no-op);
+    /// returns what it produced, one [`StepOut`] per live member in stack
+    /// order. Members that reach their target length leave the stack.
+    pub fn tick(&mut self) -> &[StepOut] {
+        self.stepped.clear();
+        let b = self.active.len();
+        if b == 0 {
+            return &self.stepped;
+        }
+        let (dec, store) = (self.decoder, self.store);
+        // One observability span per tick (rendered `decoder.step[t]`);
+        // no-op unless tracing is enabled.
+        let _step_span = rntrajrec_obs::span_indexed("decoder.step", self.tick);
+        // Eq. (14): additive attention, all members in lock-step — one
+        // stacked query projection, one stacked score product, then
+        // the per-member softmax/context over ragged segments.
+        let gq = kernels::matmul(&self.h, store.value(dec.attn.wg));
+        let segs: Vec<Range<usize>> = self
+            .active
+            .iter()
+            .map(|&i| self.members[i].keys.clone())
+            .collect();
+        let mut t = kernels::segments_add_rowvec(&self.hk_all, &gq, &segs);
+        kernels::tanh_in_place(&mut t);
+        let mu = kernels::matmul_nt(store.value(dec.attn.v), &t);
+        let lens: Vec<usize> = segs.iter().map(|s| s.len()).collect();
+        let alphas = kernels::softmax_segments(&mu, &lens);
+        let a = kernels::segmented_attn_context(&alphas, &self.keys_all, &segs);
+
+        // Eq. (15): one stacked GRU update.
+        let input = kernels::concat_cols(&[&self.x_prev, &self.r_prev, &a]);
+        self.h = {
+            let (x, s) = (Eager.input(&input), Eager.input(&self.h));
+            dec.gru.step(&mut Eager, store, &x, &s).into_owned()
+        };
+        let h = &self.h;
+
+        // Eq. (16): one stacked segment head — sparse by default,
+        // computing only each row's mask-allowed columns.
+        let (w_id, b_id) = (store.value(dec.w_id), store.value(dec.b_id));
+        let masks: Vec<Option<kernels::SparseLogMask>> = self
+            .active
+            .iter()
+            .map(|&i| {
+                let m = &self.members[i];
+                m.logw[m.step]
+                    .as_deref()
+                    .map(|entries| kernels::SparseLogMask {
+                        default: MASKED_OUT_LOGW,
+                        entries,
+                    })
+            })
+            .collect();
+        let logp = match self.head {
+            SegmentHead::Dense => {
+                let logits = kernels::add_rowvec(&kernels::matmul(h, w_id), b_id);
+                kernels::masked_log_softmax_rows(&logits, &masks)
+            }
+            SegmentHead::Sparse => kernels::masked_matmul_cols(h, w_id, b_id, &masks),
+            SegmentHead::Quantized(q) => q.forward_masked(h, b_id, &masks),
+        };
+        let preds: Vec<usize> = (0..b).map(|r| logp.argmax_row(r)).collect();
+        let x_j = kernels::gather_rows(store.value(dec.seg_emb), &preds);
+
+        // Eq. (17): one stacked rate head.
+        let rate_in = kernels::concat_cols(&[&x_j, h]);
+        let rate = kernels::sigmoid(&kernels::matmul(&rate_in, store.value(dec.w_rate)));
+
+        self.stepped.reserve(b);
+        for (s, &i) in self.active.iter().enumerate() {
+            let m = &mut self.members[i];
+            m.out.push((preds[s], rate.data[s]));
+            self.stepped.push(StepOut {
+                member: i,
+                step: m.step,
+                segment: preds[s],
+                rate: rate.data[s],
+                logprob: logp.data[s * logp.cols + preds[s]],
+            });
+            m.step += 1;
+        }
+        self.x_prev = x_j;
+        self.r_prev = rate;
+        self.tick += 1;
+
+        // Retire finished members (the batch shrinks).
+        let members = &self.members;
+        let unfinished = |i: usize| members[i].step < members[i].target_len;
+        if !self.active.iter().all(|&i| unfinished(i)) {
+            let keep: Vec<usize> = (0..b).filter(|&s| unfinished(self.active[s])).collect();
+            self.compact(&keep);
+        }
+        &self.stepped
+    }
+
+    /// End the decode: per-member outputs (a retired member's is the
+    /// prefix it got to) and cancelled flags, in admission order.
+    pub fn finish(self) -> (Vec<Vec<(usize, f32)>>, Vec<bool>) {
+        self.members
+            .into_iter()
+            .map(|m| (m.out, m.cancelled))
+            .unzip()
     }
 }
 

@@ -40,7 +40,8 @@ pub use baselines::{
     TransformerBaseline,
 };
 pub use decoder::{
-    BatchMember, DecodeHooks, Decoder, DecoderConfig, DecoderRun, GrownMember, SegmentHead, StepOut,
+    BatchMember, DecodeHooks, DecodeState, Decoder, DecoderConfig, DecoderRun, GrownMember,
+    SegmentHead, StepOut,
 };
 pub use encoder::{BatchEncoderOutput, EncoderOutput, InferOutput, TrajEncoder};
 pub use features::{FeatureExtractor, QueryError, SampleInput, SubGraph};

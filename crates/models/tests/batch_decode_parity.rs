@@ -1,6 +1,7 @@
 //! Property suite for the fused batched decoder **and** encoder.
 //!
-//! The contract: [`Decoder::recover_batch_infer_stream`] and
+//! The contract: [`rntrajrec_models::DecodeState`] (through its drivers
+//! `Decoder::recover_batch_infer_with` / `recover_batch_infer_stream`) and
 //! [`TrajEncoder::infer_batch`] over an arbitrary micro-batch —
 //! ragged lengths, repeated members, any batch size, any intra-op thread
 //! count — are **bit-identical** to the same call on each member alone
@@ -314,8 +315,7 @@ proptest! {
                                 v.push(GrownMember {
                                     per_point: per_point.clone(),
                                     traj: traj.clone(),
-                                    target_len: sample.target_len(),
-                                    masks: sample.masks.clone(),
+                                    sample,
                                 });
                             }
                         }
@@ -488,6 +488,85 @@ fn equal_length_batch_equals_sequential() {
 fn empty_batch_is_noop() {
     let fix = fixture();
     assert!(fix.batch(&[]).is_empty());
+}
+
+/// [`DecodeState`] stepped by hand equals the callback driver
+/// ([`Decoder::recover_batch_infer_stream`]) bit for bit — outputs,
+/// cancelled flags and the step stream — on a schedule that hits the two
+/// awkward ticks: a member admitted on an incumbent's *last* tick, and a
+/// member admitted on the tick another is retired (here retired first,
+/// then admitted; the driver asks its hooks in the other order).
+#[test]
+fn stepped_decode_state_equals_the_hooks_driver() {
+    use rntrajrec_models::{DecodeState, GrownMember, StepOut};
+
+    let fix = fixture();
+    // Pool members 0 and 1 decode 3 and 5 steps. Before tick 2 — member
+    // 0's last — member 2 joins; before tick 3 member 1 is cut and member
+    // 3 joins.
+    let grown = |p: usize| {
+        let (per_point, traj, sample) = &fix.members[p];
+        GrownMember {
+            per_point: per_point.clone(),
+            traj: traj.clone(),
+            sample,
+        }
+    };
+    for bk in backends() {
+        backend::with_backend(bk, || {
+            pool::set_num_threads(1);
+            let mut state = DecodeState::new(&fix.decoder, &fix.store, SegmentHead::Sparse);
+            state.admit(&[fix.member(0), fix.member(1)]);
+            let mut stepped: Vec<StepOut> = Vec::new();
+            for tick in 0.. {
+                match tick {
+                    2 => state.admit(&[fix.member(2)]),
+                    3 => {
+                        state.retire(|i, _| i == 1);
+                        state.admit(&[fix.member(3)]);
+                    }
+                    _ => {}
+                }
+                if state.live() == 0 {
+                    break;
+                }
+                stepped.extend_from_slice(state.tick());
+            }
+            let by_hand = state.finish();
+
+            let mut tick = 0usize;
+            let mut streamed: Vec<StepOut> = Vec::new();
+            let driven = fix.decoder.recover_batch_infer_stream(
+                &fix.store,
+                &[fix.member(0), fix.member(1)],
+                SegmentHead::Sparse,
+                &mut DecodeHooks {
+                    cancel: &mut |i, step| i == 1 && step >= 3,
+                    admit: &mut |_| {
+                        tick += 1;
+                        match tick - 1 {
+                            2 => vec![grown(2)],
+                            3 => vec![grown(3)],
+                            _ => Vec::new(),
+                        }
+                    },
+                    on_step: &mut |s| streamed.push(s),
+                },
+            );
+            assert!(by_hand == driven, "diverged under {}", bk.name());
+            assert!(
+                stepped == streamed,
+                "step streams differ under {}",
+                bk.name()
+            );
+            let (paths, cancelled) = by_hand;
+            assert_eq!(cancelled, [false, true, false, false]);
+            assert_eq!(paths[1][..], fix.alone(1)[..3], "the cut prefix");
+            for (member, p) in [(0, 0), (2, 2), (3, 3)] {
+                assert_eq!(paths[member], fix.alone(p), "member {member}");
+            }
+        });
+    }
 }
 
 // ===== fused batched encoder ================================================

@@ -25,6 +25,22 @@
 //! batch composition, worker count, or arrival order — property-tested in
 //! this crate and in `rntrajrec-models/tests/batch_decode_parity.rs`.
 //!
+//! # A session, state by state
+//!
+//! A flushed batch becomes one `Session` on its worker. The worker owns
+//! the decode loop — it steps a [`rntrajrec_models::DecodeState`] — and
+//! exactly one party answers each member, through the one `deliver`
+//! function; a session's members are answered by whoever takes its
+//! registration (the *claim*) out of the worker's slot:
+//!
+//! | state | what happens | who may answer the members |
+//! |---|---|---|
+//! | queued | waiting in the queue | nobody yet |
+//! | open | registered in the claim slot, `engine.worker` chaos point | the worker (an injected error fails the batch); the supervisor (the thread died, or stalled past the watchdog budget) |
+//! | decoding | encode the batch, then per tick: take newcomers from the queue (encode, admit), retire members past their deadline or without a handle, tick, fan the steps out to streaming sinks | the supervisor only (crash or watchdog); newcomers join the claim. The worker answers just the newcomers it *refuses* at the gate — already expired or abandoned — which never joined |
+//! | isolating | only after a panic in the fused pass: each member again, alone and closed — nobody admitted, nothing streamed, deadlines and handles still honoured — so only the bad one fails | as in decoding |
+//! | closed | compute is over: in-flight gauge lowered, claim taken back | the worker answers every member; if the supervisor got to the claim first, it already has, and the results are dropped |
+//!
 //! # Self-healing
 //!
 //! The engine is supervised. A dedicated supervisor thread:
@@ -55,15 +71,18 @@
 //! panic isolation — the supervision test surface).
 
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use rntrajrec_models::SampleInput;
+use rntrajrec_models::{BatchMember, DecodeState, InferOutput, SampleInput, StepOut};
+use rntrajrec_obs::metrics::{self, Histogram};
 
 use crate::brownout::{mode_name, BrownoutConfig, BrownoutController};
-use crate::{BatchOptions, MemberError, ServingModel};
+use crate::service::{panic_message, RecoveredPath};
+use crate::ServingModel;
 
 /// Micro-batching knobs.
 #[derive(Debug, Clone)]
@@ -397,7 +416,7 @@ impl RecoveryHandle {
 impl Drop for RecoveryHandle {
     fn drop(&mut self) {
         // Request mid-decode cancellation for whoever stops listening —
-        // the same flag-check the decode loop's cancel gate uses for
+        // the same flag-check the session's retire step uses for
         // deadlines. Harmless after completion (nothing reads it).
         self.abandoned.store(true, Ordering::Relaxed);
     }
@@ -483,23 +502,64 @@ pub struct EngineStats {
     pub segment_head: String,
 }
 
-struct Pending {
+/// What answering a request takes. Its session's claim slot holds a
+/// clone, so the supervisor can answer for a dead or hung worker.
+#[derive(Clone)]
+struct Reply {
     id: u64,
+    enqueued: Instant,
+    /// When the request left the queue — flushed into a batch, or taken by
+    /// a running session's admission gate: the boundary between its queue
+    /// wait and its compute. `enqueued` while it is still queued.
+    taken: Instant,
+    tx: mpsc::Sender<Recovered>,
+}
+
+/// A request from submit to delivery: first waiting in the queue, then a
+/// member of one decode session.
+struct Pending {
+    reply: Reply,
     /// Observability request id (present when the submitter traced the
     /// request, or tracing was enabled at submit).
     trace: Option<rntrajrec_obs::RequestId>,
     input: SampleInput,
-    enqueued: Instant,
     /// Absolute deadline: past this instant the request is cancelled out
     /// of its decode batch rather than computed to completion.
     deadline: Option<Instant>,
-    tx: mpsc::Sender<Recovered>,
     /// Per-step sink for streaming submissions (bounded; a full queue
     /// degrades the member to summary-only instead of blocking decode).
     step_tx: Option<mpsc::SyncSender<StepUpdate>>,
-    /// Set by [`RecoveryHandle`]'s drop; the decode loop's cancel gate
-    /// (and the admission gate) treat it like an expired deadline.
+    /// Set by [`RecoveryHandle`]'s drop; treated like an expired deadline.
     abandoned: Arc<AtomicBool>,
+}
+
+impl Pending {
+    /// Why this request should not be decoded (any further), if it should
+    /// not: its handle is gone, or its deadline has passed at `now`.
+    fn cut(&self, now: Instant) -> Option<Failure> {
+        if self.abandoned.load(Ordering::Relaxed) {
+            Some(Failure::Abandoned)
+        } else if self.deadline.is_some_and(|d| now >= d) {
+            Some(Failure::Deadline)
+        } else {
+            None
+        }
+    }
+}
+
+/// Why a request ends without a path.
+#[derive(Clone)]
+enum Failure {
+    /// Its deadline passed — at the admission gate, before one of its
+    /// decode steps, or before its solo re-run.
+    Deadline,
+    /// Its [`RecoveryHandle`] was dropped: nobody is left to read a path.
+    Abandoned,
+    /// Inference panicked on it, its worker crashed, or a chaos point
+    /// injected an error.
+    Error(String),
+    /// The watchdog gave up on its session.
+    Hung(String),
 }
 
 #[derive(Default)]
@@ -531,12 +591,13 @@ struct Counters {
     compute_ns: AtomicU64,
 }
 
-/// What the supervisor needs to fail a worker's in-flight batch on its
-/// behalf: per-member delivery channels, cloned at registration.
+/// A session's registration in its worker's claim slot: what the
+/// supervisor needs to answer every member on the worker's behalf.
 struct InFlight {
+    /// Watchdog clock: session open, restarted by every admission.
     started: Instant,
     batch_size: usize,
-    members: Vec<(u64, Instant, mpsc::Sender<Recovered>)>,
+    members: Vec<Reply>,
 }
 
 /// One worker's claim slot. The worker registers its batch here before
@@ -653,10 +714,77 @@ impl Shared {
         self.cond.notify_all();
     }
 
-    /// Fail a worker's in-flight batch with a typed error, if one is
-    /// registered. Returns whether there was one. Exactly-once delivery:
-    /// whoever takes the `InFlight` out of the slot owns delivery.
-    fn fail_inflight(&self, slot: &WorkerSlot, reason: &str, timed_out: bool) -> bool {
+    /// The one way a request ends: build its terminal [`Recovered`],
+    /// account for it — `completed`, `failed` and the cause counter, its
+    /// own queue wait and compute into the sums behind
+    /// [`EngineStats::mean_queue_wait_ms`] / `mean_compute_ms`, the
+    /// `queue_wait` phase histogram and the brownout controller's ring —
+    /// and send it. `done` is when its compute ended; `batch_size` the size
+    /// of the session it ends in. Callers hold the right to answer: the
+    /// claim taken out of the worker's slot, or a request that never joined
+    /// a session.
+    fn deliver(
+        &self,
+        reply: &Reply,
+        outcome: Result<RecoveredPath, Failure>,
+        batch_size: usize,
+        done: Instant,
+    ) {
+        let c = &self.counters;
+        c.completed.fetch_add(1, Ordering::Relaxed);
+        let (path, error, timed_out) = match outcome {
+            Ok(path) => (path, None, false),
+            Err(failure) => {
+                c.failed.fetch_add(1, Ordering::Relaxed);
+                let (error, timed_out) = match failure {
+                    Failure::Deadline => {
+                        c.deadline_cancelled.fetch_add(1, Ordering::Relaxed);
+                        ("deadline exceeded mid-decode".to_string(), true)
+                    }
+                    Failure::Abandoned => {
+                        c.abandoned_cancelled.fetch_add(1, Ordering::Relaxed);
+                        ("request abandoned; cancelled".to_string(), false)
+                    }
+                    Failure::Error(msg) => (msg, false),
+                    Failure::Hung(msg) => (msg, true),
+                };
+                (Vec::new(), Some(error), timed_out)
+            }
+        };
+        let queue_wait = reply.taken.saturating_duration_since(reply.enqueued);
+        let compute = done.saturating_duration_since(reply.taken);
+        c.queue_wait_ns
+            .fetch_add(queue_wait.as_nanos() as u64, Ordering::Relaxed);
+        c.compute_ns
+            .fetch_add(compute.as_nanos() as u64, Ordering::Relaxed);
+        meters().queue_wait.observe_duration(queue_wait);
+        {
+            let mut ring = self
+                .queue_wait_ring
+                .lock()
+                .unwrap_or_else(|e| e.into_inner());
+            if ring.len() == QUEUE_WAIT_RING_CAP {
+                ring.pop_front();
+            }
+            ring.push_back(queue_wait.as_secs_f64() * 1e3);
+        }
+        let _ = reply.tx.send(Recovered {
+            id: reply.id,
+            path,
+            error,
+            timed_out,
+            batch_size,
+            latency: reply.enqueued.elapsed(),
+            queue_wait,
+            compute,
+        });
+    }
+
+    /// Answer every member of a worker's in-flight session with `failure`,
+    /// if one is registered. Returns whether there was one. Exactly-once
+    /// delivery: whoever takes the `InFlight` out of the slot owns
+    /// delivery.
+    fn fail_inflight(&self, slot: &WorkerSlot, failure: Failure) -> bool {
         let taken = slot
             .inflight
             .lock()
@@ -665,23 +793,36 @@ impl Shared {
         let Some(flight) = taken else {
             return false;
         };
-        let compute = flight.started.elapsed();
-        for (id, enqueued, tx) in &flight.members {
-            self.counters.completed.fetch_add(1, Ordering::Relaxed);
-            self.counters.failed.fetch_add(1, Ordering::Relaxed);
-            let _ = tx.send(Recovered {
-                id: *id,
-                path: Vec::new(),
-                error: Some(reason.to_string()),
-                timed_out,
-                batch_size: flight.batch_size,
-                latency: enqueued.elapsed(),
-                queue_wait: flight.started.saturating_duration_since(*enqueued),
-                compute,
-            });
+        let now = Instant::now();
+        for reply in &flight.members {
+            self.deliver(reply, Err(failure.clone()), flight.batch_size, now);
         }
         true
     }
+}
+
+/// The histograms the engine feeds (process-global series, resolved once).
+struct Meters {
+    queue_wait: Arc<Histogram>,
+    compute: Arc<Histogram>,
+    encoder: Arc<Histogram>,
+    decoder: Arc<Histogram>,
+    batch_size: Arc<Histogram>,
+    batch_occupancy: Arc<Histogram>,
+    ttfs: Arc<Histogram>,
+}
+
+fn meters() -> &'static Meters {
+    static METERS: OnceLock<Meters> = OnceLock::new();
+    METERS.get_or_init(|| Meters {
+        queue_wait: metrics::phase_seconds("queue_wait"),
+        compute: metrics::phase_seconds("compute"),
+        encoder: metrics::phase_seconds("encoder"),
+        decoder: metrics::phase_seconds("decoder"),
+        batch_size: metrics::batch_size(),
+        batch_occupancy: metrics::batch_occupancy(),
+        ttfs: metrics::time_to_first_step(),
+    })
 }
 
 /// The multi-threaded online recovery engine.
@@ -794,7 +935,7 @@ impl RecoveryEngine {
         let (tx, rx) = mpsc::channel();
         let (step_tx, step_rx) = if opts.stream {
             // Bounded: a consumer that stops draining steps fills this
-            // and is degraded to summary-only (see the decode-loop tap),
+            // and is degraded to summary-only (see `Session::fan_out`),
             // so one slow stream cannot grow engine memory or stall the
             // fused batch.
             let (s_tx, s_rx) = mpsc::sync_channel(self.shared.stream_queue);
@@ -824,17 +965,20 @@ impl RecoveryEngine {
                 .counters
                 .requests
                 .fetch_add(1, Ordering::Relaxed);
-            let pending = Pending {
-                id,
+            let enqueued = Instant::now();
+            q.push_back(Pending {
+                reply: Reply {
+                    id,
+                    enqueued,
+                    taken: enqueued,
+                    tx,
+                },
                 trace,
                 input,
-                enqueued: Instant::now(),
                 deadline: opts.deadline,
-                tx,
                 step_tx,
                 abandoned: Arc::clone(&abandoned),
-            };
-            q.push_back(pending);
+            });
             id
         };
         self.shared.cond.notify_one();
@@ -1056,8 +1200,7 @@ fn supervisor_loop(
                     // its in-flight gauge increment.
                     if shared.fail_inflight(
                         &w.slot,
-                        "worker crashed mid-batch; failed by supervisor",
-                        false,
+                        Failure::Error("worker crashed mid-batch; failed by supervisor".into()),
                     ) {
                         shared
                             .counters
@@ -1108,11 +1251,10 @@ fn supervisor_loop(
                 if hung
                     && shared.fail_inflight(
                         &w.slot,
-                        &format!(
+                        Failure::Hung(format!(
                             "watchdog: batch exceeded {} ms compute budget",
                             timeout.as_millis()
-                        ),
-                        true,
+                        )),
                     )
                 {
                     shared
@@ -1175,9 +1317,10 @@ fn supervisor_loop(
 }
 
 /// Pop one micro-batch (blocking) or `None` on shutdown with an empty
-/// queue. Returns the flush instant alongside the batch — the boundary
-/// between every member's queue-wait and the batch's compute.
-fn take_batch(shared: &Shared) -> Option<(Vec<Pending>, Instant)> {
+/// queue. Every member leaves stamped with the flush instant
+/// ([`Reply::taken`]) — the boundary between its queue wait and the
+/// batch's compute.
+fn take_batch(shared: &Shared) -> Option<Vec<Pending>> {
     // Fault point *before* the queue lock: an injected panic here loses
     // no requests (the queue is untouched) and must not poison the
     // mutex; a delay models slow batch assembly.
@@ -1192,7 +1335,7 @@ fn take_batch(shared: &Shared) -> Option<(Vec<Pending>, Instant)> {
         let draining = shared.shutdown.load(Ordering::SeqCst);
         match q.front() {
             Some(oldest) => {
-                let age = oldest.enqueued.elapsed();
+                let age = oldest.reply.enqueued.elapsed();
                 if draining || age >= max_delay {
                     break &shared.counters.flushed_deadline; // or shutdown drain
                 }
@@ -1219,9 +1362,9 @@ fn take_batch(shared: &Shared) -> Option<(Vec<Pending>, Instant)> {
     };
     let max_batch = shared.max_batch.load(Ordering::Relaxed);
     let take = q.len().min(max_batch);
-    let batch: Vec<Pending> = q.drain(..take).collect();
+    let mut batch: Vec<Pending> = q.drain(..take).collect();
     // The session is in flight from the moment its batch leaves the
-    // queue; `run_session` lowers the gauge when compute ends.
+    // queue; `Session::close` lowers the gauge when compute ends.
     shared
         .counters
         .in_flight_batches
@@ -1241,6 +1384,9 @@ fn take_batch(shared: &Shared) -> Option<(Vec<Pending>, Instant)> {
         .batched_requests
         .fetch_add(batch.len() as u64, Ordering::Relaxed);
     let taken = Instant::now();
+    for p in &mut batch {
+        p.reply.taken = taken;
+    }
     if rntrajrec_obs::enabled() {
         // Per-member queue.wait spans (endpoints measured across threads:
         // submit on the HTTP worker, flush here) and one batch.assemble
@@ -1250,7 +1396,7 @@ fn take_batch(shared: &Shared) -> Option<(Vec<Pending>, Instant)> {
         let mut oldest_ns = taken_ns;
         for p in &batch {
             if let Some(req) = p.trace {
-                let enq_ns = rntrajrec_obs::instant_ns(p.enqueued);
+                let enq_ns = rntrajrec_obs::instant_ns(p.reply.enqueued);
                 rntrajrec_obs::record("queue.wait", &[req], enq_ns, taken_ns);
                 oldest_ns = oldest_ns.min(enq_ns);
                 members.push(req);
@@ -1260,198 +1406,257 @@ fn take_batch(shared: &Shared) -> Option<(Vec<Pending>, Instant)> {
             rntrajrec_obs::record("batch.assemble", &members, oldest_ns, taken_ns);
         }
     }
-    Some((batch, taken))
-}
-
-/// One live member of a decode session — a flushed request, or one
-/// admitted mid-decode (continuous batching).
-struct SessionMember {
-    id: u64,
-    trace: Option<rntrajrec_obs::RequestId>,
-    enqueued: Instant,
-    /// Queue-wait / compute boundary: the flush instant for flushed
-    /// members, the admission instant for admitted ones.
-    taken: Instant,
-    deadline: Option<Instant>,
-    tx: mpsc::Sender<Recovered>,
-    step_tx: Option<mpsc::SyncSender<StepUpdate>>,
-    abandoned: Arc<AtomicBool>,
-    /// Why the cancel gate cut this member (when it did).
-    cut: Option<CutReason>,
-    /// Owned input, retained for the panic fallback — `Some` only for
-    /// admitted members (flushed members' inputs live in the session's
-    /// stable input vector, which the fused pass borrows).
-    input: Option<SampleInput>,
-}
-
-#[derive(Clone, Copy)]
-enum CutReason {
-    Deadline,
-    Abandoned,
+    Some(batch)
 }
 
 fn worker_loop(shared: &Shared, slot: &WorkerSlot) {
-    while let Some((batch, taken)) = take_batch(shared) {
-        run_session(shared, slot, batch, taken);
+    while let Some(batch) = take_batch(shared) {
+        if let Some(session) = Session::open(shared, slot, batch) {
+            session.run();
+        }
     }
 }
 
-/// Run one decode session: the flushed batch, plus any members admitted
-/// mid-decode through the continuous-batching gate. The session ends when
-/// every member has finished, been cancelled, or been admitted-and-
-/// finished — only then does the worker return to `take_batch`.
-fn run_session(shared: &Shared, slot: &WorkerSlot, batch: Vec<Pending>, taken: Instant) {
-    use std::cell::RefCell;
-    use std::sync::OnceLock;
-    static QUEUE_WAIT_SECONDS: OnceLock<Arc<rntrajrec_obs::metrics::Histogram>> = OnceLock::new();
-    static COMPUTE_SECONDS: OnceLock<Arc<rntrajrec_obs::metrics::Histogram>> = OnceLock::new();
-    static BATCH_SIZE: OnceLock<Arc<rntrajrec_obs::metrics::Histogram>> = OnceLock::new();
-    static BATCH_OCCUPANCY: OnceLock<Arc<rntrajrec_obs::metrics::Histogram>> = OnceLock::new();
-    static TTFS_SECONDS: OnceLock<Arc<rntrajrec_obs::metrics::Histogram>> = OnceLock::new();
-    let ttfs_hist = TTFS_SECONDS.get_or_init(rntrajrec_obs::metrics::time_to_first_step);
+/// How one member of a session ends.
+type Outcome = Result<RecoveredPath, Failure>;
 
-    let batch_size = batch.len();
-    BATCH_SIZE
-        .get_or_init(rntrajrec_obs::metrics::batch_size)
-        .observe(batch_size as f64);
-    BATCH_OCCUPANCY
-        .get_or_init(rntrajrec_obs::metrics::batch_occupancy)
-        .observe(batch_size as f64 / shared.base_max_batch as f64);
+/// One decode session on one worker: a flushed batch, plus whoever the
+/// admission gate takes while it decodes (continuous batching). The worker
+/// returns to [`take_batch`] only when every member has finished or been
+/// cut. States and who may answer the members are in the module docs.
+struct Session<'e> {
+    shared: &'e Shared,
+    slot: &'e WorkerSlot,
+    /// The hot-swap slot, read once at open: every pass of this session —
+    /// the fused decode, mid-decode admissions, the solo re-runs — runs on
+    /// these weights even if an operator installs a new model meanwhile
+    /// (the `Arc` keeps a swapped-out model alive until its last session
+    /// ends).
+    model: Arc<ServingModel>,
+    /// Brownout level ≥ 1 at open: decode with the int8 head.
+    degraded_head: bool,
+    /// The flushed batch, then everyone admitted since — the
+    /// [`DecodeState`]'s member order. Inputs stay here, owned, for the
+    /// solo re-runs.
+    members: Vec<Pending>,
+    /// Admission waves so far (the `k` of the `decoder.admit[k]` span).
+    admissions: u32,
+}
 
-    // Flushed members' inputs live here, stable for the whole session,
-    // so the fused pass can borrow them while the member roster grows.
-    let mut initial_inputs: Vec<SampleInput> = Vec::with_capacity(batch_size);
-    let mut members: Vec<SessionMember> = Vec::with_capacity(batch_size);
-    for p in batch {
-        initial_inputs.push(p.input);
-        members.push(SessionMember {
-            id: p.id,
-            trace: p.trace,
-            enqueued: p.enqueued,
-            taken,
-            deadline: p.deadline,
-            tx: p.tx,
-            step_tx: p.step_tx,
-            abandoned: p.abandoned,
-            cut: None,
-            input: None,
+impl<'e> Session<'e> {
+    /// Register `batch` in the worker's claim slot and pass the
+    /// `engine.worker` chaos point. `None` when the point injected an
+    /// error (the batch has been answered with it).
+    fn open(shared: &'e Shared, slot: &'e WorkerSlot, batch: Vec<Pending>) -> Option<Self> {
+        let size = batch.len();
+        meters().batch_size.observe(size as f64);
+        meters()
+            .batch_occupancy
+            .observe(size as f64 / shared.base_max_batch as f64);
+        // Register *before* any fallible work: from here on, if this
+        // thread dies or stalls, the supervisor can answer exactly these
+        // members on its behalf. Admitted members join the registration.
+        *slot.inflight.lock().unwrap_or_else(|e| e.into_inner()) = Some(InFlight {
+            started: Instant::now(),
+            batch_size: size,
+            members: batch.iter().map(|m| m.reply.clone()).collect(),
         });
+        // The `engine.worker` fault point sits *outside* the session's
+        // panic isolation on purpose: an injected panic kills this worker
+        // thread — the supervision path under test. An injected delay
+        // stalls the registered batch — the watchdog path. An injected
+        // error fails the batch with typed errors.
+        if let Err(fault) = rntrajrec_chaos::point("engine.worker") {
+            if shared.fail_inflight(slot, Failure::Error(fault.to_string())) {
+                shared
+                    .counters
+                    .in_flight_batches
+                    .fetch_sub(1, Ordering::Relaxed);
+            }
+            return None;
+        }
+        Some(Self {
+            shared,
+            slot,
+            model: shared.model.current(),
+            degraded_head: shared.level() >= 1,
+            members: batch,
+            admissions: 0,
+        })
     }
-    // Register the batch in the claim slot *before* any fallible work:
-    // from here on, if this thread dies or stalls, the supervisor can
-    // fail exactly these members on its behalf. Admitted members are
-    // appended to the registration as they join.
-    *slot.inflight.lock().unwrap_or_else(|e| e.into_inner()) = Some(InFlight {
-        started: Instant::now(),
-        batch_size,
-        members: members
+
+    /// Decode everyone — fused, open to admission; after a panic in that
+    /// pass (e.g. an input built against a different road network tripping
+    /// a shape assert) each member alone, so only the bad one fails — then
+    /// close.
+    fn run(mut self) {
+        let traces: Vec<rntrajrec_obs::RequestId> =
+            self.members.iter().filter_map(|m| m.trace).collect();
+        let outcomes = {
+            // Attribute every span and kernel event of the session to the
+            // flushed batch's traced members. The scope must drop
+            // (flushing this thread's span buffer to the global store)
+            // *before* results are delivered, so a client that answers
+            // immediately already sees its batch spans in `/debug/trace`.
+            let _scope = rntrajrec_obs::request_scope(&traces);
+            self.decode(None).unwrap_or_else(|_panic| {
+                (0..self.members.len())
+                    .map(|k| self.decode_alone(k))
+                    .collect()
+            })
+        };
+        self.close(outcomes);
+    }
+
+    /// Member `k` on its own, closed; its deadline and handle still count,
+    /// and one already past them does not pay for an encoder pass.
+    fn decode_alone(&mut self, k: usize) -> Outcome {
+        if let Some(failure) = self.members[k].cut(Instant::now()) {
+            return Err(failure);
+        }
+        match self.decode(Some(k)) {
+            Ok(mut alone) => alone.remove(0),
+            Err(panic) => Err(Failure::Error(panic)),
+        }
+    }
+
+    /// [`Session::decode_loop`] with a panic caught and returned as its
+    /// message; members admitted before it stay in `self.members`.
+    fn decode(&mut self, alone: Option<usize>) -> Result<Vec<Outcome>, String> {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.decode_loop(alone)))
+            .map_err(|payload| panic_message(&payload))
+    }
+
+    /// The decode loop, owned here: encode → admit → { take newcomers,
+    /// encode, admit → retire → tick → fan steps out } → finish. With
+    /// `alone: None` the session is open: every member decodes, fused,
+    /// with whoever the admission gate adds. `Some(k)` is the closed
+    /// re-run: member `k` on its own, nobody admitted, nothing streamed
+    /// (its steps may already have been). One outcome per member decoded,
+    /// in member order. Results are bit-identical to per-request inference
+    /// whatever the batch composition or admission timing.
+    fn decode_loop(&mut self, alone: Option<usize>) -> Vec<Outcome> {
+        let open = alone.is_none();
+        let (first, last) = alone.map_or((0, self.members.len()), |k| (k, k + 1));
+        let model = Arc::clone(&self.model);
+        let mut state = model.decode_state(self.degraded_head);
+        // Time inside `state` (splice, retire, tick): the `decoder` phase.
+        // The encoder passes of mid-decode admissions are not in it.
+        let mut decoding = Duration::ZERO;
+        let encs = {
+            let _span = rntrajrec_obs::span("encoder.fused");
+            self.encode(first..last)
+        };
+        let _span = rntrajrec_obs::span("decoder.fused");
+        decoding += self.splice(&mut state, first..last, &encs);
+        // Why the gate cut a member, for those it did.
+        let mut cuts: Vec<Option<Failure>> = vec![None; last - first];
+        loop {
+            if open {
+                let from = self.members.len();
+                self.take_newcomers(state.live());
+                if self.members.len() > from {
+                    // One span per admission wave, over the newcomers'
+                    // fused encoder pass and their splice.
+                    let _span = rntrajrec_obs::span_indexed("decoder.admit", self.admissions);
+                    self.admissions += 1;
+                    let encs = self.encode(from..self.members.len());
+                    decoding += self.splice(&mut state, from..self.members.len(), &encs);
+                    cuts.resize(self.members.len(), None);
+                }
+            }
+            if state.live() == 0 {
+                break;
+            }
+            // An expired deadline or a dropped handle retires the member
+            // before its step runs (survivors bit-identical).
+            let now = Instant::now();
+            state.retire(|i, _step| {
+                cuts[i] = self.members[first + i].cut(now);
+                cuts[i].is_some()
+            });
+            let steps = state.tick();
+            decoding += now.elapsed();
+            if open {
+                for step in steps {
+                    self.fan_out(step);
+                }
+            }
+        }
+        meters().decoder.observe_duration(decoding);
+        let (paths, _) = state.finish();
+        paths
+            .into_iter()
+            .zip(cuts)
+            .map(|(path, cut)| cut.map_or(Ok(path), Err))
+            .collect()
+    }
+
+    /// One stacked encoder pass over `members[who]`, observed as the
+    /// `encoder` phase.
+    fn encode(&self, who: Range<usize>) -> Vec<InferOutput> {
+        let inputs: Vec<&SampleInput> = self.members[who].iter().map(|m| &m.input).collect();
+        let started = Instant::now();
+        let encs = self.model.encode(&inputs);
+        meters().encoder.observe_duration(started.elapsed());
+        encs
+    }
+
+    /// Admit `members[who]`, encoded as `encs`, into the decode; returns
+    /// the time it took.
+    fn splice(
+        &self,
+        state: &mut DecodeState<'_>,
+        who: Range<usize>,
+        encs: &[InferOutput],
+    ) -> Duration {
+        let wave: Vec<BatchMember> = encs
             .iter()
-            .map(|m| (m.id, m.enqueued, m.tx.clone()))
-            .collect(),
-    });
-    // The `engine.worker` fault point sits *outside* the per-batch
-    // panic isolation on purpose: an injected panic kills this worker
-    // thread — the supervision path under test. An injected delay
-    // stalls the registered batch — the watchdog path. An injected
-    // error fails the batch with typed errors.
-    if let Err(fault) = rntrajrec_chaos::point("engine.worker") {
-        if shared.fail_inflight(slot, &fault.to_string(), false) {
-            shared
-                .counters
-                .in_flight_batches
-                .fetch_sub(1, Ordering::Relaxed);
-        }
-        return;
+            .zip(&self.members[who])
+            .map(|(enc, m)| BatchMember::new(enc, &m.input))
+            .collect();
+        let started = Instant::now();
+        state.admit(&wave);
+        started.elapsed()
     }
-    let traces: Vec<rntrajrec_obs::RequestId> = members.iter().filter_map(|m| m.trace).collect();
-    let degraded_head = shared.level() >= 1;
-    // Read the hot-swap slot exactly once per session: every pass this
-    // session runs — the fused stream, mid-decode admissions, and the
-    // panic fallback — uses these weights, even if an operator installs
-    // a new model mid-decode. The Arc keeps a swapped-out model alive
-    // until its last in-flight session finishes.
-    let model = shared.model.current();
-    let session = RefCell::new(members);
 
-    // Cancel gate, called by the decode loop before each member's step:
-    // an expired deadline or an abandoned handle retires the member
-    // through the state-compaction path (survivors bit-identical).
-    let mut cancel = |i: usize, _step: usize| -> bool {
-        let mut s = session.borrow_mut();
-        let m = &mut s[i];
-        if m.abandoned.load(Ordering::Relaxed) {
-            m.cut = Some(CutReason::Abandoned);
-            return true;
-        }
-        if m.deadline.is_some_and(|d| Instant::now() >= d) {
-            m.cut = Some(CutReason::Deadline);
-            return true;
-        }
-        false
-    };
-
-    // Admission gate, called by the decode loop between steps with the
-    // live batch size: splice waiting requests into the running session
-    // while there is room. Newcomers whose deadline already expired (or
-    // whose handle is already gone) fail immediately without costing an
-    // encoder pass.
-    let mut admit = |live: usize| -> Vec<SampleInput> {
+    /// The admission gate, between ticks: move waiting requests into this
+    /// session while it has room for them beside its `live` members. A
+    /// newcomer whose deadline has already passed, or whose handle is
+    /// already gone, is answered here and never costs an encoder pass.
+    fn take_newcomers(&mut self, live: usize) {
+        let shared = self.shared;
         if shared.level() >= 2 {
-            return Vec::new();
+            return;
         }
         let room = shared
             .max_batch
             .load(Ordering::Relaxed)
             .saturating_sub(live);
         if room == 0 {
-            return Vec::new();
+            return;
         }
-        // Claim-slot guard: if the watchdog already failed this session,
-        // delivery responsibility is gone — stop growing it.
-        let mut flight_guard = slot.inflight.lock().unwrap_or_else(|e| e.into_inner());
-        let Some(flight) = flight_guard.as_mut() else {
-            return Vec::new();
+        // Claim-slot guard: if the watchdog already answered this session,
+        // the right to deliver is gone — stop growing it.
+        let mut claim = self.slot.inflight.lock().unwrap_or_else(|e| e.into_inner());
+        let Some(flight) = claim.as_mut() else {
+            return;
         };
         let newcomers: Vec<Pending> = {
             let mut q = shared.queue.lock().unwrap();
-            if q.is_empty() {
-                return Vec::new();
-            }
             let take = q.len().min(room);
             q.drain(..take).collect()
         };
+        if newcomers.is_empty() {
+            return;
+        }
         let now = Instant::now();
         let now_ns = rntrajrec_obs::enabled().then(|| rntrajrec_obs::instant_ns(now));
-        let mut fresh = Vec::with_capacity(newcomers.len());
-        let mut s = session.borrow_mut();
-        for p in newcomers {
-            if p.deadline.is_some_and(|d| now >= d) || p.abandoned.load(Ordering::Relaxed) {
-                let timed_out = !p.abandoned.load(Ordering::Relaxed);
-                shared.counters.completed.fetch_add(1, Ordering::Relaxed);
-                shared.counters.failed.fetch_add(1, Ordering::Relaxed);
-                let error = if timed_out {
-                    shared
-                        .counters
-                        .deadline_cancelled
-                        .fetch_add(1, Ordering::Relaxed);
-                    MemberError::DeadlineExceeded.to_string()
-                } else {
-                    shared
-                        .counters
-                        .abandoned_cancelled
-                        .fetch_add(1, Ordering::Relaxed);
-                    "request abandoned before decoding started".to_string()
-                };
-                let _ = p.tx.send(Recovered {
-                    id: p.id,
-                    path: Vec::new(),
-                    error: Some(error),
-                    timed_out,
-                    batch_size: s.len(),
-                    latency: p.enqueued.elapsed(),
-                    queue_wait: now.saturating_duration_since(p.enqueued),
-                    compute: Duration::ZERO,
-                });
+        let before = self.members.len();
+        for mut p in newcomers {
+            p.reply.taken = now;
+            if let Some(failure) = p.cut(now) {
+                shared.deliver(&p.reply, Err(failure), self.members.len(), now);
                 continue;
             }
             shared.counters.admitted.fetch_add(1, Ordering::Relaxed);
@@ -1460,219 +1665,89 @@ fn run_session(shared: &Shared, slot: &WorkerSlot, batch: Vec<Pending>, taken: I
                 .batched_requests
                 .fetch_add(1, Ordering::Relaxed);
             if let (Some(now_ns), Some(req)) = (now_ns, p.trace) {
-                let enq_ns = rntrajrec_obs::instant_ns(p.enqueued);
+                let enq_ns = rntrajrec_obs::instant_ns(p.reply.enqueued);
                 rntrajrec_obs::record("queue.wait", &[req], enq_ns, now_ns);
             }
-            flight.members.push((p.id, p.enqueued, p.tx.clone()));
-            fresh.push(p.input.clone());
-            s.push(SessionMember {
-                id: p.id,
-                trace: p.trace,
-                enqueued: p.enqueued,
-                taken: now,
-                deadline: p.deadline,
-                tx: p.tx,
-                step_tx: p.step_tx,
-                abandoned: p.abandoned,
-                cut: None,
-                input: Some(p.input),
-            });
+            flight.members.push(p.reply.clone());
+            self.members.push(p);
         }
-        if !fresh.is_empty() {
+        if self.members.len() > before {
             // Admission is progress: restart the watchdog budget so a
             // long-lived continuously-fed session is not mistaken for a
             // hung batch. A genuinely stalled kernel stops reaching this
             // gate, so the watchdog still fires for it.
             flight.started = Instant::now();
-            flight.batch_size = s.len();
+            flight.batch_size = self.members.len();
         }
-        fresh
-    };
-
-    // Per-step tap: time-to-first-step on a member's first decoded step,
-    // then fan out to its streaming sink (if any). The sink is bounded:
-    // a consumer that has fallen `stream_queue` undelivered steps behind
-    // is degraded to summary-only — its sink is closed here (ending its
-    // step stream; the terminal result still arrives) rather than letting
-    // one slow reader block the whole fused batch or buffer unboundedly.
-    let mut on_step = |su: rntrajrec_models::StepOut| {
-        let mut s = session.borrow_mut();
-        let m = &mut s[su.member];
-        if su.step == 0 {
-            ttfs_hist.observe(m.enqueued.elapsed().as_secs_f64());
-        }
-        if let Some(step_tx) = &m.step_tx {
-            let update = StepUpdate {
-                id: m.id,
-                step: su.step,
-                segment: su.segment,
-                rate: su.rate,
-                logprob: su.logprob,
-            };
-            match step_tx.try_send(update) {
-                Ok(()) => {}
-                Err(mpsc::TrySendError::Full(_)) => {
-                    shared
-                        .counters
-                        .stream_lagged
-                        .fetch_add(1, Ordering::Relaxed);
-                    m.step_tx = None;
-                }
-                // Receiver already gone (handle dropped its step iterator
-                // or the connection died): stop producing for it.
-                Err(mpsc::TrySendError::Disconnected(_)) => m.step_tx = None,
-            }
-        }
-    };
-
-    // The session goes through the fused inference path: one stacked
-    // encoder pass (GraphNorm statistics per member), stacked [B, ·]
-    // decoder steps, and — under continuous batching — admissions fused
-    // per arrival wave. Results stay bit-identical to per-request
-    // inference regardless of batch composition *or admission timing*.
-    let input_refs: Vec<&SampleInput> = initial_inputs.iter().collect();
-    let outcome = {
-        // Attribute every span and kernel event of the fused pass to
-        // all traced members. The scope must drop (flushing this
-        // thread's span buffer to the global store) *before* results
-        // are delivered below, so a client that answers immediately
-        // already sees its batch spans in `/debug/trace`.
-        let _scope = rntrajrec_obs::request_scope(&traces);
-        model.recover_batch_stream(
-            &input_refs,
-            degraded_head,
-            &mut rntrajrec::StreamCtl {
-                cancel: &mut cancel,
-                admit: &mut admit,
-                on_step: &mut on_step,
-            },
-        )
-    };
-    let done = Instant::now();
-    let compute = done.saturating_duration_since(taken);
-    // Decrement before delivering: a client unblocked by `send` below
-    // must observe the gauge already back at zero (compute is over;
-    // only delivery remains).
-    shared
-        .counters
-        .in_flight_batches
-        .fetch_sub(1, Ordering::Relaxed);
-    // Claim the session back. If the watchdog failed it while we were
-    // computing, delivery (and its counters) already happened — drop
-    // our results on the floor and move on.
-    if slot
-        .inflight
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .take()
-        .is_none()
-    {
-        return;
     }
-    COMPUTE_SECONDS
-        .get_or_init(|| rntrajrec_obs::metrics::phase_seconds("compute"))
-        .observe_duration(compute);
-    let queue_wait_hist =
-        QUEUE_WAIT_SECONDS.get_or_init(|| rntrajrec_obs::metrics::phase_seconds("queue_wait"));
 
-    let members = session.into_inner();
-    let final_size = members.len();
-    // Per-member results: the streamed outcome, or — if the fused pass
-    // panicked (e.g. an input built against a different road network
-    // tripping a shape assert) — a closed-batch re-run over the whole
-    // session, whose internal per-member fallback fails only the bad
-    // member, never the worker thread.
-    let results: Vec<Result<Vec<(usize, f32)>, MemberError>> = match outcome {
-        Ok((paths, cancelled)) => paths
-            .into_iter()
-            .zip(cancelled)
-            .zip(&members)
-            .map(|((path, cut), m)| {
-                if cut {
-                    match m.cut {
-                        Some(CutReason::Abandoned) => Err(MemberError::Failed(
-                            "request abandoned; cancelled mid-decode".to_string(),
-                        )),
-                        _ => Err(MemberError::DeadlineExceeded),
-                    }
-                } else {
-                    Ok(path)
-                }
-            })
-            .collect(),
-        Err(_panic) => {
-            let all_inputs: Vec<&SampleInput> = members
-                .iter()
-                .enumerate()
-                .map(|(i, m)| m.input.as_ref().unwrap_or_else(|| &initial_inputs[i]))
-                .collect();
-            let opts = BatchOptions {
-                deadlines: members.iter().map(|m| m.deadline).collect(),
-                degraded_head,
-            };
-            model.recover_batch_opts(&all_inputs, &opts)
+    /// Hand one decoded step to its member: time-to-first-step on step 0,
+    /// then the streaming sink, if it has one. The sink is bounded: a
+    /// consumer `stream_queue` undelivered steps behind is degraded to
+    /// summary-only — its sink is closed here (ending its step stream; the
+    /// terminal result still arrives) rather than letting one slow reader
+    /// block the whole fused batch or buffer without bound.
+    fn fan_out(&mut self, step: &StepOut) {
+        let m = &mut self.members[step.member];
+        if step.step == 0 {
+            meters()
+                .ttfs
+                .observe(m.reply.enqueued.elapsed().as_secs_f64());
         }
-    };
-    let mut wait_samples: Vec<f64> = Vec::with_capacity(final_size);
-    for (m, result) in members.iter().zip(results) {
-        shared.counters.completed.fetch_add(1, Ordering::Relaxed);
-        let (path, error, timed_out) = match result {
-            Ok(path) => (path, None, false),
-            Err(MemberError::DeadlineExceeded) => {
-                shared.counters.failed.fetch_add(1, Ordering::Relaxed);
-                shared
-                    .counters
-                    .deadline_cancelled
-                    .fetch_add(1, Ordering::Relaxed);
-                (
-                    Vec::new(),
-                    Some(MemberError::DeadlineExceeded.to_string()),
-                    true,
-                )
-            }
-            Err(MemberError::Failed(msg)) => {
-                shared.counters.failed.fetch_add(1, Ordering::Relaxed);
-                if matches!(m.cut, Some(CutReason::Abandoned)) {
-                    shared
-                        .counters
-                        .abandoned_cancelled
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                (Vec::new(), Some(msg), false)
-            }
+        let Some(step_tx) = &m.step_tx else {
+            return;
         };
-        let queue_wait = m.taken.saturating_duration_since(m.enqueued);
-        let member_compute = done.saturating_duration_since(m.taken);
-        shared
-            .counters
-            .queue_wait_ns
-            .fetch_add(queue_wait.as_nanos() as u64, Ordering::Relaxed);
-        shared
-            .counters
-            .compute_ns
-            .fetch_add(member_compute.as_nanos() as u64, Ordering::Relaxed);
-        queue_wait_hist.observe_duration(queue_wait);
-        wait_samples.push(queue_wait.as_secs_f64() * 1e3);
-        let _ = m.tx.send(Recovered {
-            id: m.id,
-            path,
-            error,
-            timed_out,
-            batch_size: final_size,
-            latency: m.enqueued.elapsed(),
-            queue_wait,
-            compute: member_compute,
-        });
-    }
-    // Feed the brownout controller's latency watermark.
-    let mut ring = shared
-        .queue_wait_ring
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
-    for w in wait_samples {
-        if ring.len() == QUEUE_WAIT_RING_CAP {
-            ring.pop_front();
+        let update = StepUpdate {
+            id: m.reply.id,
+            step: step.step,
+            segment: step.segment,
+            rate: step.rate,
+            logprob: step.logprob,
+        };
+        match step_tx.try_send(update) {
+            Ok(()) => {}
+            Err(mpsc::TrySendError::Full(_)) => {
+                self.shared
+                    .counters
+                    .stream_lagged
+                    .fetch_add(1, Ordering::Relaxed);
+                m.step_tx = None;
+            }
+            // Receiver already gone (handle dropped its step iterator or
+            // the connection died): stop producing for it.
+            Err(mpsc::TrySendError::Disconnected(_)) => m.step_tx = None,
         }
-        ring.push_back(w);
+    }
+
+    /// Compute is over: lower the in-flight gauge, take the claim back
+    /// and answer every member.
+    fn close(self, outcomes: Vec<Outcome>) {
+        let done = Instant::now();
+        // Lower the gauge before delivering: a client unblocked by a
+        // delivery must see it already back at zero.
+        self.shared
+            .counters
+            .in_flight_batches
+            .fetch_sub(1, Ordering::Relaxed);
+        // If the watchdog answered the session while it was computing,
+        // delivery (and its counters) already happened — drop the results.
+        if self
+            .slot
+            .inflight
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .take()
+            .is_none()
+        {
+            return;
+        }
+        let flushed = self.members[0].reply.taken;
+        meters()
+            .compute
+            .observe_duration(done.saturating_duration_since(flushed));
+        let size = self.members.len();
+        for (m, outcome) in self.members.iter().zip(outcomes) {
+            self.shared.deliver(&m.reply, outcome, size, done);
+        }
     }
 }

@@ -1378,7 +1378,7 @@ const FAMILIES: &[Family] = &[
     },
     Family {
         name: "rntrajrec_engine_completed_total",
-        help: "Requests recovered successfully.",
+        help: "Requests answered with a terminal result, failures included.",
         kind: Kind::Counter,
         samples: PerShard(|_, st| st.completed as f64),
     },
@@ -1390,7 +1390,7 @@ const FAMILIES: &[Family] = &[
     },
     Family {
         name: "rntrajrec_engine_rejected_total",
-        help: "Requests rejected at submit time (queue full or shutdown).",
+        help: "Requests rejected at submit time (queue full or brownout shed).",
         kind: Kind::Counter,
         samples: PerShard(|_, st| st.rejected as f64),
     },

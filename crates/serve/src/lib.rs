@@ -18,11 +18,16 @@
 //! * [`RecoveryEngine`] — a multi-threaded **micro-batching** scheduler:
 //!   requests queue up; an idle engine takes what is queued at once, a
 //!   busy one flushes a batch on size ([`EngineConfig::max_batch`]) or
-//!   deadline ([`EngineConfig::max_delay`]); workers drain whole batches
-//!   through the **fused path** ([`ServingModel::recover_batch`]): one
-//!   stacked encoder pass, then decoder steps as stacked `[B, ·]`
-//!   matmuls — one product per head per step for the whole batch instead
-//!   of one per member (a single request is the same path at B=1). Batched output is bit-identical to sequential
+//!   deadline ([`EngineConfig::max_delay`]); a worker runs each batch as
+//!   one session through the **fused path** — one stacked encoder pass
+//!   ([`ServingModel::encode`]), then a [`rntrajrec_models::DecodeState`]
+//!   ([`ServingModel::decode_state`]) the worker steps itself: decoder
+//!   steps as stacked `[B, ·]` matmuls, one product per head per step for
+//!   the whole batch instead of one per member (a single request is the
+//!   same path at B=1), with queued newcomers admitted, expired members
+//!   retired and steps streamed between ticks.
+//!   [`ServingModel::recover_batch`] is the same pass, closed, for callers
+//!   without an engine. Batched output is bit-identical to sequential
 //!   per-request inference (every fused kernel preserves the member's own
 //!   per-element accumulation order), so the fusion is pure performance,
 //!   never a numerical change.
@@ -92,10 +97,7 @@ pub use engine::{
     StepWait, Steps, SubmitOptions,
 };
 pub use http::{HttpConfig, HttpServer};
-pub use service::{
-    quant_head_env, BatchOptions, MemberError, QueryContext, RoadEmbeddingCache, ServeError,
-    ServingModel,
-};
+pub use service::{quant_head_env, QueryContext, RoadEmbeddingCache, ServeError, ServingModel};
 pub use shard::{CityShard, ReloadError, ReloadReceipt, RouteError, ShardInfo, ShardRouter};
 
 #[cfg(test)]
@@ -352,21 +354,6 @@ mod tests {
                 );
             }
         }
-
-        // The fallback re-runs carry the members' deadlines: a healthy
-        // member whose budget is gone is cut, the corrupt one still fails
-        // with its panic message, and the rest still match `recover`.
-        let now = std::time::Instant::now();
-        let far = now + Duration::from_secs(3600);
-        let opts = BatchOptions {
-            deadlines: vec![Some(far), Some(now), Some(far), None],
-            degraded_head: false,
-        };
-        let results = model.recover_batch_opts(&batch, &opts);
-        assert_eq!(results[0].as_ref().ok(), Some(&model.recover(batch[0])));
-        assert_eq!(results[1], Err(MemberError::DeadlineExceeded));
-        assert!(matches!(results[2], Err(MemberError::Failed(_))));
-        assert_eq!(results[3].as_ref().ok(), Some(&model.recover(batch[3])));
     }
 
     #[test]

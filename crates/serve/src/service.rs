@@ -5,7 +5,9 @@
 use rntrajrec::wire::RecoverRequest;
 use rntrajrec::EndToEnd;
 use rntrajrec_geo::GridSpec;
-use rntrajrec_models::{FeatureExtractor, QueryError, SampleInput, SegmentHead};
+use rntrajrec_models::{
+    DecodeState, FeatureExtractor, InferOutput, QueryError, SampleInput, SegmentHead,
+};
 use rntrajrec_nn::quant::QuantizedLinear;
 use rntrajrec_nn::Tensor;
 use rntrajrec_roadnet::{RTree, RoadNetwork};
@@ -75,45 +77,6 @@ pub fn quant_head_env() -> bool {
         Ok("1") | Ok("true") | Ok("int8")
     )
 }
-
-/// Per-batch serving options for [`ServingModel::recover_batch_opts`]:
-/// the engine's deadline and brownout decisions, carried into the fused
-/// pass.
-#[derive(Debug, Clone, Default)]
-pub struct BatchOptions {
-    /// Per-member absolute deadlines (parallel to the input slice; empty
-    /// = no deadlines). A member whose deadline passes mid-decode is
-    /// cancelled through the decoder's state-compaction path — survivors
-    /// stay bit-identical — and reported as
-    /// [`MemberError::DeadlineExceeded`].
-    pub deadlines: Vec<Option<std::time::Instant>>,
-    /// Brownout override: serve this batch with the int8 quantized head
-    /// regardless of the configured default (falls back to the sparse
-    /// head if quantization was impossible).
-    pub degraded_head: bool,
-}
-
-/// Why one batch member failed to produce a path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MemberError {
-    /// Inference panicked for this member (malformed input, injected
-    /// fault); the engine itself stays up.
-    Failed(String),
-    /// The member's deadline expired mid-decode and it was cancelled out
-    /// of the fused batch.
-    DeadlineExceeded,
-}
-
-impl std::fmt::Display for MemberError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MemberError::Failed(msg) => write!(f, "{msg}"),
-            MemberError::DeadlineExceeded => write!(f, "deadline exceeded mid-decode"),
-        }
-    }
-}
-
-impl std::error::Error for MemberError {}
 
 /// A model ready to serve: tape-free path validated at construction, road
 /// embeddings precomputed, and the decoder's segment head pre-quantized
@@ -213,131 +176,71 @@ impl ServingModel {
         }
     }
 
-    /// Recover one trajectory on the tape-free hot path: the fused pass
-    /// ([`rntrajrec::EndToEnd::infer_predict_batch`]) over a batch of one.
-    /// Panics on malformed input — [`ServingModel::recover_batch`]
-    /// isolates it instead.
-    pub fn recover(&self, input: &SampleInput) -> RecoveredPath {
+    /// The fused closed pass ([`rntrajrec::EndToEnd::infer_predict_batch`])
+    /// with this model's road cache and default head. Panics on malformed
+    /// input.
+    fn recover_closed(&self, inputs: &[&SampleInput]) -> Vec<RecoveredPath> {
         self.model
-            .infer_predict_batch(&[input], self.road.as_ref().map(|c| &c.x_road), self.head())
+            .infer_predict_batch(inputs, self.road.as_ref().map(|c| &c.x_road), self.head())
             .expect("infer path validated in ServingModel::new")
-            .remove(0)
     }
 
-    /// Recover a whole micro-batch through the **fused encoder + decoder**
-    /// ([`rntrajrec::EndToEnd::infer_predict_batch_stream`]): one stacked
-    /// encoder pass for the whole batch (GraphNorm statistics stay scoped
-    /// per member, so batching cannot change results) and decode steps as
-    /// stacked `[B, ·]` products — one matmul per projection / head
-    /// instead of one per member — with output bit-identical to
-    /// per-member [`ServingModel::recover`].
+    /// Recover one trajectory on the tape-free hot path: the fused pass
+    /// over a batch of one. Panics on malformed input —
+    /// [`ServingModel::recover_batch`] isolates it instead.
+    pub fn recover(&self, input: &SampleInput) -> RecoveredPath {
+        self.recover_closed(&[input]).remove(0)
+    }
+
+    /// Recover a whole micro-batch through the **fused encoder + decoder**:
+    /// one stacked encoder pass for the whole batch (GraphNorm statistics
+    /// stay scoped per member, so batching cannot change results) and
+    /// decode steps as stacked `[B, ·]` products — one matmul per
+    /// projection / head instead of one per member — with output
+    /// bit-identical to per-member [`ServingModel::recover`].
     ///
     /// Panic isolation: a malformed member panics the fused pass, so on
-    /// panic every member is re-run alone through the same fused pass,
-    /// each individually caught — the bad request fails alone (`Err` with
-    /// the panic message) and every healthy member still returns its
-    /// exact result.
+    /// panic every member is re-run alone through the same pass, each
+    /// individually caught — the bad request fails alone (`Err` with the
+    /// panic message) and every healthy member still returns its exact
+    /// result.
     pub fn recover_batch(&self, inputs: &[&SampleInput]) -> Vec<Result<RecoveredPath, String>> {
-        self.recover_batch_opts(inputs, &BatchOptions::default())
-            .into_iter()
-            .map(|r| r.map_err(|e| e.to_string()))
-            .collect()
-    }
-
-    /// [`ServingModel::recover_batch`] with per-batch [`BatchOptions`]:
-    /// deadline propagation into the decode loop and the brownout head
-    /// override. Same fused pass, same panic-isolation fallback; members
-    /// cancelled mid-decode report [`MemberError::DeadlineExceeded`].
-    pub fn recover_batch_opts(
-        &self,
-        inputs: &[&SampleInput],
-        opts: &BatchOptions,
-    ) -> Vec<Result<RecoveredPath, MemberError>> {
-        let expired = |i: usize| {
-            opts.deadlines
-                .get(i)
-                .copied()
-                .flatten()
-                .is_some_and(|d| std::time::Instant::now() >= d)
+        let caught = |batch: &[&SampleInput]| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.recover_closed(batch)))
+                .map_err(|payload| panic_message(&payload))
         };
-        // A closed batch: nobody is admitted, nothing is streamed.
-        // `cancel` sees batch-local member indices.
-        let closed = |batch: &[&SampleInput], cancel: &mut dyn FnMut(usize, usize) -> bool| {
-            let (paths, cancelled) = self.recover_batch_stream(
-                batch,
-                opts.degraded_head,
-                &mut rntrajrec::StreamCtl {
-                    cancel,
-                    admit: &mut |_| Vec::new(),
-                    on_step: &mut |_| {},
-                },
-            )?;
-            Ok::<Vec<_>, String>(
-                paths
-                    .into_iter()
-                    .zip(cancelled)
-                    .map(|(path, cut)| {
-                        if cut {
-                            Err(MemberError::DeadlineExceeded)
-                        } else {
-                            Ok(path)
-                        }
-                    })
-                    .collect(),
-            )
-        };
-        match closed(inputs, &mut |i, _step| expired(i)) {
-            Ok(results) => results,
-            // Per-member re-run after a fused-pass panic. An
-            // already-expired member fails without paying for its encoder
-            // pass; the rest are cut at step granularity as usual.
+        match caught(inputs) {
+            Ok(paths) => paths.into_iter().map(Ok).collect(),
             Err(_) => inputs
                 .iter()
-                .enumerate()
-                .map(|(i, input)| {
-                    if expired(i) {
-                        return Err(MemberError::DeadlineExceeded);
-                    }
-                    closed(&[input], &mut |_, _step| expired(i))
-                        .map_err(MemberError::Failed)?
-                        .remove(0)
-                })
+                .map(|input| caught(&[input]).map(|mut alone| alone.remove(0)))
                 .collect(),
         }
     }
 
-    /// The continuous-batching / streaming sibling of
-    /// [`ServingModel::recover_batch_opts`]
-    /// ([`rntrajrec::EndToEnd::infer_predict_batch_stream`]): the
-    /// caller's [`rntrajrec::StreamCtl`] hooks drive mid-decode
-    /// cancellation, mid-decode **admission** of new requests (their
-    /// encoder pass runs fused with co-arrivals and splices into the
-    /// live decode stack), and per-step streaming. Incumbents stay
-    /// bit-identical to a closed batch whether or not anyone joins.
-    ///
-    /// Unlike the closed-batch path there is no per-member fallback
-    /// here: a panic in the fused pass returns `Err(message)` and the
-    /// caller (the engine) re-runs the collected session through
-    /// [`ServingModel::recover_batch_opts`], which isolates the bad
-    /// member.
-    pub fn recover_batch_stream(
-        &self,
-        inputs: &[&SampleInput],
-        degraded_head: bool,
-        ctl: &mut rntrajrec::StreamCtl<'_>,
-    ) -> Result<(Vec<RecoveredPath>, Vec<bool>), String> {
-        let road = self.road.as_ref().map(|c| &c.x_road);
-        let head = if degraded_head {
+    /// The encoder half of the fused pass, for a caller that steps the
+    /// decode itself (the engine's session): one stacked encoder pass over
+    /// `inputs`. Panics on malformed input.
+    pub fn encode(&self, inputs: &[&SampleInput]) -> Vec<InferOutput> {
+        self.model
+            .encoder
+            .infer_batch(
+                &self.model.store,
+                inputs,
+                self.road.as_ref().map(|c| &c.x_road),
+            )
+            .expect("infer path validated in ServingModel::new")
+    }
+
+    /// The decoder half: an empty [`DecodeState`] over this model's
+    /// weights, with the default head or — `degraded` — the brownout one.
+    pub fn decode_state(&self, degraded: bool) -> DecodeState<'_> {
+        let head = if degraded {
             self.degraded_head()
         } else {
             self.head()
         };
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.model
-                .infer_predict_batch_stream(inputs, road, head, ctl)
-                .expect("infer path validated in ServingModel::new")
-        }))
-        .map_err(|payload| panic_message(&payload))
+        DecodeState::new(&self.model.decoder, &self.model.store, head)
     }
 
     pub fn model(&self) -> &EndToEnd {

@@ -5,7 +5,7 @@
 //! and that `/v1/recover` over real TCP returns the same bits.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -17,7 +17,8 @@ use rntrajrec_suite::rntrajrec::wire::v2::Event;
 use rntrajrec_suite::rntrajrec::wire::{RecoverRequest, RecoverResponse};
 use rntrajrec_suite::rntrajrec_serve::http::client;
 use rntrajrec_suite::rntrajrec_serve::{
-    EngineConfig, HttpConfig, HttpServer, QueryContext, RecoveryEngine, ServingModel, SubmitOptions,
+    EngineConfig, HttpConfig, HttpServer, QueryContext, Recovered, RecoveryEngine, RecoveryHandle,
+    ServingModel, StepWait, SubmitOptions,
 };
 use rntrajrec_suite::rntrajrec_synth::DatasetConfig;
 
@@ -123,6 +124,96 @@ fn engine_micro_batching_is_transparent_end_to_end() {
     }
     let stats = engine.stats();
     assert_eq!(stats.completed as usize, pipeline.test_inputs.len());
+}
+
+/// One session, every way a member can end. A long-decoding anchor is
+/// flushed alone; while it decodes, two healthy requests, a corrupt one
+/// and one whose deadline is already past arrive at the admission gate.
+/// The expired one is refused there; the corrupt one panics the fused pass
+/// it was admitted into, so every member is re-run alone. Every handle
+/// gets exactly one terminal result (`requests == completed`, one per
+/// handle), healthy paths carry `ServingModel::recover`'s bits, and the
+/// counters account for each delivery — including the waits behind
+/// `mean_queue_wait_ms` / `mean_compute_ms`, which the refused newcomer
+/// used to dilute.
+#[test]
+fn one_session_answers_every_member_exactly_once() {
+    let (pipeline, model) = trained_pipeline();
+    let serving = Arc::new(ServingModel::new(model).expect("RNTrajRec serves"));
+    let ctx = QueryContext::new(pipeline.dataset.city.net.clone(), 50.0);
+    // Thousands of decode steps: tens of milliseconds in which the other
+    // four submissions (microseconds) find the session still decoding.
+    let s = &pipeline.dataset.test[0];
+    let anchor = ctx
+        .sample_input(&RecoverRequest::from_raw(&s.raw, 6000, s.depart_epoch_s))
+        .expect("valid request");
+    let inputs = &pipeline.test_inputs;
+    let mut corrupt = inputs[1].clone();
+    corrupt.subgraphs[0].nodes[0] = usize::MAX / 2; // out of any road network's range
+    let want_anchor = serving.recover(&anchor);
+    let want_0 = serving.recover(&inputs[0]);
+    let want_3 = serving.recover(&inputs[3]);
+
+    let engine = RecoveryEngine::start(
+        Arc::clone(&serving),
+        EngineConfig {
+            max_batch: 8,
+            workers: 1,
+            threads_per_worker: 0,
+            ..EngineConfig::default()
+        },
+    );
+    let a = engine
+        .submit(anchor, SubmitOptions::new().stream())
+        .expect("accepts");
+    match a.next_step(Duration::from_secs(30)) {
+        StepWait::Step(_) => {}
+        other => panic!("expected the anchor's first step, got {other:?}"),
+    }
+    let expired = SubmitOptions::new().deadline(Instant::now() - Duration::from_millis(1));
+    let rest = [
+        (inputs[0].clone(), SubmitOptions::new()),
+        (corrupt, SubmitOptions::new()),
+        (inputs[2].clone(), expired),
+        (inputs[3].clone(), SubmitOptions::new()),
+    ]
+    .map(|(input, opts)| engine.submit(input, opts).expect("accepts"));
+
+    let wait = |h: RecoveryHandle| {
+        h.wait_timeout(Duration::from_secs(60))
+            .expect("every member is answered")
+    };
+    let ra = wait(a);
+    let [r0, rc, re, r3] = rest.map(wait);
+    for (r, want) in [(&ra, &want_anchor), (&r0, &want_0), (&r3, &want_3)] {
+        assert!(r.error.is_none(), "healthy member failed: {:?}", r.error);
+        assert_eq!(&r.path, want, "healthy member diverged from recover()");
+    }
+    assert!(rc.error.is_some() && !rc.timed_out && rc.path.is_empty());
+    let err = re.error.as_deref().expect("expired member fails");
+    assert!(err.contains("deadline") && re.timed_out, "got: {err}");
+
+    let stats = engine.drain();
+    assert_eq!(stats.requests, 5);
+    assert_eq!(stats.completed, 5, "one delivery per accepted submission");
+    assert_eq!(stats.failed, 2);
+    assert_eq!(stats.deadline_cancelled, 1);
+    assert!(stats.admitted >= 1, "nobody joined the anchor's session");
+    let delivered = [&ra, &r0, &rc, &re, &r3];
+    let total_ms = |f: fn(&Recovered) -> Duration| {
+        delivered.iter().map(|r| f(r).as_nanos()).sum::<u128>() as f64 / 1e6
+    };
+    let (waited, computed) = (total_ms(|r| r.queue_wait), total_ms(|r| r.compute));
+    assert!(
+        (stats.mean_queue_wait_ms * 5.0 - waited).abs() <= 1e-9 * waited.max(1.0),
+        "mean_queue_wait_ms {} x 5 != {waited} ms delivered",
+        stats.mean_queue_wait_ms
+    );
+    assert!(
+        (stats.mean_compute_ms * 5.0 - computed).abs() <= 1e-9 * computed.max(1.0),
+        "mean_compute_ms {} x 5 != {computed} ms delivered",
+        stats.mean_compute_ms
+    );
 }
 
 #[test]
