@@ -7,8 +7,8 @@
 //! Three fault kinds cover the failure taxonomy the self-healing machinery
 //! must survive:
 //!
-//! - **panic** — the calling thread unwinds (exercises worker supervision
-//!   and per-member fallback isolation),
+//! - **panic** — the calling thread unwinds (exercises worker healing and
+//!   per-member fallback isolation),
 //! - **error** — the point returns a typed [`InjectedFault`] the caller
 //!   propagates like any other error (exercises error paths end to end),
 //! - **delay** — the calling thread sleeps a configured duration

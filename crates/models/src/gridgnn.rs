@@ -239,10 +239,6 @@ impl GridGnn {
         let cat = ex.concat_cols(&[&x, &stat]);
         self.out.forward(ex, store, &cat)
     }
-
-    pub fn full_csr(&self) -> &Arc<GraphCsr> {
-        &self.csr
-    }
 }
 
 #[cfg(test)]

@@ -110,7 +110,7 @@ thread_local! {
 #[inline]
 pub(crate) fn note_matmul(flops: u64) {
     // Fault point at the kernel-dispatch chokepoint: an injected panic
-    // unwinds the caller (exercising batch fallback / worker supervision),
+    // unwinds the caller (exercising batch fallback / worker healing),
     // an injected delay models a stalled kernel (exercising the engine
     // watchdog). One relaxed load when chaos is disarmed.
     rntrajrec_chaos::point_infallible("kernel.dispatch");
@@ -666,18 +666,13 @@ pub fn recip(a: &Tensor) -> Tensor {
 
 // ----- softmax & norm statistics ---------------------------------------------
 
-/// Numerically stable in-place softmax over one contiguous slice.
-pub fn softmax_in_place(row: &mut [f32]) {
-    softmax_in_place_bk(backend::active(), row);
-}
-
-/// [`softmax_in_place`] with the backend captured at the calling kernel's
-/// entry: max scan, `x − max`, [`expf::expf`] of every element, one
-/// ascending scalar sum, scale by its reciprocal. The AVX2 path runs the
-/// scan, the subtraction, the `exp`s and the scaling in lanes and keeps
-/// the sum scalar, so both backends produce **bit-identical** softmax
-/// output (max is order-insensitive for non-NaN data, and the
-/// element-wise steps round identically).
+/// Numerically stable in-place softmax over one contiguous slice, with the
+/// backend captured at the calling kernel's entry: max scan, `x − max`,
+/// [`expf::expf`] of every element, one ascending scalar sum, scale by its
+/// reciprocal. The AVX2 path runs the scan, the subtraction, the `exp`s
+/// and the scaling in lanes and keeps the sum scalar, so both backends
+/// produce **bit-identical** softmax output (max is order-insensitive for
+/// non-NaN data, and the element-wise steps round identically).
 pub(crate) fn softmax_in_place_bk(bk: backend::Backend, row: &mut [f32]) {
     let max = row_max(bk, row);
     row_add(bk, row, -max);

@@ -144,7 +144,7 @@ pub fn active() -> Backend {
         return b;
     }
     let b = resolve_default();
-    // First initialiser wins; a racing `set_active` is preserved.
+    // First initialiser wins.
     let _ = GLOBAL.compare_exchange(0, encode(b), Ordering::Relaxed, Ordering::Relaxed);
     decode(GLOBAL.load(Ordering::Relaxed)).unwrap_or(Backend::Scalar)
 }
@@ -152,16 +152,6 @@ pub fn active() -> Backend {
 /// Name of the active backend (for logs / `/metrics`).
 pub fn active_name() -> &'static str {
     active().name()
-}
-
-/// Set the process-wide backend; an unsupported request degrades to
-/// [`Backend::Scalar`]. Returns the effective backend. Purely a
-/// performance/rounding knob — every backend is deterministic at any
-/// thread count.
-pub fn set_active(b: Backend) -> Backend {
-    let eff = if is_supported(b) { b } else { Backend::Scalar };
-    GLOBAL.store(encode(eff), Ordering::Relaxed);
-    eff
 }
 
 /// Run `f` with this thread's kernels pinned to `b` (degrading to scalar

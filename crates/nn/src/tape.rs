@@ -41,8 +41,6 @@ pub enum Op {
     AddRowVec(NodeId, NodeId),
     /// `[R,C] ⊙ [1,C]` broadcast over rows.
     MulRowVec(NodeId, NodeId),
-    /// `[R,C] + [R,1]` broadcast over columns.
-    AddColVec(NodeId, NodeId),
     /// `[R,C] ⊙ [R,1]` broadcast over columns.
     MulColVec(NodeId, NodeId),
     /// `[R,K] × [K,C]`.
@@ -86,8 +84,6 @@ pub enum Op {
     SumAll(NodeId),
     /// Row gather: `table[indices[i], :]` → `[n, C]` (embedding lookup).
     GatherRows(NodeId, Arc<Vec<usize>>),
-    /// Element-wise multiply by a fixed 0/scale mask (inverted dropout).
-    Dropout(NodeId, Arc<Vec<f32>>),
     /// GAT edge scores: `out[e] = src[i] + dst[j_e]` for each edge slot `e`
     /// in node `i`'s segment.
     EdgeScores(NodeId, NodeId, Arc<GraphCsr>),
@@ -200,11 +196,6 @@ impl Tape {
     pub fn mul_rowvec(&mut self, m: NodeId, v: NodeId) -> NodeId {
         let t = kernels::mul_rowvec(self.val(m), self.val(v));
         self.push(t, Op::MulRowVec(m, v))
-    }
-
-    pub fn add_colvec(&mut self, m: NodeId, v: NodeId) -> NodeId {
-        let t = kernels::add_colvec(self.val(m), self.val(v));
-        self.push(t, Op::AddColVec(m, v))
     }
 
     pub fn mul_colvec(&mut self, m: NodeId, v: NodeId) -> NodeId {
@@ -340,34 +331,11 @@ impl Tape {
         self.push(Tensor::scalar(s), Op::SumAll(a))
     }
 
-    // ----- lookup / dropout ---------------------------------------------------
+    // ----- lookup -------------------------------------------------------------
 
     pub fn gather_rows(&mut self, table: NodeId, indices: &[usize]) -> NodeId {
         let t = kernels::gather_rows(self.val(table), indices);
         self.push(t, Op::GatherRows(table, Arc::new(indices.to_vec())))
-    }
-
-    /// Inverted dropout with keep probability `1 - p`; pass `training=false`
-    /// for identity.
-    pub fn dropout(
-        &mut self,
-        a: NodeId,
-        p: f32,
-        training: bool,
-        rng: &mut impl rand::Rng,
-    ) -> NodeId {
-        if !training || p <= 0.0 {
-            return self.scale(a, 1.0);
-        }
-        let ta = self.val(a);
-        let keep = 1.0 - p;
-        let scale = 1.0 / keep;
-        let mask: Vec<f32> = (0..ta.len())
-            .map(|_| if rng.gen::<f32>() < keep { scale } else { 0.0 })
-            .collect();
-        let data = ta.data.iter().zip(&mask).map(|(x, m)| x * m).collect();
-        let t = Tensor::from_vec(ta.rows, ta.cols, data);
-        self.push(t, Op::Dropout(a, Arc::new(mask)))
     }
 
     // ----- fused graph-attention ops -------------------------------------------
@@ -474,18 +442,6 @@ impl Tape {
                         }
                     }
                     self.acc(m, &gm);
-                    self.acc(v, &gv);
-                }
-                Op::AddColVec(m, v) => {
-                    self.acc(m, &g);
-                    let rows = self.nodes[v].value.rows;
-                    let cols = g.len() / rows;
-                    let mut gv = vec![0.0f32; rows];
-                    for r in 0..rows {
-                        for c in 0..cols {
-                            gv[r] += g[r * cols + c];
-                        }
-                    }
                     self.acc(v, &gv);
                 }
                 Op::MulColVec(m, v) => {
@@ -735,10 +691,6 @@ impl Tape {
                         }
                     }
                     self.acc(table, &gt);
-                }
-                Op::Dropout(a, mask) => {
-                    let ga: Vec<f32> = g.iter().zip(mask.iter()).map(|(x, m)| x * m).collect();
-                    self.acc(a, &ga);
                 }
                 Op::EdgeScores(src, dst, csr) => {
                     let n = csr.num_nodes();

@@ -122,9 +122,6 @@ fn grad_rowvec_broadcasts() {
 
 #[test]
 fn grad_colvec_broadcasts() {
-    check(&[t(4, 3, 60), t_pos(4, 1, 61, -1.0, 1.0)], |tp, ids| {
-        tp.add_colvec(ids[0], ids[1])
-    });
     check(&[t(4, 3, 62), t_pos(4, 1, 63, 0.2, 1.5)], |tp, ids| {
         tp.mul_colvec(ids[0], ids[1])
     });
@@ -419,22 +416,4 @@ fn unused_inputs_get_no_gradient() {
     tp.backward(loss, &mut store);
     assert!(tp.grad(used).is_some());
     assert!(tp.grad(unused).is_none());
-}
-
-#[test]
-fn dropout_eval_is_identity_train_masks() {
-    let mut rng = StdRng::seed_from_u64(57);
-    let x = t(8, 8, 58);
-    let mut tp = Tape::new();
-    let xid = tp.leaf(x.clone());
-    let eval = tp.dropout(xid, 0.5, false, &mut rng);
-    assert!(tp.value(eval).max_abs_diff(&x) < 1e-7);
-    let train = tp.dropout(xid, 0.5, true, &mut rng);
-    let v = tp.value(train);
-    let zeros = v.data.iter().filter(|&&z| z == 0.0).count();
-    assert!(zeros > 10, "expected roughly half zeroed, got {zeros}/64");
-    // Survivors are scaled by 1/keep = 2.
-    for (o, i) in v.data.iter().zip(&x.data) {
-        assert!(*o == 0.0 || (*o - 2.0 * *i).abs() < 1e-6);
-    }
 }

@@ -784,7 +784,6 @@ fn ops_match_tape_bitwise() {
         (kernels::add_const(&a, -1.2), tape.add_const(na, -1.2)),
         (kernels::add_rowvec(&a, &v), tape.add_rowvec(na, nv)),
         (kernels::mul_rowvec(&a, &v), tape.mul_rowvec(na, nv)),
-        (kernels::add_colvec(&a, &cvec), tape.add_colvec(na, nc)),
         (kernels::mul_colvec(&a, &cvec), tape.mul_colvec(na, nc)),
         (kernels::matmul(&a, &w), tape.matmul(na, nw)),
         (kernels::matmul_nt(&a, &b), tape.matmul_nt(na, nb)),

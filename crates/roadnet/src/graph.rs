@@ -198,26 +198,18 @@ impl RoadNetwork {
     }
 }
 
+/// Snapping tolerance in metres for endpoint coincidence.
+const SNAP_TOLERANCE_M: f64 = 0.5;
+
 /// Incremental builder that snaps endpoints and derives connectivity.
 #[derive(Debug, Default)]
 pub struct RoadNetworkBuilder {
     segments: Vec<RoadSegment>,
-    /// Snapping tolerance in metres for endpoint coincidence.
-    tolerance: f64,
 }
 
 impl RoadNetworkBuilder {
     pub fn new() -> Self {
-        Self {
-            segments: Vec::new(),
-            tolerance: 0.5,
-        }
-    }
-
-    pub fn with_tolerance(mut self, tolerance: f64) -> Self {
-        assert!(tolerance > 0.0);
-        self.tolerance = tolerance;
-        self
+        Self::default()
     }
 
     /// Add a directed segment; returns its id.
@@ -242,8 +234,8 @@ impl RoadNetworkBuilder {
 
     fn key(&self, p: &XY) -> (i64, i64) {
         (
-            (p.x / self.tolerance).round() as i64,
-            (p.y / self.tolerance).round() as i64,
+            (p.x / SNAP_TOLERANCE_M).round() as i64,
+            (p.y / SNAP_TOLERANCE_M).round() as i64,
         )
     }
 
@@ -265,7 +257,7 @@ impl RoadNetworkBuilder {
                     let t_seg = &self.segments[t.index()];
                     let is_reverse_twin = self.key(&t_seg.end()) == self.key(&s.start())
                         && self.key(&t_seg.start()) == self.key(&s.end())
-                        && (t_seg.length() - s.length()).abs() < self.tolerance;
+                        && (t_seg.length() - s.length()).abs() < SNAP_TOLERANCE_M;
                     if t != s.id && !is_reverse_twin {
                         out_edges[s.id.index()].push(t);
                         in_edges[t.index()].push(s.id);

@@ -267,11 +267,7 @@ fn main() -> ExitCode {
         threads_per_worker: 0,
         queue_capacity: args.queue_capacity,
         batch_timeout: args.batch_timeout_ms.map(Duration::from_millis),
-        brownout: args.brownout.then(|| match args.queue_capacity {
-            Some(cap) => BrownoutConfig::for_queue_capacity(cap),
-            None => BrownoutConfig::default(),
-        }),
-        ..EngineConfig::default()
+        brownout: args.brownout.then_some(BrownoutConfig),
     };
 
     // A valid example request body per shard, served at GET /v1/example
@@ -389,7 +385,6 @@ fn main() -> ExitCode {
         HttpConfig {
             addr: args.addr.clone(),
             connection_workers: args.conn_workers,
-            connection_backlog: 64,
             deadline: Duration::from_millis(args.deadline_ms),
             max_body_bytes: args.max_body_bytes,
             retry_after_secs: args.retry_after_secs,
@@ -414,7 +409,7 @@ fn main() -> ExitCode {
         args.workers,
     );
     println!(
-        "resilience: supervised workers, watchdog={} brownout={}",
+        "resilience: self-healing workers, watchdog={} brownout={}",
         match args.batch_timeout_ms {
             Some(ms) => format!("{ms}ms"),
             None => "off".to_string(),

@@ -36,19 +36,24 @@
 //! | state | what happens | who may answer the members |
 //! |---|---|---|
 //! | queued | waiting in the queue | nobody yet |
-//! | open | registered in the claim slot, `engine.worker` chaos point | the worker (an injected error fails the batch); the supervisor (the thread died, or stalled past the watchdog budget) |
-//! | decoding | encode the batch, then per tick: take newcomers from the queue (encode, admit), retire members past their deadline or without a handle, tick, fan the steps out to streaming sinks | the supervisor only (crash or watchdog); newcomers join the claim. The worker answers just the newcomers it *refuses* at the gate — already expired or abandoned — which never joined |
+//! | open | registered in the claim slot, `engine.worker` chaos point | the worker (an injected error fails the batch, an injected panic is caught by its loop); the supervisor (stalled past the watchdog budget) |
+//! | decoding | encode the batch, then per tick: take newcomers from the queue (encode, admit), retire members past their deadline or without a handle, tick, fan the steps out to streaming sinks | the worker's loop, if a panic escapes the session; the supervisor (watchdog); newcomers join the claim. The session itself answers just the newcomers it *refuses* at the gate — already expired or abandoned — which never joined |
 //! | isolating | only after a panic in the fused pass: each member again, alone and closed — nobody admitted, nothing streamed, deadlines and handles still honoured — so only the bad one fails | as in decoding |
 //! | closed | compute is over: in-flight gauge lowered, claim taken back | the worker answers every member; if the supervisor got to the claim first, it already has, and the results are dropped |
 //!
 //! # Self-healing
 //!
-//! The engine is supervised. A dedicated supervisor thread:
+//! Workers heal in place. A panic the session's own isolation does not
+//! absorb — an injected `engine.batch` / `engine.worker` fault, or a bug
+//! in the bookkeeping around the decode — unwinds to the worker's loop
+//! (lowering the in-flight gauge on the way), which answers the session's
+//! members with typed errors through the claim slot, counts it in
+//! [`EngineStats::worker_restarts`] and takes the next batch; no thread
+//! dies. Every lock the worker holds recovers from poisoning, so a caught
+//! panic cannot turn into a hot loop.
 //!
-//! - **restarts crashed workers** with capped exponential backoff (a
-//!   panic that escapes the per-batch isolation — e.g. an injected
-//!   `engine.worker` chaos fault — kills only that thread; its in-flight
-//!   batch is failed with typed errors and a replacement spawns),
+//! A dedicated supervisor thread, every 10 ms:
+//!
 //! - **watches for hung batches**: when [`EngineConfig::batch_timeout`]
 //!   is set, a batch computing past the budget has its members failed
 //!   with typed timeout errors (the HTTP layer maps these to `503`)
@@ -68,12 +73,12 @@
 //!
 //! Chaos fault points ([`rntrajrec_chaos`]): `engine.submit` (admission),
 //! `engine.batch` (batch assembly), `engine.worker` (per batch, outside
-//! panic isolation — the supervision test surface).
+//! the session's panic isolation — the healing test surface).
 
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -118,25 +123,11 @@ pub struct EngineConfig {
     /// errors (`503` at the HTTP layer) so a stalled kernel cannot wedge
     /// clients forever. `None` disables the watchdog.
     pub batch_timeout: Option<Duration>,
-    /// Brownout degradation watermarks; `None` disables the controller
-    /// (the ladder can still be forced via
+    /// `Some` runs the brownout controller, its depth watermarks derived
+    /// from [`EngineConfig::queue_capacity`] (see [`crate::brownout`]);
+    /// `None` disables it (the ladder can still be forced via
     /// [`RecoveryEngine::set_brownout_override`]).
     pub brownout: Option<BrownoutConfig>,
-    /// Bound on each streaming submission's step-event queue. A consumer
-    /// that falls this many undelivered [`StepUpdate`]s behind the decode
-    /// loop is degraded to summary-only — its step sink is closed (the
-    /// terminal [`Recovered`] still arrives) and
-    /// [`EngineStats::stream_lagged`] counts it — instead of buffering
-    /// without bound inside the engine.
-    pub stream_queue: usize,
-    /// Supervisor cadence: worker reaping, watchdog scans, drain-rate
-    /// sampling, and brownout ticks all run at this interval.
-    pub supervise_every: Duration,
-    /// Base delay before respawning a crashed worker; doubles per
-    /// consecutive crash (a worker that stays up 5 s resets the streak).
-    pub restart_backoff: Duration,
-    /// Ceiling on the respawn delay.
-    pub restart_backoff_cap: Duration,
 }
 
 impl Default for EngineConfig {
@@ -152,13 +143,19 @@ impl Default for EngineConfig {
             queue_capacity: None,
             batch_timeout: None,
             brownout: None,
-            stream_queue: 256,
-            supervise_every: Duration::from_millis(10),
-            restart_backoff: Duration::from_millis(10),
-            restart_backoff_cap: Duration::from_secs(2),
         }
     }
 }
+
+/// Bound on each streaming submission's step-event queue. A consumer that
+/// falls this many undelivered [`StepUpdate`]s behind the decode loop is
+/// degraded to summary-only — its step sink is closed (the terminal
+/// [`Recovered`] still arrives) and [`EngineStats::stream_lagged`] counts
+/// it — instead of buffering without bound inside the engine.
+const STREAM_QUEUE: usize = 256;
+/// Supervisor cadence: watchdog scans, drain-rate sampling and brownout
+/// ticks all run at this interval.
+const SUPERVISE_EVERY: Duration = Duration::from_millis(10);
 
 /// Per-submission options for [`RecoveryEngine::submit`] — the one
 /// submission entry point. Build with the fluent setters:
@@ -209,10 +206,6 @@ impl SubmitOptions {
         self
     }
 }
-
-/// A worker that stayed up this long has its crash streak (and with it
-/// the exponential backoff) reset.
-const RESTART_RESET_UPTIME: Duration = Duration::from_secs(5);
 
 /// Typed submission failure: the engine refused a request rather than
 /// queueing it. Surfaced so callers (the HTTP layer maps these to `429`/
@@ -465,7 +458,8 @@ pub struct EngineStats {
     pub mean_queue_wait_ms: f64,
     /// Mean per-request compute (batch flush → results ready), ms.
     pub mean_compute_ms: f64,
-    /// Crashed workers respawned by the supervisor.
+    /// Panics that escaped a session, each caught by its worker's loop
+    /// (which answered the session's members and kept serving).
     pub worker_restarts: u64,
     /// Hung batches killed by the watchdog (each fails its members).
     pub watchdog_timeouts: u64,
@@ -479,9 +473,9 @@ pub struct EngineStats {
     pub abandoned_cancelled: u64,
     /// Brownout ladder transitions since start.
     pub brownout_shifts: u64,
-    /// Streaming consumers degraded to summary-only because they fell
-    /// more than [`EngineConfig::stream_queue`] undelivered steps behind
-    /// the decode loop (the terminal result still arrives).
+    /// Streaming consumers degraded to summary-only because they fell 256
+    /// undelivered steps behind the decode loop (the terminal result still
+    /// arrives).
     pub stream_lagged: u64,
     /// Models hot-swapped into the live engine
     /// ([`RecoveryEngine::swap_model`]).
@@ -498,12 +492,13 @@ pub struct EngineStats {
     /// Active kernel backend (`rntrajrec_nn::kernels::backend::active_name`):
     /// `"scalar"` or `"avx2"`.
     pub kernel_backend: String,
-    /// Decoder segment head the served model runs: `"sparse"` or `"int8"`.
+    /// Decoder segment head new sessions decode with: `"sparse"` or
+    /// `"int8"` (the model's default, or `int8` at brownout level ≥ 1).
     pub segment_head: String,
 }
 
 /// What answering a request takes. Its session's claim slot holds a
-/// clone, so the supervisor can answer for a dead or hung worker.
+/// clone, so the members can be answered for a panicked or hung session.
 #[derive(Clone)]
 struct Reply {
     id: u64,
@@ -555,8 +550,8 @@ enum Failure {
     Deadline,
     /// Its [`RecoveryHandle`] was dropped: nobody is left to read a path.
     Abandoned,
-    /// Inference panicked on it, its worker crashed, or a chaos point
-    /// injected an error.
+    /// Inference panicked on it, a panic escaped its session, or a chaos
+    /// point injected an error.
     Error(String),
     /// The watchdog gave up on its session.
     Hung(String),
@@ -581,7 +576,7 @@ struct Counters {
     abandoned_cancelled: AtomicU64,
     brownout_shifts: AtomicU64,
     /// Streaming consumers degraded to summary-only because their step
-    /// queue filled ([`EngineConfig::stream_queue`]).
+    /// queue filled ([`STREAM_QUEUE`]).
     stream_lagged: AtomicU64,
     /// Models installed over a live engine ([`RecoveryEngine::swap_model`]).
     model_swaps: AtomicU64,
@@ -601,9 +596,9 @@ struct InFlight {
 }
 
 /// One worker's claim slot. The worker registers its batch here before
-/// computing and claims it back before delivering; the supervisor
-/// (watchdog / crash reaper) can take it instead, in which case exactly
-/// one side delivers.
+/// computing and claims it back before delivering; the supervisor's
+/// watchdog — or the worker's own loop, after a panic — can take it
+/// instead, in which case exactly one side delivers.
 #[derive(Default)]
 struct WorkerSlot {
     inflight: Mutex<Option<InFlight>>,
@@ -659,9 +654,6 @@ struct Shared {
     max_delay_ns: AtomicU64,
     queue_capacity: Option<usize>,
     batch_timeout: Option<Duration>,
-    /// Step-event queue bound per streaming submission
-    /// ([`EngineConfig::stream_queue`]).
-    stream_queue: usize,
     /// Active brownout ladder level (0..=3).
     brownout_level: AtomicU8,
     /// Manual ladder override (ops/maintenance knob and test hook);
@@ -674,9 +666,6 @@ struct Shared {
     drain_rate_bits: AtomicU64,
     /// f64 bits: queue-wait p99 ms over the ring.
     queue_wait_p99_bits: AtomicU64,
-    supervise_every: Duration,
-    restart_backoff: Duration,
-    restart_backoff_cap: Duration,
 }
 
 const AUTO_LEVEL: u8 = u8::MAX;
@@ -688,6 +677,17 @@ const DRAIN_SAMPLES: usize = 100;
 impl Shared {
     fn level(&self) -> u8 {
         self.brownout_level.load(Ordering::Relaxed)
+    }
+
+    /// Brownout level ≥ 1: new sessions decode with the int8 head.
+    fn degraded_head(&self) -> bool {
+        self.level() >= 1
+    }
+
+    /// The queue, whoever panicked while holding it: its contents stay
+    /// valid (every critical section only pushes or drains whole requests).
+    fn queue(&self) -> MutexGuard<'_, VecDeque<Pending>> {
+        self.queue.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Apply a brownout ladder level to the live batching knobs.
@@ -828,7 +828,7 @@ fn meters() -> &'static Meters {
 /// The multi-threaded online recovery engine.
 pub struct RecoveryEngine {
     shared: Arc<Shared>,
-    /// The supervisor owns the worker handles; joining it joins them.
+    workers: Vec<JoinHandle<()>>,
     supervisor: Option<JoinHandle<()>>,
     /// Intra-op threads applied at start (`None`: process default kept).
     intra_op: Option<usize>,
@@ -836,8 +836,8 @@ pub struct RecoveryEngine {
 
 impl RecoveryEngine {
     /// Start `config.workers` threads over a shared model, plus the
-    /// supervisor thread that restarts crashed workers, runs the batch
-    /// watchdog, and drives brownout degradation.
+    /// supervisor thread that runs the batch watchdog, samples the drain
+    /// rate and drives brownout degradation.
     ///
     /// Also applies the intra-op kernel thread setting: `NN_THREADS` when
     /// set in the environment, else [`EngineConfig::threads_per_worker`]
@@ -861,39 +861,29 @@ impl RecoveryEngine {
             max_delay_ns: AtomicU64::new(config.max_delay.as_nanos() as u64),
             queue_capacity: config.queue_capacity,
             batch_timeout: config.batch_timeout,
-            stream_queue: config.stream_queue.max(1),
             brownout_level: AtomicU8::new(0),
             brownout_override: AtomicU8::new(AUTO_LEVEL),
             queue_wait_ring: Mutex::new(VecDeque::with_capacity(QUEUE_WAIT_RING_CAP)),
             drain_rate_bits: AtomicU64::new(0f64.to_bits()),
             queue_wait_p99_bits: AtomicU64::new(0f64.to_bits()),
-            supervise_every: config.supervise_every,
-            restart_backoff: config.restart_backoff,
-            restart_backoff_cap: config.restart_backoff_cap,
         });
-        let workers: Vec<WorkerState> = (0..config.workers)
-            .map(|i| {
-                let slot = Arc::new(WorkerSlot::default());
-                WorkerState {
-                    index: i,
-                    handle: Some(spawn_worker(&shared, &slot, i)),
-                    slot,
-                    spawned: Instant::now(),
-                    crashes: 0,
-                    respawn_at: None,
-                }
-            })
+        let slots: Vec<Arc<WorkerSlot>> = (0..config.workers).map(|_| Arc::default()).collect();
+        let workers: Vec<JoinHandle<()>> = (slots.iter().enumerate())
+            .map(|(i, slot)| spawn_worker(&shared, slot, i))
             .collect();
-        let controller = config.brownout.map(BrownoutController::new);
+        let controller = config
+            .brownout
+            .map(|_| BrownoutController::new(config.queue_capacity));
         let supervisor = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("rntrajrec-supervisor".into())
-                .spawn(move || supervisor_loop(&shared, workers, controller))
+                .spawn(move || supervisor_loop(&shared, &slots, controller))
                 .expect("spawn engine supervisor")
         };
         Self {
             shared,
+            workers,
             supervisor: Some(supervisor),
             intra_op,
         }
@@ -938,14 +928,14 @@ impl RecoveryEngine {
             // and is degraded to summary-only (see `Session::fan_out`),
             // so one slow stream cannot grow engine memory or stall the
             // fused batch.
-            let (s_tx, s_rx) = mpsc::sync_channel(self.shared.stream_queue);
+            let (s_tx, s_rx) = mpsc::sync_channel(STREAM_QUEUE);
             (Some(s_tx), Some(s_rx))
         } else {
             (None, None)
         };
         let abandoned = Arc::new(AtomicBool::new(false));
         let id = {
-            let mut q = self.shared.queue.lock().unwrap();
+            let mut q = self.shared.queue();
             if let Some(cap) = self.shared.queue_capacity {
                 if q.len() >= cap {
                     let depth = q.len();
@@ -1047,7 +1037,9 @@ impl RecoveryEngine {
             drain_rate_per_sec: self.drain_rate_per_sec(),
             queue_wait_p99_ms: self.queue_wait_p99_ms(),
             kernel_backend: rntrajrec_nn::kernels::backend::active_name().to_string(),
-            segment_head: self.shared.model.current().head_name().to_string(),
+            segment_head: (self.shared.model.current())
+                .head_name(self.shared.degraded_head())
+                .to_string(),
         }
     }
 
@@ -1060,7 +1052,7 @@ impl RecoveryEngine {
     /// Requests currently waiting in the queue (not yet flushed into a
     /// batch). A live gauge for `/metrics` and capacity planning.
     pub fn queue_depth(&self) -> usize {
-        self.shared.queue.lock().unwrap().len()
+        self.shared.queue().len()
     }
 
     /// Micro-batches currently executing on worker threads.
@@ -1132,7 +1124,7 @@ impl RecoveryEngine {
     }
 
     /// Graceful stop with a final report: signals shutdown, lets workers
-    /// drain the remaining queue, joins them (via the supervisor), and
+    /// drain the remaining queue, joins them and the supervisor, and
     /// returns the counter snapshot *after* the drain — so requests still
     /// queued at shutdown are included. (Dropping the engine drains
     /// identically but offers no post-drain stats.)
@@ -1144,7 +1136,13 @@ impl RecoveryEngine {
     fn stop_and_join(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.cond.notify_all();
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
+        }
+        // The queue is drained: wake the supervisor so it sees that now
+        // rather than a tick later.
         if let Some(s) = self.supervisor.take() {
+            s.thread().unpark();
             let _ = s.join();
         }
     }
@@ -1156,16 +1154,6 @@ impl Drop for RecoveryEngine {
     }
 }
 
-struct WorkerState {
-    index: usize,
-    handle: Option<JoinHandle<()>>,
-    slot: Arc<WorkerSlot>,
-    spawned: Instant,
-    /// Consecutive crashes (reset after [`RESTART_RESET_UPTIME`] uptime).
-    crashes: u32,
-    respawn_at: Option<Instant>,
-}
-
 fn spawn_worker(shared: &Arc<Shared>, slot: &Arc<WorkerSlot>, index: usize) -> JoinHandle<()> {
     let shared = Arc::clone(shared);
     let slot = Arc::clone(slot);
@@ -1175,74 +1163,31 @@ fn spawn_worker(shared: &Arc<Shared>, slot: &Arc<WorkerSlot>, index: usize) -> J
         .expect("spawn serve worker")
 }
 
-/// The supervisor: reaps and respawns crashed workers (capped exponential
-/// backoff), fails hung batches past [`EngineConfig::batch_timeout`],
-/// samples the drain rate, and drives the brownout ladder. Exits — after
-/// joining every worker — once shutdown is signalled and the workers have
-/// drained the queue.
+/// The supervisor: fails hung batches past [`EngineConfig::batch_timeout`],
+/// samples the drain rate, and drives the brownout ladder. Exits once
+/// shutdown is signalled and the workers have drained the queue.
 fn supervisor_loop(
-    shared: &Arc<Shared>,
-    mut workers: Vec<WorkerState>,
+    shared: &Shared,
+    slots: &[Arc<WorkerSlot>],
     mut controller: Option<BrownoutController>,
 ) {
     let mut drain_samples: VecDeque<(Instant, u64)> = VecDeque::with_capacity(DRAIN_SAMPLES);
     loop {
-        let draining = shared.shutdown.load(Ordering::SeqCst);
+        // Nothing queued and nothing in flight (the gauge is raised under
+        // the queue lock): no session can start or is left to watch.
+        let drained = shared.shutdown.load(Ordering::SeqCst) && {
+            let q = shared.queue();
+            q.is_empty() && shared.counters.in_flight_batches.load(Ordering::Relaxed) == 0
+        };
 
-        // (1) Reap crashed workers; respawn with capped exponential
-        // backoff (immediately during drain — queued requests still need
-        // a worker).
-        for w in workers.iter_mut() {
-            if w.handle.as_ref().is_some_and(|h| h.is_finished()) {
-                let crashed = w.handle.take().unwrap().join().is_err();
-                if crashed {
-                    // The crash may have orphaned a registered batch and
-                    // its in-flight gauge increment.
-                    if shared.fail_inflight(
-                        &w.slot,
-                        Failure::Error("worker crashed mid-batch; failed by supervisor".into()),
-                    ) {
-                        shared
-                            .counters
-                            .in_flight_batches
-                            .fetch_sub(1, Ordering::Relaxed);
-                    }
-                    w.crashes = if w.spawned.elapsed() >= RESTART_RESET_UPTIME {
-                        1
-                    } else {
-                        w.crashes + 1
-                    };
-                    let exp = w.crashes.saturating_sub(1).min(16);
-                    let backoff = shared
-                        .restart_backoff
-                        .saturating_mul(1u32 << exp)
-                        .min(shared.restart_backoff_cap);
-                    w.respawn_at = Some(Instant::now() + backoff);
-                }
-            }
-            if w.handle.is_none() && w.respawn_at.is_some() {
-                let due = w.respawn_at.is_some_and(|at| Instant::now() >= at);
-                if due || draining {
-                    w.respawn_at = None;
-                    w.spawned = Instant::now();
-                    w.handle = Some(spawn_worker(shared, &w.slot, w.index));
-                    shared
-                        .counters
-                        .worker_restarts
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-
-        // (2) Watchdog: fail batches computing past the budget. Only the
+        // (1) Watchdog: fail batches computing past the budget. Only the
         // affected requests get errors (typed, 503 at the HTTP layer);
         // the queue and the other workers keep flowing. The worker is
         // *not* killed — if it was merely slow it will find its claim
         // slot empty and skip delivery.
         if let Some(timeout) = shared.batch_timeout {
-            for w in &workers {
-                let hung = w
-                    .slot
+            for slot in slots {
+                let hung = slot
                     .inflight
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
@@ -1250,7 +1195,7 @@ fn supervisor_loop(
                     .is_some_and(|f| f.started.elapsed() >= timeout);
                 if hung
                     && shared.fail_inflight(
-                        &w.slot,
+                        slot,
                         Failure::Hung(format!(
                             "watchdog: batch exceeded {} ms compute budget",
                             timeout.as_millis()
@@ -1265,7 +1210,7 @@ fn supervisor_loop(
             }
         }
 
-        // (3) Drain rate: completions/sec over the sample window.
+        // (2) Drain rate: completions/sec over the sample window.
         let completed = shared.counters.completed.load(Ordering::Relaxed);
         drain_samples.push_back((Instant::now(), completed));
         while drain_samples.len() > DRAIN_SAMPLES {
@@ -1279,7 +1224,7 @@ fn supervisor_loop(
                 .store(rate.to_bits(), Ordering::Relaxed);
         }
 
-        // (4) Brownout: p99 over the queue-wait ring, then one controller
+        // (3) Brownout: p99 over the queue-wait ring, then one controller
         // tick; a manual override preempts the controller.
         let p99 = {
             let ring = shared
@@ -1295,37 +1240,30 @@ fn supervisor_loop(
         let level = if overridden != AUTO_LEVEL {
             overridden
         } else if let Some(ctl) = controller.as_mut() {
-            let depth = shared.queue.lock().unwrap().len();
+            let depth = shared.queue().len();
             ctl.observe(depth, p99)
         } else {
             0
         };
         shared.apply_level(level);
 
-        // (5) Exit once shutdown is signalled and every worker has
-        // drained and exited (a dead-and-unrespawned worker is respawned
-        // above during drain, so `handle: None` here means clean exit).
-        if draining
-            && workers
-                .iter()
-                .all(|w| w.handle.is_none() && w.respawn_at.is_none())
-        {
+        if drained {
             break;
         }
-        std::thread::sleep(shared.supervise_every);
+        std::thread::park_timeout(SUPERVISE_EVERY);
     }
 }
 
 /// Pop one micro-batch (blocking) or `None` on shutdown with an empty
 /// queue. Every member leaves stamped with the flush instant
 /// ([`Reply::taken`]) — the boundary between its queue wait and the
-/// batch's compute.
-fn take_batch(shared: &Shared) -> Option<Vec<Pending>> {
+/// batch's compute. The batch comes with its share of the in-flight gauge.
+fn take_batch(shared: &Shared) -> Option<(Vec<Pending>, Flight<'_>)> {
     // Fault point *before* the queue lock: an injected panic here loses
-    // no requests (the queue is untouched) and must not poison the
-    // mutex; a delay models slow batch assembly.
+    // no requests (the queue is untouched); a delay models slow batch
+    // assembly.
     rntrajrec_chaos::point_infallible("engine.batch");
-    let mut q = shared.queue.lock().unwrap();
+    let mut q = shared.queue();
     let cause = loop {
         let max_batch = shared.max_batch.load(Ordering::Relaxed);
         let max_delay = Duration::from_nanos(shared.max_delay_ns.load(Ordering::Relaxed));
@@ -1344,31 +1282,27 @@ fn take_batch(shared: &Shared) -> Option<Vec<Pending>> {
                 // decode for them to be admitted into — holding the batch
                 // open would only add `max_delay` to a lone request. The
                 // gauge is raised below under this same lock, so two idle
-                // workers cannot both see zero for one burst. A leaked
-                // count (crashed worker) degrades to the deadline rule.
+                // workers cannot both see zero for one burst.
                 if shared.counters.in_flight_batches.load(Ordering::Relaxed) == 0 {
                     break &shared.counters.flushed_idle;
                 }
-                let (guard, _) = shared.cond.wait_timeout(q, max_delay - age).unwrap();
-                q = guard;
+                q = (shared.cond.wait_timeout(q, max_delay - age))
+                    .unwrap_or_else(|e| e.into_inner())
+                    .0;
             }
             None => {
                 if draining {
                     return None;
                 }
-                q = shared.cond.wait(q).unwrap();
+                q = shared.cond.wait(q).unwrap_or_else(|e| e.into_inner());
             }
         }
     };
     let max_batch = shared.max_batch.load(Ordering::Relaxed);
     let take = q.len().min(max_batch);
     let mut batch: Vec<Pending> = q.drain(..take).collect();
-    // The session is in flight from the moment its batch leaves the
-    // queue; `Session::close` lowers the gauge when compute ends.
-    shared
-        .counters
-        .in_flight_batches
-        .fetch_add(1, Ordering::Relaxed);
+    // The session is in flight from the moment its batch leaves the queue.
+    let flight = Flight::raise(&shared.counters.in_flight_batches);
     let leftovers = !q.is_empty();
     drop(q);
     if leftovers {
@@ -1406,13 +1340,53 @@ fn take_batch(shared: &Shared) -> Option<Vec<Pending>> {
             rntrajrec_obs::record("batch.assemble", &members, oldest_ns, taken_ns);
         }
     }
-    Some(batch)
+    Some((batch, flight))
 }
 
+/// A session's share of the in-flight gauge: raised when its batch leaves
+/// the queue, lowered exactly once when dropped — at close, before any
+/// member is answered, or while a panic unwinds out of the session.
+struct Flight<'e>(&'e AtomicUsize);
+
+impl<'e> Flight<'e> {
+    fn raise(gauge: &'e AtomicUsize) -> Self {
+        gauge.fetch_add(1, Ordering::Relaxed);
+        Self(gauge)
+    }
+}
+
+impl Drop for Flight<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Serve batches until shutdown has drained the queue. A panic that
+/// escapes a session is caught here: the session's members are answered
+/// through the claim slot and the worker takes the next batch.
 fn worker_loop(shared: &Shared, slot: &WorkerSlot) {
-    while let Some(batch) = take_batch(shared) {
-        if let Some(session) = Session::open(shared, slot, batch) {
-            session.run();
+    loop {
+        let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let (batch, flight) = take_batch(shared)?;
+            if let Some(session) = Session::open(shared, slot, batch, flight) {
+                session.run();
+            }
+            Some(())
+        }));
+        match served {
+            Ok(Some(())) => {}
+            Ok(None) => return,
+            Err(payload) => {
+                shared
+                    .counters
+                    .worker_restarts
+                    .fetch_add(1, Ordering::Relaxed);
+                let msg = panic_message(payload);
+                shared.fail_inflight(
+                    slot,
+                    Failure::Error(format!("worker crashed mid-batch: {msg}")),
+                );
+            }
         }
     }
 }
@@ -1435,6 +1409,8 @@ struct Session<'e> {
     model: Arc<ServingModel>,
     /// Brownout level ≥ 1 at open: decode with the int8 head.
     degraded_head: bool,
+    /// This session's share of the in-flight gauge.
+    flight: Flight<'e>,
     /// The flushed batch, then everyone admitted since — the
     /// [`DecodeState`]'s member order. Inputs stay here, owned, for the
     /// solo re-runs.
@@ -1447,39 +1423,42 @@ impl<'e> Session<'e> {
     /// Register `batch` in the worker's claim slot and pass the
     /// `engine.worker` chaos point. `None` when the point injected an
     /// error (the batch has been answered with it).
-    fn open(shared: &'e Shared, slot: &'e WorkerSlot, batch: Vec<Pending>) -> Option<Self> {
+    fn open(
+        shared: &'e Shared,
+        slot: &'e WorkerSlot,
+        batch: Vec<Pending>,
+        flight: Flight<'e>,
+    ) -> Option<Self> {
         let size = batch.len();
         meters().batch_size.observe(size as f64);
         meters()
             .batch_occupancy
             .observe(size as f64 / shared.base_max_batch as f64);
-        // Register *before* any fallible work: from here on, if this
-        // thread dies or stalls, the supervisor can answer exactly these
-        // members on its behalf. Admitted members join the registration.
+        // Register *before* any fallible work: from here on, if a panic
+        // escapes the session or it stalls, the worker's loop or the
+        // watchdog can answer exactly these members. Admitted members join
+        // the registration.
         *slot.inflight.lock().unwrap_or_else(|e| e.into_inner()) = Some(InFlight {
             started: Instant::now(),
             batch_size: size,
             members: batch.iter().map(|m| m.reply.clone()).collect(),
         });
         // The `engine.worker` fault point sits *outside* the session's
-        // panic isolation on purpose: an injected panic kills this worker
-        // thread — the supervision path under test. An injected delay
+        // panic isolation on purpose: an injected panic unwinds to the
+        // worker's loop — the healing path under test. An injected delay
         // stalls the registered batch — the watchdog path. An injected
         // error fails the batch with typed errors.
         if let Err(fault) = rntrajrec_chaos::point("engine.worker") {
-            if shared.fail_inflight(slot, Failure::Error(fault.to_string())) {
-                shared
-                    .counters
-                    .in_flight_batches
-                    .fetch_sub(1, Ordering::Relaxed);
-            }
+            drop(flight);
+            shared.fail_inflight(slot, Failure::Error(fault.to_string()));
             return None;
         }
         Some(Self {
             shared,
             slot,
             model: shared.model.current(),
-            degraded_head: shared.level() >= 1,
+            degraded_head: shared.degraded_head(),
+            flight,
             members: batch,
             admissions: 0,
         })
@@ -1524,7 +1503,7 @@ impl<'e> Session<'e> {
     /// message; members admitted before it stay in `self.members`.
     fn decode(&mut self, alone: Option<usize>) -> Result<Vec<Outcome>, String> {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.decode_loop(alone)))
-            .map_err(|payload| panic_message(&payload))
+            .map_err(panic_message)
     }
 
     /// The decode loop, owned here: encode → admit → { take newcomers,
@@ -1643,7 +1622,7 @@ impl<'e> Session<'e> {
             return;
         };
         let newcomers: Vec<Pending> = {
-            let mut q = shared.queue.lock().unwrap();
+            let mut q = shared.queue();
             let take = q.len().min(room);
             q.drain(..take).collect()
         };
@@ -1683,7 +1662,7 @@ impl<'e> Session<'e> {
 
     /// Hand one decoded step to its member: time-to-first-step on step 0,
     /// then the streaming sink, if it has one. The sink is bounded: a
-    /// consumer `stream_queue` undelivered steps behind is degraded to
+    /// consumer [`STREAM_QUEUE`] undelivered steps behind is degraded to
     /// summary-only — its sink is closed here (ending its step stream; the
     /// terminal result still arrives) rather than letting one slow reader
     /// block the whole fused batch or buffer without bound.
@@ -1725,10 +1704,7 @@ impl<'e> Session<'e> {
         let done = Instant::now();
         // Lower the gauge before delivering: a client unblocked by a
         // delivery must see it already back at zero.
-        self.shared
-            .counters
-            .in_flight_batches
-            .fetch_sub(1, Ordering::Relaxed);
+        drop(self.flight);
         // If the watchdog answered the session while it was computing,
         // delivery (and its counters) already happened — drop the results.
         if self

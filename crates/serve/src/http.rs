@@ -61,8 +61,8 @@
 //! quickly rather than queueing without bound or dropping silently:
 //!
 //! 1. **Connection backlog** — accepted connections the workers have not
-//!    picked up yet are bounded ([`HttpConfig::connection_backlog`]);
-//!    beyond it the acceptor answers `503` + `Retry-After` and closes.
+//!    picked up yet are bounded (64); beyond that the acceptor answers
+//!    `503` + `Retry-After` and closes.
 //! 2. **Engine queue** — [`RecoveryEngine::submit`] against the
 //!    engine's bounded queue ([`EngineConfig::queue_capacity`]); an
 //!    [`EngineError::Overloaded`] maps to `429` + `Retry-After`.
@@ -115,9 +115,6 @@ pub struct HttpConfig {
     /// engine's `max_batch` if concurrent HTTP clients should be able to
     /// fill a whole micro-batch.
     pub connection_workers: usize,
-    /// Accepted-but-unhandled connections the acceptor may hold before
-    /// shedding with `503`.
-    pub connection_backlog: usize,
     /// Per-request completion budget; an engine result missing it maps to
     /// `503` + `Retry-After`.
     pub deadline: Duration,
@@ -129,9 +126,6 @@ pub struct HttpConfig {
     /// it within this budget gets `408` and is closed — a slow or stalled
     /// client must not pin a connection worker (the pool is small).
     pub request_read_timeout: Duration,
-    /// A persistent connection idle (no request in progress) this long is
-    /// closed; workers return to the pool.
-    pub idle_timeout: Duration,
 }
 
 impl Default for HttpConfig {
@@ -139,15 +133,20 @@ impl Default for HttpConfig {
         Self {
             addr: "127.0.0.1:8080".to_string(),
             connection_workers: 4,
-            connection_backlog: 64,
             deadline: Duration::from_secs(5),
             max_body_bytes: 1 << 20,
             retry_after_secs: 1,
             request_read_timeout: Duration::from_secs(10),
-            idle_timeout: Duration::from_secs(30),
         }
     }
 }
+
+/// Accepted-but-unhandled connections the acceptor may hold before
+/// shedding with `503`.
+const CONNECTION_BACKLOG: usize = 64;
+/// A persistent connection idle (no request in progress) this long is
+/// closed; its worker returns to the pool.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 /// Header-section cap (request line + headers).
 const MAX_HEADER_BYTES: usize = 8 * 1024;
 /// Socket read poll interval: bounds shutdown/idle/stall responsiveness.
@@ -239,7 +238,6 @@ struct ServerState {
     max_body_bytes: usize,
     retry_after_secs: u64,
     request_read_timeout: Duration,
-    idle_timeout: Duration,
     counters: HttpCounters,
     shutdown: AtomicBool,
     /// Server start, backing `rntrajrec_uptime_seconds`.
@@ -299,13 +297,12 @@ impl HttpServer {
             max_body_bytes: config.max_body_bytes,
             retry_after_secs: config.retry_after_secs,
             request_read_timeout: config.request_read_timeout,
-            idle_timeout: config.idle_timeout,
             counters: HttpCounters::default(),
             shutdown: AtomicBool::new(false),
             started: Instant::now(),
         });
 
-        let (conn_tx, conn_rx) = mpsc::sync_channel::<TcpStream>(config.connection_backlog.max(1));
+        let (conn_tx, conn_rx) = mpsc::sync_channel::<TcpStream>(CONNECTION_BACKLOG);
         let conn_rx = Arc::new(Mutex::new(conn_rx));
 
         let acceptor = {
@@ -527,9 +524,7 @@ fn handle_connection(mut stream: TcpStream, state: &ServerState) {
                 // Drain closes idle persistent connections immediately;
                 // otherwise they are bounded by the idle budget so they
                 // cannot hold a pool slot forever.
-                if state.shutdown.load(Ordering::SeqCst)
-                    || idle_since.elapsed() >= state.idle_timeout
-                {
+                if state.shutdown.load(Ordering::SeqCst) || idle_since.elapsed() >= IDLE_TIMEOUT {
                     break;
                 }
             }
@@ -610,7 +605,7 @@ fn read_request(stream: &mut TcpStream, buf: &mut Vec<u8>, state: &ServerState) 
         return ReadOutcome::Malformed("unsupported HTTP version");
     }
 
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
     let mut keep_alive = version == "HTTP/1.1"; // 1.1 default; 1.0 must opt in
     let mut expect_continue = false;
     for line in lines {
@@ -619,9 +614,16 @@ fn read_request(stream: &mut TcpStream, buf: &mut Vec<u8>, state: &ServerState) 
         };
         let value = value.trim();
         match name.to_ascii_lowercase().as_str() {
+            // RFC 9112 §6.3: `1*DIGIT` (`usize::from_str` would also take a
+            // sign), and repeats must agree.
             "content-length" => match value.parse::<usize>() {
-                Ok(n) => content_length = n,
-                Err(_) => return ReadOutcome::Malformed("invalid Content-Length"),
+                Ok(n)
+                    if value.bytes().all(|b| b.is_ascii_digit())
+                        && content_length.is_none_or(|prev| prev == n) =>
+                {
+                    content_length = Some(n)
+                }
+                _ => return ReadOutcome::Malformed("invalid Content-Length"),
             },
             "connection" => {
                 let v = value.to_ascii_lowercase();
@@ -636,6 +638,7 @@ fn read_request(stream: &mut TcpStream, buf: &mut Vec<u8>, state: &ServerState) 
             _ => {}
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > state.max_body_bytes {
         return ReadOutcome::BodyTooLarge;
     }
@@ -980,7 +983,7 @@ fn extract_input(shard: &CityShard, request: &RecoverRequest) -> Result<SampleIn
         Ok(Ok(input)) => return Ok(input),
         Ok(Err(e)) => format!("invalid field '{}': {e}", e.field()),
         Err(payload) => {
-            let panic = crate::service::panic_message(&payload);
+            let panic = crate::service::panic_message(payload);
             format!("feature extraction failed: {panic}")
         }
     };
@@ -1432,7 +1435,7 @@ const FAMILIES: &[Family] = &[
     },
     Family {
         name: "rntrajrec_engine_worker_restarts_total",
-        help: "Crashed engine workers respawned by the supervisor.",
+        help: "Panics that escaped an engine session, each caught by its worker, which kept serving.",
         kind: Kind::Counter,
         samples: PerShard(|_, st| st.worker_restarts as f64),
     },

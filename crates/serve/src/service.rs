@@ -60,7 +60,7 @@ impl std::fmt::Display for ServeError {
 impl std::error::Error for ServeError {}
 
 /// Human-readable message from a caught panic payload.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     payload
         .downcast_ref::<&str>()
         .map(|s| s.to_string())
@@ -167,9 +167,11 @@ impl ServingModel {
         SegmentHead::Quantized(&self.quant)
     }
 
-    /// Short name of the default segment head, for logs and `/metrics`.
-    pub fn head_name(&self) -> &'static str {
-        if self.default_int8 {
+    /// Short name of the segment head [`ServingModel::decode_state`]
+    /// decodes with — the default one, or the brownout one when
+    /// `degraded` — for logs and `/metrics`.
+    pub fn head_name(&self, degraded: bool) -> &'static str {
+        if degraded || self.default_int8 {
             "int8"
         } else {
             "sparse"
@@ -207,7 +209,7 @@ impl ServingModel {
     pub fn recover_batch(&self, inputs: &[&SampleInput]) -> Vec<Result<RecoveredPath, String>> {
         let caught = |batch: &[&SampleInput]| {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.recover_closed(batch)))
-                .map_err(|payload| panic_message(&payload))
+                .map_err(panic_message)
         };
         match caught(inputs) {
             Ok(paths) => paths.into_iter().map(Ok).collect(),

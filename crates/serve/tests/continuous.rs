@@ -16,9 +16,12 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rntrajrec::model::{EndToEnd, MethodSpec};
+use rntrajrec::wire::RecoverRequest;
 use rntrajrec_models::{FeatureExtractor, SampleInput};
 use rntrajrec_roadnet::{CityConfig, RTree, SyntheticCity};
-use rntrajrec_serve::{EngineConfig, RecoveryEngine, ServingModel, StepWait, SubmitOptions};
+use rntrajrec_serve::{
+    EngineConfig, QueryContext, RecoveryEngine, ServingModel, StepWait, SubmitOptions,
+};
 
 static SEQUENTIAL: Mutex<()> = Mutex::new(());
 
@@ -389,30 +392,32 @@ fn swap_model_serves_new_weights_for_new_batches() {
 #[test]
 fn slow_stream_consumer_degrades_to_summary_only() {
     let _c = ChaosGuard::unarmed();
-    let (city, inputs) = fixture(1);
-    let engine = RecoveryEngine::start(
-        serving(&city),
-        EngineConfig {
-            // Two buffered steps, then the decode loop closes the sink:
-            // the fixture decodes 9 steps, so an undrained consumer is
-            // guaranteed to lag.
-            stream_queue: 2,
-            ..engine_cfg()
-        },
-    );
+    let (city, _) = fixture(0);
+    // The engine buffers 256 undelivered steps per stream, then closes the
+    // sink: a 300-step recovery guarantees an undrained consumer lags.
+    let s = Simulator::new(&city.net, rntrajrec_synth::SimConfig::default())
+        .sample(&mut StdRng::seed_from_u64(41), 8);
+    let input = QueryContext::new(city.net.clone(), 50.0)
+        .sample_input(&RecoverRequest::from_raw(&s.raw, 300, s.depart_epoch_s))
+        .expect("valid request");
+    let engine = RecoveryEngine::start(serving(&city), engine_cfg());
 
-    let handle = engine
-        .submit(inputs[0].clone(), SubmitOptions::new().stream())
+    let mut handle = engine
+        .submit(input, SubmitOptions::new().stream())
         .expect("accepts");
     // Do not touch the step queue until the decode has fully finished.
-    let r = handle
-        .wait_timeout(Duration::from_secs(60))
-        .expect("completes");
+    let t0 = Instant::now();
+    while handle.poll().is_none() {
+        assert!(t0.elapsed() < Duration::from_secs(60), "never completed");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(handle.steps().count(), 256, "buffered steps, then closed");
+    let r = handle.wait();
     assert!(
         r.error.is_none(),
         "lagging must not fail the request: {:?}",
         r.error
     );
-    assert_eq!(r.path.len(), 9, "terminal result is intact");
+    assert_eq!(r.path.len(), 300, "terminal result is intact");
     assert_eq!(engine.stats().stream_lagged, 1, "lagged stream counted");
 }

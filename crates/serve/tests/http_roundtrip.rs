@@ -437,6 +437,53 @@ fn stalled_request_times_out_with_408_and_frees_the_worker() {
     assert_eq!(RecoverResponse::from_json(&resp.body).unwrap().path(), want);
 }
 
+/// `Content-Length` is `1*DIGIT` (RFC 9112 §6.3): a signed value, or
+/// repeats that disagree, get `400` and the connection closes; identical
+/// repeats are one length.
+#[test]
+fn content_length_must_be_digits_and_repeats_must_agree() {
+    use std::io::{Read, Write};
+    let _g = lock();
+    let h = boot(quick_engine(), ephemeral_http(), 1);
+    let exchange = |head: &str, body: &str| {
+        let mut conn = std::net::TcpStream::connect(h.addr()).expect("connect");
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let request = format!("POST /v1/recover HTTP/1.1\r\n{head}\r\n{body}");
+        conn.write_all(request.as_bytes()).expect("send");
+        // Reads to EOF: every case here ends with the server closing.
+        let mut resp = String::new();
+        conn.read_to_string(&mut resp)
+            .expect("server answers, then closes");
+        resp
+    };
+    for head in [
+        "Content-Length: +5\r\n",
+        "Content-Length: 5\r\nContent-Length: 7\r\n",
+    ] {
+        let resp = exchange(head, "");
+        assert!(resp.starts_with("HTTP/1.1 400"), "{head:?} -> {resp}");
+        assert!(
+            resp.contains("invalid Content-Length"),
+            "{head:?} -> {resp}"
+        );
+    }
+    let req = h.request_for(0);
+    let want = h.in_process(&req);
+    let body = serde_json::to_string(&req).unwrap();
+    let n = body.len();
+    let resp = exchange(
+        &format!("Content-Length: {n}\r\nContent-Length: {n}\r\nConnection: close\r\n"),
+        &body,
+    );
+    assert!(
+        resp.starts_with("HTTP/1.1 200"),
+        "identical repeats: {resp}"
+    );
+    let (_, json) = resp.split_once("\r\n\r\n").expect("head/body split");
+    assert_eq!(RecoverResponse::from_json(json).unwrap().path(), want);
+}
+
 #[test]
 fn healthz_and_metrics_render() {
     let _g = lock();
