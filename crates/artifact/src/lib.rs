@@ -39,6 +39,10 @@ pub const GIT_SHA: &str = env!("RNTRAJREC_GIT_SHA");
 /// the reader to allocate terabytes (far above any real model here).
 const MAX_SECTION_BYTES: usize = 1 << 31;
 
+/// Largest file [`Artifact::read_from`] reads (1 GiB). The largest city
+/// `pack_city` packs here (14 × 14 blocks, d = 64) is about 2.5 MB.
+pub const MAX_ARTIFACT_BYTES: u64 = 1 << 30;
+
 /// Why an artifact could not be read, written, or instantiated.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ArtifactError {
@@ -611,9 +615,33 @@ impl Artifact {
     }
 
     /// Read and parse `path`.
+    ///
+    /// Only a regular file of at most [`MAX_ARTIFACT_BYTES`] is read: the
+    /// path can come from a request body (`POST /admin/reload`), and a
+    /// device such as `/dev/zero` would otherwise allocate without bound
+    /// and a FIFO would block the caller at `open`.
     pub fn read_from(path: &std::path::Path) -> Result<Self, ArtifactError> {
-        let bytes = std::fs::read(path)
-            .map_err(|e| ArtifactError::Io(format!("{}: {e}", path.display())))?;
+        use std::io::Read;
+        let io = |e: String| ArtifactError::Io(format!("{}: {e}", path.display()));
+        let meta = std::fs::metadata(path).map_err(|e| io(e.to_string()))?;
+        if !meta.is_file() {
+            return Err(io("not a regular file".to_string()));
+        }
+        let too_big = || {
+            io(format!(
+                "larger than the {MAX_ARTIFACT_BYTES}-byte artifact cap"
+            ))
+        };
+        if meta.len() > MAX_ARTIFACT_BYTES {
+            return Err(too_big());
+        }
+        let mut bytes = Vec::with_capacity(meta.len() as usize);
+        std::fs::File::open(path)
+            .and_then(|f| f.take(MAX_ARTIFACT_BYTES + 1).read_to_end(&mut bytes))
+            .map_err(|e| io(e.to_string()))?;
+        if bytes.len() as u64 > MAX_ARTIFACT_BYTES {
+            return Err(too_big());
+        }
         Self::from_bytes(&bytes)
     }
 
@@ -902,6 +930,31 @@ mod tests {
             Artifact::from_bytes(&wrong_version),
             Err(ArtifactError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn read_from_refuses_what_is_not_a_regular_file() {
+        let dir = std::env::temp_dir();
+        assert!(
+            matches!(Artifact::read_from(&dir), Err(ArtifactError::Io(_))),
+            "a directory is not an artifact"
+        );
+        let zero = std::path::Path::new("/dev/zero");
+        if zero.exists() {
+            // Refused from its metadata, before a byte is read.
+            let t0 = std::time::Instant::now();
+            assert!(matches!(
+                Artifact::read_from(zero),
+                Err(ArtifactError::Io(_))
+            ));
+            assert!(t0.elapsed() < std::time::Duration::from_secs(1));
+        }
+        let path = dir.join(format!("rntrajrec_read_from_{}.rnta", std::process::id()));
+        let a = tiny_artifact();
+        a.write_to(&path).expect("write");
+        let back = Artifact::read_from(&path);
+        std::fs::remove_file(&path).ok();
+        assert_eq!(back.expect("a regular file reads"), a);
     }
 
     #[test]

@@ -267,7 +267,7 @@ impl ErrorBody {
 }
 
 /// Version 2 of the wire protocol: the same recovery payload plus an
-/// explicit `options` object (deadline, streaming, head selection), and
+/// explicit `options` object (deadline, streaming), and
 /// the chunked-stream event types for `POST /v2/recover/stream`.
 ///
 /// `/v1` is frozen: v1 types above serve it unchanged, byte-for-byte
@@ -278,8 +278,9 @@ pub mod v2 {
     use serde::Serialize;
 
     /// Per-request options (`options` object in a v2 request body). All
-    /// fields optional on the wire; defaults are the v1 semantics.
-    #[derive(Debug, Clone, PartialEq, Serialize)]
+    /// fields optional on the wire; defaults are the v1 semantics. Unknown
+    /// keys are ignored.
+    #[derive(Debug, Clone, Default, PartialEq, Serialize)]
     pub struct RecoverOptions {
         /// Soft deadline for the whole recovery, milliseconds from
         /// receipt. Expiring mid-decode cancels the request out of its
@@ -288,21 +289,6 @@ pub mod v2 {
         pub deadline_ms: Option<u64>,
         /// Stream per-step events (`/v2/recover/stream` implies this).
         pub stream: bool,
-        /// Segment-head preference: `"default"`, `"sparse"`, or
-        /// `"int8"`. Advisory — decode batches are fused, so the server
-        /// picks one head per batch (brownout may force `int8`); unknown
-        /// values are a `400`.
-        pub head: String,
-    }
-
-    impl Default for RecoverOptions {
-        fn default() -> Self {
-            Self {
-                deadline_ms: None,
-                stream: false,
-                head: "default".to_string(),
-            }
-        }
     }
 
     impl RecoverOptions {
@@ -325,18 +311,6 @@ pub mod v2 {
                 opts.stream = s
                     .as_bool()
                     .ok_or_else(|| invalid("options.stream", "expected a boolean"))?;
-            }
-            if let Some(h) = v.get("head") {
-                let head = h
-                    .as_str()
-                    .ok_or_else(|| invalid("options.head", "expected a string"))?;
-                if !matches!(head, "default" | "sparse" | "int8") {
-                    return Err(invalid(
-                        "options.head",
-                        format!("unknown head '{head}' (expected default|sparse|int8)"),
-                    ));
-                }
-                opts.head = head.to_string();
             }
             Ok(opts)
         }
@@ -678,11 +652,10 @@ mod tests {
     #[test]
     fn v2_options_parse_and_roundtrip() {
         let body = r#"{"points": [[0, 0, 0]], "target_len": 3,
-            "options": {"deadline_ms": 250, "stream": true, "head": "int8"}}"#;
+            "options": {"deadline_ms": 250, "stream": true}}"#;
         let req = v2::RecoverRequestV2::from_json(body).expect("valid");
         assert_eq!(req.options.deadline_ms, Some(250));
         assert!(req.options.stream);
-        assert_eq!(req.options.head, "int8");
         let json = serde_json::to_string(&req).expect("serializes");
         assert_eq!(
             v2::RecoverRequestV2::from_json(&json).expect("reparses"),
@@ -704,10 +677,6 @@ mod tests {
             (
                 r#"{"points": [[0,0,0]], "target_len": 1, "options": {"stream": 1}}"#,
                 "stream",
-            ),
-            (
-                r#"{"points": [[0,0,0]], "target_len": 1, "options": {"head": "fp8"}}"#,
-                "head",
             ),
         ] {
             let err = v2::RecoverRequestV2::from_json(body).expect_err(body);

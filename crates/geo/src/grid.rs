@@ -16,7 +16,7 @@ pub struct GridCell {
 }
 
 /// Specification of the uniform grid over the study area.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GridSpec {
     pub min_x: f64,
     pub min_y: f64,

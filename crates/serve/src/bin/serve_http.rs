@@ -1,20 +1,23 @@
 //! `serve_http` — the standalone HTTP serving front-end.
 //!
 //! Boots one or more city shards, starts a micro-batching
-//! [`RecoveryEngine`] per shard plus the HTTP/1.1 server over a
+//! [`RecoveryEngine`](rntrajrec_serve::RecoveryEngine) per shard plus the
+//! HTTP/1.1 server over a
 //! [`ShardRouter`], and serves until `SIGTERM`/`SIGINT`, then drains
 //! gracefully (listener stops accepting, in-flight requests and queued
 //! batches finish) and exits 0.
 //!
-//! Two boot modes:
+//! Every shard boots from a versioned model artifact (see
+//! `rntrajrec-artifact` / the `pack_city` tool) through
+//! [`CityShard::from_artifact`], the loader hot reload shares:
 //!
-//! * default — generate one synthetic city in-process and serve it as
-//!   the single shard `"default"` (the pre-shard behaviour, unchanged);
-//! * `--artifact PATH` (repeatable) — load each versioned model
-//!   artifact (see `rntrajrec-artifact` / the `pack_city` tool) as a
-//!   city shard; requests route by bounding box, and `SIGHUP` rescans
-//!   every artifact path for a zero-downtime reload (as does
-//!   `POST /admin/reload` per shard).
+//! * `--artifact PATH` (repeatable) — each file is one city shard;
+//!   requests route by bounding box, and `SIGHUP` rescans every artifact
+//!   path for a zero-downtime reload (as does `POST /admin/reload` per
+//!   shard);
+//! * no `--artifact` — the default city (4 × 4 blocks, d = 16, seed 7,
+//!   50 m grid) is packed in memory and served as the single shard
+//!   `"default"`, model version `in-process`.
 //!
 //! ```bash
 //! cargo run --release -p rntrajrec-serve --bin serve_http -- --addr 127.0.0.1:8080
@@ -34,17 +37,17 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use rntrajrec::model::{EndToEnd, MethodSpec};
-use rntrajrec::wire::RecoverRequest;
-use rntrajrec_artifact::Artifact;
-use rntrajrec_roadnet::{CityConfig, RoadNetwork, SyntheticCity};
+use rntrajrec_artifact::{pack_fresh, Artifact};
+use rntrajrec_roadnet::CityConfig;
 use rntrajrec_serve::{
-    quant_head_env, BrownoutConfig, CityShard, EngineConfig, HttpConfig, HttpServer, QueryContext,
-    RecoveryEngine, ServingModel, ShardRouter,
+    BrownoutConfig, CityShard, EngineConfig, HttpConfig, HttpServer, ShardRouter,
 };
-use rntrajrec_synth::{SimConfig, Simulator};
+
+/// The default city, packed in memory when no `--artifact` is given:
+/// blocks per side, model hidden size and weight seed.
+const DEFAULT_BLOCKS: usize = 4;
+const DEFAULT_DIM: usize = 16;
+const DEFAULT_SEED: u64 = 7;
 
 /// Set by the signal handler; polled by the main loop.
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
@@ -87,17 +90,12 @@ struct Args {
     max_delay_ms: u64,
     workers: usize,
     conn_workers: usize,
-    max_body_bytes: usize,
-    retry_after_secs: u64,
-    city_blocks: usize,
-    dim: usize,
-    seed: u64,
     trace: bool,
     trace_out: Option<String>,
     batch_timeout_ms: Option<u64>,
     brownout: bool,
-    /// City shards to load from packed artifacts; empty = one in-process
-    /// synthetic city.
+    /// City shards to load from packed artifacts; empty = the default
+    /// city packed in memory.
     artifacts: Vec<String>,
 }
 
@@ -111,11 +109,6 @@ impl Default for Args {
             max_delay_ms: 2,
             workers: 2,
             conn_workers: 4,
-            max_body_bytes: 1 << 20,
-            retry_after_secs: 1,
-            city_blocks: 4,
-            dim: 16,
-            seed: 7,
             trace: true,
             trace_out: None,
             batch_timeout_ms: Some(30_000),
@@ -139,15 +132,9 @@ OPTIONS:
                             open (default 2); an idle engine flushes at once
     --workers N             engine worker threads (default 2)
     --conn-workers N        HTTP connection-handler threads (default 4)
-    --max-body-bytes N      request body cap -> 413 (default 1 MiB)
-    --retry-after-secs N    Retry-After fallback on 429/503 while the engine has no
-                            drain-rate estimate (default 1); otherwise the header
-                            is ceil(queue_depth / drain_rate), clamped to [1, 60]
     --artifact PATH         load a packed city artifact as a shard (repeatable;
-                            requests route by bounding box, SIGHUP reloads all)
-    --city-blocks N         synthetic city size when no --artifact given (default 4)
-    --dim N                 model hidden size (default 16)
-    --seed N                weight/simulator seed (default 7)
+                            requests route by bounding box, SIGHUP reloads all;
+                            none = the default 4x4-block city packed in memory)
     --no-trace              disable request-lifecycle span recording (on by default)
     --trace-out PATH        dump a Chrome trace-event JSON of recorded spans on exit
     --batch-timeout-ms N|none  watchdog budget per batch -> affected members 503
@@ -214,12 +201,7 @@ fn parse_args() -> Result<Args, String> {
             "--max-delay-ms" => args.max_delay_ms = parse_u64(&value)?,
             "--workers" => args.workers = parse_usize(&value)?.max(1),
             "--conn-workers" => args.conn_workers = parse_usize(&value)?.max(1),
-            "--max-body-bytes" => args.max_body_bytes = parse_usize(&value)?,
-            "--retry-after-secs" => args.retry_after_secs = parse_u64(&value)?,
             "--artifact" => args.artifacts.push(value),
-            "--city-blocks" => args.city_blocks = parse_usize(&value)?.max(2),
-            "--dim" => args.dim = parse_usize(&value)?.max(4),
-            "--seed" => args.seed = parse_u64(&value)?,
             "--trace-out" => args.trace_out = Some(value),
             "--batch-timeout-ms" => {
                 args.batch_timeout_ms = if value == "none" {
@@ -270,103 +252,49 @@ fn main() -> ExitCode {
         brownout: args.brownout.then_some(BrownoutConfig),
     };
 
-    // A valid example request body per shard, served at GET /v1/example
-    // so smoke tests can POST a real trajectory without hand-built
-    // fixtures.
-    let make_example = |net: &RoadNetwork, seed: u64| {
-        let mut sim = Simulator::new(net, SimConfig::default());
-        let mut rng = StdRng::seed_from_u64(seed);
-        let s = sim.sample(&mut rng, 8);
-        let req = RecoverRequest::from_raw(&s.raw, s.target.len(), s.depart_epoch_s);
-        serde_json::to_string(&req).expect("example serializes")
+    let booted = if args.artifacts.is_empty() {
+        eprintln!(
+            "packing the default city ({DEFAULT_BLOCKS}x{DEFAULT_BLOCKS} blocks) + RNTrajRec(d={DEFAULT_DIM}, seed={DEFAULT_SEED}) in memory..."
+        );
+        let city = CityConfig {
+            blocks_x: DEFAULT_BLOCKS,
+            blocks_y: DEFAULT_BLOCKS,
+            ..CityConfig::tiny()
+        };
+        let artifact = pack_fresh(
+            "default",
+            "in-process",
+            &city,
+            50.0,
+            DEFAULT_DIM,
+            DEFAULT_SEED,
+        );
+        open_shard(&artifact, None, &engine_config).map(|shard| vec![shard])
+    } else {
+        args.artifacts
+            .iter()
+            .map(|path| {
+                let artifact = Artifact::read_from(Path::new(path))
+                    .map_err(|e| format!("cannot load artifact {path}: {e}"))?;
+                open_shard(&artifact, Some(path), &engine_config)
+            })
+            .collect()
+    };
+    let shards = match booted {
+        Ok(shards) => shards,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(2);
+        }
     };
 
-    let mut shards: Vec<CityShard> = Vec::new();
-    if args.artifacts.is_empty() {
-        // Pre-shard boot: one in-process synthetic city named "default".
-        eprintln!(
-            "building synthetic city ({0}x{0} blocks) + RNTrajRec(d={1}, seed={2})...",
-            args.city_blocks, args.dim, args.seed
-        );
-        let city = SyntheticCity::generate(CityConfig {
-            blocks_x: args.city_blocks,
-            blocks_y: args.city_blocks,
-            ..CityConfig::tiny()
-        });
-        let grid = city.net.grid(50.0);
-        let model = EndToEnd::build(
-            &MethodSpec::RnTrajRec,
-            &city.net,
-            &grid,
-            args.dim,
-            args.seed,
-        );
-        let serving = match ServingModel::new(model) {
-            Ok(s) => Arc::new(s),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let example = make_example(&city.net, args.seed);
-        let ctx = Arc::new(QueryContext::new(city.net, 50.0));
-        let engine = Arc::new(RecoveryEngine::start(serving, engine_config.clone()));
-        shards.push(CityShard::new("default", engine, ctx, Some(example)));
-    } else {
-        for path in &args.artifacts {
-            let artifact = match Artifact::read_from(Path::new(path)) {
-                Ok(a) => a,
-                Err(e) => {
-                    eprintln!("error: cannot load artifact {path}: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            let loaded = match artifact.instantiate() {
-                Ok(l) => l,
-                Err(e) => {
-                    eprintln!("error: cannot instantiate artifact {path}: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            eprintln!(
-                "loaded shard '{}' from {path}: model_version={} git_sha={} ({} segments)",
-                artifact.meta.city,
-                artifact.meta.model_version,
-                artifact.meta.git_sha,
-                loaded.city.net.num_segments(),
-            );
-            let serving = match ServingModel::from_parts(
-                loaded.model,
-                loaded.x_road,
-                loaded.quant,
-                quant_head_env(),
-            ) {
-                Ok(s) => Arc::new(s),
-                Err(e) => {
-                    eprintln!("error: artifact {path} cannot serve: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            let example = make_example(&loaded.city.net, args.seed);
-            let ctx = Arc::new(QueryContext::new(loaded.city.net, artifact.meta.cell_m));
-            let engine = Arc::new(RecoveryEngine::start(serving, engine_config.clone()));
-            let shard = CityShard::new(artifact.meta.city.clone(), engine, ctx, Some(example));
-            shard.set_artifact_provenance(
-                artifact.meta.model_version.clone(),
-                artifact.meta.git_sha.clone(),
-                Some(PathBuf::from(path)),
-            );
-            shards.push(shard);
-        }
-    }
+    let router = Arc::new(ShardRouter::new(shards));
     println!(
         "kernels: backend={} (NN_BACKEND={}) segment_head={}",
         rntrajrec_nn::kernels::backend::active_name(),
         std::env::var("NN_BACKEND").unwrap_or_else(|_| "auto".to_string()),
-        if quant_head_env() { "int8" } else { "sparse" },
+        router.shards()[0].engine().stats().segment_head,
     );
-
-    let router = Arc::new(ShardRouter::new(shards));
     for shard in router.shards() {
         let b = shard.bbox();
         println!(
@@ -386,8 +314,6 @@ fn main() -> ExitCode {
             addr: args.addr.clone(),
             connection_workers: args.conn_workers,
             deadline: Duration::from_millis(args.deadline_ms),
-            max_body_bytes: args.max_body_bytes,
-            retry_after_secs: args.retry_after_secs,
             ..HttpConfig::default()
         },
     ) {
@@ -400,10 +326,9 @@ fn main() -> ExitCode {
 
     println!("listening on http://{}", server.local_addr());
     println!(
-        "admission: queue_capacity={:?} deadline={}ms max_body={}B; engine: max_batch={} max_delay={}ms workers={}",
+        "admission: queue_capacity={:?} deadline={}ms; engine: max_batch={} max_delay={}ms workers={}",
         args.queue_capacity,
         args.deadline_ms,
-        args.max_body_bytes,
         args.max_batch,
         args.max_delay_ms,
         args.workers,
@@ -486,4 +411,25 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+/// Open one shard through the artifact loader and log where it came from
+/// (`path: None` — packed in memory).
+fn open_shard(
+    artifact: &Artifact,
+    path: Option<&str>,
+    config: &EngineConfig,
+) -> Result<CityShard, String> {
+    let source = path.unwrap_or("memory");
+    let shard = CityShard::from_artifact(artifact, path.map(PathBuf::from), config.clone())
+        .map_err(|e| format!("artifact {source} cannot serve: {e}"))?;
+    let info = shard.info();
+    eprintln!(
+        "loaded shard '{}' from {source}: model_version={} git_sha={} ({} segments)",
+        shard.name(),
+        info.model_version,
+        info.git_sha,
+        shard.ctx().net().num_segments(),
+    );
+    Ok(shard)
 }

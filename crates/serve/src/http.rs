@@ -118,10 +118,6 @@ pub struct HttpConfig {
     /// Per-request completion budget; an engine result missing it maps to
     /// `503` + `Retry-After`.
     pub deadline: Duration,
-    /// Request bodies larger than this are refused with `413`.
-    pub max_body_bytes: usize,
-    /// `Retry-After` header value (seconds) on `429`/`503` responses.
-    pub retry_after_secs: u64,
     /// A connection that has started a request but not delivered all of
     /// it within this budget gets `408` and is closed — a slow or stalled
     /// client must not pin a connection worker (the pool is small).
@@ -134,8 +130,6 @@ impl Default for HttpConfig {
             addr: "127.0.0.1:8080".to_string(),
             connection_workers: 4,
             deadline: Duration::from_secs(5),
-            max_body_bytes: 1 << 20,
-            retry_after_secs: 1,
             request_read_timeout: Duration::from_secs(10),
         }
     }
@@ -149,6 +143,11 @@ const CONNECTION_BACKLOG: usize = 64;
 const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 /// Header-section cap (request line + headers).
 const MAX_HEADER_BYTES: usize = 8 * 1024;
+/// Request bodies larger than this (1 MiB) are refused with `413`.
+const MAX_BODY_BYTES: usize = 1 << 20;
+/// `Retry-After` (seconds) on `429`/`503` while the engine has no
+/// drain-rate estimate.
+const RETRY_AFTER_FALLBACK_SECS: u64 = 1;
 /// Socket read poll interval: bounds shutdown/idle/stall responsiveness.
 const READ_TIMEOUT: Duration = Duration::from_millis(250);
 /// Budget for [`HttpServer::drain`]'s wake connection to the acceptor.
@@ -198,12 +197,12 @@ impl HttpCounters {
 ///
 /// `ceil(queue_depth / drain_rate)`, clamped to `[1, 60]` seconds. When
 /// the engine has no drain-rate estimate yet (no completions in the
-/// sample window, rate ≤ 0, or not finite), falls back to the
-/// configured static value — a cold server should not tell clients to
-/// wait a minute. Pinned by the `retry_after` unit tests.
-fn adaptive_retry_after(queue_depth: usize, drain_rate_per_sec: f64, fallback_secs: u64) -> u64 {
+/// sample window, rate ≤ 0, or not finite), falls back to
+/// [`RETRY_AFTER_FALLBACK_SECS`] — a cold server should not tell clients
+/// to wait a minute. Pinned by the `retry_after` unit tests.
+fn adaptive_retry_after(queue_depth: usize, drain_rate_per_sec: f64) -> u64 {
     if !drain_rate_per_sec.is_finite() || drain_rate_per_sec <= 0.0 {
-        return fallback_secs.clamp(1, 60);
+        return RETRY_AFTER_FALLBACK_SECS;
     }
     let secs = (queue_depth as f64 / drain_rate_per_sec).ceil();
     (secs as u64).clamp(1, 60)
@@ -211,11 +210,10 @@ fn adaptive_retry_after(queue_depth: usize, drain_rate_per_sec: f64, fallback_se
 
 /// Per-shard `Retry-After`: the hint reflects the queue the retrying
 /// client would actually land in.
-fn retry_after_for(state: &ServerState, shard: &CityShard) -> u64 {
+fn retry_after_for(shard: &CityShard) -> u64 {
     adaptive_retry_after(
         shard.engine().queue_depth(),
         shard.engine().drain_rate_per_sec(),
-        state.retry_after_secs,
     )
 }
 
@@ -227,16 +225,14 @@ fn retry_after_value(state: &ServerState) -> u64 {
         .router
         .shards()
         .iter()
-        .map(|s| retry_after_for(state, s))
+        .map(retry_after_for)
         .max()
-        .unwrap_or(state.retry_after_secs.clamp(1, 60))
+        .unwrap_or(RETRY_AFTER_FALLBACK_SECS)
 }
 
 struct ServerState {
     router: Arc<ShardRouter>,
     deadline: Duration,
-    max_body_bytes: usize,
-    retry_after_secs: u64,
     request_read_timeout: Duration,
     counters: HttpCounters,
     shutdown: AtomicBool,
@@ -294,8 +290,6 @@ impl HttpServer {
         let state = Arc::new(ServerState {
             router,
             deadline: config.deadline,
-            max_body_bytes: config.max_body_bytes,
-            retry_after_secs: config.retry_after_secs,
             request_read_timeout: config.request_read_timeout,
             counters: HttpCounters::default(),
             shutdown: AtomicBool::new(false),
@@ -479,8 +473,7 @@ impl ReadOutcome {
             }
             ReadOutcome::Malformed(reason) => Answer::error(400, *reason),
             ReadOutcome::BodyTooLarge => {
-                let cap = state.max_body_bytes;
-                Answer::error(413, format!("request body exceeds {cap} bytes"))
+                Answer::error(413, format!("request body exceeds {MAX_BODY_BYTES} bytes"))
             }
             ReadOutcome::Unsupported => Answer::error(501, "transfer encodings are not supported"),
             _ => return None,
@@ -639,7 +632,7 @@ fn read_request(stream: &mut TcpStream, buf: &mut Vec<u8>, state: &ServerState) 
         }
     }
     let content_length = content_length.unwrap_or(0);
-    if content_length > state.max_body_bytes {
+    if content_length > MAX_BODY_BYTES {
         return ReadOutcome::BodyTooLarge;
     }
     if expect_continue && content_length > 0 {
@@ -921,9 +914,9 @@ fn route_answer(e: RouteError) -> Answer {
 /// `POST /admin/reload {"city": "...", "path": "..."}` — zero-downtime
 /// hot swap of one shard's model from a versioned artifact on disk.
 ///
-/// Validation happens entirely before the swap (checksum, city,
-/// network identity), so any non-2xx answer means the old model is
-/// still serving untouched. In-flight batches finish on the weights
+/// Validation happens entirely before the swap (regular file, checksum,
+/// city, network and grid identity), so any non-2xx answer means the old
+/// model is still serving untouched. In-flight batches finish on the weights
 /// they started with; requests admitted after the swap decode on the
 /// new ones. The reload is recorded as a `reload` span in the trace
 /// ring so it shows up in `/debug/trace` timelines next to the
@@ -999,7 +992,7 @@ fn submit_to_engine(
     input: SampleInput,
     opts: SubmitOptions,
 ) -> Result<RecoveryHandle, Answer> {
-    let retry_after = retry_after_for(state, shard);
+    let retry_after = retry_after_for(shard);
     shard.engine().submit(input, opts).map_err(|e| {
         let (status, msg) = match e {
             EngineError::Overloaded {
@@ -1094,7 +1087,7 @@ fn wait_and_answer(state: &ServerState, admitted: Admitted<'_>) -> Answer {
         t0,
         budget,
     } = admitted;
-    let retry_after = retry_after_for(state, shard);
+    let retry_after = retry_after_for(shard);
     let remaining = budget.saturating_sub(t0.elapsed());
     // Dropping the late handle here flags the member as abandoned, so the
     // engine cancels it at the next decode step instead of finishing a
@@ -1606,19 +1599,16 @@ mod tests {
     #[test]
     fn retry_after_formula() {
         // 10 queued, draining 4/s → ceil(2.5) = 3 s.
-        assert_eq!(adaptive_retry_after(10, 4.0, 1), 3);
+        assert_eq!(adaptive_retry_after(10, 4.0), 3);
         // Exact division: 8/4 → 2 s.
-        assert_eq!(adaptive_retry_after(8, 4.0, 1), 2);
+        assert_eq!(adaptive_retry_after(8, 4.0), 2);
         // Empty queue → floor of 1 s, never 0 (or the header is noise).
-        assert_eq!(adaptive_retry_after(0, 4.0, 1), 1);
+        assert_eq!(adaptive_retry_after(0, 4.0), 1);
         // Deep queue, slow drain → capped at 60 s.
-        assert_eq!(adaptive_retry_after(1000, 0.5, 1), 60);
-        // No drain estimate (cold server / stalled): use the fallback…
-        assert_eq!(adaptive_retry_after(50, 0.0, 2), 2);
-        assert_eq!(adaptive_retry_after(50, -1.0, 2), 2);
-        assert_eq!(adaptive_retry_after(50, f64::NAN, 2), 2);
-        // …and the fallback is clamped into the same band.
-        assert_eq!(adaptive_retry_after(50, 0.0, 0), 1);
-        assert_eq!(adaptive_retry_after(50, 0.0, 600), 60);
+        assert_eq!(adaptive_retry_after(1000, 0.5), 60);
+        // No drain estimate (cold server / stalled): the 1 s fallback.
+        assert_eq!(adaptive_retry_after(50, 0.0), 1);
+        assert_eq!(adaptive_retry_after(50, -1.0), 1);
+        assert_eq!(adaptive_retry_after(50, f64::NAN), 1);
     }
 }

@@ -95,39 +95,20 @@ pub struct ServingModel {
 }
 
 impl ServingModel {
-    /// Wrap a trained model, honouring the `NN_QUANT_HEAD` env knob.
-    /// Fails fast (rather than at first request) when the encoder cannot
-    /// run without a tape.
+    /// Wrap a trained model, deriving both serving caches from its
+    /// weights and honouring the `NN_QUANT_HEAD` env knob. Fails fast
+    /// (rather than at first request) when the encoder cannot run
+    /// without a tape.
     pub fn new(model: EndToEnd) -> Result<Self, ServeError> {
-        Self::with_quantized_head(model, quant_head_env())
+        Self::from_parts(model, None, None, quant_head_env())
     }
 
-    /// Wrap a trained model with an explicit head choice: `quantized`
-    /// pre-quantizes the decoder's `[d,|V|]` segment-head weights to
-    /// per-channel int8 ([`QuantizedLinear`]), otherwise the f32
-    /// sparse head serves.
-    pub fn with_quantized_head(model: EndToEnd, quantized: bool) -> Result<Self, ServeError> {
-        if !model.supports_infer() {
-            return Err(ServeError::NoInferPath {
-                encoder: model.name.clone(),
-            });
-        }
-        let road = RoadEmbeddingCache::build(&model);
-        let quant = model.decoder.quantized_segment_head(&model.store);
-        Ok(Self {
-            model,
-            road,
-            quant,
-            default_int8: quantized,
-        })
-    }
-
-    /// Wrap a model whose serving caches were **loaded** rather than
-    /// derived — the artifact hot-reload path. A packed `x_road` /
-    /// int8 head is used as-is (the artifact loader has already
-    /// shape-checked both against the model); a missing one falls back
-    /// to deriving from the weights, exactly as
-    /// [`ServingModel::with_quantized_head`] would.
+    /// Wrap a model with its serving caches. A packed `x_road` / int8
+    /// head (an artifact's, which the loader has already shape-checked
+    /// against the model) is used as-is; a missing one is derived from
+    /// the weights. `quantized` serves the int8 head by default,
+    /// otherwise the f32 sparse head serves and the int8 one waits for
+    /// brownout.
     pub fn from_parts(
         model: EndToEnd,
         x_road: Option<Tensor>,

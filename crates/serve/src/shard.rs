@@ -17,21 +17,35 @@
 //!   straddling trajectory is well-formed but unservable, since no
 //!   single road network contains it.
 //!
+//! A shard is stood up from a versioned artifact
+//! ([`CityShard::from_artifact`]): the packed weights, `X_road` and int8
+//! head are wrapped as the served model, and the query context, the
+//! `/v1/example` body and the provenance come from the artifact's city,
+//! grid and metadata. [`CityShard::new`] wraps an engine and context a
+//! caller built itself.
+//!
 //! Each shard's model lives in the engine's `ModelSlot` and can be
-//! replaced at runtime from a versioned artifact
-//! ([`CityShard::reload_from_artifact`]): the artifact is read,
-//! checksummed, instantiated, and validated against the shard's road
-//! network *before* the swap, so a corrupt or mismatched file leaves the
-//! old model serving. In-flight batches finish on the weights they
-//! started with; there is no drain.
+//! replaced at runtime from another artifact
+//! ([`CityShard::reload_from_artifact`]) through the same
+//! instantiate-and-wrap step: the artifact is read, checksummed,
+//! instantiated, and checked against the shard's road network and grid
+//! *before* the swap, so a corrupt or mismatched file leaves the old
+//! model serving. In-flight batches finish on the weights they started
+//! with; there is no drain.
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use rntrajrec::wire::RecoverRequest;
 use rntrajrec_artifact::{Artifact, ArtifactError};
-use rntrajrec_geo::{BBox, XY};
+use rntrajrec_geo::{BBox, GridSpec, XY};
+use rntrajrec_roadnet::RoadNetwork;
+use rntrajrec_synth::{SimConfig, Simulator};
 
-use crate::{QueryContext, RecoveryEngine, ServingModel};
+use crate::service::quant_head_env;
+use crate::{EngineConfig, QueryContext, RecoveryEngine, ServingModel};
 
 /// Why a request could not be routed to a shard (multi-shard routers
 /// only; a single-shard router never routes).
@@ -73,9 +87,10 @@ pub enum ReloadError {
     /// The artifact is valid but packed for a different city than the
     /// shard it was pushed to.
     WrongCity { shard: String, artifact: String },
-    /// The artifact's road network differs from the shard's (segment
-    /// count or bounding box drifted) — its segment indices would be
-    /// meaningless against the shard's query context.
+    /// The artifact's road network or grid differs from the shard's
+    /// (segment count, bounding box or grid cells drifted) — its segment
+    /// indices or grid features would be wrong against the shard's query
+    /// context.
     NetworkMismatch { detail: String },
     /// The instantiated model cannot serve (no tape-free path).
     NotServable(String),
@@ -146,16 +161,19 @@ pub struct ReloadReceipt {
     pub reloads: u64,
 }
 
-/// One city's full serving stack: micro-batching engine (which owns the
-/// hot-swappable model slot and the brownout controller), the query
-/// context over the city's road network, its bounding box for routing,
-/// and the artifact provenance of the live model.
 /// Routing admission margin (m) around each shard's bounding box, equal
 /// to the feature extractor's receptive field δ: a GPS point the shard's
 /// own extractor would accept (border noise included) must route to it
 /// rather than 404.
 pub const ROUTE_MARGIN_M: f64 = 400.0;
 
+/// Simulator seed of every shard's `/v1/example` trip.
+const EXAMPLE_SEED: u64 = 7;
+
+/// One city's full serving stack: micro-batching engine (which owns the
+/// hot-swappable model slot and the brownout controller), the query
+/// context over the city's road network, its bounding box for routing,
+/// and the artifact provenance of the live model.
 pub struct CityShard {
     name: String,
     engine: Arc<RecoveryEngine>,
@@ -177,36 +195,62 @@ impl CityShard {
         ctx: Arc<QueryContext>,
         example: Option<String>,
     ) -> Self {
+        let info = ShardInfo {
+            model_version: "in-process".to_string(),
+            git_sha: crate::http::GIT_SHA.to_string(),
+            artifact_path: None,
+            reloads: 0,
+        };
+        Self::with_info(name.into(), engine, ctx, example, info)
+    }
+
+    /// Stand a shard up from a packed artifact: its weights, `X_road` and
+    /// int8 head become the served model (under `config`), its city and
+    /// grid the query context, and its metadata the shard's name and
+    /// provenance. `path` is the file SIGHUP rescans (`None`: an artifact
+    /// packed in memory). The `/v1/example` body is one simulated trip
+    /// over the city, the same bytes on every boot.
+    pub fn from_artifact(
+        artifact: &Artifact,
+        path: Option<PathBuf>,
+        config: EngineConfig,
+    ) -> Result<Self, ReloadError> {
+        let (serving, net, _) = open(artifact)?;
+        let example = example_body(&net);
+        let ctx = QueryContext::new(net, artifact.meta.cell_m);
+        let engine = RecoveryEngine::start(Arc::new(serving), config);
+        let info = ShardInfo {
+            model_version: artifact.meta.model_version.clone(),
+            git_sha: artifact.meta.git_sha.clone(),
+            artifact_path: path,
+            reloads: 0,
+        };
+        Ok(Self::with_info(
+            artifact.meta.city.clone(),
+            Arc::new(engine),
+            Arc::new(ctx),
+            Some(example),
+            info,
+        ))
+    }
+
+    fn with_info(
+        name: String,
+        engine: Arc<RecoveryEngine>,
+        ctx: Arc<QueryContext>,
+        example: Option<String>,
+        info: ShardInfo,
+    ) -> Self {
         let bbox = ctx.bbox();
         Self {
-            name: name.into(),
+            name,
             engine,
             ctx,
             bbox,
             route_bbox: bbox.inflated(ROUTE_MARGIN_M),
             example,
-            info: Mutex::new(ShardInfo {
-                model_version: "in-process".to_string(),
-                git_sha: crate::http::GIT_SHA.to_string(),
-                artifact_path: None,
-                reloads: 0,
-            }),
+            info: Mutex::new(info),
         }
-    }
-
-    /// Record that the live model came from `artifact` (used when a shard
-    /// is booted from an artifact rather than built in-process, so the
-    /// provenance gauges and SIGHUP rescans are correct from the start).
-    pub fn set_artifact_provenance(
-        &self,
-        model_version: impl Into<String>,
-        git_sha: impl Into<String>,
-        path: Option<PathBuf>,
-    ) {
-        let mut info = self.info.lock().unwrap();
-        info.model_version = model_version.into();
-        info.git_sha = git_sha.into();
-        info.artifact_path = path;
     }
 
     pub fn name(&self) -> &str {
@@ -242,12 +286,13 @@ impl CityShard {
 
     /// Zero-downtime hot reload from a versioned artifact.
     ///
-    /// Read → checksum → instantiate → validate against this shard's
-    /// road network → swap. Every failure path returns **before** the
-    /// swap, so the old model keeps serving; after the swap, future
-    /// batches assemble against the new weights while in-flight batches
-    /// finish on the old ones (the engine reads its model slot once per
-    /// decode session).
+    /// Read → checksum → city name → instantiate and wrap (as
+    /// [`CityShard::from_artifact`] does) → check against this shard's
+    /// road network and grid → swap. Every failure path returns
+    /// **before** the swap, so the old model keeps serving; after the
+    /// swap, future batches assemble against the new weights while
+    /// in-flight batches finish on the old ones (the engine reads its
+    /// model slot once per decode session).
     pub fn reload_from_artifact(&self, path: &Path) -> Result<ReloadReceipt, ReloadError> {
         let artifact = Artifact::read_from(path)?;
         if artifact.meta.city != self.name {
@@ -256,20 +301,20 @@ impl CityShard {
                 artifact: artifact.meta.city.clone(),
             });
         }
-        let loaded = artifact.instantiate()?;
+        let (serving, net, grid) = open(&artifact)?;
         // The shard's query context maps GPS points to segment indices of
-        // *its* network; a reload must describe the same network exactly
-        // or every recovered index would be silently wrong.
+        // *its* network and grid cells of *its* grid; a reload must
+        // describe both exactly or every answer would be silently wrong.
         let segs = self.ctx.net().num_segments();
-        if loaded.city.net.num_segments() != segs {
+        if net.num_segments() != segs {
             return Err(ReloadError::NetworkMismatch {
                 detail: format!(
                     "{} segments in artifact vs {segs} in shard",
-                    loaded.city.net.num_segments()
+                    net.num_segments()
                 ),
             });
         }
-        let lb = loaded.city.net.bbox();
+        let lb = net.bbox();
         if lb != self.bbox {
             return Err(ReloadError::NetworkMismatch {
                 detail: format!(
@@ -285,13 +330,15 @@ impl CityShard {
                 ),
             });
         }
-        let serving = ServingModel::from_parts(
-            loaded.model,
-            loaded.x_road,
-            loaded.quant,
-            crate::service::quant_head_env(),
-        )
-        .map_err(|e| ReloadError::NotServable(e.to_string()))?;
+        let sg = self.ctx.grid();
+        if grid != *sg {
+            return Err(ReloadError::NetworkMismatch {
+                detail: format!(
+                    "{} m grid ({}x{} cells) in artifact vs {} m ({}x{} cells) in shard",
+                    grid.cell_m, grid.cols, grid.rows, sg.cell_m, sg.cols, sg.rows,
+                ),
+            });
+        }
         let _old = self.engine.swap_model(Arc::new(serving));
         let mut info = self.info.lock().unwrap();
         info.model_version = artifact.meta.model_version.clone();
@@ -305,6 +352,26 @@ impl CityShard {
             reloads: info.reloads,
         })
     }
+}
+
+/// The one instantiate-and-wrap step behind boot and reload: the served
+/// model an artifact packs (its `X_road` and int8 head as packed), and
+/// the road network and grid it was built over.
+fn open(artifact: &Artifact) -> Result<(ServingModel, RoadNetwork, GridSpec), ReloadError> {
+    let loaded = artifact.instantiate()?;
+    let serving =
+        ServingModel::from_parts(loaded.model, loaded.x_road, loaded.quant, quant_head_env())
+            .map_err(|e| ReloadError::NotServable(e.to_string()))?;
+    Ok((serving, loaded.city.net, loaded.grid))
+}
+
+/// A valid `/v1/recover` body over `net`, served at `GET /v1/example` so
+/// smoke tests can POST a real trajectory without hand-built fixtures.
+fn example_body(net: &RoadNetwork) -> String {
+    let mut sim = Simulator::new(net, SimConfig::default());
+    let s = sim.sample(&mut StdRng::seed_from_u64(EXAMPLE_SEED), 8);
+    let req = RecoverRequest::from_raw(&s.raw, s.target.len(), s.depart_epoch_s);
+    serde_json::to_string(&req).expect("example serializes")
 }
 
 /// The registry of city shards a server routes across.

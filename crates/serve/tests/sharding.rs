@@ -9,8 +9,8 @@
 //!   the answers each city's in-process engine would give;
 //! - hot reload: `POST /admin/reload` swaps a shard's model with zero
 //!   failed or invalid responses under concurrent load, and every
-//!   rejected reload (corrupt file, wrong city) leaves the old model
-//!   serving.
+//!   rejected reload (corrupt file, wrong city, other grid, a path that
+//!   is not a regular file) leaves the old model serving.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -287,16 +287,10 @@ fn artifact_loaded_shard_is_byte_identical_to_in_process() {
     let artifact = pack_fresh("alpha", "v1", &alpha_config(), 50.0, 16, 7);
     let path = scratch_path("bitwise");
     artifact.write_to(&path).expect("write artifact");
-    let loaded = rntrajrec_artifact::Artifact::read_from(&path)
-        .expect("read artifact")
-        .instantiate()
-        .expect("instantiate");
+    let artifact = rntrajrec_artifact::Artifact::read_from(&path).expect("read artifact");
     std::fs::remove_file(&path).ok();
-    let serving = ServingModel::from_parts(loaded.model, loaded.x_road, loaded.quant, false)
-        .expect("artifact serves");
-    let ctx = Arc::new(QueryContext::new(loaded.city.net, 50.0));
-    let engine = Arc::new(RecoveryEngine::start(Arc::new(serving), quick_engine()));
-    let shard_art = CityShard::new("alpha-art", engine, ctx, None);
+    let shard_art =
+        CityShard::from_artifact(&artifact, Some(path), quick_engine()).expect("artifact serves");
 
     let server_mem =
         HttpServer::start_router(Arc::new(ShardRouter::single(shard_mem)), ephemeral_http())
@@ -375,6 +369,31 @@ fn rejected_reloads_leave_old_model_serving() {
     let resp = client::post_json(addr, "/admin/reload", &body).expect("http");
     assert_eq!(resp.status, 409, "wrong-city reload body: {}", resp.body);
     std::fs::remove_file(&beta_path).ok();
+
+    // Same city and network on 40 m grid cells → 409: the shard's query
+    // context would compute the grid features on its own 50 m grid.
+    let regridded = pack_fresh("alpha", "v2", &alpha_config(), 40.0, 16, 7);
+    let grid_path = scratch_path("grid40");
+    regridded.write_to(&grid_path).expect("write 40 m artifact");
+    let body = format!(
+        "{{\"city\":\"alpha\",\"path\":\"{}\"}}",
+        grid_path.display()
+    );
+    let resp = client::post_json(addr, "/admin/reload", &body).expect("http");
+    assert_eq!(resp.status, 409, "other-grid reload body: {}", resp.body);
+    assert!(resp.body.contains("grid"), "body: {}", resp.body);
+    std::fs::remove_file(&grid_path).ok();
+
+    // A device that never ends → 400 at once, nothing read.
+    let t0 = std::time::Instant::now();
+    let resp = client::post_json(
+        addr,
+        "/admin/reload",
+        "{\"city\":\"alpha\",\"path\":\"/dev/zero\"}",
+    )
+    .expect("http");
+    assert_eq!(resp.status, 400, "/dev/zero reload body: {}", resp.body);
+    assert!(t0.elapsed() < Duration::from_secs(5), "{:?}", t0.elapsed());
 
     // Unknown shard name → 404; missing file → 400.
     let resp = client::post_json(addr, "/admin/reload", "{\"city\":\"nope\",\"path\":\"/x\"}")
