@@ -189,9 +189,7 @@ fn bench_nn_blocks(c: &mut Criterion) {
     g.bench_function("tape_encode_b12", |b| {
         b.iter(|| {
             let mut tape = Tape::new();
-            let out = model
-                .encoder
-                .encode(&mut tape, &model.store, &refs, true, &mut rng);
+            let out = model.encoder.encode(&mut tape, &model.store, &refs);
             black_box(out.outputs.len())
         })
     });

@@ -37,10 +37,7 @@ fn bench_inference(c: &mut Criterion) {
     for spec in methods {
         let model = EndToEnd::build(&spec, &city.net, &grid, scale.dim, 7);
         let name = spec.label().replace([' ', '(', ')', '+'], "_");
-        g.bench_function(&name, |b| {
-            let mut rng = StdRng::seed_from_u64(11);
-            b.iter(|| black_box(model.predict(&input, &mut rng)))
-        });
+        g.bench_function(&name, |b| b.iter(|| black_box(model.predict(&input))));
     }
     g.finish();
 }

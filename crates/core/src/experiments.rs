@@ -6,8 +6,6 @@
 
 use std::time::Instant;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::Serialize;
 
 use rntrajrec_geo::GridSpec;
@@ -186,7 +184,6 @@ impl Pipeline {
         let eps_rho = self.dataset.config.sim.eps_rho_s;
         let hmm = HmmConfig::default();
         let n_eval = self.test_inputs.len().min(scale.max_eval);
-        let mut rng = StdRng::seed_from_u64(scale.seed ^ 0x5eed);
 
         let t_train = Instant::now();
         enum Trained {
@@ -257,7 +254,7 @@ impl Pipeline {
                     match m.infer_predict_batch(&[input], road.as_ref(), SegmentHead::Sparse) {
                         Some(mut paths) => paths.remove(0),
                         // Baselines have no eager path.
-                        None => m.predict(input, &mut rng),
+                        None => m.predict(input),
                     }
                 }
             };

@@ -5,9 +5,9 @@ use rand::SeedableRng;
 
 use rntrajrec_geo::GridSpec;
 use rntrajrec_models::{
-    BatchMember, Decoder, DecoderConfig, GnnBackbone, GtsEncoder, MTrajRecEncoder, NeuTrajEncoder,
-    RnTrajRecConfig, RnTrajRecEncoder, SampleInput, SegmentHead, T2vecEncoder, T3sEncoder,
-    TrajEncoder, TransformerBaseline,
+    BatchMember, DecodeState, Decoder, DecoderConfig, GnnBackbone, GtsEncoder, MTrajRecEncoder,
+    NeuTrajEncoder, RnTrajRecConfig, RnTrajRecEncoder, SampleInput, SegmentHead, T2vecEncoder,
+    T3sEncoder, TrajEncoder, TransformerBaseline,
 };
 use rntrajrec_nn::{NodeId, ParamStore, Tape, Tensor};
 use rntrajrec_roadnet::RoadNetwork;
@@ -244,7 +244,8 @@ impl EndToEnd {
     /// Batch loss with scheduled sampling: each decoder step conditions on
     /// the ground truth with probability `tf_prob`, otherwise on the
     /// model's own prediction (exposure-bias mitigation; observed steps
-    /// always use the truth — they are given in the input).
+    /// always use the truth — they are given in the input). `rng` draws
+    /// only those coins ([`Decoder::scheduled_loss`]).
     pub fn batch_loss_scheduled(
         &self,
         tape: &mut Tape,
@@ -252,30 +253,10 @@ impl EndToEnd {
         tf_prob: f32,
         rng: &mut StdRng,
     ) -> NodeId {
-        use rand::Rng;
-        let enc = self.encoder.encode(tape, &self.store, batch, true, rng);
-        let mut id_terms = Vec::new();
-        let mut rate_terms = Vec::new();
-        for (out, sample) in enc.outputs.iter().zip(batch) {
-            let observed: std::collections::HashSet<usize> =
-                sample.obs_step.iter().copied().collect();
-            let run = self
-                .decoder
-                .run_scheduled(tape, &self.store, out, sample, |j| {
-                    observed.contains(&j) || tf_prob >= 1.0 || rng.gen::<f32>() < tf_prob
-                });
-            for (j, (&lp, &rate)) in run.logps.iter().zip(&run.rates).enumerate() {
-                let picked = tape.select_cols(lp, sample.target_segs[j], 1);
-                id_terms.push(tape.scale(picked, -1.0));
-                let target = tape.leaf(rntrajrec_nn::Tensor::scalar(sample.target_rates[j]));
-                let diff = tape.sub(rate, target);
-                rate_terms.push(tape.mul(diff, diff));
-            }
-        }
-        let id_all = tape.concat_rows(&id_terms);
-        let l_id = tape.mean_all(id_all);
-        let rate_all = tape.concat_rows(&rate_terms);
-        let l_rate = tape.mean_all(rate_all);
+        let enc = self.encoder.encode(tape, &self.store, batch);
+        let (l_id, l_rate) =
+            self.decoder
+                .scheduled_loss(tape, &self.store, &enc.outputs, batch, tf_prob, rng);
         let l_rate = tape.scale(l_rate, self.lambda1);
         let mut total = tape.add(l_id, l_rate);
         if self.lambda2 > 0.0 {
@@ -287,20 +268,14 @@ impl EndToEnd {
         total
     }
 
-    /// Greedy inference: predicted `(segment, rate)` per target step.
-    pub fn predict(&self, input: &SampleInput, rng: &mut StdRng) -> Vec<(usize, f32)> {
+    /// Greedy inference on the tape: predicted `(segment, rate)` per target
+    /// step.
+    pub fn predict(&self, input: &SampleInput) -> Vec<(usize, f32)> {
         let mut tape = Tape::new();
-        let enc = self
-            .encoder
-            .encode(&mut tape, &self.store, &[input], false, rng);
-        let run = self
-            .decoder
-            .run(&mut tape, &self.store, &enc.outputs[0], input, false);
-        run.preds
-            .iter()
-            .zip(&run.rates)
-            .map(|(&seg, &rate)| (seg, tape.value(rate).item()))
-            .collect()
+        let enc = self.encoder.encode(&mut tape, &self.store, &[input]);
+        let mut state = DecodeState::on_tape(&self.decoder, &self.store, tape);
+        state.admit(&[BatchMember::new(&enc.outputs[0], input)]);
+        state.finish_greedy().remove(0)
     }
 
     /// Does this model offer the tape-free inference path?
@@ -412,8 +387,7 @@ mod tests {
     fn predictions_have_target_length_and_valid_values() {
         let (city, inputs, grid) = fixture();
         let model = EndToEnd::build(&MethodSpec::MTrajRec, &city.net, &grid, 16, 7);
-        let mut rng = StdRng::seed_from_u64(3);
-        let preds = model.predict(&inputs[0], &mut rng);
+        let preds = model.predict(&inputs[0]);
         assert_eq!(preds.len(), inputs[0].target_len());
         for &(seg, rate) in &preds {
             assert!(seg < city.net.num_segments());
@@ -427,9 +401,8 @@ mod tests {
         let model = EndToEnd::build(&MethodSpec::RnTrajRec, &city.net, &grid, 16, 7);
         assert!(model.supports_infer());
         let road = model.precompute_road().expect("X_road precompute");
-        let mut rng = StdRng::seed_from_u64(9);
         for input in &inputs {
-            let slow = model.predict(input, &mut rng);
+            let slow = model.predict(input);
             let fast = &model
                 .infer_predict_batch(&[input], Some(&road), SegmentHead::Sparse)
                 .expect("infer path")[0];

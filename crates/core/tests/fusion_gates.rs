@@ -175,14 +175,13 @@ fn encoder_launches_are_independent_of_batch_size() {
 fn tape_encode_stays_stacked() {
     let fix = fixture();
     let refs: Vec<&SampleInput> = fix.inputs.iter().collect();
-    let mut rng = StdRng::seed_from_u64(0); // unused by RNTrajRec's encode
     for threads in [1, 4] {
         pool::set_num_threads(threads);
         let gridgnn = profiled(|| fix.model.precompute_road()).1.matmuls;
-        let mut launches = |batch: &[&SampleInput]| {
+        let launches = |batch: &[&SampleInput]| {
             let enc = &fix.model.encoder;
             let mut tape = Tape::new();
-            profiled(|| enc.encode(&mut tape, &fix.model.store, batch, true, &mut rng))
+            profiled(|| enc.encode(&mut tape, &fix.model.store, batch))
                 .1
                 .matmuls
         };

@@ -130,24 +130,38 @@ impl AdditiveAttention {
         }
     }
 
-    /// `query: [1, dim]`, `keys: [L, dim]` → context `[1, dim]`.
-    pub fn forward(
+    /// `W_h·keys`: input-constant across decode steps, so callers project
+    /// once and pass the result to every [`AdditiveAttention::forward`].
+    pub fn project_keys<'s, E: Exec<'s>>(
         &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        query: NodeId,
-        keys: NodeId,
-    ) -> NodeId {
-        let wg = tape.param(store, self.wg);
-        let wh = tape.param(store, self.wh);
-        let v = tape.param(store, self.v);
-        let gq = tape.matmul(query, wg); // [1, d]
-        let hk = tape.matmul(keys, wh); // [L, d]
-        let sum = tape.add_rowvec(hk, gq);
-        let t = tape.tanh(sum); // [L, d]
-        let mu = tape.matmul_nt(v, t); // [1, L]
-        let alphas = tape.softmax_rows(mu); // [1, L]
-        tape.matmul(alphas, keys) // [1, d]
+        ex: &mut E,
+        store: &'s ParamStore,
+        keys: &E::H,
+    ) -> E::H {
+        let wh = ex.param(store, self.wh);
+        ex.matmul(keys, &wh)
+    }
+
+    /// One context row per query: `query` is `[S, dim]`, and query `s`
+    /// attends over rows `segs[s]` of `keys` (`hk` =
+    /// [`AdditiveAttention::project_keys`] of `keys`) → `[S, dim]`. The
+    /// query projection is one stacked matmul; the softmax and context stay
+    /// scoped to each query's own keys
+    /// ([`Exec::segmented_additive_attention`]), so every row is
+    /// bit-identical to attending alone. A single sequence is one segment.
+    pub fn forward<'s, E: Exec<'s>>(
+        &self,
+        ex: &mut E,
+        store: &'s ParamStore,
+        query: &E::H,
+        keys: &E::H,
+        hk: &E::H,
+        segs: &[Range<usize>],
+    ) -> E::H {
+        let wg = ex.param(store, self.wg);
+        let gq = ex.matmul(query, &wg);
+        let v = ex.param(store, self.v);
+        ex.segmented_additive_attention(hk, &gq, &v, keys, segs)
     }
 }
 
@@ -225,7 +239,15 @@ mod tests {
         let q = tape.leaf(Tensor::uniform(1, 4, 1.0, &mut rng));
         // Keys all equal -> context must equal that key regardless of scores.
         let keys = tape.leaf(Tensor::from_vec(3, 4, [0.5f32, -0.25, 0.75, 0.1].repeat(3)));
-        let ctx = attn.forward(&mut tape, &store, q, keys);
+        let hk = attn.project_keys(&mut tape, &store, &keys);
+        let ctx = attn.forward(
+            &mut tape,
+            &store,
+            &q,
+            &keys,
+            &hk,
+            std::slice::from_ref(&(0..3)),
+        );
         let v = tape.value(ctx);
         for (got, want) in v.data.iter().zip([0.5, -0.25, 0.75, 0.1]) {
             assert!((got - want).abs() < 1e-5);

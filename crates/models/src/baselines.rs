@@ -126,8 +126,6 @@ impl TrajEncoder for MTrajRecEncoder {
         tape: &mut Tape,
         store: &ParamStore,
         batch: &[&SampleInput],
-        _training: bool,
-        _rng: &mut StdRng,
     ) -> BatchEncoderOutput {
         let outputs = batch
             .iter()
@@ -201,8 +199,6 @@ impl TrajEncoder for TransformerBaseline {
         tape: &mut Tape,
         store: &ParamStore,
         batch: &[&SampleInput],
-        _training: bool,
-        _rng: &mut StdRng,
     ) -> BatchEncoderOutput {
         let outputs = batch
             .iter()
@@ -259,8 +255,6 @@ impl TrajEncoder for T2vecEncoder {
         tape: &mut Tape,
         store: &ParamStore,
         batch: &[&SampleInput],
-        _training: bool,
-        _rng: &mut StdRng,
     ) -> BatchEncoderOutput {
         let outputs = batch
             .iter()
@@ -349,8 +343,6 @@ impl TrajEncoder for NeuTrajEncoder {
         tape: &mut Tape,
         store: &ParamStore,
         batch: &[&SampleInput],
-        _training: bool,
-        _rng: &mut StdRng,
     ) -> BatchEncoderOutput {
         let outputs = batch
             .iter()
@@ -431,8 +423,6 @@ impl TrajEncoder for T3sEncoder {
         tape: &mut Tape,
         store: &ParamStore,
         batch: &[&SampleInput],
-        _training: bool,
-        _rng: &mut StdRng,
     ) -> BatchEncoderOutput {
         let outputs = batch
             .iter()
@@ -524,8 +514,6 @@ impl TrajEncoder for GtsEncoder {
         tape: &mut Tape,
         store: &ParamStore,
         batch: &[&SampleInput],
-        _training: bool,
-        _rng: &mut StdRng,
     ) -> BatchEncoderOutput {
         // Graph representation once per batch.
         let mut x = tape.param(store, self.road_emb);
@@ -590,9 +578,12 @@ impl DhtrSeq2Seq {
             sample.base_feats.get(0, 0),
             sample.base_feats.get(0, 1),
         ]));
+        let hk = self.attn.project_keys(tape, store, &enc);
+        let whole = 0..l;
+        let segs = std::slice::from_ref(&whole);
         let mut outs = Vec::with_capacity(sample.target_len());
         for _ in 0..sample.target_len() {
-            let ctx = self.attn.forward(tape, store, h, enc);
+            let ctx = self.attn.forward(tape, store, &h, &enc, &hk, segs);
             let input = tape.concat_cols(&[ctx, prev]);
             h = self.dec_gru.step(tape, store, &input, &h);
             let xy = self.out.forward(tape, store, &h);
@@ -689,7 +680,7 @@ mod tests {
         let refs: Vec<&SampleInput> = f.inputs.iter().collect();
         for enc in &encoders {
             let mut tape = Tape::new();
-            let out = enc.encode(&mut tape, &store, &refs, true, &mut rng);
+            let out = enc.encode(&mut tape, &store, &refs);
             assert_eq!(out.outputs.len(), refs.len(), "{}", enc.name());
             for (o, s) in out.outputs.iter().zip(&refs) {
                 assert_eq!(

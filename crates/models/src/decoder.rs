@@ -4,18 +4,26 @@
 //! A GRU with additive attention over the encoder outputs (Eq. 14–15)
 //! predicts, per target timestamp, the road segment (classification with a
 //! constraint mask, Eq. 16) and the moving ratio (regression, Eq. 17).
+//!
+//! The decode loop is written once, as [`DecodeState`] over an executor
+//! (`rntrajrec_nn::Exec`). On the tape it teacher-forces for the training
+//! loss ([`Decoder::scheduled_loss`]) and decodes greedily for the tape
+//! `predict`; on `Eager` it is the serving path. The two executors differ
+//! on purpose only in the Eq. 16 segment head ([`DecodeExec`]).
 
 use std::ops::Range;
 
 use rand::rngs::StdRng;
+use rand::Rng;
 
 use crate::attention::AdditiveAttention;
-use crate::encoder::{EncoderOutput, InferOutput};
+use crate::encoder::EncoderOutput;
 use crate::features::SampleInput;
 
 use crate::rnn::GruCell;
+use rntrajrec_nn::kernels::{self, SparseLogMask};
 use rntrajrec_nn::quant::QuantizedLinear;
-use rntrajrec_nn::{kernels, Eager, Exec, Init, NodeId, ParamId, ParamStore, Tape, Tensor};
+use rntrajrec_nn::{Eager, Exec, Init, NodeId, ParamId, ParamStore, Tape, Tensor};
 
 /// Log-weight assigned to segments outside the constraint mask
 /// (`exp(-30) ≈ 1e-13`: effectively zero probability, numerically safe).
@@ -60,21 +68,23 @@ pub struct DecoderConfig {
     pub use_mask: bool,
 }
 
-/// One member of a fused decode batch ([`DecodeState::admit`]): its
-/// tape-free encoder outputs plus the request's step metadata. Borrowed
-/// for the call only — the state copies what it keeps.
-pub struct BatchMember<'a> {
+/// One member of a decode wave ([`DecodeState::admit`]): its encoder
+/// outputs plus the request's step metadata. `M` is how the executor holds
+/// encoder outputs ([`DecodeExec::Member`]): tensors from the tape-free
+/// encoder (the default), tape nodes from `encode`. Borrowed for the call
+/// only — the state copies what it keeps.
+pub struct BatchMember<'a, M = Tensor> {
     /// `[l_τ, d]` per-point encoder states (decoder attention keys).
-    pub per_point: &'a Tensor,
+    pub per_point: &'a M,
     /// `[1, d]` trajectory-level state (initial decoder hidden state).
-    pub traj: &'a Tensor,
+    pub traj: &'a M,
     /// The request (target length and constraint masks).
     pub sample: &'a SampleInput,
 }
 
-impl<'a> BatchMember<'a> {
-    /// `sample` with its tape-free encoder outputs.
-    pub fn new(enc: &'a InferOutput, sample: &'a SampleInput) -> Self {
+impl<'a, M> BatchMember<'a, M> {
+    /// `sample` with its encoder outputs.
+    pub fn new(enc: &'a EncoderOutput<M>, sample: &'a SampleInput) -> Self {
         Self {
             per_point: &enc.per_point,
             traj: &enc.traj,
@@ -125,16 +135,6 @@ pub struct DecodeHooks<'h> {
     pub on_step: &'h mut dyn FnMut(StepOut),
 }
 
-/// The result of decoding one trajectory.
-pub struct DecoderRun {
-    /// Per-step log-probabilities over segments `[1, |V|]` (post-mask).
-    pub logps: Vec<NodeId>,
-    /// Per-step predicted moving ratio `[1, 1]`.
-    pub rates: Vec<NodeId>,
-    /// Per-step argmax segment prediction.
-    pub preds: Vec<usize>,
-}
-
 /// The multi-task GRU decoder.
 pub struct Decoder {
     seg_emb: ParamId,
@@ -169,26 +169,13 @@ impl Decoder {
         }
     }
 
-    /// The constraint-mask log-weight row of Eq. (16): allowed segments
-    /// carry `ln w`, everything else the effectively-zero
-    /// [`MASKED_OUT_LOGW`]. Used by the tape path; the tape-free path
-    /// feeds the same log-weights sparsely into the fused
-    /// `masked_log_softmax_rows` kernel via [`Decoder::mask_logw_entries`].
-    fn mask_logw_row(&self, entries: &[(usize, f32)]) -> Tensor {
-        let mut logw = vec![MASKED_OUT_LOGW; self.config.num_segments];
-        for &(seg, w) in entries {
-            logw[seg] = w.max(1e-6).ln();
-        }
-        Tensor::row(logw)
-    }
-
-    /// Sparse `(segment, log-weight)` mask entries for one decode step —
-    /// `None` when masking is off or the step carries no mask. The same
-    /// `ln(max(w, 1e-6))` transform as [`Decoder::mask_logw_row`], without
-    /// materialising the `[1, |V|]` row, and in the canonical form the
-    /// masked kernels require (segments ascending, the last write to a
-    /// segment wins — what `mask_logw_row`'s overwrites produce), so the
-    /// kernels never sort or dedup inside the step loop.
+    /// The constraint mask of Eq. (16) for one decode step as sparse
+    /// `(segment, ln w)` entries, `w` floored at `1e-6`; every other
+    /// segment carries the effectively-zero `MASKED_OUT_LOGW` (−30). `None`
+    /// when masking is off or the step carries no mask. The entries come in
+    /// the canonical form the masked kernels require (segments ascending,
+    /// the last entry for a segment wins), so no kernel sorts or dedups
+    /// inside the step loop.
     fn mask_logw_entries(&self, mask: &Option<Vec<(usize, f32)>>) -> Option<Vec<(usize, f32)>> {
         match (self.config.use_mask, mask) {
             (true, Some(entries)) => Some(kernels::canonical_mask_entries(
@@ -208,92 +195,81 @@ impl Decoder {
         QuantizedLinear::from_weights(store.value(self.w_id))
     }
 
-    /// Decode all `l_ρ` steps. With `teacher_forcing` the ground-truth
-    /// segment/rate feed the next step (training); otherwise the model's
-    /// own predictions do (inference).
-    pub fn run(
+    /// The decoder's share of the training loss over a mini-batch encoded
+    /// on `tape`: `(L_id, L_rate)`, the mean `−log p(true segment)` and the
+    /// mean squared rate error over every member's every step, from one
+    /// stacked [`DecodeState`] on the tape.
+    ///
+    /// Scheduled sampling: each step conditions the next on the ground
+    /// truth with probability `tf_prob`, otherwise on the model's own
+    /// prediction; observed steps always use the truth (they are given in
+    /// the input). Decaying `tf_prob` over training mitigates exposure bias
+    /// at small data scale (DHTR \[19\] trains its seq2seq the same way).
+    /// The coins are drawn from `rng` before the decode, member by member
+    /// and step by step, with no draw for an observed step or at
+    /// `tf_prob ≥ 1`; the loss terms are averaged in the same member-major
+    /// order.
+    pub fn scheduled_loss(
         &self,
         tape: &mut Tape,
         store: &ParamStore,
-        enc: &EncoderOutput,
-        sample: &SampleInput,
-        teacher_forcing: bool,
-    ) -> DecoderRun {
-        self.run_scheduled(tape, store, enc, sample, |_| teacher_forcing)
-    }
-
-    /// Decode with per-step scheduled sampling: `use_truth(j)` decides
-    /// whether step `j` conditions on the ground truth (true) or on the
-    /// model's own prediction (false). Decaying the teacher-forcing
-    /// probability over training mitigates exposure bias at small data
-    /// scale (DHTR \[19\] trains its seq2seq the same way).
-    pub fn run_scheduled(
-        &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        enc: &EncoderOutput,
-        sample: &SampleInput,
-        mut use_truth: impl FnMut(usize) -> bool,
-    ) -> DecoderRun {
-        let l_rho = sample.target_len();
-        let seg_table = tape.param(store, self.seg_emb);
-        let w_id = tape.param(store, self.w_id);
-        let b_id = tape.param(store, self.b_id);
-        let w_rate = tape.param(store, self.w_rate);
-
-        let mut h = enc.traj;
-        let mut x_prev = tape.param(store, self.start_emb);
-        let mut r_prev = tape.leaf(Tensor::scalar(0.0));
-        let mut logps = Vec::with_capacity(l_rho);
-        let mut rates = Vec::with_capacity(l_rho);
-        let mut preds = Vec::with_capacity(l_rho);
-
-        for j in 0..l_rho {
-            // Eq. (14): attention over encoder outputs.
-            let a = self.attn.forward(tape, store, h, enc.per_point);
-            // Eq. (15): GRU update.
-            let input = tape.concat_cols(&[x_prev, r_prev, a]);
-            h = self.gru.step(tape, store, &input, &h);
-
-            // Road-segment head with constraint mask (Eq. 16).
-            let logits = tape.matmul(h, w_id);
-            let logits = tape.add_rowvec(logits, b_id);
-            let masked = match (self.config.use_mask, &sample.masks[j]) {
-                (true, Some(entries)) => {
-                    let lw = tape.leaf(self.mask_logw_row(entries));
-                    tape.add(logits, lw)
-                }
-                _ => logits,
-            };
-            let logp = tape.log_softmax_rows(masked);
-            let pred = tape.value(logp).argmax_row(0);
-
-            // Next-step conditioning (teacher forcing vs. own prediction).
-            let teach = use_truth(j);
-            let cond_seg = if teach { sample.target_segs[j] } else { pred };
-            let x_j = tape.gather_rows(seg_table, &[cond_seg]);
-
-            // Moving-ratio head (Eq. 17): σ([x_j ∥ h_j]·w_rate).
-            let rate_in = tape.concat_cols(&[x_j, h]);
-            let rate_lin = tape.matmul(rate_in, w_rate);
-            let rate = tape.sigmoid(rate_lin);
-
-            logps.push(logp);
-            rates.push(rate);
-            preds.push(pred);
-
-            x_prev = x_j;
-            r_prev = if teach {
-                tape.leaf(Tensor::scalar(sample.target_rates[j]))
-            } else {
-                rate
-            };
+        encoded: &[EncoderOutput],
+        batch: &[&SampleInput],
+        tf_prob: f32,
+        rng: &mut StdRng,
+    ) -> (NodeId, NodeId) {
+        let teach: Vec<Vec<bool>> = batch
+            .iter()
+            .map(|s| {
+                (0..s.target_len())
+                    .map(|j| {
+                        s.obs_step.contains(&j) || tf_prob >= 1.0 || rng.gen::<f32>() < tf_prob
+                    })
+                    .collect()
+            })
+            .collect();
+        let members: Vec<BatchMember<NodeId>> = encoded
+            .iter()
+            .zip(batch)
+            .map(|(enc, &sample)| BatchMember::new(enc, sample))
+            .collect();
+        let mut state = DecodeState::on_tape(self, store, std::mem::take(tape));
+        state.admit(&members);
+        // Per tick: its outputs and each row's targets. Per member: where
+        // each of its steps sits in the ticks' rows, concatenated.
+        let (mut ticks, mut rows) = (Vec::new(), 0);
+        let mut member_rows: Vec<Vec<usize>> = vec![Vec::new(); batch.len()];
+        while state.live() > 0 {
+            let steps = state.tick(|m, j| {
+                let s = batch[m];
+                teach[m][j].then(|| (s.target_segs[j], s.target_rates[j]))
+            });
+            let (mut segs, mut rates) = (Vec::new(), Vec::new());
+            for st in steps {
+                member_rows[st.member].push(rows + segs.len());
+                segs.push(batch[st.member].target_segs[st.step]);
+                rates.push(batch[st.member].target_rates[st.step]);
+            }
+            rows += segs.len();
+            ticks.push((state.last_outputs(), segs, rates));
         }
-        DecoderRun {
-            logps,
-            rates,
-            preds,
+        *tape = state.into_tape();
+
+        let (mut nll, mut sq_err) = (Vec::new(), Vec::new());
+        for ((logp, rate), segs, rates) in ticks {
+            let picked = tape.pick_cols(logp, &segs);
+            nll.push(tape.scale(picked, -1.0));
+            let truth = tape.leaf(Tensor::from_vec(rates.len(), 1, rates));
+            let diff = tape.sub(rate, truth);
+            sq_err.push(tape.mul(diff, diff));
         }
+        let member_major = member_rows.concat();
+        let mut mean = |terms: &[NodeId]| {
+            let all = tape.concat_rows(terms);
+            let all = tape.gather_rows(all, &member_major);
+            tape.mean_all(all)
+        };
+        (mean(&nll), mean(&sq_err))
     }
 
     /// Closed-batch fused greedy decode: admit `members`, tick until
@@ -307,10 +283,7 @@ impl Decoder {
     ) -> Vec<Vec<(usize, f32)>> {
         let mut state = DecodeState::new(self, store, head);
         state.admit(members);
-        while state.live() > 0 {
-            state.tick();
-        }
-        state.finish().0
+        state.finish_greedy()
     }
 
     /// [`DecodeState`] driven by callbacks: before every tick `admit` may
@@ -344,11 +317,127 @@ impl Decoder {
                 break;
             }
             state.retire(&mut *hooks.cancel);
-            for &step in state.tick() {
+            for &step in state.tick(|_, _| None) {
                 (hooks.on_step)(step);
             }
         }
         state.finish()
+    }
+}
+
+/// The executor side of [`DecodeState`]: the parts of a decode step where
+/// the tape and the serving path differ on purpose. Everything else in a
+/// step is one body over [`Exec`].
+pub trait DecodeExec<'a>: Exec<'a> {
+    /// The Eq. 16 head to run: the caller's [`SegmentHead`] on `Eager`;
+    /// nothing to choose on `Tape`, which always runs training's dense head
+    /// with −30 soft-mask rows.
+    type Head: Copy;
+    /// How a [`BatchMember`] holds its encoder outputs.
+    type Member;
+    /// What [`DecodeState`] keeps of its last tick for the caller: nothing
+    /// on `Eager`; on `Tape` the stacked `[B, |V|]` log-prob rows and
+    /// `[B, 1]` rates, for the loss to pick from.
+    type Outputs: Copy;
+
+    /// Row count of a member's encoder output.
+    fn member_rows(&self, m: &Self::Member) -> usize;
+    /// Members' rows stacked into one handle.
+    fn stack_rows(&mut self, parts: &[&Self::Member]) -> Self::H;
+    /// Eq. 16: per-row log-probabilities of `h·W_id + b_id`, row `r` under
+    /// `masks[r]` (`None`: unmasked).
+    fn segment_head(
+        &mut self,
+        head: Self::Head,
+        h: &Self::H,
+        w_id: &Self::H,
+        b_id: &Self::H,
+        masks: &[Option<SparseLogMask<'_>>],
+    ) -> Self::H;
+    /// What to keep of a tick's log-prob rows and rates.
+    fn outputs(logp: &Self::H, rate: &Self::H) -> Self::Outputs;
+}
+
+impl<'a> DecodeExec<'a> for Eager {
+    type Head = SegmentHead<'a>;
+    type Member = Tensor;
+    type Outputs = ();
+
+    fn member_rows(&self, m: &Tensor) -> usize {
+        m.rows
+    }
+    fn stack_rows(&mut self, parts: &[&Tensor]) -> Self::H {
+        Self::H::Owned(kernels::concat_rows(parts))
+    }
+    fn segment_head(
+        &mut self,
+        head: SegmentHead<'a>,
+        h: &Self::H,
+        w_id: &Self::H,
+        b_id: &Self::H,
+        masks: &[Option<SparseLogMask<'_>>],
+    ) -> Self::H {
+        Self::H::Owned(match head {
+            SegmentHead::Dense => {
+                let logits = kernels::add_rowvec(&kernels::matmul(h, w_id), b_id);
+                kernels::masked_log_softmax_rows(&logits, masks)
+            }
+            SegmentHead::Sparse => kernels::masked_matmul_cols(h, w_id, b_id, masks),
+            SegmentHead::Quantized(q) => q.forward_masked(h, b_id, masks),
+        })
+    }
+    fn outputs(_: &Self::H, _: &Self::H) {}
+}
+
+impl<'a> DecodeExec<'a> for Tape {
+    type Head = ();
+    type Member = NodeId;
+    type Outputs = (NodeId, NodeId);
+
+    fn member_rows(&self, m: &NodeId) -> usize {
+        self.value(*m).rows
+    }
+    fn stack_rows(&mut self, parts: &[&NodeId]) -> NodeId {
+        let ids: Vec<NodeId> = parts.iter().map(|&&p| p).collect();
+        self.concat_rows(&ids)
+    }
+    /// Training's head: the dense logits plus a dense log-weight row per
+    /// masked row (−30 off the mask; unmasked rows add `-0.0`, the exact
+    /// additive identity), then a full log-softmax. Off-mask segments keep
+    /// their `e⁻³⁰` share of the normaliser and their gradient; a sparse
+    /// head would drop both and change the training loss.
+    fn segment_head(
+        &mut self,
+        _: (),
+        h: &NodeId,
+        w_id: &NodeId,
+        b_id: &NodeId,
+        masks: &[Option<SparseLogMask<'_>>],
+    ) -> NodeId {
+        let logits = self.matmul(*h, *w_id);
+        let mut logits = self.add_rowvec(logits, *b_id);
+        if masks.iter().any(Option::is_some) {
+            let cols = self.value(logits).cols;
+            let mut logw = Vec::with_capacity(masks.len() * cols);
+            for mask in masks {
+                let row = logw.len();
+                match mask {
+                    Some(m) => {
+                        logw.resize(row + cols, m.default);
+                        for &(c, w) in m.entries {
+                            logw[row + c] = w;
+                        }
+                    }
+                    None => logw.resize(row + cols, -0.0),
+                }
+            }
+            let logw = self.leaf(Tensor::from_vec(masks.len(), cols, logw));
+            logits = self.add(logits, logw);
+        }
+        self.log_softmax_rows(logits)
+    }
+    fn outputs(logp: &NodeId, rate: &NodeId) -> (NodeId, NodeId) {
+        (*logp, *rate)
     }
 }
 
@@ -365,24 +454,26 @@ struct Slot {
     cancelled: bool,
 }
 
-/// The tape-free greedy decode (the serving hot path) as a state the
-/// caller steps: the twin of [`Decoder::run`] with
-/// `teacher_forcing = false`, evaluated with plain tensor ops over a
-/// whole micro-batch in lock-step. The caller owns the loop —
-/// [`DecodeState::admit`] members, [`DecodeState::retire`] the ones whose
-/// budget is gone, [`DecodeState::tick`] one step for everyone live,
-/// [`DecodeState::finish`] — so a serving engine can take newcomers and
-/// fan steps out between ticks without callbacks.
+/// The decode loop as a state the caller steps, over executor `E`: on
+/// [`Eager`] (the default, [`DecodeState::new`]) it is the tape-free
+/// serving hot path; on [`Tape`] ([`DecodeState::on_tape`]) the same body
+/// records training's teacher-forced decode and the tape `predict`. The
+/// caller owns the loop — [`DecodeState::admit`] members,
+/// [`DecodeState::retire`] the ones whose budget is gone,
+/// [`DecodeState::tick`] one step for everyone live, conditioning each on
+/// the truth or on its own prediction, [`DecodeState::finish`] — so a
+/// serving engine can take newcomers and fan steps out between ticks
+/// without callbacks.
 ///
 /// Every live member's hidden state is stacked into one `[B, d]` matrix
 /// so each tick runs **one** stacked matmul per head — the
 /// `[B,d]×[d,|V|]` segment head, the `[B,2d]×[2d,1]` rate head, the
 /// three GRU gates, the attention query projection — instead of `B`
 /// separate `[1, d]` products. Members attend over their own
-/// (ragged-length) encoder outputs through the segmented kernels, the key
-/// projection `W_h·H_traj` is computed once per admission wave (it is
-/// input-constant; the tape path recomputes it every step), and the stack
-/// shrinks as members finish. A single request is a batch of one.
+/// (ragged-length) encoder outputs through
+/// [`Exec::segmented_additive_attention`], the key projection `W_h·H_traj`
+/// is computed once per admission wave (it is input-constant), and the
+/// stack shrinks as members finish. A single request is a batch of one.
 ///
 /// Because every kernel involved computes each output row/segment with
 /// exactly the accumulation order of the member's own `[1, d]` call, and
@@ -395,52 +486,90 @@ struct Slot {
 /// `rntrajrec_nn::kernels`, which parallelises wide outputs by disjoint
 /// column ranges — `NN_THREADS` cuts per-step latency without changing a
 /// bit of the output.
-pub struct DecodeState<'a> {
+pub struct DecodeState<'a, E: DecodeExec<'a> = Eager> {
     decoder: &'a Decoder,
     store: &'a ParamStore,
-    head: SegmentHead<'a>,
+    ex: E,
+    head: E::Head,
     members: Vec<Slot>,
     /// Members still decoding; row `s` of `h` / `x_prev` / `r_prev`
     /// belongs to member `active[s]`.
     active: Vec<usize>,
     /// Every admitted member's attention keys, stacked, and their
     /// projection `W_h·keys`.
-    keys_all: Tensor,
-    hk_all: Tensor,
-    h: Tensor,
-    x_prev: Tensor,
-    r_prev: Tensor,
+    keys_all: E::H,
+    hk_all: E::H,
+    h: E::H,
+    x_prev: E::H,
+    r_prev: E::H,
+    /// `seg_emb`, `W_id`, `b_id` and `w_rate`, taken from the store once.
+    params: [E::H; 4],
     tick: u32,
     /// The steps the last tick produced (its return value).
     stepped: Vec<StepOut>,
+    last: Option<E::Outputs>,
 }
 
 /// Append `new`'s rows under `dst`'s (a move while `dst` is empty).
-fn append_rows(dst: &mut Tensor, new: Tensor) {
-    *dst = if dst.rows == 0 {
+fn append_rows<'a, E: Exec<'a>>(ex: &mut E, dst: &mut E::H, new: E::H) {
+    *dst = if ex.value(dst).rows == 0 {
         new
     } else {
-        kernels::concat_rows(&[dst, &new])
+        ex.concat_rows(&[dst, &new])
     };
 }
 
 impl<'a> DecodeState<'a> {
-    /// An empty decode over `decoder`'s weights in `store`.
+    /// An empty tape-free decode over `decoder`'s weights in `store`.
     pub fn new(decoder: &'a Decoder, store: &'a ParamStore, head: SegmentHead<'a>) -> Self {
+        Self::with_exec(decoder, store, Eager, head)
+    }
+}
+
+impl<'a> DecodeState<'a, Tape> {
+    /// An empty decode recorded on `tape`, the tape that holds the
+    /// members' encoder nodes: training's dense head, every op
+    /// differentiable. [`DecodeState::into_tape`] hands the tape back.
+    pub fn on_tape(decoder: &'a Decoder, store: &'a ParamStore, tape: Tape) -> Self {
+        Self::with_exec(decoder, store, tape, ())
+    }
+
+    /// The last tick's stacked `[B, |V|]` log-prob rows and `[B, 1]` rates;
+    /// row `s` belongs to the tick's `s`-th [`StepOut`].
+    pub fn last_outputs(&self) -> (NodeId, NodeId) {
+        self.last.expect("last_outputs before the first tick")
+    }
+
+    /// The tape, with the decode recorded on it.
+    pub fn into_tape(self) -> Tape {
+        self.ex
+    }
+}
+
+impl<'a, E: DecodeExec<'a>> DecodeState<'a, E> {
+    fn with_exec(decoder: &'a Decoder, store: &'a ParamStore, mut ex: E, head: E::Head) -> Self {
         let d = decoder.config.dim;
+        let mut empty = |cols| ex.constant(Tensor::zeros(0, cols));
+        let (keys_all, hk_all, h, x_prev, r_prev) =
+            (empty(d), empty(d), empty(d), empty(d), empty(1));
+        let params = [decoder.seg_emb, decoder.w_id, decoder.b_id, decoder.w_rate]
+            .map(|id| ex.param(store, id));
         Self {
             decoder,
             store,
+            ex,
             head,
             members: Vec::new(),
             active: Vec::new(),
-            keys_all: Tensor::zeros(0, d),
-            hk_all: Tensor::zeros(0, d),
-            h: Tensor::zeros(0, d),
-            x_prev: Tensor::zeros(0, d),
-            r_prev: Tensor::zeros(0, 1),
+            keys_all,
+            hk_all,
+            h,
+            x_prev,
+            r_prev,
+            params,
             tick: 0,
             stepped: Vec::new(),
+            last: None,
         }
     }
 
@@ -457,14 +586,18 @@ impl<'a> DecodeState<'a> {
     /// it alone would have initialised (`traj` / `start_emb` / rate 0):
     /// matmul and row concatenation are row-scoped, so stacking the wave,
     /// or appending it under incumbents, changes nothing.
-    pub fn admit(&mut self, wave: &[BatchMember<'_>]) {
-        let mut key_off = self.keys_all.rows;
-        let mut keys: Vec<&Tensor> = Vec::with_capacity(wave.len());
-        let mut trajs: Vec<&Tensor> = Vec::with_capacity(wave.len());
+    pub fn admit(&mut self, wave: &[BatchMember<'_, E::Member>]) {
+        let mut key_off = self.ex.value(&self.keys_all).rows;
+        let mut keys: Vec<&E::Member> = Vec::with_capacity(wave.len());
+        let mut trajs: Vec<&E::Member> = Vec::with_capacity(wave.len());
         self.members.reserve(wave.len());
         for m in wave {
             let target_len = m.sample.target_len();
-            let rows = if target_len == 0 { 0 } else { m.per_point.rows };
+            let rows = if target_len == 0 {
+                0
+            } else {
+                self.ex.member_rows(m.per_point)
+            };
             self.members.push(Slot {
                 target_len,
                 step: 0,
@@ -489,14 +622,18 @@ impl<'a> DecodeState<'a> {
         if keys.is_empty() {
             return;
         }
-        let start = self.store.value(self.decoder.start_emb);
-        let stacked = kernels::concat_rows(&keys);
-        let projected = kernels::matmul(&stacked, self.store.value(self.decoder.attn.wh));
-        append_rows(&mut self.keys_all, stacked);
-        append_rows(&mut self.hk_all, projected);
-        append_rows(&mut self.h, kernels::concat_rows(&trajs));
-        append_rows(&mut self.x_prev, kernels::repeat_rows(start, keys.len()));
-        append_rows(&mut self.r_prev, Tensor::zeros(keys.len(), 1));
+        let (dec, store, ex) = (self.decoder, self.store, &mut self.ex);
+        let stacked = ex.stack_rows(&keys);
+        let projected = dec.attn.project_keys(ex, store, &stacked);
+        let trajs = ex.stack_rows(&trajs);
+        let start = ex.param(store, dec.start_emb);
+        let starts = ex.repeat_rows(&start, keys.len());
+        let rates = ex.constant(Tensor::zeros(keys.len(), 1));
+        append_rows(ex, &mut self.keys_all, stacked);
+        append_rows(ex, &mut self.hk_all, projected);
+        append_rows(ex, &mut self.h, trajs);
+        append_rows(ex, &mut self.x_prev, starts);
+        append_rows(ex, &mut self.r_prev, rates);
     }
 
     /// Ask `cut(member, step)` of every live member, before its next step
@@ -521,95 +658,122 @@ impl<'a> DecodeState<'a> {
 
     /// Keep only the state rows in `keep`.
     fn compact(&mut self, keep: &[usize]) {
-        self.h = kernels::gather_rows(&self.h, keep);
-        self.x_prev = kernels::gather_rows(&self.x_prev, keep);
-        self.r_prev = kernels::gather_rows(&self.r_prev, keep);
+        let ex = &mut self.ex;
+        self.h = ex.gather_rows(&self.h, keep);
+        self.x_prev = ex.gather_rows(&self.x_prev, keep);
+        self.r_prev = ex.gather_rows(&self.r_prev, keep);
         self.active = keep.iter().map(|&s| self.active[s]).collect();
     }
 
     /// One lock-step decode step for every live member (none: no-op);
     /// returns what it produced, one [`StepOut`] per live member in stack
     /// order. Members that reach their target length leave the stack.
-    pub fn tick(&mut self) -> &[StepOut] {
+    ///
+    /// `teach(member, step)` picks what conditions the member after this
+    /// step: `Some((segment, rate))`, its ground truth (teacher forcing),
+    /// or `None`, its own prediction (greedy decoding; serving always
+    /// passes `None`). As in MTrajRec, the conditioning segment's embedding
+    /// also feeds this step's rate head (Eq. 17).
+    pub fn tick(
+        &mut self,
+        mut teach: impl FnMut(usize, usize) -> Option<(usize, f32)>,
+    ) -> &[StepOut] {
         self.stepped.clear();
         let b = self.active.len();
         if b == 0 {
             return &self.stepped;
         }
-        let (dec, store) = (self.decoder, self.store);
+        let (dec, store, ex) = (self.decoder, self.store, &mut self.ex);
+        let [seg_emb, w_id, b_id, w_rate] = &self.params;
         // One observability span per tick (rendered `decoder.step[t]`);
         // no-op unless tracing is enabled.
         let _step_span = rntrajrec_obs::span_indexed("decoder.step", self.tick);
-        // Eq. (14): additive attention, all members in lock-step — one
-        // stacked query projection, one stacked score product, then
-        // the per-member softmax/context over ragged segments.
-        let gq = kernels::matmul(&self.h, store.value(dec.attn.wg));
+        // Eq. (14): additive attention, all members in lock-step, each over
+        // its own keys.
         let segs: Vec<Range<usize>> = self
             .active
             .iter()
             .map(|&i| self.members[i].keys.clone())
             .collect();
-        let mut t = kernels::segments_add_rowvec(&self.hk_all, &gq, &segs);
-        kernels::tanh_in_place(&mut t);
-        let mu = kernels::matmul_nt(store.value(dec.attn.v), &t);
-        let lens: Vec<usize> = segs.iter().map(|s| s.len()).collect();
-        let alphas = kernels::softmax_segments(&mu, &lens);
-        let a = kernels::segmented_attn_context(&alphas, &self.keys_all, &segs);
+        let a = dec
+            .attn
+            .forward(ex, store, &self.h, &self.keys_all, &self.hk_all, &segs);
 
         // Eq. (15): one stacked GRU update.
-        let input = kernels::concat_cols(&[&self.x_prev, &self.r_prev, &a]);
-        self.h = {
-            let (x, s) = (Eager.input(&input), Eager.input(&self.h));
-            dec.gru.step(&mut Eager, store, &x, &s).into_owned()
-        };
-        let h = &self.h;
+        let input = ex.concat_cols(&[&self.x_prev, &self.r_prev, &a]);
+        self.h = dec.gru.step(ex, store, &input, &self.h);
 
-        // Eq. (16): one stacked segment head — sparse by default,
-        // computing only each row's mask-allowed columns.
-        let (w_id, b_id) = (store.value(dec.w_id), store.value(dec.b_id));
-        let masks: Vec<Option<kernels::SparseLogMask>> = self
+        // Eq. (16): one stacked segment head.
+        let masks: Vec<Option<SparseLogMask>> = self
             .active
             .iter()
             .map(|&i| {
                 let m = &self.members[i];
-                m.logw[m.step]
-                    .as_deref()
-                    .map(|entries| kernels::SparseLogMask {
-                        default: MASKED_OUT_LOGW,
-                        entries,
-                    })
+                m.logw[m.step].as_deref().map(|entries| SparseLogMask {
+                    default: MASKED_OUT_LOGW,
+                    entries,
+                })
             })
             .collect();
-        let logp = match self.head {
-            SegmentHead::Dense => {
-                let logits = kernels::add_rowvec(&kernels::matmul(h, w_id), b_id);
-                kernels::masked_log_softmax_rows(&logits, &masks)
-            }
-            SegmentHead::Sparse => kernels::masked_matmul_cols(h, w_id, b_id, &masks),
-            SegmentHead::Quantized(q) => q.forward_masked(h, b_id, &masks),
+        let logp = ex.segment_head(self.head, &self.h, w_id, b_id, &masks);
+        let preds: Vec<usize> = {
+            let lp = ex.value(&logp);
+            (0..b).map(|r| lp.argmax_row(r)).collect()
         };
-        let preds: Vec<usize> = (0..b).map(|r| logp.argmax_row(r)).collect();
-        let x_j = kernels::gather_rows(store.value(dec.seg_emb), &preds);
+
+        // What conditions each member next: the truth where the caller
+        // teaches, else the prediction.
+        let mut taught = Vec::new();
+        for (s, &i) in self.active.iter().enumerate() {
+            if let Some(truth) = teach(i, self.members[i].step) {
+                taught.push((s, truth));
+            }
+        }
+        let x_j = if taught.is_empty() {
+            ex.gather_rows(seg_emb, &preds)
+        } else {
+            let mut cond = preds.clone();
+            for &(s, (seg, _)) in &taught {
+                cond[s] = seg;
+            }
+            ex.gather_rows(seg_emb, &cond)
+        };
 
         // Eq. (17): one stacked rate head.
-        let rate_in = kernels::concat_cols(&[&x_j, h]);
-        let rate = kernels::sigmoid(&kernels::matmul(&rate_in, store.value(dec.w_rate)));
+        let rate_in = ex.concat_cols(&[&x_j, &self.h]);
+        let rate_lin = ex.matmul(&rate_in, w_rate);
+        let rate = ex.sigmoid(&rate_lin);
+        self.last = Some(E::outputs(&logp, &rate));
 
+        let (lp, rt) = (ex.value(&logp), ex.value(&rate));
         self.stepped.reserve(b);
         for (s, &i) in self.active.iter().enumerate() {
             let m = &mut self.members[i];
-            m.out.push((preds[s], rate.data[s]));
+            m.out.push((preds[s], rt.data[s]));
             self.stepped.push(StepOut {
                 member: i,
                 step: m.step,
                 segment: preds[s],
-                rate: rate.data[s],
-                logprob: logp.data[s * logp.cols + preds[s]],
+                rate: rt.data[s],
+                logprob: lp.data[s * lp.cols + preds[s]],
             });
             m.step += 1;
         }
         self.x_prev = x_j;
-        self.r_prev = rate;
+        self.r_prev = if taught.is_empty() {
+            rate
+        } else {
+            // Taught rows take the true rate: rows `b..2b` of the stack.
+            let mut truth = Tensor::zeros(b, 1);
+            let mut rows: Vec<usize> = (0..b).collect();
+            for &(s, (_, r)) in &taught {
+                truth.data[s] = r;
+                rows[s] = b + s;
+            }
+            let truth = ex.constant(truth);
+            let both = ex.concat_rows(&[&rate, &truth]);
+            ex.gather_rows(&both, &rows)
+        };
         self.tick += 1;
 
         // Retire finished members (the batch shrinks).
@@ -620,6 +784,15 @@ impl<'a> DecodeState<'a> {
             self.compact(&keep);
         }
         &self.stepped
+    }
+
+    /// Tick every live member greedily to its end, then
+    /// [`DecodeState::finish`]: the per-member outputs.
+    pub fn finish_greedy(mut self) -> Vec<Vec<(usize, f32)>> {
+        while self.live() > 0 {
+            self.tick(|_, _| None);
+        }
+        self.finish().0
     }
 
     /// End the decode: per-member outputs (a retired member's is the
@@ -636,6 +809,7 @@ impl<'a> DecodeState<'a> {
 mod tests {
     use super::*;
     use crate::features::FeatureExtractor;
+    use proptest::prelude::*;
     use rand::SeedableRng;
     use rntrajrec_roadnet::{CityConfig, RTree, SyntheticCity};
     use rntrajrec_synth::{SimConfig, Simulator};
@@ -665,6 +839,151 @@ mod tests {
         EncoderOutput { per_point, traj }
     }
 
+    /// One member's decode on the tape, per step.
+    #[derive(Default)]
+    struct DecoderRun {
+        /// `[1, |V|]` log-probabilities over segments (post-mask).
+        logps: Vec<NodeId>,
+        /// `[1, 1]` predicted moving ratio.
+        rates: Vec<NodeId>,
+        /// Argmax segment prediction.
+        preds: Vec<usize>,
+    }
+
+    /// The reference for `DecodeState<Tape>`: the per-member tape loop it
+    /// replaced — one member and one step at a time, `W_h·keys` recomputed
+    /// every step, a dense `[1, |V|]` mask row — as `Tape` compositions are
+    /// the reference for the fused kernels. `use_truth(j)` conditions the
+    /// step after `j` (and step `j`'s rate head) on the ground truth.
+    fn reference(
+        dec: &Decoder,
+        tape: &mut Tape,
+        store: &ParamStore,
+        enc: &EncoderOutput,
+        sample: &SampleInput,
+        mut use_truth: impl FnMut(usize) -> bool,
+    ) -> DecoderRun {
+        let seg_table = tape.param(store, dec.seg_emb);
+        let w_id = tape.param(store, dec.w_id);
+        let b_id = tape.param(store, dec.b_id);
+        let w_rate = tape.param(store, dec.w_rate);
+
+        let mut h = enc.traj;
+        let mut x_prev = tape.param(store, dec.start_emb);
+        let mut r_prev = tape.leaf(Tensor::scalar(0.0));
+        let mut run = DecoderRun::default();
+        for j in 0..sample.target_len() {
+            // Eq. (14): attention over encoder outputs.
+            let wg = tape.param(store, dec.attn.wg);
+            let wh = tape.param(store, dec.attn.wh);
+            let v = tape.param(store, dec.attn.v);
+            let gq = tape.matmul(h, wg); // [1, d]
+            let hk = tape.matmul(enc.per_point, wh); // [L, d]
+            let sum = tape.add_rowvec(hk, gq);
+            let t = tape.tanh(sum);
+            let mu = tape.matmul_nt(v, t); // [1, L]
+            let alphas = tape.softmax_rows(mu);
+            let a = tape.matmul(alphas, enc.per_point); // [1, d]
+                                                        // Eq. (15): GRU update.
+            let input = tape.concat_cols(&[x_prev, r_prev, a]);
+            h = dec.gru.step(tape, store, &input, &h);
+
+            // Road-segment head with constraint mask (Eq. 16).
+            let logits = tape.matmul(h, w_id);
+            let logits = tape.add_rowvec(logits, b_id);
+            let masked = match (dec.config.use_mask, &sample.masks[j]) {
+                (true, Some(entries)) => {
+                    let mut logw = vec![MASKED_OUT_LOGW; dec.config.num_segments];
+                    for &(seg, w) in entries {
+                        logw[seg] = w.max(1e-6).ln();
+                    }
+                    let lw = tape.leaf(Tensor::row(logw));
+                    tape.add(logits, lw)
+                }
+                _ => logits,
+            };
+            let logp = tape.log_softmax_rows(masked);
+            let pred = tape.value(logp).argmax_row(0);
+
+            // Next-step conditioning (teacher forcing vs. own prediction).
+            let teach = use_truth(j);
+            let cond_seg = if teach { sample.target_segs[j] } else { pred };
+            let x_j = tape.gather_rows(seg_table, &[cond_seg]);
+
+            // Moving-ratio head (Eq. 17): σ([x_j ∥ h_j]·w_rate).
+            let rate_in = tape.concat_cols(&[x_j, h]);
+            let rate_lin = tape.matmul(rate_in, w_rate);
+            let rate = tape.sigmoid(rate_lin);
+
+            run.logps.push(logp);
+            run.rates.push(rate);
+            run.preds.push(pred);
+
+            x_prev = x_j;
+            r_prev = if teach {
+                tape.leaf(Tensor::scalar(sample.target_rates[j]))
+            } else {
+                rate
+            };
+        }
+        run
+    }
+
+    /// Members decoded together by one `DecodeState<Tape>`, step `j` of
+    /// member `m` conditioned on the truth where `teach[m][j]`: per member,
+    /// per step, its tick's (log-prob rows, rates), its row in them and its
+    /// prediction.
+    fn stacked_decode(
+        dec: &Decoder,
+        store: &ParamStore,
+        tape: &mut Tape,
+        encs: &[EncoderOutput],
+        samples: &[&SampleInput],
+        teach: &[Vec<bool>],
+    ) -> Vec<Vec<(NodeId, NodeId, usize, usize)>> {
+        let members: Vec<BatchMember<NodeId>> = encs
+            .iter()
+            .zip(samples)
+            .map(|(enc, &sample)| BatchMember::new(enc, sample))
+            .collect();
+        let mut state = DecodeState::on_tape(dec, store, std::mem::take(tape));
+        state.admit(&members);
+        let mut steps = vec![Vec::new(); samples.len()];
+        while state.live() > 0 {
+            let outs = state
+                .tick(|m, j| {
+                    let s = samples[m];
+                    teach[m][j].then(|| (s.target_segs[j], s.target_rates[j]))
+                })
+                .to_vec();
+            let (logp, rate) = state.last_outputs();
+            for (row, st) in outs.iter().enumerate() {
+                assert_eq!(st.step, steps[st.member].len());
+                steps[st.member].push((logp, rate, row, st.segment));
+            }
+        }
+        *tape = state.into_tape();
+        steps
+    }
+
+    /// `sample` alone through `DecodeState<Tape>`, teacher-forced or greedy.
+    fn tape_decode(
+        dec: &Decoder,
+        store: &ParamStore,
+        tape: &mut Tape,
+        enc: &EncoderOutput,
+        sample: &SampleInput,
+        teacher_forcing: bool,
+    ) -> DecoderRun {
+        let teach = [vec![teacher_forcing; sample.target_len()]];
+        let steps = stacked_decode(dec, store, tape, &[*enc], &[sample], &teach).remove(0);
+        DecoderRun {
+            logps: steps.iter().map(|s| s.0).collect(),
+            rates: steps.iter().map(|s| s.1).collect(),
+            preds: steps.iter().map(|s| s.3).collect(),
+        }
+    }
+
     #[test]
     fn decoder_step_outputs_are_consistent() {
         let (city, input) = sample_input();
@@ -681,7 +1000,7 @@ mod tests {
         );
         let mut tape = Tape::new();
         let enc = fake_encoder_output(&mut tape, input.input_len(), 16);
-        let run = dec.run(&mut tape, &store, &enc, &input, true);
+        let run = tape_decode(&dec, &store, &mut tape, &enc, &input, true);
         assert_eq!(run.logps.len(), input.target_len());
         assert_eq!(run.rates.len(), input.target_len());
         assert_eq!(run.preds.len(), input.target_len());
@@ -711,7 +1030,7 @@ mod tests {
         );
         let mut tape = Tape::new();
         let enc = fake_encoder_output(&mut tape, input.input_len(), 16);
-        let run = dec.run(&mut tape, &store, &enc, &input, true);
+        let run = tape_decode(&dec, &store, &mut tape, &enc, &input, true);
         for (j, mask) in input.masks.iter().enumerate() {
             if let Some(entries) = mask {
                 let allowed: std::collections::HashSet<usize> =
@@ -741,7 +1060,7 @@ mod tests {
         );
         let mut tape = Tape::new();
         let enc = fake_encoder_output(&mut tape, input.input_len(), 16);
-        let run = dec.run(&mut tape, &store, &enc, &input, true);
+        let run = tape_decode(&dec, &store, &mut tape, &enc, &input, true);
         // At initialisation (near-uniform logits) every segment should get
         // non-negligible probability on observed steps when unmasked.
         let lp = tape.value(run.logps[0]);
@@ -768,7 +1087,7 @@ mod tests {
         );
         let mut tape = Tape::new();
         let enc = fake_encoder_output(&mut tape, input.input_len(), 16);
-        let run = dec.run(&mut tape, &store, &enc, &input, false);
+        let run = tape_decode(&dec, &store, &mut tape, &enc, &input, false);
         assert_eq!(run.preds.len(), input.target_len());
         // All predictions are valid segment indices.
         assert!(run.preds.iter().all(|&p| p < city.net.num_segments()));
@@ -790,7 +1109,7 @@ mod tests {
         );
         let mut tape = Tape::new();
         let enc = fake_encoder_output(&mut tape, input.input_len(), 16);
-        let run = dec.run(&mut tape, &store, &enc, &input, false);
+        let run = tape_decode(&dec, &store, &mut tape, &enc, &input, false);
 
         let member = BatchMember {
             per_point: tape.value(enc.per_point),
@@ -823,7 +1142,7 @@ mod tests {
         );
         let mut tape = Tape::new();
         let enc = fake_encoder_output(&mut tape, input.input_len(), 16);
-        let run = dec.run(&mut tape, &store, &enc, &input, true);
+        let run = tape_decode(&dec, &store, &mut tape, &enc, &input, true);
         // Simple loss: sum of selected true-class negative log-probs.
         let mut terms = Vec::new();
         for (j, &lp) in run.logps.iter().enumerate() {
@@ -836,5 +1155,184 @@ mod tests {
         tape.backward(loss, &mut store);
         assert!(store.grad(dec.w_id).data.iter().any(|&g| g != 0.0));
         assert!(store.grad(dec.seg_emb).data.iter().any(|&g| g != 0.0));
+    }
+
+    const DIM: usize = 16;
+    const POOL: usize = 6;
+    const TF_PROBS: [f32; 3] = [0.0, 0.5, 1.0];
+
+    /// A decoder and a ragged pool of `(per_point, traj, sample)` members:
+    /// target lengths 3..12, input lengths 4..10.
+    struct Pool {
+        store: ParamStore,
+        decoder: Decoder,
+        members: Vec<(Tensor, Tensor, SampleInput)>,
+    }
+
+    fn pool() -> Pool {
+        let city = SyntheticCity::generate(CityConfig::tiny());
+        let rtree = RTree::build(&city.net);
+        let fx = FeatureExtractor::new(&city.net, &rtree, city.net.grid(50.0));
+        let mut rng = StdRng::seed_from_u64(43);
+        let shapes: [(usize, usize); POOL] = [(3, 4), (5, 8), (7, 6), (9, 10), (9, 8), (12, 5)];
+        let members = shapes
+            .iter()
+            .map(|&(target_len, raw_len)| {
+                let sim_config = SimConfig {
+                    target_len,
+                    ..Default::default()
+                };
+                let mut sim = Simulator::new(&city.net, sim_config);
+                let input = fx.extract(&sim.sample(&mut rng, raw_len));
+                let per_point = Tensor::uniform(input.input_len(), DIM, 0.5, &mut rng);
+                let traj = Tensor::uniform(1, DIM, 0.5, &mut rng);
+                (per_point, traj, input)
+            })
+            .collect();
+        let mut store = ParamStore::new();
+        let config = DecoderConfig {
+            dim: DIM,
+            num_segments: city.net.num_segments(),
+            use_mask: true,
+        };
+        let decoder = Decoder::new(&mut store, &mut rng, config);
+        Pool {
+            store,
+            decoder,
+            members,
+        }
+    }
+
+    impl Pool {
+        /// Member `p`'s encoder outputs as leaves of `tape`.
+        fn leaves(&self, tape: &mut Tape, p: usize) -> EncoderOutput {
+            let (per_point, traj, _) = &self.members[p];
+            EncoderOutput {
+                per_point: tape.leaf(per_point.clone()),
+                traj: tape.leaf(traj.clone()),
+            }
+        }
+    }
+
+    fn bits(t: &[f32]) -> Vec<u32> {
+        t.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Any composition of 1–5 members, teacher-forced with probability
+        /// 0, ½ or 1 (observed steps always): `DecodeState<Tape>` gives every
+        /// member the reference loop's log-prob rows, rates and predictions,
+        /// bit for bit.
+        #[test]
+        fn stacked_tape_decode_equals_the_per_member_loop(
+            batch_size in 1usize..6,
+            tf in 0usize..3,
+            seed in 0u64..1_000_000,
+        ) {
+            let fix = pool();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let picks: Vec<usize> = (0..batch_size).map(|_| rng.gen_range(0..POOL)).collect();
+            let samples: Vec<&SampleInput> = picks.iter().map(|&p| &fix.members[p].2).collect();
+            let teach: Vec<Vec<bool>> = samples
+                .iter()
+                .map(|s| {
+                    (0..s.target_len())
+                        .map(|j| s.obs_step.contains(&j) || rng.gen::<f32>() < TF_PROBS[tf])
+                        .collect()
+                })
+                .collect();
+
+            let mut tape = Tape::new();
+            let encs: Vec<EncoderOutput> = picks.iter().map(|&p| fix.leaves(&mut tape, p)).collect();
+            let steps = stacked_decode(&fix.decoder, &fix.store, &mut tape, &encs, &samples, &teach);
+            for (m, &p) in picks.iter().enumerate() {
+                let mut alone = Tape::new();
+                let enc = fix.leaves(&mut alone, p);
+                let want = reference(&fix.decoder, &mut alone, &fix.store, &enc, samples[m], |j| teach[m][j]);
+                prop_assert_eq!(steps[m].len(), want.preds.len());
+                for (j, &(logp, rate, row, pred)) in steps[m].iter().enumerate() {
+                    prop_assert!(pred == want.preds[j], "member {m} step {j}: prediction");
+                    prop_assert!(
+                        bits(tape.value(logp).row_slice(row)) == bits(&alone.value(want.logps[j]).data),
+                        "member {m} step {j}: log-prob row"
+                    );
+                    prop_assert!(
+                        tape.value(rate).data[row].to_bits() == alone.value(want.rates[j]).item().to_bits(),
+                        "member {m} step {j}: rate"
+                    );
+                }
+            }
+        }
+
+        /// `Decoder::scheduled_loss` equals the loss assembled member by
+        /// member from the reference with the same seeded `rng` — the same
+        /// coins in the same order, the same terms averaged in the same
+        /// order: both losses bitwise, the same number of draws, and
+        /// gradients equal up to summation order.
+        #[test]
+        fn scheduled_loss_equals_the_per_member_loss(
+            batch_size in 1usize..6,
+            tf in 0usize..3,
+            seed in 0u64..1_000_000,
+        ) {
+            let mut fix = pool();
+            let tf_prob = TF_PROBS[tf];
+            let mut picker = StdRng::seed_from_u64(seed ^ 0x9e37);
+            let picks: Vec<usize> = (0..batch_size).map(|_| picker.gen_range(0..POOL)).collect();
+            let grads = |store: &ParamStore| -> Vec<Tensor> {
+                store.ids().map(|id| store.grad(id).clone()).collect()
+            };
+
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut tape = Tape::new();
+            let encs: Vec<EncoderOutput> = picks.iter().map(|&p| fix.leaves(&mut tape, p)).collect();
+            let samples: Vec<&SampleInput> = picks.iter().map(|&p| &fix.members[p].2).collect();
+            let (l_id, l_rate) = fix
+                .decoder
+                .scheduled_loss(&mut tape, &fix.store, &encs, &samples, tf_prob, &mut rng);
+            let total = tape.add(l_id, l_rate);
+            fix.store.zero_grad();
+            tape.backward(total, &mut fix.store);
+            let got = grads(&fix.store);
+
+            let mut want_rng = StdRng::seed_from_u64(seed);
+            let mut alone = Tape::new();
+            let (mut id_terms, mut rate_terms) = (Vec::new(), Vec::new());
+            for (&p, sample) in picks.iter().zip(&samples) {
+                let enc = fix.leaves(&mut alone, p);
+                let run = reference(&fix.decoder, &mut alone, &fix.store, &enc, sample, |j| {
+                    sample.obs_step.contains(&j) || tf_prob >= 1.0 || want_rng.gen::<f32>() < tf_prob
+                });
+                for (j, (&lp, &rate)) in run.logps.iter().zip(&run.rates).enumerate() {
+                    let picked = alone.select_cols(lp, sample.target_segs[j], 1);
+                    id_terms.push(alone.scale(picked, -1.0));
+                    let target = alone.leaf(Tensor::scalar(sample.target_rates[j]));
+                    let diff = alone.sub(rate, target);
+                    rate_terms.push(alone.mul(diff, diff));
+                }
+            }
+            let id_all = alone.concat_rows(&id_terms);
+            let want_id = alone.mean_all(id_all);
+            let rate_all = alone.concat_rows(&rate_terms);
+            let want_rate = alone.mean_all(rate_all);
+            let want_total = alone.add(want_id, want_rate);
+            fix.store.zero_grad();
+            alone.backward(want_total, &mut fix.store);
+            let want = grads(&fix.store);
+
+            prop_assert_eq!(tape.value(l_id).item().to_bits(), alone.value(want_id).item().to_bits());
+            prop_assert_eq!(tape.value(l_rate).item().to_bits(), alone.value(want_rate).item().to_bits());
+            prop_assert!(rng.gen::<u64>() == want_rng.gen::<u64>(), "coin draws differ in number");
+            for (id, (g, w)) in fix.store.ids().zip(got.iter().zip(&want)) {
+                for (&a, &b) in g.data.iter().zip(&w.data) {
+                    prop_assert!(
+                        (a - b).abs() <= 1e-5 + 1e-3 * b.abs(),
+                        "{}: gradient {} vs {}", fix.store.name(id), a, b
+                    );
+                }
+            }
+        }
     }
 }

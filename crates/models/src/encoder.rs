@@ -19,8 +19,6 @@
 //! [`TrajEncoder::precompute_road`] so a serving engine can compute it once
 //! per road network and share it read-only across requests.
 
-use rand::rngs::StdRng;
-
 use crate::features::SampleInput;
 use rntrajrec_nn::{NodeId, ParamStore, Tape, Tensor};
 
@@ -61,8 +59,6 @@ pub trait TrajEncoder: Send + Sync {
         tape: &mut Tape,
         store: &ParamStore,
         batch: &[&SampleInput],
-        training: bool,
-        rng: &mut StdRng,
     ) -> BatchEncoderOutput;
 
     /// Does this encoder implement the tape-free path? (Cheap probe —

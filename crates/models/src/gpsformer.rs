@@ -252,8 +252,6 @@ impl TrajEncoder for RnTrajRecEncoder {
         tape: &mut Tape,
         store: &ParamStore,
         batch: &[&SampleInput],
-        _training: bool,
-        _rng: &mut StdRng,
     ) -> BatchEncoderOutput {
         // X_road once per batch.
         let xroad = self.gridgnn.forward(tape, store);
@@ -376,7 +374,7 @@ mod tests {
         let ins = inputs(&city, &rtree, 2);
         let refs: Vec<&SampleInput> = ins.iter().collect();
         let mut tape = Tape::new();
-        let out = enc.encode(&mut tape, &store, &refs, true, &mut rng);
+        let out = enc.encode(&mut tape, &store, &refs);
         assert_eq!(out.outputs.len(), 2);
         for (o, s) in out.outputs.iter().zip(&ins) {
             assert_eq!(tape.value(o.per_point).shape(), (s.input_len(), 16));
@@ -400,7 +398,7 @@ mod tests {
         let ins = inputs(&city, &rtree, 1);
         let refs: Vec<&SampleInput> = ins.iter().collect();
         let mut tape = Tape::new();
-        let out = enc.encode(&mut tape, &store, &refs, true, &mut rng);
+        let out = enc.encode(&mut tape, &store, &refs);
         assert!(out.aux_loss.is_none());
         assert_eq!(
             tape.value(out.outputs[0].per_point).shape(),
@@ -423,8 +421,8 @@ mod tests {
             cfg.grl.graph_norm = graph_norm;
             let enc = RnTrajRecEncoder::new(&mut store, &mut rng, &city.net, &grid, cfg);
             let mut tape = Tape::new();
-            let both = enc.encode(&mut tape, &store, &[&ins[0], &ins[1]], true, &mut rng);
-            let alone = enc.encode(&mut tape, &store, &[&ins[0]], true, &mut rng);
+            let both = enc.encode(&mut tape, &store, &[&ins[0], &ins[1]]);
+            let alone = enc.encode(&mut tape, &store, &[&ins[0]]);
             let same = tape.value(both.outputs[0].per_point).data
                 == tape.value(alone.outputs[0].per_point).data;
             assert_eq!(same, !graph_norm, "graph_norm={graph_norm}");
@@ -513,7 +511,7 @@ mod tests {
         let ins = inputs(&city, &rtree, 1);
         let refs: Vec<&SampleInput> = ins.iter().collect();
         let mut tape = Tape::new();
-        let out = enc.encode(&mut tape, &store, &refs, true, &mut rng);
+        let out = enc.encode(&mut tape, &store, &refs);
         let loss = out.aux_loss.unwrap();
         store.zero_grad();
         tape.backward(loss, &mut store);

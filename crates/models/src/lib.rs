@@ -40,7 +40,7 @@ pub use baselines::{
     TransformerBaseline,
 };
 pub use decoder::{
-    BatchMember, DecodeHooks, DecodeState, Decoder, DecoderConfig, DecoderRun, GrownMember,
+    BatchMember, DecodeExec, DecodeHooks, DecodeState, Decoder, DecoderConfig, GrownMember,
     SegmentHead, StepOut,
 };
 pub use encoder::{BatchEncoderOutput, EncoderOutput, InferOutput, TrajEncoder};

@@ -6,7 +6,7 @@
 //! ragged lengths, repeated members, any batch size, any intra-op thread
 //! count — are **bit-identical** to the same call on each member alone
 //! (`B = 1`), which the singleton tests below in turn anchor on the tape
-//! (`Decoder::run` / `encode`), the independent reference. The batched
+//! (`DecodeState` on a `Tape` / `encode`). The batched
 //! paths stack members' rows into one matrix per projection while every
 //! member-scoped reduction (attention rows, graph readout, GraphNorm
 //! statistics) keeps each member's own accumulation order; that is exactly
@@ -24,8 +24,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use rntrajrec_models::{
-    BatchMember, DecodeHooks, Decoder, DecoderConfig, EncoderOutput, FeatureExtractor, InferOutput,
-    RnTrajRecConfig, RnTrajRecEncoder, SampleInput, SegmentHead, TrajEncoder,
+    BatchMember, DecodeHooks, DecodeState, Decoder, DecoderConfig, EncoderOutput, FeatureExtractor,
+    InferOutput, RnTrajRecConfig, RnTrajRecEncoder, SampleInput, SegmentHead, TrajEncoder,
 };
 use rntrajrec_nn::kernels::backend::{self, Backend};
 use rntrajrec_nn::{pool, ParamStore, Tape, Tensor};
@@ -443,10 +443,10 @@ fn quantized_head_recovery_is_valid_and_thread_invariant() {
 }
 
 /// `B = 1` is the degenerate batch the properties above use as their
-/// reference; anchor it on the independent implementation — the tape's
-/// greedy decode (`Decoder::run`, no teacher forcing): equal segments,
-/// bit-equal rates (the stacked matrices are the member's own `[1, d]`
-/// rows).
+/// reference; anchor it on the tape's greedy decode — the same
+/// `DecodeState` body recording on a `Tape`, with training's dense
+/// soft-masked head instead of the sparse one: equal segments, bit-equal
+/// rates (the stacked matrices are the member's own `[1, d]` rows).
 #[test]
 fn singleton_batch_equals_tape_decode() {
     let fix = fixture();
@@ -458,13 +458,9 @@ fn singleton_batch_equals_tape_decode() {
             per_point: tape.leaf(per_point.clone()),
             traj: tape.leaf(traj.clone()),
         };
-        let run = fix.decoder.run(&mut tape, &fix.store, &enc, sample, false);
-        let want: Vec<(usize, f32)> = run
-            .preds
-            .iter()
-            .zip(&run.rates)
-            .map(|(&seg, &rate)| (seg, tape.value(rate).item()))
-            .collect();
+        let mut state = DecodeState::on_tape(&fix.decoder, &fix.store, tape);
+        state.admit(&[BatchMember::new(&enc, sample)]);
+        let want = state.finish_greedy().remove(0);
         assert_eq!(fix.alone(p), want, "member {p} diverged from the tape");
     }
 }
@@ -530,7 +526,7 @@ fn stepped_decode_state_equals_the_hooks_driver() {
                 if state.live() == 0 {
                     break;
                 }
-                stepped.extend_from_slice(state.tick());
+                stepped.extend_from_slice(state.tick(|_, _| None));
             }
             let by_hand = state.finish();
 
@@ -699,13 +695,12 @@ proptest! {
 fn singleton_and_single_point_encoder_batches() {
     let fix = encoder_fixture();
     pool::set_num_threads(1);
-    let mut rng = StdRng::seed_from_u64(0); // unused by RNTrajRec's encode
     for p in 0..ENC_POOL {
         let batched = fix.encode(&[&fix.samples[p]]);
         let mut tape = Tape::new();
         let want = fix
             .encoder
-            .encode(&mut tape, &fix.store, &[&fix.samples[p]], false, &mut rng);
+            .encode(&mut tape, &fix.store, &[&fix.samples[p]]);
         assert_eq!(
             batched[0].per_point.data,
             tape.value(want.outputs[0].per_point).data,

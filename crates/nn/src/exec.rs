@@ -16,8 +16,9 @@
 //!
 //! **Scoped reductions.** The stacked formulation runs a whole batch as
 //! one matrix per projection; what must *not* mix rows across members —
-//! self-attention, graph readout, pooling, GraphNorm statistics — are the
-//! five `segmented_*` / [`Exec::gated_fusion`] ops. `Eager` runs each as
+//! self-attention, the decoder's additive attention, graph readout,
+//! pooling, GraphNorm statistics — are the six `segmented_*` /
+//! [`Exec::gated_fusion`] ops. `Eager` runs each as
 //! one fused kernel; `Tape` composes it per segment from its existing
 //! differentiable ops (no `Op` variant, no backward code of its own), and
 //! that composition is the reference the fused kernels are pinned
@@ -43,6 +44,8 @@ pub trait Exec<'s> {
     fn input(&mut self, t: &'s Tensor) -> Self::H;
     /// A constant built for this call (no gradient).
     fn constant(&mut self, t: Tensor) -> Self::H;
+    /// The value behind a handle.
+    fn value<'v>(&'v self, h: &'v Self::H) -> &'v Tensor;
 
     // ----- element-wise and products ------------------------------------------
 
@@ -68,6 +71,8 @@ pub trait Exec<'s> {
     fn concat_rows(&mut self, parts: &[&Self::H]) -> Self::H;
     fn select_rows(&mut self, a: &Self::H, start: usize, len: usize) -> Self::H;
     fn gather_rows(&mut self, table: &Self::H, indices: &[usize]) -> Self::H;
+    /// A `[1,C]` row repeated `n` times.
+    fn repeat_rows(&mut self, a: &Self::H, n: usize) -> Self::H;
 
     // ----- CSR graph attention ---------------------------------------------------
 
@@ -86,6 +91,19 @@ pub trait Exec<'s> {
         v: &Self::H,
         segs: &[Range<usize>],
         scale: f32,
+    ) -> Self::H;
+
+    /// Additive attention (Eq. 14) of query `s` over its own keys: with
+    /// `seg = segs[s]`, row `s` = `softmax(v·tanh(hk[seg] + gq[s])ᵀ)·keys[seg]`.
+    /// `hk` is `keys` already projected by `W_h`, `gq` one projected query
+    /// per segment; `segs` may skip rows of `keys`.
+    fn segmented_additive_attention(
+        &mut self,
+        hk: &Self::H,
+        gq: &Self::H,
+        v: &Self::H,
+        keys: &Self::H,
+        segs: &[Range<usize>],
     ) -> Self::H;
 
     /// Row `s` = column means of `a[segs[s], :]`.
@@ -142,6 +160,9 @@ impl<'s> Exec<'s> for Tape {
     fn constant(&mut self, t: Tensor) -> NodeId {
         self.leaf(t)
     }
+    fn value<'v>(&'v self, h: &'v NodeId) -> &'v Tensor {
+        Tape::value(self, *h)
+    }
 
     fn add(&mut self, a: &NodeId, b: &NodeId) -> NodeId {
         Tape::add(self, *a, *b)
@@ -194,6 +215,9 @@ impl<'s> Exec<'s> for Tape {
     fn gather_rows(&mut self, table: &NodeId, indices: &[usize]) -> NodeId {
         Tape::gather_rows(self, *table, indices)
     }
+    fn repeat_rows(&mut self, a: &NodeId, n: usize) -> NodeId {
+        Tape::repeat_rows(self, *a, n)
+    }
 
     fn edge_scores(&mut self, src: &NodeId, dst: &NodeId, csr: &Arc<GraphCsr>) -> NodeId {
         Tape::edge_scores(self, *src, *dst, csr)
@@ -223,6 +247,31 @@ impl<'s> Exec<'s> for Tape {
                 let scores = Tape::scale(self, scores, scale);
                 let alphas = self.softmax_rows(scores);
                 Tape::matmul(self, alphas, vs)
+            })
+            .collect();
+        Tape::concat_rows(self, &outs)
+    }
+
+    fn segmented_additive_attention(
+        &mut self,
+        hk: &NodeId,
+        gq: &NodeId,
+        v: &NodeId,
+        keys: &NodeId,
+        segs: &[Range<usize>],
+    ) -> NodeId {
+        let outs: Vec<NodeId> = segs
+            .iter()
+            .enumerate()
+            .map(|(s, seg)| {
+                let hks = Tape::select_rows(self, *hk, seg.start, seg.len());
+                let q = Tape::select_rows(self, *gq, s, 1);
+                let sum = Tape::add_rowvec(self, hks, q);
+                let t = Tape::tanh(self, sum); // [L, d]
+                let mu = self.matmul_nt(*v, t); // [1, L]
+                let alphas = self.softmax_rows(mu);
+                let ks = Tape::select_rows(self, *keys, seg.start, seg.len());
+                Tape::matmul(self, alphas, ks) // [1, d]
             })
             .collect();
         Tape::concat_rows(self, &outs)
@@ -337,6 +386,9 @@ impl<'s> Exec<'s> for Eager {
     fn constant(&mut self, t: Tensor) -> Self::H {
         Cow::Owned(t)
     }
+    fn value<'v>(&'v self, h: &'v Self::H) -> &'v Tensor {
+        h
+    }
 
     fn add(&mut self, a: &Self::H, b: &Self::H) -> Self::H {
         Cow::Owned(kernels::add(a, b))
@@ -387,15 +439,21 @@ impl<'s> Exec<'s> for Eager {
         Cow::Owned(kernels::select_cols(a, start, len))
     }
     fn concat_rows(&mut self, parts: &[&Self::H]) -> Self::H {
-        Cow::Owned(kernels::concat_rows(
-            &parts.iter().map(|p| -> &Tensor { p }).collect::<Vec<_>>(),
-        ))
+        // Appending a decode admission wave under the live rows stays on the
+        // stack.
+        Cow::Owned(match parts {
+            [a, b] => kernels::concat_rows(&[a, b]),
+            _ => kernels::concat_rows(&parts.iter().map(|p| -> &Tensor { p }).collect::<Vec<_>>()),
+        })
     }
     fn select_rows(&mut self, a: &Self::H, start: usize, len: usize) -> Self::H {
         Cow::Owned(kernels::select_rows(a, start, len))
     }
     fn gather_rows(&mut self, table: &Self::H, indices: &[usize]) -> Self::H {
         Cow::Owned(kernels::gather_rows(table, indices))
+    }
+    fn repeat_rows(&mut self, a: &Self::H, n: usize) -> Self::H {
+        Cow::Owned(kernels::repeat_rows(a, n))
     }
 
     fn edge_scores(&mut self, src: &Self::H, dst: &Self::H, csr: &Arc<GraphCsr>) -> Self::H {
@@ -417,6 +475,21 @@ impl<'s> Exec<'s> for Eager {
         scale: f32,
     ) -> Self::H {
         Cow::Owned(kernels::segmented_self_attention(q, k, v, segs, scale))
+    }
+    fn segmented_additive_attention(
+        &mut self,
+        hk: &Self::H,
+        gq: &Self::H,
+        v: &Self::H,
+        keys: &Self::H,
+        segs: &[Range<usize>],
+    ) -> Self::H {
+        let mut t = kernels::segments_add_rowvec(hk, gq, segs);
+        kernels::tanh_in_place(&mut t);
+        let mu = kernels::matmul_nt(v, &t);
+        let lens: Vec<usize> = segs.iter().map(|s| s.len()).collect();
+        let alphas = kernels::softmax_segments(&mu, &lens);
+        Cow::Owned(kernels::segmented_attn_context(&alphas, keys, segs))
     }
     fn segmented_mean_rows(&mut self, a: &Self::H, segs: &[Range<usize>]) -> Self::H {
         Cow::Owned(kernels::segmented_mean_rows(a, segs))

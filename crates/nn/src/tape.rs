@@ -84,6 +84,9 @@ pub enum Op {
     SumAll(NodeId),
     /// Row gather: `table[indices[i], :]` → `[n, C]` (embedding lookup).
     GatherRows(NodeId, Arc<Vec<usize>>),
+    /// One entry per row: `a[r, cols[r]]` → `[R, 1]` (a loss picking each
+    /// row's target class).
+    PickCols(NodeId, Arc<Vec<usize>>),
     /// GAT edge scores: `out[e] = src[i] + dst[j_e]` for each edge slot `e`
     /// in node `i`'s segment.
     EdgeScores(NodeId, NodeId, Arc<GraphCsr>),
@@ -336,6 +339,22 @@ impl Tape {
     pub fn gather_rows(&mut self, table: NodeId, indices: &[usize]) -> NodeId {
         let t = kernels::gather_rows(self.val(table), indices);
         self.push(t, Op::GatherRows(table, Arc::new(indices.to_vec())))
+    }
+
+    /// `a[r, cols[r]]` for every row `r` → `[R, 1]`.
+    pub fn pick_cols(&mut self, a: NodeId, cols: &[usize]) -> NodeId {
+        let ta = self.val(a);
+        assert_eq!(cols.len(), ta.rows, "pick_cols: one column per row");
+        let picked = cols
+            .iter()
+            .enumerate()
+            .map(|(r, &c)| {
+                assert!(c < ta.cols, "pick_cols: column {c} out of range");
+                ta.data[r * ta.cols + c]
+            })
+            .collect();
+        let t = Tensor::from_vec(ta.rows, 1, picked);
+        self.push(t, Op::PickCols(a, Arc::new(cols.to_vec())))
     }
 
     // ----- fused graph-attention ops -------------------------------------------
@@ -691,6 +710,14 @@ impl Tape {
                         }
                     }
                     self.acc(table, &gt);
+                }
+                Op::PickCols(a, cols) => {
+                    let ta = &self.nodes[a].value;
+                    let mut ga = vec![0.0f32; ta.len()];
+                    for (r, &c) in cols.iter().enumerate() {
+                        ga[r * ta.cols + c] = g[r];
+                    }
+                    self.acc(a, &ga);
                 }
                 Op::EdgeScores(src, dst, csr) => {
                     let n = csr.num_nodes();

@@ -257,6 +257,13 @@ fn grad_gather_rows() {
 }
 
 #[test]
+fn grad_pick_cols() {
+    check(&[t(4, 5, 43)], |tp, ids| {
+        tp.pick_cols(ids[0], &[3, 0, 4, 0])
+    });
+}
+
+#[test]
 fn gather_rows_duplicates_accumulate() {
     let mut tp = Tape::new();
     let table = tp.leaf(t(4, 2, 42));

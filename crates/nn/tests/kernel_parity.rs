@@ -25,13 +25,14 @@
 //! Executor conformance (`exec_ops_agree_between_tape_and_eager`): one
 //! generic function runs **every** [`Exec`] op, and the values it produces
 //! on a [`Tape`] and on [`Eager`] must agree bitwise. For the plain ops
-//! that pins that both executors call the same kernel; for the five scoped
+//! that pins that both executors call the same kernel; for the six scoped
 //! ops it is the fused-kernel-vs-composed-chain check — `Eager` runs
-//! `segmented_self_attention` / `segmented_mean_rows` /
-//! `segmented_weighted_mean_rows` / `segmented_norm_*` / `gated_fusion`,
-//! `Tape` the per-segment chain of primitive differentiable ops — over
-//! ragged segments with a one-row and an empty member (for the gate: a
-//! point owning one row and a point owning none).
+//! `segmented_self_attention` / `segmented_additive_attention` /
+//! `segmented_mean_rows` / `segmented_weighted_mean_rows` /
+//! `segmented_norm_*` / `gated_fusion`, `Tape` the per-segment chain of
+//! primitive differentiable ops — over ragged segments with a one-row and
+//! an empty member (for the gate: a point owning one row and a point owning
+//! none).
 //!
 //! Each case draws random shapes (large enough that the pool actually
 //! engages), random contents, and — for the CSR graph ops — random ragged
@@ -682,10 +683,15 @@ fn run_every_exec_op<'s, E: Exec<'s>>(ex: &mut E, i: &'s ExecInputs) -> Vec<(&'s
         ("concat_rows", ex.concat_rows(&[&a, &v, &b])),
         ("select_rows", ex.select_rows(&a, 1, i.a.rows - 1)),
         ("gather_rows", ex.gather_rows(&a, &i.idx)),
+        ("repeat_rows", ex.repeat_rows(&v, 5)),
         ("neighbor_sum", ex.neighbor_sum(&alphas, &a, &i.csr)),
         (
             "segmented_self_attention",
             ex.segmented_self_attention(&a, &b, &sum, &i.segs, scale),
+        ),
+        (
+            "segmented_additive_attention",
+            ex.segmented_additive_attention(&b, &point_a, &v, &a, &i.segs),
         ),
         ("segmented_mean_rows", ex.segmented_mean_rows(&a, &i.graphs)),
         (

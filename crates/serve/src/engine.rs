@@ -1554,7 +1554,7 @@ impl<'e> Session<'e> {
                 cuts[i] = self.members[first + i].cut(now);
                 cuts[i].is_some()
             });
-            let steps = state.tick();
+            let steps = state.tick(|_, _| None);
             decoding += now.elapsed();
             if open {
                 for step in steps {

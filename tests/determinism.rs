@@ -2,12 +2,10 @@
 //! trained parameters, and predictions — the property that makes every
 //! number in EXPERIMENTS.md reproducible.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use rntrajrec_suite::rntrajrec::experiments::{ExperimentScale, Pipeline};
 use rntrajrec_suite::rntrajrec::model::{EndToEnd, MethodSpec};
 use rntrajrec_suite::rntrajrec::train::{TrainConfig, Trainer};
+use rntrajrec_suite::rntrajrec_nn::pool;
 use rntrajrec_suite::rntrajrec_synth::DatasetConfig;
 
 fn scale() -> ExperimentScale {
@@ -48,8 +46,7 @@ fn training_and_prediction_are_deterministic() {
             ..Default::default()
         });
         t.fit(&mut m, &p.train_inputs, None);
-        let mut rng = StdRng::seed_from_u64(5);
-        m.predict(&p.test_inputs[0], &mut rng)
+        m.predict(&p.test_inputs[0])
     };
     assert_eq!(run(), run());
 }
@@ -60,13 +57,53 @@ fn different_seeds_give_different_models() {
     let p = Pipeline::prepare(DatasetConfig::tiny(8, 16), &s);
     let m1 = EndToEnd::build(&MethodSpec::MTrajRec, &p.dataset.city.net, &p.grid, 8, 7);
     let m2 = EndToEnd::build(&MethodSpec::MTrajRec, &p.dataset.city.net, &p.grid, 8, 8);
-    let mut rng = StdRng::seed_from_u64(5);
-    let a = m1.predict(&p.test_inputs[0], &mut rng);
-    let mut rng = StdRng::seed_from_u64(5);
-    let b = m2.predict(&p.test_inputs[0], &mut rng);
+    let a = m1.predict(&p.test_inputs[0]);
+    let b = m2.predict(&p.test_inputs[0]);
     // Rates are continuous: identical outputs across different inits would
     // indicate the seed is being ignored.
     let ra: Vec<f32> = a.iter().map(|&(_, r)| r).collect();
     let rb: Vec<f32> = b.iter().map(|&(_, r)| r).collect();
     assert_ne!(ra, rb);
+}
+
+/// Training gives the same bits at any intra-op thread count: kernels
+/// split only disjoint output ranges, the stacked tape decode's backward
+/// included. At `d = 64` and batches of 8 the wide products really fan out
+/// to the pool (checked, unless the host has one core).
+#[test]
+fn training_is_bitwise_identical_across_thread_counts() {
+    let s = scale();
+    let p = Pipeline::prepare(DatasetConfig::tiny(8, 16), &s);
+    let before = pool::num_threads();
+    for spec in [MethodSpec::MTrajRec, MethodSpec::RnTrajRec] {
+        let train = |threads: usize| {
+            let threads = pool::set_num_threads(threads);
+            let jobs = pool::stats().parallel_jobs;
+            let mut m = EndToEnd::build(&spec, &p.dataset.city.net, &p.grid, 64, 7);
+            let mut t = Trainer::new(TrainConfig {
+                epochs: 1,
+                batch_size: 8,
+                lr: 3e-3,
+                seed: 7,
+                ..Default::default()
+            });
+            t.fit(&mut m, &p.train_inputs, None);
+            let fanned_out = threads == 1 || pool::stats().parallel_jobs > jobs;
+            assert!(
+                fanned_out,
+                "{spec:?}: nothing ran on the pool at {threads} threads"
+            );
+            let bits: Vec<u32> = m
+                .store
+                .ids()
+                .flat_map(|id| m.store.value(id).data.iter().map(|x| x.to_bits()))
+                .collect();
+            bits
+        };
+        assert!(
+            train(1) == train(4),
+            "{spec:?}: parameters differ between 1 and 4 threads"
+        );
+    }
+    pool::set_num_threads(before);
 }

@@ -132,9 +132,8 @@ fn prediction_interface_round_trips_through_metrics() {
         8,
         7,
     );
-    let mut rng = StdRng::seed_from_u64(1);
     let input = &pipeline.test_inputs[0];
-    let pred = model.predict(input, &mut rng);
+    let pred = model.predict(input);
     let tp = travel_path(input.target_segs.iter().copied());
     let pp = travel_path(pred.iter().map(|&(s, _)| s));
     let (r, p, f1) = path_prf(&tp, &pp);

@@ -7,9 +7,6 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use rntrajrec_suite::rntrajrec::experiments::{ExperimentScale, Pipeline};
 use rntrajrec_suite::rntrajrec::model::{EndToEnd, MethodSpec};
 use rntrajrec_suite::rntrajrec::train::{TrainConfig, Trainer};
@@ -54,11 +51,10 @@ fn trained_pipeline() -> (Pipeline, EndToEnd) {
 #[test]
 fn trained_weights_serve_identically_to_tape_predict() {
     let (pipeline, model) = trained_pipeline();
-    let mut rng = StdRng::seed_from_u64(5);
     let tape_preds: Vec<Vec<(usize, f32)>> = pipeline
         .test_inputs
         .iter()
-        .map(|i| model.predict(i, &mut rng))
+        .map(|i| model.predict(i))
         .collect();
 
     let serving = Arc::new(ServingModel::new(model).expect("RNTrajRec serves"));
