@@ -1,6 +1,8 @@
 //! Criterion benchmark for Fig. 6's x-axis: per-trajectory inference time
-//! of every end-to-end method (encoder + greedy decode). Weights are
-//! untrained — latency is weight-independent.
+//! of every end-to-end method (encoder + greedy decode) on the eager path
+//! that evaluation uses, `EndToEnd::infer_predict_batch` with the road
+//! representation precomputed once per model. Weights are untrained —
+//! latency is weight-independent.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -9,7 +11,7 @@ use std::hint::black_box;
 
 use rntrajrec::experiments::ExperimentScale;
 use rntrajrec::model::{EndToEnd, MethodSpec};
-use rntrajrec_models::{FeatureExtractor, SampleInput};
+use rntrajrec_models::{FeatureExtractor, SampleInput, SegmentHead};
 use rntrajrec_roadnet::{CityConfig, RTree, SyntheticCity};
 use rntrajrec_synth::{SimConfig, Simulator};
 
@@ -36,8 +38,13 @@ fn bench_inference(c: &mut Criterion) {
     let mut g = c.benchmark_group("inference_per_trajectory");
     for spec in methods {
         let model = EndToEnd::build(&spec, &city.net, &grid, scale.dim, 7);
+        let road = model.precompute_road();
         let name = spec.label().replace([' ', '(', ')', '+'], "_");
-        g.bench_function(&name, |b| b.iter(|| black_box(model.predict(&input))));
+        g.bench_function(&name, |b| {
+            b.iter(|| {
+                black_box(model.infer_predict_batch(&[&input], road.as_ref(), SegmentHead::Sparse))
+            })
+        });
     }
     g.finish();
 }

@@ -1,11 +1,11 @@
 //! The headline comparison in the large-data regime: Linear + HMM,
 //! MTrajRec and RNTrajRec trained on 2500 Chengdu ×8 trajectories
-//! (d = 24, 8 epochs, model seed 7), each evaluated on the first 25 test
-//! trajectories. Prints one row per method (recall, precision, F1,
-//! accuracy, MAE, RMSE) plus each method's training seconds, and writes
-//! `results/headline.json`. 25 trajectories and one seed are too few to
-//! rank the methods: compare orderings only over several model seeds on
-//! the whole test split.
+//! (d = 24, 8 epochs, model seed 7), each evaluated on the whole
+//! 250-trajectory test split. Prints one row per method (recall,
+//! precision, F1, accuracy, MAE, RMSE) plus each method's training
+//! seconds, and writes `results/headline.json`. One model seed is too few
+//! to rank the methods: EXPERIMENTS.md has this table over three seeds and
+//! both kernel backends.
 //!
 //! ```bash
 //! cargo run --release -p rntrajrec-bench --bin headline
@@ -22,7 +22,6 @@ fn main() {
         dim: 24,
         epochs: 8,
         batch: 8,
-        max_eval: 25,
         seed: 7,
         lr: 3e-3,
     };

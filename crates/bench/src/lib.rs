@@ -23,7 +23,6 @@ pub fn scale_from_env() -> ExperimentScale {
             dim: 32,
             epochs: 10,
             batch: 8,
-            max_eval: 40,
             seed: 7,
             lr: 3e-3,
         },
@@ -32,7 +31,6 @@ pub fn scale_from_env() -> ExperimentScale {
             dim: 24,
             epochs: 14,
             batch: 8,
-            max_eval: 20,
             seed: 7,
             lr: 3e-3,
         },
@@ -44,8 +42,8 @@ pub fn scale_from_env() -> ExperimentScale {
 pub fn banner(name: &str, scale: &ExperimentScale) {
     println!("=== {name} ===");
     println!(
-        "scale: {} trajectories, d={}, {} epochs, batch {}, eval {} (set SCALE=quick|medium|paper)\n",
-        scale.num_traj, scale.dim, scale.epochs, scale.batch, scale.max_eval
+        "scale: {} trajectories, d={}, {} epochs, batch {}, whole test split (set SCALE=quick|medium|paper)\n",
+        scale.num_traj, scale.dim, scale.epochs, scale.batch
     );
 }
 

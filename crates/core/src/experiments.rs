@@ -29,8 +29,6 @@ pub struct ExperimentScale {
     /// Training epochs (paper: 30).
     pub epochs: usize,
     pub batch: usize,
-    /// Cap on evaluated test trajectories.
-    pub max_eval: usize,
     pub seed: u64,
     /// Adam learning rate (paper: 1e-3; small-scale runs converge faster
     /// at 3e-3).
@@ -45,7 +43,6 @@ impl ExperimentScale {
             dim: 16,
             epochs: 2,
             batch: 4,
-            max_eval: 5,
             seed: 7,
             lr: 3e-3,
         }
@@ -58,12 +55,15 @@ impl ExperimentScale {
             dim: 32,
             epochs: 20,
             batch: 8,
-            max_eval: 24,
             seed: 7,
             lr: 3e-3,
         }
     }
 }
+
+/// Test trajectories per [`EndToEnd::infer_predict_batch`] call when
+/// evaluating an end-to-end method.
+pub const EVAL_BATCH: usize = 32;
 
 /// One evaluated method: the row of a table plus efficiency data.
 #[derive(Debug, Clone, Serialize)]
@@ -77,7 +77,10 @@ pub struct MethodResult {
     pub rmse_m: f64,
     /// Wall-clock training time, seconds.
     pub train_secs: f64,
-    /// Mean inference time per trajectory, milliseconds (Fig. 6 x-axis).
+    /// Mean inference time per test trajectory, milliseconds (Fig. 6
+    /// x-axis). Every end-to-end method is timed on the same eager path,
+    /// [`EndToEnd::infer_predict_batch`] over batches of [`EVAL_BATCH`];
+    /// the two-stage methods one trajectory at a time.
     pub infer_ms: f64,
     /// Learnable scalar count (Fig. 6 bubble size); 0 for Linear+HMM.
     pub num_params: usize,
@@ -179,11 +182,10 @@ impl Pipeline {
             .any(|s| s.index() == seg)
     }
 
-    /// Train (if learned) and evaluate one method.
+    /// Train (if learned) and evaluate one method on the whole test split.
     pub fn train_and_eval(&self, spec: &MethodSpec, scale: &ExperimentScale) -> MethodResult {
         let eps_rho = self.dataset.config.sim.eps_rho_s;
         let hmm = HmmConfig::default();
-        let n_eval = self.test_inputs.len().min(scale.max_eval);
 
         let t_train = Instant::now();
         enum Trained {
@@ -230,8 +232,6 @@ impl Pipeline {
 
         // Evaluation.
         let fx = self.fx();
-        let mut acc = MetricsAccumulator::new(&self.dataset.city.net);
-        let mut sr_cases = Vec::with_capacity(n_eval);
         // The road representation is input-independent: computed once per
         // trained model, in advance, as the paper does at inference.
         let road = match &trained {
@@ -239,25 +239,32 @@ impl Pipeline {
             _ => None,
         };
         let t_infer = Instant::now();
-        for i in 0..n_eval {
-            let input = &self.test_inputs[i];
-            let pred: Vec<(usize, f32)> = match &trained {
-                Trained::Linear => linear_hmm_predict(
-                    &self.dataset.city.net,
-                    &self.rtree,
-                    &hmm,
-                    &self.dataset.test[i],
-                    eps_rho,
-                ),
-                Trained::Dhtr(m) => m.predict(&fx, &self.rtree, &hmm, input, eps_rho),
-                Trained::E2e(m) => {
-                    match m.infer_predict_batch(&[input], road.as_ref(), SegmentHead::Sparse) {
-                        Some(mut paths) => paths.remove(0),
-                        // Baselines have no eager path.
-                        None => m.predict(input),
-                    }
-                }
-            };
+        let preds: Vec<Vec<(usize, f32)>> = match &trained {
+            Trained::Linear => self
+                .dataset
+                .test
+                .iter()
+                .map(|s| linear_hmm_predict(&self.dataset.city.net, &self.rtree, &hmm, s, eps_rho))
+                .collect(),
+            Trained::Dhtr(m) => self
+                .test_inputs
+                .iter()
+                .map(|input| m.predict(&fx, &self.rtree, &hmm, input, eps_rho))
+                .collect(),
+            Trained::E2e(m) => {
+                let refs: Vec<&SampleInput> = self.test_inputs.iter().collect();
+                refs.chunks(EVAL_BATCH)
+                    .flat_map(|batch| {
+                        m.infer_predict_batch(batch, road.as_ref(), SegmentHead::Sparse)
+                    })
+                    .collect()
+            }
+        };
+        let infer_ms = t_infer.elapsed().as_secs_f64() * 1000.0 / preds.len().max(1) as f64;
+
+        let mut acc = MetricsAccumulator::new(&self.dataset.city.net);
+        let mut sr_cases = Vec::with_capacity(preds.len());
+        for (input, pred) in self.test_inputs.iter().zip(&preds) {
             let truth: Vec<(usize, f32)> = input
                 .target_segs
                 .iter()
@@ -268,9 +275,8 @@ impl Pipeline {
                 truth.iter().map(|&(s, _)| s).collect(),
                 pred.iter().map(|&(s, _)| s).collect(),
             ));
-            acc.add(&truth, &pred);
+            acc.add(&truth, pred);
         }
-        let infer_ms = t_infer.elapsed().as_secs_f64() * 1000.0 / n_eval.max(1) as f64;
 
         let num_params = match &trained {
             Trained::Linear => 0,
@@ -377,7 +383,7 @@ mod tests {
         assert!(r.accuracy >= 0.0 && r.accuracy <= 1.0);
         assert!(r.mae_m >= 0.0 && r.mae_m.is_finite());
         assert_eq!(r.num_params, 0);
-        assert_eq!(r.sr_cases.len(), p.test_inputs.len().min(scale.max_eval));
+        assert_eq!(r.sr_cases.len(), p.test_inputs.len());
     }
 
     #[test]

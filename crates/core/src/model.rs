@@ -269,7 +269,8 @@ impl EndToEnd {
     }
 
     /// Greedy inference on the tape: predicted `(segment, rate)` per target
-    /// step.
+    /// step. The reference that [`EndToEnd::infer_predict_batch`] is pinned
+    /// bit-identical to.
     pub fn predict(&self, input: &SampleInput) -> Vec<(usize, f32)> {
         let mut tape = Tape::new();
         let enc = self.encoder.encode(&mut tape, &self.store, &[input]);
@@ -278,24 +279,21 @@ impl EndToEnd {
         state.finish_greedy().remove(0)
     }
 
-    /// Does this model offer the tape-free inference path?
-    pub fn supports_infer(&self) -> bool {
-        self.encoder.has_infer()
-    }
-
     /// Precompute the input-independent road representation (`X_road`) for
-    /// serving; `None` for encoders without a tape-free path.
+    /// serving; `None` for encoders without one.
     pub fn precompute_road(&self) -> Option<Tensor> {
         self.encoder.precompute_road(&self.store)
     }
 
     /// Tape-free greedy inference over a closed batch, fused end to end —
     /// the forward-only twin of [`EndToEnd::predict`] with no autograd
-    /// allocation: one stacked encoder pass over the whole batch
-    /// ([`rntrajrec_models::TrajEncoder::infer_batch`] — every member's
-    /// per-point rows in one matmul per projection, GraphNorm statistics
-    /// scoped per member, so cross-request batching cannot change
-    /// results), then the closed fused decode
+    /// allocation, the same path for every end-to-end method: one encoder
+    /// pass over the whole batch
+    /// ([`rntrajrec_models::TrajEncoder::infer_batch`] — RNTrajRec stacks
+    /// every member's per-point rows in one matmul per projection with
+    /// GraphNorm statistics scoped per member, the baselines encode each
+    /// member alone, so cross-request batching cannot change results),
+    /// then the closed fused decode
     /// ([`Decoder::recover_batch_infer_with`]) — one stacked matmul per
     /// head per step. Each member's result is bit-identical to recovering
     /// it alone, for any batch composition; a single request is a batch of
@@ -306,24 +304,23 @@ impl EndToEnd {
     /// `road` is the cached [`EndToEnd::precompute_road`] output (pass
     /// `None` to recompute per call); `head` picks the decoder
     /// [`SegmentHead`] (dense reference, sparse default, or quantized).
-    /// Returns `None` when the encoder has no tape-free path — callers
-    /// fall back to [`EndToEnd::predict`].
     pub fn infer_predict_batch(
         &self,
         inputs: &[&SampleInput],
         road: Option<&Tensor>,
         head: SegmentHead<'_>,
-    ) -> Option<Vec<Vec<(usize, f32)>>> {
-        let encs = self.encoder.infer_batch(&self.store, inputs, road)?;
+    ) -> Vec<Vec<(usize, f32)>> {
+        let encs = self
+            .encoder
+            .infer_batch(&self.store, inputs, road)
+            .expect("every encoder has an eager path");
         let members: Vec<BatchMember> = encs
             .iter()
             .zip(inputs)
             .map(|(enc, &sample)| BatchMember::new(enc, sample))
             .collect();
-        Some(
-            self.decoder
-                .recover_batch_infer_with(&self.store, &members, head),
-        )
+        self.decoder
+            .recover_batch_infer_with(&self.store, &members, head)
     }
 }
 
@@ -395,64 +392,82 @@ mod tests {
         }
     }
 
+    /// Every end-to-end method of Tables III and V, plus the unmasked
+    /// decoder.
+    fn end_to_end_specs() -> Vec<MethodSpec> {
+        let mut specs: Vec<MethodSpec> = MethodSpec::table3()
+            .into_iter()
+            .filter(|s| s.is_end_to_end())
+            .collect();
+        for spec in MethodSpec::table5()
+            .into_iter()
+            .chain([MethodSpec::RnTrajRecNoMask])
+        {
+            if !specs.contains(&spec) {
+                specs.push(spec);
+            }
+        }
+        specs
+    }
+
     #[test]
     fn tape_free_inference_matches_tape_predict() {
         let (city, inputs, grid) = fixture();
-        let model = EndToEnd::build(&MethodSpec::RnTrajRec, &city.net, &grid, 16, 7);
-        assert!(model.supports_infer());
-        let road = model.precompute_road().expect("X_road precompute");
-        for input in &inputs {
-            let slow = model.predict(input);
-            let fast = &model
-                .infer_predict_batch(&[input], Some(&road), SegmentHead::Sparse)
-                .expect("infer path")[0];
-            assert_eq!(slow.len(), fast.len());
-            for (j, (&(s_seg, s_rate), &(f_seg, f_rate))) in slow.iter().zip(fast).enumerate() {
-                assert_eq!(s_seg, f_seg, "step {j}: segment diverged");
-                // Tape-free mirrors the tape op-for-op: bit-identical.
-                assert_eq!(s_rate, f_rate, "step {j}: rate not bit-identical");
+        for spec in end_to_end_specs() {
+            let model = EndToEnd::build(&spec, &city.net, &grid, 16, 7);
+            let road = model.precompute_road();
+            // Only RNTrajRec's GridGNN has an input-independent part.
+            assert_eq!(road.is_some(), model.encoder.name() == "RNTrajRec");
+            for (i, input) in inputs.iter().enumerate() {
+                let slow = model.predict(input);
+                let fast = model
+                    .infer_predict_batch(&[input], road.as_ref(), SegmentHead::Sparse)
+                    .remove(0);
+                assert_eq!(slow.len(), fast.len(), "{}: input {i}", model.name);
+                for (j, (&(s_seg, s_rate), &(f_seg, f_rate))) in slow.iter().zip(&fast).enumerate()
+                {
+                    let at = format!("{}: input {i} step {j}", model.name);
+                    assert_eq!(s_seg, f_seg, "{at}: segment diverged");
+                    // Tape-free mirrors the tape op-for-op: bit-identical.
+                    assert_eq!(s_rate.to_bits(), f_rate.to_bits(), "{at}: rate bits");
+                }
             }
         }
     }
 
     #[test]
-    fn baselines_fall_back_to_tape_predict() {
-        let (city, inputs, grid) = fixture();
-        let model = EndToEnd::build(&MethodSpec::MTrajRec, &city.net, &grid, 16, 7);
-        assert!(!model.supports_infer());
-        assert!(model.precompute_road().is_none());
-        assert!(model
-            .infer_predict_batch(&[&inputs[0]], None, SegmentHead::Sparse)
-            .is_none());
-        assert!(model
-            .infer_predict_batch(&[&inputs[0], &inputs[1]], None, SegmentHead::Sparse)
-            .is_none());
-    }
-
-    #[test]
     fn batched_inference_matches_per_input_bitwise() {
         let (city, inputs, grid) = fixture();
-        let model = EndToEnd::build(&MethodSpec::RnTrajRec, &city.net, &grid, 16, 7);
-        let road = model.precompute_road().expect("X_road precompute");
         let refs: Vec<&SampleInput> = inputs.iter().collect();
-        let one_by_one: Vec<Vec<(usize, f32)>> = refs
-            .iter()
-            .map(|&i| {
-                model
-                    .infer_predict_batch(&[i], Some(&road), SegmentHead::Sparse)
-                    .expect("infer path")
-                    .remove(0)
-            })
-            .collect();
-        let batched = model
-            .infer_predict_batch(&refs, Some(&road), SegmentHead::Sparse)
-            .expect("infer path");
-        assert_eq!(batched, one_by_one, "fused decode diverged");
-        // Empty batch is a no-op.
-        assert_eq!(
-            model.infer_predict_batch(&[], Some(&road), SegmentHead::Sparse),
-            Some(vec![])
-        );
+        for spec in end_to_end_specs() {
+            let model = EndToEnd::build(&spec, &city.net, &grid, 16, 7);
+            let road = model.precompute_road();
+            let one_by_one: Vec<Vec<(usize, f32)>> = refs
+                .iter()
+                .map(|&i| {
+                    model
+                        .infer_predict_batch(&[i], road.as_ref(), SegmentHead::Sparse)
+                        .remove(0)
+                })
+                .collect();
+            let batched = model.infer_predict_batch(&refs, road.as_ref(), SegmentHead::Sparse);
+            let bits = |paths: &[Vec<(usize, f32)>]| -> Vec<Vec<(usize, u32)>> {
+                paths
+                    .iter()
+                    .map(|p| p.iter().map(|&(s, r)| (s, r.to_bits())).collect())
+                    .collect()
+            };
+            assert_eq!(
+                bits(&batched),
+                bits(&one_by_one),
+                "{}: fused decode diverged",
+                model.name
+            );
+            // Empty batch is a no-op.
+            assert!(model
+                .infer_predict_batch(&[], road.as_ref(), SegmentHead::Sparse)
+                .is_empty());
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::ops::Range;
 use rand::rngs::StdRng;
 
 use crate::layers::Linear;
-use rntrajrec_nn::{Exec, Init, NodeId, ParamId, ParamStore, Tape, Tensor};
+use rntrajrec_nn::{Exec, Init, ParamId, ParamStore, Tensor};
 
 /// Multi-head scaled dot-product self-attention (Eq. 10).
 #[derive(Debug, Clone)]
@@ -103,10 +103,10 @@ impl PositionalEncoding {
     }
 
     /// `x + PE` (Eq. 12).
-    pub fn add_to(&self, tape: &mut Tape, x: NodeId) -> NodeId {
-        let len = tape.value(x).rows;
-        let pe = tape.leaf(self.table(len));
-        tape.add(x, pe)
+    pub fn add_to<'s, E: Exec<'s>>(&self, ex: &mut E, x: &E::H) -> E::H {
+        let len = ex.value(x).rows;
+        let pe = ex.constant(self.table(len));
+        ex.add(x, &pe)
     }
 }
 
@@ -169,6 +169,7 @@ impl AdditiveAttention {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+    use rntrajrec_nn::Tape;
 
     #[test]
     fn mha_shape_preserved() {

@@ -14,20 +14,87 @@
 //! * [`DhtrSeq2Seq`] — the learned interpolator of DHTR \[19\]: seq2seq
 //!   position regression (its Kalman/HMM post-processing lives in
 //!   `rntrajrec-mapmatch` / the evaluation harness).
+//!
+//! The six encoders each write one member's forward once over
+//! [`Exec`] (`MemberEncoder`); one blanket [`TrajEncoder`] impl runs it
+//! on the tape for `encode` and on [`Eager`] for `infer_batch`.
 
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 
 use crate::attention::{AdditiveAttention, MultiHeadAttention, PositionalEncoding};
-use crate::encoder::{BatchEncoderOutput, EncoderOutput, TrajEncoder};
+use crate::encoder::{BatchEncoderOutput, EncoderOutput, InferOutput, TrajEncoder};
 use crate::features::SampleInput;
 use crate::graph_layers::GcnLayer;
 use crate::layers::Linear;
 use crate::rnn::{BiLstm, GruCell, LstmCell};
 use crate::transformer::TransformerEncoderLayer;
-use rntrajrec_nn::{GraphCsr, Init, NodeId, ParamId, ParamStore, Tape, Tensor};
+use rntrajrec_nn::{Eager, Exec, GraphCsr, Init, NodeId, ParamId, ParamStore, Tape, Tensor};
 use rntrajrec_roadnet::RoadNetwork;
+
+/// A baseline encoder: each member of a batch is encoded on its own by
+/// one [`Exec`]-generic body, so batch composition cannot change a
+/// member's outputs.
+trait MemberEncoder: Send + Sync {
+    const NAME: &'static str;
+
+    /// Input-independent work run once per call and shared by every
+    /// member (GTS's road GCN).
+    fn shared<'s, E: Exec<'s>>(&self, _ex: &mut E, _store: &'s ParamStore) -> Option<E::H> {
+        None
+    }
+
+    /// One member's per-point and trajectory-level states.
+    fn member<'s, E: Exec<'s>>(
+        &self,
+        ex: &mut E,
+        store: &'s ParamStore,
+        sample: &'s SampleInput,
+        shared: Option<&E::H>,
+    ) -> EncoderOutput<E::H>;
+}
+
+impl<T: MemberEncoder> TrajEncoder for T {
+    fn name(&self) -> &'static str {
+        T::NAME
+    }
+
+    fn encode(
+        &self,
+        tape: &mut Tape,
+        store: &ParamStore,
+        batch: &[&SampleInput],
+    ) -> BatchEncoderOutput {
+        let shared = self.shared(tape, store);
+        let outputs = batch
+            .iter()
+            .map(|sample| self.member(tape, store, sample, shared.as_ref()))
+            .collect();
+        BatchEncoderOutput {
+            outputs,
+            aux_loss: None,
+        }
+    }
+
+    fn infer_batch(
+        &self,
+        store: &ParamStore,
+        samples: &[&SampleInput],
+        _road: Option<&Tensor>,
+    ) -> Option<Vec<InferOutput>> {
+        let ex = &mut Eager;
+        let shared = self.shared(ex, store);
+        let outputs = samples.iter().map(|sample| {
+            let out = self.member(ex, store, sample, shared.as_ref());
+            InferOutput {
+                per_point: out.per_point.into_owned(),
+                traj: out.traj.into_owned(),
+            }
+        });
+        Some(outputs.collect())
+    }
+}
 
 /// Shared input pipeline: grid-cell embedding ++ 5 base features → linear.
 struct GridInput {
@@ -56,12 +123,17 @@ impl GridInput {
     }
 
     /// `[l_τ, dim]` point features.
-    fn forward(&self, tape: &mut Tape, store: &ParamStore, sample: &SampleInput) -> NodeId {
-        let table = tape.param(store, self.grid_emb);
-        let emb = tape.gather_rows(table, &sample.grid_flat);
-        let base = tape.leaf(sample.base_feats.clone());
-        let cat = tape.concat_cols(&[emb, base]);
-        self.proj.forward(tape, store, &cat)
+    fn forward<'s, E: Exec<'s>>(
+        &self,
+        ex: &mut E,
+        store: &'s ParamStore,
+        sample: &'s SampleInput,
+    ) -> E::H {
+        let table = ex.param(store, self.grid_emb);
+        let emb = ex.gather_rows(&table, &sample.grid_flat);
+        let base = ex.input(&sample.base_feats);
+        let cat = ex.concat_cols(&[&emb, &base]);
+        self.proj.forward(ex, store, &cat)
     }
 }
 
@@ -77,17 +149,19 @@ impl TrajHead {
         }
     }
 
-    fn forward(
+    /// `per_point` with its `[1, d]` trajectory-level state.
+    fn forward<'s, E: Exec<'s>>(
         &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        per_point: NodeId,
+        ex: &mut E,
+        store: &'s ParamStore,
+        per_point: E::H,
         sample: &SampleInput,
-    ) -> NodeId {
-        let mean = tape.mean_rows(per_point);
-        let env = tape.leaf(Tensor::row(sample.env.to_vec()));
-        let cat = tape.concat_cols(&[mean, env]);
-        self.head.forward(tape, store, &cat)
+    ) -> EncoderOutput<E::H> {
+        let mean = ex.mean_rows(&per_point);
+        let env = ex.constant(Tensor::row(sample.env.to_vec()));
+        let cat = ex.concat_cols(&[&mean, &env]);
+        let traj = self.head.forward(ex, store, &cat);
+        EncoderOutput { per_point, traj }
     }
 }
 
@@ -98,7 +172,6 @@ pub struct MTrajRecEncoder {
     input: GridInput,
     gru: GruCell,
     traj: TrajHead,
-    dim: usize,
 }
 
 impl MTrajRecEncoder {
@@ -107,39 +180,23 @@ impl MTrajRecEncoder {
             input: GridInput::new(store, rng, "mtraj", num_cells, dim),
             gru: GruCell::new(store, rng, "mtraj.gru", dim, dim),
             traj: TrajHead::new(store, rng, "mtraj", dim),
-            dim,
         }
     }
 }
 
-impl TrajEncoder for MTrajRecEncoder {
-    fn name(&self) -> &'static str {
-        "MTrajRec"
-    }
+impl MemberEncoder for MTrajRecEncoder {
+    const NAME: &'static str = "MTrajRec";
 
-    fn dim(&self) -> usize {
-        self.dim
-    }
-
-    fn encode(
+    fn member<'s, E: Exec<'s>>(
         &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        batch: &[&SampleInput],
-    ) -> BatchEncoderOutput {
-        let outputs = batch
-            .iter()
-            .map(|sample| {
-                let x = self.input.forward(tape, store, sample);
-                let per_point = self.gru.run_sequence(tape, store, x);
-                let traj = self.traj.forward(tape, store, per_point, sample);
-                EncoderOutput { per_point, traj }
-            })
-            .collect();
-        BatchEncoderOutput {
-            outputs,
-            aux_loss: None,
-        }
+        ex: &mut E,
+        store: &'s ParamStore,
+        sample: &'s SampleInput,
+        _shared: Option<&E::H>,
+    ) -> EncoderOutput<E::H> {
+        let x = self.input.forward(ex, store, sample);
+        let per_point = self.gru.run_sequence(ex, store, &x);
+        self.traj.forward(ex, store, per_point, sample)
     }
 }
 
@@ -152,7 +209,6 @@ pub struct TransformerBaseline {
     pe: PositionalEncoding,
     layers: Vec<TransformerEncoderLayer>,
     traj: TrajHead,
-    dim: usize,
 }
 
 impl TransformerBaseline {
@@ -180,43 +236,27 @@ impl TransformerBaseline {
                 })
                 .collect(),
             traj: TrajHead::new(store, rng, "tf", dim),
-            dim,
         }
     }
 }
 
-impl TrajEncoder for TransformerBaseline {
-    fn name(&self) -> &'static str {
-        "Transformer"
-    }
+impl MemberEncoder for TransformerBaseline {
+    const NAME: &'static str = "Transformer";
 
-    fn dim(&self) -> usize {
-        self.dim
-    }
-
-    fn encode(
+    fn member<'s, E: Exec<'s>>(
         &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        batch: &[&SampleInput],
-    ) -> BatchEncoderOutput {
-        let outputs = batch
-            .iter()
-            .map(|sample| {
-                let x = self.input.forward(tape, store, sample);
-                let mut h = self.pe.add_to(tape, x);
-                let whole = 0..sample.input_len();
-                for l in &self.layers {
-                    h = l.forward(tape, store, &h, std::slice::from_ref(&whole));
-                }
-                let traj = self.traj.forward(tape, store, h, sample);
-                EncoderOutput { per_point: h, traj }
-            })
-            .collect();
-        BatchEncoderOutput {
-            outputs,
-            aux_loss: None,
+        ex: &mut E,
+        store: &'s ParamStore,
+        sample: &'s SampleInput,
+        _shared: Option<&E::H>,
+    ) -> EncoderOutput<E::H> {
+        let x = self.input.forward(ex, store, sample);
+        let mut h = self.pe.add_to(ex, &x);
+        let whole = 0..sample.input_len();
+        for l in &self.layers {
+            h = l.forward(ex, store, &h, std::slice::from_ref(&whole));
         }
+        self.traj.forward(ex, store, h, sample)
     }
 }
 
@@ -227,7 +267,6 @@ pub struct T2vecEncoder {
     input: GridInput,
     bilstm: BiLstm,
     traj: TrajHead,
-    dim: usize,
 }
 
 impl T2vecEncoder {
@@ -236,39 +275,23 @@ impl T2vecEncoder {
             input: GridInput::new(store, rng, "t2vec", num_cells, dim),
             bilstm: BiLstm::new(store, rng, "t2vec.bilstm", dim, dim),
             traj: TrajHead::new(store, rng, "t2vec", dim),
-            dim,
         }
     }
 }
 
-impl TrajEncoder for T2vecEncoder {
-    fn name(&self) -> &'static str {
-        "t2vec"
-    }
+impl MemberEncoder for T2vecEncoder {
+    const NAME: &'static str = "t2vec";
 
-    fn dim(&self) -> usize {
-        self.dim
-    }
-
-    fn encode(
+    fn member<'s, E: Exec<'s>>(
         &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        batch: &[&SampleInput],
-    ) -> BatchEncoderOutput {
-        let outputs = batch
-            .iter()
-            .map(|sample| {
-                let x = self.input.forward(tape, store, sample);
-                let per_point = self.bilstm.run_sequence(tape, store, x);
-                let traj = self.traj.forward(tape, store, per_point, sample);
-                EncoderOutput { per_point, traj }
-            })
-            .collect();
-        BatchEncoderOutput {
-            outputs,
-            aux_loss: None,
-        }
+        ex: &mut E,
+        store: &'s ParamStore,
+        sample: &'s SampleInput,
+        _shared: Option<&E::H>,
+    ) -> EncoderOutput<E::H> {
+        let x = self.input.forward(ex, store, sample);
+        let per_point = self.bilstm.run_sequence(ex, store, &x);
+        self.traj.forward(ex, store, per_point, sample)
     }
 }
 
@@ -284,7 +307,6 @@ pub struct NeuTrajEncoder {
     traj: TrajHead,
     grid_cols: usize,
     grid_rows: usize,
-    dim: usize,
 }
 
 impl NeuTrajEncoder {
@@ -303,7 +325,6 @@ impl NeuTrajEncoder {
             traj: TrajHead::new(store, rng, "neutraj", dim),
             grid_cols,
             grid_rows,
-            dim,
         }
     }
 
@@ -329,51 +350,35 @@ impl NeuTrajEncoder {
     }
 }
 
-impl TrajEncoder for NeuTrajEncoder {
-    fn name(&self) -> &'static str {
-        "NeuTraj"
-    }
+impl MemberEncoder for NeuTrajEncoder {
+    const NAME: &'static str = "NeuTraj";
 
-    fn dim(&self) -> usize {
-        self.dim
-    }
-
-    fn encode(
+    fn member<'s, E: Exec<'s>>(
         &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        batch: &[&SampleInput],
-    ) -> BatchEncoderOutput {
-        let outputs = batch
+        ex: &mut E,
+        store: &'s ParamStore,
+        sample: &'s SampleInput,
+        _shared: Option<&E::H>,
+    ) -> EncoderOutput<E::H> {
+        let x = self.input.forward(ex, store, sample);
+        // Spatial memory: gated mean of neighbour-cell embeddings.
+        let table = ex.param(store, self.input.grid_emb);
+        let mem_rows: Vec<E::H> = sample
+            .grid_flat
             .iter()
-            .map(|sample| {
-                let x = self.input.forward(tape, store, sample);
-                // Spatial memory: gated mean of neighbour-cell embeddings.
-                let table = tape.param(store, self.input.grid_emb);
-                let mem_rows: Vec<NodeId> = sample
-                    .grid_flat
-                    .iter()
-                    .map(|&flat| {
-                        let nbrs = self.neighbor_cells(flat);
-                        let emb = tape.gather_rows(table, &nbrs);
-                        tape.mean_rows(emb)
-                    })
-                    .collect();
-                let mem = tape.concat_rows(&mem_rows); // [lτ, d]
-                let cat = tape.concat_cols(&[x, mem]);
-                let g_lin = self.gate.forward(tape, store, &cat);
-                let g = tape.sigmoid(g_lin);
-                let gated_mem = tape.mul(g, mem);
-                let lstm_in = tape.concat_cols(&[x, gated_mem]);
-                let per_point = self.lstm.run_sequence(tape, store, lstm_in);
-                let traj = self.traj.forward(tape, store, per_point, sample);
-                EncoderOutput { per_point, traj }
+            .map(|&flat| {
+                let emb = ex.gather_rows(&table, &self.neighbor_cells(flat));
+                ex.mean_rows(&emb)
             })
             .collect();
-        BatchEncoderOutput {
-            outputs,
-            aux_loss: None,
-        }
+        let mem = ex.concat_rows(&mem_rows.iter().collect::<Vec<_>>()); // [lτ, d]
+        let cat = ex.concat_cols(&[&x, &mem]);
+        let g_lin = self.gate.forward(ex, store, &cat);
+        let g = ex.sigmoid(&g_lin);
+        let gated_mem = ex.mul(&g, &mem);
+        let lstm_in = ex.concat_cols(&[&x, &gated_mem]);
+        let per_point = self.lstm.run_sequence(ex, store, &lstm_in);
+        self.traj.forward(ex, store, per_point, sample)
     }
 }
 
@@ -387,7 +392,6 @@ pub struct T3sEncoder {
     lstm: LstmCell,
     mix: ParamId,
     traj: TrajHead,
-    dim: usize,
 }
 
 impl T3sEncoder {
@@ -404,53 +408,36 @@ impl T3sEncoder {
             lstm: LstmCell::new(store, rng, "t3s.lstm", dim, dim),
             mix: store.add("t3s.mix", 1, 1, Init::Zeros, rng),
             traj: TrajHead::new(store, rng, "t3s", dim),
-            dim,
         }
     }
 }
 
-impl TrajEncoder for T3sEncoder {
-    fn name(&self) -> &'static str {
-        "T3S"
-    }
+impl MemberEncoder for T3sEncoder {
+    const NAME: &'static str = "T3S";
 
-    fn dim(&self) -> usize {
-        self.dim
-    }
-
-    fn encode(
+    fn member<'s, E: Exec<'s>>(
         &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        batch: &[&SampleInput],
-    ) -> BatchEncoderOutput {
-        let outputs = batch
-            .iter()
-            .map(|sample| {
-                let x = self.input.forward(tape, store, sample);
-                let whole = 0..sample.input_len();
-                let attn = self
-                    .mha
-                    .forward(tape, store, &x, std::slice::from_ref(&whole));
-                let lstm = self.lstm.run_sequence(tape, store, x);
-                let l = sample.input_len();
-                let mix = tape.param(store, self.mix);
-                let g = tape.sigmoid(mix); // scalar in (0,1)
-                let ones = tape.leaf(Tensor::full(l, 1, 1.0));
-                let g_col = tape.matmul(ones, g); // [lτ,1]
-                let a_part = tape.mul_colvec(attn, g_col);
-                let neg = tape.scale(g_col, -1.0);
-                let inv = tape.add_const(neg, 1.0);
-                let l_part = tape.mul_colvec(lstm, inv);
-                let per_point = tape.add(a_part, l_part);
-                let traj = self.traj.forward(tape, store, per_point, sample);
-                EncoderOutput { per_point, traj }
-            })
-            .collect();
-        BatchEncoderOutput {
-            outputs,
-            aux_loss: None,
-        }
+        ex: &mut E,
+        store: &'s ParamStore,
+        sample: &'s SampleInput,
+        _shared: Option<&E::H>,
+    ) -> EncoderOutput<E::H> {
+        let x = self.input.forward(ex, store, sample);
+        let l = sample.input_len();
+        let attn = self
+            .mha
+            .forward(ex, store, &x, std::slice::from_ref(&(0..l)));
+        let lstm = self.lstm.run_sequence(ex, store, &x);
+        let mix = ex.param(store, self.mix);
+        let g = ex.sigmoid(&mix); // scalar in (0,1)
+        let ones = ex.constant(Tensor::full(l, 1, 1.0));
+        let g_col = ex.matmul(&ones, &g); // [lτ,1]
+        let a_part = ex.mul_colvec(&attn, &g_col);
+        let neg = ex.scale(&g_col, -1.0);
+        let inv = ex.add_const(&neg, 1.0);
+        let l_part = ex.mul_colvec(&lstm, &inv);
+        let per_point = ex.add(&a_part, &l_part);
+        self.traj.forward(ex, store, per_point, sample)
     }
 }
 
@@ -466,7 +453,6 @@ pub struct GtsEncoder {
     gru: GruCell,
     traj: TrajHead,
     csr: Arc<GraphCsr>,
-    dim: usize,
 }
 
 impl GtsEncoder {
@@ -495,47 +481,36 @@ impl GtsEncoder {
             gru: GruCell::new(store, rng, "gts.gru", dim, dim),
             traj: TrajHead::new(store, rng, "gts", dim),
             csr: Arc::new(GraphCsr::from_neighbor_lists(&lists, true)),
-            dim,
         }
     }
 }
 
-impl TrajEncoder for GtsEncoder {
-    fn name(&self) -> &'static str {
-        "GTS"
-    }
+impl MemberEncoder for GtsEncoder {
+    const NAME: &'static str = "GTS";
 
-    fn dim(&self) -> usize {
-        self.dim
-    }
-
-    fn encode(
-        &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        batch: &[&SampleInput],
-    ) -> BatchEncoderOutput {
-        // Graph representation once per batch.
-        let mut x = tape.param(store, self.road_emb);
+    /// The road graph's representation, once per call.
+    fn shared<'s, E: Exec<'s>>(&self, ex: &mut E, store: &'s ParamStore) -> Option<E::H> {
+        let mut x = ex.param(store, self.road_emb);
         for gcn in &self.gcns {
-            x = gcn.forward(tape, store, &x, &self.csr);
+            x = gcn.forward(ex, store, &x, &self.csr);
         }
-        let outputs = batch
-            .iter()
-            .map(|sample| {
-                let emb = tape.gather_rows(x, &sample.nearest_seg);
-                let base = tape.leaf(sample.base_feats.clone());
-                let cat = tape.concat_cols(&[emb, base]);
-                let h = self.proj.forward(tape, store, &cat);
-                let per_point = self.gru.run_sequence(tape, store, h);
-                let traj = self.traj.forward(tape, store, per_point, sample);
-                EncoderOutput { per_point, traj }
-            })
-            .collect();
-        BatchEncoderOutput {
-            outputs,
-            aux_loss: None,
-        }
+        Some(x)
+    }
+
+    fn member<'s, E: Exec<'s>>(
+        &self,
+        ex: &mut E,
+        store: &'s ParamStore,
+        sample: &'s SampleInput,
+        shared: Option<&E::H>,
+    ) -> EncoderOutput<E::H> {
+        let road = shared.expect("GtsEncoder::shared is always Some");
+        let emb = ex.gather_rows(road, &sample.nearest_seg);
+        let base = ex.input(&sample.base_feats);
+        let cat = ex.concat_cols(&[&emb, &base]);
+        let h = self.proj.forward(ex, store, &cat);
+        let per_point = self.gru.run_sequence(ex, store, &h);
+        self.traj.forward(ex, store, per_point, sample)
     }
 }
 
@@ -570,7 +545,7 @@ impl DhtrSeq2Seq {
     pub fn forward(&self, tape: &mut Tape, store: &ParamStore, sample: &SampleInput) -> NodeId {
         let base = tape.leaf(sample.base_feats.clone());
         let x = self.in_proj.forward(tape, store, &base);
-        let enc = self.enc_gru.run_sequence(tape, store, x);
+        let enc = self.enc_gru.run_sequence(tape, store, &x);
         let l = sample.input_len();
         let mut h = tape.select_rows(enc, l - 1, 1);
         // First "previous position" = first observed point.

@@ -7,14 +7,14 @@
 //! `ĥ_traj` `[1, d]` (plus, for RNTrajRec, the graph-classification
 //! auxiliary loss of Eq. 18).
 //!
-//! Encoders may additionally provide a **tape-free inference path**
-//! ([`TrajEncoder::infer_batch`]): the same forward computation evaluated
-//! with plain tensor ops (`rntrajrec_nn::kernels`), no autograd bookkeeping,
-//! stacked over a whole micro-batch (a single request is a batch of one).
-//! RNTrajRec's two entry points are one body on two executors
-//! (`rntrajrec_nn::Exec`): `encode` runs it on the tape with GraphNorm
-//! scoped to the mini-batch, `infer_batch` on `Eager` with GraphNorm
-//! scoped to each member.
+//! Every encoder is **one `forward` over `rntrajrec_nn::Exec`** with two
+//! entry points: [`TrajEncoder::encode`] records it on the tape for
+//! training, [`TrajEncoder::infer_batch`] evaluates the same body on
+//! `Eager` — plain tensor ops (`rntrajrec_nn::kernels`), no autograd
+//! bookkeeping — over a whole batch (a single request is a batch of one).
+//! RNTrajRec stacks the batch and scopes GraphNorm to the mini-batch on
+//! the tape and to each member on `Eager`; the baselines encode each
+//! member on its own.
 //! Input-independent work (GridGNN's `X_road`) is split out into
 //! [`TrajEncoder::precompute_road`] so a serving engine can compute it once
 //! per road network and share it read-only across requests.
@@ -50,9 +50,6 @@ pub type InferOutput = EncoderOutput<Tensor>;
 pub trait TrajEncoder: Send + Sync {
     fn name(&self) -> &'static str;
 
-    /// Hidden size `d` of the outputs.
-    fn dim(&self) -> usize;
-
     /// Encode a mini-batch on the given tape.
     fn encode(
         &self,
@@ -61,12 +58,6 @@ pub trait TrajEncoder: Send + Sync {
         batch: &[&SampleInput],
     ) -> BatchEncoderOutput;
 
-    /// Does this encoder implement the tape-free path? (Cheap probe —
-    /// [`TrajEncoder::precompute_road`] actually computes the embeddings.)
-    fn has_infer(&self) -> bool {
-        false
-    }
-
     /// Precompute the input-independent road representation (`X_road` for
     /// RNTrajRec), if this encoder has one. Serving engines call this once
     /// per road network and pass the result to every [`TrajEncoder::infer_batch`].
@@ -74,9 +65,10 @@ pub trait TrajEncoder: Send + Sync {
         None
     }
 
-    /// Tape-free inference over a whole micro-batch. Returns `None` when
-    /// the encoder has no forward-only implementation (the serving engine
-    /// then refuses to build; training-time `encode` is unaffected).
+    /// Tape-free inference over a whole micro-batch: the body of
+    /// [`TrajEncoder::encode`] on `Eager`. Every encoder has one, so this
+    /// is always `Some`; the `Option` stays only while
+    /// `benchmark/src/adapter.rs` still `expect`s it.
     ///
     /// `road` is the cached [`TrajEncoder::precompute_road`] output; pass
     /// `None` to recompute it for this call.
@@ -88,10 +80,8 @@ pub trait TrajEncoder: Send + Sync {
     /// members' rows per block and scopes GraphNorm statistics per member.
     fn infer_batch(
         &self,
-        _store: &ParamStore,
-        _samples: &[&SampleInput],
-        _road: Option<&Tensor>,
-    ) -> Option<Vec<InferOutput>> {
-        None
-    }
+        store: &ParamStore,
+        samples: &[&SampleInput],
+        road: Option<&Tensor>,
+    ) -> Option<Vec<InferOutput>>;
 }

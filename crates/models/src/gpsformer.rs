@@ -241,10 +241,6 @@ impl TrajEncoder for RnTrajRecEncoder {
         "RNTrajRec"
     }
 
-    fn dim(&self) -> usize {
-        self.config.dim
-    }
-
     /// The body on the tape, GraphNorm scoped to the whole mini-batch
     /// (true batch statistics), plus the tape-only auxiliary loss.
     fn encode(
@@ -287,10 +283,6 @@ impl TrajEncoder for RnTrajRecEncoder {
         };
 
         BatchEncoderOutput { outputs, aux_loss }
-    }
-
-    fn has_infer(&self) -> bool {
-        true
     }
 
     fn precompute_road(&self, store: &ParamStore) -> Option<Tensor> {

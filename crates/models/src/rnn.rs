@@ -2,7 +2,7 @@
 
 use rand::rngs::StdRng;
 
-use rntrajrec_nn::{Exec, Init, NodeId, ParamId, ParamStore, Tape, Tensor};
+use rntrajrec_nn::{Exec, Init, ParamId, ParamStore, Tensor};
 
 /// A gate's pre-activation `cat·W + b` (GRU and LSTM alike).
 fn gate<'s, E: Exec<'s>>(
@@ -82,16 +82,21 @@ impl GruCell {
 
     /// Run over a sequence `[L, in]` with zero initial state; returns the
     /// stacked hidden states `[L, hidden]`.
-    pub fn run_sequence(&self, tape: &mut Tape, store: &ParamStore, xs: NodeId) -> NodeId {
-        let len = tape.value(xs).rows;
-        let mut s = tape.leaf(Tensor::zeros(1, self.hidden));
-        let mut outs = Vec::with_capacity(len);
+    pub fn run_sequence<'s, E: Exec<'s>>(
+        &self,
+        ex: &mut E,
+        store: &'s ParamStore,
+        xs: &E::H,
+    ) -> E::H {
+        let len = ex.value(xs).rows;
+        let zero = ex.constant(Tensor::zeros(1, self.hidden));
+        let mut outs: Vec<E::H> = Vec::with_capacity(len);
         for i in 0..len {
-            let x = tape.select_rows(xs, i, 1);
-            s = self.step(tape, store, &x, &s);
+            let x = ex.select_rows(xs, i, 1);
+            let s = self.step(ex, store, &x, outs.last().unwrap_or(&zero));
             outs.push(s);
         }
-        tape.concat_rows(&outs)
+        ex.concat_rows(&outs.iter().collect::<Vec<_>>())
     }
 }
 
@@ -135,45 +140,49 @@ impl LstmCell {
     }
 
     /// One step: returns `(h', c')`.
-    pub fn step(
+    pub fn step<'s, E: Exec<'s>>(
         &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        x: NodeId,
-        h: NodeId,
-        c: NodeId,
-    ) -> (NodeId, NodeId) {
-        let cat = tape.concat_cols(&[h, x]);
-        let i_lin = gate(tape, store, &cat, self.wi, self.bi);
-        let i = tape.sigmoid(i_lin);
-        let f_lin = gate(tape, store, &cat, self.wf, self.bf);
-        let f = tape.sigmoid(f_lin);
-        let o_lin = gate(tape, store, &cat, self.wo, self.bo);
-        let o = tape.sigmoid(o_lin);
-        let g_lin = gate(tape, store, &cat, self.wg, self.bg);
-        let g = tape.tanh(g_lin);
-        let fc = tape.mul(f, c);
-        let ig = tape.mul(i, g);
-        let c_new = tape.add(fc, ig);
-        let c_t = tape.tanh(c_new);
-        let h_new = tape.mul(o, c_t);
+        ex: &mut E,
+        store: &'s ParamStore,
+        x: &E::H,
+        h: &E::H,
+        c: &E::H,
+    ) -> (E::H, E::H) {
+        let cat = ex.concat_cols(&[h, x]);
+        let i_lin = gate(ex, store, &cat, self.wi, self.bi);
+        let i = ex.sigmoid(&i_lin);
+        let f_lin = gate(ex, store, &cat, self.wf, self.bf);
+        let f = ex.sigmoid(&f_lin);
+        let o_lin = gate(ex, store, &cat, self.wo, self.bo);
+        let o = ex.sigmoid(&o_lin);
+        let g_lin = gate(ex, store, &cat, self.wg, self.bg);
+        let g = ex.tanh(g_lin);
+        let fc = ex.mul(&f, c);
+        let ig = ex.mul(&i, &g);
+        let c_new = ex.add(&fc, &ig);
+        let c_t = ex.tanh(c_new.clone());
+        let h_new = ex.mul(&o, &c_t);
         (h_new, c_new)
     }
 
     /// Run over `[L, in]`, zero init; returns stacked `[L, hidden]`.
-    pub fn run_sequence(&self, tape: &mut Tape, store: &ParamStore, xs: NodeId) -> NodeId {
-        let len = tape.value(xs).rows;
-        let mut h = tape.leaf(Tensor::zeros(1, self.hidden));
-        let mut c = tape.leaf(Tensor::zeros(1, self.hidden));
-        let mut outs = Vec::with_capacity(len);
+    pub fn run_sequence<'s, E: Exec<'s>>(
+        &self,
+        ex: &mut E,
+        store: &'s ParamStore,
+        xs: &E::H,
+    ) -> E::H {
+        let len = ex.value(xs).rows;
+        let zero = ex.constant(Tensor::zeros(1, self.hidden));
+        let mut c = ex.constant(Tensor::zeros(1, self.hidden));
+        let mut outs: Vec<E::H> = Vec::with_capacity(len);
         for i in 0..len {
-            let x = tape.select_rows(xs, i, 1);
-            let (h2, c2) = self.step(tape, store, x, h, c);
-            h = h2;
-            c = c2;
+            let x = ex.select_rows(xs, i, 1);
+            let (h, c_new) = self.step(ex, store, &x, outs.last().unwrap_or(&zero), &c);
+            c = c_new;
             outs.push(h);
         }
-        tape.concat_rows(&outs)
+        ex.concat_rows(&outs.iter().collect::<Vec<_>>())
     }
 }
 
@@ -208,20 +217,25 @@ impl BiLstm {
         }
     }
 
-    pub fn run_sequence(&self, tape: &mut Tape, store: &ParamStore, xs: NodeId) -> NodeId {
-        let len = tape.value(xs).rows;
-        let f = self.fwd.run_sequence(tape, store, xs);
+    pub fn run_sequence<'s, E: Exec<'s>>(
+        &self,
+        ex: &mut E,
+        store: &'s ParamStore,
+        xs: &E::H,
+    ) -> E::H {
+        let len = ex.value(xs).rows;
+        let f = self.fwd.run_sequence(ex, store, xs);
         // Reverse the sequence for the backward pass.
-        let rev_rows: Vec<NodeId> = (0..len).rev().map(|i| tape.select_rows(xs, i, 1)).collect();
-        let xs_rev = tape.concat_rows(&rev_rows);
-        let b_rev = self.bwd.run_sequence(tape, store, xs_rev);
-        let b_rows: Vec<NodeId> = (0..len)
+        let rev_rows: Vec<E::H> = (0..len).rev().map(|i| ex.select_rows(xs, i, 1)).collect();
+        let xs_rev = ex.concat_rows(&rev_rows.iter().collect::<Vec<_>>());
+        let b_rev = self.bwd.run_sequence(ex, store, &xs_rev);
+        let b_rows: Vec<E::H> = (0..len)
             .rev()
-            .map(|i| tape.select_rows(b_rev, i, 1))
+            .map(|i| ex.select_rows(&b_rev, i, 1))
             .collect();
-        let b = tape.concat_rows(&b_rows);
-        let cat = tape.concat_cols(&[f, b]);
-        self.proj.forward(tape, store, &cat)
+        let b = ex.concat_rows(&b_rows.iter().collect::<Vec<_>>());
+        let cat = ex.concat_cols(&[&f, &b]);
+        self.proj.forward(ex, store, &cat)
     }
 }
 
@@ -229,7 +243,7 @@ impl BiLstm {
 mod tests {
     use super::*;
     use rand::SeedableRng;
-    use rntrajrec_nn::Adam;
+    use rntrajrec_nn::{Adam, Tape};
 
     #[test]
     fn gru_shapes() {
@@ -238,7 +252,7 @@ mod tests {
         let gru = GruCell::new(&mut store, &mut rng, "g", 3, 5);
         let mut tape = Tape::new();
         let xs = tape.leaf(Tensor::zeros(7, 3));
-        let hs = gru.run_sequence(&mut tape, &store, xs);
+        let hs = gru.run_sequence(&mut tape, &store, &xs);
         assert_eq!(tape.value(hs).shape(), (7, 5));
     }
 
@@ -249,7 +263,7 @@ mod tests {
         let gru = GruCell::new(&mut store, &mut rng, "g", 2, 4);
         let mut tape = Tape::new();
         let xs = tape.leaf(Tensor::zeros(20, 2));
-        let hs = gru.run_sequence(&mut tape, &store, xs);
+        let hs = gru.run_sequence(&mut tape, &store, &xs);
         assert!(tape.value(hs).data.iter().all(|&h| h.abs() <= 1.0));
     }
 
@@ -273,7 +287,7 @@ mod tests {
             let mut losses = Vec::new();
             for (xs, target) in &seqs {
                 let x = tape.leaf(Tensor::from_vec(4, 1, xs.clone()));
-                let hs = gru.run_sequence(&mut tape, &store, x);
+                let hs = gru.run_sequence(&mut tape, &store, &x);
                 let hl = tape.select_rows(hs, 3, 1);
                 let y = head.forward(&mut tape, &store, &hl);
                 let t = tape.leaf(Tensor::scalar(*target));
@@ -301,7 +315,7 @@ mod tests {
         let lstm = LstmCell::new(&mut store, &mut rng, "l", 3, 6);
         let mut tape = Tape::new();
         let xs = tape.leaf(Tensor::uniform(10, 3, 1.0, &mut rng));
-        let hs = lstm.run_sequence(&mut tape, &store, xs);
+        let hs = lstm.run_sequence(&mut tape, &store, &xs);
         assert_eq!(tape.value(hs).shape(), (10, 6));
         assert!(tape.value(hs).data.iter().all(|&h| h.abs() <= 1.0));
     }
@@ -316,8 +330,8 @@ mod tests {
         let mut tape = Tape::new();
         let a = tape.leaf(Tensor::from_vec(3, 2, vec![0.1, 0.2, 0.0, 0.0, 0.9, -0.3]));
         let b = tape.leaf(Tensor::from_vec(3, 2, vec![0.1, 0.2, 0.0, 0.0, -0.9, 0.3]));
-        let ha = bi.run_sequence(&mut tape, &store, a);
-        let hb = bi.run_sequence(&mut tape, &store, b);
+        let ha = bi.run_sequence(&mut tape, &store, &a);
+        let hb = bi.run_sequence(&mut tape, &store, &b);
         let first_a = tape.value(ha).row_slice(0).to_vec();
         let first_b = tape.value(hb).row_slice(0).to_vec();
         assert_ne!(first_a, first_b);

@@ -34,7 +34,7 @@ use crate::{kernels, GraphCsr, NodeId, ParamId, ParamStore, Tape, Tensor};
 /// may borrow: the parameter store and constant inputs.
 pub trait Exec<'s> {
     /// Handle to a value held (or recorded) by this executor.
-    type H;
+    type H: Clone;
 
     // ----- inputs -----------------------------------------------------------
 
@@ -55,6 +55,8 @@ pub trait Exec<'s> {
     fn add_const(&mut self, a: &Self::H, c: f32) -> Self::H;
     /// `[R,C] + [1,C]` broadcast over rows.
     fn add_rowvec(&mut self, m: &Self::H, v: &Self::H) -> Self::H;
+    /// `[R,C] ⊙ [R,1]` broadcast over columns.
+    fn mul_colvec(&mut self, m: &Self::H, v: &Self::H) -> Self::H;
     fn matmul(&mut self, a: &Self::H, b: &Self::H) -> Self::H;
     fn sigmoid(&mut self, a: &Self::H) -> Self::H;
     /// Consumes its operand (see the module docs).
@@ -63,6 +65,8 @@ pub trait Exec<'s> {
     fn leaky_relu(&mut self, a: &Self::H, slope: f32) -> Self::H;
     /// Fused per-row layer norm `γ ⊙ (x − μ)/σ + β`.
     fn layer_norm(&mut self, x: &Self::H, gamma: &Self::H, beta: &Self::H, eps: f32) -> Self::H;
+    /// Column means `[1,C]` of all rows.
+    fn mean_rows(&mut self, a: &Self::H) -> Self::H;
 
     // ----- shape and gather ----------------------------------------------------
 
@@ -179,6 +183,9 @@ impl<'s> Exec<'s> for Tape {
     fn add_rowvec(&mut self, m: &NodeId, v: &NodeId) -> NodeId {
         Tape::add_rowvec(self, *m, *v)
     }
+    fn mul_colvec(&mut self, m: &NodeId, v: &NodeId) -> NodeId {
+        Tape::mul_colvec(self, *m, *v)
+    }
     fn matmul(&mut self, a: &NodeId, b: &NodeId) -> NodeId {
         Tape::matmul(self, *a, *b)
     }
@@ -196,6 +203,9 @@ impl<'s> Exec<'s> for Tape {
     }
     fn layer_norm(&mut self, x: &NodeId, gamma: &NodeId, beta: &NodeId, eps: f32) -> NodeId {
         Tape::layer_norm(self, *x, *gamma, *beta, eps)
+    }
+    fn mean_rows(&mut self, a: &NodeId) -> NodeId {
+        Tape::mean_rows(self, *a)
     }
 
     fn concat_cols(&mut self, parts: &[&NodeId]) -> NodeId {
@@ -405,6 +415,9 @@ impl<'s> Exec<'s> for Eager {
     fn add_rowvec(&mut self, m: &Self::H, v: &Self::H) -> Self::H {
         Cow::Owned(kernels::add_rowvec(m, v))
     }
+    fn mul_colvec(&mut self, m: &Self::H, v: &Self::H) -> Self::H {
+        Cow::Owned(kernels::mul_colvec(m, v))
+    }
     fn matmul(&mut self, a: &Self::H, b: &Self::H) -> Self::H {
         Cow::Owned(kernels::matmul(a, b))
     }
@@ -424,6 +437,9 @@ impl<'s> Exec<'s> for Eager {
     }
     fn layer_norm(&mut self, x: &Self::H, gamma: &Self::H, beta: &Self::H, eps: f32) -> Self::H {
         Cow::Owned(kernels::layer_norm(x, gamma, beta, eps))
+    }
+    fn mean_rows(&mut self, a: &Self::H) -> Self::H {
+        Cow::Owned(kernels::mean_rows(a))
     }
 
     fn concat_cols(&mut self, parts: &[&Self::H]) -> Self::H {

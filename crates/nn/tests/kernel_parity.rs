@@ -668,11 +668,13 @@ fn run_every_exec_op<'s, E: Exec<'s>>(ex: &mut E, i: &'s ExecInputs) -> Vec<(&'s
         ("scale", ex.scale(&a, 0.37)),
         ("add_const", ex.add_const(&a, -1.2)),
         ("add_rowvec", ex.add_rowvec(&a, &v)),
+        ("mul_colvec", ex.mul_colvec(&a, &src)),
         ("matmul", ex.matmul(&a, &w)),
         ("sigmoid", ex.sigmoid(&a)),
         ("relu", ex.relu(&a)),
         ("leaky_relu", ex.leaky_relu(&a, 0.2)),
         ("layer_norm", ex.layer_norm(&a, &gamma, &beta, 1e-5)),
+        ("mean_rows", ex.mean_rows(&a)),
         ("concat_cols/2", ex.concat_cols(&[&a, &b])),
         ("concat_cols/3", ex.concat_cols(&[&a, &b, &sum])),
         ("concat_cols/4", ex.concat_cols(&[&b, &a, &sum, &a])),

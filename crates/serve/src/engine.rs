@@ -1134,7 +1134,14 @@ impl RecoveryEngine {
     }
 
     fn stop_and_join(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        // Flip the flag under the queue lock: a worker in `take_batch` that
+        // read it unset holds that lock until it waits on `cond`, so the
+        // notify below cannot fall between its read and its wait — where
+        // it would be lost, the worker would sleep on and this join hang.
+        {
+            let _queue = self.shared.queue();
+            self.shared.shutdown.store(true, Ordering::SeqCst);
+        }
         self.shared.cond.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();

@@ -6,9 +6,9 @@
 //! the paper's tables, hopeless for an online service. This crate is the
 //! serving path on top of the same weights:
 //!
-//! * [`ServingModel`] — a trained [`rntrajrec::EndToEnd`] model validated
-//!   for **tape-free inference** (the encoder's one layer definition run
-//!   on `rntrajrec_nn::Eager` instead of the tape: plain tensor ops on
+//! * [`ServingModel`] — a trained [`rntrajrec::EndToEnd`] model served by
+//!   **tape-free inference** (the encoder's one layer definition run on
+//!   `rntrajrec_nn::Eager` instead of the tape: plain tensor ops on
 //!   `rntrajrec_nn::kernels`, no gradient bookkeeping or node allocation,
 //!   GraphNorm scoped to each request), with the
 //!   [`RoadEmbeddingCache`] — GridGNN grid-cell/segment embeddings
@@ -79,7 +79,7 @@
 //!     scale.dim,
 //!     scale.seed,
 //! );
-//! let serving = Arc::new(ServingModel::new(model).unwrap());
+//! let serving = Arc::new(ServingModel::new(model));
 //! let engine = RecoveryEngine::start(serving, EngineConfig::default());
 //! let recovered = engine.recover(pipeline.test_inputs[0].clone());
 //! println!("{} segments in {:?}", recovered.path.len(), recovered.latency);
@@ -97,7 +97,7 @@ pub use engine::{
     StepWait, Steps, SubmitOptions,
 };
 pub use http::{HttpConfig, HttpServer};
-pub use service::{quant_head_env, QueryContext, RoadEmbeddingCache, ServeError, ServingModel};
+pub use service::{quant_head_env, QueryContext, RoadEmbeddingCache, ServingModel};
 pub use shard::{CityShard, ReloadError, ReloadReceipt, RouteError, ShardInfo, ShardRouter};
 
 #[cfg(test)]
@@ -136,17 +136,25 @@ mod tests {
     fn serving(city: &SyntheticCity) -> Arc<ServingModel> {
         let grid = city.net.grid(50.0);
         let model = EndToEnd::build(&MethodSpec::RnTrajRec, &city.net, &grid, 16, 7);
-        Arc::new(ServingModel::new(model).expect("RNTrajRec serves"))
+        Arc::new(ServingModel::new(model))
     }
 
+    /// Every encoder has an eager path: a baseline serves too, with its
+    /// tape `predict` bits.
     #[test]
-    fn rejects_models_without_infer_path() {
-        let (city, _) = fixture(0);
+    fn serves_a_baseline_with_its_tape_bits() {
+        let (city, inputs) = fixture(3);
         let grid = city.net.grid(50.0);
         let model = EndToEnd::build(&MethodSpec::MTrajRec, &city.net, &grid, 16, 7);
-        match ServingModel::new(model) {
-            Err(ServeError::NoInferPath { encoder }) => assert_eq!(encoder, "MTrajRec"),
-            Ok(_) => panic!("MTrajRec has no tape-free path and must be rejected"),
+        let want: Vec<Vec<(usize, f32)>> = inputs.iter().map(|i| model.predict(i)).collect();
+        let serving = ServingModel::new(model);
+        assert!(serving.road_cache().is_none());
+        for (input, want) in inputs.iter().zip(&want) {
+            let got = serving.recover(input);
+            assert_eq!(got.len(), want.len());
+            for (&(gs, gr), &(ws, wr)) in got.iter().zip(want) {
+                assert_eq!((gs, gr.to_bits()), (ws, wr.to_bits()));
+            }
         }
     }
 

@@ -1,6 +1,8 @@
-//! The serving-side model wrapper: a trained [`EndToEnd`] model validated
-//! for tape-free inference, plus the precomputed road-embedding cache and
-//! the [`QueryContext`] that turns wire requests into model inputs.
+//! The serving-side model wrapper: a trained [`EndToEnd`] model with its
+//! precomputed road-embedding cache, plus the [`QueryContext`] that turns
+//! wire requests into model inputs.
+
+use std::convert::Infallible;
 
 use rntrajrec::wire::RecoverRequest;
 use rntrajrec::EndToEnd;
@@ -38,27 +40,6 @@ impl RoadEmbeddingCache {
     }
 }
 
-/// Why a model cannot be served.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ServeError {
-    /// The encoder implements no tape-free inference path (only the
-    /// RNTrajRec encoder does today); serve with [`EndToEnd::predict`]
-    /// offline instead.
-    NoInferPath { encoder: String },
-}
-
-impl std::fmt::Display for ServeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ServeError::NoInferPath { encoder } => {
-                write!(f, "encoder '{encoder}' has no tape-free inference path")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ServeError {}
-
 /// Human-readable message from a caught panic payload.
 pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     payload
@@ -78,8 +59,8 @@ pub fn quant_head_env() -> bool {
     )
 }
 
-/// A model ready to serve: tape-free path validated at construction, road
-/// embeddings precomputed, and the decoder's segment head pre-quantized
+/// A model ready to serve on the tape-free path: road embeddings
+/// precomputed, and the decoder's segment head pre-quantized
 /// to int8 — served by default under `NN_QUANT_HEAD`, and otherwise held
 /// ready as the brownout degraded head. Shared read-only across worker
 /// threads.
@@ -96,11 +77,10 @@ pub struct ServingModel {
 
 impl ServingModel {
     /// Wrap a trained model, deriving both serving caches from its
-    /// weights and honouring the `NN_QUANT_HEAD` env knob. Fails fast
-    /// (rather than at first request) when the encoder cannot run
-    /// without a tape.
-    pub fn new(model: EndToEnd) -> Result<Self, ServeError> {
-        Self::from_parts(model, None, None, quant_head_env())
+    /// weights and honouring the `NN_QUANT_HEAD` env knob.
+    pub fn new(model: EndToEnd) -> Self {
+        let Ok(serving) = Self::from_parts(model, None, None, quant_head_env());
+        serving
     }
 
     /// Wrap a model with its serving caches. A packed `x_road` / int8
@@ -108,18 +88,14 @@ impl ServingModel {
     /// against the model) is used as-is; a missing one is derived from
     /// the weights. `quantized` serves the int8 head by default,
     /// otherwise the f32 sparse head serves and the int8 one waits for
-    /// brownout.
+    /// brownout. Every model serves, so this never fails; the `Result`
+    /// stays only while `benchmark/src/adapter.rs` still matches on it.
     pub fn from_parts(
         model: EndToEnd,
         x_road: Option<Tensor>,
         quant: Option<QuantizedLinear>,
         quantized: bool,
-    ) -> Result<Self, ServeError> {
-        if !model.supports_infer() {
-            return Err(ServeError::NoInferPath {
-                encoder: model.name.clone(),
-            });
-        }
+    ) -> Result<Self, Infallible> {
         let road = match x_road {
             Some(x_road) => Some(RoadEmbeddingCache { x_road }),
             None => RoadEmbeddingCache::build(&model),
@@ -165,7 +141,6 @@ impl ServingModel {
     fn recover_closed(&self, inputs: &[&SampleInput]) -> Vec<RecoveredPath> {
         self.model
             .infer_predict_batch(inputs, self.road.as_ref().map(|c| &c.x_road), self.head())
-            .expect("infer path validated in ServingModel::new")
     }
 
     /// Recover one trajectory on the tape-free hot path: the fused pass
@@ -212,7 +187,7 @@ impl ServingModel {
                 inputs,
                 self.road.as_ref().map(|c| &c.x_road),
             )
-            .expect("infer path validated in ServingModel::new")
+            .expect("every encoder has an eager path")
     }
 
     /// The decoder half: an empty [`DecodeState`] over this model's

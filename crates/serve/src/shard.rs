@@ -92,8 +92,6 @@ pub enum ReloadError {
     /// indices or grid features would be wrong against the shard's query
     /// context.
     NetworkMismatch { detail: String },
-    /// The instantiated model cannot serve (no tape-free path).
-    NotServable(String),
 }
 
 impl ReloadError {
@@ -107,7 +105,6 @@ impl ReloadError {
             ReloadError::Artifact(_) => 422,
             // Valid artifact, wrong target: a conflict with this shard.
             ReloadError::WrongCity { .. } | ReloadError::NetworkMismatch { .. } => 409,
-            ReloadError::NotServable(_) => 422,
         }
     }
 }
@@ -122,7 +119,6 @@ impl std::fmt::Display for ReloadError {
             ReloadError::NetworkMismatch { detail } => {
                 write!(f, "artifact road network differs from shard: {detail}")
             }
-            ReloadError::NotServable(msg) => write!(f, "loaded model cannot serve: {msg}"),
         }
     }
 }
@@ -359,9 +355,8 @@ impl CityShard {
 /// the road network and grid it was built over.
 fn open(artifact: &Artifact) -> Result<(ServingModel, RoadNetwork, GridSpec), ReloadError> {
     let loaded = artifact.instantiate()?;
-    let serving =
-        ServingModel::from_parts(loaded.model, loaded.x_road, loaded.quant, quant_head_env())
-            .map_err(|e| ReloadError::NotServable(e.to_string()))?;
+    let Ok(serving) =
+        ServingModel::from_parts(loaded.model, loaded.x_road, loaded.quant, quant_head_env());
     Ok((serving, loaded.city.net, loaded.grid))
 }
 

@@ -71,7 +71,7 @@ use rntrajrec_synth::Simulator;
 fn serving(city: &SyntheticCity) -> Arc<ServingModel> {
     let grid = city.net.grid(50.0);
     let model = EndToEnd::build(&MethodSpec::RnTrajRec, &city.net, &grid, 16, 7);
-    Arc::new(ServingModel::new(model).expect("RNTrajRec serves"))
+    Arc::new(ServingModel::new(model))
 }
 
 fn engine_cfg() -> EngineConfig {
@@ -363,7 +363,7 @@ fn swap_model_serves_new_weights_for_new_batches() {
     let model_b = {
         let grid = city.net.grid(50.0);
         let m = EndToEnd::build(&MethodSpec::RnTrajRec, &city.net, &grid, 16, 8);
-        Arc::new(ServingModel::new(m).expect("RNTrajRec serves"))
+        Arc::new(ServingModel::new(m))
     };
     let want_a = model_a.recover(&inputs[0]);
     let want_b = model_b.recover(&inputs[0]);

@@ -79,7 +79,7 @@ fn boot(engine_cfg: EngineConfig, http_cfg: HttpConfig, n_samples: usize) -> Har
     let city = SyntheticCity::generate(CityConfig::tiny());
     let grid = city.net.grid(50.0);
     let model = EndToEnd::build(&MethodSpec::RnTrajRec, &city.net, &grid, 16, 7);
-    let serving = Arc::new(ServingModel::new(model).expect("RNTrajRec serves"));
+    let serving = Arc::new(ServingModel::new(model));
     let mut sim = Simulator::new(
         &city.net,
         SimConfig {
@@ -990,7 +990,7 @@ fn boot_shards(cities: &[(&str, f64)]) -> (HttpServer, Vec<String>) {
         });
         let grid = city.net.grid(50.0);
         let model = EndToEnd::build(&MethodSpec::RnTrajRec, &city.net, &grid, 16, 7);
-        let serving = Arc::new(ServingModel::new(model).expect("RNTrajRec serves"));
+        let serving = Arc::new(ServingModel::new(model));
         let s = Simulator::new(&city.net, SimConfig::default())
             .sample(&mut StdRng::seed_from_u64(23), 8);
         let req = RecoverRequest::from_raw(&s.raw, s.target.len(), s.depart_epoch_s);

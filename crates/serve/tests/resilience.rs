@@ -74,7 +74,7 @@ fn fixture(n: usize) -> (SyntheticCity, Vec<SampleInput>, Vec<TrajSample>) {
 fn serving(city: &SyntheticCity) -> Arc<ServingModel> {
     let grid = city.net.grid(50.0);
     let model = EndToEnd::build(&MethodSpec::RnTrajRec, &city.net, &grid, 16, 7);
-    Arc::new(ServingModel::new(model).expect("RNTrajRec serves"))
+    Arc::new(ServingModel::new(model))
 }
 
 fn engine_cfg(workers: usize) -> EngineConfig {

@@ -99,7 +99,7 @@ fn build_shard(
     let city = SyntheticCity::generate(config);
     let grid = city.net.grid(50.0);
     let model = EndToEnd::build(&MethodSpec::RnTrajRec, &city.net, &grid, 16, seed);
-    let serving = Arc::new(ServingModel::new(model).expect("RNTrajRec serves"));
+    let serving = Arc::new(ServingModel::new(model));
     let mut sim = Simulator::new(
         &city.net,
         SimConfig {

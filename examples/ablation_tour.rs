@@ -15,7 +15,6 @@ fn main() {
         dim: 16,
         epochs: 5,
         batch: 8,
-        max_eval: 8,
         seed: 7,
         lr: 3e-3,
     };

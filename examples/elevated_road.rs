@@ -23,7 +23,6 @@ fn main() {
         dim: 24,
         epochs: 6,
         batch: 8,
-        max_eval: 12,
         seed: 7,
         lr: 3e-3,
     };

@@ -27,7 +27,7 @@ fn main() {
     let city = SyntheticCity::generate(CityConfig::tiny());
     let grid = city.net.grid(50.0);
     let model = EndToEnd::build(&MethodSpec::RnTrajRec, &city.net, &grid, 16, 7);
-    let serving = Arc::new(ServingModel::new(model).expect("RNTrajRec has a tape-free path"));
+    let serving = Arc::new(ServingModel::new(model));
 
     // Simulate a few low-sample trajectories to replay as online queries.
     let mut sim = Simulator::new(&city.net, SimConfig::default());

@@ -17,7 +17,6 @@ fn main() {
         dim: 16,
         epochs: 4,
         batch: 6,
-        max_eval: 6,
         seed: 7,
         lr: 3e-3,
     };

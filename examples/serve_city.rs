@@ -22,7 +22,6 @@ fn main() {
         dim: 16,
         epochs: 3,
         batch: 6,
-        max_eval: 10,
         seed: 7,
         lr: 3e-3,
     };
@@ -57,7 +56,7 @@ fn main() {
 
     println!("\nStarting the serving engine (road embeddings precomputed once)...");
     let t = Instant::now();
-    let serving = Arc::new(ServingModel::new(model).expect("RNTrajRec has a tape-free path"));
+    let serving = Arc::new(ServingModel::new(model));
     println!(
         "  ServingModel ready in {:.1} ms",
         t.elapsed().as_secs_f64() * 1000.0

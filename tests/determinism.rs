@@ -14,7 +14,6 @@ fn scale() -> ExperimentScale {
         dim: 8,
         epochs: 1,
         batch: 4,
-        max_eval: 2,
         seed: 7,
         lr: 3e-3,
     }

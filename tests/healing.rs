@@ -59,7 +59,7 @@ fn fixture(n: usize) -> (Arc<ServingModel>, Vec<SampleInput>) {
         .map(|_| fx.extract(&sim.sample(&mut rng, 8)))
         .collect();
     let model = EndToEnd::build(&MethodSpec::RnTrajRec, &city.net, &grid, 16, 7);
-    let serving = Arc::new(ServingModel::new(model).expect("RNTrajRec serves"));
+    let serving = Arc::new(ServingModel::new(model));
     (serving, inputs)
 }
 

@@ -18,7 +18,6 @@ fn quick_scale() -> ExperimentScale {
         dim: 8,
         epochs: 1,
         batch: 4,
-        max_eval: 2,
         seed: 7,
         lr: 3e-3,
     }
@@ -41,7 +40,7 @@ fn full_pipeline_two_stage_smoke() {
     let linear = pipeline.train_and_eval(&MethodSpec::LinearHmm, &scale);
     let dhtr = pipeline.train_and_eval(&MethodSpec::DhtrHmm, &scale);
     for r in [&linear, &dhtr] {
-        assert_eq!(r.sr_cases.len(), 2);
+        assert_eq!(r.sr_cases.len(), pipeline.test_inputs.len());
         assert!(r.rmse_m >= r.mae_m, "RMSE must dominate MAE: {r}");
     }
 }

@@ -25,7 +25,6 @@ fn trained_pipeline() -> (Pipeline, EndToEnd) {
         dim: 8,
         epochs: 1,
         batch: 4,
-        max_eval: 4,
         seed: 7,
         lr: 3e-3,
     };
@@ -57,7 +56,7 @@ fn trained_weights_serve_identically_to_tape_predict() {
         .map(|i| model.predict(i))
         .collect();
 
-    let serving = Arc::new(ServingModel::new(model).expect("RNTrajRec serves"));
+    let serving = Arc::new(ServingModel::new(model));
     // One fused batch over every test input: each member must equal its
     // own `recover` (the same pass at B=1), which must equal the tape.
     let refs: Vec<_> = pipeline.test_inputs.iter().collect();
@@ -83,7 +82,7 @@ fn trained_weights_serve_identically_to_tape_predict() {
 #[test]
 fn engine_micro_batching_is_transparent_end_to_end() {
     let (pipeline, model) = trained_pipeline();
-    let serving = Arc::new(ServingModel::new(model).expect("RNTrajRec serves"));
+    let serving = Arc::new(ServingModel::new(model));
     let sequential: Vec<Vec<(usize, f32)>> = pipeline
         .test_inputs
         .iter()
@@ -135,7 +134,7 @@ fn engine_micro_batching_is_transparent_end_to_end() {
 #[test]
 fn one_session_answers_every_member_exactly_once() {
     let (pipeline, model) = trained_pipeline();
-    let serving = Arc::new(ServingModel::new(model).expect("RNTrajRec serves"));
+    let serving = Arc::new(ServingModel::new(model));
     let ctx = QueryContext::new(pipeline.dataset.city.net.clone(), 50.0);
     // Thousands of decode steps: tens of milliseconds in which the other
     // four submissions (microseconds) find the session still decoding.
@@ -215,7 +214,7 @@ fn one_session_answers_every_member_exactly_once() {
 #[test]
 fn http_recover_over_tcp_matches_in_process_recovery_bitwise() {
     let (pipeline, model) = trained_pipeline();
-    let serving = Arc::new(ServingModel::new(model).expect("RNTrajRec serves"));
+    let serving = Arc::new(ServingModel::new(model));
     let ctx = Arc::new(QueryContext::new(pipeline.dataset.city.net.clone(), 50.0));
     let engine = Arc::new(RecoveryEngine::start(
         Arc::clone(&serving),
