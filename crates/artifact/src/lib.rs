@@ -562,7 +562,8 @@ impl Artifact {
         if n > 1 << 20 {
             return Err(corrupt(format!("implausible tensor count {n}")));
         }
-        let mut params = Vec::with_capacity(n);
+        // Grown as the tensors parse, never sized from the claimed count.
+        let mut params = Vec::new();
         for i in 0..n {
             params.push(cur.take_tensor(&format!("tensor {i}"))?);
         }
@@ -582,10 +583,14 @@ impl Artifact {
                     .ok_or_else(|| corrupt("int8 head dimensions overflow"))?;
                 let raw = cur.take_bytes(nb, "int8 weights")?;
                 let qt: Vec<i8> = raw.iter().map(|&b| b as i8).collect();
-                let mut scales = Vec::with_capacity(c);
-                for _ in 0..c {
-                    scales.push(cur.take_f32("int8 scale")?);
-                }
+                // One bounded section, as for a tensor: a claimed `c` is
+                // checked against the bytes present before anything is
+                // allocated for it.
+                let scales = cur
+                    .take_bytes(c.saturating_mul(4), "int8 scales")?
+                    .chunks_exact(4)
+                    .map(|b| f32::from_le_bytes(b.try_into().expect("chunks of 4 bytes")))
+                    .collect();
                 Some(QuantHead { k, c, qt, scales })
             }
             f => return Err(corrupt(format!("bad int8-head flag {f}"))),
@@ -801,12 +806,6 @@ impl<'a> Cursor<'a> {
         ))
     }
 
-    fn take_f32(&mut self, what: &str) -> Result<f32, ArtifactError> {
-        Ok(f32::from_le_bytes(
-            self.take_bytes(4, what)?.try_into().unwrap(),
-        ))
-    }
-
     fn take_f64(&mut self, what: &str) -> Result<f64, ArtifactError> {
         Ok(f64::from_le_bytes(
             self.take_bytes(8, what)?.try_into().unwrap(),
@@ -928,6 +927,24 @@ mod tests {
         wrong_version[4] = 0xFF;
         assert!(matches!(
             Artifact::from_bytes(&wrong_version),
+            Err(ArtifactError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn a_claimed_int8_head_width_allocates_nothing() {
+        // `k = 0` passes the `k·c` bound whatever `c` claims, and the CRC
+        // is valid, so only the scales section stands between `c = 2³²−1`
+        // and a 17 GB allocation.
+        let mut a = tiny_artifact();
+        a.quant = Some(QuantHead {
+            k: 0,
+            c: u32::MAX as usize,
+            qt: Vec::new(),
+            scales: Vec::new(),
+        });
+        assert!(matches!(
+            Artifact::from_bytes(&a.to_bytes()),
             Err(ArtifactError::Corrupt(_))
         ));
     }

@@ -13,7 +13,7 @@ use rntrajrec_mapmatch::{HmmConfig, HmmMatcher};
 use rntrajrec_models::{
     FeatureExtractor, GatLayer, GridGnn, GridGnnConfig, SampleInput, TransformerEncoderLayer,
 };
-use rntrajrec_nn::{ParamStore, Tape, Tensor};
+use rntrajrec_nn::{Exec, ParamStore, Tape, Tensor};
 use rntrajrec_roadnet::{CityConfig, RTree, SegmentId, ShortestPaths, SyntheticCity};
 use rntrajrec_synth::{SimConfig, Simulator};
 
@@ -104,9 +104,9 @@ fn bench_nn_blocks(c: &mut Criterion) {
         let x = Tensor::uniform(64, 64, 1.0, &mut rng);
         b.iter(|| {
             let mut tape = Tape::new();
-            let xi = tape.leaf(x.clone());
+            let xi = tape.constant(x.clone());
             let wi = tape.param(&store, w);
-            let y = tape.matmul(xi, wi);
+            let y = tape.matmul(&xi, &wi);
             let loss = tape.mean_all(y);
             store.zero_grad();
             tape.backward(loss, &mut store);
@@ -121,7 +121,7 @@ fn bench_nn_blocks(c: &mut Criterion) {
     g.bench_function("transformer_layer_fwd", |b| {
         b.iter(|| {
             let mut tape = Tape::new();
-            let xi = tape.leaf(x.clone());
+            let xi = tape.constant(x.clone());
             black_box(layer.forward(&mut tape, &store, &xi, std::slice::from_ref(&(0..32))))
         })
     });
@@ -146,7 +146,7 @@ fn bench_nn_blocks(c: &mut Criterion) {
     g.bench_function("gat_layer_city_fwd", |b| {
         b.iter(|| {
             let mut tape = Tape::new();
-            let hi = tape.leaf(h.clone());
+            let hi = tape.constant(h.clone());
             black_box(gat.forward(&mut tape, &store, &hi, &csr))
         })
     });

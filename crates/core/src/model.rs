@@ -9,7 +9,7 @@ use rntrajrec_models::{
     NeuTrajEncoder, RnTrajRecConfig, RnTrajRecEncoder, SampleInput, SegmentHead, T2vecEncoder,
     T3sEncoder, TrajEncoder, TransformerBaseline,
 };
-use rntrajrec_nn::{NodeId, ParamStore, Tape, Tensor};
+use rntrajrec_nn::{Exec, NodeId, ParamStore, Tape, Tensor};
 use rntrajrec_roadnet::RoadNetwork;
 
 /// Every method of the paper's comparison (Tables III/IV) plus the
@@ -257,12 +257,12 @@ impl EndToEnd {
         let (l_id, l_rate) =
             self.decoder
                 .scheduled_loss(tape, &self.store, &enc.outputs, batch, tf_prob, rng);
-        let l_rate = tape.scale(l_rate, self.lambda1);
-        let mut total = tape.add(l_id, l_rate);
+        let l_rate = tape.scale(&l_rate, self.lambda1);
+        let mut total = tape.add(&l_id, &l_rate);
         if self.lambda2 > 0.0 {
             if let Some(aux) = enc.aux_loss {
-                let aux = tape.scale(aux, self.lambda2);
-                total = tape.add(total, aux);
+                let aux = tape.scale(&aux, self.lambda2);
+                total = tape.add(&total, &aux);
             }
         }
         total
@@ -362,7 +362,7 @@ mod tests {
             let model = EndToEnd::build(&spec, &city.net, &grid, 16, 7);
             let mut tape = Tape::new();
             let loss = model.batch_loss(&mut tape, &refs, &mut rng);
-            let v = tape.value(loss).item();
+            let v = tape.value(&loss).item();
             assert!(v.is_finite() && v > 0.0, "{}: loss {v}", model.name);
         }
     }
@@ -376,7 +376,7 @@ mod tests {
             let model = EndToEnd::build(&spec, &city.net, &grid, 16, 7);
             let mut tape = Tape::new();
             let loss = model.batch_loss(&mut tape, &refs[..1], &mut rng);
-            assert!(tape.value(loss).item().is_finite(), "{}", model.name);
+            assert!(tape.value(&loss).item().is_finite(), "{}", model.name);
         }
     }
 

@@ -6,7 +6,7 @@ use rand::SeedableRng;
 
 use crate::model::EndToEnd;
 use rntrajrec_models::SampleInput;
-use rntrajrec_nn::{clip_global_norm, Adam, Tape};
+use rntrajrec_nn::{clip_global_norm, Adam, Exec, Tape};
 
 /// Training hyper-parameters (paper defaults where CPU-feasible).
 #[derive(Debug, Clone)]
@@ -59,11 +59,6 @@ impl Trainer {
         Self { config, opt, rng }
     }
 
-    /// One pass over the training set; returns the mean batch loss.
-    pub fn train_epoch(&mut self, model: &mut EndToEnd, train: &[SampleInput]) -> f32 {
-        self.train_epoch_scheduled(model, train, 1.0)
-    }
-
     /// One pass with the given teacher-forcing probability.
     pub fn train_epoch_scheduled(
         &mut self,
@@ -79,7 +74,7 @@ impl Trainer {
             let batch: Vec<&SampleInput> = chunk.iter().map(|&i| &train[i]).collect();
             let mut tape = Tape::new();
             let loss = model.batch_loss_scheduled(&mut tape, &batch, tf_prob, &mut self.rng);
-            total += tape.value(loss).item();
+            total += tape.value(&loss).item();
             batches += 1;
             model.store.zero_grad();
             tape.backward(loss, &mut model.store);
@@ -97,7 +92,7 @@ impl Trainer {
             let batch: Vec<&SampleInput> = chunk.iter().collect();
             let mut tape = Tape::new();
             let loss = model.batch_loss(&mut tape, &batch, &mut self.rng);
-            total += tape.value(loss).item();
+            total += tape.value(&loss).item();
             batches += 1;
         }
         total / batches.max(1) as f32
@@ -113,7 +108,7 @@ impl Trainer {
         let mut stats = Vec::with_capacity(self.config.epochs);
         for epoch in 0..self.config.epochs {
             // Linear teacher-forcing decay 1.0 -> tf_floor (scheduled
-            // sampling; see DESIGN.md deviation list).
+            // sampling; see "Deviations from the paper" in EXPERIMENTS.md).
             let progress = if self.config.epochs > 1 {
                 epoch as f32 / (self.config.epochs - 1) as f32
             } else {

@@ -7,9 +7,9 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use rntrajrec_geo::XY;
-use rntrajrec_mapmatch::{linear_interpolate, HmmConfig, HmmMatcher, KalmanSmoother};
+use rntrajrec_mapmatch::{linear_hmm, HmmConfig, HmmMatcher, KalmanSmoother};
 use rntrajrec_models::{DhtrSeq2Seq, FeatureExtractor, SampleInput};
-use rntrajrec_nn::{clip_global_norm, Adam, ParamStore, Tape};
+use rntrajrec_nn::{clip_global_norm, Adam, Exec, ParamStore, Tape};
 use rntrajrec_roadnet::{RTree, RoadNetwork};
 use rntrajrec_synth::{RawPoint, RawTrajectory, TrajSample};
 
@@ -24,10 +24,7 @@ pub fn linear_hmm_predict(
     sample: &TrajSample,
     eps_rho_s: f64,
 ) -> Vec<(usize, f32)> {
-    let dense = linear_interpolate(&sample.raw, eps_rho_s, sample.target.len());
-    let mut matcher = HmmMatcher::new(net, rtree, hmm.clone());
-    let matched = matcher.match_trajectory(&dense);
-    matched
+    linear_hmm(net, rtree, &sample.raw, eps_rho_s, sample.target.len(), hmm)
         .points
         .iter()
         .map(|p| (p.pos.seg.index(), p.pos.frac as f32))
@@ -72,13 +69,13 @@ impl DhtrModel {
                 let mut terms = Vec::new();
                 for &i in chunk {
                     let pred = self.seq2seq.forward(&mut tape, &self.store, &train[i]);
-                    let target = tape.leaf(train[i].target_xy_norm.clone());
+                    let target = tape.constant(train[i].target_xy_norm.clone());
                     let d = tape.sub(pred, target);
-                    terms.push(tape.mul(d, d));
+                    terms.push(tape.mul(&d, &d));
                 }
-                let all = tape.concat_rows(&terms);
+                let all = tape.concat_rows(&terms.iter().collect::<Vec<_>>());
                 let loss = tape.mean_all(all);
-                total += tape.value(loss).item();
+                total += tape.value(&loss).item();
                 batches += 1;
                 self.store.zero_grad();
                 tape.backward(loss, &mut self.store);
@@ -101,7 +98,7 @@ impl DhtrModel {
     ) -> Vec<(usize, f32)> {
         let mut tape = Tape::new();
         let pred = self.seq2seq.forward(&mut tape, &self.store, input);
-        let v = tape.value(pred);
+        let v = tape.value(&pred);
         let raw_xy: Vec<XY> = (0..v.rows)
             .map(|r| fx.denormalize(v.get(r, 0), v.get(r, 1)))
             .collect();

@@ -177,10 +177,10 @@ mod tests {
         let mut store = ParamStore::new();
         let mha = MultiHeadAttention::new(&mut store, &mut rng, "m", 8, 2);
         let mut tape = Tape::new();
-        let x = tape.leaf(Tensor::uniform(5, 8, 1.0, &mut rng));
+        let x = tape.constant(Tensor::uniform(5, 8, 1.0, &mut rng));
         let y = mha.forward(&mut tape, &store, &x, std::slice::from_ref(&(0..5)));
-        assert_eq!(tape.value(y).shape(), (5, 8));
-        assert!(tape.value(y).all_finite());
+        assert_eq!(tape.value(&y).shape(), (5, 8));
+        assert!(tape.value(&y).all_finite());
     }
 
     #[test]
@@ -202,12 +202,12 @@ mod tests {
         let mut swapped = Tensor::zeros(2, 4);
         swapped.data[..4].copy_from_slice(&data.data[4..]);
         swapped.data[4..].copy_from_slice(&data.data[..4]);
-        let x = tape.leaf(data);
-        let xs = tape.leaf(swapped);
+        let x = tape.constant(data);
+        let xs = tape.constant(swapped);
         let y = mha.forward(&mut tape, &store, &x, std::slice::from_ref(&(0..2)));
         let ys = mha.forward(&mut tape, &store, &xs, std::slice::from_ref(&(0..2)));
-        let y0: Vec<f32> = tape.value(y).row_slice(0).to_vec();
-        let ys1: Vec<f32> = tape.value(ys).row_slice(1).to_vec();
+        let y0: Vec<f32> = tape.value(&y).row_slice(0).to_vec();
+        let ys1: Vec<f32> = tape.value(&ys).row_slice(1).to_vec();
         for (a, b) in y0.iter().zip(&ys1) {
             assert!((a - b).abs() < 1e-5, "equivariance violated: {a} vs {b}");
         }
@@ -237,9 +237,9 @@ mod tests {
         let mut store = ParamStore::new();
         let attn = AdditiveAttention::new(&mut store, &mut rng, "a", 4);
         let mut tape = Tape::new();
-        let q = tape.leaf(Tensor::uniform(1, 4, 1.0, &mut rng));
+        let q = tape.constant(Tensor::uniform(1, 4, 1.0, &mut rng));
         // Keys all equal -> context must equal that key regardless of scores.
-        let keys = tape.leaf(Tensor::from_vec(3, 4, [0.5f32, -0.25, 0.75, 0.1].repeat(3)));
+        let keys = tape.constant(Tensor::from_vec(3, 4, [0.5f32, -0.25, 0.75, 0.1].repeat(3)));
         let hk = attn.project_keys(&mut tape, &store, &keys);
         let ctx = attn.forward(
             &mut tape,
@@ -249,7 +249,7 @@ mod tests {
             &hk,
             std::slice::from_ref(&(0..3)),
         );
-        let v = tape.value(ctx);
+        let v = tape.value(&ctx);
         for (got, want) in v.data.iter().zip([0.5, -0.25, 0.75, 0.1]) {
             assert!((got - want).abs() < 1e-5);
         }

@@ -543,13 +543,13 @@ impl DhtrSeq2Seq {
 
     /// Predict `[l_ρ, 2]` normalised coordinates.
     pub fn forward(&self, tape: &mut Tape, store: &ParamStore, sample: &SampleInput) -> NodeId {
-        let base = tape.leaf(sample.base_feats.clone());
+        let base = tape.constant(sample.base_feats.clone());
         let x = self.in_proj.forward(tape, store, &base);
         let enc = self.enc_gru.run_sequence(tape, store, &x);
         let l = sample.input_len();
-        let mut h = tape.select_rows(enc, l - 1, 1);
+        let mut h = tape.select_rows(&enc, l - 1, 1);
         // First "previous position" = first observed point.
-        let mut prev = tape.leaf(Tensor::row(vec![
+        let mut prev = tape.constant(Tensor::row(vec![
             sample.base_feats.get(0, 0),
             sample.base_feats.get(0, 1),
         ]));
@@ -559,14 +559,14 @@ impl DhtrSeq2Seq {
         let mut outs = Vec::with_capacity(sample.target_len());
         for _ in 0..sample.target_len() {
             let ctx = self.attn.forward(tape, store, &h, &enc, &hk, segs);
-            let input = tape.concat_cols(&[ctx, prev]);
+            let input = tape.concat_cols(&[&ctx, &prev]);
             h = self.dec_gru.step(tape, store, &input, &h);
             let xy = self.out.forward(tape, store, &h);
-            let xy = tape.sigmoid(xy); // coordinates are normalised to [0,1]
+            let xy = tape.sigmoid(&xy); // coordinates are normalised to [0,1]
             outs.push(xy);
             prev = xy;
         }
-        tape.concat_rows(&outs)
+        tape.concat_rows(&outs.iter().collect::<Vec<_>>())
     }
 }
 
@@ -659,13 +659,13 @@ mod tests {
             assert_eq!(out.outputs.len(), refs.len(), "{}", enc.name());
             for (o, s) in out.outputs.iter().zip(&refs) {
                 assert_eq!(
-                    tape.value(o.per_point).shape(),
+                    tape.value(&o.per_point).shape(),
                     (s.input_len(), d),
                     "{} per-point",
                     enc.name()
                 );
-                assert_eq!(tape.value(o.traj).shape(), (1, d), "{} traj", enc.name());
-                assert!(tape.value(o.per_point).all_finite(), "{}", enc.name());
+                assert_eq!(tape.value(&o.traj).shape(), (1, d), "{} traj", enc.name());
+                assert!(tape.value(&o.per_point).all_finite(), "{}", enc.name());
             }
             assert!(
                 out.aux_loss.is_none(),
@@ -714,9 +714,9 @@ mod tests {
         let dhtr = DhtrSeq2Seq::new(&mut store, &mut rng, 16);
         let mut tape = Tape::new();
         let xy = dhtr.forward(&mut tape, &store, &f.inputs[0]);
-        assert_eq!(tape.value(xy).shape(), (f.inputs[0].target_len(), 2));
+        assert_eq!(tape.value(&xy).shape(), (f.inputs[0].target_len(), 2));
         assert!(tape
-            .value(xy)
+            .value(&xy)
             .data
             .iter()
             .all(|&v| (0.0..=1.0).contains(&v)));
@@ -734,11 +734,11 @@ mod tests {
         for _ in 0..25 {
             let mut tape = Tape::new();
             let pred = dhtr.forward(&mut tape, &store, &f.inputs[0]);
-            let target = tape.leaf(f.inputs[0].target_xy_norm.clone());
+            let target = tape.constant(f.inputs[0].target_xy_norm.clone());
             let d = tape.sub(pred, target);
-            let sq = tape.mul(d, d);
+            let sq = tape.mul(&d, &d);
             let loss = tape.mean_all(sq);
-            last = tape.value(loss).item();
+            last = tape.value(&loss).item();
             first.get_or_insert(last);
             store.zero_grad();
             tape.backward(loss, &mut store);

@@ -258,15 +258,15 @@ impl Decoder {
         let (mut nll, mut sq_err) = (Vec::new(), Vec::new());
         for ((logp, rate), segs, rates) in ticks {
             let picked = tape.pick_cols(logp, &segs);
-            nll.push(tape.scale(picked, -1.0));
-            let truth = tape.leaf(Tensor::from_vec(rates.len(), 1, rates));
+            nll.push(tape.scale(&picked, -1.0));
+            let truth = tape.constant(Tensor::from_vec(rates.len(), 1, rates));
             let diff = tape.sub(rate, truth);
-            sq_err.push(tape.mul(diff, diff));
+            sq_err.push(tape.mul(&diff, &diff));
         }
         let member_major = member_rows.concat();
         let mut mean = |terms: &[NodeId]| {
-            let all = tape.concat_rows(terms);
-            let all = tape.gather_rows(all, &member_major);
+            let all = tape.concat_rows(&terms.iter().collect::<Vec<_>>());
+            let all = tape.gather_rows(&all, &member_major);
             tape.mean_all(all)
         };
         (mean(&nll), mean(&sq_err))
@@ -395,11 +395,10 @@ impl<'a> DecodeExec<'a> for Tape {
     type Outputs = (NodeId, NodeId);
 
     fn member_rows(&self, m: &NodeId) -> usize {
-        self.value(*m).rows
+        self.value(m).rows
     }
     fn stack_rows(&mut self, parts: &[&NodeId]) -> NodeId {
-        let ids: Vec<NodeId> = parts.iter().map(|&&p| p).collect();
-        self.concat_rows(&ids)
+        self.concat_rows(parts)
     }
     /// Training's head: the dense logits plus a dense log-weight row per
     /// masked row (−30 off the mask; unmasked rows add `-0.0`, the exact
@@ -414,10 +413,10 @@ impl<'a> DecodeExec<'a> for Tape {
         b_id: &NodeId,
         masks: &[Option<SparseLogMask<'_>>],
     ) -> NodeId {
-        let logits = self.matmul(*h, *w_id);
-        let mut logits = self.add_rowvec(logits, *b_id);
+        let logits = self.matmul(h, w_id);
+        let mut logits = self.add_rowvec(&logits, b_id);
         if masks.iter().any(Option::is_some) {
-            let cols = self.value(logits).cols;
+            let cols = self.value(&logits).cols;
             let mut logw = Vec::with_capacity(masks.len() * cols);
             for mask in masks {
                 let row = logw.len();
@@ -431,8 +430,8 @@ impl<'a> DecodeExec<'a> for Tape {
                     None => logw.resize(row + cols, -0.0),
                 }
             }
-            let logw = self.leaf(Tensor::from_vec(masks.len(), cols, logw));
-            logits = self.add(logits, logw);
+            let logw = self.constant(Tensor::from_vec(masks.len(), cols, logw));
+            logits = self.add(&logits, &logw);
         }
         self.log_softmax_rows(logits)
     }
@@ -627,7 +626,7 @@ impl<'a, E: DecodeExec<'a>> DecodeState<'a, E> {
         let projected = dec.attn.project_keys(ex, store, &stacked);
         let trajs = ex.stack_rows(&trajs);
         let start = ex.param(store, dec.start_emb);
-        let starts = ex.repeat_rows(&start, keys.len());
+        let starts = ex.gather_rows(&start, &vec![0; keys.len()]);
         let rates = ex.constant(Tensor::zeros(keys.len(), 1));
         append_rows(ex, &mut self.keys_all, stacked);
         append_rows(ex, &mut self.hk_all, projected);
@@ -834,8 +833,8 @@ mod tests {
 
     fn fake_encoder_output(tape: &mut Tape, l: usize, d: usize) -> EncoderOutput {
         let mut rng = StdRng::seed_from_u64(9);
-        let per_point = tape.leaf(Tensor::uniform(l, d, 0.5, &mut rng));
-        let traj = tape.leaf(Tensor::uniform(1, d, 0.5, &mut rng));
+        let per_point = tape.constant(Tensor::uniform(l, d, 0.5, &mut rng));
+        let traj = tape.constant(Tensor::uniform(1, d, 0.5, &mut rng));
         EncoderOutput { per_point, traj }
     }
 
@@ -870,50 +869,50 @@ mod tests {
 
         let mut h = enc.traj;
         let mut x_prev = tape.param(store, dec.start_emb);
-        let mut r_prev = tape.leaf(Tensor::scalar(0.0));
+        let mut r_prev = tape.constant(Tensor::scalar(0.0));
         let mut run = DecoderRun::default();
         for j in 0..sample.target_len() {
             // Eq. (14): attention over encoder outputs.
             let wg = tape.param(store, dec.attn.wg);
             let wh = tape.param(store, dec.attn.wh);
             let v = tape.param(store, dec.attn.v);
-            let gq = tape.matmul(h, wg); // [1, d]
-            let hk = tape.matmul(enc.per_point, wh); // [L, d]
-            let sum = tape.add_rowvec(hk, gq);
+            let gq = tape.matmul(&h, &wg); // [1, d]
+            let hk = tape.matmul(&enc.per_point, &wh); // [L, d]
+            let sum = tape.add_rowvec(&hk, &gq);
             let t = tape.tanh(sum);
             let mu = tape.matmul_nt(v, t); // [1, L]
             let alphas = tape.softmax_rows(mu);
-            let a = tape.matmul(alphas, enc.per_point); // [1, d]
-                                                        // Eq. (15): GRU update.
-            let input = tape.concat_cols(&[x_prev, r_prev, a]);
+            let a = tape.matmul(&alphas, &enc.per_point); // [1, d]
+                                                          // Eq. (15): GRU update.
+            let input = tape.concat_cols(&[&x_prev, &r_prev, &a]);
             h = dec.gru.step(tape, store, &input, &h);
 
             // Road-segment head with constraint mask (Eq. 16).
-            let logits = tape.matmul(h, w_id);
-            let logits = tape.add_rowvec(logits, b_id);
+            let logits = tape.matmul(&h, &w_id);
+            let logits = tape.add_rowvec(&logits, &b_id);
             let masked = match (dec.config.use_mask, &sample.masks[j]) {
                 (true, Some(entries)) => {
                     let mut logw = vec![MASKED_OUT_LOGW; dec.config.num_segments];
                     for &(seg, w) in entries {
                         logw[seg] = w.max(1e-6).ln();
                     }
-                    let lw = tape.leaf(Tensor::row(logw));
-                    tape.add(logits, lw)
+                    let lw = tape.constant(Tensor::row(logw));
+                    tape.add(&logits, &lw)
                 }
                 _ => logits,
             };
             let logp = tape.log_softmax_rows(masked);
-            let pred = tape.value(logp).argmax_row(0);
+            let pred = tape.value(&logp).argmax_row(0);
 
             // Next-step conditioning (teacher forcing vs. own prediction).
             let teach = use_truth(j);
             let cond_seg = if teach { sample.target_segs[j] } else { pred };
-            let x_j = tape.gather_rows(seg_table, &[cond_seg]);
+            let x_j = tape.gather_rows(&seg_table, &[cond_seg]);
 
             // Moving-ratio head (Eq. 17): σ([x_j ∥ h_j]·w_rate).
-            let rate_in = tape.concat_cols(&[x_j, h]);
-            let rate_lin = tape.matmul(rate_in, w_rate);
-            let rate = tape.sigmoid(rate_lin);
+            let rate_in = tape.concat_cols(&[&x_j, &h]);
+            let rate_lin = tape.matmul(&rate_in, &w_rate);
+            let rate = tape.sigmoid(&rate_lin);
 
             run.logps.push(logp);
             run.rates.push(rate);
@@ -921,7 +920,7 @@ mod tests {
 
             x_prev = x_j;
             r_prev = if teach {
-                tape.leaf(Tensor::scalar(sample.target_rates[j]))
+                tape.constant(Tensor::scalar(sample.target_rates[j]))
             } else {
                 rate
             };
@@ -1005,11 +1004,11 @@ mod tests {
         assert_eq!(run.rates.len(), input.target_len());
         assert_eq!(run.preds.len(), input.target_len());
         for (&lp, &r) in run.logps.iter().zip(&run.rates) {
-            assert_eq!(tape.value(lp).shape(), (1, city.net.num_segments()));
-            let rate = tape.value(r).item();
+            assert_eq!(tape.value(&lp).shape(), (1, city.net.num_segments()));
+            let rate = tape.value(&r).item();
             assert!((0.0..=1.0).contains(&rate));
             // Log-probs must be ≤ 0 and normalised.
-            let sum: f32 = tape.value(lp).data.iter().map(|x| x.exp()).sum();
+            let sum: f32 = tape.value(&lp).data.iter().map(|x| x.exp()).sum();
             assert!((sum - 1.0).abs() < 1e-3, "probs sum {sum}");
         }
     }
@@ -1063,7 +1062,7 @@ mod tests {
         let run = tape_decode(&dec, &store, &mut tape, &enc, &input, true);
         // At initialisation (near-uniform logits) every segment should get
         // non-negligible probability on observed steps when unmasked.
-        let lp = tape.value(run.logps[0]);
+        let lp = tape.value(&run.logps[0]);
         let min = lp.data.iter().cloned().fold(f32::INFINITY, f32::min);
         assert!(
             min > MASKED_OUT_LOGW,
@@ -1112,8 +1111,8 @@ mod tests {
         let run = tape_decode(&dec, &store, &mut tape, &enc, &input, false);
 
         let member = BatchMember {
-            per_point: tape.value(enc.per_point),
-            traj: tape.value(enc.traj),
+            per_point: tape.value(&enc.per_point),
+            traj: tape.value(&enc.traj),
             sample: &input,
         };
         let fast = &dec.recover_batch_infer_with(&store, &[member], SegmentHead::Sparse)[0];
@@ -1121,7 +1120,7 @@ mod tests {
         assert_eq!(fast.len(), run.preds.len());
         for (j, &(seg, rate)) in fast.iter().enumerate() {
             assert_eq!(seg, run.preds[j], "step {j}: segment prediction diverged");
-            let tape_rate = tape.value(run.rates[j]).item();
+            let tape_rate = tape.value(&run.rates[j]).item();
             assert_eq!(rate, tape_rate, "step {j}: rate not bit-identical");
         }
     }
@@ -1146,10 +1145,10 @@ mod tests {
         // Simple loss: sum of selected true-class negative log-probs.
         let mut terms = Vec::new();
         for (j, &lp) in run.logps.iter().enumerate() {
-            let picked = tape.select_cols(lp, input.target_segs[j], 1);
-            terms.push(tape.scale(picked, -1.0));
+            let picked = tape.select_cols(&lp, input.target_segs[j], 1);
+            terms.push(tape.scale(&picked, -1.0));
         }
-        let all = tape.concat_rows(&terms);
+        let all = tape.concat_rows(&terms.iter().collect::<Vec<_>>());
         let loss = tape.mean_all(all);
         store.zero_grad();
         tape.backward(loss, &mut store);
@@ -1208,8 +1207,8 @@ mod tests {
         fn leaves(&self, tape: &mut Tape, p: usize) -> EncoderOutput {
             let (per_point, traj, _) = &self.members[p];
             EncoderOutput {
-                per_point: tape.leaf(per_point.clone()),
-                traj: tape.leaf(traj.clone()),
+                per_point: tape.constant(per_point.clone()),
+                traj: tape.constant(traj.clone()),
             }
         }
     }
@@ -1255,11 +1254,11 @@ mod tests {
                 for (j, &(logp, rate, row, pred)) in steps[m].iter().enumerate() {
                     prop_assert!(pred == want.preds[j], "member {m} step {j}: prediction");
                     prop_assert!(
-                        bits(tape.value(logp).row_slice(row)) == bits(&alone.value(want.logps[j]).data),
+                        bits(tape.value(&logp).row_slice(row)) == bits(&alone.value(&want.logps[j]).data),
                         "member {m} step {j}: log-prob row"
                     );
                     prop_assert!(
-                        tape.value(rate).data[row].to_bits() == alone.value(want.rates[j]).item().to_bits(),
+                        tape.value(&rate).data[row].to_bits() == alone.value(&want.rates[j]).item().to_bits(),
                         "member {m} step {j}: rate"
                     );
                 }
@@ -1292,7 +1291,7 @@ mod tests {
             let (l_id, l_rate) = fix
                 .decoder
                 .scheduled_loss(&mut tape, &fix.store, &encs, &samples, tf_prob, &mut rng);
-            let total = tape.add(l_id, l_rate);
+            let total = tape.add(&l_id, &l_rate);
             fix.store.zero_grad();
             tape.backward(total, &mut fix.store);
             let got = grads(&fix.store);
@@ -1306,24 +1305,24 @@ mod tests {
                     sample.obs_step.contains(&j) || tf_prob >= 1.0 || want_rng.gen::<f32>() < tf_prob
                 });
                 for (j, (&lp, &rate)) in run.logps.iter().zip(&run.rates).enumerate() {
-                    let picked = alone.select_cols(lp, sample.target_segs[j], 1);
-                    id_terms.push(alone.scale(picked, -1.0));
-                    let target = alone.leaf(Tensor::scalar(sample.target_rates[j]));
+                    let picked = alone.select_cols(&lp, sample.target_segs[j], 1);
+                    id_terms.push(alone.scale(&picked, -1.0));
+                    let target = alone.constant(Tensor::scalar(sample.target_rates[j]));
                     let diff = alone.sub(rate, target);
-                    rate_terms.push(alone.mul(diff, diff));
+                    rate_terms.push(alone.mul(&diff, &diff));
                 }
             }
-            let id_all = alone.concat_rows(&id_terms);
+            let id_all = alone.concat_rows(&id_terms.iter().collect::<Vec<_>>());
             let want_id = alone.mean_all(id_all);
-            let rate_all = alone.concat_rows(&rate_terms);
+            let rate_all = alone.concat_rows(&rate_terms.iter().collect::<Vec<_>>());
             let want_rate = alone.mean_all(rate_all);
-            let want_total = alone.add(want_id, want_rate);
+            let want_total = alone.add(&want_id, &want_rate);
             fix.store.zero_grad();
             alone.backward(want_total, &mut fix.store);
             let want = grads(&fix.store);
 
-            prop_assert_eq!(tape.value(l_id).item().to_bits(), alone.value(want_id).item().to_bits());
-            prop_assert_eq!(tape.value(l_rate).item().to_bits(), alone.value(want_rate).item().to_bits());
+            prop_assert_eq!(tape.value(&l_id).item().to_bits(), alone.value(&want_id).item().to_bits());
+            prop_assert_eq!(tape.value(&l_rate).item().to_bits(), alone.value(&want_rate).item().to_bits());
             prop_assert!(rng.gen::<u64>() == want_rng.gen::<u64>(), "coin draws differ in number");
             for (id, (g, w)) in fix.store.ids().zip(got.iter().zip(&want)) {
                 for (&a, &b) in g.data.iter().zip(&w.data) {

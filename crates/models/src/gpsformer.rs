@@ -265,17 +265,17 @@ impl TrajEncoder for RnTrajRecEncoder {
                 let Some(true_row) = sg.true_row else {
                     continue;
                 };
-                let scores = tape.select_cols(scores, seg.start, seg.len()); // [1, n]
-                let log_w = tape.leaf(Tensor::row(
+                let scores = tape.select_cols(&scores, seg.start, seg.len()); // [1, n]
+                let log_w = tape.constant(Tensor::row(
                     sg.weights.iter().map(|&x| x.max(1e-6).ln()).collect(),
                 ));
-                let masked = tape.add(scores, log_w);
+                let masked = tape.add(&scores, &log_w);
                 let logp = tape.log_softmax_rows(masked);
-                let picked = tape.select_cols(logp, true_row, 1);
-                terms.push(tape.scale(picked, -1.0));
+                let picked = tape.select_cols(&logp, true_row, 1);
+                terms.push(tape.scale(&picked, -1.0));
             }
             (!terms.is_empty()).then(|| {
-                let all = tape.concat_rows(&terms);
+                let all = tape.concat_rows(&terms.iter().collect::<Vec<_>>());
                 tape.mean_all(all)
             })
         } else {
@@ -369,13 +369,13 @@ mod tests {
         let out = enc.encode(&mut tape, &store, &refs);
         assert_eq!(out.outputs.len(), 2);
         for (o, s) in out.outputs.iter().zip(&ins) {
-            assert_eq!(tape.value(o.per_point).shape(), (s.input_len(), 16));
-            assert_eq!(tape.value(o.traj).shape(), (1, 16));
-            assert!(tape.value(o.per_point).all_finite());
+            assert_eq!(tape.value(&o.per_point).shape(), (s.input_len(), 16));
+            assert_eq!(tape.value(&o.traj).shape(), (1, 16));
+            assert!(tape.value(&o.per_point).all_finite());
         }
         let aux = out.aux_loss.expect("L_enc expected with GRL enabled");
-        assert!(tape.value(aux).item().is_finite());
-        assert!(tape.value(aux).item() >= 0.0);
+        assert!(tape.value(&aux).item().is_finite());
+        assert!(tape.value(&aux).item() >= 0.0);
     }
 
     #[test]
@@ -393,7 +393,7 @@ mod tests {
         let out = enc.encode(&mut tape, &store, &refs);
         assert!(out.aux_loss.is_none());
         assert_eq!(
-            tape.value(out.outputs[0].per_point).shape(),
+            tape.value(&out.outputs[0].per_point).shape(),
             (ins[0].input_len(), 16)
         );
     }
@@ -415,8 +415,8 @@ mod tests {
             let mut tape = Tape::new();
             let both = enc.encode(&mut tape, &store, &[&ins[0], &ins[1]]);
             let alone = enc.encode(&mut tape, &store, &[&ins[0]]);
-            let same = tape.value(both.outputs[0].per_point).data
-                == tape.value(alone.outputs[0].per_point).data;
+            let same = tape.value(&both.outputs[0].per_point).data
+                == tape.value(&alone.outputs[0].per_point).data;
             assert_eq!(same, !graph_norm, "graph_norm={graph_norm}");
         }
     }

@@ -209,10 +209,10 @@ mod tests {
         let mut store = ParamStore::new();
         let gat = GatLayer::new(&mut store, &mut rng, "g", 6, 8, 2);
         let mut tape = Tape::new();
-        let h = tape.leaf(Tensor::uniform(3, 6, 1.0, &mut rng));
+        let h = tape.constant(Tensor::uniform(3, 6, 1.0, &mut rng));
         let y = gat.forward(&mut tape, &store, &h, &path_csr());
-        assert_eq!(tape.value(y).shape(), (3, 8));
-        assert!(tape.value(y).all_finite());
+        assert_eq!(tape.value(&y).shape(), (3, 8));
+        assert!(tape.value(&y).all_finite());
     }
 
     #[test]
@@ -231,13 +231,13 @@ mod tests {
         tweak_n2.set(2, 0, 5.0);
 
         let mut tape = Tape::new();
-        let h0 = tape.leaf(base);
-        let h1 = tape.leaf(tweak_n1);
-        let h2 = tape.leaf(tweak_n2);
+        let h0 = tape.constant(base);
+        let h1 = tape.constant(tweak_n1);
+        let h2 = tape.constant(tweak_n2);
         let y0 = gat.forward(&mut tape, &store, &h0, &csr);
         let y1 = gat.forward(&mut tape, &store, &h1, &csr);
         let y2 = gat.forward(&mut tape, &store, &h2, &csr);
-        let row0 = |n: NodeId, tape: &Tape| tape.value(n).row_slice(0).to_vec();
+        let row0 = |n: NodeId, tape: &Tape| tape.value(&n).row_slice(0).to_vec();
         assert_ne!(
             row0(y0, &tape),
             row0(y1, &tape),
@@ -265,15 +265,15 @@ mod tests {
         let mut last = f32::INFINITY;
         for _ in 0..200 {
             let mut tape = Tape::new();
-            let h = tape.leaf(x.clone());
+            let h = tape.constant(x.clone());
             let z = gat.forward(&mut tape, &store, &h, &csr);
             let y = head.forward(&mut tape, &store, &z);
-            let y = tape.sigmoid(y);
-            let t = tape.leaf(target.clone());
+            let y = tape.sigmoid(&y);
+            let t = tape.constant(target.clone());
             let d = tape.sub(y, t);
-            let sq = tape.mul(d, d);
+            let sq = tape.mul(&d, &d);
             let loss = tape.mean_all(sq);
-            last = tape.value(loss).item();
+            last = tape.value(&loss).item();
             store.zero_grad();
             tape.backward(loss, &mut store);
             opt.step(&mut store);
@@ -287,10 +287,10 @@ mod tests {
         // raw neighbor_sum with mean alphas.
         let csr = path_csr();
         let mut tape = Tape::new();
-        let h = tape.leaf(Tensor::from_vec(3, 1, vec![3.0, 6.0, 9.0]));
-        let alphas = tape.leaf(mean_alphas(&csr));
-        let agg = tape.neighbor_sum(alphas, h, &csr);
-        let v = tape.value(agg);
+        let h = tape.constant(Tensor::from_vec(3, 1, vec![3.0, 6.0, 9.0]));
+        let alphas = tape.constant(mean_alphas(&csr));
+        let agg = tape.neighbor_sum(&alphas, &h, &csr);
+        let v = tape.value(&agg);
         // Node 0: mean(h1, h0) = 4.5; node 1: mean(h0,h2,h1)=6; node 2: mean(h1,h2)=7.5.
         assert_eq!(v.data, vec![4.5, 6.0, 7.5]);
     }
@@ -303,10 +303,10 @@ mod tests {
         let gin = GinLayer::new(&mut store, &mut rng, "gin", 5, 7);
         let csr = path_csr();
         let mut tape = Tape::new();
-        let h = tape.leaf(Tensor::uniform(3, 5, 1.0, &mut rng));
+        let h = tape.constant(Tensor::uniform(3, 5, 1.0, &mut rng));
         let a = gcn.forward(&mut tape, &store, &h, &csr);
         let b = gin.forward(&mut tape, &store, &h, &csr);
-        assert_eq!(tape.value(a).shape(), (3, 7));
-        assert_eq!(tape.value(b).shape(), (3, 7));
+        assert_eq!(tape.value(&a).shape(), (3, 7));
+        assert_eq!(tape.value(&b).shape(), (3, 7));
     }
 }

@@ -269,8 +269,8 @@ mod tests {
         let (city, store, gg) = setup(GnnBackbone::Gat);
         let mut tape = Tape::new();
         let x = gg.forward(&mut tape, &store);
-        assert_eq!(tape.value(x).shape(), (city.net.num_segments(), 16));
-        assert!(tape.value(x).all_finite());
+        assert_eq!(tape.value(&x).shape(), (city.net.num_segments(), 16));
+        assert!(tape.value(&x).all_finite());
     }
 
     #[test]
@@ -279,7 +279,7 @@ mod tests {
             let (city, store, gg) = setup(b);
             let mut tape = Tape::new();
             let x = gg.forward(&mut tape, &store);
-            assert_eq!(tape.value(x).rows, city.net.num_segments());
+            assert_eq!(tape.value(&x).rows, city.net.num_segments());
         }
     }
 
@@ -309,16 +309,16 @@ mod tests {
             let mut tape = Tape::new();
             let x = gg.forward(&mut tape, &store);
             let y = head.forward(&mut tape, &store, &x);
-            let s0 = tape.select_rows(y, 0, 1);
-            let s1 = tape.select_rows(y, 1, 1);
+            let s0 = tape.select_rows(&y, 0, 1);
+            let s1 = tape.select_rows(&y, 1, 1);
             // loss = (s0 - 1)² + (s1 + 1)²
-            let t0 = tape.add_const(s0, -1.0);
-            let t1 = tape.add_const(s1, 1.0);
-            let q0 = tape.mul(t0, t0);
-            let q1 = tape.mul(t1, t1);
-            let l = tape.add(q0, q1);
+            let t0 = tape.add_const(&s0, -1.0);
+            let t1 = tape.add_const(&s1, 1.0);
+            let q0 = tape.mul(&t0, &t0);
+            let q1 = tape.mul(&t1, &t1);
+            let l = tape.add(&q0, &q1);
             let loss = tape.mean_all(l);
-            last = tape.value(loss).item();
+            last = tape.value(&loss).item();
             store.zero_grad();
             tape.backward(loss, &mut store);
             opt.step(&mut store);
@@ -333,10 +333,10 @@ mod tests {
             let mut tape = Tape::new();
             let x = gg.forward(&mut tape, &store);
             let fast = gg.forward(&mut Eager, &store);
-            assert_eq!(fast.shape(), tape.value(x).shape());
+            assert_eq!(fast.shape(), tape.value(&x).shape());
             assert_eq!(
                 fast.data,
-                tape.value(x).data,
+                tape.value(&x).data,
                 "{b:?}: eager not bit-identical"
             );
         }

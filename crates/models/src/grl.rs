@@ -382,10 +382,10 @@ mod tests {
         let mut store = ParamStore::new();
         let gf = GatedFusion::new(&mut store, &mut rng, "gf", 4);
         let mut tape = Tape::new();
-        let tr = tape.leaf(Tensor::from_vec(1, 4, vec![1.0, 1.0, 1.0, 1.0]));
-        let z = tape.leaf(Tensor::zeros(3, 4));
+        let tr = tape.constant(Tensor::from_vec(1, 4, vec![1.0, 1.0, 1.0, 1.0]));
+        let z = tape.constant(Tensor::zeros(3, 4));
         let out = gf.forward(&mut tape, &store, &tr, &z, &[0, 0, 0]);
-        let v = tape.value(out);
+        let v = tape.value(&out);
         assert_eq!(v.shape(), (3, 4));
         // With zero bias the gate starts near 0.5: output strictly between
         // the two inputs (0 and 1).
@@ -399,7 +399,7 @@ mod tests {
         let gn = GraphNorm::new(&mut store, &mut rng, "gn", 3);
         let mut tape = Tape::new();
         // Two graphs (2 and 3 nodes) stacked, one scope.
-        let z = tape.leaf(Tensor::from_vec(
+        let z = tape.constant(Tensor::from_vec(
             5,
             3,
             vec![
@@ -407,7 +407,7 @@ mod tests {
             ],
         ));
         let out = gn.forward(&mut tape, &store, &z, &layout(&[2, 3]));
-        let all = tape.value(out);
+        let all = tape.value(&out);
         assert_eq!(all.shape(), (5, 3));
         // Near-zero variance shift (gamma=1, beta=0 at init) — check each
         // column has ~unit std around the pooled mean.
@@ -438,11 +438,11 @@ mod tests {
             };
             let grl = GraphRefinementLayer::new(&mut store, &mut rng, "grl", cfg);
             let mut tape = Tape::new();
-            let tr = tape.leaf(Tensor::uniform(2, 8, 1.0, &mut rng));
-            let z = tape.leaf(Tensor::uniform(6, 8, 1.0, &mut rng));
+            let tr = tape.constant(Tensor::uniform(2, 8, 1.0, &mut rng));
+            let z = tape.constant(Tensor::uniform(6, 8, 1.0, &mut rng));
             let out = grl.forward(&mut tape, &store, &tr, &z, &layout(&[4, 2]));
-            assert_eq!(tape.value(out).shape(), (6, 8), "variant {gf}/{gat}/{gn}");
-            assert!(tape.value(out).all_finite());
+            assert_eq!(tape.value(&out).shape(), (6, 8), "variant {gf}/{gat}/{gn}");
+            assert!(tape.value(&out).all_finite());
         }
     }
 
@@ -454,12 +454,12 @@ mod tests {
         let a = GraphRefinementLayer::new(&mut store, &mut rng, "a", cfg);
         let b = GraphRefinementLayer::new(&mut store, &mut rng, "b", cfg);
         let mut tape = Tape::new();
-        let tr = tape.leaf(Tensor::uniform(1, 8, 1.0, &mut rng));
-        let z = tape.leaf(Tensor::uniform(3, 8, 1.0, &mut rng));
+        let tr = tape.constant(Tensor::uniform(1, 8, 1.0, &mut rng));
+        let z = tape.constant(Tensor::uniform(3, 8, 1.0, &mut rng));
         let l = layout(&[3]);
         let out1 = a.forward(&mut tape, &store, &tr, &z, &l);
         let out2 = b.forward(&mut tape, &store, &tr, &out1, &l);
-        assert_eq!(tape.value(out2).shape(), (3, 8));
+        assert_eq!(tape.value(&out2).shape(), (3, 8));
     }
 
     #[test]
@@ -469,8 +469,8 @@ mod tests {
         let cfg = GrlConfig::new(8, 2);
         let grl = GraphRefinementLayer::new(&mut store, &mut rng, "g", cfg);
         let mut tape = Tape::new();
-        let tr = tape.leaf(Tensor::uniform(1, 8, 1.0, &mut rng));
-        let z = tape.leaf(Tensor::uniform(3, 8, 1.0, &mut rng));
+        let tr = tape.constant(Tensor::uniform(1, 8, 1.0, &mut rng));
+        let z = tape.constant(Tensor::uniform(3, 8, 1.0, &mut rng));
         let out = grl.forward(&mut tape, &store, &tr, &z, &layout(&[3]));
         let loss = tape.mean_all(out);
         store.zero_grad();

@@ -121,11 +121,11 @@ mod tests {
         let mut store = ParamStore::new();
         let lin = Linear::new(&mut store, &mut rng, "l", 4, 3, true);
         let mut tape = Tape::new();
-        let x = tape.leaf(Tensor::zeros(2, 4));
+        let x = tape.constant(Tensor::zeros(2, 4));
         let y = lin.forward(&mut tape, &store, &x);
-        assert_eq!(tape.value(y).shape(), (2, 3));
+        assert_eq!(tape.value(&y).shape(), (2, 3));
         // Zero input -> output equals bias (zeros initially).
-        assert!(tape.value(y).data.iter().all(|&v| v == 0.0));
+        assert!(tape.value(&y).data.iter().all(|&v| v == 0.0));
     }
 
     #[test]
@@ -137,19 +137,19 @@ mod tests {
         let x_data = Tensor::from_vec(4, 2, vec![1.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.5, -0.5]);
         for _ in 0..300 {
             let mut tape = Tape::new();
-            let x = tape.leaf(x_data.clone());
+            let x = tape.constant(x_data.clone());
             let y = lin.forward(&mut tape, &store, &x);
             let diff = tape.sub(y, x);
-            let sq = tape.mul(diff, diff);
+            let sq = tape.mul(&diff, &diff);
             let loss = tape.mean_all(sq);
             store.zero_grad();
             tape.backward(loss, &mut store);
             opt.step(&mut store);
         }
         let mut tape = Tape::new();
-        let x = tape.leaf(x_data.clone());
+        let x = tape.constant(x_data.clone());
         let y = lin.forward(&mut tape, &store, &x);
-        assert!(tape.value(y).max_abs_diff(&x_data) < 0.05);
+        assert!(tape.value(&y).max_abs_diff(&x_data) < 0.05);
     }
 
     #[test]
@@ -158,7 +158,7 @@ mod tests {
         let mut store = ParamStore::new();
         let ln = LayerNorm::new(&mut store, &mut rng, "ln", 6);
         let mut tape = Tape::new();
-        let x = tape.leaf(Tensor::from_vec(
+        let x = tape.constant(Tensor::from_vec(
             2,
             6,
             vec![
@@ -166,7 +166,7 @@ mod tests {
             ],
         ));
         let y = ln.forward(&mut tape, &store, &x);
-        let v = tape.value(y);
+        let v = tape.value(&y);
         for r in 0..2 {
             let row = v.row_slice(r);
             let mean: f32 = row.iter().sum::<f32>() / 6.0;
@@ -182,7 +182,7 @@ mod tests {
         let mut store = ParamStore::new();
         let ln = LayerNorm::new(&mut store, &mut rng, "ln", 4);
         let mut tape = Tape::new();
-        let x = tape.leaf(Tensor::from_vec(1, 4, vec![1.0, 2.0, 3.0, 4.0]));
+        let x = tape.constant(Tensor::from_vec(1, 4, vec![1.0, 2.0, 3.0, 4.0]));
         let y = ln.forward(&mut tape, &store, &x);
         let loss = tape.mean_all(y);
         store.zero_grad();
@@ -202,8 +202,8 @@ mod tests {
         let mut store = ParamStore::new();
         let ffn = FeedForward::new(&mut store, &mut rng, "f", 8, 16);
         let mut tape = Tape::new();
-        let x = tape.leaf(Tensor::zeros(3, 8));
+        let x = tape.constant(Tensor::zeros(3, 8));
         let y = ffn.forward(&mut tape, &store, &x);
-        assert_eq!(tape.value(y).shape(), (3, 8));
+        assert_eq!(tape.value(&y).shape(), (3, 8));
     }
 }

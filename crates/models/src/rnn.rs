@@ -251,9 +251,9 @@ mod tests {
         let mut store = ParamStore::new();
         let gru = GruCell::new(&mut store, &mut rng, "g", 3, 5);
         let mut tape = Tape::new();
-        let xs = tape.leaf(Tensor::zeros(7, 3));
+        let xs = tape.constant(Tensor::zeros(7, 3));
         let hs = gru.run_sequence(&mut tape, &store, &xs);
-        assert_eq!(tape.value(hs).shape(), (7, 5));
+        assert_eq!(tape.value(&hs).shape(), (7, 5));
     }
 
     #[test]
@@ -262,9 +262,9 @@ mod tests {
         let mut store = ParamStore::new();
         let gru = GruCell::new(&mut store, &mut rng, "g", 2, 4);
         let mut tape = Tape::new();
-        let xs = tape.leaf(Tensor::zeros(20, 2));
+        let xs = tape.constant(Tensor::zeros(20, 2));
         let hs = gru.run_sequence(&mut tape, &store, &xs);
-        assert!(tape.value(hs).data.iter().all(|&h| h.abs() <= 1.0));
+        assert!(tape.value(&hs).data.iter().all(|&h| h.abs() <= 1.0));
     }
 
     #[test]
@@ -286,18 +286,18 @@ mod tests {
             let mut tape = Tape::new();
             let mut losses = Vec::new();
             for (xs, target) in &seqs {
-                let x = tape.leaf(Tensor::from_vec(4, 1, xs.clone()));
+                let x = tape.constant(Tensor::from_vec(4, 1, xs.clone()));
                 let hs = gru.run_sequence(&mut tape, &store, &x);
-                let hl = tape.select_rows(hs, 3, 1);
+                let hl = tape.select_rows(&hs, 3, 1);
                 let y = head.forward(&mut tape, &store, &hl);
-                let t = tape.leaf(Tensor::scalar(*target));
+                let t = tape.constant(Tensor::scalar(*target));
                 let d = tape.sub(y, t);
-                let sq = tape.mul(d, d);
+                let sq = tape.mul(&d, &d);
                 losses.push(sq);
             }
-            let all = tape.concat_rows(&losses);
+            let all = tape.concat_rows(&losses.iter().collect::<Vec<_>>());
             let loss = tape.mean_all(all);
-            last_loss = tape.value(loss).item();
+            last_loss = tape.value(&loss).item();
             store.zero_grad();
             tape.backward(loss, &mut store);
             opt.step(&mut store);
@@ -314,10 +314,10 @@ mod tests {
         let mut store = ParamStore::new();
         let lstm = LstmCell::new(&mut store, &mut rng, "l", 3, 6);
         let mut tape = Tape::new();
-        let xs = tape.leaf(Tensor::uniform(10, 3, 1.0, &mut rng));
+        let xs = tape.constant(Tensor::uniform(10, 3, 1.0, &mut rng));
         let hs = lstm.run_sequence(&mut tape, &store, &xs);
-        assert_eq!(tape.value(hs).shape(), (10, 6));
-        assert!(tape.value(hs).data.iter().all(|&h| h.abs() <= 1.0));
+        assert_eq!(tape.value(&hs).shape(), (10, 6));
+        assert!(tape.value(&hs).data.iter().all(|&h| h.abs() <= 1.0));
     }
 
     #[test]
@@ -328,12 +328,12 @@ mod tests {
         let mut store = ParamStore::new();
         let bi = BiLstm::new(&mut store, &mut rng, "b", 2, 4);
         let mut tape = Tape::new();
-        let a = tape.leaf(Tensor::from_vec(3, 2, vec![0.1, 0.2, 0.0, 0.0, 0.9, -0.3]));
-        let b = tape.leaf(Tensor::from_vec(3, 2, vec![0.1, 0.2, 0.0, 0.0, -0.9, 0.3]));
+        let a = tape.constant(Tensor::from_vec(3, 2, vec![0.1, 0.2, 0.0, 0.0, 0.9, -0.3]));
+        let b = tape.constant(Tensor::from_vec(3, 2, vec![0.1, 0.2, 0.0, 0.0, -0.9, 0.3]));
         let ha = bi.run_sequence(&mut tape, &store, &a);
         let hb = bi.run_sequence(&mut tape, &store, &b);
-        let first_a = tape.value(ha).row_slice(0).to_vec();
-        let first_b = tape.value(hb).row_slice(0).to_vec();
+        let first_a = tape.value(&ha).row_slice(0).to_vec();
+        let first_b = tape.value(&hb).row_slice(0).to_vec();
         assert_ne!(first_a, first_b);
     }
 }

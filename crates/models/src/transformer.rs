@@ -70,10 +70,10 @@ mod tests {
         let mut store = ParamStore::new();
         let layer = TransformerEncoderLayer::new(&mut store, &mut rng, "t", 8, 2, 16);
         let mut tape = Tape::new();
-        let x = tape.leaf(Tensor::uniform(6, 8, 1.0, &mut rng));
+        let x = tape.constant(Tensor::uniform(6, 8, 1.0, &mut rng));
         let y = layer.forward(&mut tape, &store, &x, std::slice::from_ref(&(0..6)));
-        assert_eq!(tape.value(y).shape(), (6, 8));
-        assert!(tape.value(y).all_finite());
+        assert_eq!(tape.value(&y).shape(), (6, 8));
+        assert!(tape.value(&y).all_finite());
     }
 
     #[test]
@@ -83,10 +83,10 @@ mod tests {
         let l1 = TransformerEncoderLayer::new(&mut store, &mut rng, "t1", 8, 2, 16);
         let l2 = TransformerEncoderLayer::new(&mut store, &mut rng, "t2", 8, 2, 16);
         let mut tape = Tape::new();
-        let x = tape.leaf(Tensor::uniform(4, 8, 1.0, &mut rng));
+        let x = tape.constant(Tensor::uniform(4, 8, 1.0, &mut rng));
         let h = l1.forward(&mut tape, &store, &x, std::slice::from_ref(&(0..4)));
         let y = l2.forward(&mut tape, &store, &h, std::slice::from_ref(&(0..4)));
-        assert_eq!(tape.value(y).shape(), (4, 8));
+        assert_eq!(tape.value(&y).shape(), (4, 8));
     }
 
     #[test]
@@ -114,17 +114,17 @@ mod tests {
             let mut tape = Tape::new();
             let mut losses = Vec::new();
             for (x, target) in &cases {
-                let xid = tape.leaf(x.clone());
+                let xid = tape.constant(x.clone());
                 let h = layer.forward(&mut tape, &store, &xid, std::slice::from_ref(&(0..3)));
                 let y = head.forward(&mut tape, &store, &h); // [3,1]
-                let t = tape.leaf(Tensor::full(3, 1, *target));
+                let t = tape.constant(Tensor::full(3, 1, *target));
                 let d = tape.sub(y, t);
-                let sq = tape.mul(d, d);
+                let sq = tape.mul(&d, &d);
                 losses.push(sq);
             }
-            let all = tape.concat_rows(&losses);
+            let all = tape.concat_rows(&losses.iter().collect::<Vec<_>>());
             let loss = tape.mean_all(all);
-            last = tape.value(loss).item();
+            last = tape.value(&loss).item();
             store.zero_grad();
             tape.backward(loss, &mut store);
             opt.step(&mut store);

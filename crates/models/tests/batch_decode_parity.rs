@@ -28,7 +28,7 @@ use rntrajrec_models::{
     InferOutput, RnTrajRecConfig, RnTrajRecEncoder, SampleInput, SegmentHead, TrajEncoder,
 };
 use rntrajrec_nn::kernels::backend::{self, Backend};
-use rntrajrec_nn::{pool, ParamStore, Tape, Tensor};
+use rntrajrec_nn::{pool, Exec, ParamStore, Tape, Tensor};
 use rntrajrec_roadnet::{CityConfig, RTree, SyntheticCity};
 use rntrajrec_synth::{RawPoint, RawTrajectory, SimConfig, Simulator, TimeContext};
 
@@ -455,8 +455,8 @@ fn singleton_batch_equals_tape_decode() {
         let (per_point, traj, sample) = &fix.members[p];
         let mut tape = Tape::new();
         let enc = EncoderOutput {
-            per_point: tape.leaf(per_point.clone()),
-            traj: tape.leaf(traj.clone()),
+            per_point: tape.constant(per_point.clone()),
+            traj: tape.constant(traj.clone()),
         };
         let mut state = DecodeState::on_tape(&fix.decoder, &fix.store, tape);
         state.admit(&[BatchMember::new(&enc, sample)]);
@@ -703,9 +703,9 @@ fn singleton_and_single_point_encoder_batches() {
             .encode(&mut tape, &fix.store, &[&fix.samples[p]]);
         assert_eq!(
             batched[0].per_point.data,
-            tape.value(want.outputs[0].per_point).data,
+            tape.value(&want.outputs[0].per_point).data,
             "member {p} diverged at B=1"
         );
-        assert_eq!(batched[0].traj.data, tape.value(want.outputs[0].traj).data);
+        assert_eq!(batched[0].traj.data, tape.value(&want.outputs[0].traj).data);
     }
 }

@@ -4,8 +4,10 @@
 //! written **once** against [`Exec`]; what happens when its ops run is the
 //! executor's business:
 //!
-//! * [`Tape`] records every op for reverse-mode differentiation
-//!   (`H = NodeId`) — training and the tape `predict` reference.
+//! * [`crate::Tape`] records every op for reverse-mode differentiation
+//!   (`H = NodeId`) — training and the tape `predict` reference. Its impl
+//!   of this trait (in `tape.rs`) is the only place those ops are recorded;
+//!   code holding a concrete `Tape` calls them through the trait too.
 //! * [`Eager`] evaluates every op at once on [`crate::kernels`] and keeps
 //!   nothing (`H = Cow<Tensor>`: parameters and caller inputs are borrowed,
 //!   never copied; an op's result is owned) — the serving path.
@@ -28,7 +30,7 @@ use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 
-use crate::{kernels, GraphCsr, NodeId, ParamId, ParamStore, Tape, Tensor};
+use crate::{kernels, GraphCsr, ParamId, ParamStore, Tensor};
 
 /// An executor of tensor ops. `'s` is the lifetime of everything a handle
 /// may borrow: the parameter store and constant inputs.
@@ -75,8 +77,6 @@ pub trait Exec<'s> {
     fn concat_rows(&mut self, parts: &[&Self::H]) -> Self::H;
     fn select_rows(&mut self, a: &Self::H, start: usize, len: usize) -> Self::H;
     fn gather_rows(&mut self, table: &Self::H, indices: &[usize]) -> Self::H;
-    /// A `[1,C]` row repeated `n` times.
-    fn repeat_rows(&mut self, a: &Self::H, n: usize) -> Self::H;
 
     // ----- CSR graph attention ---------------------------------------------------
 
@@ -150,233 +150,6 @@ pub trait Exec<'s> {
         z: &Self::H,
         row_to_point: &[usize],
     ) -> Self::H;
-}
-
-impl<'s> Exec<'s> for Tape {
-    type H = NodeId;
-
-    fn param(&mut self, store: &'s ParamStore, id: ParamId) -> NodeId {
-        Tape::param(self, store, id)
-    }
-    fn input(&mut self, t: &'s Tensor) -> NodeId {
-        self.leaf(t.clone())
-    }
-    fn constant(&mut self, t: Tensor) -> NodeId {
-        self.leaf(t)
-    }
-    fn value<'v>(&'v self, h: &'v NodeId) -> &'v Tensor {
-        Tape::value(self, *h)
-    }
-
-    fn add(&mut self, a: &NodeId, b: &NodeId) -> NodeId {
-        Tape::add(self, *a, *b)
-    }
-    fn mul(&mut self, a: &NodeId, b: &NodeId) -> NodeId {
-        Tape::mul(self, *a, *b)
-    }
-    fn scale(&mut self, a: &NodeId, c: f32) -> NodeId {
-        Tape::scale(self, *a, c)
-    }
-    fn add_const(&mut self, a: &NodeId, c: f32) -> NodeId {
-        Tape::add_const(self, *a, c)
-    }
-    fn add_rowvec(&mut self, m: &NodeId, v: &NodeId) -> NodeId {
-        Tape::add_rowvec(self, *m, *v)
-    }
-    fn mul_colvec(&mut self, m: &NodeId, v: &NodeId) -> NodeId {
-        Tape::mul_colvec(self, *m, *v)
-    }
-    fn matmul(&mut self, a: &NodeId, b: &NodeId) -> NodeId {
-        Tape::matmul(self, *a, *b)
-    }
-    fn sigmoid(&mut self, a: &NodeId) -> NodeId {
-        Tape::sigmoid(self, *a)
-    }
-    fn tanh(&mut self, a: NodeId) -> NodeId {
-        Tape::tanh(self, a)
-    }
-    fn relu(&mut self, a: &NodeId) -> NodeId {
-        Tape::relu(self, *a)
-    }
-    fn leaky_relu(&mut self, a: &NodeId, slope: f32) -> NodeId {
-        Tape::leaky_relu(self, *a, slope)
-    }
-    fn layer_norm(&mut self, x: &NodeId, gamma: &NodeId, beta: &NodeId, eps: f32) -> NodeId {
-        Tape::layer_norm(self, *x, *gamma, *beta, eps)
-    }
-    fn mean_rows(&mut self, a: &NodeId) -> NodeId {
-        Tape::mean_rows(self, *a)
-    }
-
-    fn concat_cols(&mut self, parts: &[&NodeId]) -> NodeId {
-        let ids: Vec<NodeId> = parts.iter().map(|&&p| p).collect();
-        Tape::concat_cols(self, &ids)
-    }
-    fn select_cols(&mut self, a: &NodeId, start: usize, len: usize) -> NodeId {
-        Tape::select_cols(self, *a, start, len)
-    }
-    fn concat_rows(&mut self, parts: &[&NodeId]) -> NodeId {
-        let ids: Vec<NodeId> = parts.iter().map(|&&p| p).collect();
-        Tape::concat_rows(self, &ids)
-    }
-    fn select_rows(&mut self, a: &NodeId, start: usize, len: usize) -> NodeId {
-        Tape::select_rows(self, *a, start, len)
-    }
-    fn gather_rows(&mut self, table: &NodeId, indices: &[usize]) -> NodeId {
-        Tape::gather_rows(self, *table, indices)
-    }
-    fn repeat_rows(&mut self, a: &NodeId, n: usize) -> NodeId {
-        Tape::repeat_rows(self, *a, n)
-    }
-
-    fn edge_scores(&mut self, src: &NodeId, dst: &NodeId, csr: &Arc<GraphCsr>) -> NodeId {
-        Tape::edge_scores(self, *src, *dst, csr)
-    }
-    fn segmented_softmax(&mut self, scores: &NodeId, csr: &Arc<GraphCsr>) -> NodeId {
-        Tape::segmented_softmax(self, *scores, csr)
-    }
-    fn neighbor_sum(&mut self, alphas: &NodeId, feats: &NodeId, csr: &Arc<GraphCsr>) -> NodeId {
-        Tape::neighbor_sum(self, *alphas, *feats, csr)
-    }
-
-    fn segmented_self_attention(
-        &mut self,
-        q: &NodeId,
-        k: &NodeId,
-        v: &NodeId,
-        segs: &[Range<usize>],
-        scale: f32,
-    ) -> NodeId {
-        let outs: Vec<NodeId> = segs
-            .iter()
-            .map(|seg| {
-                let qs = Tape::select_rows(self, *q, seg.start, seg.len());
-                let ks = Tape::select_rows(self, *k, seg.start, seg.len());
-                let vs = Tape::select_rows(self, *v, seg.start, seg.len());
-                let scores = self.matmul_nt(qs, ks); // [L, L]
-                let scores = Tape::scale(self, scores, scale);
-                let alphas = self.softmax_rows(scores);
-                Tape::matmul(self, alphas, vs)
-            })
-            .collect();
-        Tape::concat_rows(self, &outs)
-    }
-
-    fn segmented_additive_attention(
-        &mut self,
-        hk: &NodeId,
-        gq: &NodeId,
-        v: &NodeId,
-        keys: &NodeId,
-        segs: &[Range<usize>],
-    ) -> NodeId {
-        let outs: Vec<NodeId> = segs
-            .iter()
-            .enumerate()
-            .map(|(s, seg)| {
-                let hks = Tape::select_rows(self, *hk, seg.start, seg.len());
-                let q = Tape::select_rows(self, *gq, s, 1);
-                let sum = Tape::add_rowvec(self, hks, q);
-                let t = Tape::tanh(self, sum); // [L, d]
-                let mu = self.matmul_nt(*v, t); // [1, L]
-                let alphas = self.softmax_rows(mu);
-                let ks = Tape::select_rows(self, *keys, seg.start, seg.len());
-                Tape::matmul(self, alphas, ks) // [1, d]
-            })
-            .collect();
-        Tape::concat_rows(self, &outs)
-    }
-
-    fn segmented_mean_rows(&mut self, a: &NodeId, segs: &[Range<usize>]) -> NodeId {
-        let rows: Vec<NodeId> = segs
-            .iter()
-            .map(|seg| {
-                let part = Tape::select_rows(self, *a, seg.start, seg.len());
-                self.mean_rows(part)
-            })
-            .collect();
-        Tape::concat_rows(self, &rows)
-    }
-
-    fn segmented_weighted_mean_rows(
-        &mut self,
-        a: &NodeId,
-        weights: &[f32],
-        segs: &[Range<usize>],
-    ) -> NodeId {
-        let mut off = 0;
-        let rows: Vec<NodeId> = segs
-            .iter()
-            .map(|seg| {
-                let part = Tape::select_rows(self, *a, seg.start, seg.len());
-                let w = &weights[off..off + seg.len()];
-                off += seg.len();
-                self.weighted_mean_rows(part, w)
-            })
-            .collect();
-        Tape::concat_rows(self, &rows)
-    }
-
-    /// Statistics are differentiated exactly (composed from primitive
-    /// autograd ops), matching the training-time behaviour of batch norm.
-    fn segmented_norm(
-        &mut self,
-        x: &NodeId,
-        gamma: &NodeId,
-        beta: &NodeId,
-        graph_segs: &[Range<usize>],
-        scopes: &[Range<usize>],
-        _row_to_scope: &[usize],
-        eps: f32,
-    ) -> NodeId {
-        let outs: Vec<NodeId> = scopes
-            .iter()
-            .filter(|scope| !scope.is_empty())
-            .map(|scope| {
-                let graphs = &graph_segs[scope.clone()];
-                // Eq. (8): per-graph mean pooling, then the mean of the means.
-                let means = Exec::segmented_mean_rows(self, x, graphs);
-                let mu = self.mean_rows(means);
-                // Eq. (9): variance of all the scope's node features around μ.
-                let (start, end) = (graphs[0].start, graphs[graphs.len() - 1].end);
-                let big = Tape::select_rows(self, *x, start, end - start);
-                let neg_mu = Tape::scale(self, mu, -1.0);
-                let centered = Tape::add_rowvec(self, big, neg_mu);
-                let sq = Tape::mul(self, centered, centered);
-                let var = self.mean_rows(sq);
-                let var = Tape::add_const(self, var, eps);
-                let std = self.sqrt(var);
-                let inv = self.recip(std);
-                let norm = self.mul_rowvec(centered, inv);
-                let scaled = self.mul_rowvec(norm, *gamma);
-                Tape::add_rowvec(self, scaled, *beta)
-            })
-            .collect();
-        Tape::concat_rows(self, &outs)
-    }
-
-    fn gated_fusion(
-        &mut self,
-        a: &NodeId,
-        b: &NodeId,
-        bz: &NodeId,
-        tr: &NodeId,
-        z: &NodeId,
-        row_to_point: &[usize],
-    ) -> NodeId {
-        // Broadcast the per-point rows by pure row-gathers, then the gate
-        // element-wise.
-        let tr_rep = Tape::gather_rows(self, *tr, row_to_point);
-        let a_rep = Tape::gather_rows(self, *a, row_to_point);
-        let s = Tape::add(self, a_rep, *b);
-        let s = Tape::add_rowvec(self, s, *bz);
-        let gate = Tape::sigmoid(self, s);
-        let take_tr = Tape::mul(self, gate, tr_rep);
-        let neg = Tape::scale(self, gate, -1.0);
-        let inv_gate = Tape::add_const(self, neg, 1.0);
-        let keep_z = Tape::mul(self, inv_gate, *z);
-        Tape::add(self, take_tr, keep_z)
-    }
 }
 
 /// The eager executor: every op runs at once on [`crate::kernels`] and the
@@ -467,9 +240,6 @@ impl<'s> Exec<'s> for Eager {
     }
     fn gather_rows(&mut self, table: &Self::H, indices: &[usize]) -> Self::H {
         Cow::Owned(kernels::gather_rows(table, indices))
-    }
-    fn repeat_rows(&mut self, a: &Self::H, n: usize) -> Self::H {
-        Cow::Owned(kernels::repeat_rows(a, n))
     }
 
     fn edge_scores(&mut self, src: &Self::H, dst: &Self::H, csr: &Arc<GraphCsr>) -> Self::H {

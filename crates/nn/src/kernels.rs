@@ -19,7 +19,7 @@
 //! bookkeeping (an `Op` clone, a `Vec` push, a retained copy of every
 //! intermediate) it never uses. The serving hot path therefore applies
 //! these kernels straight to tensors with no graph allocation; names
-//! follow the tape methods (`kernels::add_rowvec` ≡ `Tape::add_rowvec`).
+//! follow the executor ops (`kernels::add_rowvec` ≡ `Exec::add_rowvec`).
 //! Because both paths share one kernel body (and the kernels are
 //! deterministic at any thread count), results are bit-identical to a
 //! forward pass on the tape — property-tested in `tests/kernel_parity.rs`
@@ -83,7 +83,7 @@ const MIN_ROW_WORK: usize = 8 * 1024;
 const MIN_COPY_ELEMS: usize = 32 * 1024;
 
 /// Process-wide count of matmul-family kernel invocations
-/// ([`matmul`] + [`matmul_nt`] + [`matmul_tn`], forward and backward).
+/// ([`matmul`] + [`matmul_nt`], forward and backward).
 static MATMUL_CALLS: AtomicU64 = AtomicU64::new(0);
 
 /// Monotone process-wide counter of matmul-family kernel invocations.
@@ -394,71 +394,6 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
                 let arow = &a.data[i * k..(i + 1) * k];
                 for j in 0..c {
                     dst[ri * c + j] = dot(arow, j);
-                }
-            }
-        });
-    }
-    out
-}
-
-/// `A[K,R]ᵀ × B[K,C] → [R,C]` (the backward-pass transpose product);
-/// parallel over output rows (columns when `R == 1`). Zero entries of `A`
-/// are skipped, matching [`matmul`]'s accumulation exactly.
-pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
-    assert_eq!(a.rows, b.rows, "matmul_tn: inner dimension mismatch");
-    let (k, r, c) = (a.rows, a.cols, b.cols);
-    note_matmul(2 * (k * r * c) as u64);
-    let bk = backend::active();
-    let mut out = Tensor::zeros(r, c);
-    if r == 1 {
-        let ptr = SendPtr(out.data.as_mut_ptr());
-        pool::for_each_chunk(c, (MIN_MATMUL_WORK / k.max(1)).max(1), move |cols| {
-            // SAFETY: column ranges are disjoint across chunks.
-            let dst =
-                unsafe { std::slice::from_raw_parts_mut(ptr.get().add(cols.start), cols.len()) };
-            #[cfg(target_arch = "x86_64")]
-            if bk == backend::Backend::Avx2Fma {
-                for kk in 0..k {
-                    let brow = &b.data[kk * c..(kk + 1) * c];
-                    // SAFETY: `Avx2Fma` is only active after detection.
-                    unsafe { backend::axpy(a.data[kk], &brow[cols.clone()], dst) };
-                }
-                return;
-            }
-            let _ = bk;
-            for kk in 0..k {
-                let av = a.data[kk];
-                if av == 0.0 {
-                    continue;
-                }
-                let brow = &b.data[kk * c..(kk + 1) * c];
-                for (o, &bv) in dst.iter_mut().zip(&brow[cols.clone()]) {
-                    *o += av * bv;
-                }
-            }
-        });
-    } else {
-        let min_rows = (MIN_MATMUL_WORK / (k * c).max(1)).max(1);
-        par_row_chunks(&mut out.data, c, r, min_rows, |rows, dst| {
-            let rows_start = rows.start;
-            let nrows = rows.len();
-            for kk in 0..k {
-                let brow = &b.data[kk * c..(kk + 1) * c];
-                for ri in 0..nrows {
-                    let av = a.data[kk * r + rows_start + ri];
-                    let orow = &mut dst[ri * c..(ri + 1) * c];
-                    #[cfg(target_arch = "x86_64")]
-                    if bk == backend::Backend::Avx2Fma {
-                        // SAFETY: `Avx2Fma` is only active after detection.
-                        unsafe { backend::axpy(av, brow, orow) };
-                        continue;
-                    }
-                    if av == 0.0 {
-                        continue;
-                    }
-                    for (o, &bv) in orow.iter_mut().zip(brow) {
-                        *o += av * bv;
-                    }
                 }
             }
         });
@@ -1212,16 +1147,6 @@ pub fn select_rows(a: &Tensor, start: usize, len: usize) -> Tensor {
     )
 }
 
-/// Repeat a `[1,C]` row `n` times → `[n,C]`.
-pub fn repeat_rows(a: &Tensor, n: usize) -> Tensor {
-    assert_eq!(a.rows, 1, "repeat_rows expects a [1,C] row");
-    let mut data = Vec::with_capacity(n * a.cols);
-    for _ in 0..n {
-        data.extend_from_slice(&a.data);
-    }
-    Tensor::from_vec(n, a.cols, data)
-}
-
 /// Column means → `[1,C]` (rows accumulated in ascending order).
 pub fn mean_rows(a: &Tensor) -> Tensor {
     let mut out = vec![0.0f32; a.cols];
@@ -1973,23 +1898,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_tn_is_transposed_matmul() {
-        backend::with_backend(backend::Backend::Scalar, || {
-            let a = t(30, 20, 4); // interpreted as [K=30, R=20]
-            let b = t(30, 25, 5);
-            let got = matmul_tn(&a, &b);
-            // Materialise the transpose and compare against the reference.
-            let mut at = Tensor::zeros(20, 30);
-            for i in 0..30 {
-                for j in 0..20 {
-                    at.data[j * 30 + i] = a.data[i * 20 + j];
-                }
-            }
-            assert_eq!(got.data, matmul_ref(&at, &b).data);
-        });
-    }
-
-    #[test]
     fn matmul_nt_is_dot_of_rows() {
         backend::with_backend(backend::Backend::Scalar, || {
             let a = t(6, 9, 6);
@@ -2466,7 +2374,6 @@ mod tests {
                 matmul(&a, &b),
                 matmul(&row, &b),
                 matmul_nt(&a, &bt),
-                matmul_tn(&a, &t(70, 33, 86)),
                 row_norm_stats(&a, 1e-5),
                 layer_norm(&b, &gamma, &beta, 1e-5),
             )
@@ -2478,7 +2385,6 @@ mod tests {
                 matmul(&a, &b),
                 matmul(&row, &b),
                 matmul_nt(&a, &bt),
-                matmul_tn(&a, &t(70, 33, 86)),
                 row_norm_stats(&a, 1e-5),
                 layer_norm(&b, &gamma, &beta, 1e-5),
             )
@@ -2491,7 +2397,6 @@ mod tests {
                     matmul(&a, &b),
                     matmul(&row, &b),
                     matmul_nt(&a, &bt),
-                    matmul_tn(&a, &t(70, 33, 86)),
                     row_norm_stats(&a, 1e-5),
                     layer_norm(&b, &gamma, &beta, 1e-5),
                 )
@@ -2499,10 +2404,9 @@ mod tests {
             assert_eq!(base.0.data, again.0.data, "matmul t={threads}");
             assert_eq!(base.1.data, again.1.data, "matmul row t={threads}");
             assert_eq!(base.2.data, again.2.data, "matmul_nt t={threads}");
-            assert_eq!(base.3.data, again.3.data, "matmul_tn t={threads}");
-            assert_eq!(base.4 .0.data, again.4 .0.data, "stats mu t={threads}");
-            assert_eq!(base.4 .1.data, again.4 .1.data, "stats inv t={threads}");
-            assert_eq!(base.5.data, again.5.data, "layer_norm t={threads}");
+            assert_eq!(base.3 .0.data, again.3 .0.data, "stats mu t={threads}");
+            assert_eq!(base.3 .1.data, again.3 .1.data, "stats inv t={threads}");
+            assert_eq!(base.4.data, again.4.data, "layer_norm t={threads}");
         }
         pool::set_num_threads(before);
         // Within an explicit ULP budget of the scalar reference. Matmul
@@ -2525,15 +2429,11 @@ mod tests {
             "nt ulp"
         );
         assert!(
-            max_ulps_tol(&scalar.3.data, &base.3.data, CANCEL) <= BUDGET,
-            "tn ulp"
-        );
-        assert!(
-            max_ulps(&scalar.4 .1.data, &base.4 .1.data) <= BUDGET,
+            max_ulps(&scalar.3 .1.data, &base.3 .1.data) <= BUDGET,
             "inv_std ulp"
         );
         assert!(
-            max_ulps_tol(&scalar.5.data, &base.5.data, CANCEL) <= BUDGET,
+            max_ulps_tol(&scalar.4.data, &base.4.data, CANCEL) <= BUDGET,
             "ln ulp"
         );
     }

@@ -1,6 +1,7 @@
 //! A from-scratch dense-f32 tensor engine with reverse-mode autograd.
 //!
-//! This crate is the substitute for PyTorch/DGL (see DESIGN.md §2): it
+//! This crate is the substitute for PyTorch/DGL (see "Deviations from the
+//! paper" in EXPERIMENTS.md): it
 //! provides exactly the operation set RNTrajRec's computation graph needs —
 //! matrix products, element-wise activations, broadcast row-vector ops,
 //! softmax / log-softmax, concatenation & slicing (multi-head attention),
@@ -35,9 +36,14 @@
 //!   pushes a node holding its value and an [`Op`] record; backward walks
 //!   the tape in reverse, accumulating gradients. No closures, no RefCell
 //!   gymnastics — ops are a plain enum, so the whole engine is easy to
-//!   audit and test.
+//!   audit and test. The ops it shares with `Eager` exist once, as its
+//!   `Exec` impl; only training-only ops (`sub`, `matmul_nt`,
+//!   `pick_cols`, `mean_all`, …) are inherent methods. The backward runs
+//!   on the forward's kernels: a product's adjoints are `kernels::matmul_nt`
+//!   and `kernels::matmul` over a transposed copy, and a slice's adjoint
+//!   adds into its parent's gradient in place.
 //! * [`ParamStore`] / [`ParamId`] — learnable parameters live outside the
-//!   tape; `Tape::param` imports them as leaves, `Tape::backward` routes
+//!   tape; `Exec::param` imports them as leaves, `Tape::backward` routes
 //!   leaf gradients back into the store, and [`Adam`] / [`Sgd`] update them.
 //! * [`GraphCsr`] — shared immutable adjacency used by the fused GAT ops.
 //! * [`kernels::backend`] — runtime-dispatched SIMD backend selection

@@ -90,15 +90,15 @@ impl Adam {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Init, Tape};
+    use crate::{Exec, Init, Tape};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     /// Minimise `(w - 3)²` — both optimizers must converge to w = 3.
     fn quadratic_loss(store: &ParamStore, w: crate::ParamId, tape: &mut Tape) -> crate::NodeId {
         let wn = tape.param(store, w);
-        let t = tape.add_const(wn, -3.0);
-        let sq = tape.mul(t, t);
+        let t = tape.add_const(&wn, -3.0);
+        let sq = tape.mul(&t, &t);
         tape.mean_all(sq)
     }
 

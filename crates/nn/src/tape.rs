@@ -1,19 +1,27 @@
 //! The reverse-mode autograd tape.
 //!
-//! Every operation eagerly computes its value and records an [`Op`] node;
-//! [`Tape::backward`] walks the tape in reverse topological order (which is
-//! simply reverse insertion order) accumulating gradients, and routes leaf
-//! gradients into the [`ParamStore`].
+//! Every op eagerly computes its value on [`crate::kernels`] and records an
+//! [`Op`] node; [`Tape::backward`] walks the tape in reverse topological
+//! order (which is simply reverse insertion order) accumulating gradients,
+//! and routes leaf gradients into the [`ParamStore`].
 //!
-//! All numeric work — forward values *and* the backward matmuls — runs on
-//! the unified [`crate::kernels`] layer, the same compute core the
-//! tape-free [`crate::Eager`] executor serves with. The tape adds only the
-//! graph bookkeeping on top; model code reaches both through
-//! [`crate::Exec`].
+//! The ops the tape shares with [`crate::Eager`] exist once, as the
+//! [`Exec`] impl at the end of this file; code that holds a concrete
+//! `Tape` calls them through the trait like generic layer code does. The
+//! inherent methods are the ops only training records (`sub`,
+//! `matmul_nt`, `pick_cols`, `mean_all`, `log_softmax_rows`, …).
+//!
+//! The backward runs on the same kernels as the forward: a product's two
+//! adjoints are [`kernels::matmul_nt`] and [`kernels::matmul`] (the `dB`
+//! side over a transposed copy, which keeps each element one chain in
+//! ascending `k` and uses the register-tiled kernel), and the slicing
+//! adjoints (`SelectRows`, `SelectCols`, `PickCols`) add into their
+//! parent's gradient in place rather than through a parent-sized buffer.
 
+use std::ops::Range;
 use std::sync::Arc;
 
-use crate::{kernels, GraphCsr, ParamId, ParamStore, Tensor};
+use crate::{kernels, Exec, GraphCsr, ParamId, ParamStore, Tensor};
 
 /// Index of a node on the tape.
 pub type NodeId = usize;
@@ -70,8 +78,6 @@ pub enum Op {
     ConcatRows(Vec<NodeId>),
     /// Rows `[start, start+len)`.
     SelectRows(NodeId, usize, usize),
-    /// Repeat a `[1,C]` row `n` times → `[n,C]`.
-    RepeatRows(NodeId, usize),
     /// Column means → `[1,C]`.
     MeanRows(NodeId),
     /// Weighted column means with fixed (non-learned) weights, normalised
@@ -80,8 +86,6 @@ pub enum Op {
     WeightedMeanRows(NodeId, Arc<Vec<f32>>),
     /// Mean of all entries → `[1,1]`.
     MeanAll(NodeId),
-    /// Sum of all entries → `[1,1]`.
-    SumAll(NodeId),
     /// Row gather: `table[indices[i], :]` → `[n, C]` (embedding lookup).
     GatherRows(NodeId, Arc<Vec<usize>>),
     /// One entry per row: `a[r, cols[r]]` → `[R, 1]` (a loss picking each
@@ -127,11 +131,6 @@ impl Tape {
         self.nodes.clear();
     }
 
-    /// Value of a node.
-    pub fn value(&self, id: NodeId) -> &Tensor {
-        &self.nodes[id].value
-    }
-
     /// Gradient of a node after [`Tape::backward`] (`None` if the node did
     /// not influence the loss).
     pub fn grad(&self, id: NodeId) -> Option<&[f32]> {
@@ -151,94 +150,23 @@ impl Tape {
         &self.nodes[id].value
     }
 
-    // ----- inputs ---------------------------------------------------------
-
-    /// A constant input (no parameter gradient).
-    pub fn leaf(&mut self, t: Tensor) -> NodeId {
-        self.push(t, Op::Leaf { param: None })
-    }
-
-    /// Import a parameter: clones its current value; `backward` will route
-    /// the gradient back into the store.
-    pub fn param(&mut self, store: &ParamStore, id: ParamId) -> NodeId {
-        self.push(store.value(id).clone(), Op::Leaf { param: Some(id) })
-    }
-
-    // ----- element-wise ---------------------------------------------------
-
-    pub fn add(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let t = kernels::add(self.val(a), self.val(b));
-        self.push(t, Op::Add(a, b))
-    }
+    // ----- ops only training records ----------------------------------------
 
     pub fn sub(&mut self, a: NodeId, b: NodeId) -> NodeId {
         let t = kernels::sub(self.val(a), self.val(b));
         self.push(t, Op::Sub(a, b))
     }
 
-    pub fn mul(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let t = kernels::mul(self.val(a), self.val(b));
-        self.push(t, Op::Mul(a, b))
-    }
-
-    pub fn scale(&mut self, a: NodeId, c: f32) -> NodeId {
-        let t = kernels::scale(self.val(a), c);
-        self.push(t, Op::Scale(a, c))
-    }
-
-    pub fn add_const(&mut self, a: NodeId, c: f32) -> NodeId {
-        let t = kernels::add_const(self.val(a), c);
-        self.push(t, Op::AddConst(a, c))
-    }
-
-    pub fn add_rowvec(&mut self, m: NodeId, v: NodeId) -> NodeId {
-        let t = kernels::add_rowvec(self.val(m), self.val(v));
-        self.push(t, Op::AddRowVec(m, v))
-    }
-
+    /// `[R,C] ⊙ [1,C]` broadcast over rows.
     pub fn mul_rowvec(&mut self, m: NodeId, v: NodeId) -> NodeId {
         let t = kernels::mul_rowvec(self.val(m), self.val(v));
         self.push(t, Op::MulRowVec(m, v))
-    }
-
-    pub fn mul_colvec(&mut self, m: NodeId, v: NodeId) -> NodeId {
-        let t = kernels::mul_colvec(self.val(m), self.val(v));
-        self.push(t, Op::MulColVec(m, v))
-    }
-
-    // ----- matrix products --------------------------------------------------
-
-    pub fn matmul(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let t = kernels::matmul(self.val(a), self.val(b));
-        self.push(t, Op::MatMul(a, b))
     }
 
     /// `a × bᵀ` without materialising the transpose.
     pub fn matmul_nt(&mut self, a: NodeId, b: NodeId) -> NodeId {
         let t = kernels::matmul_nt(self.val(a), self.val(b));
         self.push(t, Op::MatMulNT(a, b))
-    }
-
-    // ----- activations ------------------------------------------------------
-
-    pub fn sigmoid(&mut self, a: NodeId) -> NodeId {
-        let t = kernels::sigmoid(self.val(a));
-        self.push(t, Op::Sigmoid(a))
-    }
-
-    pub fn tanh(&mut self, a: NodeId) -> NodeId {
-        let t = kernels::tanh(self.val(a));
-        self.push(t, Op::Tanh(a))
-    }
-
-    pub fn relu(&mut self, a: NodeId) -> NodeId {
-        let t = kernels::relu(self.val(a));
-        self.push(t, Op::Relu(a))
-    }
-
-    pub fn leaky_relu(&mut self, a: NodeId, slope: f32) -> NodeId {
-        let t = kernels::leaky_relu(self.val(a), slope);
-        self.push(t, Op::LeakyRelu(a, slope))
     }
 
     pub fn sqrt(&mut self, a: NodeId) -> NodeId {
@@ -251,8 +179,6 @@ impl Tape {
         self.push(t, Op::Recip(a))
     }
 
-    // ----- softmax ----------------------------------------------------------
-
     pub fn softmax_rows(&mut self, a: NodeId) -> NodeId {
         let t = kernels::softmax_rows(self.val(a));
         self.push(t, Op::SoftmaxRows(a))
@@ -261,57 +187,6 @@ impl Tape {
     pub fn log_softmax_rows(&mut self, a: NodeId) -> NodeId {
         let t = kernels::log_softmax_rows(self.val(a));
         self.push(t, Op::LogSoftmaxRows(a))
-    }
-
-    // ----- layer norm -------------------------------------------------------
-
-    /// Fused per-row layer normalisation `y = γ ⊙ (x − μ)/σ + β`
-    /// (`gamma`/`beta` are `[1, C]`). The forward value is bit-identical
-    /// to the composed primitive route; the backward is the op's own
-    /// analytic gradient rather than nine chained adjoints.
-    pub fn layer_norm(&mut self, x: NodeId, gamma: NodeId, beta: NodeId, eps: f32) -> NodeId {
-        let t = kernels::layer_norm(self.val(x), self.val(gamma), self.val(beta), eps);
-        self.push(t, Op::LayerNorm(x, gamma, beta, eps))
-    }
-
-    // ----- shape ops ----------------------------------------------------------
-
-    pub fn concat_cols(&mut self, parts: &[NodeId]) -> NodeId {
-        let t = {
-            let refs: Vec<&Tensor> = parts.iter().map(|&p| self.val(p)).collect();
-            kernels::concat_cols(&refs)
-        };
-        self.push(t, Op::ConcatCols(parts.to_vec()))
-    }
-
-    pub fn select_cols(&mut self, a: NodeId, start: usize, len: usize) -> NodeId {
-        let t = kernels::select_cols(self.val(a), start, len);
-        self.push(t, Op::SelectCols(a, start, len))
-    }
-
-    pub fn concat_rows(&mut self, parts: &[NodeId]) -> NodeId {
-        let t = {
-            let refs: Vec<&Tensor> = parts.iter().map(|&p| self.val(p)).collect();
-            kernels::concat_rows(&refs)
-        };
-        self.push(t, Op::ConcatRows(parts.to_vec()))
-    }
-
-    pub fn select_rows(&mut self, a: NodeId, start: usize, len: usize) -> NodeId {
-        let t = kernels::select_rows(self.val(a), start, len);
-        self.push(t, Op::SelectRows(a, start, len))
-    }
-
-    pub fn repeat_rows(&mut self, a: NodeId, n: usize) -> NodeId {
-        let t = kernels::repeat_rows(self.val(a), n);
-        self.push(t, Op::RepeatRows(a, n))
-    }
-
-    // ----- reductions --------------------------------------------------------
-
-    pub fn mean_rows(&mut self, a: NodeId) -> NodeId {
-        let t = kernels::mean_rows(self.val(a));
-        self.push(t, Op::MeanRows(a))
     }
 
     /// Weighted mean over rows with fixed positive weights (normalised
@@ -326,19 +201,6 @@ impl Tape {
         let ta = self.val(a);
         let m = ta.data.iter().sum::<f32>() / ta.len() as f32;
         self.push(Tensor::scalar(m), Op::MeanAll(a))
-    }
-
-    pub fn sum_all(&mut self, a: NodeId) -> NodeId {
-        let ta = self.val(a);
-        let s = ta.data.iter().sum::<f32>();
-        self.push(Tensor::scalar(s), Op::SumAll(a))
-    }
-
-    // ----- lookup -------------------------------------------------------------
-
-    pub fn gather_rows(&mut self, table: NodeId, indices: &[usize]) -> NodeId {
-        let t = kernels::gather_rows(self.val(table), indices);
-        self.push(t, Op::GatherRows(table, Arc::new(indices.to_vec())))
     }
 
     /// `a[r, cols[r]]` for every row `r` → `[R, 1]`.
@@ -357,33 +219,11 @@ impl Tape {
         self.push(t, Op::PickCols(a, Arc::new(cols.to_vec())))
     }
 
-    // ----- fused graph-attention ops -------------------------------------------
-
-    /// GAT edge scores: for each edge slot `e` of node `i` with neighbour
-    /// `j_e`, `out[e] = src[i] + dst[j_e]` (`src`/`dst` are `[n,1]`).
-    pub fn edge_scores(&mut self, src: NodeId, dst: NodeId, csr: &Arc<GraphCsr>) -> NodeId {
-        let t = kernels::edge_scores(self.val(src), self.val(dst), csr);
-        self.push(t, Op::EdgeScores(src, dst, Arc::clone(csr)))
-    }
-
-    /// Attention normalisation: softmax within each node's edge segment.
-    pub fn segmented_softmax(&mut self, scores: NodeId, csr: &Arc<GraphCsr>) -> NodeId {
-        let t = kernels::segmented_softmax(self.val(scores), csr);
-        self.push(t, Op::SegmentedSoftmax(scores, Arc::clone(csr)))
-    }
-
-    /// Attention aggregation: `out[i] = Σ_{e ∈ seg(i)} α[e] · feats[j_e]`.
-    pub fn neighbor_sum(&mut self, alphas: NodeId, feats: NodeId, csr: &Arc<GraphCsr>) -> NodeId {
-        let t = kernels::neighbor_sum(self.val(alphas), self.val(feats), csr);
-        self.push(t, Op::NeighborSum(alphas, feats, Arc::clone(csr)))
-    }
-
     // ----- backward --------------------------------------------------------------
 
     /// Reverse-mode differentiation from scalar node `loss`. Accumulates
     /// parameter gradients into `store`; node gradients stay readable via
-    /// [`Tape::grad`] until the next forward op or `clear`. The heavy
-    /// adjoint products run on the shared [`crate::kernels`] matmul family.
+    /// [`Tape::grad`] until the next forward op or `clear`.
     pub fn backward(&mut self, loss: NodeId, store: &mut ParamStore) {
         assert_eq!(
             self.val(loss).shape(),
@@ -484,7 +324,7 @@ impl Tape {
                     let gt = Tensor::from_vec(ta.rows, tb.cols, g.clone());
                     // dA = dC · Bᵀ ; dB = Aᵀ · dC
                     let ga = kernels::matmul_nt(&gt, tb);
-                    let gb = kernels::matmul_tn(ta, &gt);
+                    let gb = kernels::matmul(&transposed(ta), &gt);
                     self.acc(a, &ga.data);
                     self.acc(b, &gb.data);
                 }
@@ -493,7 +333,7 @@ impl Tape {
                     let gt = Tensor::from_vec(ta.rows, tb.rows, g.clone());
                     // C = A·Bᵀ: dA = dC·B ; dB = dCᵀ·A
                     let ga = kernels::matmul(&gt, tb);
-                    let gb = kernels::matmul_tn(&gt, ta);
+                    let gb = kernels::matmul(&transposed(&gt), ta);
                     self.acc(a, &ga.data);
                     self.acc(b, &gb.data);
                 }
@@ -634,14 +474,9 @@ impl Tape {
                     }
                 }
                 Op::SelectCols(a, start, len) => {
-                    let ta = &self.nodes[a].value;
-                    let mut ga = vec![0.0f32; ta.len()];
-                    for r in 0..ta.rows {
-                        for c in 0..len {
-                            ga[r * ta.cols + start + c] = g[r * len + c];
-                        }
-                    }
-                    self.acc(a, &ga);
+                    let cols = self.nodes[a].value.cols;
+                    let at = (0..g.len()).map(|e| e / len * cols + start + e % len);
+                    self.acc_at(a, at, &g);
                 }
                 Op::ConcatRows(parts) => {
                     let cols = self.nodes[i].value.cols;
@@ -652,21 +487,9 @@ impl Tape {
                         off += pr;
                     }
                 }
-                Op::SelectRows(a, start, len) => {
-                    let ta = &self.nodes[a].value;
-                    let mut ga = vec![0.0f32; ta.len()];
-                    ga[start * ta.cols..(start + len) * ta.cols].copy_from_slice(&g);
-                    self.acc(a, &ga);
-                }
-                Op::RepeatRows(a, n) => {
+                Op::SelectRows(a, start, _) => {
                     let cols = self.nodes[a].value.cols;
-                    let mut ga = vec![0.0f32; cols];
-                    for r in 0..n {
-                        for c in 0..cols {
-                            ga[c] += g[r * cols + c];
-                        }
-                    }
-                    self.acc(a, &ga);
+                    self.acc_at(a, start * cols.., &g);
                 }
                 Op::MeanRows(a) => {
                     let ta = &self.nodes[a].value;
@@ -695,11 +518,6 @@ impl Tape {
                     let ga = vec![v; ta.len()];
                     self.acc(a, &ga);
                 }
-                Op::SumAll(a) => {
-                    let ta = &self.nodes[a].value;
-                    let ga = vec![g[0]; ta.len()];
-                    self.acc(a, &ga);
-                }
                 Op::GatherRows(table, indices) => {
                     let tt = &self.nodes[table].value;
                     let cols = tt.cols;
@@ -711,13 +529,10 @@ impl Tape {
                     }
                     self.acc(table, &gt);
                 }
-                Op::PickCols(a, cols) => {
-                    let ta = &self.nodes[a].value;
-                    let mut ga = vec![0.0f32; ta.len()];
-                    for (r, &c) in cols.iter().enumerate() {
-                        ga[r * ta.cols + c] = g[r];
-                    }
-                    self.acc(a, &ga);
+                Op::PickCols(a, picks) => {
+                    let cols = self.nodes[a].value.cols;
+                    let at = picks.iter().enumerate().map(|(r, &c)| r * cols + c);
+                    self.acc_at(a, at, &g);
                 }
                 Op::EdgeScores(src, dst, csr) => {
                     let n = csr.num_nodes();
@@ -782,5 +597,286 @@ impl Tape {
             }
             None => node.grad = Some(contribution.to_vec()),
         }
+    }
+
+    /// Adds `contribution[i]` into entry `at[i]` of `id`'s gradient, leaving
+    /// the rest of it untouched: the adjoint of a slice of `id`. A first
+    /// contribution lands in a zeroed gradient by copy, as in [`Tape::acc`].
+    fn acc_at(&mut self, id: NodeId, at: impl Iterator<Item = usize>, contribution: &[f32]) {
+        let node = &mut self.nodes[id];
+        let len = node.value.len();
+        match &mut node.grad {
+            Some(g) => at.zip(contribution).for_each(|(i, c)| g[i] += c),
+            None => {
+                let mut g = vec![0.0f32; len];
+                at.zip(contribution).for_each(|(i, &c)| g[i] = c);
+                node.grad = Some(g);
+            }
+        }
+    }
+}
+
+/// `t` transposed into a new tensor, so that an adjoint `Xᵀ · Y` runs on
+/// [`kernels::matmul`].
+fn transposed(t: &Tensor) -> Tensor {
+    let mut out = Tensor::zeros(t.cols, t.rows);
+    for r in 0..t.rows {
+        for c in 0..t.cols {
+            out.data[c * t.rows + r] = t.data[r * t.cols + c];
+        }
+    }
+    out
+}
+
+/// Recording executor: each op computes its value on [`crate::kernels`] and
+/// pushes the [`Op`] its backward needs. The scoped reductions have no `Op`
+/// of their own: each is composed per segment from the differentiable ops
+/// above, and that composition is the reference the fused `Eager` kernels
+/// are pinned bit-identical to in `tests/kernel_parity.rs`.
+impl<'s> Exec<'s> for Tape {
+    type H = NodeId;
+
+    fn param(&mut self, store: &'s ParamStore, id: ParamId) -> NodeId {
+        self.push(store.value(id).clone(), Op::Leaf { param: Some(id) })
+    }
+    fn input(&mut self, t: &'s Tensor) -> NodeId {
+        self.constant(t.clone())
+    }
+    fn constant(&mut self, t: Tensor) -> NodeId {
+        self.push(t, Op::Leaf { param: None })
+    }
+    fn value<'v>(&'v self, h: &'v NodeId) -> &'v Tensor {
+        self.val(*h)
+    }
+
+    fn add(&mut self, a: &NodeId, b: &NodeId) -> NodeId {
+        let t = kernels::add(self.val(*a), self.val(*b));
+        self.push(t, Op::Add(*a, *b))
+    }
+    fn mul(&mut self, a: &NodeId, b: &NodeId) -> NodeId {
+        let t = kernels::mul(self.val(*a), self.val(*b));
+        self.push(t, Op::Mul(*a, *b))
+    }
+    fn scale(&mut self, a: &NodeId, c: f32) -> NodeId {
+        let t = kernels::scale(self.val(*a), c);
+        self.push(t, Op::Scale(*a, c))
+    }
+    fn add_const(&mut self, a: &NodeId, c: f32) -> NodeId {
+        let t = kernels::add_const(self.val(*a), c);
+        self.push(t, Op::AddConst(*a, c))
+    }
+    fn add_rowvec(&mut self, m: &NodeId, v: &NodeId) -> NodeId {
+        let t = kernels::add_rowvec(self.val(*m), self.val(*v));
+        self.push(t, Op::AddRowVec(*m, *v))
+    }
+    fn mul_colvec(&mut self, m: &NodeId, v: &NodeId) -> NodeId {
+        let t = kernels::mul_colvec(self.val(*m), self.val(*v));
+        self.push(t, Op::MulColVec(*m, *v))
+    }
+    fn matmul(&mut self, a: &NodeId, b: &NodeId) -> NodeId {
+        let t = kernels::matmul(self.val(*a), self.val(*b));
+        self.push(t, Op::MatMul(*a, *b))
+    }
+    fn sigmoid(&mut self, a: &NodeId) -> NodeId {
+        let t = kernels::sigmoid(self.val(*a));
+        self.push(t, Op::Sigmoid(*a))
+    }
+    fn tanh(&mut self, a: NodeId) -> NodeId {
+        let t = kernels::tanh(self.val(a));
+        self.push(t, Op::Tanh(a))
+    }
+    fn relu(&mut self, a: &NodeId) -> NodeId {
+        let t = kernels::relu(self.val(*a));
+        self.push(t, Op::Relu(*a))
+    }
+    fn leaky_relu(&mut self, a: &NodeId, slope: f32) -> NodeId {
+        let t = kernels::leaky_relu(self.val(*a), slope);
+        self.push(t, Op::LeakyRelu(*a, slope))
+    }
+    /// The forward value is bit-identical to the composed primitive route;
+    /// the backward is the op's own analytic gradient rather than nine
+    /// chained adjoints.
+    fn layer_norm(&mut self, x: &NodeId, gamma: &NodeId, beta: &NodeId, eps: f32) -> NodeId {
+        let t = kernels::layer_norm(self.val(*x), self.val(*gamma), self.val(*beta), eps);
+        self.push(t, Op::LayerNorm(*x, *gamma, *beta, eps))
+    }
+    fn mean_rows(&mut self, a: &NodeId) -> NodeId {
+        let t = kernels::mean_rows(self.val(*a));
+        self.push(t, Op::MeanRows(*a))
+    }
+
+    fn concat_cols(&mut self, parts: &[&NodeId]) -> NodeId {
+        let ids: Vec<NodeId> = parts.iter().map(|&&p| p).collect();
+        let t = kernels::concat_cols(&ids.iter().map(|&p| self.val(p)).collect::<Vec<_>>());
+        self.push(t, Op::ConcatCols(ids))
+    }
+    fn select_cols(&mut self, a: &NodeId, start: usize, len: usize) -> NodeId {
+        let t = kernels::select_cols(self.val(*a), start, len);
+        self.push(t, Op::SelectCols(*a, start, len))
+    }
+    fn concat_rows(&mut self, parts: &[&NodeId]) -> NodeId {
+        let ids: Vec<NodeId> = parts.iter().map(|&&p| p).collect();
+        let t = kernels::concat_rows(&ids.iter().map(|&p| self.val(p)).collect::<Vec<_>>());
+        self.push(t, Op::ConcatRows(ids))
+    }
+    fn select_rows(&mut self, a: &NodeId, start: usize, len: usize) -> NodeId {
+        let t = kernels::select_rows(self.val(*a), start, len);
+        self.push(t, Op::SelectRows(*a, start, len))
+    }
+    fn gather_rows(&mut self, table: &NodeId, indices: &[usize]) -> NodeId {
+        let t = kernels::gather_rows(self.val(*table), indices);
+        self.push(t, Op::GatherRows(*table, Arc::new(indices.to_vec())))
+    }
+
+    fn edge_scores(&mut self, src: &NodeId, dst: &NodeId, csr: &Arc<GraphCsr>) -> NodeId {
+        let t = kernels::edge_scores(self.val(*src), self.val(*dst), csr);
+        self.push(t, Op::EdgeScores(*src, *dst, Arc::clone(csr)))
+    }
+    fn segmented_softmax(&mut self, scores: &NodeId, csr: &Arc<GraphCsr>) -> NodeId {
+        let t = kernels::segmented_softmax(self.val(*scores), csr);
+        self.push(t, Op::SegmentedSoftmax(*scores, Arc::clone(csr)))
+    }
+    fn neighbor_sum(&mut self, alphas: &NodeId, feats: &NodeId, csr: &Arc<GraphCsr>) -> NodeId {
+        let t = kernels::neighbor_sum(self.val(*alphas), self.val(*feats), csr);
+        self.push(t, Op::NeighborSum(*alphas, *feats, Arc::clone(csr)))
+    }
+
+    fn segmented_self_attention(
+        &mut self,
+        q: &NodeId,
+        k: &NodeId,
+        v: &NodeId,
+        segs: &[Range<usize>],
+        scale: f32,
+    ) -> NodeId {
+        let outs: Vec<NodeId> = segs
+            .iter()
+            .map(|seg| {
+                let qs = self.select_rows(q, seg.start, seg.len());
+                let ks = self.select_rows(k, seg.start, seg.len());
+                let vs = self.select_rows(v, seg.start, seg.len());
+                let scores = self.matmul_nt(qs, ks); // [L, L]
+                let scores = self.scale(&scores, scale);
+                let alphas = self.softmax_rows(scores);
+                self.matmul(&alphas, &vs)
+            })
+            .collect();
+        self.concat_rows(&outs.iter().collect::<Vec<_>>())
+    }
+
+    fn segmented_additive_attention(
+        &mut self,
+        hk: &NodeId,
+        gq: &NodeId,
+        v: &NodeId,
+        keys: &NodeId,
+        segs: &[Range<usize>],
+    ) -> NodeId {
+        let outs: Vec<NodeId> = segs
+            .iter()
+            .enumerate()
+            .map(|(s, seg)| {
+                let hks = self.select_rows(hk, seg.start, seg.len());
+                let q = self.select_rows(gq, s, 1);
+                let sum = self.add_rowvec(&hks, &q);
+                let t = self.tanh(sum); // [L, d]
+                let mu = self.matmul_nt(*v, t); // [1, L]
+                let alphas = self.softmax_rows(mu);
+                let ks = self.select_rows(keys, seg.start, seg.len());
+                self.matmul(&alphas, &ks) // [1, d]
+            })
+            .collect();
+        self.concat_rows(&outs.iter().collect::<Vec<_>>())
+    }
+
+    fn segmented_mean_rows(&mut self, a: &NodeId, segs: &[Range<usize>]) -> NodeId {
+        let rows: Vec<NodeId> = segs
+            .iter()
+            .map(|seg| {
+                let part = self.select_rows(a, seg.start, seg.len());
+                self.mean_rows(&part)
+            })
+            .collect();
+        self.concat_rows(&rows.iter().collect::<Vec<_>>())
+    }
+
+    fn segmented_weighted_mean_rows(
+        &mut self,
+        a: &NodeId,
+        weights: &[f32],
+        segs: &[Range<usize>],
+    ) -> NodeId {
+        let mut off = 0;
+        let rows: Vec<NodeId> = segs
+            .iter()
+            .map(|seg| {
+                let part = self.select_rows(a, seg.start, seg.len());
+                let w = &weights[off..off + seg.len()];
+                off += seg.len();
+                self.weighted_mean_rows(part, w)
+            })
+            .collect();
+        self.concat_rows(&rows.iter().collect::<Vec<_>>())
+    }
+
+    /// Statistics are differentiated exactly (composed from primitive
+    /// autograd ops), matching the training-time behaviour of batch norm.
+    fn segmented_norm(
+        &mut self,
+        x: &NodeId,
+        gamma: &NodeId,
+        beta: &NodeId,
+        graph_segs: &[Range<usize>],
+        scopes: &[Range<usize>],
+        _row_to_scope: &[usize],
+        eps: f32,
+    ) -> NodeId {
+        let outs: Vec<NodeId> = scopes
+            .iter()
+            .filter(|scope| !scope.is_empty())
+            .map(|scope| {
+                let graphs = &graph_segs[scope.clone()];
+                // Eq. (8): per-graph mean pooling, then the mean of the means.
+                let means = self.segmented_mean_rows(x, graphs);
+                let mu = self.mean_rows(&means);
+                // Eq. (9): variance of all the scope's node features around μ.
+                let (start, end) = (graphs[0].start, graphs[graphs.len() - 1].end);
+                let big = self.select_rows(x, start, end - start);
+                let neg_mu = self.scale(&mu, -1.0);
+                let centered = self.add_rowvec(&big, &neg_mu);
+                let sq = self.mul(&centered, &centered);
+                let var = self.mean_rows(&sq);
+                let var = self.add_const(&var, eps);
+                let std = self.sqrt(var);
+                let inv = self.recip(std);
+                let norm = self.mul_rowvec(centered, inv);
+                let scaled = self.mul_rowvec(norm, *gamma);
+                self.add_rowvec(&scaled, beta)
+            })
+            .collect();
+        self.concat_rows(&outs.iter().collect::<Vec<_>>())
+    }
+
+    fn gated_fusion(
+        &mut self,
+        a: &NodeId,
+        b: &NodeId,
+        bz: &NodeId,
+        tr: &NodeId,
+        z: &NodeId,
+        row_to_point: &[usize],
+    ) -> NodeId {
+        // Broadcast the per-point rows by pure row-gathers, then the gate
+        // element-wise.
+        let tr_rep = self.gather_rows(tr, row_to_point);
+        let a_rep = self.gather_rows(a, row_to_point);
+        let s = self.add(&a_rep, b);
+        let s = self.add_rowvec(&s, bz);
+        let gate = self.sigmoid(&s);
+        let take_tr = self.mul(&gate, &tr_rep);
+        let neg = self.scale(&gate, -1.0);
+        let inv_gate = self.add_const(&neg, 1.0);
+        let keep_z = self.mul(&inv_gate, z);
+        self.add(&take_tr, &keep_z)
     }
 }

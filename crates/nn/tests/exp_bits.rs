@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use rntrajrec_nn::kernels::backend::{self, Backend};
 use rntrajrec_nn::kernels::expf::expf;
-use rntrajrec_nn::{kernels, pool, GraphCsr, Tape, Tensor};
+use rntrajrec_nn::{kernels, pool, Exec, GraphCsr, Tape, Tensor};
 
 /// `(x, exp(x))` as bit patterns, from `f32::exp` on the build box (glibc
 /// 2.36 on a machine with FMA). At least two rows per branch of `expf`.
@@ -276,8 +276,8 @@ fn sigmoid_is_its_scalar_body_across_backends_threads_and_the_tape() {
     let want: Vec<f32> = xs.iter().map(|&x| 1.0 / (1.0 + expf(-x))).collect();
     for_each_backend_and_thread_count(|bk, threads| {
         let mut tape = Tape::new();
-        let leaf = tape.leaf(input.clone());
-        let node = tape.sigmoid(leaf);
+        let leaf = tape.constant(input.clone());
+        let node = tape.sigmoid(&leaf);
         assert_same_slice(
             "sigmoid",
             bk,
@@ -285,7 +285,7 @@ fn sigmoid_is_its_scalar_body_across_backends_threads_and_the_tape() {
             &kernels::sigmoid(&input).data,
             &want,
         );
-        assert_same_slice("tape", bk, threads, &tape.value(node).data, &want);
+        assert_same_slice("tape", bk, threads, &tape.value(&node).data, &want);
     });
 }
 

@@ -11,12 +11,14 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rntrajrec_nn::{GraphCsr, NodeId, ParamStore, Tape, Tensor};
+use rntrajrec_nn::{Exec, GraphCsr, NodeId, ParamStore, Tape, Tensor};
 
-/// Deterministic "random" weights for reducing an output to a scalar.
+/// Deterministic "random" weights for reducing an output to a scalar,
+/// scaled by the element count so that `mean_all` of the weighted output
+/// is the weighted sum.
 fn mix_weights(n: usize) -> Vec<f32> {
     (0..n)
-        .map(|i| (((i * 2654435761) % 1000) as f32 / 1000.0) - 0.45)
+        .map(|i| ((((i * 2654435761) % 1000) as f32 / 1000.0) - 0.45) * n as f32)
         .collect()
 }
 
@@ -24,13 +26,13 @@ fn mix_weights(n: usize) -> Vec<f32> {
 fn check(inputs: &[Tensor], build: impl Fn(&mut Tape, &[NodeId]) -> NodeId) {
     // Analytic pass.
     let mut tape = Tape::new();
-    let ids: Vec<NodeId> = inputs.iter().map(|t| tape.leaf(t.clone())).collect();
+    let ids: Vec<NodeId> = inputs.iter().map(|t| tape.constant(t.clone())).collect();
     let out = build(&mut tape, &ids);
-    let (orows, ocols) = tape.value(out).shape();
+    let (orows, ocols) = tape.value(&out).shape();
     let w = Tensor::from_vec(orows, ocols, mix_weights(orows * ocols));
-    let wid = tape.leaf(w);
-    let prod = tape.mul(out, wid);
-    let loss = tape.sum_all(prod);
+    let wid = tape.constant(w);
+    let prod = tape.mul(&out, &wid);
+    let loss = tape.mean_all(prod);
     let mut store = ParamStore::new();
     tape.backward(loss, &mut store);
     let analytic: Vec<Vec<f32>> = ids
@@ -45,14 +47,14 @@ fn check(inputs: &[Tensor], build: impl Fn(&mut Tape, &[NodeId]) -> NodeId) {
     // Numeric evaluation closure.
     let eval = |xs: &[Tensor]| -> f32 {
         let mut tape = Tape::new();
-        let ids: Vec<NodeId> = xs.iter().map(|t| tape.leaf(t.clone())).collect();
+        let ids: Vec<NodeId> = xs.iter().map(|t| tape.constant(t.clone())).collect();
         let out = build(&mut tape, &ids);
-        let (orows, ocols) = tape.value(out).shape();
+        let (orows, ocols) = tape.value(&out).shape();
         let w = Tensor::from_vec(orows, ocols, mix_weights(orows * ocols));
-        let wid = tape.leaf(w);
-        let prod = tape.mul(out, wid);
-        let loss = tape.sum_all(prod);
-        tape.value(loss).item()
+        let wid = tape.constant(w);
+        let prod = tape.mul(&out, &wid);
+        let loss = tape.mean_all(prod);
+        tape.value(&loss).item()
     };
 
     let h = 1e-2f32;
@@ -93,27 +95,31 @@ fn t_pos(rows: usize, cols: usize, seed: u64, lo: f32, hi: f32) -> Tensor {
 
 #[test]
 fn grad_add_sub_mul() {
-    check(&[t(3, 4, 1), t(3, 4, 2)], |tp, ids| tp.add(ids[0], ids[1]));
+    check(&[t(3, 4, 1), t(3, 4, 2)], |tp, ids| {
+        tp.add(&ids[0], &ids[1])
+    });
     check(&[t(3, 4, 3), t(3, 4, 4)], |tp, ids| tp.sub(ids[0], ids[1]));
-    check(&[t(3, 4, 5), t(3, 4, 6)], |tp, ids| tp.mul(ids[0], ids[1]));
+    check(&[t(3, 4, 5), t(3, 4, 6)], |tp, ids| {
+        tp.mul(&ids[0], &ids[1])
+    });
 }
 
 #[test]
 fn grad_mul_with_shared_input() {
     // x ⊙ x: gradient must accumulate both branches (2x).
-    check(&[t(2, 3, 7)], |tp, ids| tp.mul(ids[0], ids[0]));
+    check(&[t(2, 3, 7)], |tp, ids| tp.mul(&ids[0], &ids[0]));
 }
 
 #[test]
 fn grad_scale_addconst() {
-    check(&[t(2, 5, 8)], |tp, ids| tp.scale(ids[0], -1.7));
-    check(&[t(2, 5, 9)], |tp, ids| tp.add_const(ids[0], 0.3));
+    check(&[t(2, 5, 8)], |tp, ids| tp.scale(&ids[0], -1.7));
+    check(&[t(2, 5, 9)], |tp, ids| tp.add_const(&ids[0], 0.3));
 }
 
 #[test]
 fn grad_rowvec_broadcasts() {
     check(&[t(4, 3, 10), t(1, 3, 11)], |tp, ids| {
-        tp.add_rowvec(ids[0], ids[1])
+        tp.add_rowvec(&ids[0], &ids[1])
     });
     check(&[t(4, 3, 12), t(1, 3, 13)], |tp, ids| {
         tp.mul_rowvec(ids[0], ids[1])
@@ -123,14 +129,14 @@ fn grad_rowvec_broadcasts() {
 #[test]
 fn grad_colvec_broadcasts() {
     check(&[t(4, 3, 62), t_pos(4, 1, 63, 0.2, 1.5)], |tp, ids| {
-        tp.mul_colvec(ids[0], ids[1])
+        tp.mul_colvec(&ids[0], &ids[1])
     });
 }
 
 #[test]
 fn grad_matmul() {
     check(&[t(3, 4, 14), t(4, 2, 15)], |tp, ids| {
-        tp.matmul(ids[0], ids[1])
+        tp.matmul(&ids[0], &ids[1])
     });
 }
 
@@ -146,7 +152,7 @@ fn matmul_nt_equals_explicit_transpose() {
     let a = t(3, 4, 18);
     let b = t(5, 4, 19);
     let mut tp = Tape::new();
-    let (ia, ib) = (tp.leaf(a.clone()), tp.leaf(b.clone()));
+    let (ia, ib) = (tp.constant(a.clone()), tp.constant(b.clone()));
     let nt = tp.matmul_nt(ia, ib);
     // Explicit transpose of b.
     let mut bt = Tensor::zeros(4, 5);
@@ -155,16 +161,16 @@ fn matmul_nt_equals_explicit_transpose() {
             bt.set(c, r, b.get(r, c));
         }
     }
-    let ibt = tp.leaf(bt);
-    let mm = tp.matmul(ia, ibt);
-    assert!(tp.value(nt).max_abs_diff(tp.value(mm)) < 1e-6);
+    let ibt = tp.constant(bt);
+    let mm = tp.matmul(&ia, &ibt);
+    assert!(tp.value(&nt).max_abs_diff(tp.value(&mm)) < 1e-6);
 }
 
 #[test]
 fn grad_activations() {
-    check(&[t(3, 3, 20)], |tp, ids| tp.sigmoid(ids[0]));
+    check(&[t(3, 3, 20)], |tp, ids| tp.sigmoid(&ids[0]));
     check(&[t(3, 3, 21)], |tp, ids| tp.tanh(ids[0]));
-    check(&[t_pos(3, 3, 22, 0.1, 1.0)], |tp, ids| tp.relu(ids[0]));
+    check(&[t_pos(3, 3, 22, 0.1, 1.0)], |tp, ids| tp.relu(&ids[0]));
     // Mixed-sign input bounded away from the kink.
     let mut x = t_pos(3, 3, 23, 0.1, 1.0);
     for (i, v) in x.data.iter_mut().enumerate() {
@@ -172,8 +178,8 @@ fn grad_activations() {
             *v = -*v;
         }
     }
-    check(&[x.clone()], |tp, ids| tp.relu(ids[0]));
-    check(&[x], |tp, ids| tp.leaky_relu(ids[0], 0.2));
+    check(&[x.clone()], |tp, ids| tp.relu(&ids[0]));
+    check(&[x], |tp, ids| tp.leaky_relu(&ids[0], 0.2));
 }
 
 #[test]
@@ -195,9 +201,9 @@ fn grad_log_softmax_rows() {
 #[test]
 fn softmax_rows_sum_to_one() {
     let mut tp = Tape::new();
-    let x = tp.leaf(t(4, 7, 28));
+    let x = tp.constant(t(4, 7, 28));
     let y = tp.softmax_rows(x);
-    let v = tp.value(y);
+    let v = tp.value(&y);
     for r in 0..4 {
         let s: f32 = v.row_slice(r).iter().sum();
         assert!((s - 1.0).abs() < 1e-5);
@@ -208,11 +214,11 @@ fn softmax_rows_sum_to_one() {
 #[test]
 fn log_softmax_matches_softmax_log() {
     let mut tp = Tape::new();
-    let x = tp.leaf(t(3, 6, 29));
+    let x = tp.constant(t(3, 6, 29));
     let ls = tp.log_softmax_rows(x);
     let sm = tp.softmax_rows(x);
-    let v_ls = tp.value(ls).clone();
-    let v_sm = tp.value(sm).clone();
+    let v_ls = tp.value(&ls).clone();
+    let v_sm = tp.value(&sm).clone();
     for (a, b) in v_ls.data.iter().zip(&v_sm.data) {
         assert!((a.exp() - b).abs() < 1e-5);
     }
@@ -221,38 +227,32 @@ fn log_softmax_matches_softmax_log() {
 #[test]
 fn grad_concat_select_cols() {
     check(&[t(3, 2, 30), t(3, 4, 31)], |tp, ids| {
-        tp.concat_cols(&[ids[0], ids[1]])
+        tp.concat_cols(&[&ids[0], &ids[1]])
     });
-    check(&[t(3, 6, 32)], |tp, ids| tp.select_cols(ids[0], 1, 3));
+    check(&[t(3, 6, 32)], |tp, ids| tp.select_cols(&ids[0], 1, 3));
 }
 
 #[test]
 fn grad_concat_select_rows() {
     check(&[t(2, 3, 33), t(4, 3, 34)], |tp, ids| {
-        tp.concat_rows(&[ids[0], ids[1]])
+        tp.concat_rows(&[&ids[0], &ids[1]])
     });
-    check(&[t(5, 3, 35)], |tp, ids| tp.select_rows(ids[0], 1, 3));
-}
-
-#[test]
-fn grad_repeat_rows() {
-    check(&[t(1, 4, 36)], |tp, ids| tp.repeat_rows(ids[0], 5));
+    check(&[t(5, 3, 35)], |tp, ids| tp.select_rows(&ids[0], 1, 3));
 }
 
 #[test]
 fn grad_reductions() {
-    check(&[t(4, 3, 37)], |tp, ids| tp.mean_rows(ids[0]));
+    check(&[t(4, 3, 37)], |tp, ids| tp.mean_rows(&ids[0]));
     check(&[t(4, 3, 38)], |tp, ids| {
         tp.weighted_mean_rows(ids[0], &[0.5, 1.0, 2.0, 0.1])
     });
     check(&[t(3, 3, 39)], |tp, ids| tp.mean_all(ids[0]));
-    check(&[t(3, 3, 40)], |tp, ids| tp.sum_all(ids[0]));
 }
 
 #[test]
 fn grad_gather_rows() {
     check(&[t(5, 3, 41)], |tp, ids| {
-        tp.gather_rows(ids[0], &[0, 2, 2, 4])
+        tp.gather_rows(&ids[0], &[0, 2, 2, 4])
     });
 }
 
@@ -264,16 +264,36 @@ fn grad_pick_cols() {
 }
 
 #[test]
+fn grad_into_a_parent_that_already_has_one() {
+    // One leaf feeds two overlapping row slices, a column slice, a pick and
+    // both operands of both products, so every slicing adjoint adds into a
+    // gradient that another adjoint already wrote, and so does each
+    // product's `dB`.
+    check(&[t(4, 4, 44)], |tp, ids| {
+        let x = ids[0];
+        let top = tp.select_rows(&x, 0, 3);
+        let low = tp.select_rows(&x, 1, 3);
+        let mid = tp.select_cols(&x, 1, 2);
+        let picked = tp.pick_cols(x, &[2, 0, 3, 2]);
+        let sq = tp.matmul(&x, &x);
+        let nt = tp.matmul_nt(x, x);
+        let rows = tp.concat_rows(&[&top, &low]); // [6, 4]
+        let wide = tp.concat_cols(&[&mid, &picked, &sq, &nt]); // [4, 11]
+        tp.matmul(&rows, &wide)
+    });
+}
+
+#[test]
 fn gather_rows_duplicates_accumulate() {
     let mut tp = Tape::new();
-    let table = tp.leaf(t(4, 2, 42));
-    let g = tp.gather_rows(table, &[1, 1, 1]);
-    let loss = tp.sum_all(g);
+    let table = tp.constant(t(4, 2, 42));
+    let g = tp.gather_rows(&table, &[1, 1, 1]);
+    let loss = tp.mean_all(g);
     let mut store = ParamStore::new();
     tp.backward(loss, &mut store);
     let grad = tp.grad(table).unwrap();
-    // Row 1 gathered thrice -> gradient 3 in each of its columns.
-    assert_eq!(&grad[2..4], &[3.0, 3.0]);
+    // Row 1 gathered thrice -> gradient 3/6 in each of its columns.
+    assert_eq!(&grad[2..4], &[0.5, 0.5]);
     assert_eq!(&grad[0..2], &[0.0, 0.0]);
 }
 
@@ -289,7 +309,7 @@ fn demo_csr() -> Arc<GraphCsr> {
 fn grad_edge_scores() {
     let csr = demo_csr();
     check(&[t(4, 1, 43), t(4, 1, 44)], move |tp, ids| {
-        tp.edge_scores(ids[0], ids[1], &csr)
+        tp.edge_scores(&ids[0], &ids[1], &csr)
     });
 }
 
@@ -298,7 +318,7 @@ fn grad_segmented_softmax() {
     let csr = demo_csr();
     let e = csr.num_edges();
     check(&[t(e, 1, 45)], move |tp, ids| {
-        tp.segmented_softmax(ids[0], &csr)
+        tp.segmented_softmax(&ids[0], &csr)
     });
 }
 
@@ -307,7 +327,7 @@ fn grad_neighbor_sum() {
     let csr = demo_csr();
     let e = csr.num_edges();
     check(&[t_pos(e, 1, 46, 0.1, 1.0), t(4, 3, 47)], move |tp, ids| {
-        tp.neighbor_sum(ids[0], ids[1], &csr)
+        tp.neighbor_sum(&ids[0], &ids[1], &csr)
     });
 }
 
@@ -315,9 +335,9 @@ fn grad_neighbor_sum() {
 fn segmented_softmax_sums_to_one_per_node() {
     let csr = demo_csr();
     let mut tp = Tape::new();
-    let s = tp.leaf(t(csr.num_edges(), 1, 48));
-    let y = tp.segmented_softmax(s, &csr);
-    let v = tp.value(y);
+    let s = tp.constant(t(csr.num_edges(), 1, 48));
+    let y = tp.segmented_softmax(&s, &csr);
+    let v = tp.value(&y);
     for i in 0..csr.num_nodes() {
         let sum: f32 = csr.segment(i).map(|e| v.data[e]).sum();
         assert!((sum - 1.0).abs() < 1e-5, "node {i} attention sums to {sum}");
@@ -333,13 +353,13 @@ fn grad_composite_gat_like_block() {
     check(
         &[t(4, 3, 49), t(3, 2, 50), t(2, 1, 51), t(2, 1, 52)],
         move |tp, ids| {
-            let h = tp.matmul(ids[0], ids[1]); // [4,2]
-            let s_src = tp.matmul(h, ids[2]); // [4,1]
-            let s_dst = tp.matmul(h, ids[3]); // [4,1]
-            let scores = tp.edge_scores(s_src, s_dst, &csr);
-            let scores = tp.leaky_relu(scores, 0.2);
-            let alphas = tp.segmented_softmax(scores, &csr);
-            tp.neighbor_sum(alphas, h, &csr)
+            let h = tp.matmul(&ids[0], &ids[1]); // [4,2]
+            let s_src = tp.matmul(&h, &ids[2]); // [4,1]
+            let s_dst = tp.matmul(&h, &ids[3]); // [4,1]
+            let scores = tp.edge_scores(&s_src, &s_dst, &csr);
+            let scores = tp.leaky_relu(&scores, 0.2);
+            let alphas = tp.segmented_softmax(&scores, &csr);
+            tp.neighbor_sum(&alphas, &h, &csr)
         },
     );
 }
@@ -350,25 +370,24 @@ fn grad_layer_norm_composite() {
     // y = (x - mean) / sqrt(var + eps).
     check(&[t(1, 6, 53)], |tp, ids| {
         let x = ids[0];
-        let mu = tp.mean_rows(x); // [1,6] row is itself; mean over rows is identity here
-                                  // For a [1,C] row, mean over *columns*: transpose trick via matmul
-                                  // with a column of ones is overkill — use mean_all.
+        let mu = tp.mean_rows(&x); // [1,6] row is itself; mean over rows is identity here
+                                   // For a [1,C] row, mean over *columns*: transpose trick via matmul
+                                   // with a column of ones is overkill — use mean_all.
         let m = tp.mean_all(x); // [1,1]
-        let mrep = tp.repeat_rows(m, 1);
-        // broadcast subtract via add_rowvec of -m (cols must match):
-        let neg = tp.scale(mrep, -1.0);
+                                // broadcast subtract via add_rowvec of -m (cols must match):
+        let neg = tp.scale(&m, -1.0);
         // expand scalar to [1,C]: use matmul [1,1]x[1,C] of ones
-        let ones = tp.leaf(Tensor::full(1, 6, 1.0));
-        let negrow = tp.matmul(neg, ones); // [1,6] all -m
-        let centered = tp.add(x, negrow);
-        let sq = tp.mul(centered, centered);
+        let ones = tp.constant(Tensor::full(1, 6, 1.0));
+        let negrow = tp.matmul(&neg, &ones); // [1,6] all -m
+        let centered = tp.add(&x, &negrow);
+        let sq = tp.mul(&centered, &centered);
         let var = tp.mean_all(sq);
-        let var_eps = tp.add_const(var, 1e-3);
+        let var_eps = tp.add_const(&var, 1e-3);
         let std = tp.sqrt(var_eps);
         let inv = tp.recip(std); // [1,1]
-        let invrow = tp.matmul(inv, ones); // [1,6]
+        let invrow = tp.matmul(&inv, &ones); // [1,6]
         let _ = mu;
-        tp.mul(centered, invrow)
+        tp.mul(&centered, &invrow)
     });
 }
 
@@ -378,7 +397,7 @@ fn grad_layer_norm_fused() {
     // analytic gradients).
     check(
         &[t(3, 6, 59), t_pos(1, 6, 60, 0.5, 1.5), t(1, 6, 61)],
-        |tp, ids| tp.layer_norm(ids[0], ids[1], ids[2], 1e-3),
+        |tp, ids| tp.layer_norm(&ids[0], &ids[1], &ids[2], 1e-3),
     );
 }
 
@@ -388,11 +407,11 @@ fn fused_layer_norm_forward_matches_composite() {
     // with unit gain and zero shift: values must agree.
     let x = t(1, 6, 53);
     let mut tp = Tape::new();
-    let xid = tp.leaf(x.clone());
-    let gamma = tp.leaf(Tensor::full(1, 6, 1.0));
-    let beta = tp.leaf(Tensor::zeros(1, 6));
-    let y = tp.layer_norm(xid, gamma, beta, 1e-3);
-    let v = tp.value(y);
+    let xid = tp.constant(x.clone());
+    let gamma = tp.constant(Tensor::full(1, 6, 1.0));
+    let beta = tp.constant(Tensor::zeros(1, 6));
+    let y = tp.layer_norm(&xid, &gamma, &beta, 1e-3);
+    let v = tp.value(&y);
     let mean: f32 = x.data.iter().sum::<f32>() / 6.0;
     let var: f32 = x.data.iter().map(|a| (a - mean).powi(2)).sum::<f32>() / 6.0;
     for (got, &xi) in v.data.iter().zip(&x.data) {
@@ -404,8 +423,8 @@ fn fused_layer_norm_forward_matches_composite() {
 #[test]
 fn backward_requires_scalar_loss() {
     let mut tp = Tape::new();
-    let x = tp.leaf(t(2, 2, 54));
-    let y = tp.relu(x);
+    let x = tp.constant(t(2, 2, 54));
+    let y = tp.relu(&x);
     let mut store = ParamStore::new();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         tp.backward(y, &mut store);
@@ -416,8 +435,8 @@ fn backward_requires_scalar_loss() {
 #[test]
 fn unused_inputs_get_no_gradient() {
     let mut tp = Tape::new();
-    let used = tp.leaf(t(2, 2, 55));
-    let unused = tp.leaf(t(2, 2, 56));
+    let used = tp.constant(t(2, 2, 55));
+    let unused = tp.constant(t(2, 2, 56));
     let loss = tp.mean_all(used);
     let mut store = ParamStore::new();
     tp.backward(loss, &mut store);

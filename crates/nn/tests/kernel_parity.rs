@@ -212,27 +212,24 @@ proptest! {
         let a = tensor(&mut rng, r, k);
         let b = tensor(&mut rng, k, c);
         let bt = tensor(&mut rng, c, k);
-        let at = tensor(&mut rng, k, r);
 
         for bk in backends() {
             backend::with_backend(bk, || {
                 let name = bk.name();
                 pool::set_num_threads(1);
                 let mut tape = Tape::new();
-                let na = tape.leaf(a.clone());
-                let nb = tape.leaf(b.clone());
-                let nbt = tape.leaf(bt.clone());
-                let mm_node = tape.matmul(na, nb);
+                let na = tape.constant(a.clone());
+                let nb = tape.constant(b.clone());
+                let nbt = tape.constant(bt.clone());
+                let mm_node = tape.matmul(&na, &nb);
                 let nt_node = tape.matmul_nt(na, nbt);
-                let mm = tape.value(mm_node).clone();
-                let nt = tape.value(nt_node).clone();
-                let tn = kernels::matmul_tn(&at, &b);
+                let mm = tape.value(&mm_node).clone();
+                let nt = tape.value(&nt_node).clone();
 
                 assert_eq!(kernels::matmul(&a, &b).data, mm.data, "{name}: matmul kernels≡tape");
                 assert_eq!(kernels::matmul_nt(&a, &bt).data, nt.data, "{name}: nt kernels≡tape");
                 assert_thread_invariant("matmul", &mm, || kernels::matmul(&a, &b));
                 assert_thread_invariant("matmul_nt", &nt, || kernels::matmul_nt(&a, &bt));
-                assert_thread_invariant("matmul_tn", &tn, || kernels::matmul_tn(&at, &b));
             });
         }
     }
@@ -254,32 +251,32 @@ proptest! {
             backend::with_backend(bk, || {
                 pool::set_num_threads(1);
                 let mut tape = Tape::new();
-                let na = tape.leaf(a.clone());
-                let nb = tape.leaf(b.clone());
-                let nv = tape.leaf(v.clone());
-                let ncv = tape.leaf(cv.clone());
-                let n_add = tape.add(na, nb);
-                let n_mul = tape.mul(na, nb);
-                let n_sig = tape.sigmoid(na);
+                let na = tape.constant(a.clone());
+                let nb = tape.constant(b.clone());
+                let nv = tape.constant(v.clone());
+                let ncv = tape.constant(cv.clone());
+                let n_add = tape.add(&na, &nb);
+                let n_mul = tape.mul(&na, &nb);
+                let n_sig = tape.sigmoid(&na);
                 let n_tanh = tape.tanh(na);
-                let n_lrelu = tape.leaky_relu(na, 0.2);
-                let n_arow = tape.add_rowvec(na, nv);
-                let n_mcol = tape.mul_colvec(na, ncv);
+                let n_lrelu = tape.leaky_relu(&na, 0.2);
+                let n_arow = tape.add_rowvec(&na, &nv);
+                let n_mcol = tape.mul_colvec(&na, &ncv);
                 let n_smax = tape.softmax_rows(na);
                 let n_lsmax = tape.log_softmax_rows(na);
-                let n_gather = tape.gather_rows(na, &idx);
+                let n_gather = tape.gather_rows(&na, &idx);
 
                 let cases: Vec<ParityCase> = vec![
-                    ("add", tape.value(n_add), Box::new(|| kernels::add(&a, &b))),
-                    ("mul", tape.value(n_mul), Box::new(|| kernels::mul(&a, &b))),
-                    ("sigmoid", tape.value(n_sig), Box::new(|| kernels::sigmoid(&a))),
-                    ("tanh", tape.value(n_tanh), Box::new(|| kernels::tanh(&a))),
-                    ("leaky_relu", tape.value(n_lrelu), Box::new(|| kernels::leaky_relu(&a, 0.2))),
-                    ("add_rowvec", tape.value(n_arow), Box::new(|| kernels::add_rowvec(&a, &v))),
-                    ("mul_colvec", tape.value(n_mcol), Box::new(|| kernels::mul_colvec(&a, &cv))),
-                    ("softmax_rows", tape.value(n_smax), Box::new(|| kernels::softmax_rows(&a))),
-                    ("log_softmax_rows", tape.value(n_lsmax), Box::new(|| kernels::log_softmax_rows(&a))),
-                    ("gather_rows", tape.value(n_gather), Box::new(|| kernels::gather_rows(&a, &idx))),
+                    ("add", tape.value(&n_add), Box::new(|| kernels::add(&a, &b))),
+                    ("mul", tape.value(&n_mul), Box::new(|| kernels::mul(&a, &b))),
+                    ("sigmoid", tape.value(&n_sig), Box::new(|| kernels::sigmoid(&a))),
+                    ("tanh", tape.value(&n_tanh), Box::new(|| kernels::tanh(&a))),
+                    ("leaky_relu", tape.value(&n_lrelu), Box::new(|| kernels::leaky_relu(&a, 0.2))),
+                    ("add_rowvec", tape.value(&n_arow), Box::new(|| kernels::add_rowvec(&a, &v))),
+                    ("mul_colvec", tape.value(&n_mcol), Box::new(|| kernels::mul_colvec(&a, &cv))),
+                    ("softmax_rows", tape.value(&n_smax), Box::new(|| kernels::softmax_rows(&a))),
+                    ("log_softmax_rows", tape.value(&n_lsmax), Box::new(|| kernels::log_softmax_rows(&a))),
+                    ("gather_rows", tape.value(&n_gather), Box::new(|| kernels::gather_rows(&a, &idx))),
                 ];
                 for (label, reference, f) in &cases {
                     assert_thread_invariant(label, reference, f);
@@ -318,12 +315,12 @@ proptest! {
                         );
                         let mut ln_tape = Tape::new();
                         let (lx, lg, lb) = (
-                            ln_tape.leaf(a.clone()),
-                            ln_tape.leaf(gamma.clone()),
-                            ln_tape.leaf(beta.clone()),
+                            ln_tape.constant(a.clone()),
+                            ln_tape.constant(gamma.clone()),
+                            ln_tape.constant(beta.clone()),
                         );
-                        let ln_node = ln_tape.layer_norm(lx, lg, lb, 1e-5);
-                        assert_eq!(ln_tape.value(ln_node).data, norm_ref.data);
+                        let ln_node = ln_tape.layer_norm(&lx, &lg, &lb, 1e-5);
+                        assert_eq!(ln_tape.value(&ln_node).data, norm_ref.data);
                         assert_thread_invariant("layer_norm", &norm_ref, || {
                             kernels::layer_norm(&a, &gamma, &beta, 1e-5)
                         });
@@ -502,15 +499,15 @@ proptest! {
                 let name = bk.name();
                 pool::set_num_threads(1);
                 let mut tape = Tape::new();
-                let ns = tape.leaf(src.clone());
-                let nd = tape.leaf(dst.clone());
-                let nf = tape.leaf(feats.clone());
-                let scores_n = tape.edge_scores(ns, nd, &csr);
-                let alphas_n = tape.segmented_softmax(scores_n, &csr);
-                let agg_n = tape.neighbor_sum(alphas_n, nf, &csr);
-                let scores = tape.value(scores_n).clone();
-                let alphas = tape.value(alphas_n).clone();
-                let agg = tape.value(agg_n).clone();
+                let ns = tape.constant(src.clone());
+                let nd = tape.constant(dst.clone());
+                let nf = tape.constant(feats.clone());
+                let scores_n = tape.edge_scores(&ns, &nd, &csr);
+                let alphas_n = tape.segmented_softmax(&scores_n, &csr);
+                let agg_n = tape.neighbor_sum(&alphas_n, &nf, &csr);
+                let scores = tape.value(&scores_n).clone();
+                let alphas = tape.value(&alphas_n).clone();
+                let agg = tape.value(&agg_n).clone();
 
                 assert_eq!(kernels::edge_scores(&src, &dst, &csr).data, scores.data, "{name}");
                 assert_eq!(kernels::segmented_softmax(&scores, &csr).data, alphas.data, "{name}");
@@ -544,9 +541,9 @@ proptest! {
                 for threads in THREAD_SWEEP {
                     pool::set_num_threads(threads);
                     let mut tape = Tape::new();
-                    let na = tape.leaf(a.clone());
-                    let nb = tape.leaf(b.clone());
-                    let y = tape.matmul(na, nb);
+                    let na = tape.constant(a.clone());
+                    let nb = tape.constant(b.clone());
+                    let y = tape.matmul(&na, &nb);
                     let y = tape.tanh(y);
                     let loss = tape.mean_all(y);
                     let mut store = ParamStore::new();
@@ -685,7 +682,6 @@ fn run_every_exec_op<'s, E: Exec<'s>>(ex: &mut E, i: &'s ExecInputs) -> Vec<(&'s
         ("concat_rows", ex.concat_rows(&[&a, &v, &b])),
         ("select_rows", ex.select_rows(&a, 1, i.a.rows - 1)),
         ("gather_rows", ex.gather_rows(&a, &i.idx)),
-        ("repeat_rows", ex.repeat_rows(&v, 5)),
         ("neighbor_sum", ex.neighbor_sum(&alphas, &a, &i.csr)),
         (
             "segmented_self_attention",
@@ -745,7 +741,7 @@ proptest! {
                     pool::set_num_threads(1);
                     assert_eq!(recorded.len(), eager.len());
                     for ((op, node), (_, got)) in recorded.iter().zip(&eager) {
-                        let want = tape.value(*node);
+                        let want = tape.value(node);
                         let label = format!("{op} under {} @ t={threads}", bk.name());
                         assert_eq!(got.shape(), want.shape(), "{label}: shape");
                         assert!(
@@ -777,49 +773,54 @@ fn ops_match_tape_bitwise() {
 
     let mut tape = Tape::new();
     let (na, nb, nv, nc, nw) = (
-        tape.leaf(a.clone()),
-        tape.leaf(b.clone()),
-        tape.leaf(v.clone()),
-        tape.leaf(cvec.clone()),
-        tape.leaf(w.clone()),
+        tape.constant(a.clone()),
+        tape.constant(b.clone()),
+        tape.constant(v.clone()),
+        tape.constant(cvec.clone()),
+        tape.constant(w.clone()),
     );
 
     let pairs: Vec<(Tensor, NodeId)> = vec![
-        (kernels::add(&a, &b), tape.add(na, nb)),
+        (kernels::add(&a, &b), tape.add(&na, &nb)),
         (kernels::sub(&a, &b), tape.sub(na, nb)),
-        (kernels::mul(&a, &b), tape.mul(na, nb)),
-        (kernels::scale(&a, 0.37), tape.scale(na, 0.37)),
-        (kernels::add_const(&a, -1.2), tape.add_const(na, -1.2)),
-        (kernels::add_rowvec(&a, &v), tape.add_rowvec(na, nv)),
+        (kernels::mul(&a, &b), tape.mul(&na, &nb)),
+        (kernels::scale(&a, 0.37), tape.scale(&na, 0.37)),
+        (kernels::add_const(&a, -1.2), tape.add_const(&na, -1.2)),
+        (kernels::add_rowvec(&a, &v), tape.add_rowvec(&na, &nv)),
         (kernels::mul_rowvec(&a, &v), tape.mul_rowvec(na, nv)),
-        (kernels::mul_colvec(&a, &cvec), tape.mul_colvec(na, nc)),
-        (kernels::matmul(&a, &w), tape.matmul(na, nw)),
+        (kernels::mul_colvec(&a, &cvec), tape.mul_colvec(&na, &nc)),
+        (kernels::matmul(&a, &w), tape.matmul(&na, &nw)),
         (kernels::matmul_nt(&a, &b), tape.matmul_nt(na, nb)),
-        (kernels::sigmoid(&a), tape.sigmoid(na)),
+        (kernels::sigmoid(&a), tape.sigmoid(&na)),
         (kernels::tanh(&a), tape.tanh(na)),
-        (kernels::relu(&a), tape.relu(na)),
-        (kernels::leaky_relu(&a, 0.2), tape.leaky_relu(na, 0.2)),
+        (kernels::relu(&a), tape.relu(&na)),
+        (kernels::leaky_relu(&a, 0.2), tape.leaky_relu(&na, 0.2)),
         (kernels::sqrt(&a), tape.sqrt(na)),
         (kernels::recip(&a), tape.recip(na)),
         (kernels::softmax_rows(&a), tape.softmax_rows(na)),
         (kernels::log_softmax_rows(&a), tape.log_softmax_rows(na)),
-        (kernels::concat_cols(&[&a, &b]), tape.concat_cols(&[na, nb])),
-        (kernels::select_cols(&a, 1, 2), tape.select_cols(na, 1, 2)),
-        (kernels::concat_rows(&[&a, &b]), tape.concat_rows(&[na, nb])),
-        (kernels::select_rows(&a, 1, 2), tape.select_rows(na, 1, 2)),
-        (kernels::repeat_rows(&v, 4), tape.repeat_rows(nv, 4)),
-        (kernels::mean_rows(&a), tape.mean_rows(na)),
+        (
+            kernels::concat_cols(&[&a, &b]),
+            tape.concat_cols(&[&na, &nb]),
+        ),
+        (kernels::select_cols(&a, 1, 2), tape.select_cols(&na, 1, 2)),
+        (
+            kernels::concat_rows(&[&a, &b]),
+            tape.concat_rows(&[&na, &nb]),
+        ),
+        (kernels::select_rows(&a, 1, 2), tape.select_rows(&na, 1, 2)),
+        (kernels::mean_rows(&a), tape.mean_rows(&na)),
         (
             kernels::weighted_mean_rows(&a, &kernels::normalized_weights(a.rows, &[0.2, 0.5, 0.3])),
             tape.weighted_mean_rows(na, &[0.2, 0.5, 0.3]),
         ),
         (
             kernels::gather_rows(&a, &[2, 0, 2]),
-            tape.gather_rows(na, &[2, 0, 2]),
+            tape.gather_rows(&na, &[2, 0, 2]),
         ),
     ];
     for (i, (got, node)) in pairs.iter().enumerate() {
-        let want = tape.value(*node);
+        let want = tape.value(node);
         assert_eq!(got.shape(), want.shape(), "op #{i} shape");
         assert_eq!(got.data, want.data, "op #{i} not bit-identical");
     }
@@ -837,20 +838,20 @@ fn graph_ops_match_tape_bitwise() {
 
     let mut tape = Tape::new();
     let (ns, nd, nf) = (
-        tape.leaf(src.clone()),
-        tape.leaf(dst.clone()),
-        tape.leaf(feats.clone()),
+        tape.constant(src.clone()),
+        tape.constant(dst.clone()),
+        tape.constant(feats.clone()),
     );
-    let scores_t = tape.edge_scores(ns, nd, &csr);
-    let alphas_t = tape.segmented_softmax(scores_t, &csr);
-    let agg_t = tape.neighbor_sum(alphas_t, nf, &csr);
+    let scores_t = tape.edge_scores(&ns, &nd, &csr);
+    let alphas_t = tape.segmented_softmax(&scores_t, &csr);
+    let agg_t = tape.neighbor_sum(&alphas_t, &nf, &csr);
 
     let scores = kernels::edge_scores(&src, &dst, &csr);
-    assert_eq!(scores.data, tape.value(scores_t).data);
+    assert_eq!(scores.data, tape.value(&scores_t).data);
     let alphas = kernels::segmented_softmax(&scores, &csr);
-    assert_eq!(alphas.data, tape.value(alphas_t).data);
+    assert_eq!(alphas.data, tape.value(&alphas_t).data);
     let agg = kernels::neighbor_sum(&alphas, &feats, &csr);
-    assert_eq!(agg.data, tape.value(agg_t).data);
+    assert_eq!(agg.data, tape.value(&agg_t).data);
 }
 
 #[test]

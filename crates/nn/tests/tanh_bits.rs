@@ -11,7 +11,7 @@
 //! 2. **one kernel** — `kernels::tanh` is bit-identical under
 //!    `Backend::Scalar` and `Backend::Avx2Fma`, at 1/2/4 threads on a
 //!    tensor large enough to engage the pool, in place or not, and
-//!    through `Tape::tanh`.
+//!    through the tape's `Exec::tanh`.
 //! 3. **the transcription is glibc 2.36's `tanhf`** — a committed anchor
 //!    table taken from the build box's `f32::tanh` keeps [`tanhf`] pinned
 //!    on hosts whose libm differs.
@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use rntrajrec_nn::kernels::backend::{self, Backend};
 use rntrajrec_nn::kernels::tanhf::tanhf;
-use rntrajrec_nn::{kernels, pool, Tape, Tensor};
+use rntrajrec_nn::{kernels, pool, Exec, Tape, Tensor};
 
 /// `(x, tanh(x))` as bit patterns, `x > 0`, from `f32::tanh` on the build
 /// box (glibc 2.36, whose `tanhf` is fdlibm's); `tanh(−x) = −tanh(x)`
@@ -265,9 +265,9 @@ fn tanh_kernel_is_one_function_across_backends_threads_and_the_tape() {
                 let mut in_place = input.clone();
                 kernels::tanh_in_place(&mut in_place);
                 let mut tape = Tape::new();
-                let leaf = tape.leaf(input.clone());
+                let leaf = tape.constant(input.clone());
                 let node = tape.tanh(leaf);
-                (kernels::tanh(&input), in_place, tape.value(node).clone())
+                (kernels::tanh(&input), in_place, tape.value(&node).clone())
             });
             pool::set_num_threads(1);
             for (name, got) in [("tanh", &out), ("in place", &in_place), ("tape", &taped)] {

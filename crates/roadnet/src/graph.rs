@@ -44,7 +44,7 @@ impl RoadLevel {
     ///
     /// Urban-congested magnitudes: the ratio of inter-observation gap to
     /// block size then matches the paper's city-scale datasets (see
-    /// DESIGN.md §2).
+    /// "Deviations from the paper" in EXPERIMENTS.md).
     pub fn freeflow_speed(&self) -> f64 {
         match self {
             RoadLevel::Residential => 4.0,

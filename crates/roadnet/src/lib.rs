@@ -14,7 +14,7 @@
 //! * [`SyntheticCity`] — a configurable city generator (Manhattan grid +
 //!   diagonal arterials + an elevated expressway above a parallel trunk
 //!   road) standing in for the proprietary Shanghai/Chengdu/Porto road
-//!   networks; see DESIGN.md §2 for the substitution argument.
+//!   networks; see "Deviations from the paper" in EXPERIMENTS.md.
 
 mod city;
 mod graph;
