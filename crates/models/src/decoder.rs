@@ -851,9 +851,9 @@ mod tests {
 
     /// The reference for `DecodeState<Tape>`: the per-member tape loop it
     /// replaced — one member and one step at a time, `W_h·keys` recomputed
-    /// every step, a dense `[1, |V|]` mask row — as `Tape` compositions are
-    /// the reference for the fused kernels. `use_truth(j)` conditions the
-    /// step after `j` (and step `j`'s rate head) on the ground truth.
+    /// every step, Eq. 14 over the member's one segment `[0..L]`, a dense
+    /// `[1, |V|]` mask row. `use_truth(j)` conditions the step after `j`
+    /// (and step `j`'s rate head) on the ground truth.
     fn reference(
         dec: &Decoder,
         tape: &mut Tape,
@@ -878,12 +878,10 @@ mod tests {
             let v = tape.param(store, dec.attn.v);
             let gq = tape.matmul(&h, &wg); // [1, d]
             let hk = tape.matmul(&enc.per_point, &wh); // [L, d]
-            let sum = tape.add_rowvec(&hk, &gq);
-            let t = tape.tanh(sum);
-            let mu = tape.matmul_nt(v, t); // [1, L]
-            let alphas = tape.softmax_rows(mu);
-            let a = tape.matmul(&alphas, &enc.per_point); // [1, d]
-                                                          // Eq. (15): GRU update.
+            let keys = 0..tape.value(&enc.per_point).rows;
+            let keys = std::slice::from_ref(&keys);
+            let a = tape.segmented_additive_attention(&hk, &gq, &v, &enc.per_point, keys);
+            // Eq. (15): GRU update.
             let input = tape.concat_cols(&[&x_prev, &r_prev, &a]);
             h = dec.gru.step(tape, store, &input, &h);
 

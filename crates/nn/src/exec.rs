@@ -20,11 +20,13 @@
 //! one matrix per projection; what must *not* mix rows across members —
 //! self-attention, the decoder's additive attention, graph readout,
 //! pooling, GraphNorm statistics — are the six `segmented_*` /
-//! [`Exec::gated_fusion`] ops. `Eager` runs each as
-//! one fused kernel; `Tape` composes it per segment from its existing
-//! differentiable ops (no `Op` variant, no backward code of its own), and
-//! that composition is the reference the fused kernels are pinned
-//! bit-identical to in `tests/kernel_parity.rs`.
+//! [`Exec::gated_fusion`] ops. Both executors run each `segmented_*` op as
+//! the same one fused kernel: `Eager` returns its value, `Tape` records it
+//! as one node whose backward is the op's own analytic adjoint (it
+//! recomputes what it needs — α, `tanh`, μ/σ — on the same kernels).
+//! `Tape` still composes the Eq. 7 gate from its element-wise ops. Each
+//! fused kernel is pinned bit-identical to its per-segment composition
+//! from `kernels::` primitives in `tests/kernel_parity.rs`.
 
 use std::borrow::Cow;
 use std::ops::Range;
@@ -270,12 +272,7 @@ impl<'s> Exec<'s> for Eager {
         keys: &Self::H,
         segs: &[Range<usize>],
     ) -> Self::H {
-        let mut t = kernels::segments_add_rowvec(hk, gq, segs);
-        kernels::tanh_in_place(&mut t);
-        let mu = kernels::matmul_nt(v, &t);
-        let lens: Vec<usize> = segs.iter().map(|s| s.len()).collect();
-        let alphas = kernels::softmax_segments(&mu, &lens);
-        Cow::Owned(kernels::segmented_attn_context(&alphas, keys, segs))
+        Cow::Owned(kernels::segmented_additive_attention(hk, gq, v, keys, segs))
     }
     fn segmented_mean_rows(&mut self, a: &Self::H, segs: &[Range<usize>]) -> Self::H {
         Cow::Owned(kernels::segmented_mean_rows(a, segs))
@@ -298,15 +295,8 @@ impl<'s> Exec<'s> for Eager {
         row_to_scope: &[usize],
         eps: f32,
     ) -> Self::H {
-        let (mu, inv) = kernels::segmented_norm_stats(x, graph_segs, scopes, eps);
-        Cow::Owned(kernels::segmented_norm_apply(
-            x,
-            &mu,
-            &inv,
-            row_to_scope,
-            gamma,
-            beta,
-        ))
+        let t = kernels::segmented_norm(x, gamma, beta, graph_segs, scopes, row_to_scope, eps);
+        Cow::Owned(t)
     }
     fn gated_fusion(
         &mut self,

@@ -361,20 +361,7 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
     note_matmul(2 * (r * k * c) as u64);
     let bk = backend::active();
     let mut out = Tensor::zeros(r, c);
-    let dot = move |arow: &[f32], j: usize| -> f32 {
-        let brow = &b.data[j * k..(j + 1) * k];
-        #[cfg(target_arch = "x86_64")]
-        if bk == backend::Backend::Avx2Fma {
-            // SAFETY: `Avx2Fma` is only active after runtime detection.
-            return unsafe { backend::dot(&arow[..k], brow) };
-        }
-        let _ = bk;
-        let mut s = 0.0;
-        for kk in 0..k {
-            s += arow[kk] * brow[kk];
-        }
-        s
-    };
+    let dot = move |arow: &[f32], j: usize| row_dot(bk, &arow[..k], &b.data[j * k..(j + 1) * k]);
     if r == 1 {
         par_row_chunks(
             &mut out.data,
@@ -1204,14 +1191,18 @@ pub fn gather_rows(table: &Tensor, indices: &[usize]) -> Tensor {
     out
 }
 
-// ----- segmented decoder-fusion ops ------------------------------------------
+// ----- segmented fusion ops --------------------------------------------------
 //
-// The batched decoder stacks a micro-batch's same-step states into one
-// matrix, but each member attends over its *own* encoder outputs (ragged
-// lengths). These kernels run the per-member attention pieces over all
-// members in one launch: segments are disjoint row/column ranges, each
-// processed with exactly the per-member op's accumulation order, so the
-// stacked result is bit-identical to B separate calls.
+// A batch runs as one stacked matrix per projection; what cannot be naively
+// stacked is anything whose *reduction scope* is per member or per
+// sub-graph: the decoder's additive attention over each member's own
+// encoder rows, the encoder's self-attention rows, graph readout means, and
+// GraphNorm's statistics (Eq. 8–9), which at serving time must cover
+// exactly one request's sub-graphs or batching would change results. These
+// kernels run those scoped reductions over the whole stack in one launch,
+// each segment computed with exactly the per-segment op sequence's
+// accumulation order, so the stacked result is bit-identical to one call
+// per segment (pinned in `tests/kernel_parity.rs`).
 
 /// Validate `segs` against `rows` rows and return the exclusive prefix
 /// offsets of the stacked output (`offsets[s]` = first stacked row of
@@ -1231,139 +1222,104 @@ fn segment_offsets(segs: &[Range<usize>], rows: usize) -> Vec<usize> {
     offsets
 }
 
-/// Chunk floor sized so each pool chunk holds roughly `MIN_MAP_ELEMS`
-/// scalar operations' worth of segments.
-fn min_segments_for(num_segs: usize, total_work: usize) -> usize {
-    if total_work == 0 {
-        return usize::MAX;
+/// `Σ_k a[k]·b[k]` under `bk`: [`matmul_nt`]'s dot (ascending `k` from 0 on
+/// the scalar path, [`backend`]'s lane reduction under AVX2).
+fn row_dot(bk: backend::Backend, a: &[f32], b: &[f32]) -> f32 {
+    #[cfg(target_arch = "x86_64")]
+    if bk == backend::Backend::Avx2Fma {
+        // SAFETY: `Avx2Fma` is only active after runtime detection.
+        return unsafe { backend::dot(a, b) };
     }
-    (MIN_MAP_ELEMS * num_segs / total_work).max(1)
-}
-
-/// Stack `m[segs[s], :] + v[s, :]` over every segment → the segments
-/// concatenated in order. This is the batched decoder's attention
-/// pre-activation: each member's key projections plus its own query row,
-/// one launch for the whole micro-batch. Per element the op is exactly
-/// [`add_rowvec`]'s `x + y`; parallel over segment ranges (disjoint output
-/// row blocks).
-pub fn segments_add_rowvec(m: &Tensor, v: &Tensor, segs: &[Range<usize>]) -> Tensor {
-    let c = m.cols;
-    assert_eq!(
-        (v.rows, v.cols),
-        (segs.len(), c),
-        "segments_add_rowvec: v must be [S,C]"
-    );
-    let offsets = segment_offsets(segs, m.rows);
-    let total = offsets[segs.len()];
-    let mut out = Tensor::zeros(total, c);
-    let ptr = SendPtr(out.data.as_mut_ptr());
-    let min_segs = min_segments_for(segs.len(), total * c);
-    pool::for_each_chunk(segs.len(), min_segs, move |srange| {
-        for s in srange {
-            let vrow = &v.data[s * c..(s + 1) * c];
-            let mut o = offsets[s] * c;
-            for i in segs[s].clone() {
-                let src = &m.data[i * c..(i + 1) * c];
-                for (t, (&x, &y)) in src.iter().zip(vrow).enumerate() {
-                    // SAFETY: segment output blocks are disjoint across chunks.
-                    unsafe { *ptr.get().add(o + t) = x + y };
-                }
-                o += c;
-            }
-        }
-    });
-    out
-}
-
-/// Softmax over consecutive chunks of a `[1, N]` row (`lens` summing to
-/// `N`): each chunk is one member's attention scores, normalised exactly
-/// like [`softmax_rows`] on its own `[1, len]` slice (empty chunks are
-/// left untouched). Parallel over chunk ranges — each chunk is one
-/// self-contained reduction.
-pub fn softmax_segments(a: &Tensor, lens: &[usize]) -> Tensor {
-    assert_eq!(a.rows, 1, "softmax_segments: input must be [1,N]");
-    let total: usize = lens.iter().sum();
-    assert_eq!(total, a.cols, "softmax_segments: lens must sum to N");
-    let mut t = a.clone();
-    let mut offsets = Vec::with_capacity(lens.len());
-    let mut acc = 0usize;
-    for &l in lens {
-        offsets.push(acc);
-        acc += l;
+    let _ = bk;
+    let mut s = 0.0;
+    for (&x, &y) in a.iter().zip(b) {
+        s += x * y;
     }
-    let bk = backend::active();
-    let ptr = SendPtr(t.data.as_mut_ptr());
-    let min_segs = min_segments_for(lens.len(), 4 * total);
-    pool::for_each_chunk(lens.len(), min_segs, move |srange| {
-        for s in srange {
-            if lens[s] > 0 {
-                // SAFETY: chunks of distinct segments never overlap.
-                let row =
-                    unsafe { std::slice::from_raw_parts_mut(ptr.get().add(offsets[s]), lens[s]) };
-                softmax_in_place_bk(bk, row);
-            }
-        }
-    });
-    t
+    s
 }
 
-/// Per-segment attention application: output row `s` is
-/// `Σ_k α[off_s + k] · feats[segs[s].start + k, :]` — the batched
-/// decoder's context vectors, a block-diagonal stack of the sequential
-/// path's `[1, L_s] × [L_s, C]` products. `alphas` holds the segments'
-/// weights concatenated in order. The accumulation is exactly [`matmul`]'s
-/// (ascending `k`, zero weights skipped), so each output row is
-/// bit-identical to the member's own product; parallel over segment ranges
-/// (one output row per segment).
-pub fn segmented_attn_context(alphas: &Tensor, feats: &Tensor, segs: &[Range<usize>]) -> Tensor {
-    let c = feats.cols;
-    let offsets = segment_offsets(segs, feats.rows);
+/// `acc += alpha·x` under `bk`: one step of [`matmul`]'s ascending-`k`
+/// accumulation (the scalar path skips a zero `alpha`, the AVX2 path
+/// fuses every step).
+fn row_axpy(bk: backend::Backend, alpha: f32, x: &[f32], acc: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if bk == backend::Backend::Avx2Fma {
+        // SAFETY: `Avx2Fma` is only active after runtime detection.
+        unsafe { backend::axpy(alpha, x, acc) };
+        return;
+    }
+    let _ = bk;
+    if alpha == 0.0 {
+        return;
+    }
+    for (o, &xv) in acc.iter_mut().zip(x) {
+        *o += alpha * xv;
+    }
+}
+
+/// Additive attention (Eq. 14) for every query at once: with
+/// `seg = segs[s]`, output row `s` is
+/// `softmax(v · tanh(hk[seg] + gq[s])ᵀ) · keys[seg]` — the batched
+/// decoder's context vectors, one launch for the whole micro-batch. `hk` is
+/// `keys` projected by `W_h`, `gq` one projected query per segment, `v` the
+/// `[1, d]` scoring vector. Per segment: `hk` rows plus the query into a
+/// scratch `[L, d]` block, one `tanh` over it, the scores as [`matmul_nt`]'s
+/// dots, [`softmax_rows`]'s chain on the `[1, L]` row, then [`matmul`]'s
+/// ascending-key accumulation — so each row is bit-identical to the
+/// segment's own composed route on either backend. Segments may skip or
+/// share rows (the decoder's retired members); an empty one gives a zero
+/// row. Parallel over segment ranges (one output row per segment).
+pub fn segmented_additive_attention(
+    hk: &Tensor,
+    gq: &Tensor,
+    v: &Tensor,
+    keys: &Tensor,
+    segs: &[Range<usize>],
+) -> Tensor {
+    let (n, d) = hk.shape();
+    let c = keys.cols;
+    assert_eq!(keys.rows, n, "segmented_additive_attention: keys rows");
     assert_eq!(
-        alphas.len(),
-        offsets[segs.len()],
-        "segmented_attn_context: weight count must match segment rows"
+        gq.shape(),
+        (segs.len(), d),
+        "segmented_additive_attention: gq must be [S,d]"
     );
+    assert_eq!(
+        v.shape(),
+        (1, d),
+        "segmented_additive_attention: v must be [1,d]"
+    );
+    let covered = segment_offsets(segs, n)[segs.len()];
     let bk = backend::active();
     let mut out = Tensor::zeros(segs.len(), c);
     let min_rows = (MIN_MATMUL_WORK * segs.len())
-        .checked_div(alphas.len() * c)
+        .checked_div(covered * (2 * d + c))
         .map_or(usize::MAX, |m| m.max(1));
+    let longest = segs.iter().map(|seg| seg.len()).max().unwrap_or(0);
     par_row_chunks(&mut out.data, c, segs.len(), min_rows, |srange, dst| {
+        let (mut t, mut scores) = (Vec::with_capacity(longest * d), Vec::with_capacity(longest));
         for (ri, s) in srange.enumerate() {
+            let seg = segs[s].clone();
+            if seg.is_empty() {
+                continue;
+            }
+            let q = &gq.data[s * d..(s + 1) * d];
+            t.clear();
+            for row in hk.data[seg.start * d..seg.end * d].chunks_exact(d) {
+                t.extend(row.iter().zip(q).map(|(&x, &y)| x + y));
+            }
+            tanhf::tanh_slice(bk, &mut t);
+            scores.clear();
+            scores.extend(t.chunks_exact(d).map(|row| row_dot(bk, &v.data, row)));
+            softmax_in_place_bk(bk, &mut scores);
             let orow = &mut dst[ri * c..(ri + 1) * c];
-            for (ak, i) in (offsets[s]..).zip(segs[s].clone()) {
-                let av = alphas.data[ak];
-                let frow = &feats.data[i * c..(i + 1) * c];
-                #[cfg(target_arch = "x86_64")]
-                if bk == backend::Backend::Avx2Fma {
-                    // SAFETY: `Avx2Fma` is only active after detection.
-                    unsafe { backend::axpy(av, frow, orow) };
-                    continue;
-                }
-                if av == 0.0 {
-                    continue;
-                }
-                for (o, &fv) in orow.iter_mut().zip(frow) {
-                    *o += av * fv;
-                }
+            for (&alpha, i) in scores.iter().zip(seg) {
+                row_axpy(bk, alpha, &keys.data[i * c..(i + 1) * c], orow);
             }
         }
     });
     out
 }
-
-// ----- segmented encoder-fusion ops ------------------------------------------
-//
-// The batched GPS-Former encoder stacks every batch member's per-point rows
-// into one matrix per block so each Linear projection runs as a single
-// `[ΣL, d]` matmul. What cannot be naively stacked is anything whose
-// *reduction scope* is per member or per sub-graph: self-attention rows,
-// graph readout means, and — crucially — GraphNorm's batch statistics
-// (PAPER.md Eq. 10–13), which at serving time must cover exactly one
-// request's sub-graphs or batching would change results. These kernels run
-// those member-scoped reductions over the whole stack in one launch, each
-// segment computed with exactly the per-member op sequence's accumulation
-// order, so the stacked result is bit-identical to B separate calls.
 
 /// Per-segment column means: output row `s` is [`mean_rows`] of
 /// `a[segs[s], :]` — the batched encoder's graph readout (Eq. 13) and
@@ -1634,6 +1590,22 @@ pub fn segmented_norm_apply(
     out
 }
 
+/// GraphNorm (Eq. 8–9) with per-scope statistics:
+/// [`segmented_norm_stats`] over `scopes` of `graph_segs`, then
+/// [`segmented_norm_apply`] with `row_to_scope` naming each row's scope.
+pub fn segmented_norm(
+    x: &Tensor,
+    gamma: &Tensor,
+    beta: &Tensor,
+    graph_segs: &[Range<usize>],
+    scopes: &[Range<usize>],
+    row_to_scope: &[usize],
+    eps: f32,
+) -> Tensor {
+    let (mu, inv_std) = segmented_norm_stats(x, graph_segs, scopes, eps);
+    segmented_norm_apply(x, &mu, &inv_std, row_to_scope, gamma, beta)
+}
+
 /// Per-segment scaled dot-product self-attention: for every row `i` of
 /// segment `s`, output row `i` is `softmax(scale · q_i · K_sᵀ) · V_s` with
 /// keys/values restricted to the segment's own rows — the batched
@@ -1680,18 +1652,7 @@ pub fn segmented_self_attention(
                 // Scores row (matmul_nt + scale): ascending-feature dots.
                 let qrow = &q.data[i * c..(i + 1) * c];
                 for (slot, j) in scores.iter_mut().zip(seg.clone()) {
-                    let krow = &k.data[j * c..(j + 1) * c];
-                    #[cfg(target_arch = "x86_64")]
-                    if bk == backend::Backend::Avx2Fma {
-                        // SAFETY: `Avx2Fma` is only active after detection.
-                        *slot = unsafe { backend::dot(qrow, krow) } * scale;
-                        continue;
-                    }
-                    let mut dot = 0.0f32;
-                    for kk in 0..c {
-                        dot += qrow[kk] * krow[kk];
-                    }
-                    *slot = dot * scale;
+                    *slot = row_dot(bk, qrow, &k.data[j * c..(j + 1) * c]) * scale;
                 }
                 softmax_in_place_bk(bk, &mut scores);
                 // Context row (matmul's accumulation under the same
@@ -1701,19 +1662,7 @@ pub fn segmented_self_attention(
                 // segments never overlap across chunks.
                 let orow = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(i * c), c) };
                 for (&alpha, j) in scores.iter().zip(seg.clone()) {
-                    let vrow = &v.data[j * c..(j + 1) * c];
-                    #[cfg(target_arch = "x86_64")]
-                    if bk == backend::Backend::Avx2Fma {
-                        // SAFETY: `Avx2Fma` is only active after detection.
-                        unsafe { backend::axpy(alpha, vrow, orow) };
-                        continue;
-                    }
-                    if alpha == 0.0 {
-                        continue;
-                    }
-                    for (o, &fv) in orow.iter_mut().zip(vrow) {
-                        *o += alpha * fv;
-                    }
+                    row_axpy(bk, alpha, &v.data[j * c..(j + 1) * c], orow);
                 }
             }
         }
@@ -2052,40 +2001,34 @@ mod tests {
     }
 
     #[test]
-    fn segmented_ops_match_per_member_route() {
-        // Three ragged members (lengths 4, 0, 7) over a shared stack.
-        let m = t(11, 8, 34);
-        let v = t(3, 8, 35);
-        let segs = [0usize..4, 4..4, 4..11];
-        let before = pool::num_threads();
+    fn segmented_additive_attention_matches_per_member_route() {
+        // Four ragged members over a shared stack: lengths 4, 0, 1 and 5,
+        // with key row 5 belonging to none (a retired member's).
+        let keys = t(11, 8, 34);
+        let hk = t(11, 6, 35);
+        let gq = t(4, 6, 36);
+        let v = t(1, 6, 37);
+        let segs = [0usize..4, 4..4, 4..5, 6..11];
 
-        // Per-member reference: add_rowvec + softmax_rows + matmul.
-        let mut pre_want = Vec::new();
-        let mut alpha_want = Vec::new();
-        let mut ctx_want = Vec::new();
+        // Per-member reference: add_rowvec → tanh → matmul_nt →
+        // softmax_rows → matmul.
+        let mut want = Vec::new();
         for (s, seg) in segs.iter().enumerate() {
-            let rows = select_rows(&m, seg.start, seg.len());
-            let vrow = select_rows(&v, s, 1);
-            let pre = add_rowvec(&rows, &vrow);
-            pre_want.extend_from_slice(&pre.data);
-            // Scores row for the softmax/context checks: first column.
-            let scores: Vec<f32> = (0..seg.len()).map(|i| pre.data[i * 8]).collect();
-            let sm = softmax_rows(&Tensor::row(scores.clone()));
-            alpha_want.extend_from_slice(&sm.data);
-            let ctx = matmul(&sm, &rows);
-            ctx_want.extend_from_slice(&ctx.data);
+            let pre = add_rowvec(
+                &select_rows(&hk, seg.start, seg.len()),
+                &select_rows(&gq, s, 1),
+            );
+            let alphas = softmax_rows(&matmul_nt(&v, &tanh(&pre)));
+            want.extend_from_slice(
+                &matmul(&alphas, &select_rows(&keys, seg.start, seg.len())).data,
+            );
         }
 
+        let before = pool::num_threads();
         for threads in [1, 2, 4] {
             pool::set_num_threads(threads);
-            let pre = segments_add_rowvec(&m, &v, &segs);
-            assert_eq!(pre.data, pre_want, "segments_add_rowvec t={threads}");
-            let lens: Vec<usize> = segs.iter().map(|s| s.len()).collect();
-            let scores = Tensor::row((0..pre.rows).map(|i| pre.data[i * 8]).collect::<Vec<_>>());
-            let alphas = softmax_segments(&scores, &lens);
-            assert_eq!(alphas.data, alpha_want, "softmax_segments t={threads}");
-            let ctx = segmented_attn_context(&alphas, &m, &segs);
-            assert_eq!(ctx.data, ctx_want, "segmented_attn_context t={threads}");
+            let got = segmented_additive_attention(&hk, &gq, &v, &keys, &segs);
+            assert_eq!(got.data, want, "segmented_additive_attention t={threads}");
         }
         pool::set_num_threads(before);
     }

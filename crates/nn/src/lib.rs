@@ -26,8 +26,9 @@
 //!   [`Eager`] evaluates at once and keeps nothing (`H = Cow<Tensor>`,
 //!   parameters and inputs borrowed — serving). Reductions whose scope is
 //!   a member or a sub-graph of a stacked batch are executor ops too
-//!   (`segmented_*`, `gated_fusion`): a fused kernel on `Eager`, the
-//!   per-segment chain of differentiable primitives on `Tape`.
+//!   (`segmented_*`, `gated_fusion`). Each `segmented_*` op is one fused
+//!   kernel on both executors; `Tape` records it as one node with its own
+//!   analytic backward, and composes only the Eq. 7 gate.
 //! * [`pool`] — a small dependency-free persistent thread pool (`rayon` is
 //!   unavailable here) with a scoped chunked-range API; the intra-op
 //!   thread count is a process-wide knob (`NN_THREADS` env /
@@ -37,11 +38,12 @@
 //!   the tape in reverse, accumulating gradients. No closures, no RefCell
 //!   gymnastics — ops are a plain enum, so the whole engine is easy to
 //!   audit and test. The ops it shares with `Eager` exist once, as its
-//!   `Exec` impl; only training-only ops (`sub`, `matmul_nt`,
-//!   `pick_cols`, `mean_all`, …) are inherent methods. The backward runs
-//!   on the forward's kernels: a product's adjoints are `kernels::matmul_nt`
-//!   and `kernels::matmul` over a transposed copy, and a slice's adjoint
-//!   adds into its parent's gradient in place.
+//!   `Exec` impl; only the training-only ops (`sub`, `matmul_nt`,
+//!   `log_softmax_rows`, `mean_all`, `pick_cols`) are inherent methods.
+//!   The backward runs on the forward's kernels: a product's adjoints are
+//!   `kernels::matmul` over a transposed copy, a scoped reduction's
+//!   adjoint recomputes its softmax, `tanh` or statistics on the kernels,
+//!   and a slice's adjoint adds into its parent's gradient in place.
 //! * [`ParamStore`] / [`ParamId`] — learnable parameters live outside the
 //!   tape; `Exec::param` imports them as leaves, `Tape::backward` routes
 //!   leaf gradients back into the store, and [`Adam`] / [`Sgd`] update them.

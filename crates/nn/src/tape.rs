@@ -8,15 +8,22 @@
 //! The ops the tape shares with [`crate::Eager`] exist once, as the
 //! [`Exec`] impl at the end of this file; code that holds a concrete
 //! `Tape` calls them through the trait like generic layer code does. The
-//! inherent methods are the ops only training records (`sub`,
-//! `matmul_nt`, `pick_cols`, `mean_all`, `log_softmax_rows`, …).
+//! five inherent methods are the ops only training records: `sub`,
+//! `matmul_nt`, `log_softmax_rows`, `mean_all` and `pick_cols`.
 //!
-//! The backward runs on the same kernels as the forward: a product's two
-//! adjoints are [`kernels::matmul_nt`] and [`kernels::matmul`] (the `dB`
-//! side over a transposed copy, which keeps each element one chain in
-//! ascending `k` and uses the register-tiled kernel), and the slicing
-//! adjoints (`SelectRows`, `SelectCols`, `PickCols`) add into their
-//! parent's gradient in place rather than through a parent-sized buffer.
+//! Each scoped reduction (`segmented_self_attention`,
+//! `segmented_additive_attention`, `segmented_mean_rows`,
+//! `segmented_weighted_mean_rows`, `segmented_norm`) is one node over the
+//! fused kernel `Eager` runs. Its backward is the op's own O(rows) adjoint
+//! (the free functions above the `Exec` impl), which recomputes what it
+//! needs — α, `tanh`, the GraphNorm statistics — on the same kernels.
+//!
+//! The backward runs on the same kernels as the forward: a product's
+//! adjoints are [`kernels::matmul`], over a transposed copy of the operand
+//! that needs it (each element stays one chain in ascending `k`, on the
+//! register-tiled kernel), and the slicing adjoints (`SelectRows`,
+//! `SelectCols`, `PickCols`) add into their parent's gradient in place
+//! rather than through a parent-sized buffer.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -25,6 +32,9 @@ use crate::{kernels, Exec, GraphCsr, ParamId, ParamStore, Tensor};
 
 /// Index of a node on the tape.
 pub type NodeId = usize;
+
+/// The row ranges a scoped op reduces over, kept for its backward.
+type Segs = Arc<[Range<usize>]>;
 
 /// The operation that produced a node. Parents are tape indices, which are
 /// always smaller than the node's own index (the tape is a DAG by
@@ -47,8 +57,6 @@ pub enum Op {
     AddConst(NodeId, f32),
     /// `[R,C] + [1,C]` broadcast over rows.
     AddRowVec(NodeId, NodeId),
-    /// `[R,C] ⊙ [1,C]` broadcast over rows.
-    MulRowVec(NodeId, NodeId),
     /// `[R,C] ⊙ [R,1]` broadcast over columns.
     MulColVec(NodeId, NodeId),
     /// `[R,K] × [K,C]`.
@@ -59,12 +67,6 @@ pub enum Op {
     Tanh(NodeId),
     Relu(NodeId),
     LeakyRelu(NodeId, f32),
-    /// Element-wise square root (inputs must be positive).
-    Sqrt(NodeId),
-    /// Element-wise reciprocal.
-    Recip(NodeId),
-    /// Row-wise softmax.
-    SoftmaxRows(NodeId),
     /// Row-wise log-softmax (stable).
     LogSoftmaxRows(NodeId),
     /// Fused per-row layer norm `y = γ ⊙ (x − μ)/σ + β`:
@@ -78,12 +80,6 @@ pub enum Op {
     ConcatRows(Vec<NodeId>),
     /// Rows `[start, start+len)`.
     SelectRows(NodeId, usize, usize),
-    /// Column means → `[1,C]`.
-    MeanRows(NodeId),
-    /// Weighted column means with fixed (non-learned) weights, normalised
-    /// internally → `[1,C]`. This is the paper's weighted mean pooling
-    /// (Eq. 6) and graph readout (Eq. 8).
-    WeightedMeanRows(NodeId, Arc<Vec<f32>>),
     /// Mean of all entries → `[1,1]`.
     MeanAll(NodeId),
     /// Row gather: `table[indices[i], :]` → `[n, C]` (embedding lookup).
@@ -98,6 +94,20 @@ pub enum Op {
     SegmentedSoftmax(NodeId, Arc<GraphCsr>),
     /// `out[i] = Σ_{e ∈ seg(i)} α[e] · feats[j_e]` (attention aggregation).
     NeighborSum(NodeId, NodeId, Arc<GraphCsr>),
+    /// Scaled dot-product self-attention within each segment's own rows:
+    /// `(q, k, v, segs, scale)`.
+    SegmentedSelfAttention(NodeId, NodeId, NodeId, Segs, f32),
+    /// Additive attention (Eq. 14) of query row `s` over key rows
+    /// `segs[s]`: `(hk, gq, v, keys, segs)`.
+    SegmentedAdditiveAttention(NodeId, NodeId, NodeId, NodeId, Segs),
+    /// Row `s` = `Σ_{i ∈ segs[s]} w_i · a[i, :]` with fixed per-row weights
+    /// `w` (in segment order): column means (`w = 1/len`, `mean_rows` and
+    /// `segmented_mean_rows`) and the paper's weighted mean pooling and
+    /// graph readout (Eq. 6 / Eq. 8, `w` normalised per segment).
+    Pool(NodeId, Arc<Vec<f32>>, Segs),
+    /// GraphNorm (Eq. 8–9) with statistics scoped to groups of graphs:
+    /// `(x, gamma, beta, graph_segs, scopes, eps)`.
+    SegmentedNorm(NodeId, NodeId, NodeId, Segs, Segs, f32),
 }
 
 #[derive(Debug)]
@@ -157,44 +167,15 @@ impl Tape {
         self.push(t, Op::Sub(a, b))
     }
 
-    /// `[R,C] ⊙ [1,C]` broadcast over rows.
-    pub fn mul_rowvec(&mut self, m: NodeId, v: NodeId) -> NodeId {
-        let t = kernels::mul_rowvec(self.val(m), self.val(v));
-        self.push(t, Op::MulRowVec(m, v))
-    }
-
     /// `a × bᵀ` without materialising the transpose.
     pub fn matmul_nt(&mut self, a: NodeId, b: NodeId) -> NodeId {
         let t = kernels::matmul_nt(self.val(a), self.val(b));
         self.push(t, Op::MatMulNT(a, b))
     }
 
-    pub fn sqrt(&mut self, a: NodeId) -> NodeId {
-        let t = kernels::sqrt(self.val(a));
-        self.push(t, Op::Sqrt(a))
-    }
-
-    pub fn recip(&mut self, a: NodeId) -> NodeId {
-        let t = kernels::recip(self.val(a));
-        self.push(t, Op::Recip(a))
-    }
-
-    pub fn softmax_rows(&mut self, a: NodeId) -> NodeId {
-        let t = kernels::softmax_rows(self.val(a));
-        self.push(t, Op::SoftmaxRows(a))
-    }
-
     pub fn log_softmax_rows(&mut self, a: NodeId) -> NodeId {
         let t = kernels::log_softmax_rows(self.val(a));
         self.push(t, Op::LogSoftmaxRows(a))
-    }
-
-    /// Weighted mean over rows with fixed positive weights (normalised
-    /// internally).
-    pub fn weighted_mean_rows(&mut self, a: NodeId, weights: &[f32]) -> NodeId {
-        let norm = kernels::normalized_weights(self.val(a).rows, weights);
-        let t = kernels::weighted_mean_rows(self.val(a), &norm);
-        self.push(t, Op::WeightedMeanRows(a, Arc::new(norm)))
     }
 
     pub fn mean_all(&mut self, a: NodeId) -> NodeId {
@@ -287,22 +268,6 @@ impl Tape {
                     }
                     self.acc(v, &gv);
                 }
-                Op::MulRowVec(m, v) => {
-                    let cols = self.nodes[v].value.cols;
-                    let rows = g.len() / cols;
-                    let vm = &self.nodes[m].value;
-                    let vv = &self.nodes[v].value;
-                    let mut gm = vec![0.0f32; g.len()];
-                    let mut gv = vec![0.0f32; cols];
-                    for r in 0..rows {
-                        for c in 0..cols {
-                            gm[r * cols + c] = g[r * cols + c] * vv.data[c];
-                            gv[c] += g[r * cols + c] * vm.data[r * cols + c];
-                        }
-                    }
-                    self.acc(m, &gm);
-                    self.acc(v, &gv);
-                }
                 Op::MulColVec(m, v) => {
                     let rows = self.nodes[v].value.rows;
                     let cols = g.len() / rows;
@@ -323,7 +288,7 @@ impl Tape {
                     let (ta, tb) = (&self.nodes[a].value, &self.nodes[b].value);
                     let gt = Tensor::from_vec(ta.rows, tb.cols, g.clone());
                     // dA = dC · Bᵀ ; dB = Aᵀ · dC
-                    let ga = kernels::matmul_nt(&gt, tb);
+                    let ga = kernels::matmul(&gt, &transposed(tb));
                     let gb = kernels::matmul(&transposed(ta), &gt);
                     self.acc(a, &ga.data);
                     self.acc(b, &gb.data);
@@ -371,38 +336,6 @@ impl Tape {
                         .zip(&x.data)
                         .map(|(gx, &xx)| if xx > 0.0 { *gx } else { gx * slope })
                         .collect();
-                    self.acc(a, &ga);
-                }
-                Op::Sqrt(a) => {
-                    let y = &self.nodes[i].value;
-                    let ga: Vec<f32> = g
-                        .iter()
-                        .zip(&y.data)
-                        .map(|(gx, &yy)| if yy > 0.0 { gx * 0.5 / yy } else { 0.0 })
-                        .collect();
-                    self.acc(a, &ga);
-                }
-                Op::Recip(a) => {
-                    let y = &self.nodes[i].value;
-                    let ga: Vec<f32> = g
-                        .iter()
-                        .zip(&y.data)
-                        .map(|(gx, &yy)| -gx * yy * yy)
-                        .collect();
-                    self.acc(a, &ga);
-                }
-                Op::SoftmaxRows(a) => {
-                    let y = &self.nodes[i].value;
-                    let cols = y.cols;
-                    let mut ga = vec![0.0f32; g.len()];
-                    for r in 0..y.rows {
-                        let yr = &y.data[r * cols..(r + 1) * cols];
-                        let gr = &g[r * cols..(r + 1) * cols];
-                        let dot: f32 = yr.iter().zip(gr).map(|(y, g)| y * g).sum();
-                        for c in 0..cols {
-                            ga[r * cols + c] = yr[c] * (gr[c] - dot);
-                        }
-                    }
                     self.acc(a, &ga);
                 }
                 Op::LogSoftmaxRows(a) => {
@@ -491,27 +424,6 @@ impl Tape {
                     let cols = self.nodes[a].value.cols;
                     self.acc_at(a, start * cols.., &g);
                 }
-                Op::MeanRows(a) => {
-                    let ta = &self.nodes[a].value;
-                    let inv = 1.0 / ta.rows as f32;
-                    let mut ga = vec![0.0f32; ta.len()];
-                    for r in 0..ta.rows {
-                        for c in 0..ta.cols {
-                            ga[r * ta.cols + c] = g[c] * inv;
-                        }
-                    }
-                    self.acc(a, &ga);
-                }
-                Op::WeightedMeanRows(a, w) => {
-                    let ta = &self.nodes[a].value;
-                    let mut ga = vec![0.0f32; ta.len()];
-                    for r in 0..ta.rows {
-                        for c in 0..ta.cols {
-                            ga[r * ta.cols + c] = g[c] * w[r];
-                        }
-                    }
-                    self.acc(a, &ga);
-                }
                 Op::MeanAll(a) => {
                     let ta = &self.nodes[a].value;
                     let v = g[0] / ta.len() as f32;
@@ -548,14 +460,11 @@ impl Tape {
                     self.acc(dst, &gd);
                 }
                 Op::SegmentedSoftmax(scores, csr) => {
-                    let y = &self.nodes[i].value;
-                    let mut ga = vec![0.0f32; y.len()];
+                    let y = &self.nodes[i].value.data;
+                    let mut ga = g.clone();
                     for i2 in 0..csr.num_nodes() {
                         let seg = csr.segment(i2);
-                        let dot: f32 = seg.clone().map(|e| y.data[e] * g[e]).sum();
-                        for e in seg {
-                            ga[e] = y.data[e] * (g[e] - dot);
-                        }
+                        softmax_adjoint(&y[seg.clone()], &mut ga[seg]);
                     }
                     self.acc(scores, &ga);
                 }
@@ -580,9 +489,45 @@ impl Tape {
                     self.acc(alphas, &ga);
                     self.acc(feats, &gf);
                 }
+                Op::SegmentedSelfAttention(q, k, v, segs, scale) => {
+                    let ts = [q, k, v].map(|id| self.val(id));
+                    let grads = self_attention_adjoint(ts, &segs, scale, &g);
+                    self.acc_each([q, k, v], grads);
+                }
+                Op::SegmentedAdditiveAttention(hk, gq, v, keys, segs) => {
+                    let ts = [hk, gq, v, keys].map(|id| self.val(id));
+                    let grads = additive_attention_adjoint(ts, &segs, &g);
+                    self.acc_each([hk, gq, v, keys], grads);
+                }
+                Op::Pool(a, w, segs) => {
+                    let c = self.val(a).cols;
+                    let mut ga = vec![0.0f32; self.val(a).len()];
+                    let rows = segs
+                        .iter()
+                        .enumerate()
+                        .flat_map(|(s, seg)| seg.clone().map(move |i| (s, i)));
+                    for ((s, i), wi) in rows.zip(w.iter()) {
+                        let gs = &g[s * c..(s + 1) * c];
+                        for (acc, &x) in ga[i * c..(i + 1) * c].iter_mut().zip(gs) {
+                            *acc += x * wi;
+                        }
+                    }
+                    self.acc(a, &ga);
+                }
+                Op::SegmentedNorm(x, gamma, beta, graph_segs, scopes, eps) => {
+                    let ts = [x, gamma].map(|id| self.val(id));
+                    let grads = norm_adjoint(ts, &graph_segs, &scopes, eps, &g);
+                    self.acc_each([x, gamma, beta], grads);
+                }
             }
             // Keep the gradient readable for inspection/tests.
             self.nodes[i].grad = Some(g);
+        }
+    }
+
+    fn acc_each<const N: usize>(&mut self, ids: [NodeId; N], grads: [Vec<f32>; N]) {
+        for (id, grad) in ids.into_iter().zip(grads) {
+            self.acc(id, &grad);
         }
     }
 
@@ -628,11 +573,146 @@ fn transposed(t: &Tensor) -> Tensor {
     out
 }
 
-/// Recording executor: each op computes its value on [`crate::kernels`] and
-/// pushes the [`Op`] its backward needs. The scoped reductions have no `Op`
-/// of their own: each is composed per segment from the differentiable ops
-/// above, and that composition is the reference the fused `Eager` kernels
-/// are pinned bit-identical to in `tests/kernel_parity.rs`.
+/// `g ← y ⊙ (g − ⟨y, g⟩)`: the adjoint of a softmax whose output is `y`,
+/// applied in place to its output gradient `g`.
+fn softmax_adjoint(y: &[f32], g: &mut [f32]) {
+    let dot: f32 = y.iter().zip(g.iter()).map(|(y, g)| y * g).sum();
+    for (gi, &yi) in g.iter_mut().zip(y) {
+        *gi = yi * (*gi - dot);
+    }
+}
+
+/// The adjoint of [`kernels::segmented_self_attention`] with respect to
+/// `[q, k, v]`. Per segment it recomputes `α = softmax(scale·Q·Kᵀ)` on the
+/// kernels, then `dV = αᵀ·dO`, `dS = scale · softmax′(α, dO·Vᵀ)`,
+/// `dQ = dS·K` and `dK = dSᵀ·Q`.
+fn self_attention_adjoint(
+    [q, k, v]: [&Tensor; 3],
+    segs: &[Range<usize>],
+    scale: f32,
+    g: &[f32],
+) -> [Vec<f32>; 3] {
+    let c = q.cols;
+    let mut grads = [q, k, v].map(|t| vec![0.0f32; t.len()]);
+    for seg in segs.iter().filter(|seg| !seg.is_empty()) {
+        let [qs, ks, vs] = [q, k, v].map(|t| kernels::select_rows(t, seg.start, seg.len()));
+        let alphas = kernels::softmax_rows(&kernels::scale(&kernels::matmul_nt(&qs, &ks), scale));
+        let go = Tensor::from_vec(seg.len(), c, g[seg.start * c..seg.end * c].to_vec());
+        let mut ds = kernels::matmul(&go, &transposed(&vs));
+        let l = seg.len();
+        for (y, gr) in alphas.data.chunks(l).zip(ds.data.chunks_mut(l)) {
+            softmax_adjoint(y, gr);
+        }
+        let ds = kernels::scale(&ds, scale);
+        let parts = [
+            kernels::matmul(&ds, &ks),
+            kernels::matmul(&transposed(&ds), &qs),
+            kernels::matmul(&transposed(&alphas), &go),
+        ];
+        for (grad, part) in grads.iter_mut().zip(parts) {
+            grad[seg.start * c..seg.end * c].copy_from_slice(&part.data);
+        }
+    }
+    grads
+}
+
+/// The adjoint of [`kernels::segmented_additive_attention`] with respect to
+/// `[hk, gq, v, keys]`. Per segment it recomputes `T = tanh(hk[seg] + gq[s])`
+/// and `α = softmax(v·Tᵀ)` on the kernels; then with `dμ = softmax′(α,
+/// dO·Kᵀ)`: `dkeys_j += α_j·dO`, `dv += Σ_j dμ_j·T_j`, and the
+/// pre-activation gradient `dμ_j·v ⊙ (1 − T_j²)` goes to `hk` row `j` and,
+/// summed over the segment, to `gq` row `s`.
+fn additive_attention_adjoint(
+    [hk, gq, v, keys]: [&Tensor; 4],
+    segs: &[Range<usize>],
+    g: &[f32],
+) -> [Vec<f32>; 4] {
+    let (d, c) = (hk.cols, keys.cols);
+    let [mut ghk, mut ggq, mut gv, mut gkeys] = [hk, gq, v, keys].map(|t| vec![0.0f32; t.len()]);
+    for (s, seg) in segs.iter().enumerate().filter(|(_, seg)| !seg.is_empty()) {
+        let (q, go) = (&gq.data[s * d..(s + 1) * d], &g[s * c..(s + 1) * c]);
+        let rows = hk.data[seg.start * d..seg.end * d].chunks(d);
+        let pre = rows.flat_map(|row| row.iter().zip(q).map(|(x, y)| x + y));
+        let mut t = Tensor::from_vec(seg.len(), d, pre.collect());
+        kernels::tanh_in_place(&mut t);
+        let alphas = kernels::softmax_rows(&kernels::matmul_nt(v, &t)).data;
+        let key = |i: usize| &keys.data[i * c..(i + 1) * c];
+        let dot = |i: usize| key(i).iter().zip(go).map(|(k, o)| k * o).sum::<f32>();
+        let mut dmu: Vec<f32> = seg.clone().map(dot).collect();
+        softmax_adjoint(&alphas, &mut dmu);
+        for (j, i) in seg.clone().enumerate() {
+            for (acc, &x) in gkeys[i * c..(i + 1) * c].iter_mut().zip(go) {
+                *acc += alphas[j] * x;
+            }
+            for (col, &tj) in t.data[j * d..(j + 1) * d].iter().enumerate() {
+                gv[col] += dmu[j] * tj;
+                let dp = dmu[j] * v.data[col] * (1.0 - tj * tj);
+                ghk[i * d + col] += dp;
+                ggq[s * d + col] += dp;
+            }
+        }
+    }
+    [ghk, ggq, gv, gkeys]
+}
+
+/// The adjoint of [`kernels::segmented_norm`] with respect to
+/// `[x, gamma, beta]`, from the scope statistics recomputed by
+/// [`kernels::segmented_norm_stats`]. Per scope and column, with
+/// `x̂ = (x − μ)·σ⁻¹`, `p = g·γ` and `N` rows: the gradient through the
+/// centred value is `dc = σ⁻¹·(p − x̂·Σ(p·x̂)/N)` (the variance term
+/// included), and as `μ` is the mean of the `G` graph means, a row of a
+/// graph with `n` rows gets `dx = dc − Σ dc/(G·n)`. `dγ = Σ g·x̂`,
+/// `dβ = Σ g`.
+fn norm_adjoint(
+    [x, gamma]: [&Tensor; 2],
+    graph_segs: &[Range<usize>],
+    scopes: &[Range<usize>],
+    eps: f32,
+    g: &[f32],
+) -> [Vec<f32>; 3] {
+    let c = x.cols;
+    let (mu, inv_std) = kernels::segmented_norm_stats(x, graph_segs, scopes, eps);
+    let mut gx = vec![0.0f32; x.len()];
+    let (mut ggamma, mut gbeta) = (vec![0.0f32; c], vec![0.0f32; c]);
+    for (m, scope) in scopes.iter().enumerate() {
+        let graphs = &graph_segs[scope.clone()];
+        let rows = || graphs.iter().flat_map(Range::clone);
+        let (mu, inv) = (&mu.data[m * c..], &inv_std.data[m * c..]);
+        let xh = |i: usize, k: usize| (x.data[i * c + k] - mu[k]) * inv[k];
+        let (mut sum_pxh, mut sum_dc) = (vec![0.0f32; c], vec![0.0f32; c]);
+        for i in rows() {
+            for k in 0..c {
+                let gi = g[i * c + k];
+                sum_pxh[k] += gi * gamma.data[k] * xh(i, k);
+                ggamma[k] += gi * xh(i, k);
+                gbeta[k] += gi;
+            }
+        }
+        let inv_n = 1.0 / rows().count() as f32;
+        for i in rows() {
+            for k in 0..c {
+                let p = g[i * c + k] * gamma.data[k];
+                let dc = inv[k] * (p - xh(i, k) * sum_pxh[k] * inv_n);
+                gx[i * c + k] = dc;
+                sum_dc[k] += dc;
+            }
+        }
+        for graph in graphs {
+            let share = 1.0 / (graphs.len() * graph.len()) as f32;
+            for i in graph.clone() {
+                for k in 0..c {
+                    gx[i * c + k] -= share * sum_dc[k];
+                }
+            }
+        }
+    }
+    [gx, ggamma, gbeta]
+}
+
+/// Recording executor: each op computes its value on [`crate::kernels`] —
+/// the same call [`crate::Eager`] makes — and pushes the [`Op`] its
+/// backward needs. A scoped reduction is one node over its fused kernel,
+/// differentiated by its own adjoint above.
 impl<'s> Exec<'s> for Tape {
     type H = NodeId;
 
@@ -702,7 +782,9 @@ impl<'s> Exec<'s> for Tape {
     }
     fn mean_rows(&mut self, a: &NodeId) -> NodeId {
         let t = kernels::mean_rows(self.val(*a));
-        self.push(t, Op::MeanRows(*a))
+        let rows = self.val(*a).rows;
+        let w = Arc::new(vec![1.0 / rows as f32; rows]);
+        self.push(t, Op::Pool(*a, w, std::iter::once(0..rows).collect()))
     }
 
     fn concat_cols(&mut self, parts: &[&NodeId]) -> NodeId {
@@ -749,19 +831,10 @@ impl<'s> Exec<'s> for Tape {
         segs: &[Range<usize>],
         scale: f32,
     ) -> NodeId {
-        let outs: Vec<NodeId> = segs
-            .iter()
-            .map(|seg| {
-                let qs = self.select_rows(q, seg.start, seg.len());
-                let ks = self.select_rows(k, seg.start, seg.len());
-                let vs = self.select_rows(v, seg.start, seg.len());
-                let scores = self.matmul_nt(qs, ks); // [L, L]
-                let scores = self.scale(&scores, scale);
-                let alphas = self.softmax_rows(scores);
-                self.matmul(&alphas, &vs)
-            })
-            .collect();
-        self.concat_rows(&outs.iter().collect::<Vec<_>>())
+        let (tq, tk, tv) = (self.val(*q), self.val(*k), self.val(*v));
+        let t = kernels::segmented_self_attention(tq, tk, tv, segs, scale);
+        let op = Op::SegmentedSelfAttention(*q, *k, *v, segs.into(), scale);
+        self.push(t, op)
     }
 
     fn segmented_additive_attention(
@@ -772,32 +845,18 @@ impl<'s> Exec<'s> for Tape {
         keys: &NodeId,
         segs: &[Range<usize>],
     ) -> NodeId {
-        let outs: Vec<NodeId> = segs
-            .iter()
-            .enumerate()
-            .map(|(s, seg)| {
-                let hks = self.select_rows(hk, seg.start, seg.len());
-                let q = self.select_rows(gq, s, 1);
-                let sum = self.add_rowvec(&hks, &q);
-                let t = self.tanh(sum); // [L, d]
-                let mu = self.matmul_nt(*v, t); // [1, L]
-                let alphas = self.softmax_rows(mu);
-                let ks = self.select_rows(keys, seg.start, seg.len());
-                self.matmul(&alphas, &ks) // [1, d]
-            })
-            .collect();
-        self.concat_rows(&outs.iter().collect::<Vec<_>>())
+        let [thk, tgq, tv, tkeys] = [hk, gq, v, keys].map(|&id| self.val(id));
+        let t = kernels::segmented_additive_attention(thk, tgq, tv, tkeys, segs);
+        let op = Op::SegmentedAdditiveAttention(*hk, *gq, *v, *keys, segs.into());
+        self.push(t, op)
     }
 
     fn segmented_mean_rows(&mut self, a: &NodeId, segs: &[Range<usize>]) -> NodeId {
-        let rows: Vec<NodeId> = segs
+        let t = kernels::segmented_mean_rows(self.val(*a), segs);
+        let w = segs
             .iter()
-            .map(|seg| {
-                let part = self.select_rows(a, seg.start, seg.len());
-                self.mean_rows(&part)
-            })
-            .collect();
-        self.concat_rows(&rows.iter().collect::<Vec<_>>())
+            .flat_map(|seg| std::iter::repeat_n(1.0 / seg.len() as f32, seg.len()));
+        self.push(t, Op::Pool(*a, Arc::new(w.collect()), segs.into()))
     }
 
     fn segmented_weighted_mean_rows(
@@ -806,21 +865,17 @@ impl<'s> Exec<'s> for Tape {
         weights: &[f32],
         segs: &[Range<usize>],
     ) -> NodeId {
+        let t = kernels::segmented_weighted_mean_rows(self.val(*a), weights, segs);
         let mut off = 0;
-        let rows: Vec<NodeId> = segs
-            .iter()
-            .map(|seg| {
-                let part = self.select_rows(a, seg.start, seg.len());
-                let w = &weights[off..off + seg.len()];
-                off += seg.len();
-                self.weighted_mean_rows(part, w)
-            })
-            .collect();
-        self.concat_rows(&rows.iter().collect::<Vec<_>>())
+        let w = segs.iter().flat_map(|seg| {
+            off += seg.len();
+            kernels::normalized_weights(seg.len(), &weights[off - seg.len()..off])
+        });
+        self.push(t, Op::Pool(*a, Arc::new(w.collect()), segs.into()))
     }
 
-    /// Statistics are differentiated exactly (composed from primitive
-    /// autograd ops), matching the training-time behaviour of batch norm.
+    /// Statistics are differentiated exactly, matching the training-time
+    /// behaviour of batch norm.
     fn segmented_norm(
         &mut self,
         x: &NodeId,
@@ -828,33 +883,13 @@ impl<'s> Exec<'s> for Tape {
         beta: &NodeId,
         graph_segs: &[Range<usize>],
         scopes: &[Range<usize>],
-        _row_to_scope: &[usize],
+        row_to_scope: &[usize],
         eps: f32,
     ) -> NodeId {
-        let outs: Vec<NodeId> = scopes
-            .iter()
-            .filter(|scope| !scope.is_empty())
-            .map(|scope| {
-                let graphs = &graph_segs[scope.clone()];
-                // Eq. (8): per-graph mean pooling, then the mean of the means.
-                let means = self.segmented_mean_rows(x, graphs);
-                let mu = self.mean_rows(&means);
-                // Eq. (9): variance of all the scope's node features around μ.
-                let (start, end) = (graphs[0].start, graphs[graphs.len() - 1].end);
-                let big = self.select_rows(x, start, end - start);
-                let neg_mu = self.scale(&mu, -1.0);
-                let centered = self.add_rowvec(&big, &neg_mu);
-                let sq = self.mul(&centered, &centered);
-                let var = self.mean_rows(&sq);
-                let var = self.add_const(&var, eps);
-                let std = self.sqrt(var);
-                let inv = self.recip(std);
-                let norm = self.mul_rowvec(centered, inv);
-                let scaled = self.mul_rowvec(norm, *gamma);
-                self.add_rowvec(&scaled, beta)
-            })
-            .collect();
-        self.concat_rows(&outs.iter().collect::<Vec<_>>())
+        let [tx, tg, tb] = [x, gamma, beta].map(|&id| self.val(id));
+        let t = kernels::segmented_norm(tx, tg, tb, graph_segs, scopes, row_to_scope, eps);
+        let op = Op::SegmentedNorm(*x, *gamma, *beta, graph_segs.into(), scopes.into(), eps);
+        self.push(t, op)
     }
 
     fn gated_fusion(

@@ -330,15 +330,29 @@ fn softmax_family_is_its_scalar_body_across_backends_and_threads() {
     let soft: Vec<f32> = xs.chunks(cols).flat_map(softmax_reference).collect();
     let log_soft: Vec<f32> = xs.chunks(cols).flat_map(log_softmax_reference).collect();
 
-    // Ragged attention chunks over one `[1, N]` row: lengths 0..=17.
-    let lens: Vec<usize> = (0..3000).map(|i| i % 18).collect();
-    let flat = Tensor::row(ordinary_inputs(lens.iter().sum()));
-    let mut ragged = Vec::new();
-    let mut at = 0;
+    // The decoder's fused additive attention over ragged segments of
+    // lengths 0..=17. With `v` one-hot on column 0 a segment's scores are
+    // `tanh` of its `hk` rows' first column, and with key row `j` of every
+    // segment one-hot on column `j` its context row is its softmax weights.
+    let (lens, d) = ((0..3000).map(|i| i % 18).collect::<Vec<usize>>(), 19);
+    let n = lens.iter().sum();
+    let hk = Tensor::from_vec(n, d, ordinary_inputs(n * d));
+    let (mut keys, mut ragged, mut segs, mut at) =
+        (Tensor::zeros(n, 18), Vec::new(), Vec::new(), 0);
     for &l in &lens {
-        ragged.extend(softmax_reference(&flat.data[at..at + l]));
+        let scores: Vec<f32> = (at..at + l)
+            .map(|i| kernels::tanhf::tanhf(hk.data[i * d]))
+            .collect();
+        let mut row = softmax_reference(&scores);
+        row.resize(18, 0.0);
+        ragged.extend(row);
+        (0..l).for_each(|j| keys.data[(at + j) * 18 + j] = 1.0);
+        segs.push(at..at + l);
         at += l;
     }
+    let mut v = Tensor::zeros(1, d);
+    v.data[0] = 1.0;
+    let gq = Tensor::zeros(lens.len(), d);
 
     // GAT edge segments: isolated nodes (no self-loop), one edge, > 8.
     let lists: Vec<Vec<usize>> = (0..4000)
@@ -366,8 +380,8 @@ fn softmax_family_is_its_scalar_body_across_backends_and_threads() {
             &log_soft,
         );
         check(
-            "softmax_segments",
-            &kernels::softmax_segments(&flat, &lens),
+            "segmented_additive_attention",
+            &kernels::segmented_additive_attention(&hk, &gq, &v, &keys, &segs),
             &ragged,
         );
         check(

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rntrajrec_nn::{Exec, GraphCsr, NodeId, ParamStore, Tape, Tensor};
+use rntrajrec_nn::{kernels, Exec, GraphCsr, NodeId, ParamStore, Tape, Tensor};
 
 /// Deterministic "random" weights for reducing an output to a scalar,
 /// scaled by the element count so that `mean_all` of the weighted output
@@ -121,9 +121,6 @@ fn grad_rowvec_broadcasts() {
     check(&[t(4, 3, 10), t(1, 3, 11)], |tp, ids| {
         tp.add_rowvec(&ids[0], &ids[1])
     });
-    check(&[t(4, 3, 12), t(1, 3, 13)], |tp, ids| {
-        tp.mul_rowvec(ids[0], ids[1])
-    });
 }
 
 #[test]
@@ -183,32 +180,8 @@ fn grad_activations() {
 }
 
 #[test]
-fn grad_sqrt_recip() {
-    check(&[t_pos(2, 3, 24, 0.5, 2.0)], |tp, ids| tp.sqrt(ids[0]));
-    check(&[t_pos(2, 3, 25, 0.5, 2.0)], |tp, ids| tp.recip(ids[0]));
-}
-
-#[test]
-fn grad_softmax_rows() {
-    check(&[t(3, 5, 26)], |tp, ids| tp.softmax_rows(ids[0]));
-}
-
-#[test]
 fn grad_log_softmax_rows() {
     check(&[t(3, 5, 27)], |tp, ids| tp.log_softmax_rows(ids[0]));
-}
-
-#[test]
-fn softmax_rows_sum_to_one() {
-    let mut tp = Tape::new();
-    let x = tp.constant(t(4, 7, 28));
-    let y = tp.softmax_rows(x);
-    let v = tp.value(&y);
-    for r in 0..4 {
-        let s: f32 = v.row_slice(r).iter().sum();
-        assert!((s - 1.0).abs() < 1e-5);
-        assert!(v.row_slice(r).iter().all(|&p| p >= 0.0));
-    }
 }
 
 #[test]
@@ -216,9 +189,8 @@ fn log_softmax_matches_softmax_log() {
     let mut tp = Tape::new();
     let x = tp.constant(t(3, 6, 29));
     let ls = tp.log_softmax_rows(x);
-    let sm = tp.softmax_rows(x);
     let v_ls = tp.value(&ls).clone();
-    let v_sm = tp.value(&sm).clone();
+    let v_sm = kernels::softmax_rows(tp.value(&x));
     for (a, b) in v_ls.data.iter().zip(&v_sm.data) {
         assert!((a.exp() - b).abs() < 1e-5);
     }
@@ -243,9 +215,6 @@ fn grad_concat_select_rows() {
 #[test]
 fn grad_reductions() {
     check(&[t(4, 3, 37)], |tp, ids| tp.mean_rows(&ids[0]));
-    check(&[t(4, 3, 38)], |tp, ids| {
-        tp.weighted_mean_rows(ids[0], &[0.5, 1.0, 2.0, 0.1])
-    });
     check(&[t(3, 3, 39)], |tp, ids| tp.mean_all(ids[0]));
 }
 
@@ -365,33 +334,6 @@ fn grad_composite_gat_like_block() {
 }
 
 #[test]
-fn grad_layer_norm_composite() {
-    // LayerNorm composed from primitives must differentiate exactly:
-    // y = (x - mean) / sqrt(var + eps).
-    check(&[t(1, 6, 53)], |tp, ids| {
-        let x = ids[0];
-        let mu = tp.mean_rows(&x); // [1,6] row is itself; mean over rows is identity here
-                                   // For a [1,C] row, mean over *columns*: transpose trick via matmul
-                                   // with a column of ones is overkill — use mean_all.
-        let m = tp.mean_all(x); // [1,1]
-                                // broadcast subtract via add_rowvec of -m (cols must match):
-        let neg = tp.scale(&m, -1.0);
-        // expand scalar to [1,C]: use matmul [1,1]x[1,C] of ones
-        let ones = tp.constant(Tensor::full(1, 6, 1.0));
-        let negrow = tp.matmul(&neg, &ones); // [1,6] all -m
-        let centered = tp.add(&x, &negrow);
-        let sq = tp.mul(&centered, &centered);
-        let var = tp.mean_all(sq);
-        let var_eps = tp.add_const(&var, 1e-3);
-        let std = tp.sqrt(var_eps);
-        let inv = tp.recip(std); // [1,1]
-        let invrow = tp.matmul(&inv, &ones); // [1,6]
-        let _ = mu;
-        tp.mul(&centered, &invrow)
-    });
-}
-
-#[test]
 fn grad_layer_norm_fused() {
     // The fused op's own backward (x, gamma, and beta all receive exact
     // analytic gradients).
@@ -403,8 +345,8 @@ fn grad_layer_norm_fused() {
 
 #[test]
 fn fused_layer_norm_forward_matches_composite() {
-    // Same normalisation as grad_layer_norm_composite's composed graph,
-    // with unit gain and zero shift: values must agree.
+    // Unit gain and zero shift: the values are the plain per-row
+    // normalisation.
     let x = t(1, 6, 53);
     let mut tp = Tape::new();
     let xid = tp.constant(x.clone());
@@ -442,4 +384,67 @@ fn unused_inputs_get_no_gradient() {
     tp.backward(loss, &mut store);
     assert!(tp.grad(used).is_some());
     assert!(tp.grad(unused).is_none());
+}
+
+// ----- scoped reductions: one node each, over ragged segments ---------------
+
+/// Ragged segments tiling 7 rows, one of them a single row.
+const SEGS: [std::ops::Range<usize>; 3] = [0..3, 3..4, 4..7];
+
+#[test]
+fn grad_segmented_self_attention() {
+    check(&[t(7, 3, 70), t(7, 3, 71), t(7, 3, 72)], |tp, ids| {
+        tp.segmented_self_attention(&ids[0], &ids[1], &ids[2], &SEGS, 0.6)
+    });
+}
+
+#[test]
+fn grad_segmented_additive_attention() {
+    // Key rows 3 and 5 belong to no query (retired members); one query
+    // attends one row and one none.
+    let segs = [0..3, 4..5, 5..5, 6..8];
+    check(
+        &[t(8, 3, 73), t(4, 3, 74), t(1, 3, 75), t(8, 4, 76)],
+        move |tp, ids| tp.segmented_additive_attention(&ids[0], &ids[1], &ids[2], &ids[3], &segs),
+    );
+}
+
+#[test]
+fn grad_segmented_pooling() {
+    check(&[t(7, 3, 77)], |tp, ids| {
+        tp.segmented_mean_rows(&ids[0], &SEGS)
+    });
+    let weights = [0.5, 1.0, 2.0, 0.7, 0.1, 1.3, 0.4];
+    check(&[t(7, 3, 78)], move |tp, ids| {
+        tp.segmented_weighted_mean_rows(&ids[0], &weights, &SEGS)
+    });
+}
+
+#[test]
+fn grad_segmented_norm() {
+    // Four graphs (one a single row) normalised in two scopes, then in one
+    // scope over the whole batch as training does.
+    let graphs = [0..2, 2..3, 3..5, 5..7];
+    let split: (&[_], &[_]) = (&[0..2, 2..4], &[0, 0, 0, 1, 1, 1, 1]);
+    let all = 0..4;
+    let whole: (&[_], &[_]) = (std::slice::from_ref(&all), &[0; 7]);
+    for (i, (scopes, row_to_scope)) in [split, whole].into_iter().enumerate() {
+        let graphs = graphs.clone();
+        let inputs = [
+            t(7, 3, 79 + i as u64),
+            t_pos(1, 3, 81, 0.5, 1.5),
+            t(1, 3, 82),
+        ];
+        check(&inputs, move |tp, ids| {
+            tp.segmented_norm(
+                &ids[0],
+                &ids[1],
+                &ids[2],
+                &graphs,
+                scopes,
+                row_to_scope,
+                1e-5,
+            )
+        });
+    }
 }

@@ -24,15 +24,19 @@
 //!
 //! Executor conformance (`exec_ops_agree_between_tape_and_eager`): one
 //! generic function runs **every** [`Exec`] op, and the values it produces
-//! on a [`Tape`] and on [`Eager`] must agree bitwise. For the plain ops
-//! that pins that both executors call the same kernel; for the six scoped
-//! ops it is the fused-kernel-vs-composed-chain check — `Eager` runs
-//! `segmented_self_attention` / `segmented_additive_attention` /
-//! `segmented_mean_rows` / `segmented_weighted_mean_rows` /
-//! `segmented_norm_*` / `gated_fusion`, `Tape` the per-segment chain of
-//! primitive differentiable ops — over ragged segments with a one-row and
-//! an empty member (for the gate: a point owning one row and a point owning
-//! none).
+//! on a [`Tape`] and on [`Eager`] must agree bitwise — both executors call
+//! the same kernel for every op but the Eq. 7 gate, which `Tape` composes
+//! from its element-wise ops.
+//!
+//! The reference pin (`scoped_ops_match_composed_reference`): the six
+//! scoped ops' fused kernels — `segmented_self_attention`,
+//! `segmented_additive_attention` (over segments that leave key rows out),
+//! `segmented_mean_rows`, `segmented_weighted_mean_rows`, `segmented_norm`
+//! and `gated_fusion` — equal, bit for bit under each backend at 1/2/4
+//! threads, their per-segment composition from `kernels::` primitives
+//! (`composed_scoped_ops`, the route the tape recorded before each became
+//! one node), over ragged segments with a one-row and an empty member (for
+//! the gate: a point owning one row and a point owning none).
 //!
 //! Each case draws random shapes (large enough that the pool actually
 //! engages), random contents, and — for the CSR graph ops — random ragged
@@ -41,6 +45,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 use std::sync::Arc;
 
 use rntrajrec_nn::kernels::backend::{self, Backend};
@@ -262,7 +267,7 @@ proptest! {
                 let n_lrelu = tape.leaky_relu(&na, 0.2);
                 let n_arow = tape.add_rowvec(&na, &nv);
                 let n_mcol = tape.mul_colvec(&na, &ncv);
-                let n_smax = tape.softmax_rows(na);
+                let smax = kernels::softmax_rows(&a);
                 let n_lsmax = tape.log_softmax_rows(na);
                 let n_gather = tape.gather_rows(&na, &idx);
 
@@ -274,7 +279,7 @@ proptest! {
                     ("leaky_relu", tape.value(&n_lrelu), Box::new(|| kernels::leaky_relu(&a, 0.2))),
                     ("add_rowvec", tape.value(&n_arow), Box::new(|| kernels::add_rowvec(&a, &v))),
                     ("mul_colvec", tape.value(&n_mcol), Box::new(|| kernels::mul_colvec(&a, &cv))),
-                    ("softmax_rows", tape.value(&n_smax), Box::new(|| kernels::softmax_rows(&a))),
+                    ("softmax_rows", &smax, Box::new(|| kernels::softmax_rows(&a))),
                     ("log_softmax_rows", tape.value(&n_lsmax), Box::new(|| kernels::log_softmax_rows(&a))),
                     ("gather_rows", tape.value(&n_gather), Box::new(|| kernels::gather_rows(&a, &idx))),
                 ];
@@ -421,65 +426,6 @@ proptest! {
         }
     }
 
-    /// The segmented decoder-fusion kernels (stacked attention
-    /// pre-activation, per-segment softmax, per-segment context product)
-    /// ≡ the per-member `kernels` ops over random ragged segments (including
-    /// empty members), at every thread count × backend.
-    #[test]
-    fn segmented_decoder_kernels_parity(nseg in 1usize..10, d in 1usize..24, seed in 0u64..1_000_000) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let lens: Vec<usize> = (0..nseg).map(|_| rng.gen_range(0usize..12)).collect();
-        let total: usize = lens.iter().sum();
-        let mut segs = Vec::with_capacity(nseg);
-        let mut off = 0;
-        for &l in &lens {
-            segs.push(off..off + l);
-            off += l;
-        }
-        let keys = tensor(&mut rng, total, d);
-        let v = tensor(&mut rng, nseg, d);
-        let vatt = tensor(&mut rng, 1, d);
-
-        for bk in backends() {
-            backend::with_backend(bk, || {
-                pool::set_num_threads(1);
-                // Per-member reference: each member's own add_rowvec → tanh →
-                // matmul_nt → softmax_rows → matmul chain (the sequential
-                // decoder's Eq. 14), stacked for comparison.
-                let mut pre_ref = Vec::new();
-                let mut alpha_ref = Vec::new();
-                let mut ctx_ref = Vec::new();
-                for (s, seg) in segs.iter().enumerate() {
-                    let k_i = kernels::select_rows(&keys, seg.start, seg.len());
-                    let v_i = kernels::select_rows(&v, s, 1);
-                    let pre_i = kernels::add_rowvec(&k_i, &v_i);
-                    let t_i = kernels::tanh(&pre_i);
-                    let mu_i = kernels::matmul_nt(&vatt, &t_i);
-                    let al_i = kernels::softmax_rows(&mu_i);
-                    let ctx_i = kernels::matmul(&al_i, &k_i);
-                    pre_ref.extend_from_slice(&pre_i.data);
-                    alpha_ref.extend_from_slice(&al_i.data);
-                    ctx_ref.extend_from_slice(&ctx_i.data);
-                }
-                let pre_ref = Tensor::from_vec(total, d, pre_ref);
-                let alpha_ref = Tensor::from_vec(1, total, alpha_ref);
-                let ctx_ref = Tensor::from_vec(nseg, d, ctx_ref);
-
-                assert_thread_invariant("segments_add_rowvec", &pre_ref, || {
-                    kernels::segments_add_rowvec(&keys, &v, &segs)
-                });
-                let t_all = kernels::tanh(&pre_ref);
-                let mu_all = kernels::matmul_nt(&vatt, &t_all);
-                assert_thread_invariant("softmax_segments", &alpha_ref, || {
-                    kernels::softmax_segments(&mu_all, &lens)
-                });
-                assert_thread_invariant("segmented_attn_context", &ctx_ref, || {
-                    kernels::segmented_attn_context(&alpha_ref, &keys, &segs)
-                });
-            });
-        }
-    }
-
     /// CSR graph-attention ops on random ragged graphs (including isolated
     /// nodes, empty, one-edge and longer-than-a-vector segments): kernel ≡
     /// tape at every thread count, and — `exp` runs in lanes, sums and
@@ -579,11 +525,14 @@ struct ExecInputs {
     idx: Vec<usize>,
     csr: Arc<GraphCsr>,
     /// Tiles the `r` rows; holds a one-row and an empty member.
-    segs: Vec<std::ops::Range<usize>>,
+    segs: Vec<Range<usize>>,
+    /// `segs` with the first row of every segment longer than two left
+    /// out: key rows no query attends (the decoder's retired members).
+    attend: Vec<Range<usize>>,
     /// `segs` without the empty members (the graphs GraphNorm pools).
-    graphs: Vec<std::ops::Range<usize>>,
+    graphs: Vec<Range<usize>>,
     /// Groups of `graphs`, one of them empty.
-    scopes: Vec<std::ops::Range<usize>>,
+    scopes: Vec<Range<usize>>,
     row_to_scope: Vec<usize>,
     weights: Vec<f32>,
     /// The gate's per-point operands, one row per member of `segs`.
@@ -608,6 +557,16 @@ impl ExecInputs {
             r += l;
         }
         let graphs: Vec<_> = segs.iter().filter(|s| !s.is_empty()).cloned().collect();
+        let attend = segs
+            .iter()
+            .map(|s| {
+                if s.len() > 2 {
+                    s.start + 1..s.end
+                } else {
+                    s.clone()
+                }
+            })
+            .collect();
         // Scopes: a random split of the graphs, then an empty scope, then
         // the rest.
         let cut = rng.gen_range(1..graphs.len());
@@ -638,6 +597,7 @@ impl ExecInputs {
             idx: (0..2 * r).map(|_| rng.gen_range(0..r)).collect(),
             csr: random_csr(rng, r, true),
             segs,
+            attend,
             graphs,
             scopes,
             row_to_scope,
@@ -689,7 +649,7 @@ fn run_every_exec_op<'s, E: Exec<'s>>(ex: &mut E, i: &'s ExecInputs) -> Vec<(&'s
         ),
         (
             "segmented_additive_attention",
-            ex.segmented_additive_attention(&b, &point_a, &v, &a, &i.segs),
+            ex.segmented_additive_attention(&b, &point_a, &v, &a, &i.attend),
         ),
         ("segmented_mean_rows", ex.segmented_mean_rows(&a, &i.graphs)),
         (
@@ -755,6 +715,108 @@ proptest! {
     }
 }
 
+/// The six scoped ops of [`run_every_exec_op`], each composed per segment
+/// from `kernels::` primitives: the route `Tape` recorded before each
+/// became one node, kept as the reference the fused kernels are pinned to.
+fn composed_scoped_ops(i: &ExecInputs) -> Vec<(&'static str, Tensor)> {
+    let (a, b, v) = (&i.a, &i.b, &i.v);
+    let sum = kernels::add(a, b);
+    let rows = |t: &Tensor, seg: &Range<usize>| kernels::select_rows(t, seg.start, seg.len());
+    let stack = |parts: Vec<Tensor>| kernels::concat_rows(&parts.iter().collect::<Vec<_>>());
+    let scale = 1.0 / (a.cols as f32).sqrt();
+    let self_attention = i.segs.iter().map(|seg| {
+        let scores = kernels::scale(&kernels::matmul_nt(&rows(a, seg), &rows(b, seg)), scale);
+        kernels::matmul(&kernels::softmax_rows(&scores), &rows(&sum, seg))
+    });
+    let additive_attention = i.attend.iter().enumerate().map(|(s, seg)| {
+        let pre = kernels::add_rowvec(&rows(b, seg), &kernels::select_rows(&i.point_a, s, 1));
+        let scores = kernels::matmul_nt(v, &kernels::tanh(&pre));
+        kernels::matmul(&kernels::softmax_rows(&scores), &rows(a, seg))
+    });
+    let mean_rows = |segs: &[Range<usize>]| {
+        stack(
+            segs.iter()
+                .map(|g| kernels::mean_rows(&rows(a, g)))
+                .collect(),
+        )
+    };
+    let weighted_mean_rows = i.graphs.iter().map(|g| {
+        let norm = kernels::normalized_weights(g.len(), &i.weights[g.clone()]);
+        kernels::weighted_mean_rows(&rows(a, g), &norm)
+    });
+    let norm = i
+        .scopes
+        .iter()
+        .filter(|scope| !scope.is_empty())
+        .map(|scope| {
+            let graphs = &i.graphs[scope.clone()];
+            // Eq. (8): the mean of the graph means; Eq. (9): the variance of
+            // every row of the scope around it.
+            let mu = kernels::mean_rows(&mean_rows(graphs));
+            let all = rows(a, &(graphs[0].start..graphs[graphs.len() - 1].end));
+            let centered = kernels::add_rowvec(&all, &kernels::scale(&mu, -1.0));
+            let var = kernels::add_const(
+                &kernels::mean_rows(&kernels::mul(&centered, &centered)),
+                1e-5,
+            );
+            let inv = kernels::recip(&kernels::sqrt(&var));
+            let normed = kernels::mul_rowvec(&kernels::mul_rowvec(&centered, &inv), &i.gamma);
+            kernels::add_rowvec(&normed, &i.beta)
+        });
+    let gate = kernels::sigmoid(&kernels::add_rowvec(
+        &kernels::add(&kernels::gather_rows(&i.point_a, &i.row_to_point), &sum),
+        v,
+    ));
+    let take_tr = kernels::mul(&gate, &kernels::gather_rows(&i.point_tr, &i.row_to_point));
+    let keep_z = kernels::mul(&kernels::add_const(&kernels::scale(&gate, -1.0), 1.0), a);
+    vec![
+        ("segmented_self_attention", stack(self_attention.collect())),
+        (
+            "segmented_additive_attention",
+            stack(additive_attention.collect()),
+        ),
+        ("segmented_mean_rows", mean_rows(&i.graphs)),
+        (
+            "segmented_weighted_mean_rows",
+            stack(weighted_mean_rows.collect()),
+        ),
+        ("segmented_norm", stack(norm.collect())),
+        ("gated_fusion", kernels::add(&take_tr, &keep_z)),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Each scoped op's fused kernel ≡ its per-segment composition
+    /// ([`composed_scoped_ops`]), bit for bit, under each backend at every
+    /// thread count of the sweep.
+    #[test]
+    fn scoped_ops_match_composed_reference(c in 1usize..40, seed in 0u64..1_000_000) {
+        let inputs = ExecInputs::random(&mut StdRng::seed_from_u64(seed), c);
+        for bk in backends() {
+            backend::with_backend(bk, || {
+                pool::set_num_threads(1);
+                let composed = composed_scoped_ops(&inputs);
+                for threads in THREAD_SWEEP {
+                    pool::set_num_threads(threads);
+                    let fused = run_every_exec_op(&mut Eager, &inputs);
+                    for (op, want) in &composed {
+                        let (_, got) = fused.iter().find(|(name, _)| name == op).unwrap();
+                        let label = format!("{op} under {} @ t={threads}", bk.name());
+                        assert_eq!(got.shape(), want.shape(), "{label}: shape");
+                        assert!(
+                            got.data.iter().map(|x| x.to_bits()).eq(want.data.iter().map(|x| x.to_bits())),
+                            "{label}: fused kernel and composition disagree"
+                        );
+                    }
+                }
+                pool::set_num_threads(1);
+            });
+        }
+    }
+}
+
 fn seeded(rows: usize, cols: usize, seed: u64) -> Tensor {
     let mut rng = StdRng::seed_from_u64(seed);
     Tensor::uniform(rows, cols, 1.0, &mut rng)
@@ -787,7 +849,6 @@ fn ops_match_tape_bitwise() {
         (kernels::scale(&a, 0.37), tape.scale(&na, 0.37)),
         (kernels::add_const(&a, -1.2), tape.add_const(&na, -1.2)),
         (kernels::add_rowvec(&a, &v), tape.add_rowvec(&na, &nv)),
-        (kernels::mul_rowvec(&a, &v), tape.mul_rowvec(na, nv)),
         (kernels::mul_colvec(&a, &cvec), tape.mul_colvec(&na, &nc)),
         (kernels::matmul(&a, &w), tape.matmul(&na, &nw)),
         (kernels::matmul_nt(&a, &b), tape.matmul_nt(na, nb)),
@@ -795,9 +856,6 @@ fn ops_match_tape_bitwise() {
         (kernels::tanh(&a), tape.tanh(na)),
         (kernels::relu(&a), tape.relu(&na)),
         (kernels::leaky_relu(&a, 0.2), tape.leaky_relu(&na, 0.2)),
-        (kernels::sqrt(&a), tape.sqrt(na)),
-        (kernels::recip(&a), tape.recip(na)),
-        (kernels::softmax_rows(&a), tape.softmax_rows(na)),
         (kernels::log_softmax_rows(&a), tape.log_softmax_rows(na)),
         (
             kernels::concat_cols(&[&a, &b]),
@@ -810,10 +868,6 @@ fn ops_match_tape_bitwise() {
         ),
         (kernels::select_rows(&a, 1, 2), tape.select_rows(&na, 1, 2)),
         (kernels::mean_rows(&a), tape.mean_rows(&na)),
-        (
-            kernels::weighted_mean_rows(&a, &kernels::normalized_weights(a.rows, &[0.2, 0.5, 0.3])),
-            tape.weighted_mean_rows(na, &[0.2, 0.5, 0.3]),
-        ),
         (
             kernels::gather_rows(&a, &[2, 0, 2]),
             tape.gather_rows(&na, &[2, 0, 2]),
