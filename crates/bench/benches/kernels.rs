@@ -1,9 +1,8 @@
 //! Criterion micro-benchmarks for the unified `rntrajrec_nn::kernels`
 //! layer: matmul and GAT-aggregate scaling at 1/2/4 intra-op threads, the
-//! encoder's two city-scale matmul shapes, and the sparse segment head
-//! beside the dense one at city scale (|V| = 828, d = 64, 84 allowed
-//! segments) — the sparse head exists to be cheaper than the dense head,
-//! and this is where it shows when it is not — and, under each backend,
+//! encoder's two city-scale matmul shapes, both served segment heads —
+//! the f32 sparse head and the int8 head — at city scale (|V| = 828,
+//! d = 64, 84 allowed segments), and, under each backend,
 //! `tanh` at the decoder's shapes (one B = 1 attention pre-activation, a
 //! B = 32 step, the encoder's row count), the in-repo `exp` at the first
 //! and last of them, and the Eq. 7 gate over one city-scale request's
@@ -25,6 +24,7 @@ use rand::{Rng, SeedableRng};
 
 use rntrajrec_bench::dump_json;
 use rntrajrec_nn::kernels::backend::{self, Backend};
+use rntrajrec_nn::quant::QuantizedLinear;
 use rntrajrec_nn::{kernels, pool, GraphCsr, Tensor};
 
 /// A named benchmark routine.
@@ -141,6 +141,7 @@ fn main() {
         default: -30.0,
         entries: &fx.head_mask,
     })];
+    let head_q = QuantizedLinear::from_weights(&fx.head_w);
 
     // Rows timed under each backend: `(name, backend, routine)`.
     let mut backends = vec![Backend::Scalar];
@@ -206,14 +207,6 @@ fn main() {
             }),
         ),
         (
-            "segment_head_dense_828v",
-            Box::new(|| {
-                let logits =
-                    kernels::add_rowvec(&kernels::matmul(&fx.head_h, &fx.head_w), &fx.head_b);
-                black_box(kernels::masked_log_softmax_rows(&logits, &head_masks));
-            }),
-        ),
-        (
             "segment_head_sparse_828v_84",
             Box::new(|| {
                 black_box(kernels::masked_matmul_cols(
@@ -222,6 +215,12 @@ fn main() {
                     &fx.head_b,
                     &head_masks,
                 ));
+            }),
+        ),
+        (
+            "segment_head_int8_828v_84",
+            Box::new(|| {
+                black_box(head_q.forward_masked(&fx.head_h, &fx.head_b, &head_masks));
             }),
         ),
         (

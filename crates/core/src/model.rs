@@ -303,7 +303,8 @@ impl EndToEnd {
     ///
     /// `road` is the cached [`EndToEnd::precompute_road`] output (pass
     /// `None` to recompute per call); `head` picks the decoder
-    /// [`SegmentHead`] (dense reference, sparse default, or quantized).
+    /// [`SegmentHead`] (sparse default, or quantized). The dense head is
+    /// the tape's, in [`EndToEnd::predict`].
     pub fn infer_predict_batch(
         &self,
         inputs: &[&SampleInput],

@@ -9,7 +9,7 @@ use rand::SeedableRng;
 use rntrajrec_geo::XY;
 use rntrajrec_mapmatch::{linear_hmm, HmmConfig, HmmMatcher, KalmanSmoother};
 use rntrajrec_models::{DhtrSeq2Seq, FeatureExtractor, SampleInput};
-use rntrajrec_nn::{clip_global_norm, Adam, Exec, ParamStore, Tape};
+use rntrajrec_nn::{clip_global_norm, Adam, Eager, Exec, ParamStore, Tape};
 use rntrajrec_roadnet::{RTree, RoadNetwork};
 use rntrajrec_synth::{RawPoint, RawTrajectory, TrajSample};
 
@@ -96,9 +96,7 @@ impl DhtrModel {
         input: &SampleInput,
         eps_rho_s: f64,
     ) -> Vec<(usize, f32)> {
-        let mut tape = Tape::new();
-        let pred = self.seq2seq.forward(&mut tape, &self.store, input);
-        let v = tape.value(&pred);
+        let v = self.seq2seq.forward(&mut Eager, &self.store, input);
         let raw_xy: Vec<XY> = (0..v.rows)
             .map(|r| fx.denormalize(v.get(r, 0), v.get(r, 1)))
             .collect();
@@ -175,5 +173,33 @@ mod tests {
         );
         let pred = model.predict(&fx, &rtree, &HmmConfig::default(), &inputs[0], 12.0);
         assert_eq!(pred.len(), inputs[0].target_len());
+    }
+
+    /// `predict` regresses positions on `Eager`; training records the same
+    /// forward on a `Tape`. Both give the same bits, on trained weights.
+    #[test]
+    fn dhtr_eager_positions_equal_the_tape_forward() {
+        let (city, rtree, samples) = fixture();
+        let grid = city.net.grid(50.0);
+        let fx = FeatureExtractor::new(&city.net, &rtree, grid);
+        let inputs: Vec<SampleInput> = samples.iter().map(|s| fx.extract(s)).collect();
+        let mut model = DhtrModel::new(16, 5);
+        model.fit(
+            &inputs,
+            &TrainConfig {
+                epochs: 2,
+                batch_size: 2,
+                ..Default::default()
+            },
+        );
+        for input in &inputs {
+            let mut tape = Tape::new();
+            let node = model.seq2seq.forward(&mut tape, &model.store, input);
+            let eager = model.seq2seq.forward(&mut Eager, &model.store, input);
+            let bits =
+                |t: &rntrajrec_nn::Tensor| t.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(eager.shape(), (input.target_len(), 2));
+            assert_eq!(bits(&eager), bits(tape.value(&node)));
+        }
     }
 }

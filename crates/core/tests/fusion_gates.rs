@@ -25,9 +25,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use rntrajrec::{EndToEnd, MethodSpec};
-use rntrajrec_models::{BatchMember, FeatureExtractor, InferOutput, SampleInput, SegmentHead};
+use rntrajrec_models::{
+    BatchMember, DecodeState, EncoderOutput, FeatureExtractor, InferOutput, SampleInput,
+    SegmentHead,
+};
 use rntrajrec_nn::kernels::{self, KernelProfile};
-use rntrajrec_nn::{pool, Tape, Tensor};
+use rntrajrec_nn::{pool, Exec, Tape, Tensor};
 use rntrajrec_roadnet::{CityConfig, RTree, SyntheticCity};
 use rntrajrec_synth::{SimConfig, Simulator};
 
@@ -68,6 +71,27 @@ impl Fixture {
         self.model
             .decoder
             .recover_batch_infer_with(&self.model.store, members, head)
+    }
+
+    /// The same members decoded greedily on a `Tape`: training's dense
+    /// soft-mask head, one `[B,d]×[d,|V|]` matmul per lock-step.
+    fn tape_decode(&self, members: &[BatchMember<'_>]) -> Vec<Vec<(usize, f32)>> {
+        let mut tape = Tape::new();
+        let encs: Vec<_> = members
+            .iter()
+            .map(|m| EncoderOutput {
+                per_point: tape.constant(m.per_point.clone()),
+                traj: tape.constant(m.traj.clone()),
+            })
+            .collect();
+        let members: Vec<_> = encs
+            .iter()
+            .zip(members)
+            .map(|(enc, m)| BatchMember::new(enc, m.sample))
+            .collect();
+        let mut state = DecodeState::on_tape(&self.model.decoder, &self.model.store, tape);
+        state.admit(&members);
+        state.finish_greedy()
     }
 }
 
@@ -199,14 +223,15 @@ fn tape_encode_stays_stacked() {
 }
 
 /// The masked-column sparse head does at most a third of the dense
-/// head's FLOPs. Attribution is exact: the two decodes share every
-/// non-head kernel call and return identical paths, so the profiled FLOP
-/// difference is the head work the sparse route skips.
+/// head's FLOPs. The dense side is the tape decode (training's head).
+/// Attribution is exact: the two decodes share every non-head kernel call
+/// and return identical paths, so the profiled FLOP difference is the
+/// head work the sparse route skips.
 #[test]
 fn sparse_head_cuts_head_flops_at_least_threefold() {
     let fix = fixture();
     let members = fix.members();
-    let (dense_paths, dense) = profiled(|| fix.decode(&members, SegmentHead::Dense));
+    let (dense_paths, dense) = profiled(|| fix.tape_decode(&members));
     let (sparse_paths, sparse) = profiled(|| fix.decode(&members, SegmentHead::Sparse));
     assert_eq!(dense_paths, sparse_paths, "sparse head changed recovery");
     let (dense, sparse) = (dense.flops, sparse.flops);

@@ -30,7 +30,7 @@ use crate::graph_layers::GcnLayer;
 use crate::layers::Linear;
 use crate::rnn::{BiLstm, GruCell, LstmCell};
 use crate::transformer::TransformerEncoderLayer;
-use rntrajrec_nn::{Eager, Exec, GraphCsr, Init, NodeId, ParamId, ParamStore, Tape, Tensor};
+use rntrajrec_nn::{Eager, Exec, GraphCsr, Init, ParamId, ParamStore, Tape, Tensor};
 use rntrajrec_roadnet::RoadNetwork;
 
 /// A baseline encoder: each member of a batch is encoded on its own by
@@ -157,7 +157,8 @@ impl TrajHead {
         per_point: E::H,
         sample: &SampleInput,
     ) -> EncoderOutput<E::H> {
-        let mean = ex.mean_rows(&per_point);
+        let all = 0..ex.value(&per_point).rows;
+        let mean = ex.segmented_mean_rows(&per_point, std::slice::from_ref(&all));
         let env = ex.constant(Tensor::row(sample.env.to_vec()));
         let cat = ex.concat_cols(&[&mean, &env]);
         let traj = self.head.forward(ex, store, &cat);
@@ -367,8 +368,9 @@ impl MemberEncoder for NeuTrajEncoder {
             .grid_flat
             .iter()
             .map(|&flat| {
-                let emb = ex.gather_rows(&table, &self.neighbor_cells(flat));
-                ex.mean_rows(&emb)
+                let cells = self.neighbor_cells(flat);
+                let emb = ex.gather_rows(&table, &cells);
+                ex.segmented_mean_rows(&emb, std::slice::from_ref(&(0..cells.len())))
             })
             .collect();
         let mem = ex.concat_rows(&mem_rows.iter().collect::<Vec<_>>()); // [lτ, d]
@@ -541,32 +543,37 @@ impl DhtrSeq2Seq {
         }
     }
 
-    /// Predict `[l_ρ, 2]` normalised coordinates.
-    pub fn forward(&self, tape: &mut Tape, store: &ParamStore, sample: &SampleInput) -> NodeId {
-        let base = tape.constant(sample.base_feats.clone());
-        let x = self.in_proj.forward(tape, store, &base);
-        let enc = self.enc_gru.run_sequence(tape, store, &x);
+    /// Predict `[l_ρ, 2]` normalised coordinates: on a `Tape` for
+    /// training, on `Eager` for evaluation (`DhtrModel::predict`).
+    pub fn forward<'s, E: Exec<'s>>(
+        &self,
+        ex: &mut E,
+        store: &'s ParamStore,
+        sample: &'s SampleInput,
+    ) -> E::H {
+        let base = ex.input(&sample.base_feats);
+        let x = self.in_proj.forward(ex, store, &base);
+        let enc = self.enc_gru.run_sequence(ex, store, &x);
         let l = sample.input_len();
-        let mut h = tape.select_rows(&enc, l - 1, 1);
+        let mut h = ex.select_rows(&enc, l - 1, 1);
         // First "previous position" = first observed point.
-        let mut prev = tape.constant(Tensor::row(vec![
+        let mut prev = ex.constant(Tensor::row(vec![
             sample.base_feats.get(0, 0),
             sample.base_feats.get(0, 1),
         ]));
-        let hk = self.attn.project_keys(tape, store, &enc);
+        let hk = self.attn.project_keys(ex, store, &enc);
         let whole = 0..l;
         let segs = std::slice::from_ref(&whole);
         let mut outs = Vec::with_capacity(sample.target_len());
         for _ in 0..sample.target_len() {
-            let ctx = self.attn.forward(tape, store, &h, &enc, &hk, segs);
-            let input = tape.concat_cols(&[&ctx, &prev]);
-            h = self.dec_gru.step(tape, store, &input, &h);
-            let xy = self.out.forward(tape, store, &h);
-            let xy = tape.sigmoid(&xy); // coordinates are normalised to [0,1]
-            outs.push(xy);
-            prev = xy;
+            let ctx = self.attn.forward(ex, store, &h, &enc, &hk, segs);
+            let input = ex.concat_cols(&[&ctx, &prev]);
+            h = self.dec_gru.step(ex, store, &input, &h);
+            let xy = self.out.forward(ex, store, &h);
+            prev = ex.sigmoid(&xy); // coordinates are normalised to [0,1]
+            outs.push(prev.clone());
         }
-        tape.concat_rows(&outs.iter().collect::<Vec<_>>())
+        ex.concat_rows(&outs.iter().collect::<Vec<_>>())
     }
 }
 

@@ -34,24 +34,24 @@ const MASKED_OUT_LOGW: f32 = -30.0;
 type StepLogMasks = Vec<Option<Vec<(usize, f32)>>>;
 
 /// Which implementation computes the Eq. 16 road-segment head on the
-/// tape-free decode path.
+/// tape-free decode path. The dense soft-mask head exists once, on the
+/// tape ([`DecodeState::on_tape`]): training's head and the reference the
+/// served heads are pinned against.
 ///
 /// `Sparse` is the default: the constraint mask already enumerates the
 /// allowed segments, so [`kernels::masked_matmul_cols`] computes only those
 /// columns of the `[B,d]×[d,|V|]` product (an algorithmic FLOP reduction
 /// proportional to the mask's skip ratio) and normalises over them alone.
-/// Recovery outputs (argmax segment + rate) match the dense route —
+/// Recovery outputs (argmax segment + rate) match the tape decode's —
 /// pinned in `batch_decode_parity.rs`, with the ≥ 3× head-FLOP reduction
-/// gated in `crates/core/tests/fusion_gates.rs` — while masked-out columns become exact `-∞` log-probabilities instead of the
-/// soft `exp(-30)` leakage. `Dense` keeps the historical full-matmul
-/// route (reference + unmasked workloads); `Quantized` runs the sparse
-/// route over int8 per-channel weights ([`QuantizedLinear`]), trading a
-/// bounded accuracy drift (segment agreement ≥ 0.95, rate drift ≤ 0.05,
-/// gated in `fusion_gates.rs`) for a smaller, faster weight matrix.
+/// gated in `crates/core/tests/fusion_gates.rs` — while masked-out
+/// columns become exact `-∞` log-probabilities instead of the soft
+/// `exp(-30)` leakage. `Quantized` runs the same masked-row driver over
+/// int8 per-channel weights ([`QuantizedLinear`]), trading a bounded
+/// accuracy drift (segment agreement ≥ 0.95, rate drift ≤ 0.05, gated in
+/// `fusion_gates.rs`) for a smaller weight matrix.
 #[derive(Clone, Copy)]
 pub enum SegmentHead<'a> {
-    /// Dense `[B,d]×[d,|V|]` matmul + fused soft-mask log-softmax.
-    Dense,
     /// Mask-allowed columns only, fused with the allowed-column
     /// log-softmax (the serving default).
     Sparse,
@@ -378,10 +378,6 @@ impl<'a> DecodeExec<'a> for Eager {
         masks: &[Option<SparseLogMask<'_>>],
     ) -> Self::H {
         Self::H::Owned(match head {
-            SegmentHead::Dense => {
-                let logits = kernels::add_rowvec(&kernels::matmul(h, w_id), b_id);
-                kernels::masked_log_softmax_rows(&logits, masks)
-            }
             SegmentHead::Sparse => kernels::masked_matmul_cols(h, w_id, b_id, masks),
             SegmentHead::Quantized(q) => q.forward_masked(h, b_id, masks),
         })

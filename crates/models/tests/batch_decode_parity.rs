@@ -13,9 +13,9 @@
 //! what this suite pins down — under every available kernel backend
 //! (scalar, and AVX2+FMA when the host supports it), since each backend
 //! must be deterministic within itself for any batch composition. The
-//! suite also pins the decoder's segment-head variants: sparse recovery
-//! ≡ dense recovery, and the int8 head stays mask-valid and
-//! thread-invariant.
+//! suite also pins the served segment heads: sparse recovery ≡ the tape
+//! decode's (training's dense head), and the int8 head stays mask-valid
+//! and thread-invariant.
 
 use std::sync::OnceLock;
 
@@ -71,6 +71,27 @@ impl Fixture {
     fn batch(&self, members: &[BatchMember<'_>]) -> Vec<Vec<(usize, f32)>> {
         self.decoder
             .recover_batch_infer_with(&self.store, members, SegmentHead::Sparse)
+    }
+
+    /// Pool members `picks` stacked in one greedy decode on a `Tape`:
+    /// the same `DecodeState` body with training's dense soft-mask head.
+    fn on_tape(&self, picks: &[usize]) -> Vec<Vec<(usize, f32)>> {
+        let mut tape = Tape::new();
+        let encs: Vec<_> = picks
+            .iter()
+            .map(|&p| EncoderOutput {
+                per_point: tape.constant(self.members[p].0.clone()),
+                traj: tape.constant(self.members[p].1.clone()),
+            })
+            .collect();
+        let members: Vec<_> = encs
+            .iter()
+            .zip(picks)
+            .map(|(enc, &p)| BatchMember::new(enc, &self.members[p].2))
+            .collect();
+        let mut state = DecodeState::on_tape(&self.decoder, &self.store, tape);
+        state.admit(&members);
+        state.finish_greedy()
     }
 }
 
@@ -377,22 +398,21 @@ proptest! {
 }
 
 /// The sparse segment head must not change what the decoder *recovers*:
-/// per backend, the dense and sparse routes produce identical `(segment,
-/// rate)` paths (the log-prob normaliser differs by design — outputs do
-/// not). This is the acceptance contract for `masked_matmul_cols`.
+/// per backend, the served sparse head and the tape's dense soft-mask head
+/// (training's head, decoding the same members stacked on a `Tape`)
+/// produce identical `(segment, rate)` paths (the log-prob normaliser
+/// differs by design — outputs do not). This is the acceptance contract
+/// for `masked_matmul_cols`.
 #[test]
 fn sparse_head_recovery_matches_dense() {
     let fix = fixture();
-    let batch: Vec<BatchMember> = (0..POOL).map(|p| fix.member(p)).collect();
+    let picks: Vec<usize> = (0..POOL).collect();
+    let batch: Vec<BatchMember> = picks.iter().map(|&p| fix.member(p)).collect();
     for bk in backends() {
         backend::with_backend(bk, || {
             pool::set_num_threads(1);
-            let dense =
-                fix.decoder
-                    .recover_batch_infer_with(&fix.store, &batch, SegmentHead::Dense);
-            let sparse =
-                fix.decoder
-                    .recover_batch_infer_with(&fix.store, &batch, SegmentHead::Sparse);
+            let dense = fix.on_tape(&picks);
+            let sparse = fix.batch(&batch);
             assert_eq!(dense, sparse, "recovery diverged under {}", bk.name());
         });
     }
@@ -452,15 +472,7 @@ fn singleton_batch_equals_tape_decode() {
     let fix = fixture();
     pool::set_num_threads(1);
     for p in 0..POOL {
-        let (per_point, traj, sample) = &fix.members[p];
-        let mut tape = Tape::new();
-        let enc = EncoderOutput {
-            per_point: tape.constant(per_point.clone()),
-            traj: tape.constant(traj.clone()),
-        };
-        let mut state = DecodeState::on_tape(&fix.decoder, &fix.store, tape);
-        state.admit(&[BatchMember::new(&enc, sample)]);
-        let want = state.finish_greedy().remove(0);
+        let want = fix.on_tape(&[p]).remove(0);
         assert_eq!(fix.alone(p), want, "member {p} diverged from the tape");
     }
 }

@@ -69,8 +69,6 @@ pub trait Exec<'s> {
     fn leaky_relu(&mut self, a: &Self::H, slope: f32) -> Self::H;
     /// Fused per-row layer norm `γ ⊙ (x − μ)/σ + β`.
     fn layer_norm(&mut self, x: &Self::H, gamma: &Self::H, beta: &Self::H, eps: f32) -> Self::H;
-    /// Column means `[1,C]` of all rows.
-    fn mean_rows(&mut self, a: &Self::H) -> Self::H;
 
     // ----- shape and gather ----------------------------------------------------
 
@@ -212,9 +210,6 @@ impl<'s> Exec<'s> for Eager {
     }
     fn layer_norm(&mut self, x: &Self::H, gamma: &Self::H, beta: &Self::H, eps: f32) -> Self::H {
         Cow::Owned(kernels::layer_norm(x, gamma, beta, eps))
-    }
-    fn mean_rows(&mut self, a: &Self::H) -> Self::H {
-        Cow::Owned(kernels::mean_rows(a))
     }
 
     fn concat_cols(&mut self, parts: &[&Self::H]) -> Self::H {

@@ -5,19 +5,20 @@
 //! first target for weight quantization: [`QuantizedLinear`] stores it as
 //! **per-output-channel** symmetric int8 (`q = round(w / s_j)`, one scale
 //! per segment column) in channel-major layout, quantizes each incoming
-//! activation row on the fly (per-row symmetric scale), accumulates in
-//! `i32`, and dequantizes in the epilogue (`acc · s_a · s_j + bias +
-//! log-mask`), fused with the same allowed-columns log-softmax as
-//! [`crate::kernels::masked_matmul_cols`].
+//! activation row once per call (per-row symmetric scale), accumulates in
+//! `i32`, and dequantizes (`acc · (s_a · s_j)`). Bias, log-mask and the
+//! allowed-columns log-softmax are the row driver it shares with
+//! [`crate::kernels::masked_matmul_cols`]; only the dots differ.
 //!
 //! # Determinism
 //!
 //! The `i32` accumulation is exact integer arithmetic (`K·127² ≪
 //! i32::MAX`), so the quantized head is bit-identical across backends
 //! (the AVX2 `madd` path computes the same integers), thread counts, and
-//! batch compositions — there is no rounding to re-order. What moves is
-//! *accuracy* relative to the f32 head; that drift is gated on recovery
-//! outputs in `crates/core/tests/fusion_gates.rs`, not pinned bitwise.
+//! batch compositions — there is no rounding to re-order. Its output is
+//! pinned bitwise against a per-row reference in this module's tests.
+//! What moves is *accuracy* relative to the f32 head; that drift is gated
+//! on recovery outputs in `crates/core/tests/fusion_gates.rs`.
 
 #![deny(missing_docs)]
 
@@ -133,83 +134,60 @@ impl QuantizedLinear {
         s
     }
 
-    /// The quantized twin of [`crate::kernels::masked_matmul_cols`]: for
-    /// each row of `a[R, K]`, quantize the row, compute the mask-allowed
-    /// logit columns (all `C` for rows without a usable mask) as int8
-    /// dots, dequantize with `s_a · s_j`, add bias and the mask
-    /// log-weight, and log-softmax over the allowed columns (masked-out
-    /// columns are exact `-∞`). Mask entries must be in
-    /// [`SparseLogMask`]'s canonical form (verified on the caller thread).
-    /// FLOP attribution counts `2·K·(computed columns)`, the same as the
-    /// sparse float head.
+    /// The quantized twin of [`crate::kernels::masked_matmul_cols`], on the
+    /// same row driver (`kernels::masked_head_rows`): each row of
+    /// `a[R, K]` is quantized once, and its mask-allowed logit columns (all
+    /// `C` for rows without a usable mask) are int8 dots dequantized with
+    /// `s_a · s_j`; the driver adds bias and the mask log-weight and
+    /// log-softmaxes over the allowed columns (masked-out columns are exact
+    /// `-∞`). Mask entries must be in [`SparseLogMask`]'s canonical form
+    /// (verified on the caller thread). FLOP attribution counts
+    /// `2·K·(computed columns)`, the same as the sparse float head.
     pub fn forward_masked(
         &self,
         a: &Tensor,
         bias: &Tensor,
         masks: &[Option<SparseLogMask<'_>>],
     ) -> Tensor {
-        let (r, k) = a.shape();
-        let c = self.c;
-        assert_eq!(k, self.k, "QuantizedLinear: input width");
-        assert_eq!(
-            (bias.rows, bias.cols),
-            (1, c),
-            "QuantizedLinear: bias must be [1,C]"
-        );
-        assert_eq!(masks.len(), r, "QuantizedLinear: one mask per row");
-        let computed = kernels::check_masks("QuantizedLinear", masks, c);
-        kernels::note_matmul(2 * k as u64 * computed);
-        let bk = backend::active();
-        let mut out = Tensor::zeros(r, c);
-        if c == 0 {
-            return out;
-        }
-        // The head is cheap by design; rows are few (micro-batch size),
-        // so chunk generously and usually run inline.
-        let min_rows = (32 * 1024 / (k * c).max(1)).max(1);
-        kernels::par_row_chunks(&mut out.data, c, r, min_rows, |rows, dst| {
-            let mut qa = vec![0i8; k];
-            let mut scratch: Vec<f32> = Vec::new();
-            for (ri, i) in rows.enumerate() {
-                let arow = &a.data[i * k..(i + 1) * k];
-                let row = &mut dst[ri * c..(ri + 1) * c];
-                let s_a = row_scale(arow);
-                let inv_sa = 1.0 / s_a;
-                for (q, &x) in qa.iter_mut().zip(arow) {
-                    *q = q8(x, inv_sa);
-                }
-                let deq = |bk: backend::Backend, qa: &[i8], col: usize| -> f32 {
-                    let qrow = &self.qt[col * k..(col + 1) * k];
-                    Self::dot_i8(bk, qa, qrow) as f32 * (s_a * self.scales[col])
-                };
-                match masks[i] {
-                    Some(mask) if !mask.entries.is_empty() => {
-                        // The entries' canonical ascending-column order,
-                        // as in the float sparse head.
-                        scratch.clear();
-                        for &(col, lw) in mask.entries {
-                            scratch.push((deq(bk, &qa, col) + bias.data[col]) + lw);
-                        }
-                        kernels::log_softmax_slice(bk, &mut scratch);
-                        row.fill(f32::NEG_INFINITY);
-                        for (&(col, _), &x) in mask.entries.iter().zip(&scratch) {
-                            row[col] = x;
-                        }
-                    }
-                    mask => {
-                        for (j, o) in row.iter_mut().enumerate() {
-                            let x = deq(bk, &qa, j) + bias.data[j];
-                            *o = match mask {
-                                Some(m) => x + m.default,
-                                None => x,
-                            };
-                        }
-                        kernels::log_softmax_slice(bk, row);
-                    }
-                }
+        let k = self.k;
+        assert_eq!(a.cols, k, "QuantizedLinear: input width");
+        let mut qa = vec![0i8; a.data.len()];
+        let mut s_a = Vec::with_capacity(a.rows);
+        for i in 0..a.rows {
+            let arow = &a.data[i * k..(i + 1) * k];
+            let s = row_scale(arow);
+            let inv_s = 1.0 / s;
+            for (q, &x) in qa[i * k..(i + 1) * k].iter_mut().zip(arow) {
+                *q = q8(x, inv_s);
             }
-        });
-        out
+            s_a.push(s);
+        }
+        kernels::masked_head_rows(
+            "QuantizedLinear",
+            a,
+            self.c,
+            bias,
+            masks,
+            |bk, i, cols, out| {
+                let qrow = &qa[i * k..(i + 1) * k];
+                let deq = |col: usize| {
+                    let qcol = &self.qt[col * k..(col + 1) * k];
+                    Self::dot_i8(bk, qrow, qcol) as f32 * (s_a[i] * self.scales[col])
+                };
+                match cols {
+                    Some(entries) => {
+                        for (o, &(col, _)) in out.iter_mut().zip(entries) {
+                            *o = deq(col);
+                        }
+                    }
+                    None => {
+                        for (col, o) in out.iter_mut().enumerate() {
+                            *o = deq(col);
+                        }
+                    }
+                }
+            },
+        )
     }
 }
 
@@ -306,6 +284,96 @@ mod tests {
                 got.data,
                 "t={threads}"
             );
+        }
+        pool::set_num_threads(before);
+    }
+
+    /// One row of the int8 head, written out: quantize the row with
+    /// `row_scale` / `q8`, exact i32 dots against `qt`, dequantize as
+    /// `acc · (s_a · s_j)`, add the bias and then the log-weight, and
+    /// log-softmax the allowed columns (every column for a row without a
+    /// usable mask), with `-∞` elsewhere.
+    fn int8_row_ref(
+        q: &QuantizedLinear,
+        arow: &[f32],
+        bias: &[f32],
+        mask: Option<SparseLogMask<'_>>,
+    ) -> Vec<f32> {
+        let (k, c) = (q.k, q.c);
+        let s_a = row_scale(arow);
+        let inv_sa = 1.0 / s_a;
+        let qa: Vec<i8> = arow.iter().map(|&x| q8(x, inv_sa)).collect();
+        let logit = |j: usize| {
+            let acc: i32 = qa
+                .iter()
+                .zip(&q.qt[j * k..(j + 1) * k])
+                .map(|(&x, &w)| i32::from(x) * i32::from(w))
+                .sum();
+            acc as f32 * (s_a * q.scales[j]) + bias[j]
+        };
+        let (cols, mut vals): (Vec<usize>, Vec<f32>) = match mask {
+            Some(m) if !m.entries.is_empty() => {
+                m.entries.iter().map(|&(j, lw)| (j, logit(j) + lw)).unzip()
+            }
+            Some(m) => (0..c).map(|j| (j, logit(j) + m.default)).unzip(),
+            None => (0..c).map(|j| (j, logit(j))).unzip(),
+        };
+        kernels::log_softmax_slice(backend::active(), &mut vals);
+        let mut row = vec![f32::NEG_INFINITY; c];
+        for (j, v) in cols.into_iter().zip(vals) {
+            row[j] = v;
+        }
+        row
+    }
+
+    #[test]
+    fn forward_masked_matches_the_per_row_reference_bitwise() {
+        let a = t(5, 40, 11); // > 16 features: the AVX2 madd body + tail
+        let w = t(40, 23, 12);
+        let bias = t(1, 23, 13);
+        let e = kernels::canonical_mask_entries(vec![(3usize, -0.5f32), (17, 0.25), (9, -1.0)]);
+        // Unmasked, masked, default-only, single-column, masked again.
+        let masks = [
+            None,
+            Some(SparseLogMask {
+                default: -30.0,
+                entries: &e,
+            }),
+            Some(SparseLogMask {
+                default: -2.0,
+                entries: &[],
+            }),
+            Some(SparseLogMask {
+                default: -30.0,
+                entries: &[(22usize, 0.5f32)],
+            }),
+            Some(SparseLogMask {
+                default: -30.0,
+                entries: &e,
+            }),
+        ];
+        let q = QuantizedLinear::from_weights(&w);
+        let before = pool::num_threads();
+        for bk in [Backend::Scalar, Backend::Avx2Fma] {
+            if !is_supported(bk) {
+                continue;
+            }
+            with_backend(bk, || {
+                let mut want = Vec::new();
+                for (i, mask) in masks.iter().enumerate() {
+                    want.extend(int8_row_ref(&q, a.row_slice(i), &bias.data, *mask));
+                }
+                for threads in [1, 4] {
+                    pool::set_num_threads(threads);
+                    let got = q.forward_masked(&a, &bias, &masks);
+                    assert_eq!(
+                        got.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                        want.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                        "{} at {threads} thread(s)",
+                        bk.name()
+                    );
+                }
+            });
         }
         pool::set_num_threads(before);
     }

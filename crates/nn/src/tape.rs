@@ -101,7 +101,7 @@ pub enum Op {
     /// `segs[s]`: `(hk, gq, v, keys, segs)`.
     SegmentedAdditiveAttention(NodeId, NodeId, NodeId, NodeId, Segs),
     /// Row `s` = `Σ_{i ∈ segs[s]} w_i · a[i, :]` with fixed per-row weights
-    /// `w` (in segment order): column means (`w = 1/len`, `mean_rows` and
+    /// `w` (in segment order): column means (`w = 1/len`,
     /// `segmented_mean_rows`) and the paper's weighted mean pooling and
     /// graph readout (Eq. 6 / Eq. 8, `w` normalised per segment).
     Pool(NodeId, Arc<Vec<f32>>, Segs),
@@ -779,12 +779,6 @@ impl<'s> Exec<'s> for Tape {
     fn layer_norm(&mut self, x: &NodeId, gamma: &NodeId, beta: &NodeId, eps: f32) -> NodeId {
         let t = kernels::layer_norm(self.val(*x), self.val(*gamma), self.val(*beta), eps);
         self.push(t, Op::LayerNorm(*x, *gamma, *beta, eps))
-    }
-    fn mean_rows(&mut self, a: &NodeId) -> NodeId {
-        let t = kernels::mean_rows(self.val(*a));
-        let rows = self.val(*a).rows;
-        let w = Arc::new(vec![1.0 / rows as f32; rows]);
-        self.push(t, Op::Pool(*a, w, std::iter::once(0..rows).collect()))
     }
 
     fn concat_cols(&mut self, parts: &[&NodeId]) -> NodeId {

@@ -357,32 +357,6 @@ proptest! {
         }
     }
 
-    /// The fused mask+log-softmax epilogue over canonicalised entries ≡
-    /// dense mask build by raw-order overwrites + `add` +
-    /// `log_softmax_rows`, over random sparse masks (absent rows, empty
-    /// entry lists, unsorted and duplicate entries) at every thread count
-    /// × backend.
-    #[test]
-    fn masked_log_softmax_parity(r in 1usize..40, c in 1usize..96, seed in 0u64..1_000_000) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let a = tensor(&mut rng, r, c);
-        let raw = random_raw_masks(&mut rng, r, c, 0.6, 5);
-        let entries = canonical(&raw);
-        let masks = sparse_masks(&entries, -30.0);
-
-        // Composed reference: dense mask rows built by overwrites.
-        let mask_dense = dense_mask_by_overwrite(&raw, c, |_| -30.0);
-        for bk in backends() {
-            backend::with_backend(bk, || {
-                pool::set_num_threads(1);
-                let want = kernels::log_softmax_rows(&kernels::add(&a, &mask_dense));
-                assert_thread_invariant("masked_log_softmax_rows", &want, || {
-                    kernels::masked_log_softmax_rows(&a, &masks)
-                });
-            });
-        }
-    }
-
     /// The sparse segment heads (float and int8) over canonicalised
     /// entries ≡ the dense route under a *hard* mask (`-∞` on masked-out
     /// columns) built by raw-order overwrites: matmul → `add_rowvec` → add
@@ -631,7 +605,6 @@ fn run_every_exec_op<'s, E: Exec<'s>>(ex: &mut E, i: &'s ExecInputs) -> Vec<(&'s
         ("relu", ex.relu(&a)),
         ("leaky_relu", ex.leaky_relu(&a, 0.2)),
         ("layer_norm", ex.layer_norm(&a, &gamma, &beta, 1e-5)),
-        ("mean_rows", ex.mean_rows(&a)),
         ("concat_cols/2", ex.concat_cols(&[&a, &b])),
         ("concat_cols/3", ex.concat_cols(&[&a, &b, &sum])),
         ("concat_cols/4", ex.concat_cols(&[&b, &a, &sum, &a])),
@@ -867,7 +840,10 @@ fn ops_match_tape_bitwise() {
             tape.concat_rows(&[&na, &nb]),
         ),
         (kernels::select_rows(&a, 1, 2), tape.select_rows(&na, 1, 2)),
-        (kernels::mean_rows(&a), tape.mean_rows(&na)),
+        (
+            kernels::mean_rows(&a),
+            tape.segmented_mean_rows(&na, std::slice::from_ref(&(0..a.rows))),
+        ),
         (
             kernels::gather_rows(&a, &[2, 0, 2]),
             tape.gather_rows(&na, &[2, 0, 2]),
@@ -956,7 +932,6 @@ fn masked_kernels_reject_non_canonical_entries_up_front() {
     let a = tensor(&mut rng, r, k);
     let w = tensor(&mut rng, k, c);
     let bias = tensor(&mut rng, 1, c);
-    let logits = tensor(&mut rng, r, c);
     let q = QuantizedLinear::from_weights(&w);
     let rejects = |name: &str, run: &dyn Fn() -> Tensor| {
         let scope = kernels::profile_scope("test.reject");
@@ -973,9 +948,6 @@ fn masked_kernels_reject_non_canonical_entries_up_front() {
     for bad in [vec![(5usize, -0.5f32), (3, 0.1)], vec![(3, -0.5), (3, 0.1)]] {
         let entries: RawMasks = (0..r).map(|_| Some(bad.clone())).collect();
         let masks = sparse_masks(&entries, -30.0);
-        rejects("masked_log_softmax_rows", &|| {
-            kernels::masked_log_softmax_rows(&logits, &masks)
-        });
         rejects("masked_matmul_cols", &|| {
             kernels::masked_matmul_cols(&a, &w, &bias, &masks)
         });

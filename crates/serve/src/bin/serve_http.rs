@@ -230,11 +230,17 @@ fn main() -> ExitCode {
     // Deterministic fault injection, armed from the environment only —
     // never by default. One relaxed atomic load per point when disarmed.
     match rntrajrec_chaos::configure_from_env() {
-        Ok(true) => eprintln!(
-            "CHAOS ARMED: seed={} spec={:?} — faults will be injected deliberately",
-            rntrajrec_chaos::seed(),
-            std::env::var("CHAOS_FAULTS").unwrap_or_default(),
-        ),
+        Ok(true) => {
+            let points: Vec<String> = rntrajrec_chaos::snapshot()
+                .iter()
+                .map(|p| format!("{}={}@{}", p.point, p.kind, p.prob))
+                .collect();
+            eprintln!(
+                "CHAOS ARMED: seed={} points=[{}] — faults will be injected deliberately",
+                rntrajrec_chaos::seed(),
+                points.join(", "),
+            );
+        }
         Ok(false) => {}
         Err(e) => {
             eprintln!("error: bad CHAOS_FAULTS: {e}");
@@ -290,9 +296,8 @@ fn main() -> ExitCode {
 
     let router = Arc::new(ShardRouter::new(shards));
     println!(
-        "kernels: backend={} (NN_BACKEND={}) segment_head={}",
+        "kernels: backend={} segment_head={}",
         rntrajrec_nn::kernels::backend::active_name(),
-        std::env::var("NN_BACKEND").unwrap_or_else(|_| "auto".to_string()),
         router.shards()[0].engine().stats().segment_head,
     );
     for shard in router.shards() {
