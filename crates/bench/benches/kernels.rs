@@ -1,5 +1,5 @@
 //! Criterion micro-benchmarks for the unified `rntrajrec_nn::kernels`
-//! layer: matmul and GAT-aggregate scaling at 1/2/4 intra-op threads, the
+//! layer, each on the calling thread: matmul and the GAT ops, the
 //! encoder's two city-scale matmul shapes, both served segment heads —
 //! the f32 sparse head and the int8 head — at city scale (|V| = 828,
 //! d = 64, 84 allowed segments), and, under each backend,
@@ -25,20 +25,18 @@ use rand::{Rng, SeedableRng};
 use rntrajrec_bench::dump_json;
 use rntrajrec_nn::kernels::backend::{self, Backend};
 use rntrajrec_nn::quant::QuantizedLinear;
-use rntrajrec_nn::{kernels, pool, GraphCsr, Tensor};
+use rntrajrec_nn::{kernels, GraphCsr, Tensor};
 
 /// A named benchmark routine.
 type Case<'a> = (&'a str, Box<dyn Fn() + 'a>);
 /// A routine timed under one backend, named after it.
 type BackendCase<'a> = (String, Backend, Box<dyn Fn() + 'a>);
 
-const THREADS: [usize; 3] = [1, 2, 4];
-
 struct Fixtures {
-    /// Decoder-logits shape: `[1, d] × [d, |V|]` (column-partitioned).
+    /// Decoder-logits shape: `[1, d] × [d, |V|]`.
     logits_a: Tensor,
     logits_b: Tensor,
-    /// Encoder-projection shape: `[n, d] × [d, d]` (row-partitioned).
+    /// Encoder-projection shape: `[n, d] × [d, d]`.
     proj_a: Tensor,
     proj_b: Tensor,
     /// Road-graph GAT aggregation.
@@ -243,39 +241,17 @@ fn main() {
     let mut results = Vec::new();
     let mut group = c.benchmark_group("kernels");
     for (name, f) in &cases {
-        let mut per_thread = Vec::new();
-        let mut base_ns = 0.0f64;
-        for &threads in &THREADS {
-            pool::set_num_threads(threads);
-            group.bench_function(&format!("{name}/t{threads}"), |b| b.iter(f.as_ref()));
-            if !quick {
-                let ns = time_ns(f.as_ref());
-                if threads == 1 {
-                    base_ns = ns;
-                }
-                per_thread.push(serde_json::json!({
-                    "threads": threads,
-                    "ns_per_iter": ns,
-                    "speedup_vs_1_thread": base_ns / ns,
-                }));
-            }
-        }
-        pool::set_num_threads(1);
+        group.bench_function(name, |b| b.iter(f.as_ref()));
         if !quick {
             results.push(serde_json::json!({
                 "kernel": name,
-                "sweep": per_thread,
+                "ns_per_iter": time_ns(f.as_ref()),
             }));
         }
     }
     group.finish();
 
     if !quick {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let json = serde_json::json!({
-            "cores": cores,
-            "kernels": results,
-        });
-        dump_json("BENCH_kernels", &json);
+        dump_json("BENCH_kernels", &serde_json::json!({ "kernels": results }));
     }
 }

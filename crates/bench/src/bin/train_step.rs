@@ -3,14 +3,14 @@
 //! (clip + Adam) wall time of one step, and the tape nodes the step
 //! records, at B = 8, d = 24 on `DatasetConfig::chengdu(8, 200)`.
 //!
-//! `NN_THREADS` and `NN_BACKEND` are read from the environment as
-//! everywhere else; `SCALE` sets how many steps are timed (`quick` 3,
-//! `medium` — the default — 12, `paper` 40), after one untimed warm-up
-//! step. Consecutive training batches in order, teacher forcing at 0.5
+//! `NN_BACKEND` is read from the environment as everywhere else, and the
+//! kernels run on this thread; `SCALE` sets how many steps are timed
+//! (`quick` 3, `medium` — the default — 12, `paper` 40), after one untimed
+//! warm-up step. Consecutive training batches in order, teacher forcing at 0.5
 //! from a seeded coin, so every run records the same tapes.
 //!
 //! ```bash
-//! NN_THREADS=1 cargo run --release -p rntrajrec-bench --bin train_step
+//! cargo run --release -p rntrajrec-bench --bin train_step
 //! ```
 
 use std::time::Instant;
@@ -23,7 +23,7 @@ use rntrajrec::experiments::{ExperimentScale, Pipeline};
 use rntrajrec::model::{EndToEnd, MethodSpec};
 use rntrajrec_bench::dump_json;
 use rntrajrec_models::SampleInput;
-use rntrajrec_nn::{clip_global_norm, kernels, pool, Adam, Exec, Tape};
+use rntrajrec_nn::{clip_global_norm, kernels, Adam, Exec, Tape};
 use rntrajrec_synth::DatasetConfig;
 
 /// One method's step: medians over the timed steps.
@@ -58,10 +58,9 @@ fn main() {
     };
     println!("=== One training step — Chengdu x8, 200 trajectories ===");
     println!(
-        "B={}, d={}, {steps} timed steps after one warm-up, NN_THREADS={}, backend {}\n",
+        "B={}, d={}, {steps} timed steps after one warm-up, backend {}\n",
         scale.batch,
         scale.dim,
-        pool::num_threads(),
         kernels::backend::active_name()
     );
     let pipeline = Pipeline::prepare(DatasetConfig::chengdu(8, scale.num_traj), &scale);

@@ -327,6 +327,8 @@ pub struct PointStats {
     pub kind: String,
     /// Configured per-evaluation probability.
     pub prob: f64,
+    /// Configured injection cap (the spec's `xN`); `None` when uncapped.
+    pub limit: Option<u64>,
     /// Evaluations so far.
     pub draws: u64,
     /// Injections so far.
@@ -344,6 +346,7 @@ pub fn snapshot() -> Vec<PointStats> {
             point: name,
             kind: f.kind.to_string(),
             prob: f.prob,
+            limit: f.limit,
             draws: f.draws.load(Ordering::Relaxed),
             fired: f.fired.load(Ordering::Relaxed),
         })
@@ -404,6 +407,9 @@ mod tests {
         assert_eq!(snap.len(), 1);
         assert_eq!(snap[0].fired, 3);
         assert_eq!(snap[0].draws, 50);
+        assert_eq!(snap[0].limit, Some(3), "the snapshot carries the cap");
+        configure("p.open=error@1.0", 1).unwrap();
+        assert_eq!(snapshot()[0].limit, None);
         disarm();
     }
 

@@ -8,16 +8,16 @@
 //! the same *bits* as B = 1; nothing else pins that they stay *fused* — a
 //! per-member loop inside the decoder or encoder would pass every parity
 //! test and multiply the launches by B. These tests state that invariant
-//! as a property (count at B = 12 == count at B = 1, at 1 and 4 intra-op
-//! threads) next to the absolute caps, plus the two segment-head bars:
+//! as a property (count at B = 12 == count at B = 1) next to the absolute
+//! caps, plus the two segment-head bars:
 //! the sparse head's FLOP reduction and the int8 head's end-to-end drift.
 //! The tape side runs the same stacked encoder body over the same fused
 //! scoped kernels, so training has the same property:
 //! `tape_encode_stays_stacked` pins it for the tape `encode`.
 //!
 //! Counts come from [`kernels::profile_scope`], whose totals are
-//! thread-local and taken on the calling thread before work fans out to
-//! the pool — exact under concurrent tests and at any thread count.
+//! thread-local — exact under concurrent tests, because every kernel runs
+//! on its caller's thread.
 
 use std::sync::OnceLock;
 
@@ -30,7 +30,7 @@ use rntrajrec_models::{
     SegmentHead,
 };
 use rntrajrec_nn::kernels::{self, KernelProfile};
-use rntrajrec_nn::{pool, Exec, Tape, Tensor};
+use rntrajrec_nn::{Exec, Tape, Tensor};
 use rntrajrec_roadnet::{CityConfig, RTree, SyntheticCity};
 use rntrajrec_synth::{SimConfig, Simulator};
 
@@ -144,23 +144,18 @@ fn decoder_launches_are_independent_of_batch_size() {
         .max_by_key(|m| m.sample.target_len())
         .expect("non-empty batch");
     let steps = longest.sample.target_len() as f64;
-    for threads in [1, 4] {
-        pool::set_num_threads(threads);
-        let (_, fused) = profiled(|| fix.decode(&members, SegmentHead::Sparse));
-        let (_, alone) =
-            profiled(|| fix.decode(std::slice::from_ref(longest), SegmentHead::Sparse));
-        let (fused, alone) = (fused.matmuls, alone.matmuls);
-        assert_eq!(
-            fused, alone,
-            "decoder launches scale with the batch at {threads} thread(s): \
-             B={BATCH} issued {fused} matmuls, B=1 issued {alone}"
-        );
-        let per_step = fused as f64 / steps;
-        assert!(
-            per_step <= 7.5,
-            "fused decode costs {per_step:.2} matmuls per lock-step (cap 7.5)"
-        );
-    }
+    let (_, fused) = profiled(|| fix.decode(&members, SegmentHead::Sparse));
+    let (_, alone) = profiled(|| fix.decode(std::slice::from_ref(longest), SegmentHead::Sparse));
+    let (fused, alone) = (fused.matmuls, alone.matmuls);
+    assert_eq!(
+        fused, alone,
+        "decoder launches scale with the batch: B={BATCH} issued {fused} matmuls, B=1 issued {alone}"
+    );
+    let per_step = fused as f64 / steps;
+    assert!(
+        per_step <= 7.5,
+        "fused decode costs {per_step:.2} matmuls per lock-step (cap 7.5)"
+    );
 }
 
 /// The stacked encoder launches the same matmuls for 12 members as for
@@ -169,24 +164,21 @@ fn decoder_launches_are_independent_of_batch_size() {
 fn encoder_launches_are_independent_of_batch_size() {
     let fix = fixture();
     let refs: Vec<&SampleInput> = fix.inputs.iter().collect();
-    for threads in [1, 4] {
-        pool::set_num_threads(threads);
-        let fused = profiled(|| fix.encode(&refs)).1.matmuls;
-        for (i, input) in refs.iter().enumerate() {
-            let alone = profiled(|| fix.encode(&[input])).1.matmuls;
-            assert_eq!(
-                fused, alone,
-                "encoder launches scale with the batch at {threads} thread(s): \
-                 B={BATCH} issued {fused} matmuls, member {i} alone issued {alone}"
-            );
-        }
-        // 50 today; the slack admits one more head or projection, never a
-        // per-member or per-point loop (those multiply by B or B·L).
-        assert!(
-            fused <= 58,
-            "stacked encoder issued {fused} matmuls (cap 58)"
+    let fused = profiled(|| fix.encode(&refs)).1.matmuls;
+    for (i, input) in refs.iter().enumerate() {
+        let alone = profiled(|| fix.encode(&[input])).1.matmuls;
+        assert_eq!(
+            fused, alone,
+            "encoder launches scale with the batch: \
+             B={BATCH} issued {fused} matmuls, member {i} alone issued {alone}"
         );
     }
+    // 50 today; the slack admits one more head or projection, never a
+    // per-member or per-point loop (those multiply by B or B·L).
+    assert!(
+        fused <= 58,
+        "stacked encoder issued {fused} matmuls (cap 58)"
+    );
 }
 
 /// Tape `encode` runs the stacked body too: one launch per projection for
@@ -198,28 +190,23 @@ fn encoder_launches_are_independent_of_batch_size() {
 fn tape_encode_stays_stacked() {
     let fix = fixture();
     let refs: Vec<&SampleInput> = fix.inputs.iter().collect();
-    for threads in [1, 4] {
-        pool::set_num_threads(threads);
-        let gridgnn = profiled(|| fix.model.precompute_road()).1.matmuls;
-        let launches = |batch: &[&SampleInput]| {
-            let enc = &fix.model.encoder;
-            let mut tape = Tape::new();
-            profiled(|| enc.encode(&mut tape, &fix.model.store, batch))
-                .1
-                .matmuls
-        };
-        let (one, all) = (launches(&refs[..1]), launches(&refs));
-        assert!(
-            all <= 700,
-            "tape encode issued {all} matmuls at B={BATCH}, {threads} thread(s) (cap 700)"
-        );
-        assert!(
-            one >= gridgnn && all == one,
-            "tape encode grows with the batch at {threads} thread(s): \
-             B=1 issued {one} ({gridgnn} in GridGNN), B={BATCH} {all}"
-        );
-    }
-    pool::set_num_threads(1);
+    let gridgnn = profiled(|| fix.model.precompute_road()).1.matmuls;
+    let launches = |batch: &[&SampleInput]| {
+        let enc = &fix.model.encoder;
+        let mut tape = Tape::new();
+        profiled(|| enc.encode(&mut tape, &fix.model.store, batch))
+            .1
+            .matmuls
+    };
+    let (one, all) = (launches(&refs[..1]), launches(&refs));
+    assert!(
+        all <= 700,
+        "tape encode issued {all} matmuls at B={BATCH} (cap 700)"
+    );
+    assert!(
+        one >= gridgnn && all == one,
+        "tape encode grows with the batch: B=1 issued {one} ({gridgnn} in GridGNN), B={BATCH} {all}"
+    );
 }
 
 /// The masked-column sparse head does at most a third of the dense

@@ -473,14 +473,12 @@ struct Slot {
 /// Because every kernel involved computes each output row/segment with
 /// exactly the accumulation order of the member's own `[1, d]` call, and
 /// none mixes rows across members, each member's result is
-/// **bit-identical** to decoding it alone — at any thread count, for any
-/// batch composition, whoever is admitted or retired around it, at
-/// whatever tick — property-tested in `tests/batch_decode_parity.rs`. A
-/// retired member keeps the prefix decoded before its cut, itself
-/// bit-identical to the uncut run's prefix. All heavy math runs on
-/// `rntrajrec_nn::kernels`, which parallelises wide outputs by disjoint
-/// column ranges — `NN_THREADS` cuts per-step latency without changing a
-/// bit of the output.
+/// **bit-identical** to decoding it alone — for any batch composition,
+/// whoever is admitted or retired around it, at whatever tick —
+/// property-tested in `tests/batch_decode_parity.rs`. A retired member
+/// keeps the prefix decoded before its cut, itself bit-identical to the
+/// uncut run's prefix. All heavy math runs on `rntrajrec_nn::kernels`,
+/// whose kernels run on the caller's thread.
 pub struct DecodeState<'a, E: DecodeExec<'a> = Eager> {
     decoder: &'a Decoder,
     store: &'a ParamStore,

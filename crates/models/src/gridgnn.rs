@@ -180,10 +180,9 @@ impl GridGnn {
     /// shares it read-only across worker threads — see `rntrajrec-serve`'s
     /// road-embedding cache.
     ///
-    /// The work is parallel by node ranges: the grouped-GRU matmuls
-    /// partition by segment rows, the graph layers by destination-node CSR
-    /// segments, and the final projection by road rows — all through
-    /// `rntrajrec_nn::kernels`, bit-identical at any `NN_THREADS`.
+    /// All of it runs through `rntrajrec_nn::kernels`, whose kernels run
+    /// on the caller's thread: the grouped-GRU matmuls, the graph layers
+    /// over destination-node CSR segments, and the final projection.
     pub fn forward<'s, E: Exec<'s>>(&'s self, ex: &mut E, store: &'s ParamStore) -> E::H {
         let road = ex.param(store, self.road_emb);
         let mut x = if self.config.use_grid {

@@ -28,7 +28,7 @@ use rntrajrec_models::{
     InferOutput, RnTrajRecConfig, RnTrajRecEncoder, SampleInput, SegmentHead, TrajEncoder,
 };
 use rntrajrec_nn::kernels::backend::{self, Backend};
-use rntrajrec_nn::{pool, Exec, ParamStore, Tape, Tensor};
+use rntrajrec_nn::{Exec, ParamStore, Tape, Tensor};
 use rntrajrec_roadnet::{CityConfig, RTree, SyntheticCity};
 use rntrajrec_synth::{RawPoint, RawTrajectory, SimConfig, Simulator, TimeContext};
 
@@ -149,7 +149,7 @@ proptest! {
 
     /// Arbitrary ragged batches (any composition, with repeats) decoded in
     /// one fused pass equal each member's decode alone (`B = 1`) bit-for-bit,
-    /// at 1 and 4 intra-op kernel threads, under every available backend
+    /// under every available backend
     /// (the AVX2 kernels accumulate without zero-skip precisely so that
     /// batch composition cannot change any member's bits).
     #[test]
@@ -164,20 +164,11 @@ proptest! {
         let fix = fixture();
         for bk in backends() {
             backend::with_backend(bk, || {
-                pool::set_num_threads(1);
                 let alone: Vec<Vec<(usize, f32)>> =
                     picks.iter().map(|&p| fix.alone(p)).collect();
-                for threads in [1usize, 4] {
-                    pool::set_num_threads(threads);
-                    let batch: Vec<BatchMember> = picks.iter().map(|&p| fix.member(p)).collect();
-                    let batched = fix.batch(&batch);
-                    pool::set_num_threads(1);
-                    assert!(
-                        batched == alone,
-                        "diverged at {threads} threads under {}",
-                        bk.name()
-                    );
-                }
+                let batch: Vec<BatchMember> = picks.iter().map(|&p| fix.member(p)).collect();
+                let batched = fix.batch(&batch);
+                assert!(batched == alone, "diverged under {}", bk.name());
             });
         }
     }
@@ -187,8 +178,8 @@ proptest! {
     /// through the state-compaction path, and every survivor stays
     /// **bit-identical** to its uncancelled decode alone — and each
     /// cancelled member's truncated output is bit-identical to the
-    /// uncancelled run's prefix. Swept over backends and 1/4 intra-op
-    /// threads like the main parity property.
+    /// uncancelled run's prefix. Swept over backends like the main parity
+    /// property.
     #[test]
     fn cancelled_members_leave_survivors_bit_identical(
         batch_size in 2usize..9,
@@ -213,40 +204,34 @@ proptest! {
         let fix = fixture();
         for bk in backends() {
             backend::with_backend(bk, || {
-                pool::set_num_threads(1);
                 let alone: Vec<Vec<(usize, f32)>> =
                     picks.iter().map(|&p| fix.alone(p)).collect();
-                for threads in [1usize, 4] {
-                    pool::set_num_threads(threads);
-                    let batch: Vec<BatchMember> = picks.iter().map(|&p| fix.member(p)).collect();
-                    let (out, cancelled) = fix.decoder.recover_batch_infer_stream(
-                        &fix.store,
-                        &batch,
-                        SegmentHead::Sparse,
-                        &mut DecodeHooks {
-                            cancel: &mut |i, j| cuts[i].is_some_and(|c| j >= c),
-                            admit: &mut |_| Vec::new(),
-                            on_step: &mut |_| {},
-                        },
+                let batch: Vec<BatchMember> = picks.iter().map(|&p| fix.member(p)).collect();
+                let (out, cancelled) = fix.decoder.recover_batch_infer_stream(
+                    &fix.store,
+                    &batch,
+                    SegmentHead::Sparse,
+                    &mut DecodeHooks {
+                        cancel: &mut |i, j| cuts[i].is_some_and(|c| j >= c),
+                        admit: &mut |_| Vec::new(),
+                        on_step: &mut |_| {},
+                    },
+                );
+                for (i, path) in out.iter().enumerate() {
+                    let target = batch[i].sample.target_len();
+                    let want_len = cuts[i].map_or(target, |c| c.min(target));
+                    let should_cancel = cuts[i].is_some_and(|c| c < target);
+                    assert_eq!(
+                        cancelled[i], should_cancel,
+                        "member {i} cancelled flag under {}",
+                        bk.name()
                     );
-                    pool::set_num_threads(1);
-                    for (i, path) in out.iter().enumerate() {
-                        let target = batch[i].sample.target_len();
-                        let want_len = cuts[i].map_or(target, |c| c.min(target));
-                        let should_cancel = cuts[i].is_some_and(|c| c < target);
-                        assert_eq!(
-                            cancelled[i], should_cancel,
-                            "member {i} cancelled flag at {threads} threads under {}",
-                            bk.name()
-                        );
-                        assert_eq!(path.len(), want_len, "member {i} output length");
-                        assert!(
-                            path[..] == alone[i][..want_len],
-                            "member {i} diverged from the uncancelled prefix at \
-                             {threads} threads under {}",
-                            bk.name()
-                        );
-                    }
+                    assert_eq!(path.len(), want_len, "member {i} output length");
+                    assert!(
+                        path[..] == alone[i][..want_len],
+                        "member {i} diverged from the uncancelled prefix under {}",
+                        bk.name()
+                    );
                 }
             });
         }
@@ -263,7 +248,7 @@ proptest! {
     /// single-newcomer degenerate case. Incumbents must stay
     /// **bit-identical** to the closed-batch decode, and every admitted
     /// member must be bit-identical to its solo decode, under
-    /// every backend at 1 and 4 intra-op threads. The streamed `on_step`
+    /// every backend. The streamed `on_step`
     /// events must reproduce each member's output exactly, in per-member
     /// step order.
     #[test]
@@ -312,86 +297,81 @@ proptest! {
         let fix = fixture();
         for bk in backends() {
             backend::with_backend(bk, || {
-                pool::set_num_threads(1);
                 let alone: Vec<Vec<(usize, f32)>> =
                     (0..POOL).map(|p| fix.alone(p)).collect();
-                for threads in [1usize, 4] {
-                    pool::set_num_threads(threads);
-                    let batch: Vec<BatchMember> = picks.iter().map(|&p| fix.member(p)).collect();
-                    let n = batch.len();
-                    let mut tick = 0usize;
-                    let mut joined: Vec<bool> = vec![false; grown.len()];
-                    let mut admitted: Vec<usize> = Vec::new();
-                    let mut events: Vec<StepOut> = Vec::new();
-                    let mut cancel = |i: usize, j: usize| {
-                        i < n && cuts[i].is_some_and(|c| j >= c)
-                    };
-                    let mut admit = |_live: usize| -> Vec<GrownMember> {
-                        let mut v = Vec::new();
-                        for (g, &(at, p)) in grown.iter().enumerate() {
-                            if !joined[g] && tick >= at {
-                                joined[g] = true;
-                                admitted.push(p);
-                                let (per_point, traj, sample) = &fix.members[p];
-                                v.push(GrownMember {
-                                    per_point: per_point.clone(),
-                                    traj: traj.clone(),
-                                    sample,
-                                });
-                            }
+                let batch: Vec<BatchMember> = picks.iter().map(|&p| fix.member(p)).collect();
+                let n = batch.len();
+                let mut tick = 0usize;
+                let mut joined: Vec<bool> = vec![false; grown.len()];
+                let mut admitted: Vec<usize> = Vec::new();
+                let mut events: Vec<StepOut> = Vec::new();
+                let mut cancel = |i: usize, j: usize| {
+                    i < n && cuts[i].is_some_and(|c| j >= c)
+                };
+                let mut admit = |_live: usize| -> Vec<GrownMember> {
+                    let mut v = Vec::new();
+                    for (g, &(at, p)) in grown.iter().enumerate() {
+                        if !joined[g] && tick >= at {
+                            joined[g] = true;
+                            admitted.push(p);
+                            let (per_point, traj, sample) = &fix.members[p];
+                            v.push(GrownMember {
+                                per_point: per_point.clone(),
+                                traj: traj.clone(),
+                                sample,
+                            });
                         }
-                        tick += 1;
-                        v
-                    };
-                    let mut on_step = |s: StepOut| events.push(s);
-                    let (out, cancelled) = fix.decoder.recover_batch_infer_stream(
-                        &fix.store,
-                        &batch,
-                        SegmentHead::Sparse,
-                        &mut DecodeHooks {
-                            cancel: &mut cancel,
-                            admit: &mut admit,
-                            on_step: &mut on_step,
-                        },
+                    }
+                    tick += 1;
+                    v
+                };
+                let mut on_step = |s: StepOut| events.push(s);
+                let (out, cancelled) = fix.decoder.recover_batch_infer_stream(
+                    &fix.store,
+                    &batch,
+                    SegmentHead::Sparse,
+                    &mut DecodeHooks {
+                        cancel: &mut cancel,
+                        admit: &mut admit,
+                        on_step: &mut on_step,
+                    },
+                );
+                assert_eq!(out.len(), n + admitted.len());
+                // Incumbents: the cancellation contract, bit-exact.
+                for i in 0..n {
+                    let target = batch[i].sample.target_len();
+                    let want_len = cuts[i].map_or(target, |c| c.min(target));
+                    assert_eq!(out[i].len(), want_len, "incumbent {} length", i);
+                    assert!(
+                        out[i][..] == alone[picks[i]][..want_len],
+                        "incumbent {} diverged under {}",
+                        i, bk.name()
                     );
-                    pool::set_num_threads(1);
-                    assert_eq!(out.len(), n + admitted.len());
-                    // Incumbents: the cancellation contract, bit-exact.
-                    for i in 0..n {
-                        let target = batch[i].sample.target_len();
-                        let want_len = cuts[i].map_or(target, |c| c.min(target));
-                        assert_eq!(out[i].len(), want_len, "incumbent {} length", i);
-                        assert!(
-                            out[i][..] == alone[picks[i]][..want_len],
-                            "incumbent {} diverged at {} threads under {}",
-                            i, threads, bk.name()
-                        );
-                        assert_eq!(
-                            cancelled[i],
-                            cuts[i].is_some_and(|c| c < target),
-                            "incumbent {} cancelled flag", i
-                        );
-                    }
-                    // Admitted members: bit-identical to their solo runs.
-                    for (k, &p) in admitted.iter().enumerate() {
-                        assert!(
-                            out[n + k][..] == alone[p][..],
-                            "admitted member {} diverged at {} threads under {}",
-                            k, threads, bk.name()
-                        );
-                        assert!(!cancelled[n + k], "admitted member {} cut", k);
-                    }
-                    // The stream reproduces every output in step order.
-                    let mut replayed: Vec<Vec<(usize, f32)>> = vec![Vec::new(); out.len()];
-                    for e in &events {
-                        assert_eq!(
-                            e.step, replayed[e.member].len(),
-                            "member {} streamed out of order", e.member
-                        );
-                        replayed[e.member].push((e.segment, e.rate));
-                    }
-                    assert_eq!(&replayed, &out, "streamed events diverged from outputs");
+                    assert_eq!(
+                        cancelled[i],
+                        cuts[i].is_some_and(|c| c < target),
+                        "incumbent {} cancelled flag", i
+                    );
                 }
+                // Admitted members: bit-identical to their solo runs.
+                for (k, &p) in admitted.iter().enumerate() {
+                    assert!(
+                        out[n + k][..] == alone[p][..],
+                        "admitted member {} diverged under {}",
+                        k, bk.name()
+                    );
+                    assert!(!cancelled[n + k], "admitted member {} cut", k);
+                }
+                // The stream reproduces every output in step order.
+                let mut replayed: Vec<Vec<(usize, f32)>> = vec![Vec::new(); out.len()];
+                for e in &events {
+                    assert_eq!(
+                        e.step, replayed[e.member].len(),
+                        "member {} streamed out of order", e.member
+                    );
+                    replayed[e.member].push((e.segment, e.rate));
+                }
+                assert_eq!(&replayed, &out, "streamed events diverged from outputs");
             });
         }
     }
@@ -410,7 +390,6 @@ fn sparse_head_recovery_matches_dense() {
     let batch: Vec<BatchMember> = picks.iter().map(|&p| fix.member(p)).collect();
     for bk in backends() {
         backend::with_backend(bk, || {
-            pool::set_num_threads(1);
             let dense = fix.on_tape(&picks);
             let sparse = fix.batch(&batch);
             assert_eq!(dense, sparse, "recovery diverged under {}", bk.name());
@@ -418,17 +397,14 @@ fn sparse_head_recovery_matches_dense() {
     }
 }
 
-/// The int8 head: recovery stays valid (mask respected, rates in range)
-/// and — because the quantized accumulation is exact integer arithmetic —
-/// the whole decode is thread-invariant within each backend.
+/// The int8 head: recovery stays valid (mask respected, rates in range).
 #[test]
-fn quantized_head_recovery_is_valid_and_thread_invariant() {
+fn quantized_head_recovery_is_valid() {
     let fix = fixture();
     let q = fix.decoder.quantized_segment_head(&fix.store);
     let batch: Vec<BatchMember> = (0..POOL).map(|p| fix.member(p)).collect();
     for bk in backends() {
         backend::with_backend(bk, || {
-            pool::set_num_threads(1);
             let base = fix.decoder.recover_batch_infer_with(
                 &fix.store,
                 &batch,
@@ -448,16 +424,6 @@ fn quantized_head_recovery_is_valid_and_thread_invariant() {
                     }
                 }
             }
-            for threads in [4usize, 2] {
-                pool::set_num_threads(threads);
-                let again = fix.decoder.recover_batch_infer_with(
-                    &fix.store,
-                    &batch,
-                    SegmentHead::Quantized(&q),
-                );
-                assert_eq!(again, base, "t={threads} under {}", bk.name());
-            }
-            pool::set_num_threads(1);
         });
     }
 }
@@ -470,7 +436,6 @@ fn quantized_head_recovery_is_valid_and_thread_invariant() {
 #[test]
 fn singleton_batch_equals_tape_decode() {
     let fix = fixture();
-    pool::set_num_threads(1);
     for p in 0..POOL {
         let want = fix.on_tape(&[p]).remove(0);
         assert_eq!(fix.alone(p), want, "member {p} diverged from the tape");
@@ -482,7 +447,6 @@ fn singleton_batch_equals_tape_decode() {
 #[test]
 fn equal_length_batch_equals_sequential() {
     let fix = fixture();
-    pool::set_num_threads(1);
     // Members 3 and 4 share target length 9; repeat them.
     let picks = [3usize, 4, 3, 4];
     let alone: Vec<Vec<(usize, f32)>> = picks.iter().map(|&p| fix.alone(p)).collect();
@@ -522,7 +486,6 @@ fn stepped_decode_state_equals_the_hooks_driver() {
     };
     for bk in backends() {
         backend::with_backend(bk, || {
-            pool::set_num_threads(1);
             let mut state = DecodeState::new(&fix.decoder, &fix.store, SegmentHead::Sparse);
             state.admit(&[fix.member(0), fix.member(1)]);
             let mut stepped: Vec<StepOut> = Vec::new();
@@ -657,9 +620,9 @@ proptest! {
 
     /// Arbitrary ragged batches (any composition, with repeats, including
     /// the single-point member) encoded in one fused pass equal each
-    /// member encoded alone (`B = 1`) bit-for-bit, at 1 and 4 intra-op
-    /// kernel threads — GraphNorm statistics must stay scoped to each
-    /// member's own sub-graphs no matter what shares the batch.
+    /// member encoded alone (`B = 1`) bit-for-bit — GraphNorm statistics
+    /// must stay scoped to each member's own sub-graphs no matter what
+    /// shares the batch.
     #[test]
     fn fused_encoder_equals_per_member(
         batch_size in 1usize..7,
@@ -672,28 +635,23 @@ proptest! {
         let fix = encoder_fixture();
         for bk in backends() {
             backend::with_backend(bk, || {
-                pool::set_num_threads(1);
                 let alone: Vec<_> = picks
                     .iter()
                     .map(|&p| fix.encode(&[&fix.samples[p]]).remove(0))
                     .collect();
-                for threads in [1usize, 4] {
-                    pool::set_num_threads(threads);
-                    let batch: Vec<&SampleInput> = picks.iter().map(|&p| &fix.samples[p]).collect();
-                    let batched = fix.encode(&batch);
-                    pool::set_num_threads(1);
-                    for (i, (got, want)) in batched.iter().zip(&alone).enumerate() {
-                        assert!(
-                            got.per_point.data == want.per_point.data,
-                            "member {i} per-point diverged at {threads} threads under {}",
-                            bk.name()
-                        );
-                        assert!(
-                            got.traj.data == want.traj.data,
-                            "member {i} traj diverged at {threads} threads under {}",
-                            bk.name()
-                        );
-                    }
+                let batch: Vec<&SampleInput> = picks.iter().map(|&p| &fix.samples[p]).collect();
+                let batched = fix.encode(&batch);
+                for (i, (got, want)) in batched.iter().zip(&alone).enumerate() {
+                    assert!(
+                        got.per_point.data == want.per_point.data,
+                        "member {i} per-point diverged under {}",
+                        bk.name()
+                    );
+                    assert!(
+                        got.traj.data == want.traj.data,
+                        "member {i} traj diverged under {}",
+                        bk.name()
+                    );
                 }
             });
         }
@@ -706,7 +664,6 @@ proptest! {
 #[test]
 fn singleton_and_single_point_encoder_batches() {
     let fix = encoder_fixture();
-    pool::set_num_threads(1);
     for p in 0..ENC_POOL {
         let batched = fix.encode(&[&fix.samples[p]]);
         let mut tape = Tape::new();

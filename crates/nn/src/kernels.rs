@@ -20,34 +20,28 @@
 //! intermediate) it never uses. The serving hot path therefore applies
 //! these kernels straight to tensors with no graph allocation; names
 //! follow the executor ops (`kernels::add_rowvec` ≡ `Exec::add_rowvec`).
-//! Because both paths share one kernel body (and the kernels are
-//! deterministic at any thread count), results are bit-identical to a
-//! forward pass on the tape — property-tested in `tests/kernel_parity.rs`
+//! Because both paths share one kernel body, results are bit-identical to
+//! a forward pass on the tape — property-tested in `tests/kernel_parity.rs`
 //! and end-to-end in `rntrajrec-models` / `rntrajrec-serve`.
 //!
-//! # Determinism under parallelism
+//! # Determinism
 //!
-//! Heavy kernels are parallelised over the [`crate::pool`] thread pool by
-//! **disjoint output partitions**: matmuls by output-row ranges (or
-//! output-column ranges for `[1, C]` results such as decoder logits), the
-//! CSR ops by destination-node segment ranges, element-wise maps by flat
-//! element ranges. Every output element is always accumulated in the same
-//! (ascending-index) order as the sequential loop and no reduction ever
-//! crosses a partition boundary, so results are **bit-identical at any
-//! thread count** — the property the serving stack's "batched ≡
-//! sequential" contract is built on, and what the `kernel_parity` proptest
-//! suite pins down.
+//! Kernels run on the caller's thread, one plain loop over the whole
+//! output; parallelism lives across requests, in the serving engine's
+//! workers. Every output element is accumulated in ascending-index order
+//! and every reduction covers exactly its own row, segment or node, so a
+//! row's bits do not depend on what else is in the batch — the property
+//! the serving stack's "batched ≡ sequential" contract is built on, and
+//! what the `kernel_parity` proptest suite pins down.
 //!
 //! # Backends
 //!
 //! The hot inner loops dispatch between the scalar reference path and an
 //! AVX2+FMA path (see [`backend`]). Each public kernel reads the backend
-//! **once at entry on the caller thread** and captures it into its pool
-//! closures, so a single invocation never mixes backends across chunks
-//! and [`backend::with_backend`] pins reliably even though inner chunks
-//! run on pool workers. Both backends satisfy the thread-count
-//! determinism contract above; they differ from *each other* only by
-//! FMA/partial-lane rounding in the matmul family and norm statistics
+//! **once at entry**, so a single invocation never mixes backends and
+//! [`backend::with_backend`] pins reliably. The two backends differ from
+//! each other only by FMA/partial-lane rounding in the matmul family and
+//! norm statistics
 //! (the softmax family, [`sigmoid`], the Eq. 7 gate [`gated_fusion`], the
 //! GAT pair [`segmented_softmax`] / [`neighbor_sum`] and [`tanh`] are
 //! bit-identical across backends — see `backend`'s module docs for the
@@ -69,18 +63,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use crate::{pool, GraphCsr, Tensor};
-
-/// Minimum multiply-adds per chunk before a matmul engages the pool.
-const MIN_MATMUL_WORK: usize = 32 * 1024;
-/// Minimum elements per chunk for element-wise maps and broadcasts.
-const MIN_MAP_ELEMS: usize = 16 * 1024;
-/// Minimum scalar reads per chunk for the CSR graph ops.
-const MIN_GRAPH_WORK: usize = 8 * 1024;
-/// Minimum elements per chunk for row-wise softmax / norm statistics.
-const MIN_ROW_WORK: usize = 8 * 1024;
-/// Minimum elements per chunk for row-gather copies.
-const MIN_COPY_ELEMS: usize = 32 * 1024;
+use crate::{GraphCsr, Tensor};
 
 /// Process-wide count of matmul-family kernel invocations
 /// ([`matmul`] + [`matmul_nt`], forward and backward).
@@ -105,8 +88,7 @@ thread_local! {
 /// multiply-add estimate — sparsity-aware kernels
 /// ([`masked_matmul_cols`], the quantized head) pass `2·K·(computed
 /// columns)` so attribution reflects work actually done, not the dense
-/// shape. Runs on the *caller* thread before any work is handed to the
-/// pool, so scoped accounting is exact.
+/// shape.
 #[inline]
 fn note_matmul(flops: u64) {
     // Fault point at the kernel-dispatch chokepoint: an injected panic
@@ -152,9 +134,8 @@ pub struct ProfileScope {
 /// totals, so concurrent work on other threads cannot pollute the
 /// measurement (the race the old global-counter reset dance had); the
 /// invocations counted are those issued from the calling thread, which is
-/// exact for the serving stack where kernels are entered on the caller
-/// and only inner chunks fan out to the pool. When tracing is enabled the
-/// scope also records an observability span named `tag`.
+/// exact because every kernel runs on its caller's thread. When tracing
+/// is enabled the scope also records an observability span named `tag`.
 pub fn profile_scope(tag: &'static str) -> ProfileScope {
     ProfileScope {
         tag,
@@ -178,70 +159,28 @@ impl ProfileScope {
     }
 }
 
-/// Raw mutable output pointer shared across pool chunks. Sound because
-/// every kernel writes strictly disjoint index ranges per chunk.
-#[derive(Clone, Copy)]
-struct SendPtr(*mut f32);
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
-
-impl SendPtr {
-    /// Accessor (rather than field access) so closures capture the whole
-    /// `Sync` wrapper, not the raw pointer field.
-    fn get(self) -> *mut f32 {
-        self.0
-    }
-}
-
-/// Run `f` over disjoint chunks of `rows` output rows; each call receives
-/// the row range and the matching mutable row-major slice of `out`
-/// (`width` elements per row).
-fn par_row_chunks<F>(out: &mut [f32], width: usize, rows: usize, min_rows: usize, f: F)
-where
-    F: Fn(Range<usize>, &mut [f32]) + Sync,
-{
-    debug_assert_eq!(out.len(), rows * width);
-    let ptr = SendPtr(out.as_mut_ptr());
-    pool::for_each_chunk(rows, min_rows, move |range| {
-        // SAFETY: chunk ranges are disjoint, so the sub-slices never alias.
-        let slice = unsafe {
-            std::slice::from_raw_parts_mut(ptr.get().add(range.start * width), range.len() * width)
-        };
-        f(range, slice);
-    });
-}
-
 // ----- matrix products -------------------------------------------------------
 
-/// The row-at-a-time matmul inner kernel: `orow[j] += Σ_k arow[k] · b[k,
-/// col0 + j]`, four `k` per pass (four `a` values held in registers, one
-/// pass over the output row per block) so the output row is traversed 4×
-/// less often and four rows of `B` stream through cache together. Per
+/// The row-at-a-time matmul inner kernel: `orow[j] += Σ_k arow[k] · b[k, j]`
+/// over a `[k, orow.len()]` `b`, four `k` per pass (four `a` values held in
+/// registers, one pass over the output row per block) so the output row is
+/// traversed 4× less often and four rows of `B` stream through cache
+/// together. Per
 /// output element the floating-point work is still `+= a_k·b_kj` in
 /// ascending `k` with zero entries of `arow` skipped — one rounding step
 /// per product, in the same order as the scalar loop, so blocked and
 /// unblocked results are bit-identical (pinned by the `kernel_parity`
 /// suite).
 ///
-/// `stride` is the row stride of `b`; `col0` the first output column (used
-/// by the `[1, C]` path, which partitions output columns across the pool).
-///
-/// `bk` is the backend captured at the calling kernel's entry; on the
-/// AVX2 path every element is a chain of fused multiply-adds in ascending
-/// `k` with no zero-skip (see [`backend`]), equally partition-invariant.
-pub(crate) fn matmul_axpy(
-    bk: backend::Backend,
-    arow: &[f32],
-    b: &[f32],
-    stride: usize,
-    col0: usize,
-    orow: &mut [f32],
-) {
+/// `bk` is the backend read at the calling kernel's entry; on the AVX2
+/// path every element is a chain of fused multiply-adds in ascending `k`
+/// with no zero-skip (see [`backend`]).
+pub(crate) fn matmul_axpy(bk: backend::Backend, arow: &[f32], b: &[f32], orow: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     if bk == backend::Backend::Avx2Fma {
         // SAFETY: `Avx2Fma` only ever becomes active after runtime
         // feature detection (see `backend::is_supported`).
-        unsafe { backend::matmul_axpy(arow, b, stride, col0, orow) };
+        unsafe { backend::matmul_axpy(arow, b, orow) };
         return;
     }
     let _ = bk;
@@ -251,11 +190,11 @@ pub(crate) fn matmul_axpy(
     while kk + 4 <= k {
         let (a0, a1, a2, a3) = (arow[kk], arow[kk + 1], arow[kk + 2], arow[kk + 3]);
         if a0 != 0.0 && a1 != 0.0 && a2 != 0.0 && a3 != 0.0 {
-            let base = kk * stride + col0;
+            let base = kk * w;
             let b0 = &b[base..base + w];
-            let b1 = &b[base + stride..base + stride + w];
-            let b2 = &b[base + 2 * stride..base + 2 * stride + w];
-            let b3 = &b[base + 3 * stride..base + 3 * stride + w];
+            let b1 = &b[base + w..base + 2 * w];
+            let b2 = &b[base + 2 * w..base + 3 * w];
+            let b3 = &b[base + 3 * w..base + 4 * w];
             for j in 0..w {
                 let mut o = orow[j];
                 o += a0 * b0[j];
@@ -272,7 +211,7 @@ pub(crate) fn matmul_axpy(
                 if av == 0.0 {
                     continue;
                 }
-                let base = (kk + t) * stride + col0;
+                let base = (kk + t) * w;
                 let brow = &b[base..base + w];
                 for (o, &bv) in orow.iter_mut().zip(brow) {
                     *o += av * bv;
@@ -284,7 +223,7 @@ pub(crate) fn matmul_axpy(
     while kk < k {
         let av = arow[kk];
         if av != 0.0 {
-            let base = kk * stride + col0;
+            let base = kk * w;
             let brow = &b[base..base + w];
             for (o, &bv) in orow.iter_mut().zip(brow) {
                 *o += av * bv;
@@ -294,178 +233,110 @@ pub(crate) fn matmul_axpy(
     }
 }
 
-/// `A[R,K] × B[K,C]`, parallel over output rows (output columns when
-/// `R == 1`). The scalar backend runs `matmul_axpy` row by row (zero
-/// entries of `A` skipped). Under AVX2 each chunk's rows go six at a time
+/// `A[R,K] × B[K,C]`. The scalar backend runs `matmul_axpy` row by row
+/// (zero entries of `A` skipped). Under AVX2 the rows go six at a time
 /// through the register-tiled `backend::matmul_tile` — a 6 × 16 block of
 /// accumulators held in registers across the whole `k` loop — and the
-/// rows left over (and the `R == 1` path) through `matmul_axpy`. Either
-/// way every output element is one chain accumulated from 0 in ascending
-/// `k`, so a row's bits do not depend on which path, partition or thread
-/// count computed it (pinned against the row-at-a-time route by
-/// `kernel_parity.rs::matmul_tile_edges_match_row_at_a_time`).
+/// rows left over through `matmul_axpy`. Either way every output element
+/// is one chain accumulated from 0 in ascending `k`, so a row's bits do
+/// not depend on which path computed it (pinned against the row-at-a-time
+/// route by `kernel_parity.rs::matmul_tile_edges_match_row_at_a_time`).
 pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(a.cols, b.rows, "matmul: inner dimension mismatch");
     let (r, k, c) = (a.rows, a.cols, b.cols);
     note_matmul(2 * (r * k * c) as u64);
     let bk = backend::active();
     let mut out = Tensor::zeros(r, c);
-    if r == 1 {
-        par_row_chunks(
-            &mut out.data,
-            1,
-            c,
-            (MIN_MATMUL_WORK / k.max(1)).max(1),
-            |cols, dst| matmul_axpy(bk, &a.data, &b.data, c, cols.start, dst),
-        );
-    } else {
-        let min_rows = (MIN_MATMUL_WORK / (k * c).max(1)).max(1);
-        par_row_chunks(&mut out.data, c, r, min_rows, |rows, dst| {
-            let arows = &a.data[rows.start * k..rows.end * k];
-            let mut done = 0;
-            #[cfg(target_arch = "x86_64")]
-            if bk == backend::Backend::Avx2Fma {
-                const T: usize = backend::TILE_ROWS;
-                while done + T <= rows.len() {
-                    // SAFETY: `Avx2Fma` only ever becomes active after
-                    // runtime feature detection (see
-                    // `backend::is_supported`); the slices are exactly one
-                    // `[6, k]` / `[k, c]` / `[6, c]` tile (the kernel
-                    // asserts it), inside this chunk's own disjoint rows.
-                    unsafe {
-                        backend::matmul_tile(
-                            &arows[done * k..(done + T) * k],
-                            &b.data,
-                            k,
-                            c,
-                            &mut dst[done * c..(done + T) * c],
-                        );
-                    }
-                    done += T;
-                }
+    let mut done = 0;
+    #[cfg(target_arch = "x86_64")]
+    if bk == backend::Backend::Avx2Fma {
+        const T: usize = backend::TILE_ROWS;
+        while done + T <= r {
+            // SAFETY: `Avx2Fma` only ever becomes active after runtime
+            // feature detection (see `backend::is_supported`); the slices
+            // are exactly one `[6, k]` / `[k, c]` / `[6, c]` tile (the
+            // kernel asserts it).
+            unsafe {
+                backend::matmul_tile(
+                    &a.data[done * k..(done + T) * k],
+                    &b.data,
+                    k,
+                    c,
+                    &mut out.data[done * c..(done + T) * c],
+                );
             }
-            for i in done..rows.len() {
-                let arow = &arows[i * k..(i + 1) * k];
-                matmul_axpy(bk, arow, &b.data, c, 0, &mut dst[i * c..(i + 1) * c]);
-            }
-        });
+            done += T;
+        }
+    }
+    for i in done..r {
+        let arow = &a.data[i * k..(i + 1) * k];
+        matmul_axpy(bk, arow, &b.data, &mut out.data[i * c..(i + 1) * c]);
     }
     out
 }
 
-/// `A[R,K] × B[C,K]ᵀ → [R,C]` without materialising the transpose;
-/// parallel over output rows (columns when `R == 1`).
+/// `A[R,K] × B[C,K]ᵀ → [R,C]` without materialising the transpose.
 pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(a.cols, b.cols, "matmul_nt: inner dimension mismatch");
     let (r, k, c) = (a.rows, a.cols, b.rows);
     note_matmul(2 * (r * k * c) as u64);
     let bk = backend::active();
     let mut out = Tensor::zeros(r, c);
-    let dot = move |arow: &[f32], j: usize| row_dot(bk, &arow[..k], &b.data[j * k..(j + 1) * k]);
-    if r == 1 {
-        par_row_chunks(
-            &mut out.data,
-            1,
-            c,
-            (MIN_MATMUL_WORK / k.max(1)).max(1),
-            |cols, dst| {
-                for (oi, j) in cols.enumerate() {
-                    dst[oi] = dot(&a.data, j);
-                }
-            },
-        );
-    } else {
-        let min_rows = (MIN_MATMUL_WORK / (k * c).max(1)).max(1);
-        par_row_chunks(&mut out.data, c, r, min_rows, |rows, dst| {
-            for (ri, i) in rows.enumerate() {
-                let arow = &a.data[i * k..(i + 1) * k];
-                for j in 0..c {
-                    dst[ri * c + j] = dot(arow, j);
-                }
-            }
-        });
+    for i in 0..r {
+        let arow = &a.data[i * k..(i + 1) * k];
+        for j in 0..c {
+            out.data[i * c + j] = row_dot(bk, arow, &b.data[j * k..(j + 1) * k]);
+        }
     }
     out
 }
 
 // ----- element-wise maps -----------------------------------------------------
 
-/// Apply `f` element-wise; parallel over flat element ranges.
-pub fn unary_map(a: &Tensor, f: impl Fn(f32) -> f32 + Sync) -> Tensor {
-    let mut out = Tensor::zeros(a.rows, a.cols);
-    par_row_chunks(
-        &mut out.data,
-        1,
-        a.data.len(),
-        MIN_MAP_ELEMS,
-        |range, dst| {
-            for (d, &x) in dst.iter_mut().zip(&a.data[range]) {
-                *d = f(x);
-            }
-        },
-    );
-    out
+/// Apply `f` element-wise.
+pub fn unary_map(a: &Tensor, f: impl Fn(f32) -> f32) -> Tensor {
+    Tensor::from_vec(a.rows, a.cols, a.data.iter().map(|&x| f(x)).collect())
 }
 
-/// Apply `f` element-wise over two same-shaped tensors; parallel over flat
-/// element ranges.
-pub fn binary_map(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Tensor {
+/// Apply `f` element-wise over two same-shaped tensors.
+pub fn binary_map(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
     assert_eq!(a.shape(), b.shape(), "binary_map: shape mismatch");
-    let mut out = Tensor::zeros(a.rows, a.cols);
-    par_row_chunks(
-        &mut out.data,
-        1,
-        a.data.len(),
-        MIN_MAP_ELEMS,
-        |range, dst| {
-            for ((d, &x), &y) in dst
-                .iter_mut()
-                .zip(&a.data[range.clone()])
-                .zip(&b.data[range])
-            {
-                *d = f(x, y);
-            }
-        },
-    );
-    out
+    let data = a.data.iter().zip(&b.data).map(|(&x, &y)| f(x, y)).collect();
+    Tensor::from_vec(a.rows, a.cols, data)
 }
 
-/// `out[r,c] = f(m[r,c], v[c])` for a `[1,C]` row vector `v`; parallel
-/// over row ranges.
-pub fn rowvec_map(m: &Tensor, v: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Tensor {
+/// `out[r,c] = f(m[r,c], v[c])` for a `[1,C]` row vector `v`.
+pub fn rowvec_map(m: &Tensor, v: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
     let (r, c) = m.shape();
     assert_eq!((v.rows, v.cols), (1, c), "rowvec_map: v must be [1,C]");
     let mut out = Tensor::zeros(r, c);
-    let min_rows = (MIN_MAP_ELEMS / c.max(1)).max(1);
-    par_row_chunks(&mut out.data, c, r, min_rows, |rows, dst| {
-        for (ri, i) in rows.enumerate() {
-            let src = &m.data[i * c..(i + 1) * c];
-            let drow = &mut dst[ri * c..(ri + 1) * c];
-            for ((d, &x), &y) in drow.iter_mut().zip(src).zip(&v.data) {
-                *d = f(x, y);
-            }
+    for (drow, src) in out
+        .data
+        .chunks_exact_mut(c.max(1))
+        .zip(m.data.chunks_exact(c.max(1)))
+    {
+        for ((d, &x), &y) in drow.iter_mut().zip(src).zip(&v.data) {
+            *d = f(x, y);
         }
-    });
+    }
     out
 }
 
-/// `out[r,c] = f(m[r,c], v[r])` for an `[R,1]` column vector `v`; parallel
-/// over row ranges.
-pub fn colvec_map(m: &Tensor, v: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync) -> Tensor {
+/// `out[r,c] = f(m[r,c], v[r])` for an `[R,1]` column vector `v`.
+pub fn colvec_map(m: &Tensor, v: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
     let (r, c) = m.shape();
     assert_eq!((v.rows, v.cols), (r, 1), "colvec_map: v must be [R,1]");
     let mut out = Tensor::zeros(r, c);
-    let min_rows = (MIN_MAP_ELEMS / c.max(1)).max(1);
-    par_row_chunks(&mut out.data, c, r, min_rows, |rows, dst| {
-        for (ri, i) in rows.enumerate() {
-            let y = v.data[i];
-            let src = &m.data[i * c..(i + 1) * c];
-            let drow = &mut dst[ri * c..(ri + 1) * c];
-            for (d, &x) in drow.iter_mut().zip(src) {
-                *d = f(x, y);
-            }
+    for ((drow, src), &y) in out
+        .data
+        .chunks_exact_mut(c.max(1))
+        .zip(m.data.chunks_exact(c.max(1)))
+        .zip(&v.data)
+    {
+        for (d, &x) in drow.iter_mut().zip(src) {
+            *d = f(x, y);
         }
-    });
+    }
     out
 }
 
@@ -526,18 +397,10 @@ pub fn mul_colvec(m: &Tensor, v: &Tensor) -> Tensor {
 }
 
 /// Element-wise logistic sigmoid `1 / (1 + e^{−x})` on the in-repo
-/// [`expf::expf`]: the same bits on both backends, at any thread count and
-/// on any host; parallel over flat element ranges.
+/// [`expf::expf`]: the same bits on both backends and on any host.
 pub fn sigmoid(a: &Tensor) -> Tensor {
-    let bk = backend::active();
     let mut out = Tensor::zeros(a.rows, a.cols);
-    par_row_chunks(
-        &mut out.data,
-        1,
-        a.data.len(),
-        MIN_MAP_ELEMS,
-        |range, dst| expf::sigmoid_slice(bk, &a.data[range], dst),
-    );
+    expf::sigmoid_slice(backend::active(), &a.data, &mut out.data);
     out
 }
 
@@ -549,21 +412,16 @@ pub fn exp_in_place(xs: &mut [f32]) {
 }
 
 /// Element-wise hyperbolic tangent: [`tanhf::tanhf`] of every element,
-/// the same bits on both backends, at any thread count and on any host.
+/// the same bits on both backends and on any host.
 pub fn tanh(a: &Tensor) -> Tensor {
     let mut out = a.clone();
     tanh_in_place(&mut out);
     out
 }
 
-/// [`tanh`] overwriting its operand, for callers that own a temporary;
-/// parallel over flat element ranges.
+/// [`tanh`] overwriting its operand, for callers that own a temporary.
 pub fn tanh_in_place(a: &mut Tensor) {
-    let bk = backend::active();
-    let n = a.data.len();
-    par_row_chunks(&mut a.data, 1, n, MIN_MAP_ELEMS, |_, dst| {
-        tanhf::tanh_slice(bk, dst)
-    });
+    tanhf::tanh_slice(backend::active(), &mut a.data);
 }
 
 /// Element-wise `max(x, 0)`.
@@ -654,38 +512,29 @@ fn row_max(bk: backend::Backend, row: &[f32]) -> f32 {
     row.iter().cloned().fold(f32::NEG_INFINITY, f32::max)
 }
 
-/// Row-wise softmax; parallel over row ranges (each row is one
-/// self-contained reduction, so partitioning never reorders a sum).
+/// Row-wise softmax (each row one self-contained reduction).
 pub fn softmax_rows(a: &Tensor) -> Tensor {
     let mut t = a.clone();
-    let (r, c) = t.shape();
-    if c == 0 {
+    if t.cols == 0 {
         return t;
     }
     let bk = backend::active();
-    let min_rows = (MIN_ROW_WORK / c).max(1);
-    par_row_chunks(&mut t.data, c, r, min_rows, |_, dst| {
-        for row in dst.chunks_exact_mut(c) {
-            softmax_in_place_bk(bk, row);
-        }
-    });
+    for row in t.data.chunks_exact_mut(a.cols) {
+        softmax_in_place_bk(bk, row);
+    }
     t
 }
 
-/// Row-wise stable log-softmax; parallel over row ranges.
+/// Row-wise stable log-softmax.
 pub fn log_softmax_rows(a: &Tensor) -> Tensor {
     let mut t = a.clone();
-    let (r, c) = t.shape();
-    if c == 0 {
+    if t.cols == 0 {
         return t;
     }
     let bk = backend::active();
-    let min_rows = (MIN_ROW_WORK / c).max(1);
-    par_row_chunks(&mut t.data, c, r, min_rows, |_, dst| {
-        for row in dst.chunks_exact_mut(c) {
-            log_softmax_slice(bk, row);
-        }
-    });
+    for row in t.data.chunks_exact_mut(a.cols) {
+        log_softmax_slice(bk, row);
+    }
     t
 }
 
@@ -700,7 +549,7 @@ pub fn log_softmax_rows(a: &Tensor) -> Tensor {
 /// overwrites (the last write to a column wins); the decoder does so once
 /// per member per step, when it turns weights into log-weights. The masked
 /// heads ([`masked_matmul_cols`], [`crate::quant::QuantizedLinear::forward_masked`])
-/// verify the form in one linear pass on the caller thread and panic
+/// verify the form in one linear pass up front and panic
 /// otherwise — they never sort, dedup or copy the list. Ascending order is what makes the sparse
 /// head's packed log-sum-exp equal a dense sweep of the full row with the
 /// masked-out columns at exact `-∞`.
@@ -731,9 +580,8 @@ pub fn canonical_mask_entries(mut entries: Vec<(usize, f32)>) -> Vec<(usize, f32
     entries
 }
 
-/// Verify every mask of a masked kernel on the caller thread — canonical
-/// form and column range, so no pool chunk can panic on it — and return
-/// the number of head columns the sparse kernels will compute (a row
+/// Verify every mask of a masked kernel — canonical form and column
+/// range — and return the number of head columns the sparse kernels will compute (a row
 /// without a usable mask computes all `c`).
 fn check_masks(kernel: &str, masks: &[Option<SparseLogMask<'_>>], c: usize) -> u64 {
     let mut computed = 0u64;
@@ -847,7 +695,7 @@ pub fn masked_matmul_cols(
         |bk, i, cols, out| {
             let arow = &a.data[i * k..(i + 1) * k];
             let Some(entries) = cols else {
-                return matmul_axpy(bk, arow, &b.data, c, 0, out);
+                return matmul_axpy(bk, arow, &b.data, out);
             };
             let split = entries.len() - entries.len() % backend::DOT_LANES;
             let (lanes, tail) = entries.split_at(split);
@@ -873,9 +721,9 @@ pub fn masked_matmul_cols(
 /// `i`'s dots of the mask entries' columns, in entry order, when `cols`
 /// is `Some` (`out` has one slot per entry), or of every column when it
 /// is `None` (`out` is the whole row); `out` arrives zeroed. Everything
-/// else is written here once: the masks are verified on the caller thread
-/// ([`check_masks`]), the FLOPs counted as `2·K·(columns computed)`, rows
-/// split over the pool by [`par_row_chunks`], and each row finished as
+/// else is written here once: the masks are verified up front
+/// ([`check_masks`]), the FLOPs counted as `2·K·(columns computed)`, and
+/// each row finished as
 ///
 /// * a row whose mask names columns: `(dot + bias) + log-weight` per
 ///   entry, log-softmax over those alone, in the entries' canonical
@@ -894,7 +742,7 @@ pub(crate) fn masked_head_rows<D>(
     dots: D,
 ) -> Tensor
 where
-    D: Fn(backend::Backend, usize, Option<&[(usize, f32)]>, &mut [f32]) + Sync,
+    D: Fn(backend::Backend, usize, Option<&[(usize, f32)]>, &mut [f32]),
 {
     let (r, k) = a.shape();
     assert_eq!(
@@ -903,9 +751,8 @@ where
         "{kernel}: bias must be [1,C]"
     );
     assert_eq!(masks.len(), r, "{kernel}: one mask per row");
-    // Verify the masks and count the columns actually computed, up front
-    // on the caller thread: exact FLOP attribution and no panics inside
-    // pool chunks.
+    // Verify the masks and count the columns actually computed, up front:
+    // exact FLOP attribution, and no half-written output on a bad mask.
     let computed = check_masks(kernel, masks, c);
     note_matmul(2 * k as u64 * computed);
     let bk = backend::active();
@@ -913,81 +760,66 @@ where
     if c == 0 {
         return out;
     }
-    let min_rows = (MIN_MATMUL_WORK / (k * c).max(1)).max(1);
-    par_row_chunks(&mut out.data, c, r, min_rows, |rows, dst| {
-        let mut scratch: Vec<f32> = Vec::new();
-        for (ri, i) in rows.enumerate() {
-            let row = &mut dst[ri * c..(ri + 1) * c];
-            match masks[i] {
-                Some(mask) if !mask.entries.is_empty() => {
-                    scratch.clear();
-                    scratch.resize(mask.entries.len(), 0.0);
-                    dots(bk, i, Some(mask.entries), &mut scratch);
-                    for (x, &(col, lw)) in scratch.iter_mut().zip(mask.entries) {
-                        *x = *x + bias.data[col] + lw;
-                    }
-                    log_softmax_slice(bk, &mut scratch);
-                    row.fill(f32::NEG_INFINITY);
-                    for (&(col, _), &x) in mask.entries.iter().zip(&scratch) {
-                        row[col] = x;
-                    }
+    let mut scratch: Vec<f32> = Vec::new();
+    for (i, row) in out.data.chunks_exact_mut(c).enumerate() {
+        match masks[i] {
+            Some(mask) if !mask.entries.is_empty() => {
+                scratch.clear();
+                scratch.resize(mask.entries.len(), 0.0);
+                dots(bk, i, Some(mask.entries), &mut scratch);
+                for (x, &(col, lw)) in scratch.iter_mut().zip(mask.entries) {
+                    *x = *x + bias.data[col] + lw;
                 }
-                mask => {
-                    dots(bk, i, None, row);
-                    match mask {
-                        Some(m) => {
-                            for (o, &bv) in row.iter_mut().zip(&bias.data) {
-                                *o = (*o + bv) + m.default;
-                            }
-                        }
-                        None => {
-                            for (o, &bv) in row.iter_mut().zip(&bias.data) {
-                                *o += bv;
-                            }
-                        }
-                    }
-                    log_softmax_slice(bk, row);
+                log_softmax_slice(bk, &mut scratch);
+                row.fill(f32::NEG_INFINITY);
+                for (&(col, _), &x) in mask.entries.iter().zip(&scratch) {
+                    row[col] = x;
                 }
             }
+            mask => {
+                dots(bk, i, None, row);
+                match mask {
+                    Some(m) => {
+                        for (o, &bv) in row.iter_mut().zip(&bias.data) {
+                            *o = (*o + bv) + m.default;
+                        }
+                    }
+                    None => {
+                        for (o, &bv) in row.iter_mut().zip(&bias.data) {
+                            *o += bv;
+                        }
+                    }
+                }
+                log_softmax_slice(bk, row);
+            }
         }
-    });
+    }
     out
 }
 
 /// Per-row layer-norm statistics: `(mean, 1/sqrt(var + eps))`, each
-/// `[R,1]`; parallel over row ranges. On the scalar backend this follows
+/// `[R,1]`. On the scalar backend this follows
 /// the exact accumulation order of the composed tape/infer layer-norm
 /// route (ascending-index sums, `Σ·(1/d)`, `x + (-μ)` centering), so the
 /// fused statistics are bit-identical to the op-by-op computation; the
 /// AVX2 backend uses partial-lane sums and fused square-accumulate,
-/// deterministic at any thread count but within the backend ULP budget
-/// of scalar.
+/// within the backend ULP budget of scalar.
 pub fn row_norm_stats(a: &Tensor, eps: f32) -> (Tensor, Tensor) {
     let (r, c) = a.shape();
     assert!(c > 0, "row_norm_stats: empty rows");
     let mut mean = Tensor::zeros(r, 1);
     let mut inv_std = Tensor::zeros(r, 1);
     let bk = backend::active();
-    let pm = SendPtr(mean.data.as_mut_ptr());
-    let ps = SendPtr(inv_std.data.as_mut_ptr());
-    let min_rows = (MIN_ROW_WORK / c).max(1);
     let inv_d = 1.0 / c as f32;
-    pool::for_each_chunk(r, min_rows, move |rows| {
-        for i in rows {
-            let row = &a.data[i * c..(i + 1) * c];
-            // Row sum: the AVX2 partial-lane sum rounds differently from
-            // the scalar ascending fold — part of the backend ULP budget.
-            let mu = row_sum(bk, row) * inv_d;
-            let neg_mu = -mu;
-            let sq = row_sumsq(bk, row, neg_mu);
-            let var = sq * inv_d + eps;
-            // SAFETY: row ranges are disjoint across chunks.
-            unsafe {
-                *pm.get().add(i) = mu;
-                *ps.get().add(i) = 1.0 / var.max(0.0).sqrt();
-            }
-        }
-    });
+    for (i, row) in a.data.chunks_exact(c).enumerate() {
+        // Row sum: the AVX2 partial-lane sum rounds differently from the
+        // scalar ascending fold — part of the backend ULP budget.
+        let mu = row_sum(bk, row) * inv_d;
+        let sq = row_sumsq(bk, row, -mu);
+        let var = sq * inv_d + eps;
+        mean.data[i] = mu;
+        inv_std.data[i] = 1.0 / var.max(0.0).sqrt();
+    }
     (mean, inv_std)
 }
 
@@ -1032,8 +864,7 @@ fn row_sumsq(bk: backend::Backend, row: &[f32], neg_mu: f32) -> f32 {
 /// centre, square, sqrt, recip, broadcasts). Per element the arithmetic is
 /// `((x + (−μ)) · inv_std) · γ + β` — the composed route's exact operation
 /// chain — so on the scalar backend results are bit-identical to it
-/// (under AVX2 the statistics carry that backend's reduction rounding);
-/// parallel over row ranges.
+/// (under AVX2 the statistics carry that backend's reduction rounding).
 pub fn layer_norm(x: &Tensor, gamma: &Tensor, beta: &Tensor, eps: f32) -> Tensor {
     let (r, c) = x.shape();
     assert_eq!(
@@ -1049,31 +880,27 @@ pub fn layer_norm(x: &Tensor, gamma: &Tensor, beta: &Tensor, eps: f32) -> Tensor
     let (mean, inv_std) = row_norm_stats(x, eps);
     let bk = backend::active();
     let mut out = Tensor::zeros(r, c);
-    let min_rows = (MIN_MAP_ELEMS / c.max(1)).max(1);
-    par_row_chunks(&mut out.data, c, r, min_rows, |rows, dst| {
-        for (ri, i) in rows.enumerate() {
-            let neg_mu = -mean.data[i];
-            let inv = inv_std.data[i];
-            let src = &x.data[i * c..(i + 1) * c];
-            let drow = &mut dst[ri * c..(ri + 1) * c];
-            #[cfg(target_arch = "x86_64")]
-            if bk == backend::Backend::Avx2Fma {
-                // SAFETY: `Avx2Fma` is only active after detection. The
-                // vector epilogue keeps the scalar operation chain (no
-                // fusing), so it matches the scalar loop bit for bit.
-                unsafe { backend::norm_affine(src, neg_mu, inv, &gamma.data, &beta.data, drow) };
-                continue;
-            }
-            let _ = bk;
-            for ((d, &xv), (&g, &b)) in drow
-                .iter_mut()
-                .zip(src)
-                .zip(gamma.data.iter().zip(&beta.data))
-            {
-                *d = ((xv + neg_mu) * inv) * g + b;
-            }
+    for (i, drow) in out.data.chunks_exact_mut(c).enumerate() {
+        let neg_mu = -mean.data[i];
+        let inv = inv_std.data[i];
+        let src = &x.data[i * c..(i + 1) * c];
+        #[cfg(target_arch = "x86_64")]
+        if bk == backend::Backend::Avx2Fma {
+            // SAFETY: `Avx2Fma` is only active after detection. The vector
+            // epilogue keeps the scalar operation chain (no fusing), so it
+            // matches the scalar loop bit for bit.
+            unsafe { backend::norm_affine(src, neg_mu, inv, &gamma.data, &beta.data, drow) };
+            continue;
         }
-    });
+        let _ = bk;
+        for ((d, &xv), (&g, &b)) in drow
+            .iter_mut()
+            .zip(src)
+            .zip(gamma.data.iter().zip(&beta.data))
+        {
+            *d = ((xv + neg_mu) * inv) * g + b;
+        }
+    }
     out
 }
 
@@ -1166,8 +993,7 @@ pub fn weighted_mean_rows(a: &Tensor, norm: &[f32]) -> Tensor {
     Tensor::row(out)
 }
 
-/// Row gather `table[indices[i], :] → [n, C]` (embedding lookup); bounds
-/// are validated up front, then rows copy in parallel over index ranges.
+/// Row gather `table[indices[i], :] → [n, C]` (embedding lookup).
 pub fn gather_rows(table: &Tensor, indices: &[usize]) -> Tensor {
     let c = table.cols;
     for &i in indices {
@@ -1177,15 +1003,11 @@ pub fn gather_rows(table: &Tensor, indices: &[usize]) -> Tensor {
             table.rows
         );
     }
-    let mut out = Tensor::zeros(indices.len(), c);
-    let min_rows = (MIN_COPY_ELEMS / c.max(1)).max(1);
-    par_row_chunks(&mut out.data, c, indices.len(), min_rows, |rows, dst| {
-        for (ri, i) in rows.enumerate() {
-            let src = indices[i];
-            dst[ri * c..(ri + 1) * c].copy_from_slice(&table.data[src * c..(src + 1) * c]);
-        }
-    });
-    out
+    let mut data = Vec::with_capacity(indices.len() * c);
+    for &i in indices {
+        data.extend_from_slice(&table.data[i * c..(i + 1) * c]);
+    }
+    Tensor::from_vec(indices.len(), c, data)
 }
 
 // ----- segmented fusion ops --------------------------------------------------
@@ -1201,22 +1023,18 @@ pub fn gather_rows(table: &Tensor, indices: &[usize]) -> Tensor {
 // accumulation order, so the stacked result is bit-identical to one call
 // per segment (pinned in `tests/kernel_parity.rs`).
 
-/// Validate `segs` against `rows` rows and return the exclusive prefix
-/// offsets of the stacked output (`offsets[s]` = first stacked row of
-/// segment `s`; `offsets[len]` = total rows).
-fn segment_offsets(segs: &[Range<usize>], rows: usize) -> Vec<usize> {
-    let mut offsets = Vec::with_capacity(segs.len() + 1);
-    let mut acc = 0usize;
-    offsets.push(0);
-    for seg in segs {
-        assert!(
-            seg.start <= seg.end && seg.end <= rows,
-            "segment {seg:?} out of {rows} rows"
-        );
-        acc += seg.len();
-        offsets.push(acc);
-    }
-    offsets
+/// Validate `segs` against `rows` rows and return the rows they cover
+/// in total.
+fn check_segments(segs: &[Range<usize>], rows: usize) -> usize {
+    segs.iter()
+        .map(|seg| {
+            assert!(
+                seg.start <= seg.end && seg.end <= rows,
+                "segment {seg:?} out of {rows} rows"
+            );
+            seg.len()
+        })
+        .sum()
 }
 
 /// `Σ_k a[k]·b[k]` under `bk`: [`matmul_nt`]'s dot (ascending `k` from 0 on
@@ -1265,7 +1083,7 @@ fn row_axpy(bk: backend::Backend, alpha: f32, x: &[f32], acc: &mut [f32]) {
 /// ascending-key accumulation — so each row is bit-identical to the
 /// segment's own composed route on either backend. Segments may skip or
 /// share rows (the decoder's retired members); an empty one gives a zero
-/// row. Parallel over segment ranges (one output row per segment).
+/// row.
 pub fn segmented_additive_attention(
     hk: &Tensor,
     gq: &Tensor,
@@ -1286,35 +1104,29 @@ pub fn segmented_additive_attention(
         (1, d),
         "segmented_additive_attention: v must be [1,d]"
     );
-    let covered = segment_offsets(segs, n)[segs.len()];
+    check_segments(segs, n);
     let bk = backend::active();
     let mut out = Tensor::zeros(segs.len(), c);
-    let min_rows = (MIN_MATMUL_WORK * segs.len())
-        .checked_div(covered * (2 * d + c))
-        .map_or(usize::MAX, |m| m.max(1));
     let longest = segs.iter().map(|seg| seg.len()).max().unwrap_or(0);
-    par_row_chunks(&mut out.data, c, segs.len(), min_rows, |srange, dst| {
-        let (mut t, mut scores) = (Vec::with_capacity(longest * d), Vec::with_capacity(longest));
-        for (ri, s) in srange.enumerate() {
-            let seg = segs[s].clone();
-            if seg.is_empty() {
-                continue;
-            }
-            let q = &gq.data[s * d..(s + 1) * d];
-            t.clear();
-            for row in hk.data[seg.start * d..seg.end * d].chunks_exact(d) {
-                t.extend(row.iter().zip(q).map(|(&x, &y)| x + y));
-            }
-            tanhf::tanh_slice(bk, &mut t);
-            scores.clear();
-            scores.extend(t.chunks_exact(d).map(|row| row_dot(bk, &v.data, row)));
-            softmax_in_place_bk(bk, &mut scores);
-            let orow = &mut dst[ri * c..(ri + 1) * c];
-            for (&alpha, i) in scores.iter().zip(seg) {
-                row_axpy(bk, alpha, &keys.data[i * c..(i + 1) * c], orow);
-            }
+    let (mut t, mut scores) = (Vec::with_capacity(longest * d), Vec::with_capacity(longest));
+    for (s, seg) in segs.iter().enumerate() {
+        if seg.is_empty() {
+            continue;
         }
-    });
+        let q = &gq.data[s * d..(s + 1) * d];
+        t.clear();
+        for row in hk.data[seg.start * d..seg.end * d].chunks_exact(d) {
+            t.extend(row.iter().zip(q).map(|(&x, &y)| x + y));
+        }
+        tanhf::tanh_slice(bk, &mut t);
+        scores.clear();
+        scores.extend(t.chunks_exact(d).map(|row| row_dot(bk, &v.data, row)));
+        softmax_in_place_bk(bk, &mut scores);
+        let orow = &mut out.data[s * c..(s + 1) * c];
+        for (&alpha, i) in scores.iter().zip(seg.clone()) {
+            row_axpy(bk, alpha, &keys.data[i * c..(i + 1) * c], orow);
+        }
+    }
     out
 }
 
@@ -1323,29 +1135,22 @@ pub fn segmented_additive_attention(
 /// trajectory-level pooling, one launch for every sub-graph / member.
 /// Rows accumulate in ascending order and the `1/n` scaling matches
 /// [`mean_rows`] exactly, so each output row is bit-identical to the
-/// per-segment call; parallel over segment ranges (one output row per
-/// segment). Segments may be arbitrary in-range row windows.
+/// per-segment call. Segments may be arbitrary in-range row windows.
 pub fn segmented_mean_rows(a: &Tensor, segs: &[Range<usize>]) -> Tensor {
     let c = a.cols;
-    let offsets = segment_offsets(segs, a.rows);
-    let covered = offsets[segs.len()];
+    check_segments(segs, a.rows);
     let mut out = Tensor::zeros(segs.len(), c);
-    let min_rows = (MIN_ROW_WORK * segs.len())
-        .checked_div(covered * c)
-        .map_or(usize::MAX, |m| m.max(1));
-    par_row_chunks(&mut out.data, c, segs.len(), min_rows, |srange, dst| {
-        for (ri, s) in srange.enumerate() {
-            let orow = &mut dst[ri * c..(ri + 1) * c];
-            for i in segs[s].clone() {
-                let row = &a.data[i * c..(i + 1) * c];
-                for (o, &x) in orow.iter_mut().zip(row) {
-                    *o += x;
-                }
+    for (s, seg) in segs.iter().enumerate() {
+        let orow = &mut out.data[s * c..(s + 1) * c];
+        for i in seg.clone() {
+            let row = &a.data[i * c..(i + 1) * c];
+            for (o, &x) in orow.iter_mut().zip(row) {
+                *o += x;
             }
-            let inv = 1.0 / segs[s].len() as f32;
-            orow.iter_mut().for_each(|x| *x *= inv);
         }
-    });
+        let inv = 1.0 / seg.len() as f32;
+        orow.iter_mut().for_each(|x| *x *= inv);
+    }
     out
 }
 
@@ -1355,40 +1160,31 @@ pub fn segmented_mean_rows(a: &Tensor, segs: &[Range<usize>]) -> Tensor {
 /// [`normalized_weights`] of its weight slice — the batched Eq. 6 pooling.
 /// Normalisation (ascending-order sum, per-weight division) and the
 /// weighted accumulation match the per-segment route exactly, so each
-/// output row is bit-identical; parallel over segment ranges.
+/// output row is bit-identical.
 pub fn segmented_weighted_mean_rows(a: &Tensor, weights: &[f32], segs: &[Range<usize>]) -> Tensor {
     let c = a.cols;
-    let offsets = segment_offsets(segs, a.rows);
-    let covered = offsets[segs.len()];
     assert_eq!(
         weights.len(),
-        covered,
+        check_segments(segs, a.rows),
         "segmented_weighted_mean_rows: weight count must match segment rows"
     );
-    // Validate every segment's weights up front (the per-segment route
-    // asserts in `normalized_weights`), keeping panics out of pool chunks.
-    for (s, seg) in segs.iter().enumerate() {
-        let total: f32 = weights[offsets[s]..offsets[s] + seg.len()].iter().sum();
-        assert!(total > 0.0, "weights must not all be zero (segment {s})");
-    }
     let mut out = Tensor::zeros(segs.len(), c);
-    let min_rows = (MIN_ROW_WORK * segs.len())
-        .checked_div(covered * c)
-        .map_or(usize::MAX, |m| m.max(1));
-    par_row_chunks(&mut out.data, c, segs.len(), min_rows, |srange, dst| {
-        for (ri, s) in srange.enumerate() {
-            let orow = &mut dst[ri * c..(ri + 1) * c];
-            let wseg = &weights[offsets[s]..offsets[s] + segs[s].len()];
-            let total: f32 = wseg.iter().sum();
-            for (i, &w) in segs[s].clone().zip(wseg) {
-                let norm = w / total;
-                let row = &a.data[i * c..(i + 1) * c];
-                for (o, &x) in orow.iter_mut().zip(row) {
-                    *o += norm * x;
-                }
+    let mut rest = weights;
+    for (s, seg) in segs.iter().enumerate() {
+        let orow = &mut out.data[s * c..(s + 1) * c];
+        let (wseg, tail) = rest.split_at(seg.len());
+        rest = tail;
+        // The per-segment route asserts this in `normalized_weights`.
+        let total: f32 = wseg.iter().sum();
+        assert!(total > 0.0, "weights must not all be zero (segment {s})");
+        for (i, &w) in seg.clone().zip(wseg) {
+            let norm = w / total;
+            let row = &a.data[i * c..(i + 1) * c];
+            for (o, &x) in orow.iter_mut().zip(row) {
+                *o += norm * x;
             }
         }
-    });
+    }
     out
 }
 
@@ -1404,7 +1200,7 @@ pub fn segmented_weighted_mean_rows(a: &Tensor, weights: &[f32], segs: &[Range<u
 /// centering, ascending-row accumulation, `Σ·(1/N)`, `+eps`,
 /// `max(0)·sqrt`, reciprocal — the per-member op chain, one rounding per
 /// step). Returns `(mu, inv_std)`, each `[M, C]`, bit-identical per row
-/// to the member's own statistics; parallel over member ranges.
+/// to the member's own statistics.
 pub fn segmented_norm_stats(
     a: &Tensor,
     graph_segs: &[Range<usize>],
@@ -1412,7 +1208,7 @@ pub fn segmented_norm_stats(
     eps: f32,
 ) -> (Tensor, Tensor) {
     let c = a.cols;
-    let offsets = segment_offsets(graph_segs, a.rows);
+    check_segments(graph_segs, a.rows);
     for m in members {
         assert!(
             m.start <= m.end && m.end <= graph_segs.len(),
@@ -1422,59 +1218,46 @@ pub fn segmented_norm_stats(
     }
     let mut mu = Tensor::zeros(members.len(), c);
     let mut inv_std = Tensor::zeros(members.len(), c);
-    let pm = SendPtr(mu.data.as_mut_ptr());
-    let ps = SendPtr(inv_std.data.as_mut_ptr());
-    let covered = offsets[graph_segs.len()];
-    let min_members = (MIN_ROW_WORK * members.len())
-        .checked_div(2 * covered * c)
-        .map_or(usize::MAX, |m| m.max(1));
-    pool::for_each_chunk(members.len(), min_members, move |mrange| {
-        let mut mean_acc = vec![0.0f32; c];
-        let mut graph_sum = vec![0.0f32; c];
-        let mut sq = vec![0.0f32; c];
-        for m in mrange {
-            let gs = &graph_segs[members[m].clone()];
-            // Eq. (8): per-graph mean pooling, then the mean of the means.
-            mean_acc.fill(0.0);
-            for seg in gs {
-                graph_sum.fill(0.0);
-                for i in seg.clone() {
-                    let row = &a.data[i * c..(i + 1) * c];
-                    for (o, &x) in graph_sum.iter_mut().zip(row) {
-                        *o += x;
-                    }
-                }
-                let inv = 1.0 / seg.len() as f32;
-                for (acc, &s) in mean_acc.iter_mut().zip(&graph_sum) {
-                    *acc += s * inv;
+    let mut graph_sum = vec![0.0f32; c];
+    let mut sq = vec![0.0f32; c];
+    for (m, member) in members.iter().enumerate() {
+        let gs = &graph_segs[member.clone()];
+        // Eq. (8): per-graph mean pooling, then the mean of the means.
+        let mean_acc = &mut mu.data[m * c..(m + 1) * c];
+        for seg in gs {
+            graph_sum.fill(0.0);
+            for i in seg.clone() {
+                let row = &a.data[i * c..(i + 1) * c];
+                for (o, &x) in graph_sum.iter_mut().zip(row) {
+                    *o += x;
                 }
             }
-            let ginv = 1.0 / gs.len() as f32;
-            mean_acc.iter_mut().for_each(|x| *x *= ginv);
-            // Eq. (9): variance of every node row around μ_m.
-            sq.fill(0.0);
-            let mut nrows = 0usize;
-            for seg in gs {
-                for i in seg.clone() {
-                    let row = &a.data[i * c..(i + 1) * c];
-                    for (o, (&x, &mu_k)) in sq.iter_mut().zip(row.iter().zip(&mean_acc)) {
-                        let d = x + (-mu_k); // scale(μ, −1): −x ≡ x·(−1) bitwise
-                        *o += d * d;
-                    }
-                }
-                nrows += seg.len();
-            }
-            let ninv = 1.0 / nrows as f32;
-            for (k, (&mv, &sv)) in mean_acc.iter().zip(&sq).enumerate() {
-                let var = sv * ninv + eps;
-                // SAFETY: member rows are disjoint across chunks.
-                unsafe {
-                    *pm.get().add(m * c + k) = mv;
-                    *ps.get().add(m * c + k) = 1.0 / var.max(0.0).sqrt();
-                }
+            let inv = 1.0 / seg.len() as f32;
+            for (acc, &s) in mean_acc.iter_mut().zip(&graph_sum) {
+                *acc += s * inv;
             }
         }
-    });
+        let ginv = 1.0 / gs.len() as f32;
+        mean_acc.iter_mut().for_each(|x| *x *= ginv);
+        // Eq. (9): variance of every node row around μ_m.
+        sq.fill(0.0);
+        let mut nrows = 0usize;
+        for seg in gs {
+            for i in seg.clone() {
+                let row = &a.data[i * c..(i + 1) * c];
+                for (o, (&x, &mu_k)) in sq.iter_mut().zip(row.iter().zip(&*mean_acc)) {
+                    let d = x + (-mu_k); // scale(μ, −1): −x ≡ x·(−1) bitwise
+                    *o += d * d;
+                }
+            }
+            nrows += seg.len();
+        }
+        let ninv = 1.0 / nrows as f32;
+        for (inv, &sv) in inv_std.data[m * c..(m + 1) * c].iter_mut().zip(&sq) {
+            let var = sv * ninv + eps;
+            *inv = 1.0 / var.max(0.0).sqrt();
+        }
+    }
     (mu, inv_std)
 }
 
@@ -1490,8 +1273,7 @@ pub fn segmented_norm_stats(
 /// Per element the arithmetic is exactly the composed route's — `a + b`,
 /// `+ b_z`, `g = 1/(1+e^{−s})` on [`expf::expf`], `g·tr`, `g·(−1)+1`,
 /// `(…)·z`, sum, one rounding per step, eight lanes at a time under AVX2 —
-/// so results are bit-identical to it on both backends; parallel over row
-/// ranges.
+/// so results are bit-identical to it on both backends.
 pub fn gated_fusion(
     a: &Tensor,
     b: &Tensor,
@@ -1511,28 +1293,24 @@ pub fn gated_fusion(
     }
     let bk = backend::active();
     let mut out = Tensor::zeros(r, c);
-    let min_rows = (MIN_MAP_ELEMS / c.max(1)).max(1);
-    par_row_chunks(&mut out.data, c, r, min_rows, |rows, dst| {
-        for (ri, i) in rows.enumerate() {
-            let p = row_to_point[i];
-            let arow = &a.data[p * c..(p + 1) * c];
-            let trrow = &tr.data[p * c..(p + 1) * c];
-            let brow = &b.data[i * c..(i + 1) * c];
-            let zrow = &z.data[i * c..(i + 1) * c];
-            let drow = &mut dst[ri * c..(ri + 1) * c];
-            #[cfg(target_arch = "x86_64")]
-            if bk == backend::Backend::Avx2Fma {
-                // SAFETY: `Avx2Fma` is only active after runtime detection;
-                // all six slices are `c` long.
-                unsafe { backend::gate_row(arow, brow, &bz.data, trrow, zrow, drow) };
-                continue;
-            }
-            let _ = bk;
-            for (j, d) in drow.iter_mut().enumerate() {
-                *d = backend::gate(arow[j], brow[j], bz.data[j], trrow[j], zrow[j]);
-            }
+    for (i, &p) in row_to_point.iter().enumerate() {
+        let arow = &a.data[p * c..(p + 1) * c];
+        let trrow = &tr.data[p * c..(p + 1) * c];
+        let brow = &b.data[i * c..(i + 1) * c];
+        let zrow = &z.data[i * c..(i + 1) * c];
+        let drow = &mut out.data[i * c..(i + 1) * c];
+        #[cfg(target_arch = "x86_64")]
+        if bk == backend::Backend::Avx2Fma {
+            // SAFETY: `Avx2Fma` is only active after runtime detection; all
+            // six slices are `c` long.
+            unsafe { backend::gate_row(arow, brow, &bz.data, trrow, zrow, drow) };
+            continue;
         }
-    });
+        let _ = bk;
+        for (j, d) in drow.iter_mut().enumerate() {
+            *d = backend::gate(arow[j], brow[j], bz.data[j], trrow[j], zrow[j]);
+        }
+    }
     out
 }
 
@@ -1542,8 +1320,7 @@ pub fn gated_fusion(
 /// and running four full-matrix traversals. `mu`/`inv_std` are the
 /// `[M, C]` outputs of [`segmented_norm_stats`]; `seg_of[r]` names row
 /// `r`'s member. Per element the chain (`μ·(−1)`, add, two products, add)
-/// matches the composed route exactly, so results are bit-identical;
-/// parallel over row ranges.
+/// matches the composed route exactly, so results are bit-identical.
 pub fn segmented_norm_apply(
     x: &Tensor,
     mu: &Tensor,
@@ -1562,28 +1339,24 @@ pub fn segmented_norm_apply(
         assert!(m < mu.rows, "segmented_norm_apply: member {m} out of range");
     }
     let mut out = Tensor::zeros(r, c);
-    let min_rows = (MIN_MAP_ELEMS / c.max(1)).max(1);
-    par_row_chunks(&mut out.data, c, r, min_rows, |rows, dst| {
-        for (ri, i) in rows.enumerate() {
-            let m = seg_of[i];
-            let murow = &mu.data[m * c..(m + 1) * c];
-            let invrow = &inv_std.data[m * c..(m + 1) * c];
-            let src = &x.data[i * c..(i + 1) * c];
-            let drow = &mut dst[ri * c..(ri + 1) * c];
-            // Zipped slices, not indices: without bounds checks in the
-            // body the loop vectorises (same ops, one rounding each).
-            for (((d, &xv), (&mu_k, &inv_k)), (&g, &b)) in drow
-                .iter_mut()
-                .zip(src)
-                .zip(murow.iter().zip(invrow))
-                .zip(gamma.data.iter().zip(&beta.data))
-            {
-                let centered = xv + (-mu_k); // scale(μ, −1): −x ≡ x·(−1) bitwise
-                let norm = centered * inv_k;
-                *d = norm * g + b;
-            }
+    for (i, &m) in seg_of.iter().enumerate() {
+        let murow = &mu.data[m * c..(m + 1) * c];
+        let invrow = &inv_std.data[m * c..(m + 1) * c];
+        let src = &x.data[i * c..(i + 1) * c];
+        let drow = &mut out.data[i * c..(i + 1) * c];
+        // Zipped slices, not indices: without bounds checks in the body the
+        // loop vectorises (same ops, one rounding each).
+        for (((d, &xv), (&mu_k, &inv_k)), (&g, &b)) in drow
+            .iter_mut()
+            .zip(src)
+            .zip(murow.iter().zip(invrow))
+            .zip(gamma.data.iter().zip(&beta.data))
+        {
+            let centered = xv + (-mu_k); // scale(μ, −1): −x ≡ x·(−1) bitwise
+            let norm = centered * inv_k;
+            *d = norm * g + b;
         }
-    });
+    }
     out
 }
 
@@ -1610,8 +1383,7 @@ pub fn segmented_norm(
 /// Per row the operation chain is exactly the per-member route's
 /// ([`matmul_nt`] dots in ascending feature order, [`scale`],
 /// [`softmax_rows`], [`matmul`]'s ascending-index zero-skip accumulation),
-/// so each output row is bit-identical to the member's own attention;
-/// parallel over segment ranges (segments own disjoint output rows).
+/// so each output row is bit-identical to the member's own attention.
 pub fn segmented_self_attention(
     q: &Tensor,
     k: &Tensor,
@@ -1622,8 +1394,7 @@ pub fn segmented_self_attention(
     let (n, c) = q.shape();
     assert_eq!(k.shape(), (n, c), "segmented_self_attention: k shape");
     assert_eq!(v.shape(), (n, c), "segmented_self_attention: v shape");
-    // Segments own their output rows, so they must be ordered and disjoint
-    // (the pool writes them from different chunks).
+    // Segments own their output rows, so they must be ordered and disjoint.
     let mut prev_end = 0usize;
     for seg in segs {
         assert!(
@@ -1634,54 +1405,33 @@ pub fn segmented_self_attention(
     }
     let bk = backend::active();
     let mut out = Tensor::zeros(n, c);
-    let ptr = SendPtr(out.data.as_mut_ptr());
-    let work: usize = segs.iter().map(|s| s.len() * s.len() * c).sum();
-    let min_segs = (MIN_MATMUL_WORK * segs.len())
-        .checked_div(work)
-        .map_or(usize::MAX, |m| m.max(1));
-    pool::for_each_chunk(segs.len(), min_segs, move |srange| {
-        let mut scores: Vec<f32> = Vec::new();
-        for s in srange {
-            let seg = segs[s].clone();
-            let len = seg.len();
-            scores.resize(len, 0.0);
-            for i in seg.clone() {
-                // Scores row (matmul_nt + scale): ascending-feature dots.
-                let qrow = &q.data[i * c..(i + 1) * c];
-                for (slot, j) in scores.iter_mut().zip(seg.clone()) {
-                    *slot = row_dot(bk, qrow, &k.data[j * c..(j + 1) * c]) * scale;
-                }
-                softmax_in_place_bk(bk, &mut scores);
-                // Context row (matmul's accumulation under the same
-                // backend: ascending keys; the scalar path skips zero
-                // weights, the AVX2 path FMA-accumulates all of them).
-                // SAFETY: each output row belongs to exactly one segment and
-                // segments never overlap across chunks.
-                let orow = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(i * c), c) };
-                for (&alpha, j) in scores.iter().zip(seg.clone()) {
-                    row_axpy(bk, alpha, &v.data[j * c..(j + 1) * c], orow);
-                }
+    let mut scores: Vec<f32> = Vec::new();
+    for seg in segs {
+        scores.resize(seg.len(), 0.0);
+        for i in seg.clone() {
+            // Scores row (matmul_nt + scale): ascending-feature dots.
+            let qrow = &q.data[i * c..(i + 1) * c];
+            for (slot, j) in scores.iter_mut().zip(seg.clone()) {
+                *slot = row_dot(bk, qrow, &k.data[j * c..(j + 1) * c]) * scale;
+            }
+            softmax_in_place_bk(bk, &mut scores);
+            // Context row (matmul's accumulation under the same backend:
+            // ascending keys; the scalar path skips zero weights, the AVX2
+            // path FMA-accumulates all of them).
+            let orow = &mut out.data[i * c..(i + 1) * c];
+            for (&alpha, j) in scores.iter().zip(seg.clone()) {
+                row_axpy(bk, alpha, &v.data[j * c..(j + 1) * c], orow);
             }
         }
-    });
+    }
     out
 }
 
 // ----- CSR graph-attention gather/scatter ------------------------------------
 
-/// Node ranges sized so each chunk holds roughly `min_work` scalar
-/// operations' worth of edges.
-fn min_nodes_for(csr: &GraphCsr, work_per_edge: usize) -> usize {
-    let total = csr.num_edges() * work_per_edge.max(1);
-    if total == 0 {
-        return usize::MAX;
-    }
-    (MIN_GRAPH_WORK * csr.num_nodes() / total).max(1)
-}
-
 /// GAT edge scores `out[e] = src[i] + dst[j_e]` for each edge slot `e` of
-/// node `i` (`src`/`dst` are `[n,1]`); parallel over destination-node
-/// segment ranges (a node's edge slots are contiguous in CSR order).
+/// node `i` (`src`/`dst` are `[n,1]`; a node's edge slots are contiguous
+/// in CSR order).
 pub fn edge_scores(src: &Tensor, dst: &Tensor, csr: &GraphCsr) -> Tensor {
     let n = csr.num_nodes();
     assert_eq!(
@@ -1695,25 +1445,21 @@ pub fn edge_scores(src: &Tensor, dst: &Tensor, csr: &GraphCsr) -> Tensor {
         "edge_scores: dst must be [n,1]"
     );
     let mut out = Tensor::zeros(csr.num_edges(), 1);
-    let ptr = SendPtr(out.data.as_mut_ptr());
-    pool::for_each_chunk(n, min_nodes_for(csr, 1), move |nodes| {
-        for i in nodes {
-            for e in csr.segment(i) {
-                // SAFETY: node ranges own disjoint contiguous edge ranges.
-                unsafe { *ptr.get().add(e) = src.data[i] + dst.data[csr.target(e)] };
-            }
+    for i in 0..n {
+        for e in csr.segment(i) {
+            out.data[e] = src.data[i] + dst.data[csr.target(e)];
         }
-    });
+    }
     out
 }
 
 /// Softmax within each node's edge segment (GAT attention normalisation);
-/// parallel over node ranges — each segment is one self-contained
-/// reduction. Empty segments (isolated nodes without self-loops) are
-/// left untouched. Per element it is [`softmax_rows`]'s chain on the
-/// segment's own slice; the AVX2 path lays the same operations out flat
-/// over a chunk's edges (`backend::segmented_softmax_flat`), so the
-/// output is bit-identical across backends.
+/// each segment is one self-contained reduction. Empty segments (isolated
+/// nodes without self-loops) are left untouched. Per element it is
+/// [`softmax_rows`]'s chain on the segment's own slice; the AVX2 path lays
+/// the same operations out flat over all the edges
+/// (`backend::segmented_softmax_flat`), so the output is bit-identical
+/// across backends.
 pub fn segmented_softmax(scores: &Tensor, csr: &GraphCsr) -> Tensor {
     assert_eq!(
         (scores.rows, scores.cols),
@@ -1721,36 +1467,28 @@ pub fn segmented_softmax(scores: &Tensor, csr: &GraphCsr) -> Tensor {
         "segmented_softmax: [E,1]"
     );
     let mut t = scores.clone();
+    let n = csr.num_nodes();
+    if n == 0 {
+        return t;
+    }
     let bk = backend::active();
-    let ptr = SendPtr(t.data.as_mut_ptr());
-    pool::for_each_chunk(csr.num_nodes(), min_nodes_for(csr, 4), move |nodes| {
-        if nodes.is_empty() {
-            return;
+    #[cfg(target_arch = "x86_64")]
+    if bk == backend::Backend::Avx2Fma {
+        // SAFETY: `Avx2Fma` is only active after runtime detection.
+        unsafe { backend::segmented_softmax_flat(&scores.data, &mut t.data, csr) };
+        return t;
+    }
+    for i in 0..n {
+        let seg = csr.segment(i);
+        if !seg.is_empty() {
+            softmax_in_place_bk(bk, &mut t.data[seg]);
         }
-        let first = csr.segment(nodes.start).start;
-        let edges = first..csr.segment(nodes.end - 1).end;
-        // SAFETY: node ranges own disjoint contiguous edge ranges.
-        let flat = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(first), edges.len()) };
-        #[cfg(target_arch = "x86_64")]
-        if bk == backend::Backend::Avx2Fma {
-            let src = &scores.data[edges];
-            // SAFETY: `Avx2Fma` is only active after runtime detection.
-            unsafe { backend::segmented_softmax_flat(src, flat, first, csr, nodes) };
-            return;
-        }
-        for i in nodes {
-            let seg = csr.segment(i);
-            if !seg.is_empty() {
-                softmax_in_place_bk(bk, &mut flat[seg.start - first..seg.end - first]);
-            }
-        }
-    });
+    }
     t
 }
 
-/// GAT attention aggregation `out[i] = Σ_{e ∈ seg(i)} α[e] · feats[j_e]`;
-/// parallel over destination-node ranges — each output row is owned by
-/// exactly one chunk and accumulated in ascending edge order. Every term
+/// GAT attention aggregation `out[i] = Σ_{e ∈ seg(i)} α[e] · feats[j_e]`,
+/// each output row accumulated in ascending edge order. Every term
 /// is a product rounded, then added (`o + α·f` in two roundings, never a
 /// fused one) on both backends, so the output is bit-identical across
 /// them.
@@ -1765,35 +1503,31 @@ pub fn neighbor_sum(alphas: &Tensor, feats: &Tensor, csr: &GraphCsr) -> Tensor {
     let cols = feats.cols;
     let bk = backend::active();
     let mut out = Tensor::zeros(n, cols);
-    let min_rows = min_nodes_for(csr, cols);
-    par_row_chunks(&mut out.data, cols, n, min_rows, |nodes, dst| {
-        #[cfg(target_arch = "x86_64")]
-        if bk == backend::Backend::Avx2Fma {
-            // SAFETY: `Avx2Fma` is only active after runtime detection; the
-            // shapes were asserted above and `dst` is `nodes`' rows.
-            unsafe { backend::neighbor_sum_rows(&alphas.data, &feats.data, cols, csr, nodes, dst) };
-            return;
-        }
-        let _ = bk;
-        for (ri, i) in nodes.enumerate() {
-            let orow = &mut dst[ri * cols..(ri + 1) * cols];
-            for e in csr.segment(i) {
-                let aw = alphas.data[e];
-                let j = csr.target(e);
-                let frow = &feats.data[j * cols..(j + 1) * cols];
-                for (o, &fv) in orow.iter_mut().zip(frow) {
-                    *o += aw * fv;
-                }
+    #[cfg(target_arch = "x86_64")]
+    if bk == backend::Backend::Avx2Fma {
+        // SAFETY: `Avx2Fma` is only active after runtime detection; the
+        // shapes were asserted above and `out` holds all `n` rows.
+        unsafe { backend::neighbor_sum_rows(&alphas.data, &feats.data, cols, csr, &mut out.data) };
+        return out;
+    }
+    let _ = bk;
+    for i in 0..n {
+        let orow = &mut out.data[i * cols..(i + 1) * cols];
+        for e in csr.segment(i) {
+            let aw = alphas.data[e];
+            let j = csr.target(e);
+            let frow = &feats.data[j * cols..(j + 1) * cols];
+            for (o, &fv) in orow.iter_mut().zip(frow) {
+                *o += aw * fv;
             }
         }
-    });
+    }
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1823,23 +1557,15 @@ mod tests {
     }
 
     #[test]
-    fn matmul_family_matches_reference_at_every_thread_count() {
+    fn matmul_family_matches_reference() {
         // The reference is the scalar accumulation order, so pin the
         // scalar backend (thread-locally; other tests are unaffected).
         backend::with_backend(backend::Backend::Scalar, || {
-            // Big enough that the pool actually engages at > 1 thread.
             let a = t(70, 40, 1);
             let b = t(40, 60, 2);
             let row = t(1, 40, 3);
-            let want = matmul_ref(&a, &b);
-            let want_row = matmul_ref(&row, &b);
-            let before = pool::num_threads();
-            for threads in [1, 2, 4] {
-                pool::set_num_threads(threads);
-                assert_eq!(matmul(&a, &b).data, want.data, "t={threads}");
-                assert_eq!(matmul(&row, &b).data, want_row.data, "row t={threads}");
-            }
-            pool::set_num_threads(before);
+            assert_eq!(matmul(&a, &b).data, matmul_ref(&a, &b).data);
+            assert_eq!(matmul(&row, &b).data, matmul_ref(&row, &b).data, "row");
         });
     }
 
@@ -1893,25 +1619,18 @@ mod tests {
     }
 
     #[test]
-    fn graph_kernels_handle_edgeless_csr_at_any_thread_count() {
-        // All-isolated graph without self-loops: zero edges. The "never
-        // parallelise" sentinel (usize::MAX min-chunk) must not overflow
-        // the pool's inline guard at multi-thread settings.
+    fn graph_kernels_handle_edgeless_csr() {
+        // All-isolated graph without self-loops: zero edges.
         let csr = GraphCsr::from_neighbor_lists(&[vec![], vec![], vec![]], false);
         assert_eq!(csr.num_edges(), 0);
         let src = t(3, 1, 20);
         let dst = t(3, 1, 21);
         let empty = Tensor::zeros(0, 1);
         let feats = t(3, 4, 22);
-        let before = pool::num_threads();
-        for threads in [1, 2, 4] {
-            pool::set_num_threads(threads);
-            assert_eq!(edge_scores(&src, &dst, &csr).len(), 0);
-            assert_eq!(segmented_softmax(&empty, &csr).len(), 0);
-            let agg = neighbor_sum(&empty, &feats, &csr);
-            assert!(agg.data.iter().all(|&x| x == 0.0));
-        }
-        pool::set_num_threads(before);
+        assert_eq!(edge_scores(&src, &dst, &csr).len(), 0);
+        assert_eq!(segmented_softmax(&empty, &csr).len(), 0);
+        let agg = neighbor_sum(&empty, &feats, &csr);
+        assert!(agg.data.iter().all(|&x| x == 0.0));
     }
 
     #[test]
@@ -1932,13 +1651,8 @@ mod tests {
             let inv = recip(&sqrt(&var));
             let norm = mul_colvec(&centered, &inv);
             let want = add_rowvec(&mul_rowvec(&norm, &gamma), &beta);
-            let before = pool::num_threads();
-            for threads in [1, 2, 4] {
-                pool::set_num_threads(threads);
-                let got = layer_norm(&x, &gamma, &beta, eps);
-                assert_eq!(got.data, want.data, "t={threads}: not bit-identical");
-            }
-            pool::set_num_threads(before);
+            let got = layer_norm(&x, &gamma, &beta, eps);
+            assert_eq!(got.data, want.data, "not bit-identical");
         });
     }
 
@@ -1966,13 +1680,8 @@ mod tests {
             );
         }
 
-        let before = pool::num_threads();
-        for threads in [1, 2, 4] {
-            pool::set_num_threads(threads);
-            let got = segmented_additive_attention(&hk, &gq, &v, &keys, &segs);
-            assert_eq!(got.data, want, "segmented_additive_attention t={threads}");
-        }
-        pool::set_num_threads(before);
+        let got = segmented_additive_attention(&hk, &gq, &v, &keys, &segs);
+        assert_eq!(got.data, want, "segmented_additive_attention");
     }
 
     #[test]
@@ -2032,23 +1741,15 @@ mod tests {
             attn_want.extend_from_slice(&matmul(&alphas, &vs).data);
         }
 
-        let before = pool::num_threads();
-        for threads in [1, 2, 4] {
-            pool::set_num_threads(threads);
-            let (mu, inv) = segmented_norm_stats(&stack, &graph_segs, &members, eps);
-            assert_eq!(mu.data, mu_want, "segmented_norm_stats mu t={threads}");
-            assert_eq!(inv.data, inv_want, "segmented_norm_stats inv t={threads}");
-            let means = segmented_mean_rows(&stack, &graph_segs);
-            assert_eq!(means.data, mean_want, "segmented_mean_rows t={threads}");
-            let wmeans = segmented_weighted_mean_rows(&stack, &weights, &graph_segs);
-            assert_eq!(
-                wmeans.data, wmean_want,
-                "segmented_weighted_mean_rows t={threads}"
-            );
-            let attn = segmented_self_attention(&q, &k, &v, &attn_segs, att_scale);
-            assert_eq!(attn.data, attn_want, "segmented_self_attention t={threads}");
-        }
-        pool::set_num_threads(before);
+        let (mu, inv) = segmented_norm_stats(&stack, &graph_segs, &members, eps);
+        assert_eq!(mu.data, mu_want, "segmented_norm_stats mu");
+        assert_eq!(inv.data, inv_want, "segmented_norm_stats inv");
+        let means = segmented_mean_rows(&stack, &graph_segs);
+        assert_eq!(means.data, mean_want, "segmented_mean_rows");
+        let wmeans = segmented_weighted_mean_rows(&stack, &weights, &graph_segs);
+        assert_eq!(wmeans.data, wmean_want, "segmented_weighted_mean_rows");
+        let attn = segmented_self_attention(&q, &k, &v, &attn_segs, att_scale);
+        assert_eq!(attn.data, attn_want, "segmented_self_attention");
     }
 
     #[test]
@@ -2081,21 +1782,16 @@ mod tests {
         let norm = mul(&centered, &gather_rows(&istd, &seg_of));
         let apply_want = add_rowvec(&mul_rowvec(&norm, &gamma), &beta);
 
-        let before = pool::num_threads();
-        for threads in [1, 2, 4] {
-            pool::set_num_threads(threads);
-            assert_eq!(
-                gated_fusion(&ga, &gb, &bz, &tr, &z, &row_to_point).data,
-                blend_want.data,
-                "gated_fusion t={threads}"
-            );
-            assert_eq!(
-                segmented_norm_apply(&x, &mu, &istd, &seg_of, &gamma, &beta).data,
-                apply_want.data,
-                "segmented_norm_apply t={threads}"
-            );
-        }
-        pool::set_num_threads(before);
+        assert_eq!(
+            gated_fusion(&ga, &gb, &bz, &tr, &z, &row_to_point).data,
+            blend_want.data,
+            "gated_fusion"
+        );
+        assert_eq!(
+            segmented_norm_apply(&x, &mu, &istd, &seg_of, &gamma, &beta).data,
+            apply_want.data,
+            "segmented_norm_apply"
+        );
     }
 
     #[test]
@@ -2201,17 +1897,6 @@ mod tests {
             assert_eq!(prof.matmuls, 1);
             assert_eq!(prof.flops, 2 * 10 * (3 + 12 + 12 + 1));
             assert_eq!(got.data, want.data, "sparse head not bit-identical");
-
-            let before = pool::num_threads();
-            for threads in [1, 2, 4] {
-                pool::set_num_threads(threads);
-                assert_eq!(
-                    masked_matmul_cols(&a, &b, &bias, &masks).data,
-                    want.data,
-                    "t={threads}"
-                );
-            }
-            pool::set_num_threads(before);
         });
     }
 
@@ -2246,7 +1931,7 @@ mod tests {
     }
 
     #[test]
-    fn avx2_backend_is_thread_deterministic_within_ulp_of_scalar() {
+    fn avx2_backend_is_within_ulp_of_scalar() {
         use backend::Backend;
         if !backend::is_supported(Backend::Avx2Fma) {
             eprintln!("skipping: CPU lacks AVX2+FMA");
@@ -2267,8 +1952,6 @@ mod tests {
                 layer_norm(&b, &gamma, &beta, 1e-5),
             )
         });
-        let before = pool::num_threads();
-        pool::set_num_threads(1);
         let base = backend::with_backend(Backend::Avx2Fma, || {
             (
                 matmul(&a, &b),
@@ -2278,26 +1961,6 @@ mod tests {
                 layer_norm(&b, &gamma, &beta, 1e-5),
             )
         });
-        // Bit-identical under AVX2 at any thread count.
-        for threads in [2, 4] {
-            pool::set_num_threads(threads);
-            let again = backend::with_backend(Backend::Avx2Fma, || {
-                (
-                    matmul(&a, &b),
-                    matmul(&row, &b),
-                    matmul_nt(&a, &bt),
-                    row_norm_stats(&a, 1e-5),
-                    layer_norm(&b, &gamma, &beta, 1e-5),
-                )
-            });
-            assert_eq!(base.0.data, again.0.data, "matmul t={threads}");
-            assert_eq!(base.1.data, again.1.data, "matmul row t={threads}");
-            assert_eq!(base.2.data, again.2.data, "matmul_nt t={threads}");
-            assert_eq!(base.3 .0.data, again.3 .0.data, "stats mu t={threads}");
-            assert_eq!(base.3 .1.data, again.3 .1.data, "stats inv t={threads}");
-            assert_eq!(base.4.data, again.4.data, "layer_norm t={threads}");
-        }
-        pool::set_num_threads(before);
         // Within an explicit ULP budget of the scalar reference. Matmul
         // outputs get an absolute escape hatch for cancellation-heavy
         // dots (a k≈40 sum of O(1) terms landing near zero has no

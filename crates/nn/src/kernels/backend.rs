@@ -12,18 +12,18 @@
 //!
 //! # Determinism contract (per backend)
 //!
-//! * **Scalar** is bit-identical to the pre-backend kernels at any thread
-//!   count — nothing about its arithmetic changed.
-//! * **Avx2Fma** is *also* bit-identical at any thread count and for any
-//!   batch composition: every matmul-family output element is computed as
-//!   a chain of fused multiply-adds in ascending `k` (vector lanes and
-//!   `f32::mul_add` tails round identically), independent of how the pool
-//!   partitions the output. What changes versus scalar is the *rounding*
+//! * **Scalar** is bit-identical to the pre-backend kernels — nothing
+//!   about its arithmetic changed.
+//! * **Avx2Fma** is *also* bit-identical for any batch composition: every
+//!   matmul-family output element is computed as a chain of fused
+//!   multiply-adds in ascending `k` (vector lanes and `f32::mul_add`
+//!   tails round identically), independent of which rows share the call.
+//!   What changes versus scalar is the *rounding*
 //!   — FMA fuses the multiply and add into one rounding step, and
 //!   whole-slice reductions (dots, norm sums) use 8 partial lanes — so
 //!   scalar vs AVX2 outputs differ within a small ULP budget, gated
 //!   explicitly in the `kernels` unit test
-//!   `avx2_backend_is_thread_deterministic_within_ulp_of_scalar`. What
+//!   `avx2_backend_is_within_ulp_of_scalar`. What
 //!   is bit-identical *across* backends: `tanh` and every `exp`, whose
 //!   AVX2 lanes perform the scalar [`super::tanhf::tanhf`]'s /
 //!   [`super::expf::expf`]'s operations one for one (`tanhf` has no FMA
@@ -35,10 +35,9 @@
 //!   `segmented_softmax` / `neighbor_sum` (product rounded, then added —
 //!   never fused).
 //!
-//! Kernels read the backend **once at entry on the caller thread** and
-//! capture it into their pool closures, so one kernel invocation never
-//! mixes backends across chunks. Tests pin a backend without races via
-//! the thread-local [`with_backend`].
+//! Kernels read the backend **once at entry**, so one kernel invocation
+//! never mixes backends. Tests pin a backend without races via the
+//! thread-local [`with_backend`].
 
 #![deny(missing_docs)]
 
@@ -157,8 +156,7 @@ pub fn active_name() -> &'static str {
 /// Run `f` with this thread's kernels pinned to `b` (degrading to scalar
 /// when unsupported), restoring the previous setting afterwards — even on
 /// panic. The override is thread-local, so concurrent tests pinning
-/// different backends never race; pool worker chunks inherit the caller's
-/// choice because kernels read the backend once at entry.
+/// different backends never race.
 pub fn with_backend<R>(b: Backend, f: impl FnOnce() -> R) -> R {
     struct Restore(u8);
     impl Drop for Restore {
@@ -183,10 +181,9 @@ pub fn with_backend<R>(b: Backend, f: impl FnOnce() -> R) -> R {
 // unaligned (`loadu`/`storeu`), so slice alignment is irrelevant.
 //
 // Determinism note: per output element the arithmetic chain depends only
-// on the slice lengths, never on where a pool chunk starts — vector-lane
-// FMA and the `f32::mul_add` tails round identically, so an element
-// landing in a vector body in one partitioning and in a tail in another
-// still produces the same bits.
+// on the slice lengths — vector-lane FMA and the `f32::mul_add` tails
+// round identically, so an element landing in a vector body and one in a
+// tail produce the same bits.
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
@@ -194,7 +191,6 @@ mod avx2 {
     use super::DOT_LANES;
     use crate::GraphCsr;
     use core::arch::x86_64::*;
-    use std::ops::Range;
 
     /// Horizontal sum of the 8 lanes, fixed reduction tree:
     /// `(lo + hi)` 4-lane, then pairwise.
@@ -309,19 +305,13 @@ mod avx2 {
     }
 
     /// The AVX2 twin of the scalar `matmul_axpy` inner kernel:
-    /// `orow[j] = Σ_k fma(arow[k], b[k, col0 + j], ·)` in ascending `k`,
-    /// one row at a time with four `k` per pass over `orow` (the `[1, C]`
-    /// column-partitioned path and the rows a [`matmul_tile`] leaves over).
+    /// `orow[j] = Σ_k fma(arow[k], b[k, j], ·)` in ascending `k` over a
+    /// `[k, orow.len()]` `b`, one row at a time with four `k` per pass over
+    /// `orow` (`[1, C]` products and the rows a [`matmul_tile`] leaves over).
     /// No zero-skip — with FMA a zero weight contributes exactly nothing,
     /// and skipping would make the chain data-dependent for no gain.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn matmul_axpy(
-        arow: &[f32],
-        b: &[f32],
-        stride: usize,
-        col0: usize,
-        orow: &mut [f32],
-    ) {
+    pub unsafe fn matmul_axpy(arow: &[f32], b: &[f32], orow: &mut [f32]) {
         let k = arow.len();
         let w = orow.len();
         let mut kk = 0;
@@ -330,11 +320,11 @@ mod avx2 {
             let a1 = _mm256_set1_ps(arow[kk + 1]);
             let a2 = _mm256_set1_ps(arow[kk + 2]);
             let a3 = _mm256_set1_ps(arow[kk + 3]);
-            let base = kk * stride + col0;
+            let base = kk * w;
             let b0 = b.as_ptr().add(base);
-            let b1 = b.as_ptr().add(base + stride);
-            let b2 = b.as_ptr().add(base + 2 * stride);
-            let b3 = b.as_ptr().add(base + 3 * stride);
+            let b1 = b.as_ptr().add(base + w);
+            let b2 = b.as_ptr().add(base + 2 * w);
+            let b3 = b.as_ptr().add(base + 3 * w);
             let mut j = 0;
             while j + 8 <= w {
                 let mut o = _mm256_loadu_ps(orow.as_ptr().add(j));
@@ -348,16 +338,16 @@ mod avx2 {
             while j < w {
                 let mut o = *orow.get_unchecked(j);
                 o = arow[kk].mul_add(*b.get_unchecked(base + j), o);
-                o = arow[kk + 1].mul_add(*b.get_unchecked(base + stride + j), o);
-                o = arow[kk + 2].mul_add(*b.get_unchecked(base + 2 * stride + j), o);
-                o = arow[kk + 3].mul_add(*b.get_unchecked(base + 3 * stride + j), o);
+                o = arow[kk + 1].mul_add(*b.get_unchecked(base + w + j), o);
+                o = arow[kk + 2].mul_add(*b.get_unchecked(base + 2 * w + j), o);
+                o = arow[kk + 3].mul_add(*b.get_unchecked(base + 3 * w + j), o);
                 *orow.get_unchecked_mut(j) = o;
                 j += 1;
             }
             kk += 4;
         }
         while kk < k {
-            let base = kk * stride + col0;
+            let base = kk * w;
             axpy(arow[kk], &b[base..base + w], orow);
             kk += 1;
         }
@@ -565,9 +555,8 @@ mod avx2 {
         _mm256_cmpgt_epi32(_mm256_set1_epi32(n as i32), lanes)
     }
 
-    /// Softmax within each node's edge segment, over one chunk's nodes:
-    /// `scores` holds the scores of `nodes`' edges (edge slot `first` at
-    /// index 0), `out` receives their softmax. A node has a handful of
+    /// Softmax within each node's edge segment: `scores` holds one score
+    /// per edge slot of `csr`, `out` receives their softmax. A node has a handful of
     /// edges, far fewer than a vector holds, so the work is laid out flat:
     ///
     /// 1. segment by segment, `x − max` from `scores` into `out`;
@@ -590,21 +579,13 @@ mod avx2 {
     /// # Safety
     /// AVX2 and FMA must be available.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn segmented_softmax_flat(
-        scores: &[f32],
-        out: &mut [f32],
-        first: usize,
-        csr: &GraphCsr,
-        nodes: Range<usize>,
-    ) {
+    pub unsafe fn segmented_softmax_flat(scores: &[f32], out: &mut [f32], csr: &GraphCsr) {
         assert_eq!(scores.len(), out.len(), "segmented_softmax_flat: lengths");
         let neg_inf = _mm256_set1_ps(f32::NEG_INFINITY);
-        let segment = |i: usize| {
-            let seg = csr.segment(i);
-            seg.start - first..seg.end - first
-        };
+        let nodes = 0..csr.num_nodes();
         for i in nodes.clone() {
-            let (src, dst) = (&scores[segment(i)], &mut out[segment(i)]);
+            let seg = csr.segment(i);
+            let (src, dst) = (&scores[seg.clone()], &mut out[seg]);
             if src.len() <= 8 {
                 let mask = lane_mask(src.len());
                 // SAFETY: the mask enables exactly the segment's lanes;
@@ -625,7 +606,8 @@ mod avx2 {
         exp_slice_avx2(out);
         let mut inv = vec![0.0f32; out.len()];
         for i in nodes {
-            let (row, dst) = (&out[segment(i)], &mut inv[segment(i)]);
+            let seg = csr.segment(i);
+            let (row, dst) = (&out[seg.clone()], &mut inv[seg]);
             if row.len() <= 8 {
                 let mask = lane_mask(row.len());
                 let mut lanes = [0.0f32; 8];
@@ -649,8 +631,8 @@ mod avx2 {
         }
     }
 
-    /// GAT aggregation over one chunk's nodes: `dst` row `i − nodes.start`
-    /// is `Σ_{e ∈ seg(i)} α[e] · feats[target(e)]`, the output row held in
+    /// GAT aggregation: `dst` row `i` is
+    /// `Σ_{e ∈ seg(i)} α[e] · feats[target(e)]`, the output row held in
     /// registers across the node's edges (16 columns at a time, then 8,
     /// then one). Every term is a product rounded, then added in ascending
     /// edge order from `+0` — the scalar `o += α * f` loop's two roundings,
@@ -659,15 +641,14 @@ mod avx2 {
     ///
     /// # Safety
     /// AVX2 and FMA must be available; `alphas` must hold one weight per
-    /// edge slot of `csr`, `feats` one `cols`-wide row per node of `csr`,
-    /// and `dst` one per node of `nodes`.
+    /// edge slot of `csr`, and `feats` and `dst` one `cols`-wide row per
+    /// node of `csr`.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn neighbor_sum_rows(
         alphas: &[f32],
         feats: &[f32],
         cols: usize,
         csr: &GraphCsr,
-        nodes: Range<usize>,
         dst: &mut [f32],
     ) {
         assert_eq!(alphas.len(), csr.num_edges(), "neighbor_sum_rows: alphas");
@@ -676,11 +657,11 @@ mod avx2 {
             csr.num_nodes() * cols,
             "neighbor_sum_rows: feats"
         );
-        assert_eq!(dst.len(), nodes.len() * cols, "neighbor_sum_rows: dst");
+        assert_eq!(dst.len(), csr.num_nodes() * cols, "neighbor_sum_rows: dst");
         // `feats` row of edge slot `e` from column `j` on: in bounds for
         // `j ≤ cols`, because every target is a node of `csr`.
         let frow = |e: usize, j: usize| feats[csr.target(e) * cols..][j..cols].as_ptr();
-        for (orow, i) in dst.chunks_exact_mut(cols.max(1)).zip(nodes) {
+        for (orow, i) in dst.chunks_exact_mut(cols.max(1)).zip(0..csr.num_nodes()) {
             let seg = csr.segment(i);
             let mut j = 0;
             while j + 16 <= cols {

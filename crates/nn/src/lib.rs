@@ -18,8 +18,8 @@
 //!   family, softmax, layer-norm statistics, element-wise maps, gathers,
 //!   and the CSR graph-attention gather/scatter. Both executors below
 //!   call into it, so every kernel has one body to optimise and
-//!   parity-test. Heavy kernels parallelise over [`pool`] by disjoint
-//!   output partitions and are **bit-identical at any thread count**.
+//!   parity-test. Kernels run on the caller's thread; parallelism lives
+//!   across requests, in the serving engine's workers.
 //! * [`Exec`] — the executor trait model code is written against: ops take
 //!   and return handles, so a layer is **one** generic `forward` that runs
 //!   on either executor. [`Tape`] records (`H = NodeId`, training);
@@ -29,10 +29,6 @@
 //!   (`segmented_*`, `gated_fusion`). Each `segmented_*` op is one fused
 //!   kernel on both executors; `Tape` records it as one node with its own
 //!   analytic backward, and composes only the Eq. 7 gate.
-//! * [`pool`] — a small dependency-free persistent thread pool (`rayon` is
-//!   unavailable here) with a scoped chunked-range API; the intra-op
-//!   thread count is a process-wide knob (`NN_THREADS` env /
-//!   [`pool::set_num_threads`]).
 //! * [`Tape`] — a dynamic computation graph ("define-by-run"): every op
 //!   pushes a node holding its value and an [`Op`] record; backward walks
 //!   the tape in reverse, accumulating gradients. No closures, no RefCell
@@ -58,7 +54,6 @@ mod exec;
 pub mod kernels;
 mod optim;
 mod param;
-pub mod pool;
 pub mod quant;
 mod tape;
 mod tensor;

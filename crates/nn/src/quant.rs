@@ -14,8 +14,8 @@
 //!
 //! The `i32` accumulation is exact integer arithmetic (`K·127² ≪
 //! i32::MAX`), so the quantized head is bit-identical across backends
-//! (the AVX2 `madd` path computes the same integers), thread counts, and
-//! batch compositions — there is no rounding to re-order. Its output is
+//! (the AVX2 `madd` path computes the same integers) and batch
+//! compositions — there is no rounding to re-order. Its output is
 //! pinned bitwise against a per-row reference in this module's tests.
 //! What moves is *accuracy* relative to the f32 head; that drift is gated
 //! on recovery outputs in `crates/core/tests/fusion_gates.rs`.
@@ -141,7 +141,7 @@ impl QuantizedLinear {
     /// `s_a · s_j`; the driver adds bias and the mask log-weight and
     /// log-softmaxes over the allowed columns (masked-out columns are exact
     /// `-∞`). Mask entries must be in [`SparseLogMask`]'s canonical form
-    /// (verified on the caller thread). FLOP attribution counts
+    /// (verified up front). FLOP attribution counts
     /// `2·K·(computed columns)`, the same as the sparse float head.
     pub fn forward_masked(
         &self,
@@ -195,7 +195,6 @@ impl QuantizedLinear {
 mod tests {
     use super::*;
     use crate::kernels::backend::{is_supported, with_backend, Backend};
-    use crate::pool;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -245,7 +244,7 @@ mod tests {
     }
 
     #[test]
-    fn forward_masked_tracks_float_head_and_is_thread_invariant() {
+    fn forward_masked_tracks_float_head() {
         let a = t(3, 16, 2);
         let w = t(16, 10, 3);
         let bias = t(1, 10, 4);
@@ -275,17 +274,6 @@ mod tests {
                 assert!((g - f).abs() <= 0.15, "quantized logp drifted: {g} vs {f}");
             }
         }
-        // Bit-identical at any thread count (integer accumulation).
-        let before = pool::num_threads();
-        for threads in [1, 2, 4] {
-            pool::set_num_threads(threads);
-            assert_eq!(
-                q.forward_masked(&a, &bias, &masks).data,
-                got.data,
-                "t={threads}"
-            );
-        }
-        pool::set_num_threads(before);
     }
 
     /// One row of the int8 head, written out: quantize the row with
@@ -353,7 +341,6 @@ mod tests {
             }),
         ];
         let q = QuantizedLinear::from_weights(&w);
-        let before = pool::num_threads();
         for bk in [Backend::Scalar, Backend::Avx2Fma] {
             if !is_supported(bk) {
                 continue;
@@ -363,19 +350,15 @@ mod tests {
                 for (i, mask) in masks.iter().enumerate() {
                     want.extend(int8_row_ref(&q, a.row_slice(i), &bias.data, *mask));
                 }
-                for threads in [1, 4] {
-                    pool::set_num_threads(threads);
-                    let got = q.forward_masked(&a, &bias, &masks);
-                    assert_eq!(
-                        got.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                        want.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                        "{} at {threads} thread(s)",
-                        bk.name()
-                    );
-                }
+                let got = q.forward_masked(&a, &bias, &masks);
+                assert_eq!(
+                    got.data.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    want.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    "{}",
+                    bk.name()
+                );
             });
         }
-        pool::set_num_threads(before);
     }
 
     #[test]

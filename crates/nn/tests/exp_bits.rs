@@ -10,8 +10,7 @@
 //!    vectors that mix filtered and ordinary lanes (fallback path).
 //! 2. **one function under every kernel** — `sigmoid`, the softmax family
 //!    and the fused Eq. 7 gate equal their scalar bodies written out on
-//!    [`expf`], under `Backend::Scalar` and `Backend::Avx2Fma`, at 1/2/4
-//!    threads on tensors large enough to engage the pool.
+//!    [`expf`], under `Backend::Scalar` and `Backend::Avx2Fma`.
 //! 3. **the transcription is glibc 2.36's `expf`, FMA form** — a committed
 //!    anchor table taken from the build box's `f32::exp` keeps [`expf`]
 //!    pinned on hosts whose libm differs; it holds the two inputs on which
@@ -24,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use rntrajrec_nn::kernels::backend::{self, Backend};
 use rntrajrec_nn::kernels::expf::expf;
-use rntrajrec_nn::{kernels, pool, Exec, GraphCsr, Tape, Tensor};
+use rntrajrec_nn::{kernels, Exec, GraphCsr, Tape, Tensor};
 
 /// `(x, exp(x))` as bit patterns, from `f32::exp` on the build box (glibc
 /// 2.36 on a machine with FMA). At least two rows per branch of `expf`.
@@ -239,23 +238,19 @@ fn lanes_match_scalar_at_every_threshold_tail_length_and_lane_mix() {
     }
 }
 
-/// Run `f` under every backend this host has, at 1, 2 and 4 threads.
-fn for_each_backend_and_thread_count(mut f: impl FnMut(Backend, usize)) {
+/// Run `f` under every backend this host has.
+fn for_each_backend(mut f: impl FnMut(Backend)) {
     for bk in backends() {
-        for threads in [1, 2, 4] {
-            pool::set_num_threads(threads);
-            backend::with_backend(bk, || f(bk, threads));
-            pool::set_num_threads(1);
-        }
+        backend::with_backend(bk, || f(bk));
     }
 }
 
-fn assert_same_slice(what: &str, bk: Backend, threads: usize, got: &[f32], want: &[f32]) {
+fn assert_same_slice(what: &str, bk: Backend, got: &[f32], want: &[f32]) {
     assert_eq!(got.len(), want.len(), "{what}: length");
     for (i, (&g, &w)) in got.iter().zip(want).enumerate() {
         assert!(
             same(g, w),
-            "{what} under {bk:?} at {threads} threads, element {i}: {:#010x}, want {:#010x}",
+            "{what} under {bk:?}, element {i}: {:#010x}, want {:#010x}",
             g.to_bits(),
             w.to_bits()
         );
@@ -263,29 +258,23 @@ fn assert_same_slice(what: &str, bk: Backend, threads: usize, got: &[f32], want:
 }
 
 #[test]
-fn sigmoid_is_its_scalar_body_across_backends_threads_and_the_tape() {
-    // Three pool chunks at four threads, none of them a multiple of 8 long.
+fn sigmoid_is_its_scalar_body_across_backends_and_the_tape() {
+    // Not a multiple of 8 long: the AVX2 body ends in a tail.
     let (rows, cols) = (7023, 7);
     let n = rows * cols;
-    assert!(n > 3 * 16 * 1024 && n % 8 != 0);
+    assert!(n % 8 != 0);
     let mut xs = ordinary_inputs(n);
     for (slot, x) in xs.iter_mut().step_by(97).zip(edge_inputs()) {
         *slot = x;
     }
     let input = Tensor::from_vec(rows, cols, xs.clone());
     let want: Vec<f32> = xs.iter().map(|&x| 1.0 / (1.0 + expf(-x))).collect();
-    for_each_backend_and_thread_count(|bk, threads| {
+    for_each_backend(|bk| {
         let mut tape = Tape::new();
         let leaf = tape.constant(input.clone());
         let node = tape.sigmoid(&leaf);
-        assert_same_slice(
-            "sigmoid",
-            bk,
-            threads,
-            &kernels::sigmoid(&input).data,
-            &want,
-        );
-        assert_same_slice("tape", bk, threads, &tape.value(&node).data, &want);
+        assert_same_slice("sigmoid", bk, &kernels::sigmoid(&input).data, &want);
+        assert_same_slice("tape", bk, &tape.value(&node).data, &want);
     });
 }
 
@@ -313,9 +302,8 @@ fn log_softmax_reference(row: &[f32]) -> Vec<f32> {
 }
 
 #[test]
-fn softmax_family_is_its_scalar_body_across_backends_and_threads() {
-    // Rows of 19: two vector groups and a tail of three; enough rows for
-    // three pool chunks. Far-below-max and −∞ (hard-masked) entries put
+fn softmax_family_is_its_scalar_body_across_backends() {
+    // Rows of 19: two vector groups and a tail of three. Far-below-max and −∞ (hard-masked) entries put
     // filtered lanes beside ordinary ones.
     let (rows, cols) = (2600, 19);
     let mut xs = ordinary_inputs(rows * cols);
@@ -369,10 +357,9 @@ fn softmax_family_is_its_scalar_body_across_backends_and_threads() {
         per_node.extend(softmax_reference(&scores.data[csr.segment(i)]));
     }
 
-    for_each_backend_and_thread_count(|bk, threads| {
-        let check = |what: &str, got: &Tensor, want: &[f32]| {
-            assert_same_slice(what, bk, threads, &got.data, want)
-        };
+    for_each_backend(|bk| {
+        let check =
+            |what: &str, got: &Tensor, want: &[f32]| assert_same_slice(what, bk, &got.data, want);
         check("softmax_rows", &kernels::softmax_rows(&input), &soft);
         check(
             "log_softmax_rows",
@@ -393,15 +380,14 @@ fn softmax_family_is_its_scalar_body_across_backends_and_threads() {
 }
 
 #[test]
-fn fused_gate_is_its_scalar_body_across_backends_and_threads() {
+fn fused_gate_is_its_scalar_body_across_backends() {
     // Width 21 (two groups and a tail of five); points own 0, 1 and many
-    // rows; enough rows for three pool chunks at four threads.
+    // rows.
     let (points, d) = (400, 21);
     let row_to_point: Vec<usize> = (0..points)
         .flat_map(|p| std::iter::repeat_n(p, [0, 1, 7, 12][p % 4]))
         .collect();
     let n = row_to_point.len();
-    assert!(n * d > 2 * 16 * 1024);
     let t = |rows: usize, phase: usize| {
         let data = ordinary_inputs(rows * d + phase).split_off(phase);
         Tensor::from_vec(rows, d, data)
@@ -416,10 +402,10 @@ fn fused_gate_is_its_scalar_body_across_backends_and_threads() {
             want.push(g * tr.get(p, j) + keep * z.get(r, j));
         }
     }
-    for_each_backend_and_thread_count(|bk, threads| {
+    for_each_backend(|bk| {
         let got = kernels::gated_fusion(&a, &b, &bz, &tr, &z, &row_to_point);
         assert_eq!(got.shape(), (n, d));
-        assert_same_slice("gated_fusion", bk, threads, &got.data, &want);
+        assert_same_slice("gated_fusion", bk, &got.data, &want);
     });
 }
 

@@ -1,20 +1,16 @@
 //! Property-based parity suite for the unified kernel layer.
 //!
-//! The refactor contract: the autograd tape forward, the tape-free path
-//! (direct `kernels::` calls), and the parallel kernels at every thread
-//! count all compute **bit-identical** results, because they share one kernel body
-//! per operation and the pool partitions only ever split disjoint output
-//! ranges without reordering any accumulation.
+//! The refactor contract: the autograd tape forward and the tape-free path
+//! (direct `kernels::` calls) compute **bit-identical** results, because
+//! they share one kernel body per operation.
 //!
-//! Since the SIMD backend split the sweep is two-dimensional: every case
-//! runs under each available backend (`Scalar` always; `Avx2Fma` when the
-//! host supports it) × `NN_THREADS ∈ {1, 2, 4}`. Within one backend
-//! results are pinned bit-identical across thread counts and across the
-//! tape/tape-free routes; the composed layer-norm-statistics route is
-//! additionally pinned bit-identical to the fused kernel **on the scalar
-//! backend** (the historical contract — under AVX2 the fused statistics
-//! use partial-lane sums and are covered by the ULP budget in
-//! `kernels.rs::avx2_backend_is_thread_deterministic_within_ulp_of_scalar`
+//! Every case runs under each available backend (`Scalar` always;
+//! `Avx2Fma` when the host supports it). Within one backend results are
+//! pinned bit-identical across the tape/tape-free routes; the composed
+//! layer-norm-statistics route is additionally pinned bit-identical to the
+//! fused kernel **on the scalar backend** (the historical contract — under
+//! AVX2 the fused statistics use partial-lane sums and are covered by the
+//! ULP budget in `kernels.rs::avx2_backend_is_within_ulp_of_scalar`
 //! instead). The sparse segment head (`masked_matmul_cols`) is pinned
 //! bit-identical to the dense matmul → hard-mask → log-softmax route, the
 //! masked kernels take their entries through `canonical_mask_entries` and
@@ -32,14 +28,13 @@
 //! scoped ops' fused kernels — `segmented_self_attention`,
 //! `segmented_additive_attention` (over segments that leave key rows out),
 //! `segmented_mean_rows`, `segmented_weighted_mean_rows`, `segmented_norm`
-//! and `gated_fusion` — equal, bit for bit under each backend at 1/2/4
-//! threads, their per-segment composition from `kernels::` primitives
+//! and `gated_fusion` — equal, bit for bit under each backend, their
+//! per-segment composition from `kernels::` primitives
 //! (`composed_scoped_ops`, the route the tape recorded before each became
 //! one node), over ragged segments with a one-row and an empty member (for
 //! the gate: a point owning one row and a point owning none).
 //!
-//! Each case draws random shapes (large enough that the pool actually
-//! engages), random contents, and — for the CSR graph ops — random ragged
+//! Each case draws random shapes, random contents, and — for the CSR graph ops — random ragged
 //! adjacency including isolated nodes.
 
 use proptest::prelude::*;
@@ -51,13 +46,11 @@ use std::sync::Arc;
 use rntrajrec_nn::kernels::backend::{self, Backend};
 use rntrajrec_nn::quant::QuantizedLinear;
 use rntrajrec_nn::{
-    kernels, pool, Eager, Exec, GraphCsr, Init, NodeId, ParamId, ParamStore, Tape, Tensor,
+    kernels, Eager, Exec, GraphCsr, Init, NodeId, ParamId, ParamStore, Tape, Tensor,
 };
 
 /// A labelled parity case: (name, tape reference, tape-free recompute).
 type ParityCase<'a> = (&'a str, &'a Tensor, Box<dyn Fn() -> Tensor + 'a>);
-
-const THREAD_SWEEP: [usize; 3] = [1, 2, 4];
 
 /// Every backend the host can execute: scalar always, AVX2+FMA when
 /// supported (with a visible notice when it is not, so a CI log shows
@@ -186,31 +179,17 @@ fn quantized_dense_logits(q: &QuantizedLinear, a: &Tensor, bias: &Tensor) -> Ten
     out
 }
 
-/// Run `f` once per sweep entry and assert every run equals the reference
-/// bit-for-bit.
-fn assert_thread_invariant(label: &str, reference: &Tensor, f: impl Fn() -> Tensor) {
-    for threads in THREAD_SWEEP {
-        pool::set_num_threads(threads);
-        let got = f();
-        assert_eq!(
-            got.shape(),
-            reference.shape(),
-            "{label}: shape @ t={threads}"
-        );
-        assert_eq!(
-            got.data, reference.data,
-            "{label}: not bit-identical @ t={threads}"
-        );
-    }
-    pool::set_num_threads(1);
+/// Assert `got` equals the reference bit-for-bit.
+fn assert_bit_identical(label: &str, reference: &Tensor, got: &Tensor) {
+    assert_eq!(got.shape(), reference.shape(), "{label}: shape");
+    assert_eq!(got.data, reference.data, "{label}: not bit-identical");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Matmul family: tape forward ≡ direct kernels at 1/2/4 threads,
-    /// under every available backend (scalar and AVX2 each deterministic
-    /// within themselves).
+    /// Matmul family: tape forward ≡ direct kernels, under every available
+    /// backend.
     #[test]
     fn matmul_family_parity(r in 1usize..96, k in 1usize..64, c in 1usize..96, seed in 0u64..1_000_000) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -221,7 +200,6 @@ proptest! {
         for bk in backends() {
             backend::with_backend(bk, || {
                 let name = bk.name();
-                pool::set_num_threads(1);
                 let mut tape = Tape::new();
                 let na = tape.constant(a.clone());
                 let nb = tape.constant(b.clone());
@@ -233,8 +211,6 @@ proptest! {
 
                 assert_eq!(kernels::matmul(&a, &b).data, mm.data, "{name}: matmul kernels≡tape");
                 assert_eq!(kernels::matmul_nt(&a, &bt).data, nt.data, "{name}: nt kernels≡tape");
-                assert_thread_invariant("matmul", &mm, || kernels::matmul(&a, &b));
-                assert_thread_invariant("matmul_nt", &nt, || kernels::matmul_nt(&a, &bt));
             });
         }
     }
@@ -254,7 +230,6 @@ proptest! {
 
         for bk in backends() {
             backend::with_backend(bk, || {
-                pool::set_num_threads(1);
                 let mut tape = Tape::new();
                 let na = tape.constant(a.clone());
                 let nb = tape.constant(b.clone());
@@ -284,74 +259,50 @@ proptest! {
                     ("gather_rows", tape.value(&n_gather), Box::new(|| kernels::gather_rows(&a, &idx))),
                 ];
                 for (label, reference, f) in &cases {
-                    assert_thread_invariant(label, reference, f);
+                    assert_bit_identical(label, reference, &f());
                 }
 
-                match bk {
-                    Backend::Scalar => {
-                        // Layer-norm statistics: on the scalar backend the
-                        // fused kernel must match the composed op-by-op
-                        // route bit-for-bit, at every thread count.
-                        pool::set_num_threads(1);
-                        let ones = Tensor::full(c, 1, 1.0);
-                        let mu = kernels::scale(&kernels::matmul(&a, &ones), 1.0 / c as f32);
-                        let centered = kernels::add_colvec(&a, &kernels::scale(&mu, -1.0));
-                        let var = kernels::add_const(
-                            &kernels::scale(
-                                &kernels::matmul(&kernels::mul(&centered, &centered), &ones),
-                                1.0 / c as f32,
-                            ),
-                            1e-5,
-                        );
-                        let inv = kernels::recip(&kernels::sqrt(&var));
-                        for threads in THREAD_SWEEP {
-                            pool::set_num_threads(threads);
-                            let (m, s) = kernels::row_norm_stats(&a, 1e-5);
-                            assert_eq!(m.data, mu.data, "mean not bit-identical @ t={threads}");
-                            assert_eq!(s.data, inv.data, "inv_std not bit-identical @ t={threads}");
-                        }
-                        pool::set_num_threads(1);
+                // Layer-norm statistics: on the scalar backend the fused
+                // kernel must match the composed op-by-op route
+                // bit-for-bit. Under AVX2 the fused statistics use
+                // partial-lane sums (the composed route's rounding
+                // differs; the cross-backend drift has a ULP budget in the
+                // `kernels` unit tests).
+                if bk == Backend::Scalar {
+                    let ones = Tensor::full(c, 1, 1.0);
+                    let mu = kernels::scale(&kernels::matmul(&a, &ones), 1.0 / c as f32);
+                    let centered = kernels::add_colvec(&a, &kernels::scale(&mu, -1.0));
+                    let var = kernels::add_const(
+                        &kernels::scale(
+                            &kernels::matmul(&kernels::mul(&centered, &centered), &ones),
+                            1.0 / c as f32,
+                        ),
+                        1e-5,
+                    );
+                    let inv = kernels::recip(&kernels::sqrt(&var));
+                    let (m, s) = kernels::row_norm_stats(&a, 1e-5);
+                    assert_eq!(m.data, mu.data, "mean not bit-identical");
+                    assert_eq!(s.data, inv.data, "inv_std not bit-identical");
 
-                        // Fused layer norm ≡ the composed primitive route,
-                        // and the tape's fused op matches both.
-                        let norm_ref = kernels::add_rowvec(
-                            &kernels::mul_rowvec(&kernels::mul_colvec(&centered, &inv), &gamma),
-                            &beta,
-                        );
-                        let mut ln_tape = Tape::new();
-                        let (lx, lg, lb) = (
-                            ln_tape.constant(a.clone()),
-                            ln_tape.constant(gamma.clone()),
-                            ln_tape.constant(beta.clone()),
-                        );
-                        let ln_node = ln_tape.layer_norm(&lx, &lg, &lb, 1e-5);
-                        assert_eq!(ln_tape.value(&ln_node).data, norm_ref.data);
-                        assert_thread_invariant("layer_norm", &norm_ref, || {
-                            kernels::layer_norm(&a, &gamma, &beta, 1e-5)
-                        });
-                    }
-                    Backend::Avx2Fma => {
-                        // Under AVX2 the fused statistics use partial-lane
-                        // sums (the composed route's rounding differs; the
-                        // cross-backend drift has a ULP budget in the
-                        // `kernels` unit tests), but the kernel must still
-                        // be self-deterministic at any thread count.
-                        pool::set_num_threads(1);
-                        let (m1, s1) = kernels::row_norm_stats(&a, 1e-5);
-                        let ln1 = kernels::layer_norm(&a, &gamma, &beta, 1e-5);
-                        for threads in THREAD_SWEEP {
-                            pool::set_num_threads(threads);
-                            let (m, s) = kernels::row_norm_stats(&a, 1e-5);
-                            assert_eq!(m.data, m1.data, "avx2 mean drift @ t={threads}");
-                            assert_eq!(s.data, s1.data, "avx2 inv_std drift @ t={threads}");
-                            assert_eq!(
-                                kernels::layer_norm(&a, &gamma, &beta, 1e-5).data,
-                                ln1.data,
-                                "avx2 layer_norm drift @ t={threads}"
-                            );
-                        }
-                        pool::set_num_threads(1);
-                    }
+                    // Fused layer norm ≡ the composed primitive route,
+                    // and the tape's fused op matches both.
+                    let norm_ref = kernels::add_rowvec(
+                        &kernels::mul_rowvec(&kernels::mul_colvec(&centered, &inv), &gamma),
+                        &beta,
+                    );
+                    let mut ln_tape = Tape::new();
+                    let (lx, lg, lb) = (
+                        ln_tape.constant(a.clone()),
+                        ln_tape.constant(gamma.clone()),
+                        ln_tape.constant(beta.clone()),
+                    );
+                    let ln_node = ln_tape.layer_norm(&lx, &lg, &lb, 1e-5);
+                    assert_eq!(ln_tape.value(&ln_node).data, norm_ref.data);
+                    assert_bit_identical(
+                        "layer_norm",
+                        &norm_ref,
+                        &kernels::layer_norm(&a, &gamma, &beta, 1e-5),
+                    );
                 }
             });
         }
@@ -360,9 +311,9 @@ proptest! {
     /// The sparse segment heads (float and int8) over canonicalised
     /// entries ≡ the dense route under a *hard* mask (`-∞` on masked-out
     /// columns) built by raw-order overwrites: matmul → `add_rowvec` → add
-    /// mask → `log_softmax_rows`, bit-identical at every thread count ×
-    /// backend (the scalar leg is the pinned reference contract; AVX2
-    /// holds too because the per-column chains match the dense kernel's).
+    /// mask → `log_softmax_rows`, bit-identical under each backend (the
+    /// scalar leg is the pinned reference contract; AVX2 holds too because
+    /// the per-column chains match the dense kernel's).
     /// Up to 12 entries a row, so both the interleaved 8-column dots and
     /// the one-column remainder run.
     #[test]
@@ -386,23 +337,22 @@ proptest! {
         let q_logits = quantized_dense_logits(&q, &a, &bias);
         for bk in backends() {
             backend::with_backend(bk, || {
-                pool::set_num_threads(1);
                 let logits = kernels::add_rowvec(&kernels::matmul(&a, &w), &bias);
                 let want = kernels::log_softmax_rows(&kernels::add(&logits, &mask_dense));
-                assert_thread_invariant("masked_matmul_cols", &want, || {
-                    kernels::masked_matmul_cols(&a, &w, &bias, &masks)
-                });
+                assert_bit_identical(
+                    "masked_matmul_cols",
+                    &want,
+                    &kernels::masked_matmul_cols(&a, &w, &bias, &masks),
+                );
                 let q_want = kernels::log_softmax_rows(&kernels::add(&q_logits, &mask_dense));
-                assert_thread_invariant("forward_masked", &q_want, || {
-                    q.forward_masked(&a, &bias, &masks)
-                });
+                assert_bit_identical("forward_masked", &q_want, &q.forward_masked(&a, &bias, &masks));
             });
         }
     }
 
     /// CSR graph-attention ops on random ragged graphs (including isolated
     /// nodes, empty, one-edge and longer-than-a-vector segments): kernel ≡
-    /// tape at every thread count, and — `exp` runs in lanes, sums and
+    /// tape, and — `exp` runs in lanes, sums and
     /// products round as the scalar loops do — the same bits under every
     /// backend.
     #[test]
@@ -417,7 +367,6 @@ proptest! {
         for bk in backends() {
             backend::with_backend(bk, || {
                 let name = bk.name();
-                pool::set_num_threads(1);
                 let mut tape = Tape::new();
                 let ns = tape.constant(src.clone());
                 let nd = tape.constant(dst.clone());
@@ -432,53 +381,9 @@ proptest! {
                 assert_eq!(kernels::edge_scores(&src, &dst, &csr).data, scores.data, "{name}");
                 assert_eq!(kernels::segmented_softmax(&scores, &csr).data, alphas.data, "{name}");
                 assert_eq!(kernels::neighbor_sum(&alphas, &feats, &csr).data, agg.data, "{name}");
-
-                assert_thread_invariant("edge_scores", &scores, || kernels::edge_scores(&src, &dst, &csr));
-                assert_thread_invariant("segmented_softmax", &alphas, || {
-                    kernels::segmented_softmax(&scores, &csr)
-                });
-                assert_thread_invariant("neighbor_sum", &agg, || {
-                    kernels::neighbor_sum(&alphas, &feats, &csr)
-                });
                 let (alphas_0, agg_0) = across_backends.get_or_insert((alphas.clone(), agg.clone()));
                 assert_eq!(alphas.data, alphas_0.data, "segmented_softmax: {name} vs scalar");
                 assert_eq!(agg.data, agg_0.data, "neighbor_sum: {name} vs scalar");
-            });
-        }
-    }
-
-    /// Training parity: a full tape forward + backward produces identical
-    /// input-side gradients at every thread count (the backward matmuls
-    /// route through the same kernels), under every backend.
-    #[test]
-    fn backward_gradients_thread_invariant(r in 2usize..48, k in 2usize..32, c in 2usize..48, seed in 0u64..1_000_000) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let a = tensor(&mut rng, r, k);
-        let b = tensor(&mut rng, k, c);
-        for bk in backends() {
-            backend::with_backend(bk, || {
-                let mut reference: Option<(Vec<f32>, Vec<f32>)> = None;
-                for threads in THREAD_SWEEP {
-                    pool::set_num_threads(threads);
-                    let mut tape = Tape::new();
-                    let na = tape.constant(a.clone());
-                    let nb = tape.constant(b.clone());
-                    let y = tape.matmul(&na, &nb);
-                    let y = tape.tanh(y);
-                    let loss = tape.mean_all(y);
-                    let mut store = ParamStore::new();
-                    tape.backward(loss, &mut store);
-                    let ga = tape.grad(na).unwrap().to_vec();
-                    let gb = tape.grad(nb).unwrap().to_vec();
-                    match &reference {
-                        None => reference = Some((ga, gb)),
-                        Some((ra, rb)) => {
-                            assert_eq!(ra, &ga, "grad A diverged @ t={threads}");
-                            assert_eq!(rb, &gb, "grad B diverged @ t={threads}");
-                        }
-                    }
-                }
-                pool::set_num_threads(1);
             });
         }
     }
@@ -658,30 +563,25 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Executor conformance: every `Exec` op gives the same bits on the
-    /// tape as on the eager executor, under each backend at 1 and 4
-    /// threads (see the module docs for what that means for the scoped
-    /// ops).
+    /// tape as on the eager executor, under each backend (see the module
+    /// docs for what that means for the scoped ops).
     #[test]
     fn exec_ops_agree_between_tape_and_eager(c in 1usize..40, seed in 0u64..1_000_000) {
         let inputs = ExecInputs::random(&mut StdRng::seed_from_u64(seed), c);
         for bk in backends() {
             backend::with_backend(bk, || {
-                for threads in [1usize, 4] {
-                    pool::set_num_threads(threads);
-                    let mut tape = Tape::new();
-                    let recorded = run_every_exec_op(&mut tape, &inputs);
-                    let eager = run_every_exec_op(&mut Eager, &inputs);
-                    pool::set_num_threads(1);
-                    assert_eq!(recorded.len(), eager.len());
-                    for ((op, node), (_, got)) in recorded.iter().zip(&eager) {
-                        let want = tape.value(node);
-                        let label = format!("{op} under {} @ t={threads}", bk.name());
-                        assert_eq!(got.shape(), want.shape(), "{label}: shape");
-                        assert!(
-                            got.data.iter().map(|x| x.to_bits()).eq(want.data.iter().map(|x| x.to_bits())),
-                            "{label}: Tape and Eager disagree"
-                        );
-                    }
+                let mut tape = Tape::new();
+                let recorded = run_every_exec_op(&mut tape, &inputs);
+                let eager = run_every_exec_op(&mut Eager, &inputs);
+                assert_eq!(recorded.len(), eager.len());
+                for ((op, node), (_, got)) in recorded.iter().zip(&eager) {
+                    let want = tape.value(node);
+                    let label = format!("{op} under {}", bk.name());
+                    assert_eq!(got.shape(), want.shape(), "{label}: shape");
+                    assert!(
+                        got.data.iter().map(|x| x.to_bits()).eq(want.data.iter().map(|x| x.to_bits())),
+                        "{label}: Tape and Eager disagree"
+                    );
                 }
             });
         }
@@ -762,29 +662,23 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Each scoped op's fused kernel ≡ its per-segment composition
-    /// ([`composed_scoped_ops`]), bit for bit, under each backend at every
-    /// thread count of the sweep.
+    /// ([`composed_scoped_ops`]), bit for bit, under each backend.
     #[test]
     fn scoped_ops_match_composed_reference(c in 1usize..40, seed in 0u64..1_000_000) {
         let inputs = ExecInputs::random(&mut StdRng::seed_from_u64(seed), c);
         for bk in backends() {
             backend::with_backend(bk, || {
-                pool::set_num_threads(1);
                 let composed = composed_scoped_ops(&inputs);
-                for threads in THREAD_SWEEP {
-                    pool::set_num_threads(threads);
-                    let fused = run_every_exec_op(&mut Eager, &inputs);
-                    for (op, want) in &composed {
-                        let (_, got) = fused.iter().find(|(name, _)| name == op).unwrap();
-                        let label = format!("{op} under {} @ t={threads}", bk.name());
-                        assert_eq!(got.shape(), want.shape(), "{label}: shape");
-                        assert!(
-                            got.data.iter().map(|x| x.to_bits()).eq(want.data.iter().map(|x| x.to_bits())),
-                            "{label}: fused kernel and composition disagree"
-                        );
-                    }
+                let fused = run_every_exec_op(&mut Eager, &inputs);
+                for (op, want) in &composed {
+                    let (_, got) = fused.iter().find(|(name, _)| name == op).unwrap();
+                    let label = format!("{op} under {}", bk.name());
+                    assert_eq!(got.shape(), want.shape(), "{label}: shape");
+                    assert!(
+                        got.data.iter().map(|x| x.to_bits()).eq(want.data.iter().map(|x| x.to_bits())),
+                        "{label}: fused kernel and composition disagree"
+                    );
                 }
-                pool::set_num_threads(1);
             });
         }
     }
@@ -797,7 +691,7 @@ fn seeded(rows: usize, cols: usize, seed: u64) -> Tensor {
 
 /// Every kernel the tape-free path calls must be bit-identical to its
 /// tape twin, op by op (fixed small shapes; the proptests above sweep
-/// shapes, threads and backends).
+/// shapes and backends).
 #[test]
 fn ops_match_tape_bitwise() {
     let a = seeded(3, 4, 1);
@@ -894,8 +788,8 @@ fn add_rejects_shape_mismatch() {
 /// at a time) must keep every output element the one chain from 0 in
 /// ascending `k` that the row-at-a-time route computes: shapes straddle
 /// every tile edge, each row is compared bitwise against its own
-/// `[1,K]×[K,C]` product (which always takes the row-at-a-time path), at
-/// 1/2/4 threads under both backends. Passes at any commit whose chain is
+/// `[1,K]×[K,C]` product (which always takes the row-at-a-time path),
+/// under both backends. Passes at any commit whose chain is
 /// that one; it pins what a tile must keep.
 #[test]
 fn matmul_tile_edges_match_row_at_a_time() {
@@ -907,14 +801,13 @@ fn matmul_tile_edges_match_row_at_a_time() {
                     let b = tensor(&mut rng, k, c);
                     for r in 1usize..=14 {
                         let a = tensor(&mut rng, r, k);
-                        pool::set_num_threads(1);
                         let mut want = Tensor::zeros(r, c);
                         for i in 0..r {
                             let row = kernels::matmul(&kernels::select_rows(&a, i, 1), &b);
                             want.data[i * c..(i + 1) * c].copy_from_slice(&row.data);
                         }
                         let label = format!("{} matmul [{r},{k}]x[{k},{c}]", bk.name());
-                        assert_thread_invariant(&label, &want, || kernels::matmul(&a, &b));
+                        assert_bit_identical(&label, &want, &kernels::matmul(&a, &b));
                     }
                 }
             }
@@ -923,12 +816,11 @@ fn matmul_tile_edges_match_row_at_a_time() {
 }
 
 /// A mask list that is not in canonical form is refused by every masked
-/// kernel on the caller thread, by the up-front check — before any work
-/// is counted or handed to a pool chunk.
+/// kernel by the up-front check — before any work is counted.
 #[test]
 fn masked_kernels_reject_non_canonical_entries_up_front() {
     let mut rng = StdRng::seed_from_u64(23);
-    let (r, k, c) = (64, 64, 96); // large enough that the pool would engage
+    let (r, k, c) = (64, 64, 96);
     let a = tensor(&mut rng, r, k);
     let w = tensor(&mut rng, k, c);
     let bias = tensor(&mut rng, 1, c);
@@ -944,7 +836,6 @@ fn masked_kernels_reject_non_canonical_entries_up_front() {
             "{name}: {msg}"
         );
     };
-    pool::set_num_threads(4);
     for bad in [vec![(5usize, -0.5f32), (3, 0.1)], vec![(3, -0.5), (3, 0.1)]] {
         let entries: RawMasks = (0..r).map(|_| Some(bad.clone())).collect();
         let masks = sparse_masks(&entries, -30.0);
@@ -953,5 +844,4 @@ fn masked_kernels_reject_non_canonical_entries_up_front() {
         });
         rejects("QuantizedLinear", &|| q.forward_masked(&a, &bias, &masks));
     }
-    pool::set_num_threads(1);
 }

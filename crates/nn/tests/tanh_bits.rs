@@ -9,8 +9,7 @@
 //!    every slice length 0..=17 (tail path) and through vectors that mix
 //!    special and ordinary lanes (fallback path).
 //! 2. **one kernel** — `kernels::tanh` is bit-identical under
-//!    `Backend::Scalar` and `Backend::Avx2Fma`, at 1/2/4 threads on a
-//!    tensor large enough to engage the pool, in place or not, and
+//!    `Backend::Scalar` and `Backend::Avx2Fma`, in place or not, and
 //!    through the tape's `Exec::tanh`.
 //! 3. **the transcription is glibc 2.36's `tanhf`** — a committed anchor
 //!    table taken from the build box's `f32::tanh` keeps [`tanhf`] pinned
@@ -23,7 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use rntrajrec_nn::kernels::backend::{self, Backend};
 use rntrajrec_nn::kernels::tanhf::tanhf;
-use rntrajrec_nn::{kernels, pool, Exec, Tape, Tensor};
+use rntrajrec_nn::{kernels, Exec, Tape, Tensor};
 
 /// `(x, tanh(x))` as bit patterns, `x > 0`, from `f32::tanh` on the build
 /// box (glibc 2.36, whose `tanhf` is fdlibm's); `tanh(−x) = −tanh(x)`
@@ -240,11 +239,11 @@ fn lanes_match_scalar_at_every_branch_edge_tail_length_and_lane_mix() {
 }
 
 #[test]
-fn tanh_kernel_is_one_function_across_backends_threads_and_the_tape() {
-    // Three pool chunks at four threads, none of them a multiple of 8 long.
+fn tanh_kernel_is_one_function_across_backends_and_the_tape() {
+    // Not a multiple of 8 long: the AVX2 body ends in a tail.
     let (rows, cols) = (7023, 7);
     let n = rows * cols;
-    assert!(n > 3 * 16 * 1024 && n % 8 != 0);
+    assert!(n % 8 != 0);
     let mut xs: Vec<f32> = (0..n)
         .map(|i| ((i as f32) * 0.618_034).sin() * (1.0 + (i % 23) as f32))
         .collect();
@@ -259,29 +258,24 @@ fn tanh_kernel_is_one_function_across_backends_threads_and_the_tape() {
         bks.push(Backend::Avx2Fma);
     }
     for bk in bks {
-        for threads in [1, 2, 4] {
-            pool::set_num_threads(threads);
-            let (out, in_place, taped) = backend::with_backend(bk, || {
-                let mut in_place = input.clone();
-                kernels::tanh_in_place(&mut in_place);
-                let mut tape = Tape::new();
-                let leaf = tape.constant(input.clone());
-                let node = tape.tanh(leaf);
-                (kernels::tanh(&input), in_place, tape.value(&node).clone())
-            });
-            pool::set_num_threads(1);
-            for (name, got) in [("tanh", &out), ("in place", &in_place), ("tape", &taped)] {
-                assert_eq!(got.shape(), input.shape());
-                for (i, (&g, &w)) in got.data.iter().zip(&want).enumerate() {
-                    assert!(
-                        same(g, w),
-                        "{name} under {bk:?} at {threads} threads, element {i}: tanh({:e}) = \
-                         {:#010x}, want {:#010x}",
-                        xs[i],
-                        g.to_bits(),
-                        w.to_bits()
-                    );
-                }
+        let (out, in_place, taped) = backend::with_backend(bk, || {
+            let mut in_place = input.clone();
+            kernels::tanh_in_place(&mut in_place);
+            let mut tape = Tape::new();
+            let leaf = tape.constant(input.clone());
+            let node = tape.tanh(leaf);
+            (kernels::tanh(&input), in_place, tape.value(&node).clone())
+        });
+        for (name, got) in [("tanh", &out), ("in place", &in_place), ("tape", &taped)] {
+            assert_eq!(got.shape(), input.shape());
+            for (i, (&g, &w)) in got.data.iter().zip(&want).enumerate() {
+                assert!(
+                    same(g, w),
+                    "{name} under {bk:?}, element {i}: tanh({:e}) = {:#010x}, want {:#010x}",
+                    xs[i],
+                    g.to_bits(),
+                    w.to_bits()
+                );
             }
         }
     }
@@ -320,7 +314,7 @@ fn exhaustive_lanes_match_scalar_match_host() {
     if !host {
         eprintln!("NOTICE: host tanhf is not fdlibm's; the scalar ≡ host half is skipped");
     }
-    const CHUNK: usize = 4096; // below the pool threshold: each worker stays on its thread
+    const CHUNK: usize = 4096;
     const TOTAL: u64 = 1 << 32;
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
     let per_worker = (TOTAL / CHUNK as u64).div_ceil(workers) * CHUNK as u64;

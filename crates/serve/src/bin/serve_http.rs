@@ -149,11 +149,10 @@ ENVIRONMENT:
                             engine.submit engine.batch engine.worker
                             kernel.dispatch http.write)
     CHAOS_SEED              RNG seed for exact fault replay (default 0)
-    NN_THREADS              intra-op kernel threads each engine worker may use
-                            (default: hardware parallelism, at most 16; results
-                            are bit-identical at any value)
     NN_BACKEND              kernel backend: scalar | avx2 | auto (default auto;
-                            avx2 falls back to scalar on hosts without AVX2+FMA)
+                            avx2 falls back to scalar on hosts without AVX2+FMA);
+                            kernels run on the caller's thread, so each engine
+                            worker computes on one core
     NN_QUANT_HEAD           1 | true | int8 serves the int8 segment head
                             (default: the f32 sparse head)
 ";
@@ -233,7 +232,10 @@ fn main() -> ExitCode {
         Ok(true) => {
             let points: Vec<String> = rntrajrec_chaos::snapshot()
                 .iter()
-                .map(|p| format!("{}={}@{}", p.point, p.kind, p.prob))
+                .map(|p| {
+                    let cap = p.limit.map_or(String::new(), |n| format!("x{n}"));
+                    format!("{}={}@{}{cap}", p.point, p.kind, p.prob)
+                })
                 .collect();
             eprintln!(
                 "CHAOS ARMED: seed={} points=[{}] — faults will be injected deliberately",
@@ -252,10 +254,10 @@ fn main() -> ExitCode {
         max_batch: args.max_batch,
         max_delay: Duration::from_millis(args.max_delay_ms),
         workers: args.workers,
-        threads_per_worker: 0,
         queue_capacity: args.queue_capacity,
         batch_timeout: args.batch_timeout_ms.map(Duration::from_millis),
         brownout: args.brownout.then_some(BrownoutConfig),
+        ..EngineConfig::default()
     };
 
     let booted = if args.artifacts.is_empty() {

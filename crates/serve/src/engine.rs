@@ -101,14 +101,9 @@ pub struct EngineConfig {
     pub max_delay: Duration,
     /// Worker threads executing batches.
     pub workers: usize,
-    /// Intra-op kernel threads each worker's inference may use
-    /// (`rntrajrec_nn::pool`), applied process-wide at
-    /// [`RecoveryEngine::start`]. `0` keeps the current process setting
-    /// (`NN_THREADS` env or hardware parallelism); a set `NN_THREADS`
-    /// environment variable always overrides this field. Size it so
-    /// `workers × threads_per_worker ≤ cores`: workers scale throughput
-    /// across requests, intra-op threads cut single-request latency —
-    /// see the crate docs for the interaction.
+    /// Ignored: kernels run on the caller's thread, so a worker uses
+    /// exactly one. The field stays only while `benchmark/src/adapter.rs`
+    /// still names it.
     pub threads_per_worker: usize,
     /// Admission bound on the waiting queue: [`RecoveryEngine::submit`]
     /// rejects with [`EngineError::Overloaded`] once this many requests
@@ -137,9 +132,7 @@ impl Default for EngineConfig {
             max_batch: 8,
             max_delay: Duration::from_millis(2),
             workers,
-            // The default worker count already covers the cores; keep
-            // kernels single-threaded per worker unless configured.
-            threads_per_worker: if workers > 1 { 1 } else { 0 },
+            threads_per_worker: 0,
             queue_capacity: None,
             batch_timeout: None,
             brownout: None,
@@ -830,24 +823,15 @@ pub struct RecoveryEngine {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
     supervisor: Option<JoinHandle<()>>,
-    /// Intra-op threads applied at start (`None`: process default kept).
-    intra_op: Option<usize>,
 }
 
 impl RecoveryEngine {
     /// Start `config.workers` threads over a shared model, plus the
     /// supervisor thread that runs the batch watchdog, samples the drain
     /// rate and drives brownout degradation.
-    ///
-    /// Also applies the intra-op kernel thread setting: `NN_THREADS` when
-    /// set in the environment, else [`EngineConfig::threads_per_worker`]
-    /// when non-zero. The setting is process-wide (`rntrajrec_nn::pool`),
-    /// shared by all engines and kernels in the process.
     pub fn start(model: Arc<ServingModel>, config: EngineConfig) -> Self {
         assert!(config.max_batch >= 1, "max_batch must be >= 1");
         assert!(config.workers >= 1, "workers must be >= 1");
-        let intra_op = rntrajrec_nn::pool::env_threads().unwrap_or(config.threads_per_worker);
-        let intra_op = (intra_op > 0).then(|| rntrajrec_nn::pool::set_num_threads(intra_op));
         let shared = Arc::new(Shared {
             model: ModelSlot::new(model),
             queue: Mutex::new(VecDeque::new()),
@@ -885,7 +869,6 @@ impl RecoveryEngine {
             shared,
             workers,
             supervisor: Some(supervisor),
-            intra_op,
         }
     }
 
@@ -1041,12 +1024,6 @@ impl RecoveryEngine {
                 .head_name(self.shared.degraded_head())
                 .to_string(),
         }
-    }
-
-    /// Intra-op kernel threads this engine applied at start (`None` when
-    /// the process default was kept).
-    pub fn intra_op_threads(&self) -> Option<usize> {
-        self.intra_op
     }
 
     /// Requests currently waiting in the queue (not yet flushed into a

@@ -1497,17 +1497,6 @@ const FAMILIES: &[Family] = &[
         samples: Custom(|_, w| w.sample(&[], kernels::matmul_invocations() as f64)),
     },
     Family {
-        name: "rntrajrec_nn_pool_jobs_total",
-        help: "Thread-pool dispatch decisions by mode.",
-        kind: Kind::Counter,
-        samples: Custom(|_, w| {
-            let pool = rntrajrec_nn::pool::stats();
-            w.sample(&[("mode", "parallel")], pool.parallel_jobs as f64);
-            w.sample(&[("mode", "inline_busy")], pool.inline_busy as f64);
-            w.sample(&[("mode", "inline_small")], pool.inline_small as f64);
-        }),
-    },
-    Family {
         name: "rntrajrec_trace_spans_stored",
         help: "Spans currently buffered in the trace ring.",
         kind: Kind::Gauge,

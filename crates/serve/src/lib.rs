@@ -42,26 +42,13 @@
 //!   **bit-identical** to in-process dispatch (`tests/http_roundtrip.rs`).
 //!   `serve_http` is the standalone binary.
 //!
-//! # Compute threading: workers × intra-op threads
+//! # Compute threading: kernels run on the caller's thread
 //!
-//! Two thread pools compose here, and they multiply:
-//!
-//! * **Workers** ([`EngineConfig::workers`]) each run whole requests —
-//!   they scale *throughput* under concurrent load.
-//! * **Intra-op kernel threads** ([`EngineConfig::threads_per_worker`],
-//!   overridden by the `NN_THREADS` env var) parallelise the individual
-//!   matmul / GAT kernels inside one request via `rntrajrec_nn::pool` —
-//!   they cut *single-request latency*.
-//!
-//! Size them so `workers × threads_per_worker ≤ cores`. Rules of thumb:
-//! high-concurrency serving wants many workers × 1 intra-op thread (the
-//! default); latency-sensitive low-QPS serving wants few workers with
-//! intra-op threads covering the cores. Over-subscription degrades
-//! gracefully rather than deadlocking — the kernel pool runs one parallel
-//! region at a time and any concurrent region simply executes inline —
-//! but it wastes context switches. The intra-op setting is process-wide;
-//! kernel outputs are bit-identical at any thread count, so it is purely
-//! a performance knob.
+//! Workers ([`EngineConfig::workers`]) each run whole batches, and the
+//! kernels run on the worker's own thread: parallelism is across
+//! requests, never inside one. At this model's widths (d = 16–32) a
+//! request is a chain of small products, too small to split across
+//! cores with profit, so size `workers` to the cores.
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -182,7 +169,6 @@ mod tests {
                 max_batch: 4,
                 max_delay: Duration::from_millis(1),
                 workers: 4,
-                threads_per_worker: 0,
                 queue_capacity: None,
                 ..EngineConfig::default()
             },
@@ -222,7 +208,6 @@ mod tests {
                 max_batch: 64,
                 max_delay: Duration::from_secs(5),
                 workers: 1,
-                threads_per_worker: 0,
                 queue_capacity: None,
                 ..EngineConfig::default()
             },
@@ -262,7 +247,6 @@ mod tests {
                 max_batch: 2,
                 max_delay: Duration::from_secs(5),
                 workers: 1,
-                threads_per_worker: 0,
                 queue_capacity: None,
                 ..EngineConfig::default()
             },
@@ -320,7 +304,6 @@ mod tests {
                 max_batch: 1,
                 max_delay: Duration::from_millis(1),
                 workers: 1,
-                threads_per_worker: 0,
                 queue_capacity: None,
                 ..EngineConfig::default()
             },
@@ -364,41 +347,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn threads_per_worker_sets_intra_op_threads() {
-        let (city, inputs) = fixture(1);
-        let model = serving(&city);
-        let want = model.recover(&inputs[0]);
-        // NN_THREADS is unset in the test environment unless the whole
-        // suite runs under it — in that case the env var must win and
-        // this test asserts that instead. Use the pool's own parser so
-        // edge values (0, whitespace) are classified exactly as the
-        // engine classifies them.
-        let env_threads = rntrajrec_nn::pool::env_threads();
-        let engine = RecoveryEngine::start(
-            Arc::clone(&model),
-            EngineConfig {
-                max_batch: 1,
-                max_delay: Duration::from_millis(1),
-                workers: 1,
-                threads_per_worker: 2,
-                queue_capacity: None,
-                ..EngineConfig::default()
-            },
-        );
-        // Other tests may race on the process-global knob, so assert the
-        // engine's own record of what it applied.
-        let applied = engine.intra_op_threads().expect("intra-op threads set");
-        match env_threads {
-            Some(n) => assert_eq!(applied, n.clamp(1, 16), "env override must win"),
-            None => assert_eq!(applied, 2),
-        }
-        // Results are bit-identical regardless of the intra-op setting.
-        let got = engine.recover(inputs[0].clone());
-        assert_eq!(got.path, want);
-        rntrajrec_nn::pool::set_num_threads(1);
-    }
-
     /// Admission control: a bounded queue rejects with a typed
     /// [`EngineError::Overloaded`] instead of queueing without bound (or
     /// blocking). Capacity 0 makes the rejection deterministic.
@@ -412,7 +360,6 @@ mod tests {
                 max_batch: 1,
                 max_delay: Duration::from_millis(1),
                 workers: 1,
-                threads_per_worker: 0,
                 queue_capacity: Some(0),
                 ..EngineConfig::default()
             },

@@ -79,7 +79,6 @@ fn engine_cfg() -> EngineConfig {
         max_batch: 4,
         max_delay: Duration::from_millis(1),
         workers: 1,
-        threads_per_worker: 0,
         queue_capacity: None,
         ..EngineConfig::default()
     }

@@ -106,7 +106,6 @@ fn quick_engine() -> EngineConfig {
         max_batch: 4,
         max_delay: Duration::from_millis(1),
         workers: 2,
-        threads_per_worker: 0,
         queue_capacity: None,
         ..EngineConfig::default()
     }
@@ -302,7 +301,6 @@ fn concurrent_clients_share_a_fused_batch() {
             // timing-dependent.
             max_delay: Duration::from_secs(5),
             workers: 2,
-            threads_per_worker: 0,
             queue_capacity: None,
             ..EngineConfig::default()
         },
@@ -741,7 +739,6 @@ fn metrics_lint_passes_under_concurrent_load() {
         "rntrajrec_uptime_seconds",
         "rntrajrec_engine_mean_queue_wait_ms",
         "rntrajrec_engine_mean_compute_ms",
-        "rntrajrec_nn_pool_jobs_total{mode=\"parallel\"}",
         "rntrajrec_phase_seconds_bucket{phase=\"encoder\"",
         "rntrajrec_phase_seconds_bucket{phase=\"decoder\"",
         "rntrajrec_phase_seconds_bucket{phase=\"queue_wait\"",

@@ -82,7 +82,6 @@ fn engine_cfg(workers: usize) -> EngineConfig {
         max_batch: 4,
         max_delay: Duration::from_millis(1),
         workers,
-        threads_per_worker: 0,
         queue_capacity: None,
         ..EngineConfig::default()
     }

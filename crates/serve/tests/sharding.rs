@@ -57,7 +57,6 @@ fn quick_engine() -> EngineConfig {
         max_batch: 4,
         max_delay: Duration::from_millis(1),
         workers: 2,
-        threads_per_worker: 0,
         queue_capacity: None,
         ..EngineConfig::default()
     }

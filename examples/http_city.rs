@@ -41,7 +41,6 @@ fn main() {
             max_batch: 8,
             max_delay: Duration::from_millis(2),
             workers: 2,
-            threads_per_worker: 0,
             queue_capacity: Some(64),
             ..EngineConfig::default()
         },

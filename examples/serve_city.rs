@@ -67,7 +67,6 @@ fn main() {
             max_batch: 8,
             max_delay: Duration::from_millis(2),
             workers: 4,
-            threads_per_worker: 0,
             queue_capacity: None,
             ..EngineConfig::default()
         },

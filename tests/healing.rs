@@ -69,7 +69,6 @@ fn one_worker() -> EngineConfig {
         max_batch: 1,
         max_delay: Duration::from_millis(1),
         workers: 1,
-        threads_per_worker: 0,
         ..EngineConfig::default()
     }
 }

@@ -95,7 +95,6 @@ fn engine_micro_batching_is_transparent_end_to_end() {
             max_batch: 3,
             max_delay: Duration::from_millis(1),
             workers: 3,
-            threads_per_worker: 0,
             queue_capacity: None,
             ..EngineConfig::default()
         },
@@ -154,7 +153,6 @@ fn one_session_answers_every_member_exactly_once() {
         EngineConfig {
             max_batch: 8,
             workers: 1,
-            threads_per_worker: 0,
             ..EngineConfig::default()
         },
     );
