@@ -11,7 +11,9 @@
 //! used) records how to rebuild the model skeleton (spec, dim, seed, grid
 //! cell size, synthetic-city parameters), and a CRC-32 over everything
 //! after the checksum field rejects corrupt or truncated files before any
-//! model state is touched.
+//! model state is touched. Every manifest claim is then checked — in the
+//! domain the city generator and the grid accept, and no larger than the
+//! packed tensors can hold — before a city or a model is built from it.
 //!
 //! Loading rebuilds the deterministic skeleton with
 //! [`rntrajrec::EndToEnd::build`] and overwrites every parameter from the
@@ -103,112 +105,41 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     crc ^ 0xFFFF_FFFF
 }
 
-/// The synthetic-city generation parameters, captured in the manifest so
-/// a loader can rebuild the exact road network the weights were trained
-/// against (stand-in for a real deployment's map-snapshot reference).
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct CityParams {
-    /// See [`CityConfig::blocks_x`].
-    pub blocks_x: usize,
-    /// See [`CityConfig::blocks_y`].
-    pub blocks_y: usize,
-    /// See [`CityConfig::block_min_m`].
-    pub block_min_m: f64,
-    /// See [`CityConfig::block_max_m`].
-    pub block_max_m: f64,
-    /// See [`CityConfig::one_way_fraction`].
-    pub one_way_fraction: f64,
-    /// See [`CityConfig::arterial_every`].
-    pub arterial_every: usize,
-    /// See [`CityConfig::with_elevated`].
-    pub with_elevated: bool,
-    /// See [`CityConfig::elevated_offset_m`].
-    pub elevated_offset_m: f64,
-    /// See [`CityConfig::ramp_every`].
-    pub ramp_every: usize,
-    /// See [`CityConfig::diagonal`].
-    pub diagonal: bool,
-    /// See [`CityConfig::seed`].
-    pub seed: u64,
-    /// See [`CityConfig::origin_x`].
-    pub origin_x: f64,
-    /// See [`CityConfig::origin_y`].
-    pub origin_y: f64,
-}
-
-impl CityParams {
-    /// Capture a [`CityConfig`].
-    pub fn from_config(c: &CityConfig) -> Self {
-        Self {
-            blocks_x: c.blocks_x,
-            blocks_y: c.blocks_y,
-            block_min_m: c.block_min_m,
-            block_max_m: c.block_max_m,
-            one_way_fraction: c.one_way_fraction,
-            arterial_every: c.arterial_every,
-            with_elevated: c.with_elevated,
-            elevated_offset_m: c.elevated_offset_m,
-            ramp_every: c.ramp_every,
-            diagonal: c.diagonal,
-            seed: c.seed,
-            origin_x: c.origin_x,
-            origin_y: c.origin_y,
-        }
-    }
-
-    /// The [`CityConfig`] these parameters describe.
-    pub fn to_config(&self) -> CityConfig {
-        CityConfig {
-            blocks_x: self.blocks_x,
-            blocks_y: self.blocks_y,
-            block_min_m: self.block_min_m,
-            block_max_m: self.block_max_m,
-            one_way_fraction: self.one_way_fraction,
-            arterial_every: self.arterial_every,
-            with_elevated: self.with_elevated,
-            elevated_offset_m: self.elevated_offset_m,
-            ramp_every: self.ramp_every,
-            diagonal: self.diagonal,
-            seed: self.seed,
-            origin_x: self.origin_x,
-            origin_y: self.origin_y,
-        }
-    }
-
-    fn from_value(v: &Value) -> Result<Self, ArtifactError> {
-        let f = |k: &str| {
-            v.get(k)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| corrupt(format!("manifest city_config.{k} missing or not a number")))
-        };
-        let u = |k: &str| {
-            v.get(k).and_then(Value::as_u64).ok_or_else(|| {
-                corrupt(format!(
-                    "manifest city_config.{k} missing or not an integer"
-                ))
-            })
-        };
-        let b = |k: &str| {
-            v.get(k)
-                .and_then(Value::as_bool)
-                .ok_or_else(|| corrupt(format!("manifest city_config.{k} missing or not a bool")))
-        };
-        Ok(Self {
-            blocks_x: u("blocks_x")? as usize,
-            blocks_y: u("blocks_y")? as usize,
-            block_min_m: f("block_min_m")?,
-            block_max_m: f("block_max_m")?,
-            one_way_fraction: f("one_way_fraction")?,
-            arterial_every: u("arterial_every")? as usize,
-            with_elevated: b("with_elevated")?,
-            elevated_offset_m: f("elevated_offset_m")?,
-            ramp_every: u("ramp_every")? as usize,
-            diagonal: b("diagonal")?,
-            seed: u("seed")?,
-            origin_x: f("origin_x")?,
-            origin_y: f("origin_y")?,
+/// The manifest's `city_config` object, parsed back into the
+/// [`CityConfig`] it serializes.
+fn city_config_from_value(v: &Value) -> Result<CityConfig, ArtifactError> {
+    let f = |k: &str| {
+        v.get(k)
+            .and_then(Value::as_f64)
+            .ok_or_else(|| corrupt(format!("manifest city_config.{k} missing or not a number")))
+    };
+    let u = |k: &str| {
+        v.get(k).and_then(Value::as_u64).ok_or_else(|| {
+            corrupt(format!(
+                "manifest city_config.{k} missing or not an integer"
+            ))
         })
-    }
+    };
+    let b = |k: &str| {
+        v.get(k)
+            .and_then(Value::as_bool)
+            .ok_or_else(|| corrupt(format!("manifest city_config.{k} missing or not a bool")))
+    };
+    Ok(CityConfig {
+        blocks_x: u("blocks_x")? as usize,
+        blocks_y: u("blocks_y")? as usize,
+        block_min_m: f("block_min_m")?,
+        block_max_m: f("block_max_m")?,
+        one_way_fraction: f("one_way_fraction")?,
+        arterial_every: u("arterial_every")? as usize,
+        with_elevated: b("with_elevated")?,
+        elevated_offset_m: f("elevated_offset_m")?,
+        ramp_every: u("ramp_every")? as usize,
+        diagonal: b("diagonal")?,
+        seed: u("seed")?,
+        origin_x: f("origin_x")?,
+        origin_y: f("origin_y")?,
+    })
 }
 
 /// Everything in the artifact besides the tensors themselves: the binary
@@ -233,8 +164,10 @@ pub struct ArtifactMeta {
     pub seed: u64,
     /// Grid cell size (m) the model was built against.
     pub cell_m: f64,
-    /// Synthetic-city generation parameters.
-    pub city_params: CityParams,
+    /// Synthetic-city generation parameters, captured so a loader can
+    /// rebuild the exact road network the weights were trained against
+    /// (stand-in for a real deployment's map-snapshot reference).
+    pub city_config: CityConfig,
 }
 
 impl ArtifactMeta {
@@ -359,7 +292,7 @@ struct Manifest {
     dim: usize,
     seed: u64,
     cell_m: f64,
-    city_config: CityParams,
+    city_config: CityConfig,
     num_params: usize,
     num_scalars: usize,
     has_road_cache: bool,
@@ -378,7 +311,7 @@ impl Artifact {
     pub fn pack(
         city: &str,
         model_version: &str,
-        city_params: CityParams,
+        city_config: CityConfig,
         cell_m: f64,
         dim: usize,
         seed: u64,
@@ -402,7 +335,7 @@ impl Artifact {
                 dim,
                 seed,
                 cell_m,
-                city_params,
+                city_config,
             },
             params,
             x_road: x_road.map(|t| NamedTensor::of("cache.x_road", t)),
@@ -422,9 +355,9 @@ impl Artifact {
             dim: self.meta.dim,
             seed: self.meta.seed,
             cell_m: self.meta.cell_m,
-            city_config: self.meta.city_params.clone(),
+            city_config: self.meta.city_config.clone(),
             num_params: self.params.len(),
-            num_scalars: self.params.iter().map(|t| t.data.len()).sum(),
+            num_scalars: self.num_scalars(),
             has_road_cache: self.x_road.is_some(),
             has_int8_head: self.quant.is_some(),
             tensors: self
@@ -554,7 +487,7 @@ impl Artifact {
             .get("cell_m")
             .and_then(Value::as_f64)
             .ok_or_else(|| corrupt("manifest field 'cell_m' missing or not a number"))?;
-        let city_params = CityParams::from_value(
+        let city_config = city_config_from_value(
             mv.get("city_config")
                 .ok_or_else(|| corrupt("manifest field 'city_config' missing"))?,
         )?;
@@ -601,7 +534,7 @@ impl Artifact {
                 cur.buf.len() - cur.pos
             )));
         }
-        Ok(Self {
+        let artifact = Self {
             meta: ArtifactMeta {
                 city,
                 model_version,
@@ -611,12 +544,73 @@ impl Artifact {
                 dim,
                 seed,
                 cell_m,
-                city_params,
+                city_config,
             },
             params,
             x_road,
             quant,
-        })
+        };
+        artifact.check_claims()?;
+        Ok(artifact)
+    }
+
+    /// Check the manifest's claims before anything is built from them:
+    /// each lies in the domain the city generator and the grid accept, and
+    /// the city fits in the tensors the file carries. A city of
+    /// `blocks_x × blocks_y` blocks has at least that many segments, each
+    /// with a `dim`-wide row in the decoder's segment embedding, so a claim
+    /// larger than the packed scalars is a lie — refused before it costs an
+    /// allocation in proportion to itself.
+    fn check_claims(&self) -> Result<(), ArtifactError> {
+        let m = &self.meta;
+        let c = &m.city_config;
+        let reals = [
+            ("cell_m", m.cell_m),
+            ("city_config.block_min_m", c.block_min_m),
+            ("city_config.block_max_m", c.block_max_m),
+            ("city_config.elevated_offset_m", c.elevated_offset_m),
+            ("city_config.origin_x", c.origin_x),
+            ("city_config.origin_y", c.origin_y),
+        ];
+        let claim = |what: String| Err(corrupt(format!("manifest claims {what}")));
+        if let Some((k, v)) = reals.iter().find(|(_, v)| !v.is_finite()) {
+            return claim(format!("{k} = {v}"));
+        }
+        if m.cell_m <= 0.0 {
+            return claim(format!("a grid cell of {} m", m.cell_m));
+        }
+        if m.dim == 0 || !m.dim.is_multiple_of(2) {
+            // The encoder splits `dim` across 2 or 4 attention heads.
+            return claim(format!("a hidden size of {}", m.dim));
+        }
+        if c.blocks_x < 2 || c.blocks_y < 2 {
+            return claim(format!("a {}x{}-block city", c.blocks_x, c.blocks_y));
+        }
+        if !(c.block_min_m > 0.0 && c.block_max_m >= c.block_min_m) {
+            return claim(format!("blocks of {}..{} m", c.block_min_m, c.block_max_m));
+        }
+        if !(0.0..=1.0).contains(&c.one_way_fraction) {
+            return claim(format!("a one-way fraction of {}", c.one_way_fraction));
+        }
+        let need = c
+            .blocks_x
+            .checked_mul(c.blocks_y)
+            .and_then(|n| n.checked_mul(m.dim));
+        if need.is_none_or(|n| n > self.num_scalars()) {
+            return claim(format!(
+                "a {}x{}-block city at dim {}, larger than its {} packed scalars",
+                c.blocks_x,
+                c.blocks_y,
+                m.dim,
+                self.num_scalars()
+            ));
+        }
+        Ok(())
+    }
+
+    /// Scalars across every packed parameter tensor.
+    fn num_scalars(&self) -> usize {
+        self.params.iter().map(|t| t.data.len()).sum()
     }
 
     /// Read and parse `path`.
@@ -657,7 +651,7 @@ impl Artifact {
     /// of serving garbage).
     pub fn instantiate(&self) -> Result<LoadedModel, ArtifactError> {
         let spec = self.meta.spec_of()?;
-        let city = SyntheticCity::generate(self.meta.city_params.to_config());
+        let city = SyntheticCity::generate(self.meta.city_config.clone());
         let net_bbox = city.net.bbox();
         let got = [
             net_bbox.min_x,
@@ -672,6 +666,23 @@ impl Artifact {
             )));
         }
         let grid = city.net.grid(self.meta.cell_m);
+        // The grid-cell and segment embedding tables are `dim` wide: a grid
+        // finer than the packed scalars could hold is a lie about `cell_m`
+        // (or `dim`), caught before the skeleton allocates them.
+        let rows = grid.num_cells().checked_add(city.net.num_segments());
+        if rows
+            .and_then(|n| n.checked_mul(self.meta.dim))
+            .is_none_or(|n| n > self.num_scalars())
+        {
+            return Err(corrupt(format!(
+                "manifest claims {}x{} grid cells of {} m at dim {}, more than its {} packed scalars hold",
+                grid.cols,
+                grid.rows,
+                self.meta.cell_m,
+                self.meta.dim,
+                self.num_scalars()
+            )));
+        }
         let mut model = EndToEnd::build(&spec, &city.net, &grid, self.meta.dim, self.meta.seed);
         let ids: Vec<_> = model.store.ids().collect();
         if ids.len() != self.params.len() {
@@ -753,7 +764,7 @@ pub fn pack_fresh(
     Artifact::pack(
         city,
         model_version,
-        CityParams::from_config(config),
+        config.clone(),
         cell_m,
         dim,
         seed,
@@ -929,6 +940,65 @@ mod tests {
             Artifact::from_bytes(&wrong_version),
             Err(ArtifactError::Corrupt(_))
         ));
+
+        // CRC-valid files whose manifest lies about what to build: each is
+        // refused before a city or a model is built from it (the generator
+        // and the grid would panic, or allocate in proportion to the claim).
+        type Lie = (&'static str, fn(&mut ArtifactMeta));
+        let lies: [Lie; 9] = [
+            ("cell_m 0", |m| m.cell_m = 0.0),
+            ("cell_m 1e-6: 10^18 grid cells", |m| m.cell_m = 1e-6),
+            ("blocks_x 1", |m| m.city_config.blocks_x = 1),
+            ("blocks_x 2^40", |m| m.city_config.blocks_x = 1 << 40),
+            ("dim 2^40", |m| m.dim = 1 << 40),
+            ("dim 0", |m| m.dim = 0),
+            ("dim 7", |m| m.dim = 7),
+            ("block_max_m below block_min_m", |m| {
+                m.city_config.block_max_m = 1.0
+            }),
+            ("one_way_fraction 2", |m| {
+                m.city_config.one_way_fraction = 2.0
+            }),
+        ];
+        let mut liars: Vec<(&str, Vec<u8>)> = (lies.iter())
+            .map(|&(what, lie)| {
+                let mut liar = a.clone();
+                lie(&mut liar.meta);
+                (what, liar.to_bytes())
+            })
+            .collect();
+        // JSON has no infinity, but a literal past f64's range parses as one.
+        liars.push((
+            "origin_x 1e999",
+            with_manifest(&a, |m| m.replace("\"origin_x\": 0", "\"origin_x\": 1e999")),
+        ));
+        for (what, bytes) in liars {
+            assert!(
+                matches!(
+                    Artifact::from_bytes(&bytes).and_then(|back| back.instantiate().map(drop)),
+                    Err(ArtifactError::Corrupt(_))
+                ),
+                "{what} must be refused"
+            );
+        }
+    }
+
+    /// `a`'s bytes with its manifest text rewritten by `edit` and the CRC
+    /// recomputed: a well-formed file that claims something else.
+    fn with_manifest(a: &Artifact, edit: impl Fn(&str) -> String) -> Vec<u8> {
+        let (bytes, old) = (a.to_bytes(), a.manifest_json());
+        let at = (bytes.windows(old.len()))
+            .position(|w| w == old.as_bytes())
+            .expect("the manifest is in the body");
+        let new = edit(&old);
+        assert_ne!(new, old, "the edit changed nothing");
+        let mut out = bytes[..at - 4].to_vec();
+        out.extend_from_slice(&(new.len() as u32).to_le_bytes());
+        out.extend_from_slice(new.as_bytes());
+        out.extend_from_slice(&bytes[at + old.len()..]);
+        let crc = crc32(&out[12..]);
+        out[8..12].copy_from_slice(&crc.to_le_bytes());
+        out
     }
 
     #[test]

@@ -20,12 +20,14 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use serde::Serialize;
 
 use crate::{RoadLevel, RoadNetwork, RoadNetworkBuilder, SegmentId};
 use rntrajrec_geo::{Polyline, XY};
 
-/// Configuration for [`SyntheticCity::generate`].
-#[derive(Debug, Clone)]
+/// Configuration for [`SyntheticCity::generate`]. Serialized field by
+/// field into a model artifact's manifest.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CityConfig {
     /// Number of blocks east-west.
     pub blocks_x: usize,

@@ -139,7 +139,7 @@ OPTIONS:
     --trace-out PATH        dump a Chrome trace-event JSON of recorded spans on exit
     --batch-timeout-ms N|none  watchdog budget per batch -> affected members 503
                             (default 30000; none disables the watchdog)
-    --no-brownout           disable the load-watermark degradation ladder
+    --no-brownout           disable load-watermark shedding (brownout)
     --help                  print this help
 
 ENVIRONMENT:

@@ -58,10 +58,11 @@
 //!   is set, a batch computing past the budget has its members failed
 //!   with typed timeout errors (the HTTP layer maps these to `503`)
 //!   instead of wedging their clients forever,
-//! - **drives brownout degradation**: a [`BrownoutController`] watching
-//!   queue depth and queue-wait p99 steps through degraded modes —
-//!   quantized segment head, shrunk batching window, full shed — and the
-//!   supervisor applies the active level to the live batching knobs,
+//! - **drives brownout**: a [`BrownoutController`] watching queue depth
+//!   and queue-wait p99 switches the engine between `normal` and `shed`,
+//!   where new submissions are refused with [`EngineError::Brownout`].
+//!   Brownout never touches a request it admitted: the segment head and
+//!   the batching knobs are the configured ones in both states,
 //! - samples the **drain rate** (completions/sec) that the HTTP layer
 //!   turns into adaptive `Retry-After` values.
 //!
@@ -120,7 +121,7 @@ pub struct EngineConfig {
     pub batch_timeout: Option<Duration>,
     /// `Some` runs the brownout controller, its depth watermarks derived
     /// from [`EngineConfig::queue_capacity`] (see [`crate::brownout`]);
-    /// `None` disables it (the ladder can still be forced via
+    /// `None` disables it (`shed` can still be forced via
     /// [`RecoveryEngine::set_brownout_override`]).
     pub brownout: Option<BrownoutConfig>,
 }
@@ -213,7 +214,7 @@ pub enum EngineError {
         /// The configured bound.
         capacity: usize,
     },
-    /// The brownout ladder is at its `shed` level: the engine is
+    /// Brownout is at `shed`: the engine is
     /// protecting itself and refuses new work until pressure drops.
     Brownout,
     /// A chaos fault point injected an admission error
@@ -464,7 +465,7 @@ pub struct EngineStats {
     /// Requests cancelled because their [`RecoveryHandle`] was dropped
     /// before completion.
     pub abandoned_cancelled: u64,
-    /// Brownout ladder transitions since start.
+    /// Brownout transitions (into or out of `shed`) since start.
     pub brownout_shifts: u64,
     /// Streaming consumers degraded to summary-only because they fell 256
     /// undelivered steps behind the decode loop (the terminal result still
@@ -473,8 +474,7 @@ pub struct EngineStats {
     /// Models hot-swapped into the live engine
     /// ([`RecoveryEngine::swap_model`]).
     pub model_swaps: u64,
-    /// Active brownout mode name (`normal`, `degraded_head`,
-    /// `shrink_batch`, `shed`).
+    /// Active brownout mode name (`normal` or `shed`).
     pub brownout_mode: String,
     /// Recent completion rate (requests/sec) sampled by the supervisor;
     /// the numerator of adaptive `Retry-After`.
@@ -485,8 +485,9 @@ pub struct EngineStats {
     /// Active kernel backend (`rntrajrec_nn::kernels::backend::active_name`):
     /// `"scalar"` or `"avx2"`.
     pub kernel_backend: String,
-    /// Decoder segment head new sessions decode with: `"sparse"` or
-    /// `"int8"` (the model's default, or `int8` at brownout level ≥ 1).
+    /// Decoder segment head new sessions decode with: `"sparse"`, or
+    /// `"int8"` when the model serves the int8 head (`NN_QUANT_HEAD=1`).
+    /// Brownout never changes it.
     pub segment_head: String,
 }
 
@@ -638,18 +639,13 @@ struct Shared {
     shutdown: AtomicBool,
     next_id: AtomicU64,
     counters: Counters,
-    /// Configured batching knobs (the brownout baseline).
-    base_max_batch: usize,
-    base_max_delay: Duration,
-    /// *Effective* batching knobs — what `take_batch` reads; the brownout
-    /// controller shrinks these under pressure.
-    max_batch: AtomicUsize,
-    max_delay_ns: AtomicU64,
+    max_batch: usize,
+    max_delay: Duration,
     queue_capacity: Option<usize>,
     batch_timeout: Option<Duration>,
-    /// Active brownout ladder level (0..=3).
+    /// Active brownout level (0 normal, 1 shed).
     brownout_level: AtomicU8,
-    /// Manual ladder override (ops/maintenance knob and test hook);
+    /// Manual brownout override (ops/maintenance knob and test hook);
     /// `AUTO_LEVEL` defers to the controller.
     brownout_override: AtomicU8,
     /// Recent queue-wait samples (ms), ring-buffered for the p99 the
@@ -672,39 +668,19 @@ impl Shared {
         self.brownout_level.load(Ordering::Relaxed)
     }
 
-    /// Brownout level ≥ 1: new sessions decode with the int8 head.
-    fn degraded_head(&self) -> bool {
-        self.level() >= 1
-    }
-
     /// The queue, whoever panicked while holding it: its contents stay
     /// valid (every critical section only pushes or drains whole requests).
     fn queue(&self) -> MutexGuard<'_, VecDeque<Pending>> {
         self.queue.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Apply a brownout ladder level to the live batching knobs.
-    /// Idempotent per level; wakes batch assemblers so a shrunk
-    /// `max_delay` takes effect immediately.
-    fn apply_level(&self, level: u8) {
-        let prev = self.brownout_level.swap(level, Ordering::Relaxed);
-        if prev == level {
-            return;
+    /// Enter or leave `shed`, counting the shift. Idempotent per level.
+    fn set_level(&self, level: u8) {
+        if self.brownout_level.swap(level, Ordering::Relaxed) != level {
+            self.counters
+                .brownout_shifts
+                .fetch_add(1, Ordering::Relaxed);
         }
-        self.counters
-            .brownout_shifts
-            .fetch_add(1, Ordering::Relaxed);
-        let (mb, md) = if level >= 2 {
-            (
-                (self.base_max_batch / 2).max(1),
-                self.base_max_delay.as_nanos() as u64 / 4,
-            )
-        } else {
-            (self.base_max_batch, self.base_max_delay.as_nanos() as u64)
-        };
-        self.max_batch.store(mb, Ordering::Relaxed);
-        self.max_delay_ns.store(md, Ordering::Relaxed);
-        self.cond.notify_all();
     }
 
     /// The one way a request ends: build its terminal [`Recovered`],
@@ -828,7 +804,7 @@ pub struct RecoveryEngine {
 impl RecoveryEngine {
     /// Start `config.workers` threads over a shared model, plus the
     /// supervisor thread that runs the batch watchdog, samples the drain
-    /// rate and drives brownout degradation.
+    /// rate and drives brownout.
     pub fn start(model: Arc<ServingModel>, config: EngineConfig) -> Self {
         assert!(config.max_batch >= 1, "max_batch must be >= 1");
         assert!(config.workers >= 1, "workers must be >= 1");
@@ -839,10 +815,8 @@ impl RecoveryEngine {
             shutdown: AtomicBool::new(false),
             next_id: AtomicU64::new(0),
             counters: Counters::default(),
-            base_max_batch: config.max_batch,
-            base_max_delay: config.max_delay,
-            max_batch: AtomicUsize::new(config.max_batch),
-            max_delay_ns: AtomicU64::new(config.max_delay.as_nanos() as u64),
+            max_batch: config.max_batch,
+            max_delay: config.max_delay,
             queue_capacity: config.queue_capacity,
             batch_timeout: config.batch_timeout,
             brownout_level: AtomicU8::new(0),
@@ -892,7 +866,7 @@ impl RecoveryEngine {
     ) -> Result<RecoveryHandle, EngineError> {
         rntrajrec_chaos::point("engine.submit")
             .map_err(|f| EngineError::FaultInjected { point: f.point })?;
-        if self.shared.level() >= 3 {
+        if self.shared.level() > 0 {
             self.shared
                 .counters
                 .rejected
@@ -1020,9 +994,7 @@ impl RecoveryEngine {
             drain_rate_per_sec: self.drain_rate_per_sec(),
             queue_wait_p99_ms: self.queue_wait_p99_ms(),
             kernel_backend: rntrajrec_nn::kernels::backend::active_name().to_string(),
-            segment_head: (self.shared.model.current())
-                .head_name(self.shared.degraded_head())
-                .to_string(),
+            segment_head: self.shared.model.current().head_name().to_string(),
         }
     }
 
@@ -1045,7 +1017,7 @@ impl RecoveryEngine {
         self.shared.queue_capacity
     }
 
-    /// Active brownout ladder level (0 = normal … 3 = shed).
+    /// Active brownout level (0 = normal, 1 = shed).
     pub fn brownout_level(&self) -> u8 {
         self.shared.level()
     }
@@ -1055,15 +1027,15 @@ impl RecoveryEngine {
         mode_name(self.shared.level())
     }
 
-    /// Force the brownout ladder to a level (ops/maintenance knob:
-    /// `Some(3)` drains by shedding all new work; also the deterministic
-    /// test hook). `None` returns control to the load-watermark
+    /// Force brownout to a level (ops/maintenance knob: `Some(1)` drains
+    /// by shedding all new work; also the deterministic test hook; higher
+    /// levels clamp to 1). `None` returns control to the load-watermark
     /// controller. Applies immediately.
     pub fn set_brownout_override(&self, level: Option<u8>) {
-        let v = level.map_or(AUTO_LEVEL, |l| l.min(3));
+        let v = level.map_or(AUTO_LEVEL, |l| l.min(1));
         self.shared.brownout_override.store(v, Ordering::Relaxed);
         if v != AUTO_LEVEL {
-            self.shared.apply_level(v);
+            self.shared.set_level(v);
         }
     }
 
@@ -1148,7 +1120,7 @@ fn spawn_worker(shared: &Arc<Shared>, slot: &Arc<WorkerSlot>, index: usize) -> J
 }
 
 /// The supervisor: fails hung batches past [`EngineConfig::batch_timeout`],
-/// samples the drain rate, and drives the brownout ladder. Exits once
+/// samples the drain rate, and drives brownout. Exits once
 /// shutdown is signalled and the workers have drained the queue.
 fn supervisor_loop(
     shared: &Shared,
@@ -1229,7 +1201,7 @@ fn supervisor_loop(
         } else {
             0
         };
-        shared.apply_level(level);
+        shared.set_level(level);
 
         if drained {
             break;
@@ -1249,16 +1221,14 @@ fn take_batch(shared: &Shared) -> Option<(Vec<Pending>, Flight<'_>)> {
     rntrajrec_chaos::point_infallible("engine.batch");
     let mut q = shared.queue();
     let cause = loop {
-        let max_batch = shared.max_batch.load(Ordering::Relaxed);
-        let max_delay = Duration::from_nanos(shared.max_delay_ns.load(Ordering::Relaxed));
-        if q.len() >= max_batch {
+        if q.len() >= shared.max_batch {
             break &shared.counters.flushed_full;
         }
         let draining = shared.shutdown.load(Ordering::SeqCst);
         match q.front() {
             Some(oldest) => {
                 let age = oldest.reply.enqueued.elapsed();
-                if draining || age >= max_delay {
+                if draining || age >= shared.max_delay {
                     break &shared.counters.flushed_deadline; // or shutdown drain
                 }
                 // Work-conserving: with no session in flight nothing
@@ -1270,7 +1240,7 @@ fn take_batch(shared: &Shared) -> Option<(Vec<Pending>, Flight<'_>)> {
                 if shared.counters.in_flight_batches.load(Ordering::Relaxed) == 0 {
                     break &shared.counters.flushed_idle;
                 }
-                q = (shared.cond.wait_timeout(q, max_delay - age))
+                q = (shared.cond.wait_timeout(q, shared.max_delay - age))
                     .unwrap_or_else(|e| e.into_inner())
                     .0;
             }
@@ -1282,8 +1252,7 @@ fn take_batch(shared: &Shared) -> Option<(Vec<Pending>, Flight<'_>)> {
             }
         }
     };
-    let max_batch = shared.max_batch.load(Ordering::Relaxed);
-    let take = q.len().min(max_batch);
+    let take = q.len().min(shared.max_batch);
     let mut batch: Vec<Pending> = q.drain(..take).collect();
     // The session is in flight from the moment its batch leaves the queue.
     let flight = Flight::raise(&shared.counters.in_flight_batches);
@@ -1391,8 +1360,6 @@ struct Session<'e> {
     /// (the `Arc` keeps a swapped-out model alive until its last session
     /// ends).
     model: Arc<ServingModel>,
-    /// Brownout level ≥ 1 at open: decode with the int8 head.
-    degraded_head: bool,
     /// This session's share of the in-flight gauge.
     flight: Flight<'e>,
     /// The flushed batch, then everyone admitted since — the
@@ -1417,7 +1384,7 @@ impl<'e> Session<'e> {
         meters().batch_size.observe(size as f64);
         meters()
             .batch_occupancy
-            .observe(size as f64 / shared.base_max_batch as f64);
+            .observe(size as f64 / shared.max_batch as f64);
         // Register *before* any fallible work: from here on, if a panic
         // escapes the session or it stalls, the worker's loop or the
         // watchdog can answer exactly these members. Admitted members join
@@ -1441,7 +1408,6 @@ impl<'e> Session<'e> {
             shared,
             slot,
             model: shared.model.current(),
-            degraded_head: shared.degraded_head(),
             flight,
             members: batch,
             admissions: 0,
@@ -1502,7 +1468,7 @@ impl<'e> Session<'e> {
         let open = alone.is_none();
         let (first, last) = alone.map_or((0, self.members.len()), |k| (k, k + 1));
         let model = Arc::clone(&self.model);
-        let mut state = model.decode_state(self.degraded_head);
+        let mut state = model.decode_state();
         // Time inside `state` (splice, retire, tick): the `decoder` phase.
         // The encoder passes of mid-decode admissions are not in it.
         let mut decoding = Duration::ZERO;
@@ -1589,13 +1555,7 @@ impl<'e> Session<'e> {
     /// already gone, is answered here and never costs an encoder pass.
     fn take_newcomers(&mut self, live: usize) {
         let shared = self.shared;
-        if shared.level() >= 2 {
-            return;
-        }
-        let room = shared
-            .max_batch
-            .load(Ordering::Relaxed)
-            .saturating_sub(live);
+        let room = shared.max_batch.saturating_sub(live);
         if room == 0 {
             return;
         }

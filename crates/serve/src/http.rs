@@ -1470,7 +1470,7 @@ const FAMILIES: &[Family] = &[
     },
     Family {
         name: "rntrajrec_engine_brownout_level",
-        help: "Active brownout ladder level (0 normal … 3 shed).",
+        help: "Active brownout level (0 normal, 1 shed).",
         kind: Kind::Gauge,
         samples: PerShard(|s, _| s.engine().brownout_level() as f64),
     },

@@ -60,19 +60,14 @@ pub fn quant_head_env() -> bool {
 }
 
 /// A model ready to serve on the tape-free path: road embeddings
-/// precomputed, and the decoder's segment head pre-quantized
-/// to int8 — served by default under `NN_QUANT_HEAD`, and otherwise held
-/// ready as the brownout degraded head. Shared read-only across worker
-/// threads.
+/// precomputed, and — under `NN_QUANT_HEAD` — the decoder's segment head
+/// pre-quantized to int8. Shared read-only across worker threads.
 pub struct ServingModel {
     model: EndToEnd,
     road: Option<RoadEmbeddingCache>,
-    /// Int8 segment head, built once at load. Always present so the
-    /// brownout controller can switch to it under pressure without a
-    /// load-time decision.
-    quant: QuantizedLinear,
-    /// Serve the int8 head by default (vs only in brownout).
-    default_int8: bool,
+    /// The int8 segment head, built once at load; present only when it
+    /// serves (otherwise the f32 sparse head does).
+    quant: Option<QuantizedLinear>,
 }
 
 impl ServingModel {
@@ -86,10 +81,10 @@ impl ServingModel {
     /// Wrap a model with its serving caches. A packed `x_road` / int8
     /// head (an artifact's, which the loader has already shape-checked
     /// against the model) is used as-is; a missing one is derived from
-    /// the weights. `quantized` serves the int8 head by default,
-    /// otherwise the f32 sparse head serves and the int8 one waits for
-    /// brownout. Every model serves, so this never fails; the `Result`
-    /// stays only while `benchmark/src/adapter.rs` still matches on it.
+    /// the weights. `quantized` serves the int8 head, otherwise the f32
+    /// sparse head serves and `quant` is dropped. Every model serves, so
+    /// this never fails; the `Result` stays only while
+    /// `benchmark/src/adapter.rs` still matches on it.
     pub fn from_parts(
         model: EndToEnd,
         x_road: Option<Tensor>,
@@ -100,35 +95,23 @@ impl ServingModel {
             Some(x_road) => Some(RoadEmbeddingCache { x_road }),
             None => RoadEmbeddingCache::build(&model),
         };
-        let quant = quant.unwrap_or_else(|| model.decoder.quantized_segment_head(&model.store));
-        Ok(Self {
-            model,
-            road,
-            quant,
-            default_int8: quantized,
-        })
+        let quant = quantized
+            .then(|| quant.unwrap_or_else(|| model.decoder.quantized_segment_head(&model.store)));
+        Ok(Self { model, road, quant })
     }
 
-    /// The decoder segment head this model serves with by default.
+    /// The decoder segment head this model serves with.
     pub fn head(&self) -> SegmentHead<'_> {
-        if self.default_int8 {
-            SegmentHead::Quantized(&self.quant)
-        } else {
-            SegmentHead::Sparse
+        match &self.quant {
+            Some(q) => SegmentHead::Quantized(q),
+            None => SegmentHead::Sparse,
         }
     }
 
-    /// The degraded (brownout) segment head: always the int8 quantized
-    /// head — cheapest per step, pre-built at load.
-    pub fn degraded_head(&self) -> SegmentHead<'_> {
-        SegmentHead::Quantized(&self.quant)
-    }
-
-    /// Short name of the segment head [`ServingModel::decode_state`]
-    /// decodes with — the default one, or the brownout one when
-    /// `degraded` — for logs and `/metrics`.
-    pub fn head_name(&self, degraded: bool) -> &'static str {
-        if degraded || self.default_int8 {
+    /// Short name of the segment head this model serves with, for logs
+    /// and `/metrics`.
+    pub fn head_name(&self) -> &'static str {
+        if self.quant.is_some() {
             "int8"
         } else {
             "sparse"
@@ -136,7 +119,7 @@ impl ServingModel {
     }
 
     /// The fused closed pass ([`rntrajrec::EndToEnd::infer_predict_batch`])
-    /// with this model's road cache and default head. Panics on malformed
+    /// with this model's road cache and head. Panics on malformed
     /// input.
     fn recover_closed(&self, inputs: &[&SampleInput]) -> Vec<RecoveredPath> {
         self.model
@@ -191,14 +174,9 @@ impl ServingModel {
     }
 
     /// The decoder half: an empty [`DecodeState`] over this model's
-    /// weights, with the default head or — `degraded` — the brownout one.
-    pub fn decode_state(&self, degraded: bool) -> DecodeState<'_> {
-        let head = if degraded {
-            self.degraded_head()
-        } else {
-            self.head()
-        };
-        DecodeState::new(&self.model.decoder, &self.model.store, head)
+    /// weights and head.
+    pub fn decode_state(&self) -> DecodeState<'_> {
+        DecodeState::new(&self.model.decoder, &self.model.store, self.head())
     }
 
     pub fn model(&self) -> &EndToEnd {

@@ -200,8 +200,9 @@ impl CityShard {
         Self::with_info(name.into(), engine, ctx, example, info)
     }
 
-    /// Stand a shard up from a packed artifact: its weights, `X_road` and
-    /// int8 head become the served model (under `config`), its city and
+    /// Stand a shard up from a packed artifact: its weights and `X_road`
+    /// (and its int8 head, when `NN_QUANT_HEAD` serves it) become the
+    /// served model (under `config`), its city and
     /// grid the query context, and its metadata the shard's name and
     /// provenance. `path` is the file SIGHUP rescans (`None`: an artifact
     /// packed in memory). The `/v1/example` body is one simulated trip
@@ -351,7 +352,8 @@ impl CityShard {
 }
 
 /// The one instantiate-and-wrap step behind boot and reload: the served
-/// model an artifact packs (its `X_road` and int8 head as packed), and
+/// model an artifact packs (its `X_road`, and its int8 head when that
+/// serves, as packed), and
 /// the road network and grid it was built over.
 fn open(artifact: &Artifact) -> Result<(ServingModel, RoadNetwork, GridSpec), ReloadError> {
     let loaded = artifact.instantiate()?;

@@ -210,50 +210,6 @@ fn pre_expired_newcomer_is_refused_not_decoded() {
     assert_eq!(ra.path, want, "incumbent perturbed by refused newcomer");
 }
 
-/// Brownout levels ≥ 2 already shrink batches; growing one mid-decode
-/// would fight that, so admission is refused and the newcomer waits for
-/// its own (smaller, degraded) batch instead.
-#[test]
-fn brownout_refuses_admission_but_still_serves() {
-    let _c = ChaosGuard::unarmed();
-    let (city, inputs) = fixture(2);
-    let engine = RecoveryEngine::start(serving(&city), engine_cfg());
-    engine.set_brownout_override(Some(2));
-    slow_decode();
-
-    let a = engine
-        .submit(inputs[0].clone(), SubmitOptions::new().stream())
-        .expect("level 2 serves");
-    match a.next_step(Duration::from_secs(30)) {
-        StepWait::Step(_) => {}
-        other => panic!("expected a first step, got {other:?}"),
-    }
-    let b = engine
-        .submit(inputs[1].clone(), SubmitOptions::default())
-        .expect("level 2 serves");
-
-    let ra = a
-        .wait_timeout(Duration::from_secs(60))
-        .expect("A completes");
-    let rb = b
-        .wait_timeout(Duration::from_secs(60))
-        .expect("B completes");
-    rntrajrec_chaos::disarm();
-
-    assert!(ra.error.is_none(), "incumbent failed: {:?}", ra.error);
-    assert!(
-        rb.error.is_none(),
-        "held-back request failed: {:?}",
-        rb.error
-    );
-    assert_eq!(
-        engine.stats().admitted,
-        0,
-        "brownout level 2 must refuse mid-decode admission"
-    );
-    assert_eq!(rb.batch_size, 1, "held-back request forms its own batch");
-}
-
 /// Dropping a `RecoveryHandle` cancels its member mid-decode through the
 /// same compaction path deadlines use — abandoned work is cut, and the
 /// engine keeps serving.

@@ -507,36 +507,56 @@ fn chaos_sweep_delivers_exactly_once() {
     }
 }
 
+/// Brownout either sheds or does nothing: `shed` refuses new work, and a
+/// request admitted before it — or served after it — gets the same bits as
+/// [`ServingModel::recover`], decoded with the same head.
 #[test]
-fn brownout_override_walks_the_ladder() {
+fn brownout_override_sheds_and_never_changes_an_answer() {
     let _c = ChaosGuard::unarmed();
-    let (city, inputs, _) = fixture(2);
-    let engine = RecoveryEngine::start(serving(&city), engine_cfg(1));
+    let (city, inputs, _) = fixture(3);
+    let model = serving(&city);
+    let bits = |path: &[(usize, f32)]| -> Vec<(usize, u32)> {
+        path.iter().map(|&(s, r)| (s, r.to_bits())).collect()
+    };
+    let want: Vec<_> = inputs.iter().map(|i| bits(&model.recover(i))).collect();
+    let engine = RecoveryEngine::start(Arc::clone(&model), engine_cfg(1));
+    let check = |k: usize, handle: RecoveryHandle| {
+        let r = handle
+            .wait_timeout(Duration::from_secs(10))
+            .expect("completes");
+        assert!(r.error.is_none(), "request {k} failed: {:?}", r.error);
+        assert_eq!(bits(&r.path), want[k], "request {k} changed its answer");
+    };
+
     assert_eq!(engine.brownout_mode(), "normal");
     assert_eq!(engine.stats().segment_head, "sparse");
+    check(
+        0,
+        engine
+            .submit(inputs[0].clone(), SubmitOptions::default())
+            .expect("accepts"),
+    );
 
-    // Forced shed: submissions are refused with the typed brownout error.
+    // Forced shed (a higher level clamps to it) while a request is held in
+    // flight: new submissions are refused with the typed brownout error,
+    // and the admitted one finishes on the same head with the same bits.
+    let plug = plug_one_worker(&engine, &inputs[1]);
     engine.set_brownout_override(Some(3));
+    assert_eq!(engine.brownout_level(), 1);
     assert_eq!(engine.brownout_mode(), "shed");
-    match engine.submit(inputs[0].clone(), SubmitOptions::default()) {
+    assert_eq!(
+        engine.stats().segment_head,
+        "sparse",
+        "the head sessions use"
+    );
+    match engine.submit(inputs[2].clone(), SubmitOptions::default()) {
         Err(rntrajrec_serve::EngineError::Brownout) => {}
-        other => panic!("shed level must refuse submissions, got {other:?}"),
+        other => panic!("shed must refuse submissions, got {other:?}"),
     }
-    assert!(engine.stats().rejected >= 1);
+    assert_eq!(engine.stats().rejected, 1);
+    check(1, plug);
 
-    // Degraded head: requests are served (by the int8 head).
-    engine.set_brownout_override(Some(1));
-    assert_eq!(engine.brownout_mode(), "degraded_head");
-    assert_eq!(engine.stats().segment_head, "int8", "the head sessions use");
-    let r = engine
-        .submit(inputs[0].clone(), SubmitOptions::default())
-        .expect("degraded mode serves")
-        .wait_timeout(Duration::from_secs(10))
-        .expect("degraded mode completes");
-    assert!(r.error.is_none(), "degraded request failed: {:?}", r.error);
-    assert!(!r.path.is_empty());
-
-    // Back to auto: the controller sees an idle engine and recovers.
+    // Back to auto: with no controller the engine returns to normal.
     engine.set_brownout_override(None);
     assert!(
         eventually(Duration::from_secs(10), || engine.brownout_mode()
@@ -544,12 +564,13 @@ fn brownout_override_walks_the_ladder() {
         "idle engine must settle back to normal, stuck at {}",
         engine.brownout_mode()
     );
-    let r = engine
-        .submit(inputs[1].clone(), SubmitOptions::default())
-        .expect("accepts")
-        .wait();
-    assert!(r.error.is_none());
-    assert!(engine.stats().brownout_shifts >= 2);
+    check(
+        2,
+        engine
+            .submit(inputs[2].clone(), SubmitOptions::default())
+            .expect("accepts"),
+    );
+    assert_eq!(engine.stats().brownout_shifts, 2, "into shed and out");
     assert_eq!(engine.stats().segment_head, "sparse");
 }
 

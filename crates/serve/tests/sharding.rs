@@ -9,8 +9,9 @@
 //!   the answers each city's in-process engine would give;
 //! - hot reload: `POST /admin/reload` swaps a shard's model with zero
 //!   failed or invalid responses under concurrent load, and every
-//!   rejected reload (corrupt file, wrong city, other grid, a path that
-//!   is not a regular file) leaves the old model serving.
+//!   rejected reload (corrupt file, lying manifest, wrong city, other
+//!   grid, a path that is not a regular file) leaves the old model
+//!   serving.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -356,6 +357,25 @@ fn rejected_reloads_leave_old_model_serving() {
     let resp = client::post_json(addr, "/admin/reload", &body).expect("http");
     assert_eq!(resp.status, 422, "truncated reload body: {}", resp.body);
     std::fs::remove_file(&trunc_path).ok();
+
+    // A CRC-valid artifact whose manifest lies (a 1x4-block city: the
+    // generator would panic) → 422, refused before anything is built.
+    let mut liar = good.clone();
+    liar.meta.city_config.blocks_x = 1;
+    let liar_path = scratch_path("liar");
+    liar.write_to(&liar_path).expect("write lying artifact");
+    let body = format!(
+        "{{\"city\":\"alpha\",\"path\":\"{}\"}}",
+        liar_path.display()
+    );
+    let resp = client::post_json(addr, "/admin/reload", &body).expect("http");
+    assert_eq!(
+        resp.status, 422,
+        "lying-manifest reload body: {}",
+        resp.body
+    );
+    assert!(resp.body.contains("1x4-block city"), "body: {}", resp.body);
+    std::fs::remove_file(&liar_path).ok();
 
     // Wrong city artifact → 409.
     let beta = pack_fresh("beta", "v1", &beta_config(), 50.0, 16, 7);
