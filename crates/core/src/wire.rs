@@ -169,7 +169,9 @@ pub struct RecoverResponse {
     pub segments: Vec<usize>,
     /// Recovered moving rate per target step.
     pub rates: Vec<f32>,
-    /// Size of the micro-batch this request was served in.
+    /// Members of the decode session this request was answered from,
+    /// admissions included: its flushed batch plus everyone admitted into
+    /// that session mid-decode.
     pub batch_size: usize,
     /// Submit-to-completion latency in milliseconds.
     pub latency_ms: f64,
@@ -191,6 +193,12 @@ impl RecoverResponse {
     /// through this).
     pub fn from_json(body: &str) -> Result<Self, WireError> {
         let v = serde_json::from_str(body).map_err(|e| invalid("body", e.to_string()))?;
+        Self::from_value(&v)
+    }
+
+    /// Read the five answer fields from a parsed object: a buffered
+    /// response body, or a stream's terminal `summary` event.
+    pub fn from_value(v: &Value) -> Result<Self, WireError> {
         let id = v
             .get("id")
             .and_then(Value::as_u64)
@@ -282,10 +290,10 @@ pub mod v2 {
     /// keys are ignored.
     #[derive(Debug, Clone, Default, PartialEq, Serialize)]
     pub struct RecoverOptions {
-        /// Soft deadline for the whole recovery, milliseconds from
-        /// receipt. Expiring mid-decode cancels the request out of its
-        /// fused batch (v1 signals this via the `X-Deadline-Ms` header;
-        /// v2 carries it in-body).
+        /// Budget for the whole recovery, milliseconds from receipt. It
+        /// can only shorten the server's own budget (v1 requests always
+        /// get the server's). Past it the answer is `503` and the request
+        /// is cut out of its fused batch.
         pub deadline_ms: Option<u64>,
         /// Stream per-step events (`/v2/recover/stream` implies this).
         pub stream: bool,
@@ -495,48 +503,9 @@ pub mod v2 {
                         .and_then(Value::as_f64)
                         .ok_or(WireError::Missing("logprob"))? as f32,
                 })),
-                "summary" => {
-                    let segments = v
-                        .get("segments")
-                        .and_then(Value::as_array)
-                        .ok_or(WireError::Missing("segments"))?
-                        .iter()
-                        .map(|s| {
-                            s.as_u64()
-                                .map(|u| u as usize)
-                                .ok_or_else(|| invalid("segments", "expected integers"))
-                        })
-                        .collect::<Result<Vec<_>, _>>()?;
-                    let rates = v
-                        .get("rates")
-                        .and_then(Value::as_array)
-                        .ok_or(WireError::Missing("rates"))?
-                        .iter()
-                        .map(|r| {
-                            r.as_f64()
-                                .map(|f| f as f32)
-                                .ok_or_else(|| invalid("rates", "expected numbers"))
-                        })
-                        .collect::<Result<Vec<_>, _>>()?;
-                    Ok(Event::Summary(SummaryEvent {
-                        event: kind.to_string(),
-                        id: v
-                            .get("id")
-                            .and_then(Value::as_u64)
-                            .ok_or(WireError::Missing("id"))?,
-                        segments,
-                        rates,
-                        batch_size: v
-                            .get("batch_size")
-                            .and_then(Value::as_u64)
-                            .ok_or(WireError::Missing("batch_size"))?
-                            as usize,
-                        latency_ms: v
-                            .get("latency_ms")
-                            .and_then(Value::as_f64)
-                            .ok_or(WireError::Missing("latency_ms"))?,
-                    }))
-                }
+                "summary" => Ok(Event::Summary(SummaryEvent::from_response(
+                    &super::RecoverResponse::from_value(&v)?,
+                ))),
                 "error" => Ok(Event::Error(ErrorEvent {
                     event: kind.to_string(),
                     error: v

@@ -630,8 +630,8 @@ impl<'a, E: DecodeExec<'a>> DecodeState<'a, E> {
     }
 
     /// Ask `cut(member, step)` of every live member, before its next step
-    /// runs, whether it should stop (the serving engine passes a deadline
-    /// and dropped-handle check). Members it cuts leave through the same
+    /// runs, whether it should stop (the serving engine passes a
+    /// dropped-handle check). Members it cuts leave through the same
     /// row compaction that retires finished members — a pure row copy, so
     /// surviving rows keep their exact values — and are flagged cancelled.
     pub fn retire(&mut self, mut cut: impl FnMut(usize, usize) -> bool) {

@@ -394,7 +394,7 @@ fn main() -> ExitCode {
             Err(engine) => engine.stats(),
         };
         eprintln!(
-            "drained '{}': {} served / {} rejected / {} failed over {} batches (mean {:.2})",
+            "drained '{}': {} served / {} rejected / {} failed over {} sessions ({:.2} members each, admissions included)",
             name, stats.completed, stats.rejected, stats.failed, stats.batches, stats.mean_batch
         );
         total.0 += stats.completed;
@@ -403,7 +403,7 @@ fn main() -> ExitCode {
         total.3 += stats.batches;
     }
     eprintln!(
-        "drained: {} served / {} rejected / {} failed over {} batches",
+        "drained: {} served / {} rejected / {} failed over {} sessions",
         total.0, total.1, total.2, total.3
     );
 

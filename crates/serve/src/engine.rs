@@ -37,8 +37,8 @@
 //! |---|---|---|
 //! | queued | waiting in the queue | nobody yet |
 //! | open | registered in the claim slot, `engine.worker` chaos point | the worker (an injected error fails the batch, an injected panic is caught by its loop); the supervisor (stalled past the watchdog budget) |
-//! | decoding | encode the batch, then per tick: take newcomers from the queue (encode, admit), retire members past their deadline or without a handle, tick, fan the steps out to streaming sinks | the worker's loop, if a panic escapes the session; the supervisor (watchdog); newcomers join the claim. The session itself answers just the newcomers it *refuses* at the gate — already expired or abandoned — which never joined |
-//! | isolating | only after a panic in the fused pass: each member again, alone and closed — nobody admitted, nothing streamed, deadlines and handles still honoured — so only the bad one fails | as in decoding |
+//! | decoding | encode the batch, then per tick: take newcomers from the queue (encode, admit), retire members whose handle is gone, tick, fan the steps out to streaming sinks | the worker's loop, if a panic escapes the session; the supervisor (watchdog); newcomers join the claim. The session itself answers just the newcomers it *refuses* at the gate — already abandoned — which never joined |
+//! | isolating | only after a panic in the fused pass: each member whose handle is still held again, alone, through `ServingModel::recover_caught` — nobody admitted, nothing streamed — so only the bad one fails | as in decoding |
 //! | closed | compute is over: in-flight gauge lowered, claim taken back | the worker answers every member; if the supervisor got to the claim first, it already has, and the results are dropped |
 //!
 //! # Self-healing
@@ -66,11 +66,13 @@
 //! - samples the **drain rate** (completions/sec) that the HTTP layer
 //!   turns into adaptive `Retry-After` values.
 //!
-//! Deadlines propagate *into* the decode loop: a submission may carry an
-//! absolute deadline, and members whose deadline expires mid-decode are
-//! cancelled out of the fused batch through the decoder's
-//! state-compaction path (survivors bit-identical), reported with
-//! [`Recovered::timed_out`].
+//! The engine keeps no deadline of its own: a caller that stops waiting
+//! drops its [`RecoveryHandle`], and the member is cut out of the fused
+//! batch between steps through the decoder's state-compaction path
+//! (survivors bit-identical), counted in
+//! [`EngineStats::abandoned_cancelled`]. The HTTP layer drops the handle
+//! when its budget runs out. [`Recovered::timed_out`] marks only the
+//! watchdog's failures.
 //!
 //! Chaos fault points ([`rntrajrec_chaos`]): `engine.submit` (admission),
 //! `engine.batch` (batch assembly), `engine.worker` (per batch, outside
@@ -155,20 +157,13 @@ const SUPERVISE_EVERY: Duration = Duration::from_millis(10);
 /// submission entry point. Build with the fluent setters:
 ///
 /// ```ignore
-/// let handle = engine.submit(
-///     input,
-///     SubmitOptions::new()
-///         .deadline(Instant::now() + Duration::from_millis(200))
-///         .stream(),
-/// )?;
+/// let handle = engine.submit(input, SubmitOptions::new().stream())?;
 /// ```
+///
+/// There is no deadline option: a caller that stops waiting drops the
+/// handle, which cancels the request.
 #[derive(Debug, Clone, Default)]
 pub struct SubmitOptions {
-    /// Absolute deadline: past this instant the request is cancelled out
-    /// of its decode batch (mid-decode, through the state-compaction
-    /// path; survivors bit-identical) and completes with
-    /// [`Recovered::timed_out`].
-    pub deadline: Option<Instant>,
     /// Observability request id ([`rntrajrec_obs::next_request_id`]),
     /// minted by the caller at the protocol edge so engine spans join the
     /// caller's span tree. When `None` and tracing is enabled, the engine
@@ -183,11 +178,6 @@ pub struct SubmitOptions {
 impl SubmitOptions {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    pub fn deadline(mut self, deadline: Instant) -> Self {
-        self.deadline = Some(deadline);
-        self
     }
 
     pub fn trace(mut self, trace: Option<rntrajrec_obs::RequestId>) -> Self {
@@ -258,11 +248,13 @@ pub struct Recovered {
     /// `Some(message)` if recovery failed for this request (a malformed
     /// input, a crashed worker, a timeout); the engine itself stays up.
     pub error: Option<String>,
-    /// The failure was a *time* failure — the request's deadline expired
-    /// mid-decode, or the watchdog killed its hung batch. The HTTP layer
-    /// maps these to `503` (retryable) rather than `500`.
+    /// The failure was a *time* failure: the watchdog killed its hung
+    /// batch. The HTTP layer maps these to `503` (retryable) rather than
+    /// `500`.
     pub timed_out: bool,
-    /// Size of the micro-batch this request was served in.
+    /// Members of the decode session this request was answered from,
+    /// admissions included: the flushed batch plus everyone admitted into
+    /// it before this answer went out.
     pub batch_size: usize,
     /// Submit-to-completion latency
     /// (≈ [`Recovered::queue_wait`] + [`Recovered::compute`] + delivery).
@@ -307,11 +299,11 @@ pub enum StepWait {
 
 /// Handle to an in-flight request.
 ///
-/// **Dropping the handle cancels the request**: an abandoned member still
-/// queued is failed at admission, and one already decoding inside a fused
-/// batch is cancelled between steps through the same state-compaction
-/// path deadlines use (survivors bit-identical) — the engine does not
-/// decode results nobody will read.
+/// **Dropping the handle cancels the request** — the only way to: an
+/// abandoned member still queued is failed at admission, and one already
+/// decoding inside a fused batch is cancelled between steps through the
+/// state-compaction path that retires finished members (survivors
+/// bit-identical) — the engine does not decode results nobody will read.
 #[derive(Debug)]
 pub struct RecoveryHandle {
     id: u64,
@@ -359,7 +351,7 @@ impl RecoveryHandle {
     /// Block at most `timeout` for the result. On timeout the handle is
     /// returned so the caller can keep waiting — or drop it, which
     /// cancels the request mid-decode (see the type docs). The HTTP
-    /// layer uses this for per-request deadline budgets, mapping a
+    /// layer waits out its per-request budget this way, mapping a
     /// timeout to `503`.
     // The Err variant IS the handle, returned to the caller on purpose;
     // boxing it would push an allocation onto every deadline miss.
@@ -402,9 +394,9 @@ impl RecoveryHandle {
 
 impl Drop for RecoveryHandle {
     fn drop(&mut self) {
-        // Request mid-decode cancellation for whoever stops listening —
-        // the same flag-check the session's retire step uses for
-        // deadlines. Harmless after completion (nothing reads it).
+        // Request mid-decode cancellation for whoever stops listening:
+        // the session's retire step and admission gate read this flag.
+        // Harmless after completion (nothing reads it).
         self.abandoned.store(true, Ordering::Relaxed);
     }
 }
@@ -430,8 +422,8 @@ pub struct EngineStats {
     pub requests: u64,
     pub completed: u64,
     /// Requests that completed with an error ([`Recovered::error`]):
-    /// inference panics, worker crashes, watchdog timeouts, mid-decode
-    /// deadline cancellations.
+    /// inference panics, worker crashes, watchdog timeouts, dropped
+    /// handles.
     pub failed: u64,
     /// Submissions refused by admission control
     /// ([`EngineError::Overloaded`] or [`EngineError::Brownout`]).
@@ -446,7 +438,10 @@ pub struct EngineStats {
     /// Partial batches flushed at once because no session was in flight
     /// (the idle-engine rule: nothing to wait for).
     pub flushed_idle: u64,
-    /// Mean requests per batch.
+    /// Mean members per decode session, admissions included: every
+    /// flushed batch member plus every request admitted mid-decode,
+    /// over the sessions opened (`batches`). Not the width a session
+    /// fuses at, which admission and retirement keep changing.
     pub mean_batch: f64,
     /// Mean per-request queue wait (submit → batch flush), milliseconds.
     pub mean_queue_wait_ms: f64,
@@ -457,13 +452,12 @@ pub struct EngineStats {
     pub worker_restarts: u64,
     /// Hung batches killed by the watchdog (each fails its members).
     pub watchdog_timeouts: u64,
-    /// Members cancelled mid-decode because their deadline expired.
-    pub deadline_cancelled: u64,
     /// Requests spliced into an already-decoding batch between steps
     /// (continuous batching) instead of waiting for the next flush.
     pub admitted: u64,
     /// Requests cancelled because their [`RecoveryHandle`] was dropped
-    /// before completion.
+    /// before completion — at the admission gate, between decode steps or
+    /// instead of a re-run.
     pub abandoned_cancelled: u64,
     /// Brownout transitions (into or out of `shed`) since start.
     pub brownout_shifts: u64,
@@ -512,37 +506,25 @@ struct Pending {
     /// request, or tracing was enabled at submit).
     trace: Option<rntrajrec_obs::RequestId>,
     input: SampleInput,
-    /// Absolute deadline: past this instant the request is cancelled out
-    /// of its decode batch rather than computed to completion.
-    deadline: Option<Instant>,
     /// Per-step sink for streaming submissions (bounded; a full queue
     /// degrades the member to summary-only instead of blocking decode).
     step_tx: Option<mpsc::SyncSender<StepUpdate>>,
-    /// Set by [`RecoveryHandle`]'s drop; treated like an expired deadline.
+    /// Set by [`RecoveryHandle`]'s drop: nobody will read a path.
     abandoned: Arc<AtomicBool>,
 }
 
 impl Pending {
-    /// Why this request should not be decoded (any further), if it should
-    /// not: its handle is gone, or its deadline has passed at `now`.
-    fn cut(&self, now: Instant) -> Option<Failure> {
-        if self.abandoned.load(Ordering::Relaxed) {
-            Some(Failure::Abandoned)
-        } else if self.deadline.is_some_and(|d| now >= d) {
-            Some(Failure::Deadline)
-        } else {
-            None
-        }
+    /// Its handle is gone: it should not be decoded (any further).
+    fn abandoned(&self) -> bool {
+        self.abandoned.load(Ordering::Relaxed)
     }
 }
 
 /// Why a request ends without a path.
 #[derive(Clone)]
 enum Failure {
-    /// Its deadline passed — at the admission gate, before one of its
-    /// decode steps, or before its solo re-run.
-    Deadline,
-    /// Its [`RecoveryHandle`] was dropped: nobody is left to read a path.
+    /// Its [`RecoveryHandle`] was dropped — seen at the admission gate,
+    /// before one of its decode steps, or instead of its re-run.
     Abandoned,
     /// Inference panicked on it, a panic escaped its session, or a chaos
     /// point injected an error.
@@ -565,7 +547,6 @@ struct Counters {
     in_flight_batches: AtomicUsize,
     worker_restarts: AtomicU64,
     watchdog_timeouts: AtomicU64,
-    deadline_cancelled: AtomicU64,
     admitted: AtomicU64,
     abandoned_cancelled: AtomicU64,
     brownout_shifts: AtomicU64,
@@ -706,10 +687,6 @@ impl Shared {
             Err(failure) => {
                 c.failed.fetch_add(1, Ordering::Relaxed);
                 let (error, timed_out) = match failure {
-                    Failure::Deadline => {
-                        c.deadline_cancelled.fetch_add(1, Ordering::Relaxed);
-                        ("deadline exceeded mid-decode".to_string(), true)
-                    }
                     Failure::Abandoned => {
                         c.abandoned_cancelled.fetch_add(1, Ordering::Relaxed);
                         ("request abandoned; cancelled".to_string(), false)
@@ -850,15 +827,13 @@ impl RecoveryEngine {
     /// [`EngineError::Overloaded`] when the queue is at
     /// [`EngineConfig::queue_capacity`] — the typed load-shedding path
     /// (never blocks, never drops silently). Everything per-submission —
-    /// deadline, trace id, streaming — rides in [`SubmitOptions`]; the
-    /// queue itself is FIFO.
+    /// trace id, streaming — rides in [`SubmitOptions`]; the queue itself
+    /// is FIFO.
     ///
-    /// A request whose deadline passes while it is decoding inside a
-    /// fused batch is cancelled through the decoder's state-compaction
-    /// path (survivors bit-identical) and completes with a typed timeout
-    /// ([`Recovered::timed_out`]). With [`SubmitOptions::stream`], each
-    /// decoded step is delivered through the handle before the terminal
-    /// result.
+    /// Dropping the handle cancels the request, between decode steps if
+    /// it is already decoding (survivors bit-identical). With
+    /// [`SubmitOptions::stream`], each decoded step is delivered through
+    /// the handle before the terminal result.
     pub fn submit(
         &self,
         input: SampleInput,
@@ -922,7 +897,6 @@ impl RecoveryEngine {
                 },
                 trace,
                 input,
-                deadline: opts.deadline,
                 step_tx,
                 abandoned: Arc::clone(&abandoned),
             });
@@ -984,7 +958,6 @@ impl RecoveryEngine {
             },
             worker_restarts: c.worker_restarts.load(Ordering::Relaxed),
             watchdog_timeouts: c.watchdog_timeouts.load(Ordering::Relaxed),
-            deadline_cancelled: c.deadline_cancelled.load(Ordering::Relaxed),
             admitted: c.admitted.load(Ordering::Relaxed),
             abandoned_cancelled: c.abandoned_cancelled.load(Ordering::Relaxed),
             brownout_shifts: c.brownout_shifts.load(Ordering::Relaxed),
@@ -1355,7 +1328,7 @@ struct Session<'e> {
     shared: &'e Shared,
     slot: &'e WorkerSlot,
     /// The hot-swap slot, read once at open: every pass of this session —
-    /// the fused decode, mid-decode admissions, the solo re-runs — runs on
+    /// the fused decode, mid-decode admissions, the re-runs — runs on
     /// these weights even if an operator installs a new model meanwhile
     /// (the `Arc` keeps a swapped-out model alive until its last session
     /// ends).
@@ -1364,7 +1337,7 @@ struct Session<'e> {
     flight: Flight<'e>,
     /// The flushed batch, then everyone admitted since — the
     /// [`DecodeState`]'s member order. Inputs stay here, owned, for the
-    /// solo re-runs.
+    /// re-runs.
     members: Vec<Pending>,
     /// Admission waves so far (the `k` of the `decoder.admit[k]` span).
     admissions: u32,
@@ -1416,8 +1389,9 @@ impl<'e> Session<'e> {
 
     /// Decode everyone — fused, open to admission; after a panic in that
     /// pass (e.g. an input built against a different road network tripping
-    /// a shape assert) each member alone, so only the bad one fails — then
-    /// close.
+    /// a shape assert) each member whose handle is still held alone,
+    /// through the model's caught closed pass, so only the bad one fails —
+    /// then close.
     fn run(mut self) {
         let traces: Vec<rntrajrec_obs::RequestId> =
             self.members.iter().filter_map(|m| m.trace).collect();
@@ -1428,45 +1402,29 @@ impl<'e> Session<'e> {
             // *before* results are delivered, so a client that answers
             // immediately already sees its batch spans in `/debug/trace`.
             let _scope = rntrajrec_obs::request_scope(&traces);
-            self.decode(None).unwrap_or_else(|_panic| {
-                (0..self.members.len())
-                    .map(|k| self.decode_alone(k))
-                    .collect()
-            })
+            // Members admitted before a panic stay in `self.members`.
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.decode_loop()))
+                .unwrap_or_else(|_panic| {
+                    (self.members.iter())
+                        .map(|m| {
+                            if m.abandoned() {
+                                return Err(Failure::Abandoned);
+                            }
+                            self.model.recover_caught(&m.input).map_err(Failure::Error)
+                        })
+                        .collect()
+                })
         };
         self.close(outcomes);
     }
 
-    /// Member `k` on its own, closed; its deadline and handle still count,
-    /// and one already past them does not pay for an encoder pass.
-    fn decode_alone(&mut self, k: usize) -> Outcome {
-        if let Some(failure) = self.members[k].cut(Instant::now()) {
-            return Err(failure);
-        }
-        match self.decode(Some(k)) {
-            Ok(mut alone) => alone.remove(0),
-            Err(panic) => Err(Failure::Error(panic)),
-        }
-    }
-
-    /// [`Session::decode_loop`] with a panic caught and returned as its
-    /// message; members admitted before it stay in `self.members`.
-    fn decode(&mut self, alone: Option<usize>) -> Result<Vec<Outcome>, String> {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.decode_loop(alone)))
-            .map_err(panic_message)
-    }
-
     /// The decode loop, owned here: encode → admit → { take newcomers,
-    /// encode, admit → retire → tick → fan steps out } → finish. With
-    /// `alone: None` the session is open: every member decodes, fused,
-    /// with whoever the admission gate adds. `Some(k)` is the closed
-    /// re-run: member `k` on its own, nobody admitted, nothing streamed
-    /// (its steps may already have been). One outcome per member decoded,
-    /// in member order. Results are bit-identical to per-request inference
-    /// whatever the batch composition or admission timing.
-    fn decode_loop(&mut self, alone: Option<usize>) -> Vec<Outcome> {
-        let open = alone.is_none();
-        let (first, last) = alone.map_or((0, self.members.len()), |k| (k, k + 1));
+    /// encode, admit → retire → tick → fan steps out } → finish. Every
+    /// member decodes, fused, with whoever the admission gate adds. One
+    /// outcome per member, in member order. Results are bit-identical to
+    /// per-request inference whatever the batch composition or admission
+    /// timing.
+    fn decode_loop(&mut self) -> Vec<Outcome> {
         let model = Arc::clone(&self.model);
         let mut state = model.decode_state();
         // Time inside `state` (splice, retire, tick): the `decoder` phase.
@@ -1474,50 +1432,52 @@ impl<'e> Session<'e> {
         let mut decoding = Duration::ZERO;
         let encs = {
             let _span = rntrajrec_obs::span("encoder.fused");
-            self.encode(first..last)
+            self.encode(0..self.members.len())
         };
         let _span = rntrajrec_obs::span("decoder.fused");
-        decoding += self.splice(&mut state, first..last, &encs);
-        // Why the gate cut a member, for those it did.
-        let mut cuts: Vec<Option<Failure>> = vec![None; last - first];
+        decoding += self.splice(&mut state, 0..self.members.len(), &encs);
+        // Which members the retire step cut.
+        let mut cut = vec![false; self.members.len()];
         loop {
-            if open {
-                let from = self.members.len();
-                self.take_newcomers(state.live());
-                if self.members.len() > from {
-                    // One span per admission wave, over the newcomers'
-                    // fused encoder pass and their splice.
-                    let _span = rntrajrec_obs::span_indexed("decoder.admit", self.admissions);
-                    self.admissions += 1;
-                    let encs = self.encode(from..self.members.len());
-                    decoding += self.splice(&mut state, from..self.members.len(), &encs);
-                    cuts.resize(self.members.len(), None);
-                }
+            let from = self.members.len();
+            self.take_newcomers(state.live());
+            if self.members.len() > from {
+                // One span per admission wave, over the newcomers'
+                // fused encoder pass and their splice.
+                let _span = rntrajrec_obs::span_indexed("decoder.admit", self.admissions);
+                self.admissions += 1;
+                let encs = self.encode(from..self.members.len());
+                decoding += self.splice(&mut state, from..self.members.len(), &encs);
+                cut.resize(self.members.len(), false);
             }
             if state.live() == 0 {
                 break;
             }
-            // An expired deadline or a dropped handle retires the member
-            // before its step runs (survivors bit-identical).
+            // A dropped handle retires the member before its step runs
+            // (survivors bit-identical).
             let now = Instant::now();
             state.retire(|i, _step| {
-                cuts[i] = self.members[first + i].cut(now);
-                cuts[i].is_some()
+                cut[i] = self.members[i].abandoned();
+                cut[i]
             });
             let steps = state.tick(|_, _| None);
             decoding += now.elapsed();
-            if open {
-                for step in steps {
-                    self.fan_out(step);
-                }
+            for step in steps {
+                self.fan_out(step);
             }
         }
         meters().decoder.observe_duration(decoding);
         let (paths, _) = state.finish();
         paths
             .into_iter()
-            .zip(cuts)
-            .map(|(path, cut)| cut.map_or(Ok(path), Err))
+            .zip(cut)
+            .map(|(path, cut)| {
+                if cut {
+                    Err(Failure::Abandoned)
+                } else {
+                    Ok(path)
+                }
+            })
             .collect()
     }
 
@@ -1551,8 +1511,8 @@ impl<'e> Session<'e> {
 
     /// The admission gate, between ticks: move waiting requests into this
     /// session while it has room for them beside its `live` members. A
-    /// newcomer whose deadline has already passed, or whose handle is
-    /// already gone, is answered here and never costs an encoder pass.
+    /// newcomer whose handle is already gone is answered here and never
+    /// costs an encoder pass.
     fn take_newcomers(&mut self, live: usize) {
         let shared = self.shared;
         let room = shared.max_batch.saturating_sub(live);
@@ -1578,8 +1538,8 @@ impl<'e> Session<'e> {
         let before = self.members.len();
         for mut p in newcomers {
             p.reply.taken = now;
-            if let Some(failure) = p.cut(now) {
-                shared.deliver(&p.reply, Err(failure), self.members.len(), now);
+            if p.abandoned() {
+                shared.deliver(&p.reply, Err(Failure::Abandoned), self.members.len(), now);
                 continue;
             }
             shared.counters.admitted.fetch_add(1, Ordering::Relaxed);

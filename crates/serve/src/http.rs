@@ -67,9 +67,10 @@
 //!    engine's bounded queue ([`EngineConfig::queue_capacity`]); an
 //!    [`EngineError::Overloaded`] maps to `429` + `Retry-After`.
 //! 3. **Deadline budget** — each request gets
-//!    [`HttpConfig::deadline`] from read-complete to answer; an engine
-//!    result that misses it maps to `503` + `Retry-After` (the engine
-//!    still finishes the work; only the delivery is abandoned).
+//!    [`HttpConfig::deadline`] from read-complete to answer; a request
+//!    that misses it is answered `503` + `Retry-After` and its handle is
+//!    dropped, so the engine cuts the member at its next decode step. The
+//!    engine has no deadline of its own: this budget is the only one.
 //!
 //! # Graceful drain
 //!
@@ -100,7 +101,8 @@ use serde_json::json;
 
 use crate::shard::{CityShard, RouteError, ShardRouter};
 use crate::{
-    EngineError, EngineStats, QueryContext, RecoveryEngine, RecoveryHandle, StepWait, SubmitOptions,
+    EngineError, EngineStats, QueryContext, Recovered, RecoveryEngine, RecoveryHandle, StepWait,
+    SubmitOptions,
 };
 
 pub mod client;
@@ -984,8 +986,7 @@ fn extract_input(shard: &CityShard, request: &RecoverRequest) -> Result<SampleIn
 }
 
 /// Engine admission shared by all recover routes (gate 2: the bounded
-/// queue). The deadline is propagated so the engine can cancel this
-/// member mid-decode instead of finishing work nobody will read.
+/// queue).
 fn submit_to_engine(
     state: &ServerState,
     shard: &CityShard,
@@ -1053,9 +1054,7 @@ fn admit<'a>(
         Some(ms) => state.deadline.min(Duration::from_millis(ms)),
         None => state.deadline,
     };
-    let mut opts = SubmitOptions::new()
-        .deadline(t0 + budget)
-        .trace(trace.map(|t| t.id));
+    let mut opts = SubmitOptions::new().trace(trace.map(|t| t.id));
     if route == RecoverRoute::Stream {
         opts = opts.stream();
     }
@@ -1068,16 +1067,54 @@ fn admit<'a>(
     })
 }
 
-/// Count one deadline shed (gate 3) and word it, for the buffered and the
-/// streamed wait alike.
-fn deadline_shed(state: &ServerState, budget: Duration) -> String {
-    state.counters.shed_deadline.fetch_add(1, Ordering::Relaxed);
-    let ms = budget.as_secs_f64() * 1000.0;
-    format!("deadline of {ms:.0} ms exceeded")
+/// How an admitted request ends, on the buffered and the streamed route
+/// alike: the engine's [`Recovered`], or `None` when the budget ran out
+/// first — the caller has then dropped (or is about to drop) the handle,
+/// which cancels the member. `Err` carries the would-be status, the
+/// message and whether it was a time failure (a missed budget or a
+/// watchdog kill: `503`, counted as a deadline shed). A success records
+/// its latency.
+fn settle(
+    state: &ServerState,
+    outcome: Option<Recovered>,
+    t0: Instant,
+    budget: Duration,
+    streamed: bool,
+) -> Result<RecoverResponse, (u16, String, bool)> {
+    let failed = match outcome {
+        None => {
+            let ms = budget.as_secs_f64() * 1000.0;
+            (503, format!("deadline of {ms:.0} ms exceeded"), true)
+        }
+        Some(recovered) => {
+            let Some(err) = recovered.error else {
+                state
+                    .counters
+                    .record_latency(t0.elapsed().as_secs_f64() * 1000.0);
+                return Ok(RecoverResponse::from_path(
+                    recovered.id,
+                    &recovered.path,
+                    recovered.batch_size,
+                    recovered.latency.as_secs_f64() * 1000.0,
+                ));
+            };
+            let what = match (streamed, recovered.timed_out) {
+                (true, _) => "recovery failed",
+                (false, true) => "recovery cancelled",
+                (false, false) => "inference failed",
+            };
+            let status = if recovered.timed_out { 503 } else { 500 };
+            (status, format!("{what}: {err}"), recovered.timed_out)
+        }
+    };
+    if failed.2 {
+        state.counters.shed_deadline.fetch_add(1, Ordering::Relaxed);
+    }
+    Err(failed)
 }
 
-/// Admission gate 3 plus the answer: wait out the deadline budget and
-/// serialize the result.
+/// Admission gate 3 plus the answer: wait out the budget, then serialize
+/// the result or word the failure.
 fn wait_and_answer(state: &ServerState, admitted: Admitted<'_>) -> Answer {
     static SERIALIZE_SECONDS: OnceLock<Arc<Histogram>> = OnceLock::new();
 
@@ -1088,36 +1125,21 @@ fn wait_and_answer(state: &ServerState, admitted: Admitted<'_>) -> Answer {
         budget,
     } = admitted;
     let retry_after = retry_after_for(shard);
-    let remaining = budget.saturating_sub(t0.elapsed());
-    // Dropping the late handle here flags the member as abandoned, so the
-    // engine cancels it at the next decode step instead of finishing a
-    // response nobody will read.
-    let Ok(recovered) = handle.wait_timeout(remaining) else {
-        return Answer::error(503, deadline_shed(state, budget)).header("Retry-After", retry_after);
+    // A late handle is dropped here, which cancels the member at its
+    // next decode step instead of finishing a response nobody will read.
+    let outcome = handle
+        .wait_timeout(budget.saturating_sub(t0.elapsed()))
+        .ok();
+    let resp = match settle(state, outcome, t0, budget, false) {
+        Ok(resp) => resp,
+        // Time failures are a load condition (retryable): 503 +
+        // Retry-After. Anything else is a server bug.
+        Err((503, msg, _)) => return Answer::error(503, msg).header("Retry-After", retry_after),
+        Err((status, msg, _)) => return Answer::error(status, msg),
     };
-    if let Some(err) = recovered.error {
-        // Deadline/watchdog cancellations are a load condition
-        // (retryable), not a server bug: 503 + Retry-After.
-        if recovered.timed_out {
-            state.counters.shed_deadline.fetch_add(1, Ordering::Relaxed);
-            return Answer::error(503, format!("recovery cancelled: {err}"))
-                .header("Retry-After", retry_after);
-        }
-        return Answer::error(500, format!("inference failed: {err}"));
-    }
-    let latency_ms = recovered.latency.as_secs_f64() * 1000.0;
-    state
-        .counters
-        .record_latency(t0.elapsed().as_secs_f64() * 1000.0);
     let serialize_started = Instant::now();
     let body = {
         let _span = rntrajrec_obs::span("serialize");
-        let resp = RecoverResponse::from_path(
-            recovered.id,
-            &recovered.path,
-            recovered.batch_size,
-            latency_ms,
-        );
         serde_json::to_string(&resp).expect("response serializes")
     };
     SERIALIZE_SECONDS
@@ -1165,8 +1187,9 @@ fn stream_steps(
         rntrajrec_chaos::point("http.write").is_ok() && stream.write_all(head.as_bytes()).is_ok();
     let mut deadline_hit = false;
     while ok {
-        let remaining = budget.saturating_sub(t0.elapsed());
-        match handle.next_step(remaining.max(Duration::from_millis(1))) {
+        // A zero wait still yields a step already decoded: past the
+        // budget the stream ends at the first step not yet there.
+        match handle.next_step(budget.saturating_sub(t0.elapsed())) {
             StepWait::Step(s) => {
                 let ev = v2::StepEvent::new(s.id, s.step, s.segment, s.rate, s.logprob);
                 ok = write_chunk(stream, &ev).is_ok();
@@ -1184,44 +1207,19 @@ fn stream_steps(
         return false;
     }
     // Terminal event: the engine's verdict if it arrives in budget (+ a
-    // small grace for channel delivery), else a deadline error. Dropping
-    // an unconsumed handle flags the member abandoned so the engine
-    // cancels it mid-decode.
+    // small grace for channel delivery), else the budget's. The handle is
+    // dropped either way, which cancels a member still decoding.
     let grace = budget
         .saturating_sub(t0.elapsed())
         .max(Duration::from_millis(5));
-    let terminal = if deadline_hit {
-        None
-    } else {
-        handle.wait_timeout(grace).ok()
-    };
-    let written = match terminal {
-        None => {
-            let ev = v2::ErrorEvent::new(deadline_shed(state, budget), 503, true);
-            write_chunk(stream, &ev)
+    let outcome = (!deadline_hit)
+        .then(|| handle.wait_timeout(grace).ok())
+        .flatten();
+    let written = match settle(state, outcome, t0, budget, true) {
+        Ok(resp) => write_chunk(stream, &v2::SummaryEvent::from_response(&resp)),
+        Err((code, msg, timed_out)) => {
+            write_chunk(stream, &v2::ErrorEvent::new(msg, code, timed_out))
         }
-        Some(recovered) => match recovered.error {
-            Some(err) => {
-                let code = if recovered.timed_out { 503 } else { 500 };
-                if recovered.timed_out {
-                    state.counters.shed_deadline.fetch_add(1, Ordering::Relaxed);
-                }
-                let msg = format!("recovery failed: {err}");
-                write_chunk(stream, &v2::ErrorEvent::new(msg, code, recovered.timed_out))
-            }
-            None => {
-                state
-                    .counters
-                    .record_latency(t0.elapsed().as_secs_f64() * 1000.0);
-                let resp = RecoverResponse::from_path(
-                    recovered.id,
-                    &recovered.path,
-                    recovered.batch_size,
-                    recovered.latency.as_secs_f64() * 1000.0,
-                );
-                write_chunk(stream, &v2::SummaryEvent::from_response(&resp))
-            }
-        },
     };
     written.is_ok() && stream.write_all(b"0\r\n\r\n").is_ok() && stream.flush().is_ok()
 }
@@ -1398,7 +1396,7 @@ const FAMILIES: &[Family] = &[
     },
     Family {
         name: "rntrajrec_engine_mean_batch",
-        help: "Mean batch size since start.",
+        help: "Mean members per decode session since start, admissions included.",
         kind: Kind::Gauge,
         samples: PerShard(|_, st| st.mean_batch),
     },
@@ -1437,12 +1435,6 @@ const FAMILIES: &[Family] = &[
         help: "Batches failed by the watchdog for exceeding the compute budget.",
         kind: Kind::Counter,
         samples: PerShard(|_, st| st.watchdog_timeouts as f64),
-    },
-    Family {
-        name: "rntrajrec_engine_deadline_cancelled_total",
-        help: "Batch members cancelled mid-decode for an expired deadline.",
-        kind: Kind::Counter,
-        samples: PerShard(|_, st| st.deadline_cancelled as f64),
     },
     Family {
         name: "rntrajrec_engine_admitted_total",

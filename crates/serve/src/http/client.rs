@@ -44,6 +44,29 @@ pub fn post_stream(
     addr: SocketAddr,
     path: &str,
     body: &str,
+    on_line: impl FnMut(&str),
+) -> std::io::Result<HttpResponse> {
+    exchange(addr, "POST", path, body, on_line)
+}
+
+/// Issue one request on a fresh connection.
+pub fn request(
+    addr: SocketAddr,
+    method: &str,
+    path: &str,
+    body: Option<&str>,
+) -> std::io::Result<HttpResponse> {
+    exchange(addr, method, path, body.unwrap_or(""), |_| {})
+}
+
+/// Send one request on a fresh connection and read its response as it
+/// arrives: a chunked body is de-chunked incrementally, one NDJSON line
+/// at a time through `on_line`; any other body is read to the end.
+fn exchange(
+    addr: SocketAddr,
+    method: &str,
+    path: &str,
+    body: &str,
     mut on_line: impl FnMut(&str),
 ) -> std::io::Result<HttpResponse> {
     let err = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
@@ -51,7 +74,7 @@ pub fn post_stream(
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(Duration::from_secs(30)))?;
     let req = format!(
-        "POST {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len(),
     );
     stream.write_all(req.as_bytes())?;
@@ -136,27 +159,6 @@ fn read_more(stream: &mut TcpStream, buf: &mut Vec<u8>) -> std::io::Result<usize
     }
 }
 
-/// Issue one request on a fresh connection.
-pub fn request(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-) -> std::io::Result<HttpResponse> {
-    let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(5))?;
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-    let body = body.unwrap_or("");
-    let req = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len(),
-    );
-    stream.write_all(req.as_bytes())?;
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw)?;
-    parse_response(&raw)
-}
-
 fn parse_head(head: &[u8]) -> std::io::Result<(u16, Vec<(String, String)>)> {
     let err = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
     let head = std::str::from_utf8(head).map_err(|_| err("non-UTF-8 headers"))?;
@@ -172,52 +174,4 @@ fn parse_head(head: &[u8]) -> std::io::Result<(u16, Vec<(String, String)>)> {
         .map(|(n, v)| (n.trim().to_string(), v.trim().to_string()))
         .collect();
     Ok((status, headers))
-}
-
-/// Decode an HTTP/1.1 chunked body captured in full.
-fn decode_chunked(mut raw: &[u8]) -> std::io::Result<Vec<u8>> {
-    let err = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
-    let mut out = Vec::new();
-    loop {
-        let size_end = raw
-            .windows(2)
-            .position(|w| w == b"\r\n")
-            .ok_or_else(|| err("truncated chunk-size line"))?;
-        let size_str =
-            std::str::from_utf8(&raw[..size_end]).map_err(|_| err("non-UTF-8 chunk size"))?;
-        let size = usize::from_str_radix(size_str.split(';').next().unwrap_or_default().trim(), 16)
-            .map_err(|_| err("malformed chunk size"))?;
-        raw = &raw[size_end + 2..];
-        if size == 0 {
-            return Ok(out);
-        }
-        if raw.len() < size + 2 {
-            return Err(err("truncated chunk"));
-        }
-        out.extend_from_slice(&raw[..size]);
-        raw = &raw[size + 2..];
-    }
-}
-
-fn parse_response(raw: &[u8]) -> std::io::Result<HttpResponse> {
-    let err = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
-    let header_end = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .ok_or_else(|| err("no header terminator in response"))?;
-    let (status, headers) = parse_head(&raw[..header_end])?;
-    let chunked = headers.iter().any(|(n, v): &(String, String)| {
-        n.eq_ignore_ascii_case("transfer-encoding") && v.to_ascii_lowercase().contains("chunked")
-    });
-    let body_bytes = if chunked {
-        decode_chunked(&raw[header_end + 4..])?
-    } else {
-        raw[header_end + 4..].to_vec()
-    };
-    let body = String::from_utf8(body_bytes).map_err(|_| err("non-UTF-8 body"))?;
-    Ok(HttpResponse {
-        status,
-        headers,
-        body,
-    })
 }

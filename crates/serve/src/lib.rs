@@ -24,8 +24,10 @@
 //!   ([`ServingModel::decode_state`]) the worker steps itself: decoder
 //!   steps as stacked `[B, ·]` matmuls, one product per head per step for
 //!   the whole batch instead of one per member (a single request is the
-//!   same path at B=1), with queued newcomers admitted, expired members
-//!   retired and steps streamed between ticks.
+//!   same path at B=1), with queued newcomers admitted, members whose
+//!   [`RecoveryHandle`] was dropped retired and steps streamed between
+//!   ticks. Dropping the handle is the only way to cancel a request: the
+//!   engine keeps no deadline of its own.
 //!   [`ServingModel::recover_batch`] is the same pass, closed, for callers
 //!   without an engine. Batched output is bit-identical to sequential
 //!   per-request inference (every fused kernel preserves the member's own
@@ -35,7 +37,8 @@
 //!   front-end (`POST /v1/recover`, `GET /healthz`, `GET /metrics`) with
 //!   **admission control**: a bounded engine queue
 //!   ([`EngineConfig::queue_capacity`] → typed [`EngineError::Overloaded`]
-//!   → `429` + `Retry-After`), per-request deadline budgets (→ `503`), a
+//!   → `429` + `Retry-After`), per-request deadline budgets (→ `503`,
+//!   and the request's handle is dropped, cutting it out of its decode), a
 //!   bounded connection backlog, and graceful drain on shutdown. The
 //!   [`QueryContext`] turns wire requests (`rntrajrec::wire` — raw GPS
 //!   points, no ground truth) into model inputs; HTTP-served results are

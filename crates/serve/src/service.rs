@@ -133,6 +133,14 @@ impl ServingModel {
         self.recover_closed(&[input]).remove(0)
     }
 
+    /// [`ServingModel::recover`] with a panic caught and returned as its
+    /// message: how one member is isolated after its fused pass panicked,
+    /// here and in the engine's session.
+    pub(crate) fn recover_caught(&self, input: &SampleInput) -> Result<RecoveredPath, String> {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.recover(input)))
+            .map_err(panic_message)
+    }
+
     /// Recover a whole micro-batch through the **fused encoder + decoder**:
     /// one stacked encoder pass for the whole batch (GraphNorm statistics
     /// stay scoped per member, so batching cannot change results) and
@@ -141,20 +149,17 @@ impl ServingModel {
     /// bit-identical to per-member [`ServingModel::recover`].
     ///
     /// Panic isolation: a malformed member panics the fused pass, so on
-    /// panic every member is re-run alone through the same pass, each
-    /// individually caught — the bad request fails alone (`Err` with the
-    /// panic message) and every healthy member still returns its exact
-    /// result.
+    /// panic every member is re-run alone through
+    /// `ServingModel::recover_caught` — the bad request fails alone
+    /// (`Err` with the panic message) and every healthy member still
+    /// returns its exact result.
     pub fn recover_batch(&self, inputs: &[&SampleInput]) -> Vec<Result<RecoveredPath, String>> {
-        let caught = |batch: &[&SampleInput]| {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.recover_closed(batch)))
-                .map_err(panic_message)
-        };
-        match caught(inputs) {
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.recover_closed(inputs)))
+        {
             Ok(paths) => paths.into_iter().map(Ok).collect(),
             Err(_) => inputs
                 .iter()
-                .map(|input| caught(&[input]).map(|mut alone| alone.remove(0)))
+                .map(|input| self.recover_caught(input))
                 .collect(),
         }
     }

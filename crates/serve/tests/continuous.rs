@@ -170,49 +170,88 @@ fn mid_decode_admission_leaves_members_bit_identical() {
     assert_eq!(rb.batch_size, 2, "newcomer joined a 2-member session");
 }
 
-/// A newcomer whose deadline already expired is refused at the admission
-/// gate (or cancelled at its first step) — it gets a typed timeout, and
-/// the incumbent is untouched.
+/// A newcomer whose handle is already gone is refused at the admission
+/// gate: it joins no session and costs no encoder pass (`admitted` and
+/// `batches` stay where the anchor left them), and the anchor is
+/// untouched. The anchor's session is stalled at open while the newcomer
+/// is queued and dropped, so its first gate finds it there.
 #[test]
-fn pre_expired_newcomer_is_refused_not_decoded() {
+fn abandoned_newcomer_is_refused_not_decoded() {
     let _c = ChaosGuard::unarmed();
     let (city, inputs) = fixture(2);
     let model = serving(&city);
     let want = model.recover(&inputs[0]);
     let engine = RecoveryEngine::start(model, engine_cfg());
-    slow_decode();
+    rntrajrec_chaos::configure("engine.worker=delay:300@1x1", 0).expect("valid chaos spec");
 
     let a = engine
-        .submit(inputs[0].clone(), SubmitOptions::new().stream())
+        .submit(inputs[0].clone(), SubmitOptions::new())
         .expect("accepts");
-    match a.next_step(Duration::from_secs(30)) {
-        StepWait::Step(_) => {}
-        other => panic!("expected a first step, got {other:?}"),
-    }
-    let b = engine
-        .submit(
-            inputs[1].clone(),
-            SubmitOptions::new().deadline(Instant::now() - Duration::from_millis(1)),
-        )
-        .expect("accepts");
+    assert!(
+        eventually(Duration::from_secs(5), || engine.in_flight_batches() == 1),
+        "anchor never went in flight"
+    );
+    drop(
+        engine
+            .submit(inputs[1].clone(), SubmitOptions::new())
+            .expect("accepts"),
+    );
 
-    let rb = b.wait_timeout(Duration::from_secs(60)).expect("B answered");
     let ra = a
         .wait_timeout(Duration::from_secs(60))
         .expect("A completes");
     rntrajrec_chaos::disarm();
-
-    let err = rb.error.expect("expired newcomer must fail");
-    assert!(err.contains("deadline"), "typed deadline error, got: {err}");
-    assert!(rb.timed_out);
-    assert!(rb.path.is_empty());
     assert!(ra.error.is_none(), "incumbent failed: {:?}", ra.error);
     assert_eq!(ra.path, want, "incumbent perturbed by refused newcomer");
+    let stats = engine.drain();
+    assert_eq!((stats.completed, stats.abandoned_cancelled), (2, 1));
+    assert_eq!(
+        (stats.admitted, stats.batches),
+        (0, 1),
+        "the newcomer was decoded"
+    );
+}
+
+/// `mean_batch` counts members per decode session, admissions included:
+/// an anchor and the `n` newcomers its first gate admits make one session
+/// of `1 + n`, not a batch of one.
+#[test]
+fn mean_batch_counts_every_member_a_session_admits() {
+    let _c = ChaosGuard::unarmed();
+    let n = 3;
+    let (city, inputs) = fixture(1 + n);
+    let engine = RecoveryEngine::start(serving(&city), engine_cfg());
+    // Stall the anchor's session at open so every newcomer is queued
+    // when its first gate looks.
+    rntrajrec_chaos::configure("engine.worker=delay:300@1x1", 0).expect("valid chaos spec");
+    let anchor = engine
+        .submit(inputs[0].clone(), SubmitOptions::new())
+        .expect("accepts");
+    assert!(
+        eventually(Duration::from_secs(5), || engine.in_flight_batches() == 1),
+        "anchor never went in flight"
+    );
+    let newcomers: Vec<_> = (inputs[1..].iter())
+        .map(|input| {
+            engine
+                .submit(input.clone(), SubmitOptions::new())
+                .expect("accepts")
+        })
+        .collect();
+    for h in std::iter::once(anchor).chain(newcomers) {
+        let r = h.wait_timeout(Duration::from_secs(60)).expect("answered");
+        assert!(r.error.is_none(), "member failed: {:?}", r.error);
+        assert_eq!(r.batch_size, 1 + n, "every member reports the session");
+    }
+    rntrajrec_chaos::disarm();
+    let stats = engine.drain();
+    assert_eq!((stats.batches, stats.admitted), (1, n as u64));
+    assert_eq!(stats.mean_batch, (1 + n) as f64);
 }
 
 /// Dropping a `RecoveryHandle` cancels its member mid-decode through the
-/// same compaction path deadlines use — abandoned work is cut, and the
-/// engine keeps serving.
+/// compaction path that retires finished members — abandoned work is cut,
+/// and the engine keeps serving.
 #[test]
 fn dropped_handle_cancels_member_mid_decode() {
     let _c = ChaosGuard::unarmed();
@@ -249,9 +288,9 @@ fn dropped_handle_cancels_member_mid_decode() {
     assert_eq!(r.path, want);
 }
 
-/// The `SubmitOptions` combinations the removed pre-PR-9 shims covered
-/// (plain, traced, traced + deadline) all route through the one `submit`
-/// entry point with identical semantics.
+/// The `SubmitOptions` combinations (plain, traced, traced + streamed)
+/// all route through the one `submit` entry point with identical
+/// results.
 #[test]
 fn submit_options_cover_former_shim_combinations() {
     let _c = ChaosGuard::unarmed();
@@ -274,12 +313,7 @@ fn submit_options_cover_former_shim_combinations() {
     assert_eq!(r.path, want);
 
     let r = engine
-        .submit(
-            inputs[0].clone(),
-            SubmitOptions::new()
-                .trace(None)
-                .deadline(Instant::now() + Duration::from_secs(60)),
-        )
+        .submit(inputs[0].clone(), SubmitOptions::new().trace(None).stream())
         .expect("accepts")
         .wait();
     assert_eq!(r.path, want);

@@ -282,6 +282,61 @@ fn blown_deadline_sheds_503_with_retry_after() {
     );
 }
 
+/// A budget that runs out while the request decodes ends it one way: one
+/// `503` with the budget's message (the engine has no deadline of its own
+/// to race it), one deadline shed, and the dropped handle cuts the member
+/// out of its session, counted as abandoned.
+#[test]
+fn budget_expiring_mid_decode_is_one_503_and_one_abandoned_member() {
+    let _g = lock();
+    let h = boot(
+        quick_engine(),
+        HttpConfig {
+            deadline: Duration::from_millis(100),
+            ..ephemeral_http()
+        },
+        1,
+    );
+    // 1 ms per kernel dispatch and 400 steps: the encoder alone takes
+    // tens of milliseconds and the decode seconds, so the 100 ms budget
+    // runs out inside the session.
+    let s = &h.samples[0];
+    let req = RecoverRequest::from_raw(&s.raw, 400, s.depart_epoch_s);
+    let body = serde_json::to_string(&req).unwrap();
+    let chaos = Chaos::arm("kernel.dispatch=delay:1@1.0");
+    let resp = client::post_json(h.addr(), "/v1/recover", &body).expect("connects");
+    assert_eq!(resp.status, 503, "{}", resp.body);
+    assert!(
+        resp.body.contains("deadline of 100 ms exceeded"),
+        "the budget's message: {}",
+        resp.body
+    );
+    assert!(
+        resp.header("Retry-After").is_some(),
+        "503 must carry Retry-After"
+    );
+    let cut = (0..2000).any(|_| {
+        std::thread::sleep(Duration::from_millis(5));
+        h.engine.stats().abandoned_cancelled == 1
+    });
+    drop(chaos);
+    assert!(cut, "the abandoned member was never cut");
+    let stats = h.engine.stats();
+    assert_eq!((stats.completed, stats.failed), (1, 1));
+    assert_eq!(stats.watchdog_timeouts, 0);
+
+    let metrics = client::get(h.addr(), "/metrics").expect("metrics").body;
+    for needle in [
+        "rntrajrec_http_shed_total{reason=\"deadline\"} 1\n",
+        "rntrajrec_http_responses_total{class=\"5xx\"} 1\n",
+    ] {
+        assert!(
+            metrics.contains(needle),
+            "missing {needle:?} in:\n{metrics}"
+        );
+    }
+}
+
 /// Concurrent HTTP clients must land in one fused micro-batch: every
 /// response reports the full batch size, and the whole batched run costs
 /// fewer matmul invocations than the same requests served one by one
@@ -928,7 +983,7 @@ fn v2_stream_deadline_yields_terminal_error_event() {
     let body = serde_json::to_string(&req).expect("request serializes");
     // 1 ms budget against a session stalled 40 ms before it decodes (an
     // idle engine flushes at once, so queueing alone would not outlast
-    // it): the deadline has expired when the cancel gate first looks.
+    // it): the budget runs out before the first step arrives.
     let _chaos = Chaos::arm("engine.worker=delay:40@1x1");
     let v2_body = {
         let mut s = body.clone();

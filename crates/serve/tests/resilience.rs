@@ -4,7 +4,7 @@
 //! Each test arms `rntrajrec_chaos` with a seeded spec, drives traffic,
 //! and asserts the failure is (a) contained — typed errors, never hangs
 //! or wedged queues — and (b) healed — a worker whose session panicked
-//! keeps serving, hung batches are failed by the watchdog, expired
+//! keeps serving, hung batches are failed by the watchdog, abandoned
 //! members are cancelled mid-decode, shed load is refused with a
 //! retryable status.
 //!
@@ -282,50 +282,42 @@ fn watchdog_fails_hung_batches_without_wedging_the_queue() {
     assert!(r.error.is_none(), "follow-up failed: {:?}", r.error);
 }
 
+/// A member whose handle is dropped while its session is stalled at open
+/// is cut by the retire step before its first decode step; the worker
+/// then serves the next request untouched.
 #[test]
-fn expired_deadlines_cancel_members_mid_decode() {
+fn dropped_handle_cuts_its_member_before_the_first_step() {
     let _c = ChaosGuard::unarmed();
     let (city, inputs, _) = fixture(2);
     let engine = RecoveryEngine::start(serving(&city), engine_cfg(1));
 
-    // An already-expired deadline: the member is cancelled through the
-    // decoder's compaction path and completes with a typed timeout.
-    let r = engine
-        .submit(
-            inputs[0].clone(),
-            SubmitOptions::new().deadline(Instant::now()),
-        )
-        .expect("accepts")
-        .wait_timeout(Duration::from_secs(10))
-        .expect("expired member completes with an error, never hangs");
-    let err = r.error.expect("expired member fails");
-    assert!(err.contains("deadline"), "typed deadline error, got: {err}");
-    assert!(r.timed_out);
-    assert!(r.path.is_empty());
+    drop(plug_one_worker(&engine, &inputs[0]));
+    assert!(
+        eventually(Duration::from_secs(5), || {
+            engine.stats().abandoned_cancelled == 1
+        }),
+        "the abandoned member was never cut"
+    );
 
-    // A generous deadline is untouched.
+    // A held handle is untouched.
     let r = engine
-        .submit(
-            inputs[1].clone(),
-            SubmitOptions::new().deadline(Instant::now() + Duration::from_secs(60)),
-        )
+        .submit(inputs[1].clone(), SubmitOptions::new())
         .expect("accepts")
         .wait_timeout(Duration::from_secs(10))
-        .expect("unexpired member completes");
-    assert!(r.error.is_none(), "unexpired member failed: {:?}", r.error);
+        .expect("held member completes");
+    assert!(r.error.is_none(), "held member failed: {:?}", r.error);
     assert!(!r.path.is_empty());
-    assert!(eventually(Duration::from_secs(5), || {
-        engine.stats().deadline_cancelled >= 1
-    }));
+    let stats = engine.drain();
+    assert_eq!((stats.completed, stats.failed), (2, 1));
 }
 
 #[test]
-fn mixed_deadline_batch_leaves_survivors_bit_identical() {
+fn mixed_abandoned_batch_leaves_survivors_bit_identical() {
     let _c = ChaosGuard::unarmed();
     let (city, inputs, _) = fixture(4);
     let model = serving(&city);
 
-    // Reference: each input recovered alone, no deadlines.
+    // Reference: each input recovered alone.
     let reference = RecoveryEngine::start(Arc::clone(&model), engine_cfg(1));
     let want: Vec<Vec<(usize, f32)>> = inputs
         .iter()
@@ -337,11 +329,12 @@ fn mixed_deadline_batch_leaves_survivors_bit_identical() {
         .collect();
     drop(reference);
 
-    // One fused batch where members 1 and 3 are pre-expired: they are
-    // compacted out at step 0 and the survivors' rows must be bitwise
-    // what they were without the cancelled neighbours. An idle engine
-    // would flush member 0 alone and fail the expired ones at admission,
-    // so the batch is formed behind a plugged worker and leaves on size.
+    // One fused batch where members 0 and 2 are abandoned while queued:
+    // they are compacted out at step 0 and the survivors' rows must be
+    // bitwise what they were without the cancelled neighbours. An idle
+    // engine would flush member 0 alone and refuse the abandoned ones at
+    // admission, so the batch is formed behind a plugged worker and
+    // leaves on size.
     let engine = RecoveryEngine::start(
         model,
         EngineConfig {
@@ -351,43 +344,39 @@ fn mixed_deadline_batch_leaves_survivors_bit_identical() {
         },
     );
     let plug = plug_one_worker(&engine, &inputs[0]);
-    let handles: Vec<_> = inputs
+    // Each abandoned handle is dropped before the next submission, so
+    // before the fourth one (a survivor) flushes the batch.
+    let survivors: Vec<_> = inputs
         .iter()
         .enumerate()
-        .map(|(i, input)| {
-            let deadline = if i % 2 == 1 {
-                Some(Instant::now() - Duration::from_millis(1))
-            } else {
-                Some(Instant::now() + Duration::from_secs(60))
-            };
-            let mut opts = SubmitOptions::new();
-            opts.deadline = deadline;
-            engine.submit(input.clone(), opts).expect("accepts")
+        .filter_map(|(i, input)| {
+            let h = engine
+                .submit(input.clone(), SubmitOptions::new())
+                .expect("accepts");
+            (i % 2 == 1).then_some((i, h))
         })
         .collect();
-    for (i, h) in handles.into_iter().enumerate() {
+    for (i, h) in survivors {
         let r = h
             .wait_timeout(Duration::from_secs(10))
             .expect("no member of a mixed batch may hang");
-        if i % 2 == 1 {
-            assert!(r.timed_out, "expired member {i} must time out");
-        } else {
-            assert!(r.error.is_none(), "survivor {i} failed: {:?}", r.error);
-            assert_eq!(r.path, want[i], "survivor {i} not bit-identical");
-        }
+        assert!(r.error.is_none(), "survivor {i} failed: {:?}", r.error);
+        assert_eq!(r.path, want[i], "survivor {i} not bit-identical");
         assert_eq!(r.batch_size, 4, "member {i} left outside the fused batch");
     }
     assert!(plug.wait().error.is_none());
-    assert_eq!(engine.stats().flushed_full, 1);
+    let stats = engine.drain();
+    assert_eq!(stats.flushed_full, 1);
+    assert_eq!((stats.completed, stats.abandoned_cancelled), (5, 2));
 }
 
 /// A corrupt member inside a flushed batch panics the fused pass; the
-/// session then re-runs each member alone, closed, with its deadline still
-/// in force: the corrupt one fails with its panic message, the one whose
-/// budget is gone is cut without an encoder pass, the healthy two carry
-/// their solo bits — and all four still report the batch they shared.
+/// session then re-runs alone each member whose handle is still held: the
+/// corrupt one fails with its panic message, the one whose handle is gone
+/// is cut instead of re-run, the healthy two carry their solo bits — and
+/// all three held ones still report the batch they shared.
 #[test]
-fn corrupt_member_fails_alone_and_deadlines_hold_in_the_rerun() {
+fn corrupt_member_fails_alone_and_dropped_handles_hold_in_the_rerun() {
     let _c = ChaosGuard::unarmed();
     let (city, inputs, _) = fixture(5);
     let model = serving(&city);
@@ -403,15 +392,10 @@ fn corrupt_member_fails_alone_and_deadlines_hold_in_the_rerun() {
     let plug = plug_one_worker(&engine, &inputs[4]);
     let mut corrupt = inputs[2].clone();
     corrupt.subgraphs[0].nodes[0] = usize::MAX / 2; // out of any road network's range
-    let expired = SubmitOptions::new().deadline(Instant::now() - Duration::from_millis(1));
-    let [r0, r1, r2, r3] = [
-        (inputs[0].clone(), SubmitOptions::new()),
-        (inputs[1].clone(), expired),
-        (corrupt, SubmitOptions::new()),
-        (inputs[3].clone(), SubmitOptions::new()),
-    ]
-    .map(|(input, opts)| engine.submit(input, opts).expect("accepts"))
-    .map(|h| {
+    let submit = |input| engine.submit(input, SubmitOptions::new()).expect("accepts");
+    let h0 = submit(inputs[0].clone());
+    drop(submit(inputs[1].clone()));
+    let [r0, r2, r3] = [h0, submit(corrupt), submit(inputs[3].clone())].map(|h| {
         h.wait_timeout(Duration::from_secs(10))
             .expect("no member of a panicked batch may hang")
     });
@@ -419,18 +403,17 @@ fn corrupt_member_fails_alone_and_deadlines_hold_in_the_rerun() {
         assert!(r.error.is_none(), "healthy member failed: {:?}", r.error);
         assert_eq!(&r.path, want, "healthy member diverged in its re-run");
     }
-    assert!(r1.timed_out, "expired member must time out: {:?}", r1.error);
     assert!(
         r2.error.is_some() && !r2.timed_out,
         "a panic is not a timeout"
     );
-    for r in [&r0, &r1, &r2, &r3] {
+    for r in [&r0, &r2, &r3] {
         assert_eq!(r.batch_size, 4, "the four must share one flushed batch");
     }
     assert!(plug.wait().error.is_none());
     let stats = engine.drain();
     assert_eq!((stats.requests, stats.completed), (5, 5));
-    assert_eq!((stats.failed, stats.deadline_cancelled), (2, 1));
+    assert_eq!((stats.failed, stats.abandoned_cancelled), (2, 1));
 }
 
 /// ROADMAP 3(b), thin slice: every (seed, fault spec) schedule over the
@@ -679,7 +662,7 @@ fn chaos_and_resilience_metrics_are_exported() {
     for needle in [
         "rntrajrec_engine_worker_restarts_total",
         "rntrajrec_engine_watchdog_timeouts_total",
-        "rntrajrec_engine_deadline_cancelled_total",
+        "rntrajrec_engine_abandoned_cancelled_total",
         "rntrajrec_engine_brownout_mode{city=\"default\",mode=\"normal\"} 1",
         "rntrajrec_engine_brownout_level",
         "rntrajrec_engine_drain_rate_per_sec",
