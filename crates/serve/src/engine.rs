@@ -38,7 +38,7 @@
 //! | queued | waiting in the queue | nobody yet |
 //! | open | registered in the claim slot, `engine.worker` chaos point | the worker (an injected error fails the batch, an injected panic is caught by its loop); the supervisor (stalled past the watchdog budget) |
 //! | decoding | encode the batch, then per tick: take newcomers from the queue (encode, admit), retire members whose handle is gone, tick, fan the steps out to streaming sinks | the worker's loop, if a panic escapes the session; the supervisor (watchdog); newcomers join the claim. The session itself answers just the newcomers it *refuses* at the gate — already abandoned — which never joined |
-//! | isolating | only after a panic in the fused pass: each member whose handle is still held again, alone, through `ServingModel::recover_caught` — nobody admitted, nothing streamed — so only the bad one fails | as in decoding |
+//! | isolating | only after a panic in the fused pass: each member whose handle is still held again, alone, through `ServingModel::recover_caught` — nobody admitted, nothing streamed, a re-run once started not cut by a dropped handle, and none of it in the `encoder` / `decoder` phase histograms — so only the bad one fails | as in decoding |
 //! | closed | compute is over: in-flight gauge lowered, claim taken back | the worker answers every member; if the supervisor got to the claim first, it already has, and the results are dropped |
 //!
 //! # Self-healing

@@ -1070,21 +1070,21 @@ fn admit<'a>(
 /// How an admitted request ends, on the buffered and the streamed route
 /// alike: the engine's [`Recovered`], or `None` when the budget ran out
 /// first — the caller has then dropped (or is about to drop) the handle,
-/// which cancels the member. `Err` carries the would-be status, the
-/// message and whether it was a time failure (a missed budget or a
-/// watchdog kill: `503`, counted as a deadline shed). A success records
-/// its latency.
+/// which cancels the member. `Err` carries the would-be status and the
+/// message: `503` for a time failure (a missed budget or a watchdog
+/// kill, counted as a deadline shed), `500` for anything else. A success
+/// records its latency.
 fn settle(
     state: &ServerState,
     outcome: Option<Recovered>,
     t0: Instant,
     budget: Duration,
     streamed: bool,
-) -> Result<RecoverResponse, (u16, String, bool)> {
+) -> Result<RecoverResponse, (u16, String)> {
     let failed = match outcome {
         None => {
             let ms = budget.as_secs_f64() * 1000.0;
-            (503, format!("deadline of {ms:.0} ms exceeded"), true)
+            (503, format!("deadline of {ms:.0} ms exceeded"))
         }
         Some(recovered) => {
             let Some(err) = recovered.error else {
@@ -1104,10 +1104,10 @@ fn settle(
                 (false, false) => "inference failed",
             };
             let status = if recovered.timed_out { 503 } else { 500 };
-            (status, format!("{what}: {err}"), recovered.timed_out)
+            (status, format!("{what}: {err}"))
         }
     };
-    if failed.2 {
+    if failed.0 == 503 {
         state.counters.shed_deadline.fetch_add(1, Ordering::Relaxed);
     }
     Err(failed)
@@ -1134,8 +1134,8 @@ fn wait_and_answer(state: &ServerState, admitted: Admitted<'_>) -> Answer {
         Ok(resp) => resp,
         // Time failures are a load condition (retryable): 503 +
         // Retry-After. Anything else is a server bug.
-        Err((503, msg, _)) => return Answer::error(503, msg).header("Retry-After", retry_after),
-        Err((status, msg, _)) => return Answer::error(status, msg),
+        Err((503, msg)) => return Answer::error(503, msg).header("Retry-After", retry_after),
+        Err((status, msg)) => return Answer::error(status, msg),
     };
     let serialize_started = Instant::now();
     let body = {
@@ -1187,39 +1187,40 @@ fn stream_steps(
         rntrajrec_chaos::point("http.write").is_ok() && stream.write_all(head.as_bytes()).is_ok();
     let mut deadline_hit = false;
     while ok {
-        // A zero wait still yields a step already decoded: past the
-        // budget the stream ends at the first step not yet there.
-        match handle.next_step(budget.saturating_sub(t0.elapsed())) {
+        let remaining = budget.saturating_sub(t0.elapsed());
+        if remaining.is_zero() {
+            deadline_hit = true;
+            break;
+        }
+        match handle.next_step(remaining) {
             StepWait::Step(s) => {
                 let ev = v2::StepEvent::new(s.id, s.step, s.segment, s.rate, s.logprob);
                 ok = write_chunk(stream, &ev).is_ok();
             }
             StepWait::Finished => break,
-            StepWait::TimedOut => {
-                if t0.elapsed() >= budget {
-                    deadline_hit = true;
-                    break;
-                }
-            }
+            // The next turn finds the budget spent.
+            StepWait::TimedOut => {}
         }
     }
     if !ok {
         return false;
     }
-    // Terminal event: the engine's verdict if it arrives in budget (+ a
-    // small grace for channel delivery), else the budget's. The handle is
-    // dropped either way, which cancels a member still decoding.
-    let grace = budget
-        .saturating_sub(t0.elapsed())
-        .max(Duration::from_millis(5));
-    let outcome = (!deadline_hit)
-        .then(|| handle.wait_timeout(grace).ok())
-        .flatten();
+    // Terminal event: the engine's verdict once its steps are done (+ a
+    // small grace for channel delivery), else the budget's. A spent
+    // budget drops the handle here, before anything is written, which
+    // cancels a member still decoding.
+    let outcome = if deadline_hit {
+        drop(handle);
+        None
+    } else {
+        let grace = budget
+            .saturating_sub(t0.elapsed())
+            .max(Duration::from_millis(5));
+        handle.wait_timeout(grace).ok()
+    };
     let written = match settle(state, outcome, t0, budget, true) {
         Ok(resp) => write_chunk(stream, &v2::SummaryEvent::from_response(&resp)),
-        Err((code, msg, timed_out)) => {
-            write_chunk(stream, &v2::ErrorEvent::new(msg, code, timed_out))
-        }
+        Err((code, msg)) => write_chunk(stream, &v2::ErrorEvent::new(msg, code, code == 503)),
     };
     written.is_ok() && stream.write_all(b"0\r\n\r\n").is_ok() && stream.flush().is_ok()
 }
